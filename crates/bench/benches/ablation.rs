@@ -98,7 +98,16 @@ fn bench_fused_conv_sign(c: &mut Criterion) {
     group.bench_function("conv4.1/fused-conv-sign-pack", |b| {
         let mut out = BitTensor::zeros(g.out_h + 2, g.out_w + 2, k);
         b.iter(|| {
-            pressed_conv_sign_into(SimdLevel::Avx512, &p.bit_input, bank, 1, &st, &mut out, 1);
+            pressed_conv_sign_into(
+                SimdLevel::Avx512,
+                &p.bit_input,
+                bank,
+                1,
+                &st,
+                &mut out,
+                1,
+                false,
+            );
             black_box(&out);
         });
     });

@@ -19,7 +19,8 @@ fn main() {
                 (
                     k.to_string(),
                     format!("{}x{}x{}", g.out_h, g.out_w, g.out_c),
-                    s.select(w.c).level.to_string(),
+                    // Filter-lane core: the widest tier at every C.
+                    s.streaming_level().to_string(),
                 )
             }
             OpKind::Fc { k } => (

@@ -2,12 +2,13 @@
 
 use crate::timing::{measure, measure_interleaved, with_pool};
 use crate::workloads::{OpKind, Prepared};
-use bitflow_ops::binary::{binary_max_pool, pressed_conv, pressed_conv_parallel};
+use bitflow_ops::binary::{binary_max_pool, pressed_conv_into};
 use bitflow_ops::float::{
     conv_im2col, conv_im2col_parallel, fc_parallel, fc_pretransposed, max_pool, max_pool_parallel,
 };
 use bitflow_ops::SimdLevel;
 use bitflow_simd::VectorScheduler;
+use bitflow_tensor::{Layout, Shape, Tensor};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -25,13 +26,14 @@ pub enum Impl {
     BitFlowForced(SimdLevel),
 }
 
-/// The scheduler-selected level for a prepared workload (what BitFlow's
-/// code generator would pick on this machine).
+/// The level the engine runs a prepared workload at on this machine: the
+/// §III-B channel rule for pools, the widest tier for FC rows and — its
+/// vector lanes being output filters, not channel words — the conv core.
 pub fn scheduled_level(p: &Prepared) -> SimdLevel {
     let s = VectorScheduler::new();
     match p.workload.kind {
-        OpKind::Conv { .. } | OpKind::Pool => s.select(p.workload.c).level,
-        OpKind::Fc { .. } => s.streaming_level(),
+        OpKind::Pool => s.select(p.workload.c).level,
+        OpKind::Conv { .. } | OpKind::Fc { .. } => s.streaming_level(),
     }
 }
 
@@ -77,21 +79,13 @@ pub fn run_once(imp: Impl, p: &Prepared, threads: usize) {
             match kind {
                 OpKind::Conv { .. } => {
                     let bank = p.bank.as_ref().unwrap();
-                    if threads == 1 {
-                        black_box(pressed_conv(
-                            level,
-                            &p.bit_input,
-                            bank,
-                            p.workload.params.stride,
-                        ));
-                    } else {
-                        black_box(pressed_conv_parallel(
-                            level,
-                            &p.bit_input,
-                            bank,
-                            p.workload.params.stride,
-                        ));
-                    }
+                    let w = &p.workload;
+                    let g = w.params.conv_out(w.input_shape(), bank.shape().k);
+                    let mut out =
+                        Tensor::zeros(Shape::hwc(g.out_h, g.out_w, g.out_c), Layout::Nhwc);
+                    let stride = w.params.stride;
+                    pressed_conv_into(level, &p.bit_input, bank, stride, &mut out, threads != 1);
+                    black_box(out);
                 }
                 OpKind::Fc { .. } => {
                     let w = p.fc_weights.as_ref().unwrap();

@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use bitflow_net::{NetConfig, NetServer};
     pub use bitflow_ops::binary::{
-        binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv, pressed_conv_parallel,
+        binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv, pressed_conv_into,
         BinaryFcWeights, ConvEpilogue, PopCmp, SignThresholds,
     };
     pub use bitflow_ops::{ConvParams, SimdLevel};

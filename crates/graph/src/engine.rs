@@ -34,8 +34,7 @@ use bitflow_gemm::pack::PackedMatrix;
 use bitflow_gemm::sgemm::transpose;
 use bitflow_ops::binary::{
     binarize_pack_into, binarize_threshold_into, binary_max_pool_into, pack_signed_dots_into,
-    pressed_conv_into, pressed_conv_parallel_into, pressed_conv_sign_parallel_into,
-    pressed_conv_sign_scratch_into, BinaryFcWeights, SignThresholds,
+    pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::kernels::SimdLevel;
@@ -62,6 +61,17 @@ pub type FaultHook = Arc<dyn Fn(usize, &str, u64) + Send + Sync>;
 /// The request tag reported to a [`FaultHook`] when no tagged inference is
 /// running on the current thread.
 pub const UNTAGGED: u64 = u64::MAX;
+
+/// Least single-thread work, in bit-ops ([`OpCost::bit_ops`] summed over
+/// the model), a rayon worker's share of a batch must hold before
+/// [`CompiledModel::try_infer_batch`] fans the batch out: 2³² ≈ 3 ms at the
+/// ≈1.4 Tbit-op/s the conv core sustains, so a 25–40 µs cross-CPU wake-up
+/// stays near 1% of the share. Under it the batch runs on the calling
+/// thread. Measured on the 2-vCPU reference host with 16 `tiered_cnn`
+/// images (0.14 ms each, 1.5·10⁹ bit-ops a share): fanned out 1.26–2.0 ms
+/// a call with windows 19–20% apart, on the caller 2.26 ms with windows
+/// 3–5% apart; one VGG-16 image is 3.4·10¹⁰ bit-ops and always fans out.
+const FAN_OUT_MIN_SHARE_BIT_OPS: u64 = 1 << 32;
 
 thread_local! {
     /// Index of the operator currently executing on this thread, or
@@ -286,8 +296,8 @@ enum RtOp {
     /// Float input map → pressed (padded) input buffer.
     BinarizeInput { out: usize, pad: usize },
     /// Fused PressedConv + integer-threshold sign epilogue → pressed
-    /// (padded) output. The `scratch` slot is a `Vec` of `k` floats (one
-    /// conv window of dots) — the h·w·k float count map never exists.
+    /// (padded) output: popcounts are compared in registers, so neither a
+    /// float count map nor a dot scratch exists.
     ConvSign {
         name: String,
         bank: BitFilterBank,
@@ -295,7 +305,6 @@ enum RtOp {
         stride: usize,
         level: SimdLevel,
         input: usize,
-        scratch: usize,
         out: usize,
         out_pad: usize,
     },
@@ -381,6 +390,9 @@ pub struct CompiledModel {
     logits_slot: usize,
     float_bytes: usize,
     packed_bytes: usize,
+    /// Σ `bit_ops` of [`CompiledModel::op_descriptors`]: one inference's
+    /// work, what the batch paths weigh a worker's share with.
+    item_bit_ops: u64,
     /// Telemetry is opt-in per model: empty until
     /// [`CompiledModel::enable_telemetry`], after which every serving
     /// thread records into the shared handle. The disabled cost is one
@@ -482,16 +494,17 @@ impl CompiledModel {
                         LayerIo::Map { h, w, .. } => (h, w),
                         _ => unreachable!(),
                     };
-                    let level = scheduler.try_select(in_c)?.level;
+                    // The conv core's vector lanes are output filters, so
+                    // it runs at the widest tier for every C; §III-B's
+                    // channel rule (checked by `spec.validate`) governs
+                    // the packing width only.
+                    let level = scheduler.streaming_level();
                     let input = cur.bit_slot();
                     let out = if fused.contains(name.as_str()) {
-                        // Fused Conv→BN→Sign: the scratch is one window of
-                        // dots (k floats); the sign epilogue compares the
-                        // integer dot against the folded threshold and
+                        // Fused Conv→BN→Sign: the sign epilogue compares
+                        // the popcount against the folded threshold and
                         // writes the output already pressed.
                         let st = SignThresholds::from_fold(&fold, params.kh * params.kw * in_c);
-                        let scratch = slot_specs.len();
-                        slot_specs.push(SlotSpec::Vec { len: *k });
                         let out = slot_specs.len();
                         slot_specs.push(SlotSpec::Bit {
                             h: oh + 2 * out_pad,
@@ -505,7 +518,6 @@ impl CompiledModel {
                             stride: params.stride,
                             level,
                             input,
-                            scratch,
                             out,
                             out_pad,
                         });
@@ -637,7 +649,7 @@ impl CompiledModel {
         }
 
         let logits_slot = slot_specs.len() - 1;
-        Ok(Self {
+        let mut model = Self {
             spec: spec.clone(),
             plan,
             ops,
@@ -645,9 +657,12 @@ impl CompiledModel {
             logits_slot,
             float_bytes: weights.float_bytes(),
             packed_bytes: weights.packed_bytes(),
+            item_bit_ops: 0,
             telemetry: OnceLock::new(),
             fault_hook: OnceLock::new(),
-        })
+        };
+        model.item_bit_ops = model.op_descriptors().iter().map(|d| d.cost.bit_ops).sum();
+        Ok(model)
     }
 
     /// Compiles a spec + weights into a ready engine (panicking wrapper
@@ -815,7 +830,7 @@ impl CompiledModel {
                             OpCost {
                                 bit_ops: 2 * (oh * ow * f.k) as u64 * window_bits,
                                 bytes_read: (slot_bytes(&self.slot_specs[*input])
-                                    + f.k * f.kh * f.kw * cw * 8)
+                                    + bank.packed_bytes())
                                     as u64,
                                 bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
                                 tile: None,
@@ -837,7 +852,7 @@ impl CompiledModel {
                             OpCost {
                                 bit_ops: 2 * (oh * ow * f.k) as u64 * window_bits,
                                 bytes_read: (slot_bytes(&self.slot_specs[*input])
-                                    + f.k * f.kh * f.kw * cw * 8)
+                                    + bank.packed_bytes())
                                     as u64,
                                 // The float count map the fused epilogue
                                 // never materializes.
@@ -1088,10 +1103,17 @@ impl CompiledModel {
         }
     }
 
-    /// Runs a batch of images over the installed rayon pool with
-    /// per-item results: the batch is split into contiguous chunks, each
-    /// worker chunk gets its own [`InferenceContext`], and every image runs
+    /// Runs a batch of images with per-item results: the batch is split
+    /// into contiguous chunks, one per thread of the installed rayon pool,
+    /// each chunk gets its own [`InferenceContext`], and every image runs
     /// the serial operator path inside its worker.
+    ///
+    /// **Small batches are not fanned out.** When a worker's share is
+    /// under `FAN_OUT_MIN_SHARE_BIT_OPS` of work the whole batch runs as
+    /// one chunk on the calling thread and rayon is not entered: handing
+    /// half a millisecond of work to a sleeping worker costs a wake-up
+    /// that is neither small nor steady next to it, and the call then
+    /// ends when the slower worker does.
     ///
     /// **Graceful degradation:** a malformed item (wrong shape, NaN) yields
     /// its own `Err` without poisoning the rest of the batch — every other
@@ -1101,60 +1123,61 @@ impl CompiledModel {
     /// [`BitFlowError::Internal`] for that item only, and the worker's
     /// session buffers are replaced before the next item runs.
     pub fn try_infer_batch(&self, inputs: &[Tensor]) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        use rayon::prelude::*;
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = inputs.len().div_ceil(threads).max(1);
-        let telemetry = self.telemetry.get();
-        if let Some(t) = telemetry {
-            t.batch()
-                .batch_started(inputs.len() as u64, inputs.len().div_ceil(chunk) as u64);
-        }
-        let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(inputs.len());
-        out.resize_with(inputs.len(), || {
-            Err(BitFlowError::Internal("item not reached".into()))
-        });
-        out.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(ci, outs)| {
-                let mut ctx = self.new_context();
-                for (j, o) in outs.iter_mut().enumerate() {
-                    let input = &inputs[ci * chunk + j];
-                    let result = self.catch_fault(|| self.try_infer(&mut ctx, input));
-                    if matches!(result, Err(BitFlowError::Internal(_))) {
-                        // A panic may have left the session buffers
-                        // partially written — replace them so later
-                        // items stay bit-identical to serial runs.
-                        ctx = self.new_context();
-                    }
-                    *o = result;
-                    if let Some(t) = telemetry {
-                        t.batch().item_finished(o.is_ok());
-                    }
-                }
-            });
-        out
+        self.run_batch(inputs, self.batch_chunk(inputs.len()), |ctx, input| {
+            self.try_infer(ctx, input)
+        })
     }
 
     /// [`CompiledModel::try_infer_batch`] for serving: each item carries
     /// its own [`CancelToken`] (checked at every operator boundary) and a
     /// request tag that reaches the installed [`FaultHook`] on whatever
-    /// rayon worker runs the item — so per-request chaos decisions and
+    /// thread runs the item — so per-request chaos decisions and
     /// cancellations keep working when requests are coalesced into a
-    /// batch. Per-item results, same graceful degradation and bit-exact
-    /// guarantees as `try_infer_batch`.
+    /// batch. Per-item results, same fan-out rule, graceful degradation
+    /// and bit-exact guarantees as `try_infer_batch`.
     pub fn try_infer_batch_cancellable(
         &self,
         items: &[BatchItem<'_>],
+    ) -> Vec<Result<Vec<f32>, BitFlowError>> {
+        self.run_batch(items, self.batch_chunk(items.len()), |ctx, item| {
+            // Guards inside the catch: a panicking hook unwinds through
+            // the guards' Drops, restoring the tag and trace before the
+            // next item runs on this worker.
+            let _tag = enter_infer_tag(item.tag);
+            let _trace = item
+                .trace
+                .as_ref()
+                .map(|tb| enter_trace_scope(Arc::clone(tb)));
+            self.try_infer_cancellable(ctx, item.input, item.cancel)
+        })
+    }
+
+    /// Items per chunk of an `n`-item batch: an equal share per thread of
+    /// the installed pool, or all `n` (one chunk, run by the caller) when
+    /// that share is too little work to hand to another thread.
+    fn batch_chunk(&self, n: usize) -> usize {
+        let share = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
+        if (share as u64).saturating_mul(self.item_bit_ops) < FAN_OUT_MIN_SHARE_BIT_OPS {
+            n
+        } else {
+            share
+        }
+    }
+
+    /// The loop behind both batch entry points: `chunk` items at a time,
+    /// one fresh context per chunk, each item under
+    /// [`CompiledModel::catch_fault`]. A chunk that covers the whole batch
+    /// runs here, on the calling thread; smaller chunks go over rayon.
+    fn run_batch<T: Sync>(
+        &self,
+        items: &[T],
+        chunk: usize,
+        infer: impl Fn(&mut InferenceContext, &T) -> Result<Vec<f32>, BitFlowError> + Sync,
     ) -> Vec<Result<Vec<f32>, BitFlowError>> {
         use rayon::prelude::*;
         if items.is_empty() {
             return Vec::new();
         }
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = items.len().div_ceil(threads).max(1);
         let telemetry = self.telemetry.get();
         if let Some(t) = telemetry {
             t.batch()
@@ -1164,32 +1187,28 @@ impl CompiledModel {
         out.resize_with(items.len(), || {
             Err(BitFlowError::Internal("item not reached".into()))
         });
-        out.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(ci, outs)| {
-                let mut ctx = self.new_context();
-                for (j, o) in outs.iter_mut().enumerate() {
-                    let item = &items[ci * chunk + j];
-                    let result = self.catch_fault(|| {
-                        // Guards inside the catch: a panicking hook unwinds
-                        // through the guards' Drops, restoring the tag and
-                        // trace before the next item runs on this worker.
-                        let _tag = enter_infer_tag(item.tag);
-                        let _trace = item
-                            .trace
-                            .as_ref()
-                            .map(|tb| enter_trace_scope(Arc::clone(tb)));
-                        self.try_infer_cancellable(&mut ctx, item.input, item.cancel)
-                    });
-                    if matches!(result, Err(BitFlowError::Internal(_))) {
-                        ctx = self.new_context();
-                    }
-                    *o = result;
-                    if let Some(t) = telemetry {
-                        t.batch().item_finished(o.is_ok());
-                    }
+        let run_chunk = |(ci, outs): (usize, &mut [Result<Vec<f32>, BitFlowError>])| {
+            let mut ctx = self.new_context();
+            for (j, o) in outs.iter_mut().enumerate() {
+                let item = &items[ci * chunk + j];
+                let result = self.catch_fault(|| infer(&mut ctx, item));
+                if matches!(result, Err(BitFlowError::Internal(_))) {
+                    // A panic may have left the session buffers partially
+                    // written — replace them so later items stay
+                    // bit-identical to serial runs.
+                    ctx = self.new_context();
                 }
-            });
+                *o = result;
+                if let Some(t) = telemetry {
+                    t.batch().item_finished(o.is_ok());
+                }
+            }
+        };
+        if chunk >= items.len() {
+            run_chunk((0, &mut out));
+        } else {
+            out.par_chunks_mut(chunk).enumerate().for_each(run_chunk);
+        }
         out
     }
 
@@ -1289,43 +1308,24 @@ impl CompiledModel {
                 stride,
                 level,
                 input: in_slot,
-                scratch,
                 out,
                 out_pad,
                 ..
             } => {
-                if parallel {
-                    // Fused conv + integer sign epilogue, padded output
-                    // rows over the installed rayon pool (each worker
-                    // carries its own window of dots).
-                    let (inp, dst) = two_slots(slots, *in_slot, *out);
-                    pressed_conv_sign_parallel_into(
-                        *level,
-                        inp.bit().map_err(slot_type(op_name, SlotKind::Bit))?,
-                        bank,
-                        *stride,
-                        st,
-                        dst.bit_mut().map_err(slot_type(op_name, SlotKind::Bit))?,
-                        *out_pad,
-                    );
-                } else {
-                    // Fused single pass (conv + integer threshold + sign +
-                    // pack), borrowing the layer's k-float scratch vector
-                    // as the per-window dot buffer so the request
-                    // allocates nothing.
-                    let (inp, scr, dst) = three_slots(slots, *in_slot, *scratch, *out);
-                    let dots = scr.vec_mut().map_err(slot_type(op_name, SlotKind::Vec))?;
-                    pressed_conv_sign_scratch_into(
-                        *level,
-                        inp.bit().map_err(slot_type(op_name, SlotKind::Bit))?,
-                        bank,
-                        *stride,
-                        st,
-                        dots,
-                        dst.bit_mut().map_err(slot_type(op_name, SlotKind::Bit))?,
-                        *out_pad,
-                    );
-                }
+                // Fused single pass (conv + integer threshold + sign +
+                // pack); output rows go over the installed rayon pool when
+                // the context is parallel.
+                let (inp, dst) = two_slots(slots, *in_slot, *out);
+                pressed_conv_sign_into(
+                    *level,
+                    inp.bit().map_err(slot_type(op_name, SlotKind::Bit))?,
+                    bank,
+                    *stride,
+                    st,
+                    dst.bit_mut().map_err(slot_type(op_name, SlotKind::Bit))?,
+                    *out_pad,
+                    parallel,
+                );
             }
             RtOp::ConvFloat {
                 bank,
@@ -1338,11 +1338,7 @@ impl CompiledModel {
                 let (inp, dst) = two_slots(slots, *in_slot, *out);
                 let input = inp.bit().map_err(slot_type(op_name, SlotKind::Bit))?;
                 let counts = dst.map_mut().map_err(slot_type(op_name, SlotKind::Map))?;
-                if parallel {
-                    pressed_conv_parallel_into(*level, input, bank, *stride, counts);
-                } else {
-                    pressed_conv_into(*level, input, bank, *stride, counts);
-                }
+                pressed_conv_into(*level, input, bank, *stride, counts, parallel);
             }
             RtOp::BnSign {
                 thresholds,
@@ -1566,22 +1562,6 @@ fn fc_cost(weights: &BinaryFcWeights, packed_out_bytes: Option<usize>) -> OpCost
             par_k_chunk: g.par_k_chunk,
         }),
     }
-}
-
-/// Three distinct mutable slot borrows.
-fn three_slots(
-    slots: &mut [Slot],
-    a: usize,
-    b: usize,
-    c: usize,
-) -> (&mut Slot, &mut Slot, &mut Slot) {
-    assert!(a != b && b != c && a != c, "aliasing slots");
-    // Resolve via raw pointers after the distinctness check; a sort-based
-    // split_at_mut chain over three arbitrary indices is strictly worse to
-    // read and no safer.
-    let base = slots.as_mut_ptr();
-    assert!(a < slots.len() && b < slots.len() && c < slots.len());
-    unsafe { (&mut *base.add(a), &mut *base.add(b), &mut *base.add(c)) }
 }
 
 /// Two distinct mutable slot borrows.
@@ -1981,8 +1961,45 @@ mod tests {
                 .expect("pool");
             let batch = pool.install(|| model.infer_batch(&inputs));
             assert_eq!(batch, serial, "threads={threads}");
+            // This model is far under the fan-out floor, so the call above
+            // ran on one thread; the rayon path is taken with the share a
+            // heavy model would get.
+            assert_eq!(model.batch_chunk(inputs.len()), inputs.len());
+            let fanned = pool.install(|| {
+                model.run_batch(&inputs, inputs.len().div_ceil(threads), |ctx, img| {
+                    model.try_infer(ctx, img)
+                })
+            });
+            let fanned: Vec<Vec<f32>> = fanned.into_iter().map(|r| r.expect("item")).collect();
+            assert_eq!(fanned, serial, "fanned out, threads={threads}");
         }
         assert!(model.infer_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn batch_fans_out_only_when_a_share_is_worth_a_wake_up() {
+        let (spec, weights, _) = setup();
+        let mut model = CompiledModel::compile(&spec, &weights);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
+        assert!(model.item_bit_ops > 0, "cost model counts this net's work");
+        assert_eq!(pool.install(|| model.batch_chunk(16)), 16);
+        model.item_bit_ops = FAN_OUT_MIN_SHARE_BIT_OPS / 8;
+        assert_eq!(
+            pool.install(|| model.batch_chunk(14)),
+            14,
+            "share just under"
+        );
+        assert_eq!(
+            pool.install(|| model.batch_chunk(16)),
+            8,
+            "share at the floor"
+        );
+        model.item_bit_ops = u64::MAX;
+        assert_eq!(pool.install(|| model.batch_chunk(3)), 2);
+        assert_eq!(pool.install(|| model.batch_chunk(1)), 1);
     }
 
     #[test]

@@ -292,20 +292,17 @@ impl MemoryPlan {
             let out_pad = spec.layers.get(i + 1).map_or(0, LayerSpec::input_pad);
             match (layer, shapes[i]) {
                 (LayerSpec::Conv { name, k, .. }, LayerIo::Map { h, w, .. }) => {
-                    // Scratch floats + pressed signed output. A fused conv
-                    // only needs one window of dots (k floats) — the whole
-                    // h·w·k count map disappears from the plan.
-                    let scratch_elems = if fused.contains(name.as_str()) {
-                        *k
-                    } else {
-                        h * w * k
-                    };
-                    buffers.push(PlannedBuffer {
-                        producer: name.clone(),
-                        kind: BufferKind::FloatMap,
-                        logical_elems: scratch_elems,
-                        bytes: scratch_elems * 4,
-                    });
+                    // Float count map (unfused only) + pressed signed
+                    // output. A fused conv thresholds its popcounts in
+                    // registers: no float buffer at all.
+                    if !fused.contains(name.as_str()) {
+                        buffers.push(PlannedBuffer {
+                            producer: name.clone(),
+                            kind: BufferKind::FloatMap,
+                            logical_elems: h * w * k,
+                            bytes: h * w * k * 4,
+                        });
+                    }
                     buffers.push(PlannedBuffer {
                         producer: name.clone(),
                         kind: BufferKind::PressedMap,
@@ -410,17 +407,27 @@ mod tests {
         assert!(mb < 64.0, "plan too large: {mb} MB");
         assert!(plan.total_bytes() > 0);
         assert!(plan.float_equivalent_bytes() > plan.total_bytes() / 4);
-        // Fused: the h·w·k count maps collapse to one window of dots per
-        // conv — the plan must shrink substantially.
+        // Fused: the h·w·k count maps disappear — the plan must shrink
+        // substantially.
         let fused = MemoryPlan::for_binary_with(&vgg16(), &PlanOptions::default());
         assert!(fused.total_bytes() * 2 < plan.total_bytes());
     }
 
     #[test]
     fn buffer_inventory_names() {
-        let plan = MemoryPlan::for_binary(&small_cnn());
-        let names: Vec<&str> = plan.buffers.iter().map(|b| b.producer.as_str()).collect();
-        assert_eq!(names, vec!["input", "conv1", "conv1", "pool1", "fc1"]);
+        let names = |opts: &PlanOptions| -> Vec<String> {
+            let plan = MemoryPlan::for_binary_with(&small_cnn(), opts);
+            plan.buffers.into_iter().map(|b| b.producer).collect()
+        };
+        assert_eq!(
+            names(&PlanOptions::unfused()),
+            ["input", "conv1", "conv1", "pool1", "fc1"]
+        );
+        // A fused conv owns its pressed output only.
+        assert_eq!(
+            names(&PlanOptions::default()),
+            ["input", "conv1", "pool1", "fc1"]
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! its logits stay `FloatOut` by construction and are never sign-fused.
 
 use crate::binary::binarize::BnFold;
+use bitflow_simd::conv::LANES;
 
 /// Comparison direction applied to the popcount accumulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,10 +45,21 @@ pub enum PopCmp {
 /// The equivalence with the float threshold compare is exact (see module
 /// docs), so a fused conv/FC using these bounds is bit-identical to the
 /// unfused float-scratch reference path.
+///
+/// Stored **lane-ready** for the filter-lane conv core
+/// (`bitflow_simd::conv`): every channel is normalised to the single
+/// compare `pop ≤ bound`, with `pop ≥ b` kept as `pop ≤ b − 1` plus a flip
+/// bit, so eight channels are decided by one vector compare and one xor
+/// with the group's flip byte. The arrays are padded to whole groups of
+/// [`LANES`] with never-set lanes (`bound = −1`, no flip), which is what
+/// keeps the press tail of a conv output zero.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignThresholds {
-    bounds: Vec<i64>,
-    cmp: Vec<PopCmp>,
+    /// `bit = (pop ≤ lane_bounds[c]) ^ flip bit c`; `⌈len/8⌉·8` entries.
+    lane_bounds: Vec<i64>,
+    /// Bit `c % 8` of byte `c / 8` is set for [`PopCmp::Ge`] channels.
+    lane_flips: Vec<u8>,
+    len: usize,
     /// Logical bits per reduction (`kh·kw·c` for a conv window, `n` for an
     /// FC row): `dot = window_bits − 2·pop`.
     window_bits: i64,
@@ -59,42 +71,44 @@ impl SignThresholds {
     pub fn from_fold(fold: &BnFold, window_bits: usize) -> Self {
         assert_eq!(fold.thresholds.len(), fold.flip.len());
         let n = window_bits as i64;
-        let mut bounds = Vec::with_capacity(fold.thresholds.len());
-        let mut cmp = Vec::with_capacity(fold.flip.len());
-        for (&t, &flip) in fold.thresholds.iter().zip(&fold.flip) {
-            let (bound, dir) = if t.is_nan() {
-                // `x ≥ NaN` and `x ≤ NaN` are both false: constant −1.
-                (-1, PopCmp::Le)
+        let len = fold.thresholds.len();
+        let groups = len.div_ceil(LANES);
+        let mut lane_bounds = vec![-1i64; groups * LANES];
+        let mut lane_flips = vec![0u8; groups];
+        for (c, (&t, &flip)) in fold.thresholds.iter().zip(&fold.flip).enumerate() {
+            if t.is_nan() {
+                // `x ≥ NaN` and `x ≤ NaN` are both false: constant −1,
+                // which is the padding lane's encoding.
             } else if !flip {
                 // bit ⇔ dot ≥ ⌈t⌉ ⇔ pop ≤ ⌊(n − ⌈t⌉)/2⌋. The cast
                 // saturates ±∞; clamping to ±(n+2) keeps the subtraction
                 // in range without changing the decision for any
                 // reachable dot ∈ [−n, n].
                 let d = (t.ceil() as i64).clamp(-(n + 2), n + 2);
-                ((n - d).div_euclid(2), PopCmp::Le)
+                lane_bounds[c] = (n - d).div_euclid(2);
             } else {
-                // bit ⇔ dot ≤ ⌊t⌋ ⇔ pop ≥ ⌈(n − ⌊t⌋)/2⌉.
+                // bit ⇔ dot ≤ ⌊t⌋ ⇔ pop ≥ ⌈(n − ⌊t⌋)/2⌉ ⇔ ¬(pop ≤ that − 1).
                 let d = (t.floor() as i64).clamp(-(n + 2), n + 2);
-                ((n - d + 1).div_euclid(2), PopCmp::Ge)
-            };
-            bounds.push(bound);
-            cmp.push(dir);
+                lane_bounds[c] = (n - d + 1).div_euclid(2) - 1;
+                lane_flips[c / LANES] |= 1 << (c % LANES);
+            }
         }
         Self {
-            bounds,
-            cmp,
+            lane_bounds,
+            lane_flips,
+            len,
             window_bits: n,
         }
     }
 
     /// Number of output channels.
     pub fn len(&self) -> usize {
-        self.bounds.len()
+        self.len
     }
 
     /// Whether there are no channels.
     pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.len == 0
     }
 
     /// Logical bits per reduction window.
@@ -102,23 +116,44 @@ impl SignThresholds {
         self.window_bits as usize
     }
 
-    /// The popcount bound of channel `c`.
+    /// The `pop ≤ bound` bounds of every lane, padded to whole groups.
+    pub fn lane_bounds(&self) -> &[i64] {
+        &self.lane_bounds
+    }
+
+    /// One flip byte per lane group (see the type docs).
+    pub fn lane_flips(&self) -> &[u8] {
+        &self.lane_flips
+    }
+
+    /// The popcount bound of channel `c`, in its own [`Self::direction`].
     pub fn bound(&self, c: usize) -> i64 {
-        self.bounds[c]
+        match self.direction(c) {
+            PopCmp::Le => self.lane_bounds[c],
+            PopCmp::Ge => self.lane_bounds[c] + 1,
+        }
+    }
+
+    /// Whether channel `c`'s flip bit is set.
+    #[inline]
+    fn flipped(&self, c: usize) -> bool {
+        (self.lane_flips[c / LANES] >> (c % LANES)) & 1 == 1
     }
 
     /// The comparison direction of channel `c`.
     pub fn direction(&self, c: usize) -> PopCmp {
-        self.cmp[c]
+        assert!(c < self.len, "channel {c} of {}", self.len);
+        if self.flipped(c) {
+            PopCmp::Ge
+        } else {
+            PopCmp::Le
+        }
     }
 
     /// The sign bit of channel `c` for popcount accumulator `pop`.
     #[inline]
     pub fn bit_from_pop(&self, c: usize, pop: i64) -> bool {
-        match self.cmp[c] {
-            PopCmp::Le => pop <= self.bounds[c],
-            PopCmp::Ge => pop >= self.bounds[c],
-        }
+        (pop <= self.lane_bounds[c]) ^ self.flipped(c)
     }
 
     /// The sign bit of channel `c` for integer dot product `dot`
@@ -131,18 +166,18 @@ impl SignThresholds {
     /// Channel `c` is +1 for every reachable popcount (threshold saturated
     /// below the range, or the γ = 0, β ≥ 0 fold).
     pub fn always_pos(&self, c: usize) -> bool {
-        match self.cmp[c] {
-            PopCmp::Le => self.bounds[c] >= self.window_bits,
-            PopCmp::Ge => self.bounds[c] <= 0,
+        match self.direction(c) {
+            PopCmp::Le => self.bound(c) >= self.window_bits,
+            PopCmp::Ge => self.bound(c) <= 0,
         }
     }
 
     /// Channel `c` is −1 for every reachable popcount (threshold saturated
     /// above the range, a NaN threshold, or the γ = 0, β < 0 fold).
     pub fn always_neg(&self, c: usize) -> bool {
-        match self.cmp[c] {
-            PopCmp::Le => self.bounds[c] < 0,
-            PopCmp::Ge => self.bounds[c] > self.window_bits,
+        match self.direction(c) {
+            PopCmp::Le => self.bound(c) < 0,
+            PopCmp::Ge => self.bound(c) > self.window_bits,
         }
     }
 }

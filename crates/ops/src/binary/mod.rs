@@ -39,6 +39,5 @@ pub use fc::{binary_fc, binary_fc_parallel, BinaryFcWeights};
 pub use im2col_conv::binary_conv_im2col;
 pub use pool::{binary_max_pool, binary_max_pool_into, binary_max_pool_parallel};
 pub use pressed_conv::{
-    pressed_conv, pressed_conv_into, pressed_conv_parallel, pressed_conv_parallel_into,
-    pressed_conv_sign_into, pressed_conv_sign_parallel_into, pressed_conv_sign_scratch_into,
+    pressed_conv, pressed_conv_into, pressed_conv_sign_into, pressed_conv_sign_scratch_into,
 };

@@ -4,24 +4,34 @@
 //! The input arrives as a [`BitTensor`]: NHWC, channels pressed ×64 into
 //! `u64` words, spatial padding pre-baked as all-zero margins (paper
 //! Fig. 5). Filters arrive as a [`BitFilterBank`], pressed the same way at
-//! network initialization. A convolution window then reduces to `kh` pairs
-//! of *contiguous* word runs of length `kw·c_words` — one xor+popcount
-//! stream per filter row — because width and pressed channels are adjacent
-//! in memory. That contiguity is the entire point of the locality-aware
-//! layout: no unfolding, no gather, no layout change on the output.
+//! network initialization and interleaved eight filters to a cache line. A
+//! convolution window then reduces to `kh` *contiguous* input runs of
+//! `kw·c_words` words — because width and pressed channels are adjacent in
+//! memory — each word xored against a line of eight filters. That
+//! contiguity is the entire point of the locality-aware layout: no
+//! unfolding, no gather, no layout change on the output.
 //!
-//! Parallelism (Algorithm 1, step 3): vector parallelism runs along the
-//! pressed channel words inside [`bitflow_simd::xor_popcount`]; multi-core
-//! parallelism runs over the fused H×W output-pixel range.
+//! The arithmetic itself is [`bitflow_simd::conv`]'s filter-lane tile loop;
+//! this module validates the tensor-level geometry, picks the sink
+//! ([`crate::binary::ConvEpilogue`]: float dots or fused threshold-sign
+//! bits) and, when asked, splits the output rows over the rayon pool
+//! (Algorithm 1, step 3: multi-core parallelism over the output pixels).
 
 use crate::binary::epilogue::SignThresholds;
-use bitflow_simd::conv::{conv_window as simd_conv_window, WindowGeom};
+use bitflow_simd::conv::{conv_rows, ConvGeom, ConvSink};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_tensor::{BitFilterBank, BitTensor, Layout, Shape, Tensor};
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Validates operand geometry and returns (out_h, out_w).
-fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (usize, usize) {
+/// Output rows per parallel work item. Fixed, so the split (and with it
+/// every output bit) is the same at every pool size; four rows of an
+/// even-width map are a whole number of 8-pixel tiles.
+const PAR_ROWS: usize = 4;
+
+/// Validates operand geometry and returns the core's view of it plus
+/// `out_h`.
+fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (ConvGeom, usize) {
     let f = filters.shape();
     assert_eq!(input.c(), f.c, "channel mismatch");
     assert_eq!(
@@ -34,43 +44,42 @@ fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (usize
         f.kh <= input.h() && f.kw <= input.w(),
         "kernel larger than (padded) input"
     );
-    (
-        (input.h() - f.kh) / stride + 1,
-        (input.w() - f.kw) / stride + 1,
-    )
-}
-
-/// Computes all K binary dot products of the window anchored at input pixel
-/// (iy, ix), writing them as `f32` into `orow` (length K).
-///
-/// The window's kh rows are contiguous runs of `kw · c_words` words in both
-/// operands (the locality-aware layout at work); the per-tier fused kernel
-/// in `bitflow-simd` streams them with one dispatch per *pixel*, amortized
-/// over all K filters.
-#[inline]
-fn conv_window(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    iy: usize,
-    ix: usize,
-    orow: &mut [f32],
-) {
-    let f = filters.shape();
-    let cw = input.c_words();
-    let geom = WindowGeom {
-        base: input.pixel_words_index(iy, ix),
-        row_stride: input.w() * cw,
-        row_len: f.kw * cw,
+    let g = ConvGeom {
+        c_words: input.c_words(),
+        in_w: input.w(),
         kh: f.kh,
-        n_logical: (f.kh * f.kw * f.c) as i32,
+        kw: f.kw,
+        stride,
+        out_w: (input.w() - f.kw) / stride + 1,
+        k: f.k,
     };
-    simd_conv_window(level, input.words(), filters.filter_words_all(), geom, orow);
+    (g, (input.h() - f.kh) / stride + 1)
 }
 
-/// PressedConv, single-threaded: binary convolution of a pressed input
-/// against a pressed filter bank. Returns the integer dot products as an
-/// f32 NHWC tensor of shape (out_h, out_w, K).
+/// Runs `band(rows, chunk)` over `out` cut into bands of `row_len` elements
+/// per output row: one band covering all `out_h` rows, or [`PAR_ROWS`]-row
+/// bands over the rayon pool. `out` must start at output row 0.
+fn for_row_bands<T: Send>(
+    out: &mut [T],
+    row_len: usize,
+    out_h: usize,
+    parallel: bool,
+    band: impl Fn(Range<usize>, &mut [T]) + Sync + Send,
+) {
+    if parallel {
+        out.par_chunks_mut(PAR_ROWS * row_len)
+            .enumerate()
+            .for_each(|(i, chunk)| band(i * PAR_ROWS..out_h.min((i + 1) * PAR_ROWS), chunk));
+    } else {
+        band(0..out_h, out);
+    }
+}
+
+/// PressedConv: binary convolution of a pressed input against a pressed
+/// filter bank, returning the integer dot products as a freshly allocated
+/// f32 NHWC tensor of shape (out_h, out_w, K) — the allocating,
+/// single-threaded convenience over [`pressed_conv_into`] for tests and
+/// benches.
 ///
 /// Spatial padding must be pre-baked into `input`
 /// ([`BitTensor::from_tensor_padded`] or the graph memory planner); pad
@@ -82,75 +91,38 @@ pub fn pressed_conv(
     filters: &BitFilterBank,
     stride: usize,
 ) -> Tensor {
-    let (out_h, out_w) = geometry(input, filters, stride);
-    let k = filters.shape().k;
-    let mut out = Tensor::zeros(Shape::hwc(out_h, out_w, k), Layout::Nhwc);
-    pressed_conv_into(level, input, filters, stride, &mut out);
+    let (g, out_h) = geometry(input, filters, stride);
+    let mut out = Tensor::zeros(Shape::hwc(out_h, g.out_w, g.k), Layout::Nhwc);
+    pressed_conv_into(level, input, filters, stride, &mut out, false);
     out
 }
 
-/// PressedConv writing into a pre-allocated output tensor (allocation-free
-/// inference path; the graph engine pre-allocates `out` at plan time).
+/// PressedConv with the `FloatOut` epilogue, writing the integer dot
+/// products into a pre-allocated output tensor. With `parallel` the output
+/// rows are split over the installed rayon pool; the result is
+/// bit-identical either way and at every pool size.
 pub fn pressed_conv_into(
     level: SimdLevel,
     input: &BitTensor,
     filters: &BitFilterBank,
     stride: usize,
     out: &mut Tensor,
+    parallel: bool,
 ) {
-    let (out_h, out_w) = geometry(input, filters, stride);
-    let k = filters.shape().k;
-    assert_eq!(out.shape(), Shape::hwc(out_h, out_w, k), "output shape");
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            let start = (oy * out_w + ox) * k;
-            conv_window(
-                level,
-                input,
-                filters,
-                oy * stride,
-                ox * stride,
-                &mut out.data_mut()[start..start + k],
-            );
-        }
-    }
-}
-
-/// PressedConv, multi-threaded: output pixels (fused H×W, per Algorithm 1)
-/// are distributed over the installed rayon pool. Bit-identical to the
-/// single-threaded result.
-pub fn pressed_conv_parallel(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    stride: usize,
-) -> Tensor {
-    let (out_h, out_w) = geometry(input, filters, stride);
-    let k = filters.shape().k;
-    let mut out = Tensor::zeros(Shape::hwc(out_h, out_w, k), Layout::Nhwc);
-    pressed_conv_parallel_into(level, input, filters, stride, &mut out);
-    out
-}
-
-/// Multi-threaded PressedConv into a pre-allocated output tensor.
-pub fn pressed_conv_parallel_into(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    stride: usize,
-    out: &mut Tensor,
-) {
-    let (out_h, out_w) = geometry(input, filters, stride);
-    let k = filters.shape().k;
-    assert_eq!(out.shape(), Shape::hwc(out_h, out_w, k), "output shape");
-    out.data_mut()
-        .par_chunks_mut(k)
-        .enumerate()
-        .with_min_len(8)
-        .for_each(|(px, orow)| {
-            let (oy, ox) = (px / out_w, px % out_w);
-            conv_window(level, input, filters, oy * stride, ox * stride, orow);
-        });
+    let (g, out_h) = geometry(input, filters, stride);
+    assert_eq!(out.shape(), Shape::hwc(out_h, g.out_w, g.k), "output shape");
+    let f = filters.shape();
+    let window_bits = (f.kh * f.kw * f.c) as i32;
+    for_row_bands(
+        out.data_mut(),
+        g.out_w * g.k,
+        out_h,
+        parallel,
+        |rows, out| {
+            let sink = ConvSink::Dots { window_bits, out };
+            conv_rows(level, input.words(), filters.lane_words(), &g, rows, sink);
+        },
+    );
 }
 
 /// Fused PressedConv + integer-threshold sign epilogue, writing packed
@@ -159,10 +131,13 @@ pub fn pressed_conv_parallel_into(
 /// the next layer reads `out` directly, margins already "padded", and no
 /// float intermediate map is ever materialized.
 ///
-/// For output feature k the sign bit is decided on the integer dot product
-/// via [`SignThresholds::bit_from_dot`] — an exact popcount-domain compare
-/// derived from the folded batch-norm (negative scales flip the comparison
-/// direction, see [`crate::binary::epilogue`]).
+/// For output feature k the sign bit is decided on the popcount accumulator
+/// against [`SignThresholds`] — an exact integer compare derived from the
+/// folded batch-norm (negative scales flip the comparison direction, see
+/// [`crate::binary::epilogue`]). With `parallel` the output rows are split
+/// over the installed rayon pool; the result is bit-identical either way
+/// and at every pool size.
+#[allow(clippy::too_many_arguments)]
 pub fn pressed_conv_sign_into(
     level: SimdLevel,
     input: &BitTensor,
@@ -171,87 +146,9 @@ pub fn pressed_conv_sign_into(
     st: &SignThresholds,
     out: &mut BitTensor,
     out_pad: usize,
+    parallel: bool,
 ) {
-    let mut dots = vec![0.0f32; filters.shape().k];
-    pressed_conv_sign_scratch_into(level, input, filters, stride, st, &mut dots, out, out_pad);
-}
-
-/// [`pressed_conv_sign_into`] with a caller-provided per-window scratch
-/// buffer (at least `k` floats) — the truly allocation-free engine path:
-/// the engine lends the layer's float scratch vector instead of allocating
-/// a fresh dot buffer per request.
-#[allow(clippy::too_many_arguments)]
-pub fn pressed_conv_sign_scratch_into(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    stride: usize,
-    st: &SignThresholds,
-    dots: &mut [f32],
-    out: &mut BitTensor,
-    out_pad: usize,
-) {
-    let (out_h, out_w) = geometry(input, filters, stride);
-    let k = filters.shape().k;
-    check_sign_geometry(filters, st, out, out_h, out_w, out_pad);
-    assert!(dots.len() >= k, "scratch must hold one dot per feature");
-    let dots = &mut dots[..k];
-    let c_words = out.c_words();
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            conv_window(level, input, filters, oy * stride, ox * stride, dots);
-            let base = out.pixel_words_index(oy + out_pad, ox + out_pad);
-            sign_pack_pixel(dots, st, &mut out.words_mut()[base..base + c_words]);
-        }
-    }
-}
-
-/// Multi-threaded fused PressedConv + sign epilogue: padded output rows are
-/// distributed over the installed rayon pool, each worker carrying its own
-/// per-window dot scratch. Bit-identical to
-/// [`pressed_conv_sign_scratch_into`] — per-pixel work is independent and
-/// every worker writes disjoint whole rows.
-pub fn pressed_conv_sign_parallel_into(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    stride: usize,
-    st: &SignThresholds,
-    out: &mut BitTensor,
-    out_pad: usize,
-) {
-    let (out_h, out_w) = geometry(input, filters, stride);
-    let k = filters.shape().k;
-    check_sign_geometry(filters, st, out, out_h, out_w, out_pad);
-    let c_words = out.c_words();
-    let row_words = (out_w + 2 * out_pad) * c_words;
-    out.words_mut()
-        .par_chunks_mut(row_words)
-        .enumerate()
-        .for_each(|(row, words)| {
-            // Margin rows stay all-zero (logical −1 padding).
-            if row < out_pad || row >= out_pad + out_h {
-                return;
-            }
-            let oy = row - out_pad;
-            let mut dots = vec![0.0f32; k];
-            for ox in 0..out_w {
-                conv_window(level, input, filters, oy * stride, ox * stride, &mut dots);
-                let base = (out_pad + ox) * c_words;
-                sign_pack_pixel(&dots, st, &mut words[base..base + c_words]);
-            }
-        });
-}
-
-/// Shared geometry checks of the fused sign variants.
-fn check_sign_geometry(
-    filters: &BitFilterBank,
-    st: &SignThresholds,
-    out: &BitTensor,
-    out_h: usize,
-    out_w: usize,
-    out_pad: usize,
-) {
+    let (g, out_h) = geometry(input, filters, stride);
     let f = filters.shape();
     assert_eq!(st.len(), f.k, "one threshold per output feature");
     assert_eq!(
@@ -261,24 +158,39 @@ fn check_sign_geometry(
     );
     assert_eq!(out.c(), f.k, "output channel count");
     assert_eq!(out.h(), out_h + 2 * out_pad, "output height incl. padding");
-    assert_eq!(out.w(), out_w + 2 * out_pad, "output width incl. padding");
+    assert_eq!(out.w(), g.out_w + 2 * out_pad, "output width incl. padding");
+    let row_stride = out.w() * out.c_words();
+    let origin = out_pad * out.c_words();
+    // Margin rows stay all-zero (logical −1 padding): hand out the interior
+    // rows only.
+    let interior = &mut out.words_mut()[out_pad * row_stride..][..out_h * row_stride];
+    for_row_bands(interior, row_stride, out_h, parallel, |rows, out| {
+        let sink = ConvSink::Sign {
+            bounds: st.lane_bounds(),
+            flips: st.lane_flips(),
+            out,
+            origin,
+            row_stride,
+        };
+        conv_rows(level, input.words(), filters.lane_words(), &g, rows, sink);
+    });
 }
 
-/// Packs one pixel's K dot products into `c_words` output words using the
-/// integer sign epilogue.
-#[inline]
-fn sign_pack_pixel(dots: &[f32], st: &SignThresholds, words: &mut [u64]) {
-    let k = dots.len();
-    for (wi, word) in words.iter_mut().enumerate() {
-        let mut w = 0u64;
-        let lo = wi * 64;
-        let hi = (lo + 64).min(k);
-        for (i, &dot) in dots[lo..hi].iter().enumerate() {
-            let bit = st.bit_from_dot(lo + i, dot as i64);
-            w |= (bit as u64) << i;
-        }
-        *word = w;
-    }
+/// Source-compatibility shim for callers written against the scratch-taking
+/// signature: [`pressed_conv_sign_into`], single-threaded. `_dots` is
+/// ignored — the integer core compares popcounts in registers.
+#[allow(clippy::too_many_arguments)]
+pub fn pressed_conv_sign_scratch_into(
+    level: SimdLevel,
+    input: &BitTensor,
+    filters: &BitFilterBank,
+    stride: usize,
+    st: &SignThresholds,
+    _dots: &mut [f32],
+    out: &mut BitTensor,
+    out_pad: usize,
+) {
+    pressed_conv_sign_into(level, input, filters, stride, st, out, out_pad, false);
 }
 
 #[cfg(test)]
@@ -379,7 +291,8 @@ mod tests {
         let pressed = BitTensor::from_tensor_padded(&raw, 1);
         let bank = BitFilterBank::from_floats(&weights, fshape);
         let a = pressed_conv(SimdLevel::Avx2, &pressed, &bank, 1);
-        let b = pressed_conv_parallel(SimdLevel::Avx2, &pressed, &bank, 1);
+        let mut b = Tensor::zeros(a.shape(), Layout::Nhwc);
+        pressed_conv_into(SimdLevel::Avx2, &pressed, &bank, 1, &mut b, true);
         assert_eq!(a.max_abs_diff(&b), 0.0);
     }
 
@@ -438,7 +351,16 @@ mod tests {
         let st = SignThresholds::from_fold(&fold, 3 * 3 * 64);
         let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
         let mut out = BitTensor::zeros(6 + 2, 6 + 2, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut out, 1);
+        pressed_conv_sign_into(
+            SimdLevel::Avx512,
+            &pressed,
+            &bank,
+            1,
+            &st,
+            &mut out,
+            1,
+            false,
+        );
         assert!(out.tail_is_zero());
         for h in 0..6 {
             for w in 0..6 {
@@ -477,9 +399,10 @@ mod tests {
         };
         let st = SignThresholds::from_fold(&fold, 3 * 3 * 64);
         let mut serial = BitTensor::zeros(7 + 2, 5 + 2, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut serial, 1);
+        let level = SimdLevel::Avx512;
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1, false);
         let mut par = BitTensor::zeros(7 + 2, 5 + 2, k);
-        pressed_conv_sign_parallel_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut par, 1);
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut par, 1, true);
         assert_eq!(serial.words(), par.words());
         assert!(par.tail_is_zero());
     }

@@ -1,302 +1,462 @@
-//! Fused convolution-window micro-kernels.
+//! The filter-lane tiled convolution core.
 //!
-//! PressedConv's inner computation — for one output pixel, K binary dot
-//! products over a kh-row window — is dispatched here **once per pixel**
-//! rather than once per (filter, row). Each SIMD tier gets a monomorphized
-//! window function carrying the right `#[target_feature]`; inside, the
-//! popcount accumulates in *vector registers across the entire window* and
-//! is reduced to a scalar only once per filter. (A naive per-row kernel
-//! pays a horizontal reduction per row — at VGG's kh = 3 that triples the
-//! most expensive instruction in the loop.) This is where the paper's
-//! register-level loop structure (tile over filters, stream packed rows)
-//! lives.
+//! PressedConv's whole inner computation lives here as **one** loop whose
+//! vector lanes are eight output *filters*, not channel words — the
+//! register-blocked pixels × filters micro-kernel shape daBNN uses for its
+//! binary direct convolution, integer end to end:
+//!
+//! * the filter bank is stored filter-interleaved,
+//!   `[⌈K/8⌉][kh·kw·c_words][8]` (`bitflow_tensor::BitFilterBank`), so one
+//!   64-byte load fetches window word `t` of the eight filters of a group;
+//! * the loop walks (tile of [`TILE`] adjacent output pixels) × (filter
+//!   group): per window word it loads one group, xors it against the
+//!   **broadcast** input word of each tile pixel, popcounts, and adds into
+//!   that pixel's accumulator — eight pixels × eight filters of running
+//!   popcounts held in registers, each filter word loaded once per tile;
+//! * after the window a [`ConvSink::Sign`] compares the eight popcounts of a
+//!   pixel against the group's eight bounds in one vector compare, yielding
+//!   eight output **bits**; eight groups fill an output word in a register
+//!   and it is stored. A [`ConvSink::Dots`] stores `n − 2·pop` as `f32`
+//!   instead. No float accumulator, no dot scratch, no horizontal
+//!   reduction, no transposition.
+//!
+//! Because the lane axis is K, the same loop serves every channel width,
+//! kernel size and stride. The SIMD tier is dispatched once per call and
+//! only decides how a 64-byte group is processed ([`GroupBody`]): one zmm
+//! with `VPOPCNTQ`, two ymm with the nibble-lookup popcount, or eight
+//! scalar words.
 //!
 //! Layout contract (established by `bitflow-tensor`):
 //!
-//! * `input` — packed words of the whole (padded) input map; the window's
-//!   row `r` occupies `input[base + r·row_stride .. +row_len]`, contiguous
-//!   because width and pressed channels are adjacent in NHWC.
-//! * `filters` — filter `k` occupies `filters[k·kh·row_len ..]`, rows
-//!   contiguous in the same (kw, c_words) order.
-//! * `out[k] = n_logical − 2·popcount(window ⊕ filter_k)`.
+//! * `input` — packed words of the whole (padded) input map, pixel-major:
+//!   pixel (y, x) starts at `(y·in_w + x)·c_words`, so the `kw` pixels of a
+//!   window row are one contiguous run of `kw·c_words` words.
+//! * `filters` — the interleaved bank described above; lanes beyond K hold
+//!   zero filters.
+//! * `pop = popcount(window ⊕ filter)`; `dot = window_bits − 2·pop`.
 
 use crate::kernels::SimdLevel;
+use std::ops::Range;
 
-/// Arguments of one window evaluation (all distances in `u64` words).
+/// Filters per lane group (`u64` lanes of one 64-byte line).
+pub const LANES: usize = 8;
+
+/// Lane groups per 64-bit output word.
+const WORD_GROUPS: usize = 64 / LANES;
+
+/// Adjacent output pixels per tile. A shorter remainder tile runs the same
+/// loop: its missing pixels repeat the last real one and are never stored.
+pub const TILE: usize = 8;
+
+/// Geometry of one convolution call (all sizes in pixels or `u64` words).
 #[derive(Clone, Copy, Debug)]
-pub struct WindowGeom {
-    /// Word offset of the window's first row in `input`.
-    pub base: usize,
-    /// Words between consecutive input rows (`W_padded · c_words`).
-    pub row_stride: usize,
-    /// Words per window row (`kw · c_words`).
-    pub row_len: usize,
-    /// Window rows (`kh`).
+pub struct ConvGeom {
+    /// Packed words per input pixel.
+    pub c_words: usize,
+    /// Input width in pixels, baked-in padding included.
+    pub in_w: usize,
+    /// Kernel height.
     pub kh: usize,
-    /// Meaningful bits per window (`kh · kw · C_logical`).
-    pub n_logical: i32,
+    /// Kernel width.
+    pub kw: usize,
+    /// Spatial stride.
+    pub stride: usize,
+    /// Output width in pixels.
+    pub out_w: usize,
+    /// Logical output features K.
+    pub k: usize,
 }
 
-/// Fully-unrolled 3×3 window with one word per pixel (C ≤ 64 — VGG's
-/// conv2.x tier): the nine input words are hoisted into registers once and
-/// reused across all K filters. The generic scalar loop optimizes poorly at
-/// row_len = 3 (too short to vectorize, too branchy to pipeline).
-fn window_3x3_1w(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    debug_assert_eq!(g.row_len, 3);
-    debug_assert_eq!(g.kh, 3);
-    let (i0, i1, i2) = (g.base, g.base + g.row_stride, g.base + 2 * g.row_stride);
-    let a = [
-        input[i0],
-        input[i0 + 1],
-        input[i0 + 2], //
-        input[i1],
-        input[i1 + 1],
-        input[i1 + 2], //
-        input[i2],
-        input[i2 + 1],
-        input[i2 + 2],
-    ];
-    for (k, o) in out.iter_mut().enumerate() {
-        let f = &filters[k * 9..k * 9 + 9];
-        let pop = (a[0] ^ f[0]).count_ones()
-            + (a[1] ^ f[1]).count_ones()
-            + (a[2] ^ f[2]).count_ones()
-            + (a[3] ^ f[3]).count_ones()
-            + (a[4] ^ f[4]).count_ones()
-            + (a[5] ^ f[5]).count_ones()
-            + (a[6] ^ f[6]).count_ones()
-            + (a[7] ^ f[7]).count_ones()
-            + (a[8] ^ f[8]).count_ones();
-        *o = (g.n_logical - 2 * pop as i32) as f32;
-    }
+/// What the core does with the popcounts of a finished window.
+pub enum ConvSink<'a> {
+    /// Threshold-sign in the popcount domain and store pressed bits: lane
+    /// `l` of group `g` yields `(pop ≤ bounds[8g + l]) ^ bit l of flips[g]`.
+    /// Output pixel (y, x) of the call's row range occupies the
+    /// `⌈K/64⌉` words at `origin + (y − rows.start)·row_stride + x·⌈K/64⌉`
+    /// of `out`; words outside those pixels (padding margins) are not
+    /// touched. Lanes beyond K must carry `bounds = −1`, `flip = 0` so the
+    /// press tail stays zero.
+    Sign {
+        /// `⌈K/8⌉·8` popcount bounds.
+        bounds: &'a [i64],
+        /// `⌈K/8⌉` per-group direction bytes.
+        flips: &'a [u8],
+        /// Destination words.
+        out: &'a mut [u64],
+        /// Word offset of the first output pixel of the row range.
+        origin: usize,
+        /// Words between consecutive output rows.
+        row_stride: usize,
+    },
+    /// Store the integer dot products `window_bits − 2·pop` as `f32`,
+    /// (row, x, k)-major and dense, for the call's row range.
+    Dots {
+        /// Logical bits per window (`kh·kw·C`).
+        window_bits: i32,
+        /// `rows.len()·out_w·K` destination floats.
+        out: &'a mut [f32],
+    },
 }
 
-fn window_scalar(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    if g.row_len == 3 && g.kh == 3 {
-        return window_3x3_1w(input, filters, g, out);
-    }
-    let per_filter = g.kh * g.row_len;
-    for (k, o) in out.iter_mut().enumerate() {
-        let f0 = k * per_filter;
-        let mut pop = 0u64;
-        for r in 0..g.kh {
-            let a0 = g.base + r * g.row_stride;
-            let a = &input[a0..a0 + g.row_len];
-            let b = &filters[f0 + r * g.row_len..f0 + (r + 1) * g.row_len];
-            for (&x, &y) in a.iter().zip(b.iter()) {
-                pop += (x ^ y).count_ones() as u64;
-            }
-        }
-        *o = (g.n_logical - 2 * pop as i32) as f32;
-    }
-}
-
-fn window_unvectorized(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    let per_filter = g.kh * g.row_len;
-    for (k, o) in out.iter_mut().enumerate() {
-        let f0 = k * per_filter;
-        let mut pop = 0u64;
-        for r in 0..g.kh {
-            let a0 = g.base + r * g.row_stride;
-            let a = &input[a0..a0 + g.row_len];
-            let b = &filters[f0 + r * g.row_len..f0 + (r + 1) * g.row_len];
-            for (&x, &y) in a.iter().zip(b.iter()) {
-                // black_box defeats auto-vectorization: one XOR + one
-                // scalar POPCNT per word (the unoptimized baseline).
-                pop += std::hint::black_box(x ^ y).count_ones() as u64;
-            }
-        }
-        *o = (g.n_logical - 2 * pop as i32) as f32;
-    }
-}
-
-/// SSE window: 128-bit xor, scalar `POPCNT` per lane (SSE has no vector
-/// popcount), scalar accumulation — nothing to hoist.
+/// How one SIMD tier processes a 64-byte filter group. `Acc` holds the eight
+/// running popcounts of one output pixel.
 ///
 /// # Safety
-/// Requires SSE2; geometry must be in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn window_sse(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let per_filter = g.kh * g.row_len;
-    for (k, o) in out.iter_mut().enumerate() {
-        let f0 = k * per_filter;
-        let mut pop = 0u64;
-        for r in 0..g.kh {
-            let a = input.as_ptr().add(g.base + r * g.row_stride);
-            let b = filters.as_ptr().add(f0 + r * g.row_len);
-            let pairs = g.row_len / 2;
-            for i in 0..pairs {
-                let va = _mm_loadu_si128(a.add(2 * i) as *const __m128i);
-                let vb = _mm_loadu_si128(b.add(2 * i) as *const __m128i);
-                let x = _mm_xor_si128(va, vb);
-                pop += (_mm_cvtsi128_si64(x) as u64).count_ones() as u64;
-                pop += (_mm_cvtsi128_si64(_mm_unpackhi_epi64(x, x)) as u64).count_ones() as u64;
-            }
-            if g.row_len % 2 == 1 {
-                pop += (*a.add(g.row_len - 1) ^ *b.add(g.row_len - 1)).count_ones() as u64;
-            }
+/// Every method requires the tier's CPU features to be available; `load`
+/// additionally requires [`LANES`] readable words at `f`.
+trait GroupBody {
+    type Group: Copy;
+    type Acc: Copy;
+    unsafe fn zero() -> Self::Acc;
+    unsafe fn load(f: *const u64) -> Self::Group;
+    /// `acc + popcount(f ⊕ broadcast(x))`, lane-wise.
+    unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc;
+    unsafe fn pops(acc: Self::Acc) -> [u64; LANES];
+    /// Bit `l` = `pops[l] ≤ bounds[l]`.
+    #[inline(always)]
+    unsafe fn le_mask(acc: Self::Acc, bounds: &[i64; LANES]) -> u8 {
+        let pops = Self::pops(acc);
+        let mut m = 0u8;
+        for (l, (&pop, &bound)) in pops.iter().zip(bounds).enumerate() {
+            m |= ((pop as i64 <= bound) as u8) << l;
         }
-        *o = (g.n_logical - 2 * pop as i32) as f32;
+        m
     }
 }
 
-/// AVX2 window: 256-bit xor + nibble-lookup popcount, with the per-64-bit
-/// lane counts accumulated in a 256-bit register across the *whole window*
-/// and reduced once per filter.
+/// Eight scalar words per group: the Scalar/SSE tier (SSE has no vector
+/// popcount to offer), and with `OPAQUE` the `Unvectorized` paper baseline
+/// — [`std::hint::black_box`] on every xor result defeats
+/// auto-vectorization, leaving one `XOR` + one `POPCNT` per word.
+struct Words<const OPAQUE: bool>;
+
+impl<const OPAQUE: bool> GroupBody for Words<OPAQUE> {
+    type Group = [u64; LANES];
+    type Acc = [u64; LANES];
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        [0; LANES]
+    }
+    #[inline(always)]
+    unsafe fn load(f: *const u64) -> Self::Group {
+        f.cast::<[u64; LANES]>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn step(mut acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
+        for (a, &w) in acc.iter_mut().zip(&f) {
+            let v = if OPAQUE {
+                std::hint::black_box(w ^ x)
+            } else {
+                w ^ x
+            };
+            *a += v.count_ones() as u64;
+        }
+        acc
+    }
+    #[inline(always)]
+    unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
+        acc
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+
+/// Two ymm halves per group with the nibble-lookup popcount: the AVX2 tier,
+/// and AVX-512 hosts without VPOPCNTDQ.
+#[cfg(target_arch = "x86_64")]
+struct Ymm2;
+
+#[cfg(target_arch = "x86_64")]
+impl GroupBody for Ymm2 {
+    type Group = [__m256i; 2];
+    type Acc = [__m256i; 2];
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        [_mm256_setzero_si256(); 2]
+    }
+    #[inline(always)]
+    unsafe fn load(f: *const u64) -> Self::Group {
+        [
+            _mm256_loadu_si256(f as *const __m256i),
+            _mm256_loadu_si256(f.add(4) as *const __m256i),
+        ]
+    }
+    #[inline(always)]
+    unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
+        use crate::popcount::popcount_m256_lookup as popcount;
+        let x = _mm256_set1_epi64x(x as i64);
+        [
+            _mm256_add_epi64(acc[0], popcount(_mm256_xor_si256(f[0], x))),
+            _mm256_add_epi64(acc[1], popcount(_mm256_xor_si256(f[1], x))),
+        ]
+    }
+    #[inline(always)]
+    unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
+        let mut pops = [0u64; LANES];
+        _mm256_storeu_si256(pops.as_mut_ptr() as *mut __m256i, acc[0]);
+        _mm256_storeu_si256(pops.as_mut_ptr().add(4) as *mut __m256i, acc[1]);
+        pops
+    }
+}
+
+/// One zmm per group with native `VPOPCNTQ`; the sign compare is a single
+/// `VPCMPQ` into a mask register.
+#[cfg(target_arch = "x86_64")]
+struct Zmm;
+
+#[cfg(target_arch = "x86_64")]
+impl GroupBody for Zmm {
+    type Group = __m512i;
+    type Acc = __m512i;
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        _mm512_setzero_si512()
+    }
+    #[inline(always)]
+    unsafe fn load(f: *const u64) -> Self::Group {
+        _mm512_loadu_si512(f as *const _)
+    }
+    #[inline(always)]
+    unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
+        let v = _mm512_xor_si512(f, _mm512_set1_epi64(x as i64));
+        _mm512_add_epi64(acc, _mm512_popcnt_epi64(v))
+    }
+    #[inline(always)]
+    unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
+        let mut pops = [0u64; LANES];
+        _mm512_storeu_si512(pops.as_mut_ptr() as *mut _, acc);
+        pops
+    }
+    #[inline(always)]
+    unsafe fn le_mask(acc: Self::Acc, bounds: &[i64; LANES]) -> u8 {
+        _mm512_cmple_epi64_mask(acc, _mm512_loadu_si512(bounds.as_ptr() as *const _))
+    }
+}
+
+/// The tile loop, monomorphized per tier.
 ///
 /// # Safety
-/// Requires AVX2; geometry must be in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn window_avx2(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let per_filter = g.kh * g.row_len;
-    for (k, o) in out.iter_mut().enumerate() {
-        let f0 = k * per_filter;
-        let mut acc = _mm256_setzero_si256();
-        let mut tail_pop = 0u64;
-        for r in 0..g.kh {
-            let a = input.as_ptr().add(g.base + r * g.row_stride);
-            let b = filters.as_ptr().add(f0 + r * g.row_len);
-            let quads = g.row_len / 4;
-            for i in 0..quads {
-                let va = _mm256_loadu_si256(a.add(4 * i) as *const __m256i);
-                let vb = _mm256_loadu_si256(b.add(4 * i) as *const __m256i);
-                let x = _mm256_xor_si256(va, vb);
-                acc = _mm256_add_epi64(acc, crate::popcount::popcount_m256_lookup(x));
-            }
-            for i in quads * 4..g.row_len {
-                tail_pop += (*a.add(i) ^ *b.add(i)).count_ones() as u64;
-            }
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let pop = lanes.iter().sum::<u64>() + tail_pop;
-        *o = (g.n_logical - 2 * pop as i32) as f32;
-    }
-}
-
-/// AVX-512 window with native VPOPCNTDQ: 512-bit xor + `VPOPCNTQ`, masked
-/// row tails, vector accumulation across the window, one
-/// `_mm512_reduce_add_epi64` per filter.
-///
-/// # Safety
-/// Requires AVX512F + AVX512VPOPCNTDQ; geometry must be in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn window_avx512(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let per_filter = g.kh * g.row_len;
-    let octs = g.row_len / 8;
-    let tail = g.row_len - octs * 8;
-    let tail_mask: __mmask8 = if tail == 0 { 0 } else { (1u8 << tail) - 1 };
-    for (k, o) in out.iter_mut().enumerate() {
-        let f0 = k * per_filter;
-        let mut acc = _mm512_setzero_si512();
-        for r in 0..g.kh {
-            let a = input.as_ptr().add(g.base + r * g.row_stride);
-            let b = filters.as_ptr().add(f0 + r * g.row_len);
-            for i in 0..octs {
-                let va = _mm512_loadu_si512(a.add(8 * i) as *const __m512i);
-                let vb = _mm512_loadu_si512(b.add(8 * i) as *const __m512i);
-                acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(va, vb)));
-            }
-            if tail != 0 {
-                let va = _mm512_maskz_loadu_epi64(tail_mask, a.add(octs * 8) as *const i64);
-                let vb = _mm512_maskz_loadu_epi64(tail_mask, b.add(octs * 8) as *const i64);
-                let x = _mm512_maskz_xor_epi64(tail_mask, va, vb);
-                acc = _mm512_add_epi64(acc, _mm512_maskz_popcnt_epi64(tail_mask, x));
-            }
-        }
-        let pop = _mm512_reduce_add_epi64(acc) as u64;
-        *o = (g.n_logical - 2 * pop as i32) as f32;
-    }
-}
-
-/// AVX-512 window without VPOPCNTDQ (Skylake-SP class): 512-bit xor, AVX2
-/// nibble-lookup popcount on the two halves, vector accumulation.
-///
-/// # Safety
-/// Requires AVX512F + AVX2; geometry must be in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2")]
-unsafe fn window_avx512_lookup(input: &[u64], filters: &[u64], g: WindowGeom, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let per_filter = g.kh * g.row_len;
-    for (k, o) in out.iter_mut().enumerate() {
-        let f0 = k * per_filter;
-        let mut acc = _mm256_setzero_si256();
-        let mut tail_pop = 0u64;
-        for r in 0..g.kh {
-            let a = input.as_ptr().add(g.base + r * g.row_stride);
-            let b = filters.as_ptr().add(f0 + r * g.row_len);
-            let octs = g.row_len / 8;
-            for i in 0..octs {
-                let va = _mm512_loadu_si512(a.add(8 * i) as *const __m512i);
-                let vb = _mm512_loadu_si512(b.add(8 * i) as *const __m512i);
-                let x = _mm512_xor_si512(va, vb);
-                let lo = _mm512_castsi512_si256(x);
-                let hi = _mm512_extracti64x4_epi64::<1>(x);
-                acc = _mm256_add_epi64(acc, crate::popcount::popcount_m256_lookup(lo));
-                acc = _mm256_add_epi64(acc, crate::popcount::popcount_m256_lookup(hi));
-            }
-            for i in octs * 8..g.row_len {
-                tail_pop += (*a.add(i) ^ *b.add(i)).count_ones() as u64;
-            }
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let pop = lanes.iter().sum::<u64>() + tail_pop;
-        *o = (g.n_logical - 2 * pop as i32) as f32;
-    }
-}
-
-/// Evaluates one convolution window against all K filters at the requested
-/// SIMD level, falling back to scalar when the level is unavailable.
-#[inline]
-pub fn conv_window(
-    level: SimdLevel,
+/// `B`'s CPU features must be available, and the geometry must have passed
+/// the bounds checks of [`conv_rows`]: every window word of every pixel of
+/// `rows` lies inside `input`, and `filters` holds `⌈K/8⌉` whole groups.
+#[inline(always)]
+unsafe fn tiles<B: GroupBody>(
     input: &[u64],
     filters: &[u64],
-    g: WindowGeom,
-    out: &mut [f32],
+    g: &ConvGeom,
+    rows: Range<usize>,
+    sink: &mut ConvSink<'_>,
 ) {
-    debug_assert!(g.base + (g.kh - 1) * g.row_stride + g.row_len <= input.len());
-    debug_assert!(out.len() * g.kh * g.row_len <= filters.len());
+    let row_len = g.kw * g.c_words;
+    let in_row = g.in_w * g.c_words;
+    let group_words = g.kh * row_len * LANES;
+    let groups = g.k.div_ceil(LANES);
+    let out_c_words = g.k.div_ceil(64);
+    let n_px = rows.len() * g.out_w;
+    let (mut oy, mut ox) = (0usize, 0usize);
+    for px0 in (0..n_px).step_by(TILE) {
+        let valid = TILE.min(n_px - px0);
+        // Window origin in `input`, and (row, x) within the row range, of
+        // every tile pixel.
+        let mut base = [0usize; TILE];
+        let mut at = [(0usize, 0usize); TILE];
+        for p in 0..TILE {
+            if p < valid {
+                base[p] = ((rows.start + oy) * g.stride * g.in_w + ox * g.stride) * g.c_words;
+                at[p] = (oy, ox);
+                ox += 1;
+                if ox == g.out_w {
+                    (oy, ox) = (oy + 1, 0);
+                }
+            } else {
+                base[p] = base[valid - 1];
+            }
+        }
+        for g0 in (0..groups).step_by(WORD_GROUPS) {
+            let mut word = [0u64; TILE];
+            for gi in g0..groups.min(g0 + WORD_GROUPS) {
+                // SAFETY: B's features are available (caller contract).
+                let mut acc = [unsafe { B::zero() }; TILE];
+                for r in 0..g.kh {
+                    for i in 0..row_len {
+                        let t = r * row_len + i;
+                        // SAFETY: `gi < groups` and `t < kh·row_len`, so the
+                        // LANES words at this offset are inside the
+                        // `groups·group_words` filter words conv_rows
+                        // asserted; `base[p] + r·in_row + i` is a window word
+                        // of a pixel of `rows`, asserted inside `input`.
+                        unsafe {
+                            let f = B::load(filters.as_ptr().add(gi * group_words + t * LANES));
+                            for (a, &b) in acc.iter_mut().zip(&base) {
+                                *a = B::step(*a, f, *input.as_ptr().add(b + r * in_row + i));
+                            }
+                        }
+                    }
+                }
+                match sink {
+                    ConvSink::Sign { bounds, flips, .. } => {
+                        let b: &[i64; LANES] = bounds[gi * LANES..][..LANES]
+                            .try_into()
+                            .expect("a whole group of bounds");
+                        for (w, &a) in word.iter_mut().zip(&acc) {
+                            // SAFETY: B's features are available.
+                            let bits = unsafe { B::le_mask(a, b) } ^ flips[gi];
+                            *w |= (bits as u64) << (LANES * (gi - g0));
+                        }
+                    }
+                    ConvSink::Dots { window_bits, out } => {
+                        let lanes = LANES.min(g.k - gi * LANES);
+                        for (p, &a) in acc[..valid].iter().enumerate() {
+                            // SAFETY: B's features are available.
+                            let pops = unsafe { B::pops(a) };
+                            let o = (px0 + p) * g.k + gi * LANES;
+                            for (dst, &pop) in out[o..o + lanes].iter_mut().zip(&pops) {
+                                *dst = (*window_bits - 2 * pop as i32) as f32;
+                            }
+                        }
+                    }
+                }
+            }
+            if let ConvSink::Sign {
+                out,
+                origin,
+                row_stride,
+                ..
+            } = sink
+            {
+                for (&(y, x), &w) in at[..valid].iter().zip(&word) {
+                    out[*origin + y * *row_stride + x * out_c_words + g0 / WORD_GROUPS] = w;
+                }
+            }
+        }
+    }
+}
+
+/// [`tiles`] compiled with a tier's CPU features enabled.
+macro_rules! tier {
+    ($name:ident, $body:ty, $features:literal) => {
+        /// # Safety
+        /// As [`tiles`], whose `B` is this tier's body.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn $name(
+            input: &[u64],
+            filters: &[u64],
+            g: &ConvGeom,
+            rows: Range<usize>,
+            sink: &mut ConvSink<'_>,
+        ) {
+            // SAFETY: forwarded contract; the features are enabled on this fn.
+            unsafe { tiles::<$body>(input, filters, g, rows, sink) }
+        }
+    };
+}
+tier!(tiles_avx512, Zmm, "avx512f,avx512vpopcntdq");
+tier!(tiles_avx2, Ymm2, "avx2");
+// Without `popcnt` enabled, `count_ones` lowers to the SWAR sequence.
+tier!(tiles_popcnt, Words<false>, "popcnt");
+tier!(tiles_popcnt_opaque, Words<true>, "popcnt");
+
+type TileFn = unsafe fn(&[u64], &[u64], &ConvGeom, Range<usize>, &mut ConvSink<'_>);
+
+/// The tile loop for `level`: a level the host lacks demotes to the widest
+/// body it has.
+fn body_for(level: SimdLevel) -> TileFn {
+    let opaque = level == SimdLevel::Unvectorized;
     #[cfg(target_arch = "x86_64")]
     {
         let f = crate::detect::features();
         match level {
-            SimdLevel::Unvectorized => window_unvectorized(input, filters, g, out),
-            SimdLevel::Scalar => window_scalar(input, filters, g, out),
-            SimdLevel::Sse if f.sse2 => {
-                // SAFETY: sse2 verified by the detector; geometry asserted.
-                unsafe { window_sse(input, filters, g, out) }
-            }
-            SimdLevel::Avx2 if f.avx2 => {
-                // SAFETY: avx2 verified by the detector; geometry asserted.
-                unsafe { window_avx2(input, filters, g, out) }
-            }
-            SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => {
-                // SAFETY: avx512f+vpopcntdq verified; geometry asserted.
-                unsafe { window_avx512(input, filters, g, out) }
-            }
-            SimdLevel::Avx512 if f.avx512f && f.avx2 => {
-                // SAFETY: avx512f+avx2 verified; geometry asserted.
-                unsafe { window_avx512_lookup(input, filters, g, out) }
-            }
-            _ => window_scalar(input, filters, g, out),
+            SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => return tiles_avx512,
+            SimdLevel::Avx512 | SimdLevel::Avx2 if f.avx2 => return tiles_avx2,
+            _ if f.popcnt && opaque => return tiles_popcnt_opaque,
+            _ if f.popcnt => return tiles_popcnt,
+            _ => {}
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        match level {
-            SimdLevel::Unvectorized => window_unvectorized(input, filters, g, out),
-            _ => window_scalar(input, filters, g, out),
+    if opaque {
+        tiles::<Words<true>>
+    } else {
+        tiles::<Words<false>>
+    }
+}
+
+/// Product of geometry factors, refusing to wrap.
+fn words(factors: &[usize]) -> usize {
+    factors
+        .iter()
+        .try_fold(1usize, |a, &x| a.checked_mul(x))
+        .expect("conv geometry overflows usize")
+}
+
+/// Convolves output rows `rows` of the map described by `g` at the
+/// requested SIMD level and hands every finished window to `sink`. A level
+/// the host lacks demotes to the widest body it has.
+///
+/// All bounds are checked here, once per call, before the unchecked tile
+/// loop is entered.
+///
+/// # Panics
+/// If the geometry is degenerate, a window of `rows` or the last filter
+/// group would fall outside its slice, or the sink's slices do not match
+/// the geometry.
+pub fn conv_rows(
+    level: SimdLevel,
+    input: &[u64],
+    filters: &[u64],
+    g: &ConvGeom,
+    rows: Range<usize>,
+    mut sink: ConvSink<'_>,
+) {
+    assert!(
+        g.c_words > 0 && g.kh > 0 && g.kw > 0 && g.stride > 0 && g.out_w > 0 && g.k > 0,
+        "degenerate conv geometry {g:?}"
+    );
+    if rows.is_empty() {
+        return;
+    }
+    let groups = g.k.div_ceil(LANES);
+    // The rightmost window stays inside its input row …
+    assert!(
+        g.kw <= g.in_w && words(&[g.out_w - 1, g.stride]) <= g.in_w - g.kw,
+        "window overruns the input row"
+    );
+    // … and the last window row of the last pixel inside the map: every
+    // window word of every pixel of `rows` is then below
+    // `in_h·in_w·c_words ≤ input.len()`.
+    let in_h = input.len() / words(&[g.in_w, g.c_words]);
+    assert!(
+        g.kh <= in_h && words(&[rows.end - 1, g.stride]) <= in_h - g.kh,
+        "last window row out of bounds"
+    );
+    assert_eq!(
+        filters.len(),
+        words(&[groups, g.kh, g.kw, g.c_words, LANES]),
+        "filter bank is not ⌈K/8⌉ whole lane groups"
+    );
+    match &sink {
+        ConvSink::Sign {
+            bounds,
+            flips,
+            out,
+            origin,
+            row_stride,
+        } => {
+            assert_eq!(bounds.len(), groups * LANES, "one bound per filter lane");
+            assert_eq!(flips.len(), groups, "one flip byte per filter group");
+            let last = origin + (rows.len() - 1) * row_stride + g.out_w * g.k.div_ceil(64);
+            assert!(last <= out.len(), "last output pixel out of bounds");
+        }
+        ConvSink::Dots { out, .. } => {
+            assert_eq!(out.len(), words(&[rows.len(), g.out_w, g.k]), "dots size");
         }
     }
+
+    let run = body_for(level);
+    // SAFETY: bounds asserted above; `body_for` only returns bodies whose
+    // CPU features the detector verified.
+    unsafe { run(input, filters, g, rows, &mut sink) }
 }
 
 #[cfg(test)]
@@ -304,58 +464,243 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn reference(input: &[u64], filters: &[u64], g: WindowGeom, k: usize) -> Vec<f32> {
-        let per_filter = g.kh * g.row_len;
-        (0..k)
-            .map(|kk| {
-                let mut pop = 0u64;
-                for r in 0..g.kh {
-                    for i in 0..g.row_len {
-                        let a = input[g.base + r * g.row_stride + i];
-                        let b = filters[kk * per_filter + r * g.row_len + i];
-                        pop += (a ^ b).count_ones() as u64;
+    const LEVELS: [SimdLevel; 5] = [
+        SimdLevel::Unvectorized,
+        SimdLevel::Scalar,
+        SimdLevel::Sse,
+        SimdLevel::Avx2,
+        SimdLevel::Avx512,
+    ];
+
+    /// Interleaves filter-major words `[k][per_filter]` into lane groups.
+    fn interleave(flat: &[u64], k: usize, per_filter: usize) -> Vec<u64> {
+        let mut bank = vec![0u64; k.div_ceil(LANES) * per_filter * LANES];
+        for kk in 0..k {
+            for t in 0..per_filter {
+                bank[((kk / LANES) * per_filter + t) * LANES + kk % LANES] =
+                    flat[kk * per_filter + t];
+            }
+        }
+        bank
+    }
+
+    /// Pure-integer reference: popcount of output pixel (oy, ox), filter kk.
+    fn ref_pop(input: &[u64], flat: &[u64], g: &ConvGeom, oy: usize, ox: usize, kk: usize) -> i64 {
+        let row_len = g.kw * g.c_words;
+        let mut pop = 0i64;
+        for r in 0..g.kh {
+            for i in 0..row_len {
+                let a = input[((oy * g.stride + r) * g.in_w + ox * g.stride) * g.c_words + i];
+                let b = flat[(kk * g.kh + r) * row_len + i];
+                pop += (a ^ b).count_ones() as i64;
+            }
+        }
+        pop
+    }
+
+    /// Bounds mixing both directions, ties, and saturated lanes.
+    fn lane_bounds(rng: &mut StdRng, k: usize, window_bits: i64) -> (Vec<i64>, Vec<u8>) {
+        let groups = k.div_ceil(LANES);
+        let mut bounds = vec![-1i64; groups * LANES];
+        let mut flips = vec![0u8; groups];
+        for kk in 0..k {
+            bounds[kk] = match kk % 5 {
+                0 => -1,              // never ≤
+                1 => window_bits + 1, // always ≤
+                _ => rng.gen_range(window_bits / 4..window_bits * 3 / 4 + 1),
+            };
+            if rng.gen::<bool>() {
+                flips[kk / LANES] |= 1 << (kk % LANES);
+            }
+        }
+        (bounds, flips)
+    }
+
+    /// Runs one geometry at every level, both sinks, `out_pad` 0 and 1,
+    /// against [`ref_pop`].
+    fn check_geometry(rng: &mut StdRng, g: &ConvGeom, out_h: usize) {
+        let in_h = (out_h - 1) * g.stride + g.kh;
+        let input: Vec<u64> = (0..in_h * g.in_w * g.c_words).map(|_| rng.gen()).collect();
+        let per_filter = g.kh * g.kw * g.c_words;
+        let flat: Vec<u64> = (0..g.k * per_filter).map(|_| rng.gen()).collect();
+        let bank = interleave(&flat, g.k, per_filter);
+        let window_bits = (per_filter * 64) as i64;
+        let (bounds, flips) = lane_bounds(rng, g.k, window_bits);
+        let ocw = g.k.div_ceil(64);
+        let n_px = out_h * g.out_w;
+        let pops: Vec<i64> = (0..n_px * g.k)
+            .map(|o| {
+                ref_pop(
+                    &input,
+                    &flat,
+                    g,
+                    o / g.k / g.out_w,
+                    o / g.k % g.out_w,
+                    o % g.k,
+                )
+            })
+            .collect();
+        let want_dots: Vec<f32> = pops.iter().map(|p| (window_bits - 2 * p) as f32).collect();
+        for out_pad in [0usize, 1] {
+            let row_stride = (g.out_w + 2 * out_pad) * ocw;
+            let origin = out_pad * row_stride + out_pad * ocw;
+            // Poisoned destination: margins must survive, pixel words must
+            // be overwritten whole (zero press tail included).
+            let poison = vec![!0u64; (out_h + 2 * out_pad) * row_stride];
+            let mut want = poison.clone();
+            for px in 0..n_px {
+                let at = origin + px / g.out_w * row_stride + px % g.out_w * ocw;
+                want[at..at + ocw].fill(0);
+                for kk in 0..g.k {
+                    let flip = (flips[kk / LANES] >> (kk % LANES)) & 1 == 1;
+                    if (pops[px * g.k + kk] <= bounds[kk]) ^ flip {
+                        want[at + kk / 64] |= 1 << (kk % 64);
                     }
                 }
-                (g.n_logical - 2 * pop as i32) as f32
-            })
-            .collect()
+            }
+            for level in LEVELS {
+                let what = format!("{level} {g:?} out_h={out_h} pad={out_pad}");
+                let mut out = poison.clone();
+                let sink = ConvSink::Sign {
+                    bounds: &bounds,
+                    flips: &flips,
+                    out: &mut out,
+                    origin,
+                    row_stride,
+                };
+                conv_rows(level, &input, &bank, g, 0..out_h, sink);
+                assert_eq!(out, want, "{what}");
+                let mut dots = vec![f32::NAN; n_px * g.k];
+                let sink = ConvSink::Dots {
+                    window_bits: window_bits as i32,
+                    out: &mut dots,
+                };
+                conv_rows(level, &input, &bank, g, 0..out_h, sink);
+                assert_eq!(dots, want_dots, "{what}");
+            }
+        }
     }
 
     #[test]
-    fn all_levels_match_reference() {
+    fn every_level_matches_the_integer_reference() {
         let mut rng = StdRng::seed_from_u64(77);
-        for (kh, row_len, row_stride, k) in [
-            (3usize, 3usize, 20usize, 5usize),
-            (1, 8, 8, 3),
-            (3, 24, 100, 16),
-            (2, 1, 7, 1),
-            (3, 12, 40, 9),
-            (3, 9, 30, 2),  // odd row_len: SSE pair tail + AVX-512 mask tail
-            (2, 17, 50, 4), // tail > 8
-        ] {
-            let input: Vec<u64> = (0..row_stride * (kh + 2) + row_len)
-                .map(|_| rng.gen())
-                .collect();
-            let filters: Vec<u64> = (0..k * kh * row_len).map(|_| rng.gen()).collect();
-            let g = WindowGeom {
-                base: 2,
-                row_stride,
-                row_len,
-                kh,
-                n_logical: (kh * row_len * 64) as i32,
-            };
-            let want = reference(&input, &filters, g, k);
-            for level in [
-                SimdLevel::Unvectorized,
-                SimdLevel::Scalar,
-                SimdLevel::Sse,
-                SimdLevel::Avx2,
-                SimdLevel::Avx512,
-            ] {
-                let mut out = vec![0.0f32; k];
-                conv_window(level, &input, &filters, g, &mut out);
-                assert_eq!(out, want, "{level} kh={kh} row_len={row_len}");
+        let mut case = 0usize;
+        // c_words of C ∈ {3, 32, 64}, {96, 128}, 160, 256, 512.
+        for c_words in [1usize, 2, 3, 4, 8] {
+            for k in [1usize, 5, 7, 8, 9, 63, 64, 65, 70] {
+                for (kh, kw) in [(1usize, 1usize), (3, 3), (5, 5), (2, 3)] {
+                    for stride in 1..=3usize {
+                        for out_w in [1usize, 4, 7, 8, 9, 17] {
+                            case += 1;
+                            let g = ConvGeom {
+                                c_words,
+                                in_w: (out_w - 1) * stride + kw + case % 2,
+                                kh,
+                                kw,
+                                stride,
+                                out_w,
+                                k,
+                            };
+                            // 1–3 rows: tiles cross row ends when out_w ∤ 8.
+                            check_geometry(&mut rng, &g, 1 + case % 3);
+                        }
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn row_ranges_compose_to_the_whole_map() {
+        let mut rng = StdRng::seed_from_u64(78);
+        let g = ConvGeom {
+            c_words: 2,
+            in_w: 9,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            out_w: 7,
+            k: 13,
+        };
+        let (in_h, out_h) = (8usize, 6usize);
+        let input: Vec<u64> = (0..in_h * g.in_w * g.c_words).map(|_| rng.gen()).collect();
+        let flat: Vec<u64> = (0..g.k * 18).map(|_| rng.gen()).collect();
+        let bank = interleave(&flat, g.k, 18);
+        let mut whole = vec![0f32; out_h * g.out_w * g.k];
+        fn sink(out: &mut [f32]) -> ConvSink<'_> {
+            ConvSink::Dots {
+                window_bits: 18 * 64,
+                out,
+            }
+        }
+        conv_rows(
+            SimdLevel::Avx512,
+            &input,
+            &bank,
+            &g,
+            0..out_h,
+            sink(&mut whole),
+        );
+        let mut parts = vec![0f32; whole.len()];
+        let row = g.out_w * g.k;
+        for (rows, chunk) in [
+            (0..1, 0..row),
+            (1..5, row..5 * row),
+            (5..6, 5 * row..6 * row),
+        ] {
+            conv_rows(
+                SimdLevel::Avx512,
+                &input,
+                &bank,
+                &g,
+                rows,
+                sink(&mut parts[chunk]),
+            );
+        }
+        assert_eq!(whole, parts);
+    }
+
+    fn tiny() -> (ConvGeom, Vec<u64>, Vec<u64>) {
+        let g = ConvGeom {
+            c_words: 1,
+            in_w: 4,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            out_w: 2,
+            k: 3,
+        };
+        (g, vec![0u64; 4 * 4], vec![0u64; 9 * LANES])
+    }
+
+    #[test]
+    #[should_panic(expected = "last window row out of bounds")]
+    fn rows_past_the_input_are_rejected_before_the_kernel() {
+        let (g, input, bank) = tiny();
+        let mut out = vec![0f32; 3 * 2 * 3];
+        let sink = ConvSink::Dots {
+            window_bits: 9 * 64,
+            out: &mut out,
+        };
+        conv_rows(SimdLevel::Avx512, &input, &bank, &g, 0..3, sink);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole lane groups")]
+    fn a_filter_major_bank_is_rejected_before_the_kernel() {
+        let (g, input, _) = tiny();
+        let mut out = vec![0f32; 2 * 2 * 3];
+        let sink = ConvSink::Dots {
+            window_bits: 9 * 64,
+            out: &mut out,
+        };
+        conv_rows(
+            SimdLevel::Avx512,
+            &input,
+            &vec![0u64; 9 * 3],
+            &g,
+            0..2,
+            sink,
+        );
     }
 }

@@ -43,6 +43,7 @@ pub fn popcount_slice_scalar(xs: &[u64]) -> u64 {
 /// Caller must ensure AVX2 is available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[inline]
 pub unsafe fn popcount_m256_lookup(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
     // Table of popcounts of all 4-bit values, replicated across both lanes.

@@ -326,10 +326,12 @@ impl VectorScheduler {
         }
     }
 
-    /// The level used for operators that stream long contiguous word runs
-    /// regardless of per-pixel channel width (bgemm rows, fused kh·kw·C conv
-    /// rows): simply the widest available, since masked/partial tails make
-    /// any length efficient.
+    /// The level for operators whose vector width is not tied to the
+    /// per-pixel channel width: bgemm rows (long contiguous word runs, where
+    /// masked tails make any length efficient) and the filter-lane conv core
+    /// ([`crate::conv`], whose lanes are eight output filters at every C).
+    /// Simply the widest available. [`Self::select`] keeps the §III-B
+    /// channel rule for packing width, pools and reporting.
     pub fn streaming_level(&self) -> SimdLevel {
         SimdLevel::best_for(self.features)
     }

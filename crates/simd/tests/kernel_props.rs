@@ -2,7 +2,7 @@
 //! must agree bit-exactly with the portable SWAR reference on arbitrary
 //! inputs, lengths and geometries.
 
-use bitflow_simd::conv::{conv_window, WindowGeom};
+use bitflow_simd::conv::{conv_rows, ConvGeom, ConvSink, LANES};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::pack::pack_f32;
 use bitflow_simd::popcount::popcount_swar;
@@ -92,30 +92,45 @@ proptest! {
     }
 
     #[test]
-    fn conv_window_matches_scalar_everywhere(
-        kh in 1usize..4,
-        row_len in 1usize..30,
-        extra_stride in 0usize..10,
-        k in 1usize..8,
+    fn conv_rows_matches_swar_reference_everywhere(
+        (kh, kw) in (1usize..4, 1usize..4),
+        c_words in 1usize..5,
+        stride in 1usize..3,
+        (out_h, out_w) in (1usize..4, 1usize..11),
+        slack in 0usize..3,
+        k in 1usize..20,
         seed in any::<u64>(),
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let row_stride = row_len + extra_stride;
-        let input: Vec<u64> = (0..kh * row_stride + row_len + 4).map(|_| rng.gen()).collect();
-        let filters: Vec<u64> = (0..k * kh * row_len).map(|_| rng.gen()).collect();
-        let g = WindowGeom {
-            base: 1,
-            row_stride,
-            row_len,
-            kh,
-            n_logical: (kh * row_len * 64) as i32,
-        };
-        let mut want = vec![0.0f32; k];
-        conv_window(SimdLevel::Unvectorized, &input, &filters, g, &mut want);
-        for level in [SimdLevel::Scalar, SimdLevel::Sse, SimdLevel::Avx2, SimdLevel::Avx512] {
-            let mut out = vec![0.0f32; k];
-            conv_window(level, &input, &filters, g, &mut out);
+        let in_w = (out_w - 1) * stride + kw + slack;
+        let in_h = (out_h - 1) * stride + kh;
+        let g = ConvGeom { c_words, in_w, kh, kw, stride, out_w, k };
+        let input: Vec<u64> = (0..in_h * in_w * c_words).map(|_| rng.gen()).collect();
+        let per_filter = kh * kw * c_words;
+        let flat: Vec<u64> = (0..k * per_filter).map(|_| rng.gen()).collect();
+        let mut bank = vec![0u64; k.div_ceil(LANES) * per_filter * LANES];
+        for kk in 0..k {
+            for t in 0..per_filter {
+                bank[((kk / LANES) * per_filter + t) * LANES + kk % LANES] = flat[kk * per_filter + t];
+            }
+        }
+        let window_bits = (per_filter * 64) as i32;
+        let mut want = vec![0.0f32; out_h * out_w * k];
+        for (o, w) in want.iter_mut().enumerate() {
+            let (kk, ox, oy) = (o % k, o / k % out_w, o / k / out_w);
+            let mut pop = 0u32;
+            for r in 0..kh {
+                for i in 0..kw * c_words {
+                    let a = input[((oy * stride + r) * in_w + ox * stride) * c_words + i];
+                    pop += popcount_swar(a ^ flat[(kk * kh + r) * kw * c_words + i]);
+                }
+            }
+            *w = (window_bits - 2 * pop as i32) as f32;
+        }
+        for level in LEVELS {
+            let mut out = vec![f32::NAN; want.len()];
+            conv_rows(level, &input, &bank, &g, 0..out_h, ConvSink::Dots { window_bits, out: &mut out });
             prop_assert_eq!(&out, &want, "{}", level);
         }
     }

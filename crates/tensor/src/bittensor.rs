@@ -207,12 +207,21 @@ impl BitTensor {
     }
 }
 
+/// Filters per lane group of a [`BitFilterBank`]: eight `u64` lanes fill
+/// one 64-byte vector register / cache line (`bitflow_simd::conv::LANES`,
+/// which checks the bank's length against it on every call).
+const FILTER_LANES: usize = 8;
+
 /// A bank of binarized convolution filters, channel-packed like the
-/// activations they convolve with.
+/// activations they convolve with and **filter-interleaved** for the
+/// filter-lane conv core (`bitflow_simd::conv`).
 ///
-/// Filter `k` occupies `kh·kw·c_words` consecutive words, laid out
-/// (kh, kw, c_words) — the same (spatial, pressed-channel) order as a
-/// [`BitTensor`] window, so filter and input words stream in lock-step.
+/// Storage is `[⌈K/8⌉][kh·kw·c_words][8]`: the eight filters of a group
+/// share each 64-byte line, one `u64` lane per filter, and the lines of a
+/// group follow the (kh, kw, c_words) order of a [`BitTensor`] window. One
+/// vector load therefore fetches window word `t` of eight filters at once,
+/// to be xored against the broadcast input word. Lanes `K..⌈K/8⌉·8` of the
+/// last group are all-zero filters the conv core masks out.
 #[derive(Clone, Debug)]
 pub struct BitFilterBank {
     words: AlignedVec<u64>,
@@ -224,28 +233,31 @@ impl BitFilterBank {
     /// Allocates an all-zero bank.
     pub fn zeros(shape: FilterShape) -> Self {
         let c_words = words_for(shape.c);
+        let groups = shape.k.div_ceil(FILTER_LANES);
         Self {
-            words: AlignedVec::zeroed(shape.k * shape.kh * shape.kw * c_words),
+            words: AlignedVec::zeroed(groups * shape.kh * shape.kw * c_words * FILTER_LANES),
             shape,
             c_words,
         }
     }
 
-    /// Packs a float filter bank given as K tensors… in practice weights
-    /// arrive as one flat slice in (k, kh, kw, c) order; this is the
-    /// network-initialization-time packing (paper's network-level
-    /// optimization: binarize + pack weights once, before inference).
+    /// Packs a float filter bank given as one flat slice in (k, kh, kw, c)
+    /// order; this is the network-initialization-time packing (paper's
+    /// network-level optimization: binarize + pack weights once, before
+    /// inference). Each word is pressed straight into its lane — the
+    /// interleaved layout costs no second pass.
     pub fn from_floats(weights: &[f32], shape: FilterShape) -> Self {
         assert_eq!(weights.len(), shape.numel(), "weight count vs shape");
         let mut bank = Self::zeros(shape);
         let c = shape.c;
-        let cw = bank.c_words;
         for k in 0..shape.k {
             for i in 0..shape.kh {
                 for j in 0..shape.kw {
                     let src = &weights[((k * shape.kh + i) * shape.kw + j) * c..][..c];
-                    let dst_off = bank.tap_index(k, i, j);
-                    pack_slice(src, &mut bank.words[dst_off..dst_off + cw]);
+                    for (cw, chunk) in src.chunks(WORD_BITS).enumerate() {
+                        let at = bank.word_index(k, i, j, cw);
+                        pack_slice(chunk, &mut bank.words[at..at + 1]);
+                    }
                 }
             }
         }
@@ -264,46 +276,27 @@ impl BitFilterBank {
         self.c_words
     }
 
-    /// Word offset of tap (k, i, j).
+    /// Offset of channel word `cw` of tap (k, i, j) in the interleaved
+    /// storage.
     #[inline]
-    pub fn tap_index(&self, k: usize, i: usize, j: usize) -> usize {
+    fn word_index(&self, k: usize, i: usize, j: usize, cw: usize) -> usize {
         debug_assert!(k < self.shape.k && i < self.shape.kh && j < self.shape.kw);
-        ((k * self.shape.kh + i) * self.shape.kw + j) * self.c_words
+        let per_filter = self.shape.kh * self.shape.kw * self.c_words;
+        let t = (i * self.shape.kw + j) * self.c_words + cw;
+        ((k / FILTER_LANES) * per_filter + t) * FILTER_LANES + k % FILTER_LANES
     }
 
-    /// The entire packed bank, filter-major — filter `k` starts at word
-    /// `k · kh · kw · c_words` (the layout the fused window kernels need).
+    /// The whole interleaved bank, `[⌈K/8⌉][kh·kw·c_words][8]` — the
+    /// operand of `bitflow_simd::conv::conv_rows`.
     #[inline]
-    pub fn filter_words_all(&self) -> &[u64] {
+    pub fn lane_words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// All words of filter `k`, in (kh, kw, c_words) order.
-    #[inline]
-    pub fn filter_words(&self, k: usize) -> &[u64] {
-        let per = self.shape.kh * self.shape.kw * self.c_words;
-        &self.words[k * per..(k + 1) * per]
-    }
-
-    /// Packed channel words of tap (k, i, j).
-    #[inline]
-    pub fn tap_words(&self, k: usize, i: usize, j: usize) -> &[u64] {
-        let off = self.tap_index(k, i, j);
-        &self.words[off..off + self.c_words]
-    }
-
-    /// One contiguous row of taps (k, i, 0..kw) — streams against
-    /// [`BitTensor::row_words`].
-    #[inline]
-    pub fn tap_row_words(&self, k: usize, i: usize) -> &[u64] {
-        let off = self.tap_index(k, i, 0);
-        &self.words[off..off + self.shape.kw * self.c_words]
     }
 
     /// Logical {−1,+1} weight at (k, i, j, c).
     pub fn get(&self, k: usize, i: usize, j: usize, c: usize) -> i32 {
         assert!(c < self.shape.c);
-        let w = self.tap_words(k, i, j)[c / WORD_BITS];
+        let w = self.words[self.word_index(k, i, j, c / WORD_BITS)];
         if (w >> (c % WORD_BITS)) & 1 == 1 {
             1
         } else {
@@ -311,8 +304,8 @@ impl BitFilterBank {
         }
     }
 
-    /// Total packed size in bytes — used for the model-size rows of the
-    /// paper's Table V (32× compression claim).
+    /// Total packed size in bytes, including the zero filters that pad K
+    /// to a whole lane group.
     pub fn packed_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
     }
@@ -321,7 +314,7 @@ impl BitFilterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn pack_round_trip_exact_multiple() {
@@ -424,12 +417,37 @@ mod tests {
     }
 
     #[test]
-    fn filter_words_partition() {
-        let shape = FilterShape::new(3, 2, 2, 64);
-        let bank = BitFilterBank::zeros(shape);
-        assert_eq!(bank.filter_words(0).len(), 4);
-        assert_eq!(bank.tap_row_words(1, 0).len(), 2);
-        assert_eq!(bank.packed_bytes(), 3 * 4 * 8);
+    fn filter_bank_round_trips_when_k_is_not_a_lane_multiple() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for (k, c) in [(1usize, 3usize), (5, 64), (9, 70), (13, 130)] {
+            let shape = FilterShape::new(k, 2, 3, c);
+            let weights: Vec<f32> = (0..shape.numel())
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect();
+            let bank = BitFilterBank::from_floats(&weights, shape);
+            let groups = k.div_ceil(FILTER_LANES);
+            let per_filter = 2 * 3 * bank.c_words();
+            assert_eq!(bank.packed_bytes(), groups * per_filter * FILTER_LANES * 8);
+            for kk in 0..k {
+                for i in 0..2 {
+                    for j in 0..3 {
+                        for cc in 0..c {
+                            let flat = ((kk * 2 + i) * 3 + j) * c + cc;
+                            let want = if weights[flat] >= 0.0 { 1 } else { -1 };
+                            assert_eq!(bank.get(kk, i, j, cc), want, "k={k} c={c}");
+                        }
+                    }
+                }
+            }
+            // The lanes padding K to a whole group are zero filters.
+            for (at, &w) in bank.lane_words().iter().enumerate() {
+                let lane_k = at / (per_filter * FILTER_LANES) * FILTER_LANES + at % FILTER_LANES;
+                assert!(
+                    lane_k < k || w == 0,
+                    "pad lane {lane_k} of k={k} is not zero"
+                );
+            }
+        }
     }
 
     #[test]

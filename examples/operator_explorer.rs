@@ -49,11 +49,13 @@ fn main() {
     let scheduler = VectorScheduler::new();
     let pick = scheduler.select(c);
     println!(
-        "scheduler decision for C={c}: {} ({} packed words/pixel{})",
+        "§III-B channel rule for C={c}: {} ({} packed words/pixel{}) — packing and pools",
         pick.level,
         pick.c_words,
         if pick.padded { ", channel-padded" } else { "" }
     );
+    // The conv core's lanes are output filters: widest tier at every C.
+    let conv_level = scheduler.streaming_level();
 
     println!("\n{:<14} {:>12} {:>10}", "kernel", "time", "vs unvec");
     let mut scalar_time = 0.0;
@@ -70,7 +72,7 @@ fn main() {
         if level == SimdLevel::Unvectorized {
             scalar_time = t;
         }
-        let marker = if level == pick.level {
+        let marker = if level == conv_level {
             "  <- scheduled"
         } else {
             ""
@@ -88,7 +90,7 @@ fn main() {
     let signed = input.sign();
     let pressed2 = BitTensor::from_tensor_padded(&signed, 1);
     let a = pressed_conv(SimdLevel::Scalar, &pressed2, &bank, 1);
-    let b = pressed_conv(pick.level, &pressed2, &bank, 1);
+    let b = pressed_conv(conv_level, &pressed2, &bank, 1);
     assert_eq!(a.max_abs_diff(&b), 0.0, "all kernels agree bit-exactly");
     println!("\nall kernel widths produce identical results ✔");
 }

@@ -102,7 +102,7 @@ proptest! {
         // Fused: integer popcount-domain compare inside the conv.
         let st = SignThresholds::from_fold(&fold, 3 * 3 * c);
         let mut got = BitTensor::zeros(h + 2, w + 2, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1);
+        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1, false);
 
         prop_assert_eq!(got.words(), want.words(), "fused != unfused (c={}, k={})", c, k);
         prop_assert!(got.tail_is_zero());
@@ -204,7 +204,16 @@ fn flipped_tie_lands_on_plus_one() {
     // Explicit float reference: BN(3) = −1·(3−3)/1 + 0 = 0, sign(0) = +1.
     let st = SignThresholds::from_fold(&fold, 9);
     let mut fused = BitTensor::zeros(1, 1, 1);
-    pressed_conv_sign_into(SimdLevel::Scalar, &pressed, &bank, 1, &st, &mut fused, 0);
+    pressed_conv_sign_into(
+        SimdLevel::Scalar,
+        &pressed,
+        &bank,
+        1,
+        &st,
+        &mut fused,
+        0,
+        false,
+    );
     assert_eq!(fused.get(0, 0, 0), 1, "fused: tie must be +1");
 
     let unfused = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 0);

@@ -14,10 +14,20 @@
 //!
 //! Shapes are randomized with proptest; every case exercises the whole
 //! width ladder so a regression in any one tier fails the same property.
+//!
+//! The filter-lane conv core is not selected by channel width (the engine
+//! runs it at the widest tier for every C), so it is additionally swept
+//! deterministically: every level × every channel width — including pairs
+//! like (AVX-512, C = 64) that `select(c)` never produces — over group and
+//! word tails of K, every kernel/stride/tile-remainder shape, padded and
+//! unpadded outputs and adversarial thresholds, against a reference that
+//! shares no code with the packing or the kernels (`i32` arithmetic on the
+//! ±1 values).
 
 use bitflow_gemm::sgemm::sgemm_naive;
 use bitflow_ops::binary::{
-    binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv, BinaryFcWeights,
+    binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv, pressed_conv_sign_into,
+    BinaryFcWeights, BnFold, SignThresholds,
 };
 use bitflow_ops::float::max_pool;
 use bitflow_ops::ConvParams;
@@ -103,6 +113,164 @@ fn scheduler_forcing_selects_each_host_width() {
         assert!(choice.padded);
         assert_eq!(choice.c_padded, 64);
         assert_eq!(choice.level, SimdLevel::Scalar, "cap={bits}");
+    }
+}
+
+const ALL_LEVELS: [SimdLevel; 5] = [
+    SimdLevel::Unvectorized,
+    SimdLevel::Scalar,
+    SimdLevel::Sse,
+    SimdLevel::Avx2,
+    SimdLevel::Avx512,
+];
+
+/// Integer dot products of a ±1 map (−1 beyond its edge, `pad` pixels
+/// deep) with ±1 filters in (k, kh, kw, c) order: `[(oy·out_w + ox)·k + kk]`.
+#[allow(clippy::too_many_arguments)]
+fn integer_conv(
+    input: &[i32],
+    (h, w, c): (usize, usize, usize),
+    weights: &[i32],
+    (k, kh, kw): (usize, usize, usize),
+    stride: usize,
+    pad: usize,
+) -> (Vec<i32>, usize, usize) {
+    let (out_h, out_w) = (
+        (h + 2 * pad - kh) / stride + 1,
+        (w + 2 * pad - kw) / stride + 1,
+    );
+    let mut dots = Vec::with_capacity(out_h * out_w * k);
+    for oy in 0..out_h {
+        for ox in 0..out_w {
+            for kk in 0..k {
+                let mut dot = 0i32;
+                for i in 0..kh {
+                    for j in 0..kw {
+                        let (y, x) = (oy * stride + i, ox * stride + j);
+                        let inside = y >= pad && y < h + pad && x >= pad && x < w + pad;
+                        let wrow = &weights[((kk * kh + i) * kw + j) * c..][..c];
+                        dot += if inside {
+                            let px = &input[((y - pad) * w + (x - pad)) * c..][..c];
+                            px.iter().zip(wrow).map(|(a, b)| a * b).sum::<i32>()
+                        } else {
+                            -wrow.iter().sum::<i32>()
+                        };
+                    }
+                }
+                dots.push(dot);
+            }
+        }
+    }
+    (dots, out_h, out_w)
+}
+
+/// Thresholds that probe every edge of the popcount-domain epilogue: ±∞
+/// (the γ = 0 fold), NaN, saturation on either side, and an exact tie with
+/// a dot the map really produces — each under both comparison directions.
+fn adversarial_fold(rng: &mut StdRng, dots: &[i32], k: usize, window_bits: usize) -> BnFold {
+    let n = window_bits as f32;
+    let thresholds = (0..k)
+        .map(|kk| match kk % 7 {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            2 => f32::NAN,
+            3 => n + 10.5,
+            4 => -n - 10.5,
+            // Ties: the dot of some real output pixel of this channel.
+            5 => dots[rng.gen_range(0..dots.len() / k) * k + kk] as f32,
+            _ => rng.gen_range(-n / 4.0..n / 4.0),
+        })
+        .collect();
+    BnFold {
+        thresholds,
+        flip: (0..k).map(|_| rng.gen()).collect(),
+    }
+}
+
+#[test]
+fn conv_core_matches_integer_reference_at_every_level_and_width() {
+    const KS: [usize; 9] = [1, 5, 7, 8, 9, 63, 64, 65, 70];
+    const KERNELS: [(usize, usize); 4] = [(1, 1), (3, 3), (5, 5), (2, 3)];
+    const OUT_WS: [usize; 6] = [1, 4, 7, 8, 9, 17];
+    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    for c in [3usize, 32, 64, 96, 128, 160, 256, 512] {
+        // 36 cases walk K × kernel exhaustively (9 and 4 are coprime) and
+        // meet every stride and every out_w several times.
+        for case in 0..36usize {
+            let (k, (kh, kw)) = (KS[case % 9], KERNELS[case % 4]);
+            let (stride, out_w) = (1 + case % 3, OUT_WS[case % 6]);
+            // 1–2 output rows: with out_w ∤ 8 the tiles cross the row end.
+            let out_h = 1 + (case / 2) % 2;
+            // Input margins (logical −1) under half the kernels that have
+            // room for them.
+            let pad = if kh >= 3 { (case / 4) % 2 } else { 0 };
+            let h = (out_h - 1) * stride + kh - 2 * pad;
+            let w = (out_w - 1) * stride + kw - 2 * pad;
+            let shape = Shape::hwc(h, w, c);
+            let fshape = FilterShape::new(k, kh, kw, c);
+            let input = Tensor::from_vec(pm1_vec(&mut rng, shape.numel()), shape, Layout::Nhwc);
+            let weights = pm1_vec(&mut rng, fshape.numel());
+            let as_i32 = |xs: &[f32]| xs.iter().map(|&x| x as i32).collect::<Vec<_>>();
+            let (dots, oh, ow) = integer_conv(
+                &as_i32(input.data()),
+                (h, w, c),
+                &as_i32(&weights),
+                (k, kh, kw),
+                stride,
+                pad,
+            );
+            assert_eq!((oh, ow), (out_h, out_w), "case geometry");
+            let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
+            let st = SignThresholds::from_fold(&fold, kh * kw * c);
+            let want_bit = |px: usize, kk: usize| {
+                let (x, t) = (dots[px * k + kk] as f32, fold.thresholds[kk]);
+                if fold.flip[kk] {
+                    x <= t
+                } else {
+                    x >= t
+                }
+            };
+
+            let pressed = BitTensor::from_tensor_padded(&input, pad);
+            let bank = BitFilterBank::from_floats(&weights, fshape);
+            for level in ALL_LEVELS {
+                let what = format!("{level:?} c={c} k={k} {kh}x{kw} s={stride} out={oh}x{ow}");
+                let counts = pressed_conv(level, &pressed, &bank, stride);
+                let got: Vec<i32> = counts.data().iter().map(|&x| x as i32).collect();
+                assert_eq!(got, dots, "{what}: float-out dots");
+                for out_pad in [0usize, 1] {
+                    // Every bit pre-set: margins must keep theirs, interior
+                    // pixels (press tail included) must be overwritten.
+                    let mut out = BitTensor::zeros(oh + 2 * out_pad, ow + 2 * out_pad, k);
+                    let tail = !0u64 >> (out.c_words() * 64 - k);
+                    for px in out.words_mut().chunks_mut(k.div_ceil(64)) {
+                        px.fill(!0);
+                        *px.last_mut().unwrap() = tail;
+                    }
+                    pressed_conv_sign_into(
+                        level, &pressed, &bank, stride, &st, &mut out, out_pad, false,
+                    );
+                    assert!(out.tail_is_zero(), "{what} pad={out_pad}: press tail");
+                    for y in 0..out.h() {
+                        for x in 0..out.w() {
+                            let margin = y < out_pad
+                                || y >= oh + out_pad
+                                || x < out_pad
+                                || x >= ow + out_pad;
+                            for kk in 0..k {
+                                let want =
+                                    margin || want_bit((y - out_pad) * ow + (x - out_pad), kk);
+                                assert_eq!(
+                                    out.get(y, x, kk) == 1,
+                                    want,
+                                    "{what} pad={out_pad}: ({y},{x},{kk}) margin={margin}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

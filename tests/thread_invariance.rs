@@ -2,7 +2,7 @@
 //! be bit-identical under rayon pools of 1, 2, and N threads.
 //!
 //! BitFlow's multi-core partitioning is fixed-chunk by design (the bgemm
-//! `PAR_K_CHUNK` split, `par_chunks_mut` over output pixels in PressedConv,
+//! `PAR_K_CHUNK` split, `par_chunks_mut` over output-row bands in PressedConv,
 //! over channel words in the binary pool) precisely so the work decomposition
 //! — and therefore every intermediate integer — does not depend on how many
 //! workers drain the chunks. These tests pin that contract for the three
@@ -14,8 +14,7 @@ use bitflow_graph::weights::{BnParams, NetworkWeights};
 use bitflow_graph::{CompiledModel, PlanOptions};
 use bitflow_ops::binary::{
     binary_fc, binary_fc_parallel, binary_max_pool, binary_max_pool_parallel, pressed_conv,
-    pressed_conv_parallel, pressed_conv_sign_into, pressed_conv_sign_parallel_into,
-    BinaryFcWeights, SignThresholds,
+    pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
 };
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::VectorScheduler;
@@ -56,11 +55,15 @@ fn pressed_conv_invariant_across_pools() {
     let weights = pm1_vec(&mut rng, fshape.numel());
     let pressed = BitTensor::from_tensor_padded(&input, 1);
     let bank = BitFilterBank::from_floats(&weights, fshape);
-    let level = host_level(128);
+    let level = VectorScheduler::new().streaming_level();
 
     let serial = pressed_conv(level, &pressed, &bank, 1);
     for threads in POOLS {
-        let got = in_pool(threads, || pressed_conv_parallel(level, &pressed, &bank, 1));
+        let got = in_pool(threads, || {
+            let mut out = Tensor::zeros(serial.shape(), Layout::Nhwc);
+            pressed_conv_into(level, &pressed, &bank, 1, &mut out, true);
+            out
+        });
         assert_eq!(
             got.max_abs_diff(&serial),
             0.0,
@@ -81,16 +84,16 @@ fn fused_conv_sign_invariant_across_pools() {
     let weights = pm1_vec(&mut rng, fshape.numel());
     let pressed = BitTensor::from_tensor_padded(&input, 1);
     let bank = BitFilterBank::from_floats(&weights, fshape);
-    let level = host_level(128);
+    let level = VectorScheduler::new().streaming_level();
     let bn = BnParams::random(70, &mut rng);
     let st = SignThresholds::from_fold(&bn.fold(), 3 * 3 * 128);
 
     let mut serial = BitTensor::zeros(11, 11, 70);
-    pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1);
+    pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1, false);
     for threads in POOLS {
         let got = in_pool(threads, || {
             let mut out = BitTensor::zeros(11, 11, 70);
-            pressed_conv_sign_parallel_into(level, &pressed, &bank, 1, &st, &mut out, 1);
+            pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut out, 1, true);
             out
         });
         assert_eq!(
