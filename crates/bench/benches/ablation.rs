@@ -167,7 +167,7 @@ fn bench_layout_packing(c: &mut Criterion) {
     let (n, k) = (4096usize, 1024usize);
     let mut rng = StdRng::seed_from_u64(66);
     let bmat: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    group.bench_function("pack-b-fused/blocked", |b| {
+    group.bench_function("pack-b-fused/tiled", |b| {
         b.iter(|| black_box(bitflow_gemm::pack::pack_b_fused(&bmat, n, k)));
     });
     group.bench_function("pack-b-fused/columnwise-paper", |b| {

@@ -32,6 +32,7 @@
 //! * The float baseline is the optimized im2col+sgemm path with weight
 //!   transposition hoisted, i.e. a fair production-style float operator.
 //! * Multi-thread runs install a sized rayon pool per measurement.
+#![forbid(unsafe_code)]
 
 pub mod fig_multicore;
 pub mod regress;

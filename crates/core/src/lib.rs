@@ -30,6 +30,7 @@
 //! plus the substrates: [`tensor`] (NHWC pressed tensors), [`simd`]
 //! (xor+popcount kernels and the vector execution scheduler), [`gpumodel`]
 //! (the calibrated GTX 1080 comparator of Figs. 10–11).
+#![forbid(unsafe_code)]
 
 pub use bitflow_gemm as gemm;
 pub use bitflow_gpumodel as gpumodel;

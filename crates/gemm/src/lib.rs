@@ -18,6 +18,7 @@
 //!
 //! Matrix convention throughout: row-major; `A` is M×N, `B` is N×K,
 //! `C = A·B` is M×K.
+#![forbid(unsafe_code)]
 
 pub mod bgemm;
 pub mod pack;

@@ -8,10 +8,14 @@
 //!   into one pass: walking a column with stride K and depositing bits
 //!   LSB-first produces the transposed packed layout directly).
 //!
-//! The staged alternative (transpose floats, then pack rows) is kept for
-//! the ablation bench that quantifies what the fusion buys.
+//! Both presses are thin callers of the one kernel family in
+//! `bitflow_simd::pack`. The paper's own column walk
+//! ([`pack_b_fused_columnwise`]) and the staged alternative (transpose
+//! floats, then pack rows: [`pack_b_staged`]) are kept as the references the
+//! tests and the `table3`/`ablation` benches compare against.
 
-use bitflow_simd::pack::pack_f32;
+use bitflow_simd::pack::{pack_rows, pack_transposed};
+use bitflow_simd::VectorScheduler;
 
 /// A bit-packed matrix: `rows` packed bit-vectors of `n_logical` bits each,
 /// stored as `words_per_row` `u64`s per row (press-tail zeros).
@@ -62,13 +66,13 @@ impl PackedMatrix {
 pub fn pack_a_rows(a: &[f32], m: usize, n: usize) -> PackedMatrix {
     assert_eq!(a.len(), m * n);
     let mut out = PackedMatrix::zeros(m, n);
-    let wpr = out.words_per_row;
-    for mi in 0..m {
-        pack_f32(
-            &a[mi * n..(mi + 1) * n],
-            &mut out.words[mi * wpr..(mi + 1) * wpr],
-        );
-    }
+    pack_rows(
+        VectorScheduler::new().streaming_level(),
+        a,
+        m,
+        n,
+        &mut out.words,
+    );
     out
 }
 
@@ -77,38 +81,23 @@ pub fn pack_a_rows(a: &[f32], m: usize, n: usize) -> PackedMatrix {
 /// packed bits of B's column `k` (length N), i.e. `Bᵀ` in packed form,
 /// produced in one pass with no float transpose and no intermediate buffer.
 ///
-/// Cache behaviour: the paper's bit-field loop walks one column at a time
-/// (stride K between the 64 elements of a word), touching each of B's
-/// cache lines K/16 times from cold. We instead walk a **block of
-/// `COL_BLOCK` adjacent columns together**, assembling `COL_BLOCK` words
-/// per 64-row stripe, so every fetched cache line yields bits for several
-/// output words before eviction. Bit-for-bit identical output (tests
-/// compare against the staged transpose), strictly a traversal-order
-/// change.
+/// The pass itself is [`bitflow_simd::pack::pack_transposed`]: the paper's
+/// bit-field loop walks one column at a time (stride K between the 64
+/// elements of a word), touching each of B's cache lines K/16 times from
+/// cold; the kernel reads every line once, in 1 KB runs of a 512-row ×
+/// 256-column tile, and transposes 64 row masks at a time in registers.
+/// Bit-for-bit identical to the two references below (tests compare all
+/// three), strictly a traversal-order change.
 pub fn pack_b_fused(b: &[f32], n: usize, k: usize) -> PackedMatrix {
-    /// Columns packed together per stripe (64 floats = 4 cache lines
-    /// of reuse per fetched row segment).
-    const COL_BLOCK: usize = 64;
-    assert_eq!(b.len(), n * k);
+    assert_eq!(b.len(), n * k, "B is not n×k");
     let mut out = PackedMatrix::zeros(k, n);
-    let wpr = out.words_per_row;
-    for k0 in (0..k).step_by(COL_BLOCK) {
-        let k1 = (k0 + COL_BLOCK).min(k);
-        for wi in 0..wpr {
-            let base = wi * 64;
-            let len = 64.min(n - base);
-            let mut words = [0u64; COL_BLOCK];
-            for bit in 0..len {
-                let row = &b[(base + bit) * k..];
-                for (j, w) in words[..k1 - k0].iter_mut().enumerate() {
-                    *w |= ((row[k0 + j] >= 0.0) as u64) << bit;
-                }
-            }
-            for (j, w) in words[..k1 - k0].iter().enumerate() {
-                out.words[(k0 + j) * wpr + wi] = *w;
-            }
-        }
-    }
+    pack_transposed(
+        VectorScheduler::new().streaming_level(),
+        b,
+        n,
+        k,
+        &mut out.words,
+    );
     out
 }
 

@@ -21,6 +21,60 @@ fn mat(seed: u64, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
+/// Like [`mat`], with every value class of the `x >= 0.0` contract mixed
+/// in: NaN of both signs, ±0.0, ±∞, subnormals of both signs.
+fn salted_mat(seed: u64, len: usize) -> Vec<f32> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    const SALT: [u32; 8] = [
+        0x7FC0_0000,
+        0xFFC0_0000,
+        0x0000_0000,
+        0x8000_0000,
+        0x7F80_0000,
+        0xFF80_0000,
+        0x0000_0001,
+        0x8000_0001,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => f32::from_bits(SALT[rng.gen_range(0..SALT.len())]),
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+        .collect()
+}
+
+/// The tiled press against both references on every tile edge: row stripe
+/// (512), transpose block (64), column tile (256), compare strip (8/16) and
+/// their neighbours, on both axes.
+#[test]
+fn pack_variants_identical_on_every_tile_tail() {
+    for n in [0usize, 1, 63, 64, 65, 511, 512, 513, 1030] {
+        for k in [0usize, 1, 7, 8, 15, 16, 17, 255, 256, 257, 300] {
+            let b = salted_mat((n * 1000 + k) as u64, n * k);
+            let fused = pack_b_fused(&b, n, k);
+            assert_eq!(fused, pack_b_fused_columnwise(&b, n, k), "n={n} k={k}");
+            assert_eq!(fused, pack_b_staged(&b, n, k), "n={n} k={k}");
+            assert_eq!((fused.rows, fused.n_logical), (k, n));
+            for kj in 0..k {
+                let row = fused.row(kj);
+                for (i, x) in b.iter().skip(kj).step_by(k).enumerate() {
+                    assert_eq!((row[i / 64] >> (i % 64)) & 1 == 1, *x >= 0.0);
+                }
+                if n % 64 != 0 {
+                    assert_eq!(row[n / 64] >> (n % 64), 0, "press tail n={n} k={k}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "B is not n×k")]
+fn pack_b_fused_rejects_a_wrong_length_before_the_kernel() {
+    pack_b_fused(&[0.0; 100 * 30 - 1], 100, 30);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 

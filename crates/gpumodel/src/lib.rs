@@ -28,6 +28,7 @@
 //! matrix; pooling is bandwidth-bound. The three efficiency constants are
 //! calibrated once so that VGG-16 lands on the paper's 12.87 ms, then
 //! VGG-19 (14.92 ms) serves as the held-out check.
+#![forbid(unsafe_code)]
 
 use bitflow_graph::spec::{LayerIo, LayerSpec, NetworkSpec};
 use bitflow_ops::ConvParams;

@@ -38,6 +38,7 @@ use bitflow_ops::binary::{
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::kernels::SimdLevel;
+use bitflow_simd::pack::pack_rows;
 use bitflow_simd::scheduler::VectorScheduler;
 use bitflow_telemetry::{
     MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, RequestTrace, SpanSink,
@@ -377,6 +378,26 @@ impl RtOp {
     }
 }
 
+/// Presses a conv layer's float filters, (k, kh, kw, c) order, into their
+/// bank with the vector press kernel: the K·kh·kw taps are consecutive rows
+/// of C floats, so the whole bank is one [`pack_rows`] call, and
+/// [`BitFilterBank::from_pressed`] interleaves the filter-major words.
+/// Bit-identical to the reference [`BitFilterBank::from_floats`]. `pressed`
+/// is the caller's scratch, reused from bank to bank so a compile touches
+/// one such buffer, not one per layer.
+fn press_bank(
+    level: SimdLevel,
+    w: &[f32],
+    fshape: FilterShape,
+    pressed: &mut Vec<u64>,
+) -> BitFilterBank {
+    let taps = fshape.k * fshape.kh * fshape.kw;
+    pressed.clear();
+    pressed.resize(taps * fshape.c.div_ceil(64), 0);
+    pack_rows(level, w, taps, fshape.c, pressed);
+    BitFilterBank::from_pressed(pressed, fshape)
+}
+
 /// The immutable compiled binary inference engine: packed weights, folded
 /// batch-norm thresholds, per-layer kernel choices, and the activation
 /// buffer plan. `Send + Sync` by construction — share one instance across
@@ -456,6 +477,7 @@ impl CompiledModel {
         let scheduler = VectorScheduler::new();
         let mut ops = Vec::new();
         let mut slot_specs = Vec::new();
+        let mut pressed = Vec::new();
 
         // Input stage: binarize+pack the float input into a buffer padded
         // for the first layer.
@@ -488,17 +510,17 @@ impl CompiledModel {
             match (layer, &weights.layers[i]) {
                 (LayerSpec::Conv { name, k, params }, LayerWeights::Conv { w, fshape, bn }) => {
                     debug_assert_eq!(*fshape, FilterShape::new(*k, params.kh, params.kw, in_c));
-                    let bank = BitFilterBank::from_floats(w, *fshape);
-                    let fold = bn.fold();
-                    let (oh, ow) = match shapes[i] {
-                        LayerIo::Map { h, w, .. } => (h, w),
-                        _ => unreachable!(),
-                    };
                     // The conv core's vector lanes are output filters, so
                     // it runs at the widest tier for every C; §III-B's
                     // channel rule (checked by `spec.validate`) governs
                     // the packing width only.
                     let level = scheduler.streaming_level();
+                    let bank = press_bank(level, w, *fshape, &mut pressed);
+                    let fold = bn.fold();
+                    let (oh, ow) = match shapes[i] {
+                        LayerIo::Map { h, w, .. } => (h, w),
+                        _ => unreachable!(),
+                    };
                     let input = cur.bit_slot();
                     let out = if fused.contains(name.as_str()) {
                         // Fused Conv→BN→Sign: the sign epilogue compares
@@ -687,6 +709,25 @@ impl CompiledModel {
     /// Names of convs whose sign epilogue fused, in execution order.
     pub fn fused_conv_names(&self) -> Vec<&str> {
         self.plan.fused_convs()
+    }
+
+    /// The pressed weights this engine holds, `(operator name, words)` in
+    /// execution order: a conv's filter-interleaved bank
+    /// ([`BitFilterBank::lane_words`]), an FC's packed `Bᵀ` rows. For tools
+    /// and tests that hold the compile-time press against a reference.
+    pub fn packed_weights(&self) -> Vec<(&str, &[u64])> {
+        self.ops
+            .iter()
+            .filter_map(|op| match op {
+                RtOp::ConvSign { name, bank, .. } | RtOp::ConvFloat { name, bank, .. } => {
+                    Some((name.as_str(), bank.lane_words()))
+                }
+                RtOp::FcSign { name, weights, .. } | RtOp::FcOut { name, weights, .. } => {
+                    Some((name.as_str(), weights.packed().words.as_slice()))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     /// Allocates a fresh inference session: every activation/scratch buffer

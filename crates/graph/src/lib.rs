@@ -34,6 +34,7 @@
 //! thin wrappers over the `try_` variants for trusted callers (tests,
 //! benches, examples).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod cancel;
 pub mod engine;

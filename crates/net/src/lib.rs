@@ -55,6 +55,7 @@
 //! from the same seeded [`bitflow_serve::ChaosConfig`] streams as the
 //! serving runtime.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod http;

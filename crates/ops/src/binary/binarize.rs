@@ -7,12 +7,13 @@
 //! layer's pressed input in one pass, optionally written into the interior
 //! of a pre-zeroed padded buffer (zero-cost padding).
 
-use bitflow_simd::pack::pack_f32;
+use bitflow_simd::pack::pack_rows;
+use bitflow_simd::VectorScheduler;
 use bitflow_tensor::{BitTensor, Layout, Tensor};
 
 /// Binarize+pack a float NHWC tensor (threshold 0, no padding). Same result
-/// as [`BitTensor::from_tensor`], but the per-pixel pack uses the AVX-512
-/// mask-compare kernel when available.
+/// as [`BitTensor::from_tensor`], through the vector press kernel
+/// (`bitflow_simd::pack`) instead of the bit-field reference.
 pub fn binarize_pack(t: &Tensor) -> BitTensor {
     binarize_pack_padded(t, 0)
 }
@@ -34,13 +35,24 @@ pub fn binarize_pack_into(t: &Tensor, out: &mut BitTensor, pad: usize) {
     assert_eq!(out.c(), s.c, "channel count");
     assert_eq!(out.h(), s.h + 2 * pad, "height incl. padding");
     assert_eq!(out.w(), s.w + 2 * pad, "width incl. padding");
-    let cw = out.c_words();
+    if t.data().is_empty() {
+        return;
+    }
+    // The pixels of an image row are consecutive rows of C floats in `t` and
+    // consecutive pixels of `out`: one press call per image row, so the
+    // kernel is resolved and bounds-checked per row, not per pixel (C is 3
+    // for an RGB input — a per-pixel call would be all overhead).
+    let level = VectorScheduler::new().streaming_level();
+    let (row_floats, row_words) = (s.w * s.c, s.w * out.c_words());
     for h in 0..s.h {
-        for w in 0..s.w {
-            let src = t.pixel_channels(0, h, w);
-            let base = out.pixel_words_index(h + pad, w + pad);
-            pack_f32(src, &mut out.words_mut()[base..base + cw]);
-        }
+        let base = out.pixel_words_index(h + pad, pad);
+        pack_rows(
+            level,
+            &t.data()[h * row_floats..][..row_floats],
+            s.w,
+            s.c,
+            &mut out.words_mut()[base..base + row_words],
+        );
     }
 }
 

@@ -34,6 +34,11 @@ impl BinaryFcWeights {
         }
     }
 
+    /// The packed matrix: row `j` is column `j` of the float weights.
+    pub fn packed(&self) -> &PackedMatrix {
+        &self.packed
+    }
+
     /// Packed bytes (for model-size accounting).
     pub fn packed_bytes(&self) -> usize {
         self.packed.bytes()

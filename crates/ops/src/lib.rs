@@ -18,6 +18,7 @@
 //! Operators are plain functions over tensors: stateless, allocation-free
 //! where an output buffer is supplied, deterministic across thread counts.
 //! Layer objects with parameter state live one level up in `bitflow-graph`.
+#![forbid(unsafe_code)]
 
 pub mod ait;
 pub mod binary;

@@ -56,6 +56,7 @@
 //! [`bitflow_telemetry::ServeGauges`] counters independently obey the
 //! conservation law documented on [`bitflow_telemetry::ServeSnapshot`].
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod config;

@@ -8,8 +8,10 @@
 //!   scheduler (§III-B): runtime discovery of SSE/AVX2/AVX-512 (+VPOPCNTDQ).
 //! * [`kernels`] — xor+popcount inner kernels at every vector width
 //!   (scalar `u64`, 128-bit SSE, 256-bit AVX2, 512-bit AVX-512), plus
-//!   OR-reduction kernels for binary max-pooling and fused
-//!   binarize+bit-pack kernels.
+//!   OR-reduction kernels for binary max-pooling.
+//! * [`pack`] — the **press**: the one fused binarize + bit-pack kernel
+//!   family behind every float→bit conversion, in a unit-stride row form
+//!   and the transposed form of paper Table III.
 //! * [`scheduler`] — the **vector execution scheduler**: given the channel
 //!   width of an operator and the detected hardware, select the optimal
 //!   computing kernel using the paper's rules (C ≡ 0 mod 512 → AVX-512,

@@ -4,7 +4,7 @@
 
 use bitflow_simd::conv::{conv_rows, ConvGeom, ConvSink, LANES};
 use bitflow_simd::kernels::SimdLevel;
-use bitflow_simd::pack::pack_f32;
+use bitflow_simd::pack::{pack_f32, pack_rows, pack_transposed};
 use bitflow_simd::popcount::popcount_swar;
 use bitflow_simd::{binary_dot, or_accumulate, xor_popcount};
 use proptest::prelude::*;
@@ -22,6 +22,102 @@ fn reference_pop(a: &[u64], b: &[u64]) -> u64 {
         .zip(b)
         .map(|(&x, &y)| popcount_swar(x ^ y) as u64)
         .sum()
+}
+
+/// Floats with every value class the `x >= 0.0` contract names mixed in:
+/// NaN of both signs, ±0.0, ±∞, subnormals of both signs.
+fn salted(rng: &mut rand::rngs::StdRng, len: usize) -> Vec<f32> {
+    use rand::Rng;
+    const SALT: [u32; 8] = [
+        0x7FC0_0000, // NaN
+        0xFFC0_0000, // −NaN
+        0x0000_0000, // +0.0
+        0x8000_0000, // −0.0
+        0x7F80_0000, // +∞
+        0xFF80_0000, // −∞
+        0x0000_0001, // smallest subnormal
+        0x8000_0001, // its negative
+    ];
+    (0..len)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => f32::from_bits(SALT[rng.gen_range(0..SALT.len())]),
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+        .collect()
+}
+
+/// The press grid: row-stripe (512), block (64), column-tile (256) and
+/// strip (8/16) edges and their neighbours on both axes.
+const PRESS_NS: [usize; 9] = [0, 1, 63, 64, 65, 511, 512, 513, 1030];
+const PRESS_KS: [usize; 11] = [0, 1, 7, 8, 15, 16, 17, 255, 256, 257, 300];
+
+#[test]
+fn pack_transposed_is_the_sign_reference_at_every_level_and_tail() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E3);
+    for n in PRESS_NS {
+        for k in PRESS_KS {
+            let b = salted(&mut rng, n * k);
+            let wpr = n.div_ceil(64);
+            // Pure reference, press tail zero by construction.
+            let mut want = vec![0u64; k * wpr];
+            for (i, &x) in b.iter().enumerate() {
+                if x >= 0.0 {
+                    want[(i % k) * wpr + i / k / 64] |= 1 << (i / k % 64);
+                }
+            }
+            for level in LEVELS {
+                // Poisoned: every word, press tails included, is written.
+                let mut out = vec![!0u64; k * wpr];
+                pack_transposed(level, &b, n, k, &mut out);
+                assert_eq!(out, want, "{level} n={n} k={k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pack_rows_is_the_sign_reference_at_every_level_and_tail() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E2);
+    // Rows of a ragged matrix: the PRESS_KS as row lengths.
+    for rows in [1usize, 3] {
+        for row_len in PRESS_KS.into_iter().chain([63, 64, 65, 1030]) {
+            let src = salted(&mut rng, rows * row_len);
+            let wpr = row_len.div_ceil(64);
+            let mut want = vec![0u64; rows * wpr];
+            for (i, &x) in src.iter().enumerate() {
+                if x >= 0.0 {
+                    want[i / row_len * wpr + i % row_len / 64] |= 1 << (i % row_len % 64);
+                }
+            }
+            for level in LEVELS {
+                let mut out = vec![!0u64; rows * wpr];
+                pack_rows(level, &src, rows, row_len, &mut out);
+                assert_eq!(out, want, "{level} rows={rows} row_len={row_len}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "matrix size")]
+fn pack_transposed_rejects_a_short_matrix_before_the_kernel() {
+    let mut out = vec![0u64; 300 * 2];
+    pack_transposed(
+        SimdLevel::Avx512,
+        &vec![0.0; 100 * 300 - 1],
+        100,
+        300,
+        &mut out,
+    );
+}
+
+#[test]
+#[should_panic(expected = "output word count")]
+fn pack_transposed_rejects_a_short_output_before_the_kernel() {
+    let mut out = vec![0u64; 300 * 2 - 1];
+    pack_transposed(SimdLevel::Avx512, &vec![0.0; 100 * 300], 100, 300, &mut out);
 }
 
 proptest! {

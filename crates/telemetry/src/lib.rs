@@ -30,6 +30,7 @@
 //! end-to-end overhead below 3% on the Table IV workloads. Request traces
 //! allocate, but only when the installed sink asks for them
 //! ([`SpanSink::enabled`]).
+#![forbid(unsafe_code)]
 
 mod chrome;
 mod hist;

@@ -242,23 +242,58 @@ impl BitFilterBank {
     }
 
     /// Packs a float filter bank given as one flat slice in (k, kh, kw, c)
-    /// order; this is the network-initialization-time packing (paper's
-    /// network-level optimization: binarize + pack weights once, before
-    /// inference). Each word is pressed straight into its lane — the
-    /// interleaved layout costs no second pass.
+    /// order. This is the **reference press** — the paper's bit-field loop
+    /// ([`pack_slice`]) tap by tap, then [`Self::from_pressed`] — that tests
+    /// and tools compare against; the engine presses its banks with the
+    /// vector kernel (`bitflow_simd::pack`) and calls `from_pressed` itself.
     pub fn from_floats(weights: &[f32], shape: FilterShape) -> Self {
         assert_eq!(weights.len(), shape.numel(), "weight count vs shape");
+        if weights.is_empty() {
+            return Self::zeros(shape);
+        }
+        let c_words = words_for(shape.c);
+        let mut pressed = vec![0u64; shape.k * shape.kh * shape.kw * c_words];
+        for (tap, words) in weights
+            .chunks_exact(shape.c)
+            .zip(pressed.chunks_exact_mut(c_words))
+        {
+            pack_slice(tap, words);
+        }
+        Self::from_pressed(&pressed, shape)
+    }
+
+    /// Builds the bank from already-pressed **filter-major** words,
+    /// `[k][kh·kw·c_words]` — each tap's `C` sign bits LSB-first in its
+    /// `c_words` words, taps in (k, kh, kw) order, i.e. the float layout
+    /// pressed tap by tap — interleaving them into the
+    /// `[⌈K/8⌉][kh·kw·c_words][8]` lanes in one pass. This is the
+    /// network-initialization-time packing (paper's network-level
+    /// optimization: binarize + pack weights once, before inference).
+    ///
+    /// # Panics
+    /// If `pressed` is not exactly `K·kh·kw·c_words` words, or a tap's press
+    /// tail (bits `C..64·c_words`) is not zero — the conv core's
+    /// `dot = N − 2·popcount` identity depends on it.
+    pub fn from_pressed(pressed: &[u64], shape: FilterShape) -> Self {
         let mut bank = Self::zeros(shape);
-        let c = shape.c;
-        for k in 0..shape.k {
-            for i in 0..shape.kh {
-                for j in 0..shape.kw {
-                    let src = &weights[((k * shape.kh + i) * shape.kw + j) * c..][..c];
-                    for (cw, chunk) in src.chunks(WORD_BITS).enumerate() {
-                        let at = bank.word_index(k, i, j, cw);
-                        pack_slice(chunk, &mut bank.words[at..at + 1]);
-                    }
-                }
+        let per_filter = shape.kh * shape.kw * bank.c_words;
+        assert_eq!(pressed.len(), shape.k * per_filter, "pressed word count");
+        if pressed.is_empty() {
+            return bank;
+        }
+        let tail_bits = shape.c % WORD_BITS;
+        if tail_bits != 0 {
+            let clean = pressed
+                .iter()
+                .skip(bank.c_words - 1)
+                .step_by(bank.c_words)
+                .all(|w| w >> tail_bits == 0);
+            assert!(clean, "press tail of a filter tap is not zero");
+        }
+        for (k, filter) in pressed.chunks_exact(per_filter).enumerate() {
+            let at = (k / FILTER_LANES) * per_filter * FILTER_LANES + k % FILTER_LANES;
+            for (t, &w) in filter.iter().enumerate() {
+                bank.words[at + t * FILTER_LANES] = w;
             }
         }
         bank
@@ -448,6 +483,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn from_pressed_interleaves_filter_major_words() {
+        // K = 9 (a second, mostly empty lane group), 2 taps, C = 70 (2 words
+        // a tap, 6 live bits in the second).
+        let shape = FilterShape::new(9, 1, 2, 70);
+        let per_filter = 2 * 2;
+        let pressed: Vec<u64> = (0..9 * per_filter as u64)
+            .map(|i| if i % 2 == 1 { i & 0x3F } else { i << 32 | i })
+            .collect();
+        let bank = BitFilterBank::from_pressed(&pressed, shape);
+        assert_eq!(bank.lane_words().len(), 2 * per_filter * FILTER_LANES);
+        for (at, &w) in bank.lane_words().iter().enumerate() {
+            let k = at / (per_filter * FILTER_LANES) * FILTER_LANES + at % FILTER_LANES;
+            let t = at / FILTER_LANES % per_filter;
+            let want = if k < 9 {
+                pressed[k * per_filter + t]
+            } else {
+                0
+            };
+            assert_eq!(w, want, "lane word {at} = filter {k} word {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "press tail")]
+    fn from_pressed_rejects_a_dirty_press_tail() {
+        // C = 3: bit 3 of a tap word is past the logical channels.
+        BitFilterBank::from_pressed(&[0b0111, 0b1000], FilterShape::new(2, 1, 1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "pressed word count")]
+    fn from_pressed_rejects_a_wrong_word_count() {
+        BitFilterBank::from_pressed(&[0; 5], FilterShape::new(2, 1, 1, 130));
     }
 
     #[test]

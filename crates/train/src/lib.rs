@@ -22,6 +22,7 @@
 //! * Float "shadow" weights receive the gradients and are clipped to
 //!   [−1, 1] after each update.
 //! * Batch-norm keeps activations centred so sign retains information.
+#![forbid(unsafe_code)]
 
 pub mod data;
 pub mod export;

@@ -34,11 +34,13 @@ fn main() {
 
     let t0 = Instant::now();
     let mut engine = Network::compile(&spec, &weights);
+    let compile_s = t0.elapsed().as_secs_f64();
     engine.parallel = threads > 1;
     println!(
-        "compile (binarize+pack weights, fold BN, pre-allocate {:.1} MB activations): {:.0} ms",
+        "compile (binarize+pack weights, fold BN, pre-allocate {:.1} MB activations): {:.0} ms, {:.1} GB/s of float weights",
         engine.activation_bytes() as f64 / 1048576.0,
-        t0.elapsed().as_secs_f64() * 1e3
+        compile_s * 1e3,
+        weights.float_bytes() as f64 / compile_s / 1e9
     );
 
     let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);

@@ -8,6 +8,7 @@
 //! This crate simply re-exports the public API facade
 //! ([`bitflow_core`]); the runnable examples live under `examples/` and
 //! the cross-crate integration tests under `tests/`.
+#![forbid(unsafe_code)]
 
 pub use bitflow_core::*;
 

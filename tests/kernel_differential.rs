@@ -274,6 +274,83 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
     }
 }
 
+/// The compile path presses with the vector kernel (`bitflow_simd::pack`
+/// through `pack_rows`/`pack_transposed`); the bit-field loops of
+/// `BitFilterBank::from_floats` and `pack_b_fused_columnwise` are the
+/// reference. A model whose weights carry every value class of the
+/// `x >= 0.0` contract — NaN of both signs, ±0.0, ±∞, subnormals — must hold
+/// exactly the reference's banks and FC rows: C ∈ {3, 96, 160} covers the
+/// sub-strip, word-and-a-half and two-and-a-half-word taps, K = 13 the
+/// zero-padded lane group, and fc1's N = 325 a press tail in every row.
+#[test]
+fn compiled_weights_are_the_reference_press() {
+    use bitflow::graph::{
+        CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights, PlanOptions,
+    };
+    use bitflow_gemm::pack::pack_b_fused_columnwise;
+
+    const SALT: [u32; 8] = [
+        0x7FC0_0000, // NaN
+        0xFFC0_0000, // −NaN
+        0x0000_0000, // +0.0
+        0x8000_0000, // −0.0
+        0x7F80_0000, // +∞
+        0xFF80_0000, // −∞
+        0x0000_0001, // smallest subnormal
+        0x8000_0001, // its negative
+    ];
+    let conv = |name: &str, k| LayerSpec::Conv {
+        name: name.into(),
+        k,
+        params: ConvParams::VGG_CONV,
+    };
+    let fc = |name: &str, k| LayerSpec::Fc {
+        name: name.into(),
+        k,
+    };
+    let spec = NetworkSpec {
+        name: "press-diff".into(),
+        input: Shape::hwc(5, 5, 3),
+        layers: vec![
+            conv("conv1", 96),
+            conv("conv2", 160),
+            conv("conv3", 13),
+            fc("fc1", 21),
+            fc("fc2", 10),
+        ],
+    };
+    let mut rng = StdRng::seed_from_u64(0x5A17);
+    let mut weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+    for lw in &mut weights.layers {
+        if let LayerWeights::Conv { w, .. } | LayerWeights::Fc { w, .. } = lw {
+            for x in w.iter_mut() {
+                if rng.gen_range(0..4u32) == 0 {
+                    *x = f32::from_bits(SALT[rng.gen_range(0..SALT.len())]);
+                }
+            }
+        }
+    }
+    for opts in [PlanOptions::default(), PlanOptions::unfused()] {
+        let model = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile");
+        let got = model.packed_weights();
+        assert_eq!(got.len(), 5, "three banks and two FC matrices");
+        for ((layer, lw), (name, words)) in spec.layers.iter().zip(&weights.layers).zip(got) {
+            assert_eq!(name, layer.name());
+            match lw {
+                LayerWeights::Conv { w, fshape, .. } => {
+                    let want = BitFilterBank::from_floats(w, *fshape);
+                    assert_eq!(words, want.lane_words(), "{name} bank");
+                }
+                LayerWeights::Fc { w, n, k, .. } => {
+                    let want = pack_b_fused_columnwise(w, *n, *k);
+                    assert_eq!(words, want.words.as_slice(), "{name} rows");
+                }
+                LayerWeights::Pool => unreachable!("no pool in this spec"),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
