@@ -5,7 +5,7 @@
 use bitflow_bench::timing::with_pool;
 use bitflow_graph::models::{vgg16, vgg19};
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::Network;
+use bitflow_graph::CompiledModel;
 use bitflow_tensor::{Layout, Tensor};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
@@ -21,12 +21,15 @@ fn bench_fig11(c: &mut Criterion) {
     for spec in [vgg16(), vgg19()] {
         let mut rng = StdRng::seed_from_u64(7);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let mut net = Network::compile(&spec, &weights);
-        net.parallel = threads > 1;
+        let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+        let mut ctx = model.try_new_context().expect("context allocates");
+        ctx.parallel = threads > 1;
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
         group.bench_function(format!("{}/binarized-e2e", spec.name), |b| {
             with_pool(threads, || {
-                b.iter(|| std::hint::black_box(net.infer(&input)));
+                b.iter(|| {
+                    std::hint::black_box(model.try_infer(&mut ctx, &input).expect("inference"))
+                });
             });
         });
     }

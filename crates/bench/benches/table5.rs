@@ -3,7 +3,7 @@
 //! exported model through the BitFlow engine. (The accuracy numbers
 //! themselves come from the `table5` binary, which trains to convergence.)
 
-use bitflow_graph::Network;
+use bitflow_graph::CompiledModel;
 use bitflow_tensor::{Layout, Tensor};
 use bitflow_train::data::{glyphs, SIDE};
 use bitflow_train::export::export;
@@ -51,10 +51,11 @@ fn bench_table5(c: &mut Criterion) {
         },
     );
     let (spec, weights) = export(&model);
-    let mut net = Network::compile(&spec, &weights);
+    let engine = CompiledModel::try_compile(&spec, &weights).expect("exported model compiles");
+    let mut ctx = engine.try_new_context().expect("context allocates");
     let img = Tensor::from_vec(train_set.image(0).to_vec(), spec.input, Layout::Nhwc);
     group.bench_function("engine-classify/exported-convnet", |b| {
-        b.iter(|| std::hint::black_box(net.infer(&img)));
+        b.iter(|| std::hint::black_box(engine.try_infer(&mut ctx, &img).expect("inference")));
     });
     group.finish();
 }

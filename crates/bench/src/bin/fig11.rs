@@ -11,7 +11,7 @@ use bitflow_bench::write_json;
 use bitflow_gpumodel::GpuModel;
 use bitflow_graph::models::{vgg16, vgg19};
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::Network;
+use bitflow_graph::{BitFlowError, CompiledModel};
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
@@ -27,7 +27,7 @@ struct Row {
     per_layer_ms: Vec<(String, f64)>,
 }
 
-fn main() {
+fn main() -> Result<(), BitFlowError> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "Fig. 11 reproduction — VGG end-to-end, BitFlow ({threads} threads) vs GTX 1080 model"
@@ -41,20 +41,21 @@ fn main() {
     for (spec, paper_gpu_ms) in [(vgg16(), 12.87f64), (vgg19(), 14.92f64)] {
         let mut rng = StdRng::seed_from_u64(7);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let mut net = Network::compile(&spec, &weights);
-        net.parallel = threads > 1;
+        let model = CompiledModel::try_compile(&spec, &weights)?;
+        let mut ctx = model.try_new_context()?;
+        ctx.parallel = threads > 1;
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
         let t = with_pool(threads, || {
             measure(
                 || {
-                    std::hint::black_box(net.infer(&input));
+                    std::hint::black_box(model.try_infer(&mut ctx, &input).expect("inference"));
                 },
                 Duration::from_secs(2),
                 3,
                 30,
             )
         });
-        let (_, layer_times) = with_pool(threads, || net.infer_profiled(&input));
+        let (_, layer_times) = with_pool(threads, || model.try_infer_profiled(&mut ctx, &input))?;
         let tg = gpu.network_time(&spec).as_secs_f64() * 1e3;
         let tb = t.as_secs_f64() * 1e3;
         println!(
@@ -74,4 +75,5 @@ fn main() {
         });
     }
     write_json("fig11", &rows);
+    Ok(())
 }

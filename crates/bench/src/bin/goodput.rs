@@ -66,7 +66,10 @@ fn model() -> (Arc<CompiledModel>, Vec<Tensor>) {
     let inputs = (0..DISTINCT_INPUTS)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
-    (Arc::new(CompiledModel::compile(&spec, &weights)), inputs)
+    (
+        Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles")),
+        inputs,
+    )
 }
 
 fn percentile(sorted_ns: &[u64], p: f64) -> u64 {

@@ -9,7 +9,7 @@
 use bitflow_bench::write_json;
 use bitflow_graph::models::vgg16;
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::Network;
+use bitflow_graph::{CompiledModel, NetworkSpec};
 use bitflow_tensor::{Layout, Tensor};
 use bitflow_train::data::{glyphs, textures, Dataset, SIDE};
 use bitflow_train::export::export;
@@ -35,11 +35,13 @@ struct Results {
     compression: f64,
 }
 
-fn engine_accuracy(net: &mut Network, data: &Dataset) -> f32 {
+fn engine_accuracy(spec: &NetworkSpec, weights: &NetworkWeights, data: &Dataset) -> f32 {
+    let model = CompiledModel::try_compile(spec, weights).expect("exported model compiles");
+    let mut ctx = model.try_new_context().expect("context allocates");
     let mut correct = 0usize;
     for i in 0..data.len() {
-        let img = Tensor::from_vec(data.image(i).to_vec(), net.spec().input, Layout::Nhwc);
-        let logits = net.infer(&img);
+        let img = Tensor::from_vec(data.image(i).to_vec(), spec.input, Layout::Nhwc);
+        let logits = model.try_infer(&mut ctx, &img).expect("inference");
         let pred = logits
             .iter()
             .enumerate()
@@ -84,8 +86,7 @@ fn run_dataset(
         bin_sum += bin_acc;
 
         let (spec, weights) = export(&bin_model);
-        let mut net = Network::compile(&spec, &weights);
-        let eng_acc = engine_accuracy(&mut net, &test);
+        let eng_acc = engine_accuracy(&spec, &weights, &test);
         assert_eq!(bin_acc, eng_acc, "engine must reproduce the trained model");
         eng_sum += eng_acc;
     }

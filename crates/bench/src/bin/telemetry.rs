@@ -5,8 +5,8 @@
 //! `results/telemetry.json`.
 //!
 //! The overhead measurement compiles the same weights into two models — one
-//! plain, one with telemetry enabled on a `NoopSink` — and interleaves
-//! their inference iterations so both see identical machine conditions.
+//! plain, one with telemetry enabled — and interleaves their inference
+//! iterations so both see identical machine conditions.
 //! It always runs on the small CNN: its microsecond-scale requests give the
 //! min-of estimator thousands of interleaved rounds (a large model yields a
 //! handful of noisy 100ms+ samples where scheduler jitter dwarfs the
@@ -58,12 +58,12 @@ fn main() {
     // worst-case-relative), interleaved so both sides share conditions.
     let ab_spec = small_cnn();
     let ab_weights = NetworkWeights::random_with_bn(&ab_spec, &mut rng);
-    let plain = CompiledModel::compile(&ab_spec, &ab_weights);
-    let ab_recorded = CompiledModel::compile(&ab_spec, &ab_weights);
+    let plain = CompiledModel::try_compile(&ab_spec, &ab_weights).expect("model compiles");
+    let ab_recorded = CompiledModel::try_compile(&ab_spec, &ab_weights).expect("model compiles");
     ab_recorded.enable_telemetry();
     let ab_input = Tensor::random(ab_spec.input, Layout::Nhwc, &mut rng);
-    let mut ctx_a = plain.new_context();
-    let mut ctx_b = ab_recorded.new_context();
+    let mut ctx_a = plain.try_new_context().expect("context allocates");
+    let mut ctx_b = ab_recorded.try_new_context().expect("context allocates");
     let budget = if quick {
         Duration::from_millis(300)
     } else {
@@ -71,10 +71,14 @@ fn main() {
     };
     let (t_plain, t_rec) = measure_interleaved(
         || {
-            std::hint::black_box(plain.infer(&mut ctx_a, &ab_input));
+            std::hint::black_box(plain.try_infer(&mut ctx_a, &ab_input).expect("inference"));
         },
         || {
-            std::hint::black_box(ab_recorded.infer(&mut ctx_b, &ab_input));
+            std::hint::black_box(
+                ab_recorded
+                    .try_infer(&mut ctx_b, &ab_input)
+                    .expect("inference"),
+            );
         },
         budget,
         1000,
@@ -90,12 +94,12 @@ fn main() {
     // requests through a telemetry-enabled engine, plus the batch path
     // once for the queue gauges.
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let recorded = CompiledModel::compile(&spec, &weights);
+    let recorded = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     recorded.enable_telemetry();
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let mut ctx = recorded.new_context();
+    let mut ctx = recorded.try_new_context().expect("context allocates");
     for _ in 0..requests {
-        std::hint::black_box(recorded.infer(&mut ctx, &input));
+        std::hint::black_box(recorded.try_infer(&mut ctx, &input).expect("inference"));
     }
     let batch: Vec<Tensor> = (0..4)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))

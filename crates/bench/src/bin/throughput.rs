@@ -52,7 +52,7 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(17);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     let batch = if quick {
         2 * max_threads
     } else {
@@ -64,13 +64,19 @@ fn main() {
 
     // Bit-identity gate before any timing: the fan-out must reproduce the
     // serial single-context results exactly.
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     let serial: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut ctx, img))
+        .map(|img| model.try_infer(&mut ctx, img).expect("inference"))
         .collect();
-    let fanned = with_pool(max_threads.min(4), || model.infer_batch(&inputs));
-    assert_eq!(fanned, serial, "infer_batch diverged from serial inference");
+    let fanned: Vec<Vec<f32>> = with_pool(max_threads.min(4), || model.try_infer_batch(&inputs))
+        .into_iter()
+        .map(|r| r.expect("batch inference"))
+        .collect();
+    assert_eq!(
+        fanned, serial,
+        "try_infer_batch diverged from serial inference"
+    );
     eprintln!("[bit-identity check passed: batch == serial]");
 
     let budget = if quick {
@@ -87,7 +93,7 @@ fn main() {
         let t = with_pool(threads, || {
             measure(
                 || {
-                    std::hint::black_box(model.infer_batch(&inputs));
+                    std::hint::black_box(model.try_infer_batch(&inputs));
                 },
                 budget,
                 2,

@@ -13,10 +13,12 @@
 //! let spec = vgg16();
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let weights = NetworkWeights::random(&spec, &mut rng);
-//! let mut engine = Network::compile(&spec, &weights);
+//! let model = CompiledModel::try_compile(&spec, &weights)?;
+//! let mut ctx = model.try_new_context()?;
 //! let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-//! let logits = engine.infer(&image);
+//! let logits = model.run(&mut ctx, &BatchItem::new(&image))?;
 //! assert_eq!(logits.len(), 1000);
+//! # Ok::<(), BitFlowError>(())
 //! ```
 //!
 //! The three-level structure of the paper maps onto the re-exported crates:
@@ -45,10 +47,12 @@ pub use bitflow_tensor as tensor;
 // The observability entry points, importable straight off the root crate:
 // `bitflow::CompiledModel::enable_telemetry` returns a handle whose
 // `snapshot()` is a `bitflow::MetricsSnapshot`, exportable with
-// `MetricsSnapshot::to_prometheus` or streamed per-request through a
-// `bitflow::SpanSink`.
+// `MetricsSnapshot::to_prometheus`; per-request traces land in a
+// `bitflow::FlightRecorder`.
 pub use bitflow_graph::CompiledModel;
-pub use bitflow_telemetry::{MetricsSnapshot, ModelTelemetry, Roofline, SpanSink, SCHEMA_VERSION};
+pub use bitflow_telemetry::{
+    FlightRecorder, MetricsSnapshot, ModelTelemetry, Roofline, SCHEMA_VERSION,
+};
 
 // The serving runtime, importable straight off the root crate: wrap a
 // `CompiledModel` in a `bitflow::Server` for bounded admission, deadlines,
@@ -67,7 +71,8 @@ pub mod prelude {
     pub use bitflow_graph::spec::{LayerSpec, NetworkSpec};
     pub use bitflow_graph::weights::{BnParams, LayerWeights, NetworkWeights};
     pub use bitflow_graph::{
-        CompiledModel, ExecPlan, FloatNetwork, InferenceContext, Network, PlanNode, PlanOptions,
+        BatchItem, BitFlowError, CancelToken, CompiledModel, ExecPlan, FloatNetwork,
+        InferenceContext, PlanNode, PlanOptions,
     };
     pub use bitflow_net::{NetConfig, NetServer};
     pub use bitflow_ops::binary::{
@@ -77,12 +82,12 @@ pub mod prelude {
     pub use bitflow_ops::{ConvParams, SimdLevel};
     pub use bitflow_serve::{
         BreakerConfig, ChaosConfig, ModelClient, ModelEntry, ModelRegistry, ResponseHandle, Server,
-        ServerConfig, ShedPolicy,
+        ServerConfig, ShedPolicy, Submission,
     };
     pub use bitflow_simd::{features, HwFeatures, VectorScheduler};
     pub use bitflow_telemetry::{
-        JsonLinesSink, MachineSnapshot, MetricsSnapshot, ModelTelemetry, NoopSink, OpBound,
-        PerfSnapshot, RequestTrace, RingSink, Roofline, SpanSink, SCHEMA_VERSION,
+        FlightRecorder, MachineSnapshot, MetricsSnapshot, ModelTelemetry, OpBound, PerfSnapshot,
+        RecorderConfig, RequestTrace, Roofline, TraceBuilder, SCHEMA_VERSION,
     };
     pub use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 }
@@ -97,10 +102,11 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(1);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let mut engine = Network::compile(&spec, &weights);
+        let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+        let mut ctx = model.try_new_context().expect("context allocates");
         let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let logits = engine.infer(&image);
-        assert_eq!(logits.len(), 10);
+        let logits = model.run(&mut ctx, &BatchItem::new(&image));
+        assert_eq!(logits.expect("inference").len(), 10);
     }
 
     #[test]
@@ -124,7 +130,7 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(3);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = crate::CompiledModel::compile(&spec, &weights);
+        let model = crate::CompiledModel::try_compile(&spec, &weights).expect("model compiles");
         let server = std::sync::Arc::new(crate::Server::start(
             std::sync::Arc::new(model),
             ServerConfig::default(),
@@ -139,11 +145,11 @@ mod tests {
     fn root_exposes_telemetry_entry_points() {
         // The observability names resolve at the crate root, without
         // reaching into the `telemetry` module.
-        fn _takes_sink(_: &dyn crate::SpanSink) {}
+        fn _takes_recorder(_: &crate::FlightRecorder) {}
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(2);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = crate::CompiledModel::compile(&spec, &weights);
+        let model = crate::CompiledModel::try_compile(&spec, &weights).expect("model compiles");
         let t = model.enable_telemetry();
         let snap: crate::MetricsSnapshot = t.snapshot();
         assert_eq!(snap.schema_version, crate::SCHEMA_VERSION);

@@ -1,8 +1,8 @@
 //! The BitFlow inference engine.
 //!
-//! [`CompiledModel::compile`] turns a [`NetworkSpec`] + [`NetworkWeights`]
-//! into a ready-to-run binary engine, performing the paper's network-level
-//! work up front:
+//! [`CompiledModel::try_compile`] turns a [`NetworkSpec`] +
+//! [`NetworkWeights`] into a ready-to-run binary engine, performing the
+//! paper's network-level work up front:
 //!
 //! * weights → [`BitFilterBank`]/[`BinaryFcWeights`] (binarize + pack +
 //!   fused transpose, once);
@@ -14,16 +14,17 @@
 //! The compiled model is **immutable and `Send + Sync`**: one
 //! `Arc<CompiledModel>` serves any number of request threads. The mutable
 //! half — the pre-allocated activation/scratch buffers the plan describes —
-//! lives in a per-session [`InferenceContext`] ([`CompiledModel::new_context`]).
-//! [`CompiledModel::infer`] then runs the chain with **zero allocation**,
-//! and [`CompiledModel::infer_batch`] fans a batch of images out over the
-//! installed rayon pool with one context per worker chunk (bit-identical to
-//! running the images serially).
+//! lives in a per-session [`InferenceContext`]
+//! ([`CompiledModel::try_new_context`]). [`CompiledModel::run`] then runs
+//! one [`BatchItem`] — the input plus everything else a request carries:
+//! cancel token, chaos tag, trace — through the chain with **zero
+//! allocation** apart from the returned logits, and
+//! [`CompiledModel::run_batch`] runs many, fanning a heavy batch out over
+//! the installed rayon pool with one context per worker chunk (bit-identical
+//! to running the items serially).
 //!
-//! [`Network`] is the single-threaded convenience wrapper (one model + one
-//! context), and [`FloatNetwork`] compiles the same spec into the
-//! full-precision baseline engine (im2col conv + sgemm, float max-pool,
-//! sgemm FC).
+//! [`FloatNetwork`] compiles the same spec into the full-precision baseline
+//! engine (im2col conv + sgemm, float max-pool, sgemm FC).
 
 use crate::cancel::CancelToken;
 use crate::error::{BitFlowError, InputGeometry, SlotKind, SlotTypeError};
@@ -41,31 +42,28 @@ use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::pack::pack_rows;
 use bitflow_simd::scheduler::VectorScheduler;
 use bitflow_telemetry::{
-    MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, RequestTrace, SpanSink,
-    TileStats, TraceBuilder,
+    MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, TileStats, TraceBuilder,
 };
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A fault-injection hook called at every operator boundary with the
-/// operator's index, name, and the request tag of the inference run on
-/// this thread ([`UNTAGGED`] outside any tagged run). Installed per model
-/// by the chaos layer (`BITFLOW_CHAOS` via `bitflow-serve`); the hook may
-/// sleep (slow-op) or panic (panic-op). The tag travels through
-/// [`InferTagGuard`], so it reaches hooks even on rayon workers inside
-/// [`CompiledModel::try_infer_batch_cancellable`], where a serve-side
-/// thread-local would not. Disabled cost: one `OnceLock::get` per operator.
+/// operator's index, name, and the [`BatchItem::tag`] of the item being run
+/// ([`UNTAGGED`] by default). Installed per model by the chaos layer
+/// (`BITFLOW_CHAOS` via `bitflow-serve`); the hook may sleep (slow-op) or
+/// panic (panic-op). The tag is an argument of the run, so it reaches hooks
+/// on whatever thread [`CompiledModel::run_batch`] runs the item. Disabled
+/// cost: one `OnceLock::get` per operator.
 pub type FaultHook = Arc<dyn Fn(usize, &str, u64) + Send + Sync>;
 
-/// The request tag reported to a [`FaultHook`] when no tagged inference is
-/// running on the current thread.
+/// The request tag a [`FaultHook`] sees for an item that carries none.
 pub const UNTAGGED: u64 = u64::MAX;
 
 /// Least single-thread work, in bit-ops ([`OpCost::bit_ops`] summed over
 /// the model), a rayon worker's share of a batch must hold before
-/// [`CompiledModel::try_infer_batch`] fans the batch out: 2³² ≈ 3 ms at the
+/// [`CompiledModel::run_batch`] fans the batch out: 2³² ≈ 3 ms at the
 /// ≈1.4 Tbit-op/s the conv core sustains, so a 25–40 µs cross-CPU wake-up
 /// stays near 1% of the share. Under it the batch runs on the calling
 /// thread. Measured on the 2-vCPU reference host with 16 `tiered_cnn`
@@ -79,63 +77,6 @@ thread_local! {
     /// `usize::MAX` when none is. Lets the `catch_unwind` backstops name
     /// the operator that panicked without any hot-path allocation.
     static CURRENT_OP: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Request tag of the inference run on this thread ([`UNTAGGED`] when
-    /// none), maintained by [`InferTagGuard`] and handed to fault hooks.
-    static CURRENT_TAG: Cell<u64> = const { Cell::new(UNTAGGED) };
-    /// Request-scoped [`TraceBuilder`] active on this thread (none when
-    /// tracing is off), maintained by [`TraceScopeGuard`]. Like the tag,
-    /// it travels with each [`BatchItem`] so operator spans land in the
-    /// right request even on rayon workers.
-    static CURRENT_TRACE: RefCell<Option<Arc<TraceBuilder>>> = const { RefCell::new(None) };
-}
-
-/// RAII guard that tags every operator executed on this thread with a
-/// request id until dropped (restoring the previous tag, so nested scopes
-/// compose). Fault hooks receive the tag, letting per-request chaos
-/// decisions survive the hop onto rayon workers.
-pub struct InferTagGuard {
-    prev: u64,
-}
-
-/// Tags the current thread's inference with `tag` for the guard's
-/// lifetime.
-pub fn enter_infer_tag(tag: u64) -> InferTagGuard {
-    let prev = CURRENT_TAG.with(|c| c.replace(tag));
-    InferTagGuard { prev }
-}
-
-impl Drop for InferTagGuard {
-    fn drop(&mut self) {
-        CURRENT_TAG.with(|c| c.set(self.prev));
-    }
-}
-
-/// RAII guard that scopes a request's [`TraceBuilder`] to the current
-/// thread (restoring the previous one on drop, so nested scopes compose).
-/// While a scope is active, every operator the engine runs on this thread
-/// pushes an [`OpSpan`] into the builder.
-pub struct TraceScopeGuard {
-    prev: Option<Arc<TraceBuilder>>,
-}
-
-/// Makes `trace` the current thread's request trace for the guard's
-/// lifetime.
-pub fn enter_trace_scope(trace: Arc<TraceBuilder>) -> TraceScopeGuard {
-    let prev = CURRENT_TRACE.with(|c| c.replace(Some(trace)));
-    TraceScopeGuard { prev }
-}
-
-/// The request trace scoped to this thread, if any. Cost when tracing is
-/// off: one thread-local borrow and an `Option` clone of `None`.
-#[must_use]
-pub fn current_trace() -> Option<Arc<TraceBuilder>> {
-    CURRENT_TRACE.with(|c| c.borrow().clone())
-}
-
-impl Drop for TraceScopeGuard {
-    fn drop(&mut self) {
-        CURRENT_TRACE.with(|c| *c.borrow_mut() = self.prev.take());
-    }
 }
 
 /// A pre-allocated runtime buffer.
@@ -226,21 +167,36 @@ impl Slot {
 /// them.
 pub type ProfiledLogits = (Vec<f32>, Vec<(String, Duration)>);
 
-/// One request inside a coalesced inference batch
-/// ([`CompiledModel::try_infer_batch_cancellable`]): the input tensor, the
-/// request's own cancel token, and the tag fault hooks see while it runs.
+/// One inference request as the engine sees it: the input tensor plus
+/// everything that travels with it. [`CompiledModel::run`] and
+/// [`CompiledModel::run_batch`] take nothing else, so a request's context
+/// reaches every operator — on the calling thread or a rayon worker — as a
+/// plain argument.
 pub struct BatchItem<'a> {
     /// Input image.
     pub input: &'a Tensor,
-    /// Cooperative cancellation for this item only.
+    /// Cooperative cancellation for this item only, checked at every
+    /// operator boundary.
     pub cancel: &'a CancelToken,
-    /// Request tag reported to the installed [`FaultHook`] (use
-    /// [`UNTAGGED`] for none).
+    /// Request tag reported to the installed [`FaultHook`].
     pub tag: u64,
-    /// Request trace to collect this item's operator spans into (`None`
-    /// when tracing is off). Entered via [`enter_trace_scope`] on whatever
-    /// rayon worker runs the item.
+    /// Request trace this item's operator spans are pushed into (`None`
+    /// when tracing is off).
     pub trace: Option<Arc<TraceBuilder>>,
+}
+
+impl<'a> BatchItem<'a> {
+    /// A bare request: never cancelled, [`UNTAGGED`], untraced.
+    #[must_use]
+    pub fn new(input: &'a Tensor) -> Self {
+        static NEVER: CancelToken = CancelToken::none();
+        Self {
+            input,
+            cancel: &NEVER,
+            tag: UNTAGGED,
+            trace: None,
+        }
+    }
 }
 
 /// Attaches layer context to a slot-kind mismatch, making it a
@@ -433,9 +389,12 @@ const _: () = assert_send_sync::<CompiledModel>();
 /// The mutable half of an inference session: the pre-allocated
 /// activation/scratch buffers one in-flight request needs. Cheap to create
 /// (a handful of zeroed buffers, no weight work) and tied to the
-/// [`CompiledModel`] that produced it — using it with a different model
-/// panics on the first geometry mismatch.
+/// [`CompiledModel`] that produced it — a context from a different model is
+/// refused as [`InputGeometry::ContextMismatch`].
 pub struct InferenceContext {
+    /// One buffer per slot of the model's plan. Empty means *not built*:
+    /// [`CompiledModel::run_batch`] drops the buffers after a caught panic
+    /// and (re)builds them, fallibly, for the next item that needs them.
     slots: Vec<Slot>,
     /// Use the multi-threaded operator variants (over the installed rayon
     /// pool) for this session. Results are bit-identical either way.
@@ -443,6 +402,14 @@ pub struct InferenceContext {
 }
 
 impl InferenceContext {
+    /// A context whose buffers are not built yet.
+    fn unbuilt() -> Self {
+        Self {
+            slots: Vec::new(),
+            parallel: false,
+        }
+    }
+
     /// Total pre-allocated activation/scratch memory in bytes.
     pub fn activation_bytes(&self) -> usize {
         self.slots.iter().map(Slot::bytes).sum()
@@ -687,19 +654,6 @@ impl CompiledModel {
         Ok(model)
     }
 
-    /// Compiles a spec + weights into a ready engine (panicking wrapper
-    /// over [`CompiledModel::try_compile`] for trusted callers).
-    ///
-    /// # Panics
-    /// On any [`BitFlowError`] `try_compile` would report: malformed spec,
-    /// spec/weight disagreement, unschedulable kernel geometry.
-    pub fn compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Self {
-        match Self::try_compile(spec, weights) {
-            Ok(model) => model,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The execution plan this engine compiled to — introspection for
     /// tests and tools asserting exactly which Conv→BN→Sign chains fused.
     pub fn plan(&self) -> &ExecPlan {
@@ -730,17 +684,9 @@ impl CompiledModel {
             .collect()
     }
 
-    /// Allocates a fresh inference session: every activation/scratch buffer
-    /// the plan describes, zeroed. One context per concurrent request.
-    pub fn new_context(&self) -> InferenceContext {
-        InferenceContext {
-            slots: self.slot_specs.iter().map(SlotSpec::allocate).collect(),
-            parallel: false,
-        }
-    }
-
-    /// Fallible variant of [`CompiledModel::new_context`]: probes the
-    /// allocator with `try_reserve` for every buffer the plan describes
+    /// Allocates a fresh inference session — every activation/scratch
+    /// buffer the plan describes, zeroed; one context per concurrent
+    /// request — probing the allocator with `try_reserve` for each buffer
     /// before materialising it, so a context the machine cannot afford
     /// comes back as [`BitFlowError::ResourceExhausted`] instead of an
     /// allocator abort. The probe is freed before the real allocation, so
@@ -788,32 +734,14 @@ impl CompiledModel {
 
     /// Activation/scratch bytes each [`InferenceContext`] pre-allocates.
     pub fn context_bytes(&self) -> usize {
-        // Planned sizes equal allocated sizes; summing a throwaway context
-        // keeps one source of truth for the byte accounting.
-        self.new_context().activation_bytes()
+        self.slot_specs.iter().map(slot_bytes).sum()
     }
 
-    /// Enables per-operator telemetry with the default no-op span sink
-    /// (metrics on, request tracing off) and returns the shared handle.
+    /// Enables per-operator telemetry and returns the shared handle.
     /// Idempotent: once enabled, later calls return the existing handle.
     pub fn enable_telemetry(&self) -> Arc<ModelTelemetry> {
         self.telemetry
             .get_or_init(|| Arc::new(ModelTelemetry::new(&self.spec.name, self.op_descriptors())))
-            .clone()
-    }
-
-    /// Enables telemetry with an explicit span sink. If telemetry was
-    /// already enabled the existing handle is returned and `sink` is
-    /// dropped — the first caller wins.
-    pub fn enable_telemetry_with_sink(&self, sink: Box<dyn SpanSink>) -> Arc<ModelTelemetry> {
-        self.telemetry
-            .get_or_init(|| {
-                Arc::new(ModelTelemetry::with_sink(
-                    &self.spec.name,
-                    self.op_descriptors(),
-                    sink,
-                ))
-            })
             .clone()
     }
 
@@ -945,8 +873,8 @@ impl CompiledModel {
     }
 
     /// Checks one inference request against this model: input geometry,
-    /// finiteness, and context provenance. Everything [`Self::try_infer`]
-    /// needs to guarantee the operator chain below cannot fault.
+    /// finiteness, and context provenance. Everything [`Self::run`] needs
+    /// to guarantee the operator chain below cannot fault.
     fn check_request(&self, ctx: &InferenceContext, input: &Tensor) -> Result<(), InputGeometry> {
         if input.shape() != self.spec.input {
             return Err(InputGeometry::ShapeMismatch {
@@ -966,57 +894,69 @@ impl CompiledModel {
         Ok(())
     }
 
-    /// Runs inference in `ctx`; returns the logits. Allocation-free apart
-    /// from the returned logits vector. Malformed requests (wrong input
-    /// shape, NaN/Inf values, a context from a different model) come back
-    /// as typed errors before any operator runs.
-    pub fn try_infer(
+    /// Runs one request in `ctx` and returns its logits — the engine's one
+    /// operator loop; every other run entry point is a caller of this.
+    /// Allocation-free apart from the returned vector. A malformed request
+    /// (wrong input shape, NaN/Inf values, a context from a different
+    /// model) comes back as a typed error before any operator runs.
+    ///
+    /// At every operator boundary the item's [`CancelToken`] is checked (a
+    /// cancelled token surfaces as [`BitFlowError::Cancelled`], a passed
+    /// deadline as [`BitFlowError::DeadlineExceeded`]) and its tag goes to
+    /// the installed [`FaultHook`]. Abandoning a run between operators does
+    /// not poison `ctx` — every operator fully overwrites its output
+    /// interior and padding margins are never written, so the next complete
+    /// run through the same context stays bit-identical to a fresh one.
+    ///
+    /// Operators are timed only when someone is looking: with telemetry
+    /// enabled or a trace attached each costs one `Instant` pair, fed
+    /// straight to [`ModelTelemetry::record_op`] and/or
+    /// [`TraceBuilder::push_op`] (start offsets on the trace's own origin).
+    /// With telemetry on the loop also runs inside
+    /// [`ModelTelemetry::perf_request_scope`], which accumulates the
+    /// request's hardware counters where the host has them and is one
+    /// relaxed load where it has not.
+    pub fn run(
         &self,
         ctx: &mut InferenceContext,
-        input: &Tensor,
+        item: &BatchItem<'_>,
     ) -> Result<Vec<f32>, BitFlowError> {
-        self.try_infer_cancellable(ctx, input, &CancelToken::none())
-    }
-
-    /// [`CompiledModel::try_infer`] with a cooperative [`CancelToken`],
-    /// checked at every operator boundary: a cancelled token surfaces as
-    /// [`BitFlowError::Cancelled`], a passed deadline as
-    /// [`BitFlowError::DeadlineExceeded`]. Abandoning a run between
-    /// operators does not poison `ctx` — every operator fully overwrites
-    /// its output interior and padding margins are never written, so the
-    /// next complete run through the same context stays bit-identical to a
-    /// fresh one.
-    pub fn try_infer_cancellable(
-        &self,
-        ctx: &mut InferenceContext,
-        input: &Tensor,
-        cancel: &CancelToken,
-    ) -> Result<Vec<f32>, BitFlowError> {
-        self.check_request(ctx, input)?;
-        match self.telemetry.get() {
-            None => match current_trace() {
-                None => {
-                    for i in 0..self.ops.len() {
-                        cancel.check()?;
-                        self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-                    }
+        self.check_request(ctx, item.input)?;
+        let telemetry = self.telemetry.get();
+        let trace = item.trace.as_deref();
+        let timed = telemetry.is_some() || trace.is_some();
+        let mut ops = || -> Result<(), BitFlowError> {
+            for i in 0..self.ops.len() {
+                item.cancel.check()?;
+                let t0 = timed.then(Instant::now);
+                self.run_op(&mut ctx.slots, ctx.parallel, i, item.input, item.tag)?;
+                let Some(t0) = t0 else { continue };
+                // The span's name is built before the clock is read: an
+                // allocation right after a kernel has swept the caches is
+                // not free, and a trace charges it to the operator it
+                // describes, not to the loop around the operators.
+                let name = trace.map(|_| self.ops[i].name().to_string());
+                let ns = t0.elapsed().as_nanos() as u64;
+                if let Some(t) = telemetry {
+                    t.record_op(i, ns);
                 }
-                Some(tb) => {
-                    for i in 0..self.ops.len() {
-                        cancel.check()?;
-                        let start_ns = tb.now_ns();
-                        let t0 = Instant::now();
-                        self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-                        tb.push_op(OpSpan {
-                            op_index: i as u64,
-                            name: self.ops[i].name().to_string(),
-                            start_ns,
-                            duration_ns: t0.elapsed().as_nanos() as u64,
-                        });
-                    }
+                if let (Some(tb), Some(name)) = (trace, name) {
+                    tb.push_op(OpSpan {
+                        op_index: i as u64,
+                        name,
+                        start_ns: tb.offset_ns(t0),
+                        duration_ns: ns,
+                    });
                 }
-            },
-            Some(t) => self.run_ops_recorded(t, ctx, input, cancel)?,
+            }
+            Ok(())
+        };
+        match telemetry {
+            Some(t) => {
+                t.request_started();
+                t.perf_request_scope(ops)?;
+            }
+            None => ops()?,
         }
         Ok(ctx.slots[self.logits_slot]
             .vec()
@@ -1024,173 +964,75 @@ impl CompiledModel {
             .clone())
     }
 
-    /// The telemetry-enabled operator loop: identical op sequence to the
-    /// plain loop, plus one `Instant` pair and a few relaxed atomics per
-    /// op. A [`RequestTrace`] is built only when the sink asks for traces,
-    /// keeping the metrics-only path allocation-free.
-    ///
-    /// The whole loop runs inside [`ModelTelemetry::perf_request_scope`],
-    /// so when hardware counters are available the request's cycles,
-    /// instructions, and cache/branch misses accumulate into the model's
-    /// perf totals; when they are not, the scope is one relaxed load.
-    fn run_ops_recorded(
+    /// [`CompiledModel::run`] on a bare input (no token, tag or trace).
+    pub fn try_infer(
         &self,
-        t: &ModelTelemetry,
         ctx: &mut InferenceContext,
         input: &Tensor,
-        cancel: &CancelToken,
-    ) -> Result<(), BitFlowError> {
-        let request_id = t.next_request_id();
-        let trace = current_trace();
-        let sink_tracing = t.tracing_enabled();
-        let tracing = sink_tracing || trace.is_some();
-        let mut spans = Vec::new();
-        let t_request = Instant::now();
-        t.perf_request_scope(|| -> Result<(), BitFlowError> {
-            for i in 0..self.ops.len() {
-                cancel.check()?;
-                let t0 = Instant::now();
-                self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-                let ns = t0.elapsed().as_nanos() as u64;
-                t.record_op(i, ns);
-                if tracing {
-                    spans.push(OpSpan {
-                        op_index: i as u64,
-                        name: self.ops[i].name().to_string(),
-                        start_ns: t0.saturating_duration_since(t_request).as_nanos() as u64,
-                        duration_ns: ns,
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        let total_ns = t_request.elapsed().as_nanos() as u64;
-        if let Some(tb) = &trace {
-            // Re-base the op spans from this request's start onto the
-            // trace's own origin (the connection accept / enqueue time).
-            let base = tb.offset_ns(t_request);
-            for s in &spans {
-                tb.push_op(OpSpan {
-                    start_ns: base.saturating_add(s.start_ns),
-                    ..s.clone()
-                });
-            }
-        }
-        if sink_tracing {
-            t.record_request(&RequestTrace::new(request_id, total_ns, spans));
-        }
-        Ok(())
+    ) -> Result<Vec<f32>, BitFlowError> {
+        self.run(ctx, &BatchItem::new(input))
     }
 
-    /// Runs inference in `ctx`; returns the logits (panicking wrapper over
-    /// [`CompiledModel::try_infer`]).
-    ///
-    /// # Panics
-    /// On a malformed request (see [`crate::error::InputGeometry`]).
-    pub fn infer(&self, ctx: &mut InferenceContext, input: &Tensor) -> Vec<f32> {
-        match self.try_infer(ctx, input) {
-            Ok(logits) => logits,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs inference with per-operator wall-clock timing, with the same
-    /// error contract as [`CompiledModel::try_infer`].
+    /// [`CompiledModel::run`] plus per-operator wall-clock times, read back
+    /// from the operator spans of a trace attached for this one call.
     pub fn try_infer_profiled(
         &self,
         ctx: &mut InferenceContext,
         input: &Tensor,
     ) -> Result<ProfiledLogits, BitFlowError> {
-        self.try_infer_profiled_cancellable(ctx, input, &CancelToken::none())
-    }
-
-    /// [`CompiledModel::try_infer_profiled`] with a cooperative
-    /// [`CancelToken`] checked at every operator boundary (same contract
-    /// as [`CompiledModel::try_infer_cancellable`]).
-    pub fn try_infer_profiled_cancellable(
-        &self,
-        ctx: &mut InferenceContext,
-        input: &Tensor,
-        cancel: &CancelToken,
-    ) -> Result<ProfiledLogits, BitFlowError> {
-        self.check_request(ctx, input)?;
-        let mut times = Vec::with_capacity(self.ops.len());
-        for i in 0..self.ops.len() {
-            cancel.check()?;
-            let t0 = Instant::now();
-            self.run_op(&mut ctx.slots, ctx.parallel, i, input)?;
-            times.push((self.ops[i].name().to_string(), t0.elapsed()));
-        }
-        let logits = ctx.slots[self.logits_slot]
-            .vec()
-            .map_err(slot_type("logits", SlotKind::Vec))?
-            .clone();
+        let trace = Arc::new(TraceBuilder::new(String::new()));
+        let item = BatchItem {
+            trace: Some(Arc::clone(&trace)),
+            ..BatchItem::new(input)
+        };
+        let logits = self.run(ctx, &item)?;
+        let times = trace
+            .finish()
+            .spans
+            .into_iter()
+            .map(|s| (s.name, Duration::from_nanos(s.duration_ns)))
+            .collect();
         Ok((logits, times))
     }
 
-    /// Runs inference with per-operator wall-clock timing (panicking
-    /// wrapper over [`CompiledModel::try_infer_profiled`]).
-    ///
-    /// # Panics
-    /// On a malformed request.
-    pub fn infer_profiled(
-        &self,
-        ctx: &mut InferenceContext,
-        input: &Tensor,
-    ) -> (Vec<f32>, Vec<(String, Duration)>) {
-        match self.try_infer_profiled(ctx, input) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs a batch of images with per-item results: the batch is split
+    /// Runs a batch of requests with per-item results: the batch is split
     /// into contiguous chunks, one per thread of the installed rayon pool,
-    /// each chunk gets its own [`InferenceContext`], and every image runs
-    /// the serial operator path inside its worker.
+    /// each chunk gets its own [`InferenceContext`], and every item runs
+    /// [`CompiledModel::run`] inside its worker — with its own token, tag
+    /// and trace, so per-request cancellation, chaos decisions and operator
+    /// spans keep working when requests are coalesced.
     ///
     /// **Small batches are not fanned out.** When a worker's share is
     /// under `FAN_OUT_MIN_SHARE_BIT_OPS` of work the whole batch runs as
-    /// one chunk on the calling thread and rayon is not entered: handing
-    /// half a millisecond of work to a sleeping worker costs a wake-up
-    /// that is neither small nor steady next to it, and the call then
-    /// ends when the slower worker does.
+    /// one chunk on the calling thread, in `ctx`, and rayon is not entered:
+    /// handing half a millisecond of work to a sleeping worker costs a
+    /// wake-up that is neither small nor steady next to it, and the call
+    /// then ends when the slower worker does. A fanned-out batch leaves
+    /// `ctx` untouched; its chunks build their own contexts with
+    /// [`CompiledModel::try_new_context`].
     ///
     /// **Graceful degradation:** a malformed item (wrong shape, NaN) yields
     /// its own `Err` without poisoning the rest of the batch — every other
     /// item's logits are bit-identical to running it through
-    /// [`CompiledModel::try_infer`] serially. As a backstop, a panic inside
-    /// a worker is caught (`catch_unwind`), reported as
-    /// [`BitFlowError::Internal`] for that item only, and the worker's
-    /// session buffers are replaced before the next item runs.
-    pub fn try_infer_batch(&self, inputs: &[Tensor]) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        self.run_batch(inputs, self.batch_chunk(inputs.len()), |ctx, input| {
-            self.try_infer(ctx, input)
-        })
-    }
-
-    /// [`CompiledModel::try_infer_batch`] for serving: each item carries
-    /// its own [`CancelToken`] (checked at every operator boundary) and a
-    /// request tag that reaches the installed [`FaultHook`] on whatever
-    /// thread runs the item — so per-request chaos decisions and
-    /// cancellations keep working when requests are coalesced into a
-    /// batch. Per-item results, same fan-out rule, graceful degradation
-    /// and bit-exact guarantees as `try_infer_batch`.
-    pub fn try_infer_batch_cancellable(
+    /// [`CompiledModel::run`] serially. As a backstop, a panic inside an
+    /// item is caught (`catch_unwind`), reported as
+    /// [`BitFlowError::Internal`] for that item only, and the session
+    /// buffers it ran in are dropped and rebuilt before the next item runs
+    /// there; while the rebuild fails, items fail typed
+    /// ([`BitFlowError::ResourceExhausted`]).
+    pub fn run_batch(
         &self,
+        ctx: &mut InferenceContext,
         items: &[BatchItem<'_>],
     ) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        self.run_batch(items, self.batch_chunk(items.len()), |ctx, item| {
-            // Guards inside the catch: a panicking hook unwinds through
-            // the guards' Drops, restoring the tag and trace before the
-            // next item runs on this worker.
-            let _tag = enter_infer_tag(item.tag);
-            let _trace = item
-                .trace
-                .as_ref()
-                .map(|tb| enter_trace_scope(Arc::clone(tb)));
-            self.try_infer_cancellable(ctx, item.input, item.cancel)
-        })
+        self.run_chunks(ctx, items, self.batch_chunk(items.len()))
+    }
+
+    /// [`CompiledModel::run_batch`] over bare inputs, in a context of its
+    /// own that is built only if the batch runs on the caller.
+    pub fn try_infer_batch(&self, inputs: &[Tensor]) -> Vec<Result<Vec<f32>, BitFlowError>> {
+        let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
+        self.run_batch(&mut InferenceContext::unbuilt(), &items)
     }
 
     /// Items per chunk of an `n`-item batch: an equal share per thread of
@@ -1205,64 +1047,73 @@ impl CompiledModel {
         }
     }
 
-    /// The loop behind both batch entry points: `chunk` items at a time,
-    /// one fresh context per chunk, each item under
-    /// [`CompiledModel::catch_fault`]. A chunk that covers the whole batch
-    /// runs here, on the calling thread; smaller chunks go over rayon.
-    fn run_batch<T: Sync>(
+    /// [`CompiledModel::run_batch`] at a given chunk size: a chunk that
+    /// covers the whole batch runs here, on the calling thread and in
+    /// `ctx`; smaller chunks go over rayon, each in a context of its own.
+    fn run_chunks(
         &self,
-        items: &[T],
+        ctx: &mut InferenceContext,
+        items: &[BatchItem<'_>],
         chunk: usize,
-        infer: impl Fn(&mut InferenceContext, &T) -> Result<Vec<f32>, BitFlowError> + Sync,
     ) -> Vec<Result<Vec<f32>, BitFlowError>> {
         use rayon::prelude::*;
         if items.is_empty() {
             return Vec::new();
         }
-        let telemetry = self.telemetry.get();
-        if let Some(t) = telemetry {
+        if let Some(t) = self.telemetry.get() {
             t.batch()
                 .batch_started(items.len() as u64, items.len().div_ceil(chunk) as u64);
+        }
+        if chunk >= items.len() {
+            return items.iter().map(|item| self.run_item(ctx, item)).collect();
         }
         let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(items.len());
         out.resize_with(items.len(), || {
             Err(BitFlowError::Internal("item not reached".into()))
         });
-        let run_chunk = |(ci, outs): (usize, &mut [Result<Vec<f32>, BitFlowError>])| {
-            let mut ctx = self.new_context();
-            for (j, o) in outs.iter_mut().enumerate() {
-                let item = &items[ci * chunk + j];
-                let result = self.catch_fault(|| infer(&mut ctx, item));
-                if matches!(result, Err(BitFlowError::Internal(_))) {
-                    // A panic may have left the session buffers partially
-                    // written — replace them so later items stay
-                    // bit-identical to serial runs.
-                    ctx = self.new_context();
+        out.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(ci, outs)| {
+                let ctx = &mut InferenceContext::unbuilt();
+                for (item, out) in items[ci * chunk..].iter().zip(outs) {
+                    *out = self.run_item(ctx, item);
                 }
-                *o = result;
-                if let Some(t) = telemetry {
-                    t.batch().item_finished(o.is_ok());
-                }
-            }
-        };
-        if chunk >= items.len() {
-            run_chunk((0, &mut out));
-        } else {
-            out.par_chunks_mut(chunk).enumerate().for_each(run_chunk);
-        }
+            });
         out
+    }
+
+    /// One item of a batch: [`CompiledModel::run`] under
+    /// [`CompiledModel::catch_fault`], in buffers known to be whole —
+    /// built here if `ctx` holds none, dropped here if the run panicked.
+    fn run_item(
+        &self,
+        ctx: &mut InferenceContext,
+        item: &BatchItem<'_>,
+    ) -> Result<Vec<f32>, BitFlowError> {
+        let result = self.catch_fault(|| {
+            if ctx.slots.is_empty() {
+                ctx.slots = self.try_new_context()?.slots;
+            }
+            self.run(ctx, item)
+        });
+        if matches!(result, Err(BitFlowError::Internal(_))) {
+            // A panic may have left the session buffers partially written;
+            // without them the next item here rebuilds, and so stays
+            // bit-identical to a serial run.
+            ctx.slots.clear();
+        }
+        if let Some(t) = self.telemetry.get() {
+            t.batch().item_finished(result.is_ok());
+        }
+        result
     }
 
     /// Runs `f`, converting any panic into a typed
     /// [`BitFlowError::Internal`] whose message names the operator that
     /// was executing when the panic unwound (tracked in a thread-local the
     /// operator dispatch maintains). The backstop behind
-    /// [`CompiledModel::try_infer_batch`] and the `bitflow-serve` workers.
-    ///
-    /// After a caught panic the [`InferenceContext`] that was running may
-    /// hold partially-written buffers; replace it (cheap — a handful of
-    /// zeroed allocations) before reusing it for bit-exact results.
-    pub fn catch_fault<R>(
+    /// [`CompiledModel::run_batch`].
+    fn catch_fault<R>(
         &self,
         f: impl FnOnce() -> Result<R, BitFlowError>,
     ) -> Result<R, BitFlowError> {
@@ -1301,37 +1152,20 @@ impl CompiledModel {
         self.fault_hook.get().is_some()
     }
 
-    /// Runs a batch of images over the installed rayon pool (panicking
-    /// wrapper over [`CompiledModel::try_infer_batch`]). Images are
-    /// independent, so the output is bit-identical to calling
-    /// [`CompiledModel::infer`] on each input in order with a single
-    /// context.
-    ///
-    /// # Panics
-    /// If any item is a malformed request.
-    pub fn infer_batch(&self, inputs: &[Tensor]) -> Vec<Vec<f32>> {
-        self.try_infer_batch(inputs)
-            .into_iter()
-            .map(|r| match r {
-                Ok(logits) => logits,
-                Err(e) => panic!("{e}"),
-            })
-            .collect()
-    }
-
     fn run_op(
         &self,
         slots: &mut [Slot],
         parallel: bool,
         i: usize,
         input: &Tensor,
+        tag: u64,
     ) -> Result<(), BitFlowError> {
         let op_name = self.ops[i].name();
         // Record which operator this thread is in, so the catch_unwind
         // backstops can name it if a panic unwinds out of the kernels.
         CURRENT_OP.with(|c| c.set(i));
         if let Some(hook) = self.fault_hook.get() {
-            hook(i, op_name, CURRENT_TAG.with(Cell::get));
+            hook(i, op_name, tag);
         }
         match &self.ops[i] {
             RtOp::BinarizeInput { out, pad } => {
@@ -1461,98 +1295,6 @@ impl CompiledModel {
             }
         }
         Ok(())
-    }
-}
-
-/// Single-session convenience engine: one [`CompiledModel`] plus one
-/// [`InferenceContext`], presenting the original owned `compile`/`infer`
-/// API. For concurrent serving, use [`Network::into_model`] (or compile a
-/// [`CompiledModel`] directly), wrap it in an `Arc`, and give each thread
-/// its own context.
-pub struct Network {
-    model: CompiledModel,
-    ctx: InferenceContext,
-    /// Use the multi-threaded operator variants (over the installed rayon
-    /// pool). Results are bit-identical either way.
-    pub parallel: bool,
-}
-
-impl Network {
-    /// Compiles a spec + weights into a ready single-session engine.
-    ///
-    /// # Panics
-    /// See [`CompiledModel::compile`].
-    pub fn compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Self {
-        let model = CompiledModel::compile(spec, weights);
-        let ctx = model.new_context();
-        Self {
-            model,
-            ctx,
-            parallel: false,
-        }
-    }
-
-    /// Fallible variant of [`Network::compile`]: validates the spec and
-    /// the spec/weight agreement, returning a typed error instead of
-    /// panicking.
-    pub fn try_compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Result<Self, BitFlowError> {
-        let model = CompiledModel::try_compile(spec, weights)?;
-        let ctx = model.new_context();
-        Ok(Self {
-            model,
-            ctx,
-            parallel: false,
-        })
-    }
-
-    /// The shared, immutable half of this engine.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
-    }
-
-    /// Extracts the compiled model (dropping this session's buffers), e.g.
-    /// to wrap it in an `Arc` for concurrent serving.
-    pub fn into_model(self) -> CompiledModel {
-        self.model
-    }
-
-    /// The spec this engine was compiled from.
-    pub fn spec(&self) -> &NetworkSpec {
-        self.model.spec()
-    }
-
-    /// Float model size in bytes (what a full-precision network ships).
-    pub fn float_model_bytes(&self) -> usize {
-        self.model.float_model_bytes()
-    }
-
-    /// Packed model size in bytes (what this engine holds) — Table V.
-    pub fn packed_model_bytes(&self) -> usize {
-        self.model.packed_model_bytes()
-    }
-
-    /// Total pre-allocated activation/scratch memory in bytes.
-    pub fn activation_bytes(&self) -> usize {
-        self.ctx.activation_bytes()
-    }
-
-    /// Runs inference; returns the logits. Allocation-free after compile.
-    pub fn infer(&mut self, input: &Tensor) -> Vec<f32> {
-        self.ctx.parallel = self.parallel;
-        self.model.infer(&mut self.ctx, input)
-    }
-
-    /// Fallible variant of [`Network::infer`]: malformed requests come
-    /// back as a typed [`BitFlowError`] instead of a panic.
-    pub fn try_infer(&mut self, input: &Tensor) -> Result<Vec<f32>, BitFlowError> {
-        self.ctx.parallel = self.parallel;
-        self.model.try_infer(&mut self.ctx, input)
-    }
-
-    /// Runs inference with per-operator wall-clock timing.
-    pub fn infer_profiled(&mut self, input: &Tensor) -> (Vec<f32>, Vec<(String, Duration)>) {
-        self.ctx.parallel = self.parallel;
-        self.model.infer_profiled(&mut self.ctx, input)
     }
 }
 
@@ -1836,8 +1578,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::models::small_cnn;
+    use crate::models::{mlp, small_cnn, tiered_cnn};
     use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::Mutex;
 
     fn setup() -> (NetworkSpec, NetworkWeights, Tensor) {
         let spec = small_cnn();
@@ -1847,11 +1590,41 @@ mod tests {
         (spec, weights, input)
     }
 
+    fn compile(spec: &NetworkSpec, weights: &NetworkWeights) -> CompiledModel {
+        CompiledModel::try_compile(spec, weights).expect("compiles")
+    }
+
+    fn fresh(model: &CompiledModel) -> InferenceContext {
+        model.try_new_context().expect("context")
+    }
+
+    /// Logits of one bare run in a fresh context.
+    fn infer(model: &CompiledModel, input: &Tensor) -> Vec<f32> {
+        model.try_infer(&mut fresh(model), input).expect("infer")
+    }
+
+    fn random_inputs(spec: &NetworkSpec, n: usize, seed: u64) -> Vec<Tensor> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
+            .collect()
+    }
+
+    fn oks(results: Vec<Result<Vec<f32>, BitFlowError>>) -> Vec<Vec<f32>> {
+        results.into_iter().map(|r| r.expect("item")).collect()
+    }
+
+    fn two_threads() -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool")
+    }
+
     #[test]
     fn compile_and_infer() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let logits = net.infer(&input);
+        let logits = infer(&compile(&spec, &weights), &input);
         assert_eq!(logits.len(), 10);
         assert!(logits.iter().all(|x| x.is_finite()));
     }
@@ -1859,29 +1632,173 @@ mod tests {
     #[test]
     fn inference_is_deterministic_and_repeatable() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let a = net.infer(&input);
-        let b = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let mut ctx = fresh(&model);
+        let a = model.try_infer(&mut ctx, &input).expect("first");
+        let b = model.try_infer(&mut ctx, &input).expect("second");
         assert_eq!(a, b, "second inference over reused buffers must agree");
+        // Contexts are independent sessions of one compiled model.
+        assert_eq!(infer(&model, &input), a);
     }
 
     #[test]
     fn parallel_matches_serial_bit_exactly() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let serial = net.infer(&input);
-        net.parallel = true;
-        let parallel = net.infer(&input);
+        let model = compile(&spec, &weights);
+        let mut ctx = fresh(&model);
+        let serial = model.try_infer(&mut ctx, &input).expect("serial");
+        ctx.parallel = true;
+        let parallel = model.try_infer(&mut ctx, &input).expect("parallel");
         assert_eq!(serial, parallel);
     }
 
+    fn calls(model: &CompiledModel) -> Vec<u64> {
+        let snap = model.metrics_snapshot().expect("telemetry enabled");
+        snap.ops.iter().map(|o| o.calls).collect()
+    }
+
     #[test]
-    fn profiled_matches_plain() {
+    fn every_observer_sees_the_same_run() {
+        for spec in [small_cnn(), tiered_cnn(), mlp(256, 128)] {
+            for opts in [PlanOptions::default(), PlanOptions::unfused()] {
+                let case = format!("{} fuse={}", spec.name, opts.fuse);
+                let mut rng = StdRng::seed_from_u64(31);
+                let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+                let inputs = random_inputs(&spec, 5, 32);
+                let input = &inputs[0];
+                // Telemetry is per model and stays on once enabled, so the
+                // same weights are compiled twice: one model nobody watches,
+                // one with telemetry.
+                let bare = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("bare");
+                let watched =
+                    CompiledModel::try_compile_with(&spec, &weights, &opts).expect("watched");
+                watched.enable_telemetry();
+                let names: Vec<String> =
+                    bare.op_descriptors().into_iter().map(|d| d.name).collect();
+                let want = infer(&bare, input);
+
+                let traced = |model: &CompiledModel| {
+                    let tb = Arc::new(TraceBuilder::new("req"));
+                    let item = BatchItem {
+                        trace: Some(Arc::clone(&tb)),
+                        ..BatchItem::new(input)
+                    };
+                    let logits = model.run(&mut fresh(model), &item).expect("traced");
+                    let spans = tb.finish().spans;
+                    for w in spans.windows(2) {
+                        assert!(
+                            w[0].start_ns + w[0].duration_ns <= w[1].start_ns,
+                            "{case}: op spans run in sequence on one timeline"
+                        );
+                    }
+                    (
+                        logits,
+                        spans.into_iter().map(|s| s.name).collect::<Vec<_>>(),
+                    )
+                };
+                assert_eq!(
+                    traced(&bare),
+                    (want.clone(), names.clone()),
+                    "{case}: trace"
+                );
+                assert_eq!(infer(&watched, input), want, "{case}: telemetry");
+                assert_eq!(
+                    traced(&watched),
+                    (want.clone(), names.clone()),
+                    "{case}: both"
+                );
+                let (profiled, times) = bare
+                    .try_infer_profiled(&mut fresh(&bare), input)
+                    .expect("profiled");
+                assert_eq!(profiled, want, "{case}: profiled");
+                let timed: Vec<String> = times.into_iter().map(|(name, _)| name).collect();
+                assert_eq!(timed, names, "{case}: profiled ops");
+                let snap = watched.metrics_snapshot().expect("enabled");
+                assert_eq!(snap.requests, 2, "{case}");
+                let channels: Vec<&str> = snap.ops.iter().map(|o| o.name.as_str()).collect();
+                assert_eq!(channels, names, "{case}: telemetry channels");
+                assert!(snap.ops.iter().all(|o| o.calls == 2), "{case}");
+                assert!(
+                    bare.metrics_snapshot().is_none(),
+                    "{case}: running enables nothing"
+                );
+
+                // Batches, on the caller and (forced) over rayon, watched
+                // or not, are the serial runs.
+                let mut ctx = fresh(&bare);
+                let serial: Vec<Vec<f32>> = inputs
+                    .iter()
+                    .map(|img| bare.try_infer(&mut ctx, img).expect("serial"))
+                    .collect();
+                let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
+                let pool = two_threads();
+                for model in [&bare, &watched] {
+                    for chunk in [items.len(), 2] {
+                        let got =
+                            pool.install(|| model.run_chunks(&mut fresh(model), &items, chunk));
+                        assert_eq!(oks(got), serial, "{case}: chunk={chunk}");
+                    }
+                }
+
+                // A token that fires at operator boundary k: the hook
+                // cancels it as operator k − 1 starts, that operator runs
+                // to completion, and the check before operator k trips.
+                let armed: Arc<Mutex<Option<(usize, CancelToken)>>> = Arc::default();
+                let hook_armed = Arc::clone(&armed);
+                assert!(watched.install_fault_hook(Arc::new(move |i, _, _| {
+                    if let Some((k, token)) = &*hook_armed.lock().expect("hook lock") {
+                        if i + 1 == *k {
+                            token.cancel();
+                        }
+                    }
+                })));
+                let mut ctx = fresh(&watched);
+                for k in 0..names.len() {
+                    let token = CancelToken::new();
+                    if k == 0 {
+                        token.cancel();
+                    }
+                    *armed.lock().expect("lock") = Some((k, token.clone()));
+                    let before = calls(&watched);
+                    let tb = Arc::new(TraceBuilder::new("cut"));
+                    let item = BatchItem {
+                        cancel: &token,
+                        trace: Some(Arc::clone(&tb)),
+                        ..BatchItem::new(input)
+                    };
+                    let cut = watched.run(&mut ctx, &item);
+                    assert!(
+                        matches!(cut, Err(BitFlowError::Cancelled)),
+                        "{case}: k={k} got {cut:?}"
+                    );
+                    let spans: Vec<String> =
+                        tb.finish().spans.into_iter().map(|s| s.name).collect();
+                    assert_eq!(spans, names[..k], "{case}: k={k} spans");
+                    let ran: Vec<u64> = calls(&watched)
+                        .iter()
+                        .zip(&before)
+                        .map(|(after, before)| after - before)
+                        .collect();
+                    let expect: Vec<u64> = (0..names.len()).map(|j| u64::from(j < k)).collect();
+                    assert_eq!(ran, expect, "{case}: k={k} telemetry calls");
+                    *armed.lock().expect("lock") = None;
+                    assert_eq!(
+                        watched.try_infer(&mut ctx, input).expect("full run"),
+                        want,
+                        "{case}: k={k} the abandoned run must not poison its context"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_cnn_op_sequence() {
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let plain = net.infer(&input);
-        let (profiled, times) = net.infer_profiled(&input);
-        assert_eq!(plain, profiled);
+        let model = compile(&spec, &weights);
+        let (_, times) = model
+            .try_infer_profiled(&mut fresh(&model), &input)
+            .expect("profiled");
         // input binarize + conv + pool + flatten (32-channel non-aligned
         // flatten inserts a repack op) + fc.
         assert_eq!(times.len(), spec.layers.len() + 2);
@@ -1894,8 +1811,7 @@ mod tests {
     fn engine_matches_direct_op_chain() {
         // Hand-execute the same small network with the raw ops and compare.
         let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let got = net.infer(&input);
+        let got = infer(&compile(&spec, &weights), &input);
 
         use bitflow_ops::binary::{
             binarize_pack_padded, binary_fc, binary_max_pool, pressed_conv, BinaryFcWeights,
@@ -1938,93 +1854,62 @@ mod tests {
     #[test]
     fn model_size_accounting() {
         let (spec, weights, _) = setup();
-        let net = Network::compile(&spec, &weights);
-        assert_eq!(net.float_model_bytes(), weights.float_bytes());
-        assert_eq!(net.packed_model_bytes(), weights.packed_bytes());
-        assert!(net.activation_bytes() > 0);
+        let model = compile(&spec, &weights);
+        assert_eq!(model.float_model_bytes(), weights.float_bytes());
+        assert_eq!(model.packed_model_bytes(), weights.packed_bytes());
+        assert!(model.context_bytes() > 0);
     }
 
     #[test]
     fn rejects_wrong_input_shape() {
         let (spec, weights, _) = setup();
-        let mut net = Network::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let mut rng = StdRng::seed_from_u64(9);
         let bad = Tensor::random(Shape::hwc(4, 4, 3), Layout::Nhwc, &mut rng);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            net.infer(&bad);
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn model_context_split_matches_wrapper() {
-        let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let want = net.infer(&input);
-
-        let model = CompiledModel::compile(&spec, &weights);
-        let mut a = model.new_context();
-        let mut b = model.new_context();
-        assert_eq!(model.infer(&mut a, &input), want);
-        assert_eq!(model.infer(&mut b, &input), want);
-        // Contexts stay independent: running one again changes nothing.
-        assert_eq!(model.infer(&mut a, &input), want);
-        assert_eq!(model.context_bytes(), net.activation_bytes());
-    }
-
-    #[test]
-    fn into_model_keeps_compiled_state() {
-        let (spec, weights, input) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let want = net.infer(&input);
-        let model = std::sync::Arc::new(net.into_model());
-        let mut ctx = model.new_context();
-        assert_eq!(model.infer(&mut ctx, &input), want);
+        let result = model.try_infer(&mut fresh(&model), &bad);
+        assert!(matches!(
+            result,
+            Err(BitFlowError::InputGeometry(
+                InputGeometry::ShapeMismatch { .. }
+            ))
+        ));
     }
 
     #[test]
     fn infer_batch_bit_identical_to_serial() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let mut rng = StdRng::seed_from_u64(13);
-        let inputs: Vec<Tensor> = (0..7)
-            .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
-            .collect();
-        let mut ctx = model.new_context();
+        let model = compile(&spec, &weights);
+        let inputs = random_inputs(&spec, 7, 13);
+        let mut ctx = fresh(&model);
         let serial: Vec<Vec<f32>> = inputs
             .iter()
-            .map(|img| model.infer(&mut ctx, img))
+            .map(|img| model.try_infer(&mut ctx, img).expect("serial"))
             .collect();
+        let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
         for threads in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            let batch = pool.install(|| model.infer_batch(&inputs));
-            assert_eq!(batch, serial, "threads={threads}");
+            let batch = pool.install(|| model.try_infer_batch(&inputs));
+            assert_eq!(oks(batch), serial, "threads={threads}");
             // This model is far under the fan-out floor, so the call above
             // ran on one thread; the rayon path is taken with the share a
             // heavy model would get.
             assert_eq!(model.batch_chunk(inputs.len()), inputs.len());
-            let fanned = pool.install(|| {
-                model.run_batch(&inputs, inputs.len().div_ceil(threads), |ctx, img| {
-                    model.try_infer(ctx, img)
-                })
-            });
-            let fanned: Vec<Vec<f32>> = fanned.into_iter().map(|r| r.expect("item")).collect();
-            assert_eq!(fanned, serial, "fanned out, threads={threads}");
+            let chunk = inputs.len().div_ceil(threads);
+            let fanned = pool.install(|| model.run_chunks(&mut ctx, &items, chunk));
+            assert_eq!(oks(fanned), serial, "fanned out, threads={threads}");
         }
-        assert!(model.infer_batch(&[]).is_empty());
+        assert!(model.try_infer_batch(&[]).is_empty());
+        assert!(model.run_batch(&mut ctx, &[]).is_empty());
     }
 
     #[test]
     fn batch_fans_out_only_when_a_share_is_worth_a_wake_up() {
         let (spec, weights, _) = setup();
-        let mut model = CompiledModel::compile(&spec, &weights);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("pool");
+        let mut model = compile(&spec, &weights);
+        let pool = two_threads();
         assert!(model.item_bit_ops > 0, "cost model counts this net's work");
         assert_eq!(pool.install(|| model.batch_chunk(16)), 16);
         model.item_bit_ops = FAN_OUT_MIN_SHARE_BIT_OPS / 8;
@@ -2044,37 +1929,74 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_disabled_by_default() {
-        let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        assert!(model.telemetry().is_none());
-        assert!(model.metrics_snapshot().is_none());
-        let mut ctx = model.new_context();
-        model.infer(&mut ctx, &input);
-        assert!(
-            model.metrics_snapshot().is_none(),
-            "inference must not enable it"
-        );
+    fn a_panicking_item_costs_only_itself_and_its_buffers() {
+        let (spec, weights, _) = setup();
+        let model = compile(&spec, &weights);
+        let inputs = random_inputs(&spec, 4, 29);
+        let serial: Vec<Vec<f32>> = inputs.iter().map(|img| infer(&model, img)).collect();
+        assert!(model.install_fault_hook(Arc::new(|i, _, tag| {
+            if tag == 1 && i == 2 {
+                panic!("injected");
+            }
+        })));
+        let items: Vec<BatchItem<'_>> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| BatchItem {
+                tag: i as u64,
+                ..BatchItem::new(input)
+            })
+            .collect();
+        let pool = two_threads();
+        for chunk in [items.len(), 2] {
+            let mut ctx = fresh(&model);
+            ctx.parallel = true;
+            let results = pool.install(|| model.run_chunks(&mut ctx, &items, chunk));
+            for (i, r) in results.iter().enumerate() {
+                match (i, r) {
+                    (1, Err(BitFlowError::Internal(msg))) => {
+                        assert!(
+                            msg.contains("injected") && msg.contains("operator `"),
+                            "{msg}"
+                        );
+                    }
+                    (1, other) => panic!("expected the caught panic, got {other:?}"),
+                    (_, r) => assert_eq!(r.as_ref().expect("bystander"), &serial[i]),
+                }
+            }
+            assert!(ctx.parallel, "a rebuilt context keeps the caller's choice");
+            assert_eq!(ctx.activation_bytes(), model.context_bytes());
+        }
+        // The panic ends a batch: the caller's buffers are dropped, a
+        // direct run refuses them typed, the next batch rebuilds them.
+        let mut ctx = fresh(&model);
+        let last = model.run_batch(&mut ctx, &items[..2]);
+        assert!(matches!(last[1], Err(BitFlowError::Internal(_))));
+        assert_eq!(ctx.activation_bytes(), 0);
+        assert!(matches!(
+            model.try_infer(&mut ctx, &inputs[0]),
+            Err(BitFlowError::InputGeometry(
+                InputGeometry::ContextMismatch { .. }
+            ))
+        ));
+        assert_eq!(oks(model.run_batch(&mut ctx, &items[..1])), serial[..1]);
     }
 
     #[test]
     fn telemetry_counts_ops_and_derives_rates() {
         let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let mut ctx = model.new_context();
-        let before = model.infer(&mut ctx, &input);
+        let model = compile(&spec, &weights);
+        let mut ctx = fresh(&model);
+        assert!(model.telemetry().is_none(), "telemetry is opt-in");
+        let before = model.try_infer(&mut ctx, &input).expect("before");
         model.enable_telemetry();
-        let after = model.infer(&mut ctx, &input);
+        let after = model.try_infer(&mut ctx, &input).expect("after");
         assert_eq!(before, after, "telemetry must not change logits");
-        model.infer(&mut ctx, &input);
+        model.try_infer(&mut ctx, &input).expect("again");
 
         let snap = model.metrics_snapshot().expect("enabled");
         assert_eq!(snap.model, spec.name);
         assert_eq!(snap.requests, 2);
-        // binarize + conv + pool + flatten (non-aligned 32-channel) + fc.
-        assert_eq!(snap.ops.len(), spec.layers.len() + 2);
-        assert_eq!(snap.ops[0].name, "binarize-input");
-        assert_eq!(snap.ops[1].name, "conv1");
         for op in &snap.ops {
             assert_eq!(op.calls, 2, "{}", op.name);
             assert!(op.total_ns > 0, "{}", op.name);
@@ -2095,12 +2017,10 @@ mod tests {
     #[test]
     fn telemetry_batch_gauges() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         model.enable_telemetry();
         let mut rng = StdRng::seed_from_u64(21);
-        let mut inputs: Vec<Tensor> = (0..5)
-            .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
-            .collect();
+        let mut inputs = random_inputs(&spec, 5, 21);
         inputs[3] = Tensor::random(Shape::hwc(2, 2, 3), Layout::Nhwc, &mut rng); // malformed
         let results = model.try_infer_batch(&inputs);
         assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
@@ -2114,132 +2034,64 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_ring_sink_traces_requests() {
-        let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let sink = std::sync::Arc::new(bitflow_telemetry::RingSink::new(8));
-        struct Fwd(std::sync::Arc<bitflow_telemetry::RingSink>);
-        impl SpanSink for Fwd {
-            fn record(&self, trace: &RequestTrace) {
-                self.0.record(trace);
-            }
-        }
-        model.enable_telemetry_with_sink(Box::new(Fwd(sink.clone())));
-        let mut ctx = model.new_context();
-        model.infer(&mut ctx, &input);
-        model.infer(&mut ctx, &input);
-        let traces = sink.drain();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].request_id, 0);
-        assert_eq!(traces[1].request_id, 1);
-        for t in &traces {
-            assert_eq!(t.spans.len(), spec.layers.len() + 2);
-            assert_eq!(t.spans[0].name, "binarize-input");
-            assert!(t.total_ns >= t.spans.iter().map(|s| s.duration_ns).sum::<u64>() / 2);
-        }
-    }
-
-    #[test]
-    fn trace_scope_collects_op_spans_without_telemetry() {
-        let (spec, weights, input) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let tb = Arc::new(bitflow_telemetry::TraceBuilder::new("req-a"));
-        {
-            let _scope = enter_trace_scope(Arc::clone(&tb));
-            let mut ctx = model.new_context();
-            model.infer(&mut ctx, &input);
-        }
-        assert!(current_trace().is_none(), "guard restores the empty scope");
-        let trace = tb.finish();
-        assert_eq!(trace.spans.len(), spec.layers.len() + 2);
-        assert_eq!(trace.spans[0].name, "binarize-input");
-        for w in trace.spans.windows(2) {
-            assert!(
-                w[0].start_ns <= w[1].start_ns,
-                "op spans run in sequence on one thread"
-            );
-        }
-    }
-
-    #[test]
     fn batch_items_carry_their_traces_onto_workers() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        // Telemetry on: op spans flow through `run_ops_recorded`, which
-        // must re-base them onto each trace's own origin.
+        let model = compile(&spec, &weights);
         model.enable_telemetry();
-        let mut rng = StdRng::seed_from_u64(23);
-        let inputs: Vec<Tensor> = (0..4)
-            .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
-            .collect();
-        let builders: Vec<Arc<bitflow_telemetry::TraceBuilder>> = (0..4)
-            .map(|i| Arc::new(bitflow_telemetry::TraceBuilder::new(format!("req-{i}"))))
-            .collect();
-        let none = CancelToken::none();
-        let items: Vec<BatchItem<'_>> = inputs
-            .iter()
-            .zip(&builders)
-            .enumerate()
-            .map(|(i, (input, tb))| BatchItem {
-                input,
-                cancel: &none,
-                tag: i as u64,
-                trace: Some(Arc::clone(tb)),
-            })
-            .collect();
-        let results = model.try_infer_batch_cancellable(&items);
-        assert!(results.iter().all(Result::is_ok));
-        for (i, tb) in builders.iter().enumerate() {
-            let trace = tb.finish();
-            assert_eq!(trace.id, format!("req-{i}"));
-            assert_eq!(
-                trace.spans.len(),
-                spec.layers.len() + 2,
-                "item {i} must collect exactly its own op spans"
-            );
+        let inputs = random_inputs(&spec, 4, 23);
+        let pool = two_threads();
+        for chunk in [inputs.len(), 2] {
+            let builders: Vec<Arc<TraceBuilder>> = (0..4)
+                .map(|i| Arc::new(TraceBuilder::new(format!("req-{i}"))))
+                .collect();
+            let items: Vec<BatchItem<'_>> = inputs
+                .iter()
+                .zip(&builders)
+                .map(|(input, tb)| BatchItem {
+                    trace: Some(Arc::clone(tb)),
+                    ..BatchItem::new(input)
+                })
+                .collect();
+            let results = pool.install(|| model.run_chunks(&mut fresh(&model), &items, chunk));
+            assert!(results.iter().all(Result::is_ok));
+            for (i, tb) in builders.iter().enumerate() {
+                let trace = tb.finish();
+                assert_eq!(trace.id, format!("req-{i}"));
+                assert_eq!(
+                    trace.spans.len(),
+                    spec.layers.len() + 2,
+                    "chunk={chunk}: item {i} must collect exactly its own op spans"
+                );
+            }
         }
-        assert!(current_trace().is_none());
     }
 
     #[test]
     fn enable_telemetry_is_idempotent() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
+        let model = compile(&spec, &weights);
         let a = model.enable_telemetry();
         let b = model.enable_telemetry();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        // A later with_sink call cannot replace the live handle.
-        let c = model.enable_telemetry_with_sink(Box::new(bitflow_telemetry::NoopSink));
-        assert!(std::sync::Arc::ptr_eq(&a, &c));
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
     fn batch_cancellable_matches_serial_and_honours_tokens() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let mut rng = StdRng::seed_from_u64(17);
-        let inputs: Vec<Tensor> = (0..6)
-            .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
-            .collect();
-        let mut ctx = model.new_context();
-        let serial: Vec<Vec<f32>> = inputs
-            .iter()
-            .map(|img| model.infer(&mut ctx, img))
-            .collect();
+        let model = compile(&spec, &weights);
+        let inputs = random_inputs(&spec, 6, 17);
+        let serial: Vec<Vec<f32>> = inputs.iter().map(|img| infer(&model, img)).collect();
         let tokens: Vec<CancelToken> = (0..6).map(|_| CancelToken::new()).collect();
         tokens[3].cancel();
         let items: Vec<BatchItem<'_>> = inputs
             .iter()
             .zip(&tokens)
-            .enumerate()
-            .map(|(i, (input, cancel))| BatchItem {
-                input,
+            .map(|(input, cancel)| BatchItem {
                 cancel,
-                tag: i as u64,
-                trace: None,
+                ..BatchItem::new(input)
             })
             .collect();
-        let results = model.try_infer_batch_cancellable(&items);
+        let results = model.run_batch(&mut fresh(&model), &items);
         for (i, r) in results.iter().enumerate() {
             if i == 3 {
                 assert!(
@@ -2254,52 +2106,44 @@ mod tests {
                 );
             }
         }
-        assert!(model.try_infer_batch_cancellable(&[]).is_empty());
     }
 
     #[test]
     fn batch_items_report_their_tags_to_fault_hooks() {
         let (spec, weights, _) = setup();
-        let model = CompiledModel::compile(&spec, &weights);
-        let seen = Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
+        let model = compile(&spec, &weights);
+        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
         let sink = Arc::clone(&seen);
         assert!(model.install_fault_hook(Arc::new(move |_, _, tag| {
             sink.lock().expect("hook lock").insert(tag);
         })));
-        let mut rng = StdRng::seed_from_u64(19);
-        let inputs: Vec<Tensor> = (0..5)
-            .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
-            .collect();
-        let none = CancelToken::none();
-        let items: Vec<BatchItem<'_>> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| BatchItem {
-                input,
-                cancel: &none,
-                tag: 100 + i as u64,
-                trace: None,
-            })
-            .collect();
-        let results = model.try_infer_batch_cancellable(&items);
-        assert!(results.iter().all(Result::is_ok));
-        {
+        let inputs = random_inputs(&spec, 5, 19);
+        let pool = two_threads();
+        for (base, chunk) in [(100, inputs.len()), (200, 2)] {
+            let items: Vec<BatchItem<'_>> = inputs
+                .iter()
+                .enumerate()
+                .map(|(i, input)| BatchItem {
+                    tag: base + i as u64,
+                    ..BatchItem::new(input)
+                })
+                .collect();
+            let results = pool.install(|| model.run_chunks(&mut fresh(&model), &items, chunk));
+            assert!(results.iter().all(Result::is_ok));
             // Scoped: the hook locks this same mutex on this thread during
-            // the untagged inference below.
+            // the next round.
             let seen = seen.lock().expect("lock");
             for i in 0..5u64 {
                 assert!(
-                    seen.contains(&(100 + i)),
-                    "tag {} never reached the fault hook (rayon workers lose \
-                     serve-side thread-locals — the tag must travel with the item)",
-                    100 + i
+                    seen.contains(&(base + i)),
+                    "chunk={chunk}: tag {} never reached the fault hook — the tag \
+                     must travel with the item onto whatever thread runs it",
+                    base + i
                 );
             }
         }
-        // Untagged inference reports UNTAGGED, not a stale batch tag.
-        let mut ctx = model.new_context();
-        let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        model.infer(&mut ctx, &input);
+        // A bare run reports UNTAGGED, not a stale batch tag.
+        infer(&model, &inputs[0]);
         assert!(seen.lock().expect("lock").contains(&UNTAGGED));
     }
 
@@ -2327,8 +2171,7 @@ mod tests {
             }
         }
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let mut net = Network::compile(&spec, &weights);
-        let got = net.infer(&input);
+        let got = infer(&compile(&spec, &weights), &input);
 
         // Hand-executed chain with explicit BN: y = γ·(x−μ)/√(σ²+ε) + β,
         // bit = y ≥ 0 — no folding anywhere.
@@ -2371,7 +2214,7 @@ mod tests {
                 bn.eps = 1e-5;
             }
         }
-        let old_logits = Network::compile(&spec, &old).infer(&input);
+        let old_logits = infer(&compile(&spec, &old), &input);
         assert_ne!(
             got, old_logits,
             "folding with the default ε must be observable on this model \
@@ -2382,10 +2225,12 @@ mod tests {
     #[test]
     fn random_inputs_give_varied_logits() {
         let (spec, weights, _) = setup();
-        let mut net = Network::compile(&spec, &weights);
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = net.infer(&Tensor::random(spec.input, Layout::Nhwc, &mut rng));
-        let b = net.infer(&Tensor::random(spec.input, Layout::Nhwc, &mut rng));
-        assert_ne!(a, b, "different inputs should give different logits");
+        let model = compile(&spec, &weights);
+        let inputs = random_inputs(&spec, 2, 11);
+        assert_ne!(
+            infer(&model, &inputs[0]),
+            infer(&model, &inputs[1]),
+            "different inputs should give different logits"
+        );
     }
 }

@@ -7,10 +7,13 @@
 //!
 //! * **Weight pre-binarization**: weights are constant during inference, so
 //!   binarization + bit-packing (+ the fused transposition of Table III)
-//!   happen once in [`engine::Network::compile`], never on the hot path.
+//!   happen once in [`engine::CompiledModel::try_compile`], never on the hot
+//!   path.
 //! * **Memory pre-allocation**: every activation, scratch and output buffer
-//!   is sized by static shape inference over the graph and allocated at
-//!   compile time; [`engine::Network::infer`] performs no allocation.
+//!   is sized by static shape inference over the graph and allocated before
+//!   inference ([`engine::CompiledModel::try_new_context`]);
+//!   [`engine::CompiledModel::run`] allocates nothing but the logits it
+//!   returns.
 //! * **Zero-cost padding** (paper Fig. 5): each layer's output buffer is
 //!   allocated at the *padded* size required by its consumer, pre-zeroed;
 //!   producers write only the interior, so the next convolution reads a
@@ -28,11 +31,10 @@
 //!
 //! The serving path is panic-free end to end: [`spec::NetworkSpec::validate`]
 //! → [`engine::CompiledModel::try_compile`] →
-//! [`engine::CompiledModel::try_infer`] /
-//! [`engine::CompiledModel::try_infer_batch`] report every failure as a
-//! typed [`error::BitFlowError`]. The panicking `compile`/`infer` APIs are
-//! thin wrappers over the `try_` variants for trusted callers (tests,
-//! benches, examples).
+//! [`engine::CompiledModel::try_new_context`] →
+//! [`engine::CompiledModel::run`] / [`engine::CompiledModel::run_batch`]
+//! report every failure as a typed [`error::BitFlowError`]; there are no
+//! panicking twins.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
@@ -46,10 +48,7 @@ pub mod spec;
 pub mod weights;
 
 pub use cancel::CancelToken;
-pub use engine::{
-    current_trace, enter_infer_tag, enter_trace_scope, BatchItem, CompiledModel, FaultHook,
-    FloatNetwork, InferTagGuard, InferenceContext, Network, TraceScopeGuard, UNTAGGED,
-};
+pub use engine::{BatchItem, CompiledModel, FaultHook, FloatNetwork, InferenceContext, UNTAGGED};
 pub use error::{
     BitFlowError, InputGeometry, RejectReason, SlotKind, SlotTypeError, SpecError, WeightMismatch,
 };

@@ -436,9 +436,14 @@ mod tests {
         // Same logits from both engines.
         use bitflow_tensor::{Layout, Tensor};
         let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let a = crate::engine::Network::compile(&spec, &weights).infer(&img);
-        let b = crate::engine::Network::compile(&spec2, &weights2).infer(&img);
-        assert_eq!(a, b);
+        let logits = |spec, weights| {
+            let model = crate::engine::CompiledModel::try_compile(spec, weights).unwrap();
+            model.try_infer(&mut model.try_new_context().unwrap(), &img)
+        };
+        assert_eq!(
+            logits(&spec, &weights).unwrap(),
+            logits(&spec2, &weights2).unwrap()
+        );
     }
 
     #[test]

@@ -268,7 +268,7 @@ pub struct MemoryPlan {
 
 impl MemoryPlan {
     /// Plans the binary engine's buffers for `spec` (mirrors
-    /// [`crate::engine::Network::compile`]'s allocations) under the
+    /// [`crate::engine::CompiledModel::try_new_context`]'s allocations) under the
     /// environment's planning options (`BITFLOW_FUSE`).
     pub fn for_binary(spec: &NetworkSpec) -> Self {
         Self::for_binary_with(spec, &PlanOptions::from_env())
@@ -367,7 +367,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::models::{small_cnn, vgg16};
+    use crate::engine::CompiledModel;
+    use crate::models::{mlp, small_cnn, tiered_cnn, vgg16};
     use crate::weights::NetworkWeights;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -376,25 +377,29 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(3);
         let weights = NetworkWeights::random(&spec, &mut rng);
-        let net = crate::engine::Network::compile(&spec, &weights);
+        let model = CompiledModel::try_compile(&spec, &weights).unwrap();
         let plan = MemoryPlan::for_binary(&spec);
         // The engine adds a Reflatten packed buffer for the non-aligned
         // flatten; the plan's total must match within that one buffer.
         let flatten_bytes = (4 * 4 * 32usize).div_ceil(64) * 8;
-        assert_eq!(plan.total_bytes() + flatten_bytes, net.activation_bytes());
+        assert_eq!(plan.total_bytes() + flatten_bytes, model.context_bytes());
         assert_eq!(plan.contexts_bytes(3), 3 * plan.total_bytes());
     }
 
     #[test]
-    fn plan_matches_every_fresh_context() {
-        let spec = small_cnn();
-        let mut rng = StdRng::seed_from_u64(4);
-        let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = crate::engine::CompiledModel::compile(&spec, &weights);
-        let a = model.new_context();
-        let b = model.new_context();
-        assert_eq!(a.activation_bytes(), model.context_bytes());
-        assert_eq!(b.activation_bytes(), model.context_bytes());
+    fn context_bytes_is_what_a_context_allocates() {
+        for spec in [small_cnn(), tiered_cnn(), mlp(256, 128), vgg16()] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let weights = NetworkWeights::random(&spec, &mut rng);
+            let model = CompiledModel::try_compile(&spec, &weights).unwrap();
+            let ctx = model.try_new_context().unwrap();
+            assert_eq!(
+                model.context_bytes(),
+                ctx.activation_bytes(),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]

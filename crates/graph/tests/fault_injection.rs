@@ -6,7 +6,7 @@ use bitflow_graph::error::{BitFlowError, InputGeometry, RejectReason, SpecError}
 use bitflow_graph::models::small_cnn;
 use bitflow_graph::spec::{LayerSpec, NetworkSpec};
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::{CancelToken, CompiledModel};
+use bitflow_graph::{BatchItem, CancelToken, CompiledModel, InferenceContext};
 use bitflow_ops::ConvParams;
 use bitflow_tensor::{Layout, Shape, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
@@ -25,6 +25,27 @@ fn compiled() -> (CompiledModel, Tensor) {
         Err(e) => panic!("seed model must compile: {e}"),
     };
     (model, input)
+}
+
+fn fresh(model: &CompiledModel) -> InferenceContext {
+    match model.try_new_context() {
+        Ok(ctx) => ctx,
+        Err(e) => panic!("context must allocate: {e}"),
+    }
+}
+
+/// One run of `input` under `token`.
+fn run_with(
+    model: &CompiledModel,
+    ctx: &mut InferenceContext,
+    input: &Tensor,
+    token: &CancelToken,
+) -> Result<Vec<f32>, BitFlowError> {
+    let item = BatchItem {
+        cancel: token,
+        ..BatchItem::new(input)
+    };
+    model.run(ctx, &item)
 }
 
 fn conv(name: &str, k: usize) -> LayerSpec {
@@ -144,7 +165,7 @@ fn oversized_kernel_is_rejected() {
 #[test]
 fn wrong_shape_input_is_a_typed_error() {
     let (model, _) = compiled();
-    let mut ctx = model.new_context();
+    let mut ctx = fresh(&model);
     let mut rng = StdRng::seed_from_u64(7);
     let bad = Tensor::random(Shape::hwc(5, 5, 3), Layout::Nhwc, &mut rng);
     match model.try_infer(&mut ctx, &bad) {
@@ -156,7 +177,7 @@ fn wrong_shape_input_is_a_typed_error() {
 #[test]
 fn nan_and_inf_inputs_are_typed_errors() {
     let (model, good) = compiled();
-    let mut ctx = model.new_context();
+    let mut ctx = fresh(&model);
     for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         let mut data = good.data().to_vec();
         let mid = data.len() / 2;
@@ -186,7 +207,7 @@ fn context_from_another_model_is_a_typed_error() {
         Ok(m) => m,
         Err(e) => panic!("other model must compile: {e}"),
     };
-    let mut foreign_ctx = other.new_context();
+    let mut foreign_ctx = fresh(&other);
     match model.try_infer(&mut foreign_ctx, &input) {
         Err(BitFlowError::InputGeometry(InputGeometry::ContextMismatch { .. })) => {}
         other => panic!("expected ContextMismatch, got {other:?}"),
@@ -213,7 +234,7 @@ fn bad_batch_item_degrades_gracefully() {
     assert_eq!(results.len(), inputs.len());
 
     // Serial oracle over one context.
-    let mut ctx = model.new_context();
+    let mut ctx = fresh(&model);
     for (i, (input, result)) in inputs.iter().zip(&results).enumerate() {
         if i == 3 || i == 12 {
             assert!(result.is_err(), "poisoned item {i} must fail");
@@ -268,7 +289,7 @@ fn empty_batch_is_empty() {
 #[test]
 fn cancellation_is_typed_and_does_not_poison_the_context() {
     let (model, input) = compiled();
-    let mut ctx = model.new_context();
+    let mut ctx = fresh(&model);
     let golden = match model.try_infer(&mut ctx, &input) {
         Ok(l) => l,
         Err(e) => panic!("golden run failed: {e}"),
@@ -277,7 +298,7 @@ fn cancellation_is_typed_and_does_not_poison_the_context() {
     let token = CancelToken::new();
     token.cancel();
     let r = catch_unwind(AssertUnwindSafe(|| {
-        model.try_infer_cancellable(&mut ctx, &input, &token)
+        run_with(&model, &mut ctx, &input, &token)
     }));
     match r {
         Ok(Err(BitFlowError::Cancelled)) => {}
@@ -299,7 +320,7 @@ fn cancellation_is_typed_and_does_not_poison_the_context() {
 #[test]
 fn deadline_exceeded_is_typed_and_does_not_poison_the_context() {
     let (model, input) = compiled();
-    let mut ctx = model.new_context();
+    let mut ctx = fresh(&model);
     let golden = match model.try_infer(&mut ctx, &input) {
         Ok(l) => l,
         Err(e) => panic!("golden run failed: {e}"),
@@ -307,7 +328,7 @@ fn deadline_exceeded_is_typed_and_does_not_poison_the_context() {
 
     // Already-expired deadline: rejected at the first checkpoint.
     let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-    match model.try_infer_cancellable(&mut ctx, &input, &expired) {
+    match run_with(&model, &mut ctx, &input, &expired) {
         Err(BitFlowError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -320,7 +341,7 @@ fn deadline_exceeded_is_typed_and_does_not_poison_the_context() {
         }
     })));
     let tight = CancelToken::with_budget(Duration::from_millis(5));
-    match model.try_infer_cancellable(&mut ctx, &input, &tight) {
+    match run_with(&model, &mut ctx, &input, &tight) {
         Err(BitFlowError::DeadlineExceeded) => {}
         other => panic!("expected mid-run DeadlineExceeded, got {other:?}"),
     }
@@ -374,7 +395,7 @@ fn batch_panic_is_attributed_to_the_operator() {
     }
 
     // The survivors match a serial oracle and the model still serves.
-    let mut ctx = model.new_context();
+    let mut ctx = fresh(&model);
     for (input, result) in inputs.iter().zip(&results) {
         if let Ok(got) = result {
             let want = match model.try_infer(&mut ctx, input) {

@@ -4,7 +4,7 @@
 
 use bitflow_graph::spec::{LayerSpec, NetworkSpec};
 use bitflow_graph::weights::{LayerWeights, NetworkWeights};
-use bitflow_graph::{BitFlowError, CompiledModel, Network};
+use bitflow_graph::{BitFlowError, CompiledModel};
 use bitflow_ops::binary::{
     binarize_pack_padded, binarize_threshold_padded, binary_max_pool, pressed_conv, BinaryFcWeights,
 };
@@ -199,21 +199,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let mut net = Network::compile(&spec, &weights);
-        let got = net.infer(&input);
+        let fail = |e: BitFlowError| TestCaseError::fail(e.to_string());
+        let model = CompiledModel::try_compile(&spec, &weights).map_err(fail)?;
+        let mut ctx = model.try_new_context().map_err(fail)?;
+        let got = model.try_infer(&mut ctx, &input).map_err(fail)?;
         let want = interpret(&spec, &weights, &input);
         // The interpreter's FC path emits ±1 for hidden layers and counts
         // for the head; the engine's logits are counts — same thing.
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
 
         // And the parallel path agrees.
-        net.parallel = true;
-        let par = net.infer(&input);
-        let serial = {
-            net.parallel = false;
-            net.infer(&input)
-        };
-        prop_assert_eq!(par, serial);
+        ctx.parallel = true;
+        let par = model.try_infer(&mut ctx, &input).map_err(fail)?;
+        prop_assert_eq!(par, got);
     }
 
     /// Container round-trip over arbitrary valid topologies and ε values:
@@ -268,7 +266,12 @@ proptest! {
                         "validate() passed but try_compile rejected: {e}"
                     ))),
                 };
-                let mut ctx = model.new_context();
+                let mut ctx = match model.try_new_context() {
+                    Ok(ctx) => ctx,
+                    Err(e) => return Err(TestCaseError::fail(format!(
+                        "validate() passed but try_new_context failed: {e}"
+                    ))),
+                };
                 let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
                 let logits = match model.try_infer(&mut ctx, &input) {
                     Ok(l) => l,

@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use bitflow_graph::{BitFlowError, RejectReason};
-use bitflow_serve::{ChaosConfig, DegradationState, Server};
+use bitflow_graph::{BitFlowError, CancelToken, RejectReason};
+use bitflow_serve::{ChaosConfig, DegradationState, Server, Submission};
 use bitflow_telemetry::{
     to_chrome_trace, FlightRecorder, MetricsSnapshot, ServeGauges, Stage, TraceBuilder,
 };
@@ -727,63 +727,46 @@ fn infer(
     let tensor = match bitflow_tensor::io::decode_tensor(&body) {
         Ok(t) => t,
         Err(e) => {
-            // Body fully consumed, so the connection can survive this.
             shared.gauges.malformed_request();
-            // Same {"code","message"} shape as BitFlowError; DecodeError
-            // messages are fixed strings with nothing to escape.
-            let json = format!("{{\"code\":\"bad_tensor\",\"message\":\"{e}\"}}");
-            return RouteOutcome::Respond(
-                Response::new(400)
-                    .header("content-type", "application/json")
-                    .body(json.into_bytes()),
-            );
+            return RouteOutcome::Respond(bad_request("bad_tensor", &e.to_string()));
         }
     };
     if let Some(tb) = trace {
         tb.stage(Stage::Decode, decode_start, Instant::now());
     }
-    let deadline = head
+    // A budget the client asked for but did not spell as a whole number of
+    // milliseconds is refused, never read as "no deadline".
+    let deadline = match head
         .header("x-bitflow-deadline-ms")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis);
-
-    // With a trace, submission routes through the traced entry points —
-    // the serving runtime records admit/queue/batch/exec stages and the
-    // engine its operator spans into the same builder. Deadline policy is
-    // identical either way.
-    let (result, retry_hint, quota) = match tenant {
-        None => (
-            match trace {
-                Some(tb) => shared
-                    .server
-                    .submit_traced(tensor, deadline, Arc::clone(tb)),
-                None => match deadline {
-                    Some(budget) => shared.server.submit_with_deadline(tensor, budget),
-                    None => shared.server.submit(tensor),
-                },
-            },
-            shared.server.retry_after_hint(),
-            shared
-                .server
-                .registry()
-                .entries()
-                .first()
-                .and_then(|entry| entry.quota()),
-        ),
-        Some(name) => {
-            let Some(client) = shared.server.client(name) else {
-                return RouteOutcome::Respond(Response::new(404).text("unknown model"));
-            };
-            let result = match trace {
-                Some(tb) => client.submit_traced(tensor, deadline, Arc::clone(tb)),
-                None => match deadline {
-                    Some(budget) => client.submit_with_deadline(tensor, budget),
-                    None => client.submit(tensor),
-                },
-            };
-            (result, client.retry_after_hint(), client.entry().quota())
+        .map(|v| v.trim().parse::<u64>())
+    {
+        None => None,
+        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
+        Some(Err(_)) => {
+            shared.gauges.malformed_request();
+            return RouteOutcome::Respond(bad_request(
+                "bad_deadline",
+                "x-bitflow-deadline-ms must be a whole number of milliseconds",
+            ));
         }
     };
+    // One admission path for every tenant, traced or not: the serving
+    // runtime records admit/queue/batch/exec stages and the engine its
+    // operator spans into the trace when there is one.
+    let client = match tenant {
+        None => shared.server.default_client(),
+        Some(name) => match shared.server.client(name) {
+            Some(client) => client,
+            None => return RouteOutcome::Respond(Response::new(404).text("unknown model")),
+        },
+    };
+    let result = client.submit(Submission {
+        input: tensor,
+        token: deadline.map(CancelToken::with_budget),
+        trace: trace.cloned(),
+    });
+    let retry_hint = client.retry_after_hint();
+    let quota = client.entry().quota();
 
     let mut resp = match result {
         Err(reason) => {
@@ -834,6 +817,16 @@ fn infer(
         }
     }
     RouteOutcome::Respond(resp)
+}
+
+/// A `400` for a request whose framing was fine (the body is fully
+/// consumed, so the connection survives it) but whose content was not, in
+/// the same `{"code","message"}` shape as [`BitFlowError`]. Both arguments
+/// are fixed strings with nothing to escape.
+fn bad_request(code: &str, message: &str) -> Response {
+    Response::new(400)
+        .header("content-type", "application/json")
+        .body(format!("{{\"code\":\"{code}\",\"message\":\"{message}\"}}").into_bytes())
 }
 
 /// Writes one whole rendered response under the `write_timeout` budget,

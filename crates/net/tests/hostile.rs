@@ -33,10 +33,10 @@ fn stack(cfg: NetConfig) -> Stack {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(42);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = Arc::new(CompiledModel::compile(&spec, &weights));
+    let model = Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles"));
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let mut ctx = model.new_context();
-    let oracle = model.infer(&mut ctx, &input);
+    let mut ctx = model.try_new_context().expect("context allocates");
+    let oracle = model.try_infer(&mut ctx, &input).expect("inference");
     let server = Arc::new(Server::start(
         Arc::clone(&model),
         ServerConfig {
@@ -317,6 +317,33 @@ fn hopeless_deadline_maps_to_504() {
     );
     let text = String::from_utf8_lossy(&body).to_string();
     assert!(text.contains("deadline"), "{text}");
+    assert_clean_inference(&stack);
+}
+
+#[test]
+fn malformed_deadline_is_a_400_not_no_deadline() {
+    let stack = stack(NetConfig::default());
+    let enc = encode_tensor(&stack.input);
+    // One keep-alive connection: the body is consumed before the refusal,
+    // so the connection survives every one of these.
+    let mut stream = connect(&stack);
+    let bad = ["50ms", "-1", "18446744073709551616", ""];
+    for value in bad {
+        stream
+            .write_all(&infer_request(
+                "/v1/infer",
+                &enc,
+                &format!("x-bitflow-deadline-ms: {value}\r\n"),
+            ))
+            .expect("write");
+        let (status, _, body) = read_response(&mut stream).expect("a response");
+        assert_eq!(status, 400, "deadline `{value}` must be refused");
+        let text = String::from_utf8_lossy(&body).to_string();
+        assert!(text.contains("\"code\":\"bad_deadline\""), "{text}");
+    }
+    let snap = stack.server.metrics();
+    assert_eq!(snap.submitted, 0, "refused before the tensor is submitted");
+    assert!(snap.net_malformed_requests >= bad.len() as u64);
     assert_clean_inference(&stack);
 }
 

@@ -28,7 +28,7 @@ fn stack(net_cfg: NetConfig, recorder: Option<Arc<FlightRecorder>>) -> Stack {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(42);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = Arc::new(CompiledModel::compile(&spec, &weights));
+    let model = Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles"));
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     let server = Arc::new(Server::start(
         Arc::clone(&model),

@@ -11,10 +11,9 @@
 //! * **Per-(request, operator)** — decided inside the engine via the
 //!   model's fault hook: an operator either sleeps ([`ChaosConfig::slow`])
 //!   or panics. The hook keys its decisions on the engine's per-request
-//!   tag ([`bitflow_graph::enter_infer_tag`]), which the serving worker
-//!   sets to the request id — including inside coalesced micro-batches,
-//!   where inference runs on rayon threads a serve-side thread-local
-//!   could never reach. Untagged inference (oracles, tests, direct
+//!   tag ([`bitflow_graph::BatchItem::tag`]), which the serving worker
+//!   sets to the request id and the engine hands to the hook on whatever
+//!   thread runs the item. Untagged inference (oracles, tests, direct
 //!   `try_infer` callers) is never chaos'd.
 //! * **Per-pop** — decided by the worker around each queue pop: a stall
 //!   (sleep before processing, simulating a descheduled consumer) or a

@@ -18,8 +18,8 @@
 //!    inside the engine, so an expired request stops within one operator's
 //!    latency instead of wasting a worker on a response nobody will read.
 //! 3. **Fault isolation.** A panicking operator takes down one request,
-//!    not the server: workers catch panics per request, replace their
-//!    scratch context, and keep serving. A panic that escapes the
+//!    not the server: the engine catches panics per request, rebuilds the
+//!    scratch context it ran in, and the worker keeps serving. A panic that escapes the
 //!    per-request backstop restarts the worker loop (the watchdog).
 //!    Repeated faults trip a circuit breaker into graceful degradation:
 //!    queued work drains, new work is rejected with `Shedding` until a
@@ -68,4 +68,4 @@ pub use chaos::ChaosConfig;
 pub use config::{BreakerConfig, ServerConfig, ShedPolicy};
 pub use govern::{DegradationState, GovernorConfig, MemoryLease, Priority, ResourceGovernor};
 pub use registry::{ModelEntry, ModelRegistry, DEFAULT_MODEL};
-pub use server::{ModelClient, ResponseHandle, Server};
+pub use server::{ModelClient, ResponseHandle, Server, Submission};

@@ -313,7 +313,7 @@ mod tests {
         let spec = small_cnn();
         let mut rng = StdRng::seed_from_u64(seed);
         let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-        Arc::new(CompiledModel::compile(&spec, &weights))
+        Arc::new(CompiledModel::try_compile(&spec, &weights).expect("seed model compiles"))
     }
 
     #[test]

@@ -10,10 +10,6 @@
 //!   per-operator call counts, latency histograms (p50/p95/p99), a static
 //!   cost model (bit-ops, bytes moved, bgemm tile shape) from which GOPS
 //!   and bandwidth are derived at snapshot time, and batch-queue gauges.
-//! * [`SpanSink`] — pluggable per-request trace destination. The default
-//!   [`NoopSink`] reports `enabled() == false`, so the engine never builds
-//!   a [`RequestTrace`]; [`RingSink`] keeps the last N traces in memory;
-//!   [`JsonLinesSink`] streams one JSON object per request.
 //! * [`MetricsSnapshot`] — a plain-data, `serde`-serializable copy of every
 //!   counter, written by the bench bins to `results/telemetry.json`.
 //! * [`TraceBuilder`] / [`FlightRecorder`] — request-scoped lifecycle
@@ -28,8 +24,7 @@
 //! recording one operator costs an `Instant` pair plus four relaxed
 //! `fetch_add`s — no locks, no allocation — which keeps the measured
 //! end-to-end overhead below 3% on the Table IV workloads. Request traces
-//! allocate, but only when the installed sink asks for them
-//! ([`SpanSink::enabled`]).
+//! allocate, but only for a request that carries a [`TraceBuilder`].
 #![forbid(unsafe_code)]
 
 mod chrome;
@@ -53,7 +48,4 @@ pub use snapshot::{
     OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
     SCHEMA_VERSION,
 };
-pub use span::{
-    JsonLinesSink, NoopSink, OpSpan, RequestTrace, RingSink, SpanSink, Stage, StageSpan,
-    TraceBuilder,
-};
+pub use span::{OpSpan, RequestTrace, Stage, StageSpan, TraceBuilder};

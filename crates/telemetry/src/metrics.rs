@@ -24,7 +24,6 @@ use crate::snapshot::{
     BatchSnapshot, GovernSnapshot, HistBucket, MetricsSnapshot, OpBound, OpSnapshot, PerfSnapshot,
     ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES, SCHEMA_VERSION,
 };
-use crate::span::{NoopSink, RequestTrace, SpanSink};
 
 /// Coarse operator category, mirroring the engine's runtime op set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -626,31 +625,21 @@ fn perf_disabled_by_env() -> bool {
 }
 
 /// All telemetry state for one compiled model: per-operator channels,
-/// batch gauges, perf-counter totals, and the span sink. Shared behind
-/// `Arc` by every thread serving the model.
+/// batch gauges, and perf-counter totals. Shared behind `Arc` by every
+/// thread serving the model.
 pub struct ModelTelemetry {
     model: String,
     ops: Vec<OpChannel>,
     batch: BatchGauges,
-    sink: Box<dyn SpanSink>,
-    request_ids: AtomicU64,
+    requests: AtomicU64,
     perf_sampling: AtomicBool,
     perf: PerfTotals,
     serve: Arc<ServeGauges>,
 }
 
 impl ModelTelemetry {
-    /// Telemetry with the default [`NoopSink`] (metrics on, tracing off).
+    /// Telemetry for a model with the given operator channels.
     pub fn new(model: impl Into<String>, descriptors: Vec<OpDescriptor>) -> Self {
-        Self::with_sink(model, descriptors, Box::new(NoopSink))
-    }
-
-    /// Telemetry with an explicit span sink.
-    pub fn with_sink(
-        model: impl Into<String>,
-        descriptors: Vec<OpDescriptor>,
-        sink: Box<dyn SpanSink>,
-    ) -> Self {
         let ops = descriptors
             .into_iter()
             .map(|d| OpChannel {
@@ -669,8 +658,7 @@ impl ModelTelemetry {
             model: model.into(),
             ops,
             batch: BatchGauges::default(),
-            sink,
-            request_ids: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
             perf_sampling: AtomicBool::new(sampling),
             perf: PerfTotals::default(),
             serve: Arc::new(ServeGauges::default()),
@@ -703,22 +691,11 @@ impl ModelTelemetry {
         }
     }
 
-    /// Whether the installed sink wants traces. The engine skips building
-    /// [`RequestTrace`]s entirely when this is `false`.
+    /// Counts one request entering the operator loop (the snapshot's
+    /// `requests`).
     #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-
-    /// Allocates the next monotonic request id.
-    #[inline]
-    pub fn next_request_id(&self) -> u64 {
-        self.request_ids.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Forwards a completed trace to the sink.
-    pub fn record_request(&self, trace: &RequestTrace) {
-        self.sink.record(trace);
+    pub fn request_started(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Batch-serving gauges.
@@ -815,7 +792,7 @@ impl ModelTelemetry {
         let mut snap = MetricsSnapshot {
             schema_version: SCHEMA_VERSION,
             model: self.model.clone(),
-            requests: self.request_ids.load(Ordering::Relaxed),
+            requests: self.requests.load(Ordering::Relaxed),
             machine: roofline.to_snapshot(),
             perf: self.perf_snapshot(),
             ops,
@@ -827,7 +804,7 @@ impl ModelTelemetry {
     }
 
     /// Zeroes all counters and histograms (the queued-items gauge and the
-    /// request-id counter keep their live values).
+    /// request counter keep their live values).
     pub fn reset(&self) {
         for ch in &self.ops {
             ch.metrics.reset();
@@ -975,10 +952,10 @@ mod tests {
     }
 
     #[test]
-    fn request_ids_are_monotonic() {
+    fn started_requests_are_counted() {
         let t = ModelTelemetry::new("test-net", vec![]);
-        assert_eq!(t.next_request_id(), 0);
-        assert_eq!(t.next_request_id(), 1);
+        t.request_started();
+        t.request_started();
         assert_eq!(t.snapshot().requests, 2);
     }
 
@@ -1096,11 +1073,5 @@ mod tests {
         assert_eq!(snap.stage_queue_wait.count, 0);
         assert_eq!(snap.stage_exec.total_ns, 0);
         assert!(snap.stage_write.buckets.is_empty());
-    }
-
-    #[test]
-    fn default_sink_disables_tracing() {
-        let t = ModelTelemetry::new("test-net", vec![]);
-        assert!(!t.tracing_enabled());
     }
 }

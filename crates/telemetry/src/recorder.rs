@@ -16,10 +16,9 @@
 //!   evicted — error traces included, because a bounded recorder that can
 //!   grow without bound on an error storm is not bounded.
 //!
-//! The recorder is deliberately *not* a [`crate::SpanSink`]: sinks receive
-//! engine-level traces inside `try_infer`, before the serving stages
-//! exist. The recorder instead receives finished request-scoped traces
-//! from the serving runtime / network front-end, after the write stage.
+//! Traces reach the recorder finished: whoever opened a request's
+//! [`crate::TraceBuilder`] — the serving runtime, or the network front-end
+//! after its write stage — seals it and offers the result here.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

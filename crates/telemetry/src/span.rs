@@ -1,13 +1,11 @@
-//! Per-request span tracing with pluggable sinks.
+//! Per-request span tracing.
 //!
-//! A [`RequestTrace`] is the full per-operator timing breakdown of one
-//! inference request. Traces are only *built* when the installed
-//! [`SpanSink`] reports [`SpanSink::enabled`] — the default [`NoopSink`]
-//! reports `false`, so the serving hot path never allocates a trace.
+//! A [`RequestTrace`] is the full timing breakdown of one inference
+//! request — lifecycle stages plus per-operator spans — accumulated across
+//! threads by a [`TraceBuilder`] that travels with the request. Nothing is
+//! built for a request that carries no builder, so the untraced hot path
+//! never allocates a trace.
 
-use std::collections::VecDeque;
-use std::io::{self, Write};
-use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -135,14 +133,14 @@ pub struct StageSpan {
 
 /// The complete timing of one inference request.
 ///
-/// The engine fills `request_id`, `total_ns`, and the per-operator
-/// `spans`; the serving runtime and network front-end add the
-/// request-scoped fields (wire id, tenant, outcome, lifecycle stages,
-/// batch metadata) via [`TraceBuilder`]. Deserialization defaults every
-/// request-scoped field, so pre-existing JSONL traces still parse.
+/// The engine pushes the per-operator `spans`; the serving runtime and
+/// network front-end add the request-scoped fields (ids, tenant, outcome,
+/// lifecycle stages, batch metadata), all through one [`TraceBuilder`].
+/// Deserialization defaults every request-scoped field, so pre-existing
+/// JSONL traces still parse.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct RequestTrace {
-    /// Monotonic per-model request id.
+    /// Server-assigned numeric request id (0 for engine-only traces).
     pub request_id: u64,
     /// Client-visible wire id (`x-bitflow-request-id`). Empty for
     /// engine-only traces.
@@ -189,8 +187,7 @@ impl Deserialize for RequestTrace {
 
 impl RequestTrace {
     /// An engine-only trace: op spans and totals, no request-scoped
-    /// context. This is what `try_infer` records when a span sink is
-    /// enabled outside the serving stack.
+    /// context.
     #[must_use]
     pub fn new(request_id: u64, total_ns: u64, spans: Vec<OpSpan>) -> Self {
         Self {
@@ -390,154 +387,9 @@ impl TraceBuilder {
     }
 }
 
-/// Destination for completed request traces.
-///
-/// Sinks must be `Send + Sync`: a [`crate::ModelTelemetry`] handle is shared
-/// across serving threads. `record` is called once per finished request,
-/// off the per-operator hot path.
-pub trait SpanSink: Send + Sync {
-    /// Whether the engine should build traces at all. When this returns
-    /// `false` the engine skips trace construction entirely, keeping the
-    /// request path allocation-free.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Consumes one completed trace.
-    fn record(&self, trace: &RequestTrace);
-}
-
-/// The default sink: traces are never built, nothing is recorded.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl SpanSink for NoopSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _trace: &RequestTrace) {}
-}
-
-/// Keeps the most recent `capacity` traces in memory.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<RequestTrace>>,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` traces (oldest evicted first).
-    /// A zero capacity is treated as 1.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity)),
-        }
-    }
-
-    /// Number of traces currently held.
-    pub fn len(&self) -> usize {
-        match self.buf.lock() {
-            Ok(buf) => buf.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
-    }
-
-    /// Whether the ring holds no traces.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes and returns all held traces, oldest first.
-    pub fn drain(&self) -> Vec<RequestTrace> {
-        match self.buf.lock() {
-            Ok(mut buf) => buf.drain(..).collect(),
-            Err(poisoned) => poisoned.into_inner().drain(..).collect(),
-        }
-    }
-}
-
-impl SpanSink for RingSink {
-    fn record(&self, trace: &RequestTrace) {
-        let mut buf = match self.buf.lock() {
-            Ok(buf) => buf,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(trace.clone());
-    }
-}
-
-/// Writes each trace as one JSON object per line to an arbitrary writer
-/// (file, stderr, in-memory buffer). Serialization failures are impossible
-/// for `RequestTrace`; I/O failures are swallowed — telemetry must never
-/// take down the serving path.
-pub struct JsonLinesSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for JsonLinesSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonLinesSink").finish_non_exhaustive()
-    }
-}
-
-impl JsonLinesSink {
-    /// Wraps an arbitrary writer.
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Creates (truncating) a file at `path` and writes traces to it.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(io::BufWriter::new(file))))
-    }
-
-    /// Flushes the underlying writer.
-    pub fn flush(&self) -> io::Result<()> {
-        let mut out = match self.out.lock() {
-            Ok(out) => out,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        out.flush()
-    }
-}
-
-impl Drop for JsonLinesSink {
-    /// Flushes buffered lines so traces survive a mid-stream drop.
-    /// `BufWriter`'s own drop also flushes, but silently and only for
-    /// writers it owns; flushing here covers every writer and keeps the
-    /// guarantee in this type's contract rather than an implementation
-    /// detail of the wrapped `Write`.
-    fn drop(&mut self) {
-        let _ = self.flush();
-    }
-}
-
-impl SpanSink for JsonLinesSink {
-    fn record(&self, trace: &RequestTrace) {
-        let Ok(line) = serde_json::to_string(trace) else {
-            return;
-        };
-        let mut out = match self.out.lock() {
-            Ok(out) => out,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let _ = writeln!(out, "{line}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn trace(id: u64) -> RequestTrace {
         RequestTrace::new(
@@ -550,128 +402,6 @@ mod tests {
                 duration_ns: 90 * id,
             }],
         )
-    }
-
-    #[test]
-    fn noop_sink_is_disabled() {
-        let sink = NoopSink;
-        assert!(!sink.enabled());
-        sink.record(&trace(1)); // must not panic
-    }
-
-    #[test]
-    fn ring_sink_evicts_oldest() {
-        let sink = RingSink::new(3);
-        assert!(sink.is_empty());
-        for id in 1..=5 {
-            sink.record(&trace(id));
-        }
-        assert_eq!(sink.len(), 3);
-        let drained = sink.drain();
-        let ids: Vec<u64> = drained.iter().map(|t| t.request_id).collect();
-        assert_eq!(ids, vec![3, 4, 5]);
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn ring_sink_zero_capacity_holds_one() {
-        let sink = RingSink::new(0);
-        sink.record(&trace(1));
-        sink.record(&trace(2));
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.drain()[0].request_id, 2);
-    }
-
-    #[test]
-    fn json_lines_sink_writes_one_object_per_line() {
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                match self.0.lock() {
-                    Ok(mut v) => v.extend_from_slice(buf),
-                    Err(p) => p.into_inner().extend_from_slice(buf),
-                }
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let shared = Shared::default();
-        let sink = JsonLinesSink::new(Box::new(shared.clone()));
-        sink.record(&trace(1));
-        sink.record(&trace(2));
-        assert!(sink.flush().is_ok());
-
-        let bytes = match shared.0.lock() {
-            Ok(v) => v.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
-        let text = String::from_utf8(bytes).expect("utf8 output");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let parsed: RequestTrace = serde_json::from_str(line).expect("valid trace json");
-            assert_eq!(parsed.request_id, i as u64 + 1);
-            assert_eq!(parsed.spans.len(), 1);
-        }
-    }
-
-    #[test]
-    fn dropping_mid_stream_loses_no_lines() {
-        // The sink wraps a BufWriter over a shared buffer; with 64 KiB of
-        // default buffering, small traces sit unflushed until drop. Every
-        // recorded line must still be present afterwards.
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                match self.0.lock() {
-                    Ok(mut v) => v.extend_from_slice(buf),
-                    Err(p) => p.into_inner().extend_from_slice(buf),
-                }
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let shared = Shared::default();
-        let sink = JsonLinesSink::new(Box::new(io::BufWriter::new(shared.clone())));
-        const N: u64 = 50;
-        for id in 1..=N {
-            sink.record(&trace(id));
-        }
-        {
-            // Mid-stream: the buffered writer has not been flushed, so the
-            // shared buffer must be missing at least the most recent lines.
-            let seen = match shared.0.lock() {
-                Ok(v) => v.len(),
-                Err(p) => p.into_inner().len(),
-            };
-            let total: usize = (1..=N)
-                .map(|id| serde_json::to_string(&trace(id)).expect("json").len() + 1)
-                .sum();
-            assert!(seen < total, "writer flushed early; test premise broken");
-        }
-        drop(sink);
-        let bytes = match shared.0.lock() {
-            Ok(v) => v.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
-        let text = String::from_utf8(bytes).expect("utf8");
-        let ids: Vec<u64> = text
-            .lines()
-            .map(|l| {
-                serde_json::from_str::<RequestTrace>(l)
-                    .expect("complete json line")
-                    .request_id
-            })
-            .collect();
-        assert_eq!(ids, (1..=N).collect::<Vec<_>>(), "all lines, in order");
     }
 
     #[test]

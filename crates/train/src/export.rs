@@ -142,21 +142,22 @@ mod tests {
     use super::*;
     use crate::data::{glyphs, SIDE};
     use crate::model::TrainConfig;
-    use bitflow_graph::Network;
+    use bitflow_graph::CompiledModel;
     use bitflow_tensor::{Layout, Tensor};
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn engine_predictions(net: &mut Network, data: &crate::data::Dataset) -> Vec<usize> {
+    /// The compiled engine's logits for every image of `data`.
+    fn engine_logits(
+        spec: &NetworkSpec,
+        weights: &NetworkWeights,
+        data: &crate::data::Dataset,
+    ) -> Vec<Vec<f32>> {
+        let model = CompiledModel::try_compile(spec, weights).unwrap();
+        let mut ctx = model.try_new_context().unwrap();
         (0..data.len())
             .map(|i| {
-                let img = Tensor::from_vec(data.image(i).to_vec(), net.spec().input, Layout::Nhwc);
-                let logits = net.infer(&img);
-                logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(i, _)| i)
-                    .unwrap()
+                let img = Tensor::from_vec(data.image(i).to_vec(), spec.input, Layout::Nhwc);
+                model.try_infer(&mut ctx, &img).unwrap()
             })
             .collect()
     }
@@ -179,10 +180,7 @@ mod tests {
         let model_logits = model.predict(&test);
         // Engine logits.
         let (spec, weights) = export(&model);
-        let mut net = Network::compile(&spec, &weights);
-        for i in 0..test.len() {
-            let img = Tensor::from_vec(test.image(i).to_vec(), spec.input, Layout::Nhwc);
-            let got = net.infer(&img);
+        for (i, got) in engine_logits(&spec, &weights, &test).iter().enumerate() {
             let want = model_logits.sample(i);
             assert_eq!(got.as_slice(), want, "sample {i}: engine vs trained model");
         }
@@ -203,10 +201,7 @@ mod tests {
         );
         let model_logits = model.predict(&test);
         let (spec, weights) = export(&model);
-        let mut net = Network::compile(&spec, &weights);
-        for i in 0..test.len() {
-            let img = Tensor::from_vec(test.image(i).to_vec(), spec.input, Layout::Nhwc);
-            let got = net.infer(&img);
+        for (i, got) in engine_logits(&spec, &weights, &test).iter().enumerate() {
             assert_eq!(got.as_slice(), model_logits.sample(i), "sample {i}");
         }
     }
@@ -227,12 +222,17 @@ mod tests {
         );
         let model_acc = model.evaluate(&test);
         let (spec, weights) = export(&model);
-        let mut net = Network::compile(&spec, &weights);
-        let preds = engine_predictions(&mut net, &test);
-        let engine_acc = preds
+        let argmax = |logits: &Vec<f32>| {
+            let best = logits
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap());
+            best.map(|(i, _)| i).unwrap()
+        };
+        let engine_acc = engine_logits(&spec, &weights, &test)
             .iter()
             .zip(&test.labels)
-            .filter(|(p, l)| p == l)
+            .filter(|(logits, label)| argmax(logits) == **label)
             .count() as f32
             / test.len() as f32;
         assert_eq!(model_acc, engine_acc);

@@ -8,7 +8,7 @@
 use bitflow::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), BitFlowError> {
     // 1. Hardware: what did the vector execution scheduler find?
     println!("SIMD features detected: {}", features());
     let scheduler = VectorScheduler::new();
@@ -32,16 +32,21 @@ fn main() {
     );
 
     // 4. Compile: binarize+pack weights, fold batch-norm into sign
-    //    thresholds, pre-allocate every buffer (zero-cost padding baked in).
-    let mut engine = Network::compile(&spec, &weights);
+    //    thresholds, plan every buffer (zero-cost padding baked in). The
+    //    model is immutable and shareable; a context is one session's
+    //    pre-allocated buffers.
+    let model = CompiledModel::try_compile(&spec, &weights)?;
+    let mut ctx = model.try_new_context()?;
     println!(
         "engine compiled: {:.1} KiB activation memory pre-allocated",
-        engine.activation_bytes() as f64 / 1024.0
+        ctx.activation_bytes() as f64 / 1024.0
     );
 
-    // 5. Infer — allocation-free, xor+popcount all the way down.
+    // 5. Infer — allocation-free, xor+popcount all the way down. A
+    //    `BatchItem` is the request: the input plus, optionally, a cancel
+    //    token, a chaos tag and a trace.
     let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let logits = engine.infer(&image);
+    let logits = model.run(&mut ctx, &BatchItem::new(&image))?;
     let best = logits
         .iter()
         .enumerate()
@@ -51,9 +56,10 @@ fn main() {
     println!("predicted class: {} (score {})", best.0, best.1);
 
     // 6. Per-layer profile.
-    let (_, times) = engine.infer_profiled(&image);
+    let (_, times) = model.try_infer_profiled(&mut ctx, &image)?;
     println!("\nper-layer time:");
     for (name, t) in times {
         println!("  {name:<16} {:>8.1} µs", t.as_secs_f64() * 1e6);
     }
+    Ok(())
 }

@@ -26,7 +26,7 @@ fn main() -> std::io::Result<()> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(42);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = Arc::new(CompiledModel::compile(&spec, &weights));
+    let model = Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles"));
     let mut registry = ModelRegistry::new();
     registry.register("cnn", Arc::clone(&model), None);
     let server = Arc::new(Server::start_multi(registry, ServerConfig::from_env()));

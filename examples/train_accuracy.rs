@@ -14,7 +14,7 @@ use bitflow_train::layers::Mode;
 use bitflow_train::model::{Model, TrainConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), BitFlowError> {
     let train = glyphs(1000, 0.2, 1);
     let test = glyphs(300, 0.2, 2);
     println!(
@@ -55,11 +55,12 @@ fn main() {
 
     println!("\n[3/3] exporting to the BitFlow engine and re-evaluating…");
     let (spec, weights) = export(&bin_model);
-    let mut engine = Network::compile(&spec, &weights);
+    let engine = CompiledModel::try_compile(&spec, &weights)?;
+    let mut ctx = engine.try_new_context()?;
     let mut correct = 0;
     for i in 0..test.len() {
         let img = Tensor::from_vec(test.image(i).to_vec(), spec.input, Layout::Nhwc);
-        let logits = engine.infer(&img);
+        let logits = engine.try_infer(&mut ctx, &img)?;
         let pred = logits
             .iter()
             .enumerate()
@@ -85,4 +86,5 @@ fn main() {
         engine.float_model_bytes() as f64 / 1024.0,
         engine.packed_model_bytes() as f64 / 1024.0
     );
+    Ok(())
 }

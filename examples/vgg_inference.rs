@@ -11,7 +11,7 @@ use bitflow::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), BitFlowError> {
     let which = std::env::args().nth(1).unwrap_or_else(|| "vgg16".into());
     let spec = match which.as_str() {
         "vgg19" => vgg19(),
@@ -33,23 +33,24 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let mut engine = Network::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights)?;
+    let mut ctx = model.try_new_context()?;
     let compile_s = t0.elapsed().as_secs_f64();
-    engine.parallel = threads > 1;
+    ctx.parallel = threads > 1;
     println!(
         "compile (binarize+pack weights, fold BN, pre-allocate {:.1} MB activations): {:.0} ms, {:.1} GB/s of float weights",
-        engine.activation_bytes() as f64 / 1048576.0,
+        ctx.activation_bytes() as f64 / 1048576.0,
         compile_s * 1e3,
         weights.float_bytes() as f64 / compile_s / 1e9
     );
 
     let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     // Warm-up, then a few timed runs.
-    let _ = engine.infer(&image);
+    let _ = model.try_infer(&mut ctx, &image)?;
     let mut best = f64::MAX;
     for _ in 0..5 {
         let t = Instant::now();
-        let _ = engine.infer(&image);
+        let _ = model.try_infer(&mut ctx, &image)?;
         best = best.min(t.elapsed().as_secs_f64());
     }
     println!("\nBitFlow end-to-end: {:.2} ms (best of 5)", best * 1e3);
@@ -68,11 +69,12 @@ fn main() {
         }
     );
 
-    let (_, times) = engine.infer_profiled(&image);
+    let (_, times) = model.try_infer_profiled(&mut ctx, &image)?;
     println!("\nslowest layers:");
     let mut sorted: Vec<_> = times.iter().collect();
     sorted.sort_by_key(|e| std::cmp::Reverse(e.1));
     for (name, t) in sorted.iter().take(8) {
         println!("  {name:<16} {:>9.2} ms", t.as_secs_f64() * 1e3);
     }
+    Ok(())
 }

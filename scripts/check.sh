@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # One-command gate for PRs: formatting, lints, and the tier-1 tests.
 #
-#   scripts/check.sh          # everything
-#   scripts/check.sh --fast   # skip the release build (lints + debug tests)
+#   scripts/check.sh          # everything, incl. building benchmark/ and
+#                             # running each of its workloads once
+#   scripts/check.sh --fast   # skip the release build and the benchmark
+#                             # stage (lints + debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
 #                             # incl. unwrap/expect, denied), the chaos
@@ -79,6 +81,23 @@ BITFLOW_FUSE=0 cargo test -q --test golden_snapshot --test fusion_differential
 
 echo "==> BITFLOW_BENCH_QUICK=1 cargo test -q --workspace (all crates, bench in quick mode)"
 BITFLOW_BENCH_QUICK=1 cargo test -q --workspace
+
+if [[ $fast -eq 0 ]]; then
+    # benchmark/ is a package of its own that pins the crates' public API
+    # (benchmark/src/sut.rs) and their logits (benchmark/golden.json); the
+    # driver builds and runs it, so an API change that passes everything
+    # above can still be refused there. A smoke test, not a measurement.
+    echo "==> benchmark build + one short run per workload (pinned API, pinned logits)"
+    CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    for workload in vgg16_latency tiered_batch small_http_closed tiered_serve_open; do
+        last=$(.bench_build/release/bitflow-benchmark --workload "$workload" \
+            --seconds 2 --trace 0 --seed 1 | tail -n 1)
+        if [[ $last != *'"correct": true'* ]]; then
+            echo "benchmark workload $workload did not end in \"correct\": true: $last" >&2
+            exit 1
+        fi
+    done
+fi
 
 if [[ $serve -eq 1 ]]; then
     echo "==> clippy -p bitflow-serve (unwrap/expect denied on the serving runtime)"

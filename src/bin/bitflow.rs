@@ -98,6 +98,15 @@ fn cmd_plan(name: &str) {
     );
 }
 
+/// Unwraps an engine result, or reports the typed error and exits 2 like
+/// every other bad-input path of this tool.
+fn or_exit<T>(result: Result<T, BitFlowError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 fn cmd_bench(name: &str, threads: usize) {
     let Some(spec) = model_by_name(name) else {
         eprintln!("unknown model '{name}'");
@@ -106,19 +115,20 @@ fn cmd_bench(name: &str, threads: usize) {
     println!("benchmarking {} at {} thread(s)…", spec.name, threads);
     let mut rng = StdRng::seed_from_u64(0);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let mut net = Network::compile(&spec, &weights);
-    net.parallel = threads > 1;
+    let model = or_exit(CompiledModel::try_compile(&spec, &weights));
+    let mut ctx = or_exit(model.try_new_context());
+    ctx.parallel = threads > 1;
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("pool");
     pool.install(|| {
-        let _ = net.infer(&input); // warm-up
+        or_exit(model.try_infer(&mut ctx, &input)); // warm-up
         let mut best = f64::MAX;
         for _ in 0..5 {
             let t = Instant::now();
-            let _ = net.infer(&input);
+            or_exit(model.try_infer(&mut ctx, &input));
             best = best.min(t.elapsed().as_secs_f64());
         }
         println!("end-to-end: {:.3} ms (best of 5)", best * 1e3);
@@ -166,12 +176,13 @@ fn cmd_classify(path: &str) {
         }
     };
     println!("loaded {} ({} layers)", spec.name, spec.layers.len());
-    let mut net = Network::compile(&spec, &weights);
+    let model = or_exit(CompiledModel::try_compile(&spec, &weights));
+    let mut ctx = or_exit(model.try_new_context());
     let test = glyphs(300, 0.2, 99);
     let mut correct = 0usize;
     for i in 0..test.len() {
         let img = Tensor::from_vec(test.image(i).to_vec(), spec.input, Layout::Nhwc);
-        let logits = net.infer(&img);
+        let logits = or_exit(model.try_infer(&mut ctx, &img));
         let pred = logits
             .iter()
             .enumerate()

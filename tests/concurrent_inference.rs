@@ -14,7 +14,10 @@ fn compiled_small_cnn(seed: u64) -> (Arc<CompiledModel>, Vec<Tensor>) {
     let inputs: Vec<Tensor> = (0..8)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
-    (Arc::new(CompiledModel::compile(&spec, &weights)), inputs)
+    (
+        Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles")),
+        inputs,
+    )
 }
 
 #[test]
@@ -22,10 +25,10 @@ fn arc_model_shared_across_threads_is_bit_identical() {
     let (model, inputs) = compiled_small_cnn(21);
 
     // Serial reference: every input through one context, in order.
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     let serial: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut ctx, img))
+        .map(|img| model.try_infer(&mut ctx, img).expect("inference"))
         .collect();
 
     // 4 threads, each owning a private context, each running the full
@@ -36,11 +39,15 @@ fn arc_model_shared_across_threads_is_bit_identical() {
                 let model = Arc::clone(&model);
                 let inputs = &inputs;
                 s.spawn(move || {
-                    let mut ctx = model.new_context();
+                    let mut ctx = model.try_new_context().expect("context allocates");
                     let mut out = Vec::new();
                     for _ in 0..3 {
                         out.clear();
-                        out.extend(inputs.iter().map(|img| model.infer(&mut ctx, img)));
+                        out.extend(
+                            inputs
+                                .iter()
+                                .map(|img| model.try_infer(&mut ctx, img).expect("inference")),
+                        );
                     }
                     out
                 })
@@ -60,32 +67,21 @@ fn arc_model_shared_across_threads_is_bit_identical() {
 #[test]
 fn infer_batch_matches_serial_across_pool_sizes() {
     let (model, inputs) = compiled_small_cnn(22);
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     let serial: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut ctx, img))
+        .map(|img| model.try_infer(&mut ctx, img).expect("inference"))
         .collect();
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool");
-        let batch = pool.install(|| model.infer_batch(&inputs));
+        let batch: Vec<Vec<f32>> = pool
+            .install(|| model.try_infer_batch(&inputs))
+            .into_iter()
+            .map(|r| r.expect("inference"))
+            .collect();
         assert_eq!(batch, serial, "threads={threads}");
     }
-}
-
-#[test]
-fn compat_wrapper_agrees_with_shared_model() {
-    let spec = small_cnn();
-    let mut rng = StdRng::seed_from_u64(23);
-    let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-
-    let mut net = Network::compile(&spec, &weights);
-    let want = net.infer(&input);
-
-    let model = Arc::new(net.into_model());
-    let mut ctx = model.new_context();
-    assert_eq!(model.infer(&mut ctx, &input), want);
 }

@@ -46,14 +46,21 @@ fn mini_vgg() -> NetworkSpec {
     }
 }
 
+/// Compiles `spec` and opens one inference session on it.
+fn engine(spec: &NetworkSpec, weights: &NetworkWeights) -> (CompiledModel, InferenceContext) {
+    let model = CompiledModel::try_compile(spec, weights).expect("model compiles");
+    let ctx = model.try_new_context().expect("context allocates");
+    (model, ctx)
+}
+
 #[test]
 fn mini_vgg_compiles_and_infers() {
     let spec = mini_vgg();
     let mut rng = StdRng::seed_from_u64(1);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let mut net = Network::compile(&spec, &weights);
+    let (model, mut ctx) = engine(&spec, &weights);
     let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let logits = net.infer(&img);
+    let logits = model.try_infer(&mut ctx, &img).expect("inference");
     assert_eq!(logits.len(), 10);
     assert!(logits.iter().all(|x| x.is_finite()));
     // FC counts have the same parity as their reduction width.
@@ -67,16 +74,16 @@ fn serial_and_parallel_engines_bit_identical() {
     let spec = mini_vgg();
     let mut rng = StdRng::seed_from_u64(2);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let mut net = Network::compile(&spec, &weights);
+    let (model, mut ctx) = engine(&spec, &weights);
     let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let serial = net.infer(&img);
-    net.parallel = true;
+    let serial = model.try_infer(&mut ctx, &img).expect("inference");
+    ctx.parallel = true;
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let got = pool.install(|| net.infer(&img));
+        let got = pool.install(|| model.try_infer(&mut ctx, &img).expect("inference"));
         assert_eq!(serial, got, "threads={threads}");
     }
 }
@@ -106,9 +113,9 @@ fn engine_matches_hand_chained_operators() {
         ],
     };
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let mut net = Network::compile(&spec, &weights);
+    let (model, mut ctx) = engine(&spec, &weights);
     let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let got = net.infer(&img);
+    let got = model.try_infer(&mut ctx, &img).expect("inference");
 
     // Hand chain with identity BN (random() uses identity): threshold 0.
     let (w_conv, fshape) = match &weights.layers[0] {
@@ -137,10 +144,10 @@ fn every_scheduler_tier_runs_in_one_network() {
     let spec = tiered_cnn();
     let mut rng = StdRng::seed_from_u64(4);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let mut net = Network::compile(&spec, &weights);
+    let (model, mut ctx) = engine(&spec, &weights);
     let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let a = net.infer(&img);
-    let b = net.infer(&img);
+    let a = model.try_infer(&mut ctx, &img).expect("inference");
+    let b = model.try_infer(&mut ctx, &img).expect("inference");
     assert_eq!(a, b);
     assert_eq!(a.len(), 10);
 }
@@ -150,10 +157,10 @@ fn float_and_binary_engines_share_spec_and_weights() {
     let spec = mini_vgg();
     let mut rng = StdRng::seed_from_u64(5);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let mut bin = Network::compile(&spec, &weights);
+    let (bin, mut ctx) = engine(&spec, &weights);
     let float = FloatNetwork::compile(&spec, &weights);
     let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let lb = bin.infer(&img);
+    let lb = bin.try_infer(&mut ctx, &img).expect("inference");
     let lf = float.infer(&img);
     assert_eq!(lb.len(), lf.len());
     assert!(lf.iter().all(|x| x.is_finite()));
@@ -163,19 +170,19 @@ fn float_and_binary_engines_share_spec_and_weights() {
 fn repeated_inference_is_stable_over_many_runs() {
     // Zero-cost padding depends on margins never being dirtied; hammer the
     // engine with alternating inputs and verify outputs keep matching
-    // fresh single-use engines.
+    // fresh single-use contexts.
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(6);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let mut reused = Network::compile(&spec, &weights);
+    let (model, mut reused) = engine(&spec, &weights);
     let imgs: Vec<Tensor> = (0..6)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
     for round in 0..3 {
         for (i, img) in imgs.iter().enumerate() {
-            let got = reused.infer(img);
-            let mut fresh = Network::compile(&spec, &weights);
-            let want = fresh.infer(img);
+            let got = model.try_infer(&mut reused, img).expect("inference");
+            let mut fresh = model.try_new_context().expect("context allocates");
+            let want = model.try_infer(&mut fresh, img).expect("inference");
             assert_eq!(got, want, "round {round}, image {i}");
         }
     }

@@ -70,14 +70,17 @@ fn compiled_small_cnn(seed: u64) -> (Arc<CompiledModel>, Vec<Tensor>) {
     let inputs: Vec<Tensor> = (0..DISTINCT_INPUTS)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
-    (Arc::new(CompiledModel::compile(&spec, &weights)), inputs)
+    (
+        Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles")),
+        inputs,
+    )
 }
 
 fn compiled_model_only(seed: u64) -> Arc<CompiledModel> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    Arc::new(CompiledModel::compile(&spec, &weights))
+    Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles"))
 }
 
 /// Allocation-failure chaos only: no panics (so `worker_panics` must stay
@@ -151,15 +154,15 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
     let (model_hi, inputs) = compiled_small_cnn(42);
     let model_lo = compiled_model_only(7);
 
-    let mut ctx_hi = model_hi.new_context();
-    let mut ctx_lo = model_lo.new_context();
+    let mut ctx_hi = model_hi.try_new_context().expect("context allocates");
+    let mut ctx_lo = model_lo.try_new_context().expect("context allocates");
     let oracle_hi: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_hi.infer(&mut ctx_hi, i))
+        .map(|i| model_hi.try_infer(&mut ctx_hi, i).expect("inference"))
         .collect();
     let oracle_lo: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_lo.infer(&mut ctx_lo, i))
+        .map(|i| model_lo.try_infer(&mut ctx_lo, i).expect("inference"))
         .collect();
 
     let mut registry = ModelRegistry::new();
@@ -210,7 +213,7 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
         let name = if which == 0 { "hi" } else { "lo" };
         let client = server.client(name).expect("registered");
         submitted[which] += 1;
-        match client.submit(inputs[i % DISTINCT_INPUTS].clone()) {
+        match client.submit(Submission::new(inputs[i % DISTINCT_INPUTS].clone())) {
             Ok(handle) => pending.push((which, i, handle)),
             Err(_reason) => tallies[which].rejected += 1,
         }
@@ -333,8 +336,10 @@ fn exhaustion_soak_conserves_every_request_and_recovers() {
 fn ballast_drives_brownout_sheds_low_priority_and_recovers() {
     let (model_hi, inputs) = compiled_small_cnn(42);
     let model_lo = compiled_model_only(7);
-    let mut oracle_ctx = model_hi.new_context();
-    let oracle = model_hi.infer(&mut oracle_ctx, &inputs[0]);
+    let mut oracle_ctx = model_hi.try_new_context().expect("context allocates");
+    let oracle = model_hi
+        .try_infer(&mut oracle_ctx, &inputs[0])
+        .expect("inference");
 
     const BUDGET: u64 = 1_000_000_000;
     let mut registry = ModelRegistry::new();
@@ -364,7 +369,7 @@ fn ballast_drives_brownout_sheds_low_priority_and_recovers() {
         let r = server
             .client("lo")
             .expect("registered")
-            .submit(inputs[0].clone());
+            .submit(Submission::new(inputs[0].clone()));
         assert!(
             r.is_err(),
             "Low-priority submission must be shed in {expect}"
@@ -374,7 +379,7 @@ fn ballast_drives_brownout_sheds_low_priority_and_recovers() {
         let handle = server
             .client("hi")
             .expect("registered")
-            .submit(inputs[0].clone())
+            .submit(Submission::new(inputs[0].clone()))
             .unwrap_or_else(|r| panic!("High-priority rejected ({r}) in {expect}"));
         let logits = wait_with_watchdog(&handle, Duration::from_secs(60))
             .unwrap_or_else(|e| panic!("High-priority failed ({e}) in {expect}"));

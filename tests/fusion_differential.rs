@@ -151,15 +151,15 @@ proptest! {
         prop_assert!(unfused.fused_conv_names().is_empty());
 
         let a = fused
-            .try_infer(&mut fused.new_context(), &image)
+            .try_infer(&mut fused.try_new_context().expect("context allocates"), &image)
             .expect("fused infer");
         let b = unfused
-            .try_infer(&mut unfused.new_context(), &image)
+            .try_infer(&mut unfused.try_new_context().expect("context allocates"), &image)
             .expect("unfused infer");
         prop_assert_eq!(&a, &b, "fused and unfused logits diverge (c={}, k={})", c, k);
 
         // The parallel fused kernel must also agree.
-        let mut ctx = fused.new_context();
+        let mut ctx = fused.try_new_context().expect("context allocates");
         ctx.parallel = true;
         let p = fused.try_infer(&mut ctx, &image).expect("parallel fused infer");
         prop_assert_eq!(&a, &p, "parallel fused kernel diverges");
@@ -284,10 +284,16 @@ fn float_tap_keeps_logits_bit_identical() {
     assert!(tapped.fused_conv_names().is_empty());
 
     let a = fused
-        .try_infer(&mut fused.new_context(), &image)
+        .try_infer(
+            &mut fused.try_new_context().expect("context allocates"),
+            &image,
+        )
         .expect("fused");
     let b = tapped
-        .try_infer(&mut tapped.new_context(), &image)
+        .try_infer(
+            &mut tapped.try_new_context().expect("context allocates"),
+            &image,
+        )
         .expect("tapped");
     assert_eq!(a, b);
 }

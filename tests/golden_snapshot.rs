@@ -54,7 +54,7 @@ fn run_recipe_with(spec: &NetworkSpec, seed: u64, opts: &PlanOptions) -> Vec<f32
     let weights = NetworkWeights::random(spec, &mut rng);
     let model = CompiledModel::try_compile_with(spec, &weights, opts).expect("golden compile");
     let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     model.try_infer(&mut ctx, &image).expect("golden inference")
 }
 
@@ -116,10 +116,10 @@ fn batch_path_matches_golden_single_path() {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(42);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
 
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     let single = model.try_infer(&mut ctx, &image).expect("single");
     let batch = model.try_infer_batch(std::slice::from_ref(&image));
     assert_eq!(batch.len(), 1);

@@ -62,7 +62,7 @@ fn compiled(seed: u64) -> Arc<CompiledModel> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     // The soak's oracle replays the served logits against this same plan;
     // under the default env that plan must be the fused one.
     if bitflow_graph::fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()) {
@@ -134,15 +134,15 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
         .collect();
     let encoded: Vec<Vec<u8>> = inputs.iter().map(|i| encode_tensor(i).to_vec()).collect();
 
-    let mut ctx_a = model_a.new_context();
-    let mut ctx_b = model_b.new_context();
+    let mut ctx_a = model_a.try_new_context().expect("context allocates");
+    let mut ctx_b = model_b.try_new_context().expect("context allocates");
     let oracle_a: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_a.infer(&mut ctx_a, i))
+        .map(|i| model_a.try_infer(&mut ctx_a, i).expect("inference"))
         .collect();
     let oracle_b: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_b.infer(&mut ctx_b, i))
+        .map(|i| model_b.try_infer(&mut ctx_b, i).expect("inference"))
         .collect();
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));

@@ -60,7 +60,7 @@ fn compiled_small_cnn(seed: u64) -> (Arc<CompiledModel>, Vec<Tensor>) {
     let inputs: Vec<Tensor> = (0..DISTINCT_INPUTS)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     // The soak exercises the production plan: under the default env the
     // serving path must run the fused Conv→BN→Sign epilogue.
     if bitflow_graph::fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()) {
@@ -112,10 +112,10 @@ fn chaos_soak_conserves_every_request_and_preserves_logits() {
     // Serial oracle, computed before any chaos hook is installed on the
     // model (the hook only fires on serving threads, but computing the
     // oracle first also keeps this test meaningful if that ever changes).
-    let mut oracle_ctx = model.new_context();
+    let mut oracle_ctx = model.try_new_context().expect("context allocates");
     let oracle: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut oracle_ctx, img))
+        .map(|img| model.try_infer(&mut oracle_ctx, img).expect("inference"))
         .collect();
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));
@@ -255,7 +255,7 @@ fn compiled_model_only(seed: u64) -> Arc<CompiledModel> {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    Arc::new(CompiledModel::compile(&spec, &weights))
+    Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles"))
 }
 
 /// The multi-tenant, micro-batched variant of the chaos soak: two models
@@ -275,15 +275,15 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
     // the swap machinery (Arc flip under live load) is fully exercised.
     let model_a2 = compiled_small_cnn(42).0;
 
-    let mut ctx_a = model_a.new_context();
-    let mut ctx_b = model_b.new_context();
+    let mut ctx_a = model_a.try_new_context().expect("context allocates");
+    let mut ctx_b = model_b.try_new_context().expect("context allocates");
     let oracle_a: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_a.infer(&mut ctx_a, i))
+        .map(|i| model_a.try_infer(&mut ctx_a, i).expect("inference"))
         .collect();
     let oracle_b: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|i| model_b.infer(&mut ctx_b, i))
+        .map(|i| model_b.try_infer(&mut ctx_b, i).expect("inference"))
         .collect();
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));
@@ -329,11 +329,15 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
         let name = if which == 0 { "a" } else { "b" };
         let client = server.client(name).expect("registered");
         let input = inputs[i % DISTINCT_INPUTS].clone();
-        let result = match i % 10 {
-            9 => client.submit_with_deadline(input, Duration::from_micros(50)),
-            7 | 8 => client.submit_with_deadline(input, Duration::from_millis(500)),
-            _ => client.submit(input),
+        let budget = match i % 10 {
+            9 => Some(Duration::from_micros(50)),
+            7 | 8 => Some(Duration::from_millis(500)),
+            _ => None,
         };
+        let result = client.submit(Submission {
+            token: budget.map(CancelToken::with_budget),
+            ..Submission::new(input)
+        });
         submitted[which] += 1;
         match result {
             Ok(handle) => {
@@ -433,10 +437,10 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
 fn calm_soak_completes_everything() {
     let n = soak_requests().min(500);
     let (model, inputs) = compiled_small_cnn(43);
-    let mut oracle_ctx = model.new_context();
+    let mut oracle_ctx = model.try_new_context().expect("context allocates");
     let oracle: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|img| model.infer(&mut oracle_ctx, img))
+        .map(|img| model.try_infer(&mut oracle_ctx, img).expect("inference"))
         .collect();
 
     let server = Server::start(

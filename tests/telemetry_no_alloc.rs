@@ -1,15 +1,16 @@
-//! Allocation guard for the telemetry hot path.
+//! Allocation guard for the engine's hot path.
 //!
-//! The serving contract is that `try_infer` performs exactly one heap
-//! allocation per request — the returned logits vector — and that enabling
-//! telemetry with the default `NoopSink` adds **zero** further allocations:
-//! metric recording is all relaxed atomics, and span construction is gated
-//! on `SpanSink::enabled()`. A counting global allocator pins both facts so
-//! an accidental `Vec`/`String`/boxing on the recorded path fails loudly.
+//! The serving contract is that `run` performs exactly one heap allocation
+//! per request — the returned logits vector — and that enabling telemetry
+//! adds **zero** further allocations: metric recording is all relaxed
+//! atomics, and spans are built only for a request that carries a trace. A
+//! one-item `run_batch` runs in the caller's context, so it adds the result
+//! vector and nothing else. A counting global allocator pins these facts so
+//! an accidental `Vec`/`String`/boxing on the request path fails loudly.
 
 use bitflow_graph::models::small_cnn;
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::CompiledModel;
+use bitflow_graph::{BatchItem, CompiledModel};
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
@@ -79,32 +80,45 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (n, out)
 }
 
-fn infer_alloc_count(enable_telemetry: bool) -> u64 {
+/// Allocations of one warm `run` of a bare item, and of a one-item
+/// `run_batch` in the same context.
+fn alloc_counts(enable_telemetry: bool) -> (u64, u64) {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(21);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     if enable_telemetry {
         model.enable_telemetry();
     }
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-    let mut ctx = model.new_context();
-    // Warm-up: first call may fault in lazily-initialized state.
-    let warm = model.try_infer(&mut ctx, &input).expect("warm-up");
-    let (n, out) = count_allocs(|| model.try_infer(&mut ctx, &input).expect("measured"));
+    let items = [BatchItem::new(&input)];
+    let mut ctx = model.try_new_context().expect("context allocates");
+    // Warm-up: first calls may fault in lazily-initialized state.
+    let warm = model.run(&mut ctx, &items[0]).expect("warm-up");
+    model.run_batch(&mut ctx, &items);
+    let (single, out) = count_allocs(|| model.run(&mut ctx, &items[0]).expect("measured"));
     assert_eq!(out, warm, "warm-up and measured runs must agree");
-    n
+    let (batched, mut outs) = count_allocs(|| model.run_batch(&mut ctx, &items));
+    assert_eq!(outs.pop().expect("one result").expect("measured"), warm);
+    (single, batched)
 }
 
 #[test]
 fn try_infer_allocates_exactly_once_without_telemetry() {
     // The single allocation is the returned logits vector.
-    assert_eq!(infer_alloc_count(false), 1);
+    assert_eq!(alloc_counts(false).0, 1);
 }
 
 #[test]
 fn noop_telemetry_adds_no_allocations() {
-    // Recording metrics into the default NoopSink telemetry must not add a
-    // single heap allocation over the bare path.
-    assert_eq!(infer_alloc_count(true), 1);
+    // Recording metrics must not add a single heap allocation over the
+    // bare path.
+    assert_eq!(alloc_counts(true).0, 1);
+}
+
+#[test]
+fn one_item_batch_allocates_no_context() {
+    // The logits and the result vector; a context would be five more.
+    assert!(alloc_counts(false).1 <= 2);
+    assert!(alloc_counts(true).1 <= 2);
 }

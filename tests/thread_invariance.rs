@@ -147,15 +147,15 @@ fn engine_infer_invariant_across_pools() {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(14);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
 
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     let serial = model.try_infer(&mut ctx, &input).expect("serial infer");
 
     for threads in POOLS {
         let got = in_pool(threads, || {
-            let mut ctx = model.new_context();
+            let mut ctx = model.try_new_context().expect("context allocates");
             ctx.parallel = true;
             model.try_infer(&mut ctx, &input).expect("parallel infer")
         });
@@ -177,12 +177,12 @@ fn unfused_engine_infer_invariant_across_pools() {
         .expect("unfused compile");
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
 
-    let mut ctx = fused.new_context();
+    let mut ctx = fused.try_new_context().expect("context allocates");
     let serial = fused.try_infer(&mut ctx, &input).expect("fused serial");
 
     for threads in POOLS {
         let got = in_pool(threads, || {
-            let mut ctx = unfused.new_context();
+            let mut ctx = unfused.try_new_context().expect("context allocates");
             ctx.parallel = true;
             unfused.try_infer(&mut ctx, &input).expect("unfused infer")
         });
@@ -198,12 +198,12 @@ fn engine_batch_invariant_across_pools() {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(15);
     let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::compile(&spec, &weights);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
     let inputs: Vec<Tensor> = (0..6)
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
 
-    let mut ctx = model.new_context();
+    let mut ctx = model.try_new_context().expect("context allocates");
     let serial: Vec<Vec<f32>> = inputs
         .iter()
         .map(|i| model.try_infer(&mut ctx, i).expect("serial infer"))
