@@ -34,8 +34,9 @@ use crate::weights::{LayerWeights, NetworkWeights};
 use bitflow_gemm::pack::PackedMatrix;
 use bitflow_gemm::sgemm::transpose;
 use bitflow_ops::binary::{
-    binarize_pack_into, binarize_threshold_into, binary_max_pool_into, pack_signed_dots_into,
-    pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
+    binarize_pack_into, binarize_threshold_into, binarize_windows_into, binary_max_pool_into,
+    pack_signed_dots_into, pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights,
+    SignThresholds, WindowPress,
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::kernels::SimdLevel;
@@ -69,7 +70,9 @@ pub const UNTAGGED: u64 = u64::MAX;
 /// thread. Measured on the 2-vCPU reference host with 16 `tiered_cnn`
 /// images (0.14 ms each, 1.5·10⁹ bit-ops a share): fanned out 1.26–2.0 ms
 /// a call with windows 19–20% apart, on the caller 2.26 ms with windows
-/// 3–5% apart; one VGG-16 image is 3.4·10¹⁰ bit-ops and always fans out.
+/// 3–5% apart; one VGG-16 image was 3.4·10¹⁰ bit-ops and always fans out.
+/// (With the first layer window-pressed the same share is 1.0·10⁹ and the
+/// image 3.1·10¹⁰: both where they were against this floor.)
 const FAN_OUT_MIN_SHARE_BIT_OPS: u64 = 1 << 32;
 
 thread_local! {
@@ -248,10 +251,20 @@ enum FcIn {
     Packed(usize),
 }
 
+/// How [`RtOp::BinarizeInput`] presses the image (the plan's choice, see
+/// [`ExecPlan::build`]).
+enum InputPress {
+    /// By channel, into a map padded by `pad` for the first layer.
+    Channels { pad: usize },
+    /// By window, through the dense-row scratch in slot `rows`; the first
+    /// conv then runs 1×1 at stride 1.
+    Windows { wp: WindowPress, rows: usize },
+}
+
 /// One compiled runtime operation.
 enum RtOp {
-    /// Float input map → pressed (padded) input buffer.
-    BinarizeInput { out: usize, pad: usize },
+    /// Float input map → pressed input buffer.
+    BinarizeInput { out: usize, press: InputPress },
     /// Fused PressedConv + integer-threshold sign epilogue → pressed
     /// (padded) output: popcounts are compared in registers, so neither a
     /// float count map nor a dot scratch exists.
@@ -447,18 +460,39 @@ impl CompiledModel {
         let mut pressed = Vec::new();
 
         // Input stage: binarize+pack the float input into a buffer padded
-        // for the first layer.
-        let in_pad = spec.layers[0].input_pad();
-        slot_specs.push(SlotSpec::Bit {
-            h: spec.input.h + 2 * in_pad,
-            w: spec.input.w + 2 * in_pad,
-            c: spec.input.c,
-        });
+        // for the first layer, or window by window for a first conv that
+        // then has nothing left to pad or stride over.
+        let windows = plan.input_windows();
+        let press = match windows {
+            Some(wp) => {
+                // The dense rows, as one run of words, then the window map.
+                let rows = slot_specs.len();
+                slot_specs.push(SlotSpec::Packed {
+                    n: wp.scratch_words() * 64,
+                });
+                slot_specs.push(SlotSpec::Bit {
+                    h: wp.out_h(),
+                    w: wp.out_w(),
+                    c: wp.window_bits(),
+                });
+                InputPress::Windows { wp, rows }
+            }
+            None => {
+                let pad = spec.layers[0].input_pad();
+                slot_specs.push(SlotSpec::Bit {
+                    h: spec.input.h + 2 * pad,
+                    w: spec.input.w + 2 * pad,
+                    c: spec.input.c,
+                });
+                InputPress::Channels { pad }
+            }
+        };
+        let input_slot = slot_specs.len() - 1;
         ops.push(RtOp::BinarizeInput {
-            out: 0,
-            pad: in_pad,
+            out: input_slot,
+            press,
         });
-        let mut cur = CurSlot::Bit(0);
+        let mut cur = CurSlot::Bit(input_slot);
 
         for (i, layer) in spec.layers.iter().enumerate() {
             let out_pad = spec.layers.get(i + 1).map_or(0, LayerSpec::input_pad);
@@ -482,7 +516,13 @@ impl CompiledModel {
                     // channel rule (checked by `spec.validate`) governs
                     // the packing width only.
                     let level = scheduler.streaming_level();
-                    let bank = press_bank(level, w, *fshape, &mut pressed);
+                    // Over a window-pressed input the filter's kh·kw·C
+                    // floats, already in window order, are one 1×1 tap.
+                    let (fshape, stride) = match windows {
+                        Some(wp) if i == 0 => (FilterShape::new(*k, 1, 1, wp.window_bits()), 1),
+                        _ => (*fshape, params.stride),
+                    };
+                    let bank = press_bank(level, w, fshape, &mut pressed);
                     let fold = bn.fold();
                     let (oh, ow) = match shapes[i] {
                         LayerIo::Map { h, w, .. } => (h, w),
@@ -504,7 +544,7 @@ impl CompiledModel {
                             name: name.clone(),
                             bank,
                             st,
-                            stride: params.stride,
+                            stride,
                             level,
                             input,
                             out,
@@ -529,7 +569,7 @@ impl CompiledModel {
                         ops.push(RtOp::ConvFloat {
                             name: name.clone(),
                             bank,
-                            stride: params.stride,
+                            stride,
                             level,
                             input,
                             out: counts,
@@ -767,15 +807,23 @@ impl CompiledModel {
             .iter()
             .map(|op| {
                 let (kind, cost) = match op {
-                    RtOp::BinarizeInput { out, .. } => (
-                        OpKind::Binarize,
-                        OpCost {
-                            bit_ops: 0,
-                            bytes_read: (self.spec.input.numel() * 4) as u64,
-                            bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
-                            tile: None,
-                        },
-                    ),
+                    RtOp::BinarizeInput { out, press } => {
+                        // A window press writes its dense rows and reads
+                        // them back for the gather.
+                        let rows = match press {
+                            InputPress::Windows { rows, .. } => slot_bytes(&self.slot_specs[*rows]),
+                            InputPress::Channels { .. } => 0,
+                        };
+                        (
+                            OpKind::Binarize,
+                            OpCost {
+                                bit_ops: 0,
+                                bytes_read: (self.spec.input.numel() * 4 + rows) as u64,
+                                bytes_written: (rows + slot_bytes(&self.slot_specs[*out])) as u64,
+                                tile: None,
+                            },
+                        )
+                    }
                     RtOp::ConvSign {
                         bank,
                         input,
@@ -882,7 +930,7 @@ impl CompiledModel {
                 actual: input.shape(),
             });
         }
-        if let Some(index) = input.data().iter().position(|x| !x.is_finite()) {
+        if let Some(index) = first_non_finite(input.data()) {
             return Err(InputGeometry::NonFinite { index });
         }
         if ctx.slots.len() != self.slot_specs.len() {
@@ -1168,15 +1216,26 @@ impl CompiledModel {
             hook(i, op_name, tag);
         }
         match &self.ops[i] {
-            RtOp::BinarizeInput { out, pad } => {
-                binarize_pack_into(
+            RtOp::BinarizeInput { out, press } => match press {
+                InputPress::Channels { pad } => binarize_pack_into(
                     input,
                     slots[*out]
                         .bit_mut()
                         .map_err(slot_type(op_name, SlotKind::Bit))?,
                     *pad,
-                );
-            }
+                ),
+                InputPress::Windows { wp, rows } => {
+                    let (rows, dst) = two_slots(slots, *rows, *out);
+                    binarize_windows_into(
+                        input,
+                        wp,
+                        rows.packed_mut()
+                            .map_err(slot_type(op_name, SlotKind::Packed))?
+                            .row_mut(0),
+                        dst.bit_mut().map_err(slot_type(op_name, SlotKind::Bit))?,
+                    );
+                }
+            },
             RtOp::ConvSign {
                 bank,
                 st,
@@ -1407,24 +1466,41 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Bit-by-bit repack of a pressed map into a flat packed vector (general
-/// flatten path for non-word-aligned channel counts).
+/// Repacks a pressed map into a flat packed vector (general flatten path for
+/// non-word-aligned channel counts): every pixel's `C`-bit field is appended
+/// to the stream a word at a time, straddling two destination words where
+/// it must. Relies on the map's press tail being zero.
 fn reflatten(src: &BitTensor, dst: &mut PackedMatrix) {
-    let n = src.h() * src.w() * src.c();
-    assert_eq!(dst.n_logical, n);
+    assert_eq!(dst.n_logical, src.h() * src.w() * src.c());
     let row = dst.row_mut(0);
     row.fill(0);
     let mut bit = 0usize;
-    for h in 0..src.h() {
-        for w in 0..src.w() {
-            for c in 0..src.c() {
-                if src.get(h, w, c) > 0 {
-                    row[bit / 64] |= 1 << (bit % 64);
-                }
-                bit += 1;
+    for px in src.words().chunks_exact(src.c_words()) {
+        let mut left = src.c();
+        for &word in px {
+            let (i, shift) = (bit / 64, bit % 64);
+            let n = left.min(64);
+            row[i] |= word << shift;
+            if shift + n > 64 {
+                row[i + 1] |= word >> (64 - shift);
             }
+            bit += n;
+            left -= n;
         }
     }
+}
+
+/// Index of the first NaN or ±∞ of `data`. Whole chunks are tested without
+/// a branch per element (an all-ones exponent is the only non-finite
+/// encoding), so a clean input is scanned at memory speed; the exact index
+/// is looked for only inside a chunk that failed.
+fn first_non_finite(data: &[f32]) -> Option<usize> {
+    const CHUNK: usize = 64;
+    const EXP: u32 = 0x7F80_0000;
+    let bad = |x: &f32| x.to_bits() & EXP == EXP;
+    let any_bad = |chunk: &[f32]| chunk.iter().fold(false, |any, x| any | bad(x));
+    let from = data.chunks(CHUNK).position(any_bad)? * CHUNK;
+    data[from..].iter().position(bad).map(|i| from + i)
 }
 
 // ---------------------------------------------------------------------------
@@ -1579,8 +1655,36 @@ mod tests {
 
     use super::*;
     use crate::models::{mlp, small_cnn, tiered_cnn};
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
     use std::sync::Mutex;
+
+    proptest! {
+        #[test]
+        fn reflatten_appends_every_pixels_bits_in_order(
+            c_idx in 0usize..7,
+            (h, w) in (1usize..6, 1usize..8),
+            seed in any::<u64>(),
+        ) {
+            let c = [1usize, 31, 32, 33, 63, 65, 100][c_idx];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let map = BitTensor::from_tensor(&Tensor::random(
+                Shape::hwc(h, w, c),
+                Layout::Nhwc,
+                &mut rng,
+            ));
+            let mut want = PackedMatrix::zeros(1, h * w * c);
+            let bits = (0..h * w * c).filter(|i| map.get(i / c / w, i / c % w, i % c) > 0);
+            for bit in bits {
+                want.words[bit / 64] |= 1 << (bit % 64);
+            }
+            // Stale bits in the destination must not survive.
+            let mut got = PackedMatrix::zeros(1, h * w * c);
+            got.words.fill(!0);
+            reflatten(&map, &mut got);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn setup() -> (NetworkSpec, NetworkWeights, Tensor) {
         let spec = small_cnn();
@@ -1926,6 +2030,95 @@ mod tests {
         model.item_bit_ops = u64::MAX;
         assert_eq!(pool.install(|| model.batch_chunk(3)), 2);
         assert_eq!(pool.install(|| model.batch_chunk(1)), 1);
+
+        // The real models, with the window-pressed first layer counted at
+        // the 64 bits of a window it evaluates, not the kh·kw·64 of a padded
+        // channel press: VGG-16 always fans out, tiered_cnn never does at
+        // the 16 images the benchmark batches.
+        let real = |spec: NetworkSpec, conv1_outputs: u64| {
+            let weights = NetworkWeights::random(&spec, &mut StdRng::seed_from_u64(8));
+            let model = compile(&spec, &weights);
+            let conv1 = model.op_descriptors()[1].cost.bit_ops;
+            assert_eq!(conv1, 2 * conv1_outputs * 64, "{}", spec.name);
+            model
+        };
+        let vgg = real(crate::models::vgg16(), 224 * 224 * 64);
+        assert!((3.0e10..3.2e10).contains(&(vgg.item_bit_ops as f64)));
+        assert_eq!(pool.install(|| vgg.batch_chunk(2)), 1);
+        let tiered = real(tiered_cnn(), 32 * 32 * 64);
+        assert!((1.1e8..1.3e8).contains(&(tiered.item_bit_ops as f64)));
+        assert_eq!(pool.install(|| tiered.batch_chunk(16)), 16);
+    }
+
+    #[test]
+    fn window_pressed_ops_report_their_real_slots() {
+        let spec = tiered_cnn();
+        let weights = NetworkWeights::random(&spec, &mut StdRng::seed_from_u64(8));
+        let model = compile(&spec, &weights);
+        let wp = model
+            .plan()
+            .input_windows()
+            .expect("3×3×3 is window-pressed");
+        let (rows, map) = (wp.scratch_words() as u64 * 8, 32 * 32 * 8);
+        let ops = model.op_descriptors();
+        assert_eq!(ops[0].name, "binarize-input");
+        assert_eq!(ops[0].cost.bytes_read, 32 * 32 * 3 * 4 + rows);
+        assert_eq!(ops[0].cost.bytes_written, rows + map);
+        // conv1 reads the window map and a bank of one word a filter.
+        assert_eq!(ops[1].cost.bytes_read, map + 64 * 8);
+    }
+
+    #[test]
+    fn non_finite_values_are_found_at_their_exact_index() {
+        // Lengths around the scan's 64-float chunks, and every position a
+        // chunk boundary makes special.
+        for len in [1usize, 63, 64, 65, 127, 128, 129, 200, 1024] {
+            let clean: Vec<f32> = (0..len).map(|i| i as f32 - 7.5).collect();
+            assert_eq!(first_non_finite(&clean), None, "len={len}");
+            let edges = (0..len).filter(|i| i % 64 == 0 || i % 64 == 63 || i + 1 == len);
+            for at in edges {
+                for poison in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut data = clean.clone();
+                    data[at] = poison;
+                    assert_eq!(first_non_finite(&data), Some(at), "len={len}");
+                    // The first one wins.
+                    data[len - 1] = f32::NAN;
+                    assert_eq!(first_non_finite(&data), Some(at), "len={len}");
+                }
+            }
+        }
+        // Extremes that are finite: the largest float, subnormals, −0.0.
+        let finite = [f32::MAX, f32::MIN, f32::MIN_POSITIVE / 2.0, -0.0];
+        assert_eq!(first_non_finite(&finite), None);
+        assert_eq!(first_non_finite(&[]), None);
+    }
+
+    #[test]
+    fn a_non_finite_input_is_refused_before_any_operator_runs() {
+        for spec in [small_cnn(), tiered_cnn()] {
+            let mut rng = StdRng::seed_from_u64(41);
+            let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+            let model = compile(&spec, &weights);
+            model.enable_telemetry();
+            let good = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+            let last = spec.input.numel() - 1;
+            for (at, poison) in [
+                (0, f32::NAN),
+                (last, f32::INFINITY),
+                (65, f32::NEG_INFINITY),
+            ] {
+                let mut data = good.data().to_vec();
+                data[at] = poison;
+                let bad = Tensor::from_vec(data, spec.input, Layout::Nhwc);
+                match model.try_infer(&mut fresh(&model), &bad) {
+                    Err(BitFlowError::InputGeometry(InputGeometry::NonFinite { index })) => {
+                        assert_eq!(index, at, "{}", spec.name)
+                    }
+                    other => panic!("{}: expected NonFinite, got {other:?}", spec.name),
+                }
+            }
+            assert!(calls(&model).iter().all(|&n| n == 0), "{}", spec.name);
+        }
     }
 
     #[test]

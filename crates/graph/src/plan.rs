@@ -13,6 +13,7 @@
 //! one shared packed-weight copy.
 
 use crate::spec::{LayerIo, LayerSpec, NetworkSpec};
+use bitflow_ops::binary::WindowPress;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -76,8 +77,15 @@ pub fn fuse_enabled_from(v: Option<&str>) -> bool {
 /// what [`crate::engine::CompiledModel`] will run, before slot assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanNode {
-    /// Binarize + press the float input tensor.
-    BinarizeInput,
+    /// Binarize + press the float input tensor: by channel into a map
+    /// padded for the first layer, or — when `windows` is set — by window,
+    /// one word per output pixel of the first convolution, which then runs
+    /// as a stride-1 1×1 convolution over that map (see
+    /// [`ExecPlan::build`] for the rule).
+    BinarizeInput {
+        /// The window press of the first layer, if the plan chose it.
+        windows: Option<WindowPress>,
+    },
     /// Binary convolution. `fused_sign == true` means the BN+sign epilogue
     /// runs inside the conv on the integer dot products and the output is
     /// written already pressed; `false` means the conv writes a float count
@@ -116,7 +124,7 @@ impl PlanNode {
     /// The spec layer this node belongs to, if any.
     pub fn layer_name(&self) -> Option<&str> {
         match self {
-            PlanNode::BinarizeInput => None,
+            PlanNode::BinarizeInput { .. } => None,
             PlanNode::Conv { name, .. }
             | PlanNode::BnSign { name }
             | PlanNode::Pool { name }
@@ -143,8 +151,23 @@ impl ExecPlan {
     /// `opts.float_taps` keep their float map observable and stay unfused;
     /// the final FC (softmax tail) is never a candidate because its float
     /// output is the network's result.
+    ///
+    /// Window press: a first-layer conv whose whole window fits one word
+    /// (`kh·kw·C ≤ 64`: an RGB 3×3 is 27 bits) gets its input pressed by
+    /// window, so its `kh·kw` window steps — each a 64-bit word holding `C`
+    /// real bits, §III-B's "else pad channels" — become one. A pure function
+    /// of the first layer's geometry; every other layer, and every wider
+    /// first layer, is channel-pressed.
     pub fn build(spec: &NetworkSpec, opts: &PlanOptions) -> Self {
-        let mut nodes = vec![PlanNode::BinarizeInput];
+        let windows = match spec.layers.first() {
+            Some(LayerSpec::Conv { params, .. }) => {
+                let taps = params.kh.checked_mul(params.kw);
+                let bits = taps.and_then(|t| t.checked_mul(spec.input.c));
+                matches!(bits, Some(1..=64)).then(|| WindowPress::new(spec.input, *params))
+            }
+            _ => None,
+        };
+        let mut nodes = vec![PlanNode::BinarizeInput { windows }];
         let last = spec.layers.len().saturating_sub(1);
         for (i, layer) in spec.layers.iter().enumerate() {
             match layer {
@@ -204,6 +227,14 @@ impl ExecPlan {
     /// The node chain, in execution order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
+    }
+
+    /// The window press of the first layer, if the plan chose it.
+    pub fn input_windows(&self) -> Option<WindowPress> {
+        match self.nodes.first() {
+            Some(PlanNode::BinarizeInput { windows }) => *windows,
+            _ => None,
+        }
     }
 
     /// Names of convs whose sign epilogue fused, in execution order.
@@ -280,14 +311,29 @@ impl MemoryPlan {
         let plan = ExecPlan::build(spec, opts);
         let fused: BTreeSet<&str> = plan.fused_convs().into_iter().collect();
         let mut buffers = Vec::new();
-        // Input pressed buffer (padded for layer 0).
-        let pad0 = spec.layers.first().map_or(0, LayerSpec::input_pad);
-        buffers.push(PlannedBuffer {
-            producer: "input".into(),
-            kind: BufferKind::PressedMap,
-            logical_elems: spec.input.numel(),
-            bytes: pressed_bytes(spec.input.h, spec.input.w, spec.input.c, pad0),
-        });
+        let mut input = |logical_elems, bytes| {
+            buffers.push(PlannedBuffer {
+                producer: "input".into(),
+                kind: BufferKind::PressedMap,
+                logical_elems,
+                bytes,
+            });
+        };
+        match plan.input_windows() {
+            // Window-pressed: the dense rows, then one word per output
+            // pixel of layer 0.
+            Some(wp) => {
+                input(spec.input.numel(), wp.scratch_words() * 8);
+                let px = wp.out_h() * wp.out_w();
+                input(px * wp.window_bits(), px * 8);
+            }
+            // Channel-pressed, padded for layer 0.
+            None => {
+                let pad0 = spec.layers.first().map_or(0, LayerSpec::input_pad);
+                let s = spec.input;
+                input(s.numel(), pressed_bytes(s.h, s.w, s.c, pad0));
+            }
+        }
         for (i, layer) in spec.layers.iter().enumerate() {
             let out_pad = spec.layers.get(i + 1).map_or(0, LayerSpec::input_pad);
             match (layer, shapes[i]) {
@@ -368,8 +414,9 @@ mod tests {
 
     use super::*;
     use crate::engine::CompiledModel;
-    use crate::models::{mlp, small_cnn, tiered_cnn, vgg16};
+    use crate::models::{mlp, small_cnn, tiered_cnn, vgg16, vgg19};
     use crate::weights::NetworkWeights;
+    use bitflow_ops::ConvParams;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -399,7 +446,58 @@ mod tests {
                 "{}",
                 spec.name
             );
+            // The two slots of a window-pressed input are in the plan as the
+            // context allocates them (these specs flatten word-tight, so
+            // nothing else is apart either).
+            if let Some(wp) = model.plan().input_windows() {
+                let plan = MemoryPlan::for_binary(&spec);
+                assert_eq!(plan.buffers[0].bytes, wp.scratch_words() * 8);
+                assert_eq!(plan.buffers[1].bytes, wp.out_h() * wp.out_w() * 8);
+                assert_eq!(plan.total_bytes(), model.context_bytes(), "{}", spec.name);
+            }
         }
+    }
+
+    #[test]
+    fn window_press_is_chosen_from_the_first_layer_alone() {
+        let first_conv = |c: usize, kh: usize, kw: usize| NetworkSpec {
+            name: format!("first-{kh}x{kw}x{c}"),
+            input: bitflow_tensor::Shape::hwc(9, 9, c),
+            layers: vec![
+                LayerSpec::Conv {
+                    name: "conv1".into(),
+                    k: 8,
+                    params: ConvParams::new(kh, kw, 1, 1),
+                },
+                LayerSpec::Fc {
+                    name: "fc1".into(),
+                    k: 10,
+                },
+            ],
+        };
+        let bits = |spec: &NetworkSpec| {
+            // Fusion has no say in it.
+            let plan = ExecPlan::build(spec, &PlanOptions::default());
+            let unfused = ExecPlan::build(spec, &PlanOptions::unfused());
+            assert_eq!(
+                plan.input_windows(),
+                unfused.input_windows(),
+                "{}",
+                spec.name
+            );
+            plan.input_windows().map(|wp| wp.window_bits())
+        };
+        for spec in [vgg16(), vgg19(), tiered_cnn()] {
+            assert_eq!(bits(&spec), Some(27), "{}", spec.name);
+        }
+        // 3×3×16 = 144 bits, no conv at all, 5×5×3 = 75 bits.
+        for spec in [small_cnn(), mlp(256, 128), first_conv(3, 5, 5)] {
+            assert_eq!(bits(&spec), None, "{}", spec.name);
+        }
+        // The rule's edge, from both sides.
+        assert_eq!(bits(&first_conv(7, 3, 3)), Some(63));
+        assert_eq!(bits(&first_conv(16, 2, 2)), Some(64));
+        assert_eq!(bits(&first_conv(13, 1, 5)), None, "65 bits");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! layer's pressed input in one pass, optionally written into the interior
 //! of a pre-zeroed padded buffer (zero-cost padding).
 
+use crate::params::ConvParams;
 use bitflow_simd::pack::pack_rows;
 use bitflow_simd::VectorScheduler;
-use bitflow_tensor::{BitTensor, Layout, Tensor};
+use bitflow_tensor::{BitTensor, Layout, Shape, Tensor};
 
 /// Binarize+pack a float NHWC tensor (threshold 0, no padding). Same result
 /// as [`BitTensor::from_tensor`], through the vector press kernel
@@ -53,6 +54,126 @@ pub fn binarize_pack_into(t: &Tensor, out: &mut BitTensor, pad: usize) {
             s.c,
             &mut out.words_mut()[base..base + row_words],
         );
+    }
+}
+
+/// Geometry of a **window-pressed** input: a first-layer convolution whose
+/// whole `kh·kw·C` window fits one word has its input pressed by window
+/// instead of by channel ([`binarize_windows_into`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowPress {
+    input: Shape,
+    params: ConvParams,
+}
+
+impl WindowPress {
+    /// The window press of `input` (batch 1, unpadded) for a convolution
+    /// with `params`.
+    ///
+    /// # Panics
+    /// If a window does not fit one word.
+    pub fn new(input: Shape, params: ConvParams) -> Self {
+        let wp = Self { input, params };
+        assert!(
+            (1..=64).contains(&wp.window_bits()),
+            "window of {} bits",
+            wp.window_bits()
+        );
+        wp
+    }
+
+    /// Logical bits per window, `kh·kw·C`: the channel count of the pressed
+    /// output, whose convolution is 1×1 at stride 1.
+    pub fn window_bits(&self) -> usize {
+        self.params.kh * self.params.kw * self.input.c
+    }
+
+    /// Output height: one window word per output pixel of the convolution.
+    ///
+    /// # Panics
+    /// On a geometry no convolution can run on (as [`ConvParams::conv_out`]).
+    pub fn out_h(&self) -> usize {
+        self.params.conv_out(self.input, 1).out_h
+    }
+
+    /// Output width (panics as [`Self::out_h`]).
+    pub fn out_w(&self) -> usize {
+        self.params.conv_out(self.input, 1).out_w
+    }
+
+    /// Whole zero words ahead of a dense row's image bits: room for the
+    /// left margin's `pad·C` bits.
+    fn lead_words(&self) -> usize {
+        (self.params.pad * self.input.c).div_ceil(64)
+    }
+
+    /// Words per dense row of the scratch: the lead, the image and right
+    /// margin bits, and one more so a field can always be read as two words.
+    fn row_words(&self) -> usize {
+        self.lead_words() + ((self.input.w + self.params.pad) * self.input.c).div_ceil(64) + 1
+    }
+
+    /// Words of row scratch [`binarize_windows_into`] needs: `h + 2·pad`
+    /// dense rows. Must start out zero; the margins are never written.
+    pub fn scratch_words(&self) -> usize {
+        (self.input.h + 2 * self.params.pad) * self.row_words()
+    }
+}
+
+/// Window press — an im2row done once, on bits. Every input row of `W·C`
+/// floats is pressed once into a dense bit stream in `rows` (pixel x at bit
+/// `x·C`), then one word is written per *output* pixel (y, x) of the
+/// convolution: window row r is the field of `kw·C` contiguous bits at bit
+/// offset `(x·stride − pad)·C` of input row `y·stride + r − pad`, placed at
+/// bit `r·kw·C`; bits beyond the map's edge are zero, the logical −1 of the
+/// padding margin. A filter's `kh·kw·C` floats are in exactly that order, so
+/// the same floats pressed as a `1×1×(kh·kw·C)` filter convolve `out` at
+/// stride 1 into what the channel-pressed `kh×kw` convolution produces, in
+/// one window step instead of `kh·kw`.
+///
+/// `rows` is [`WindowPress::scratch_words`] words that were zero before
+/// their first use here and are otherwise only passed to this function.
+pub fn binarize_windows_into(t: &Tensor, wp: &WindowPress, rows: &mut [u64], out: &mut BitTensor) {
+    assert_eq!(t.layout(), Layout::Nhwc);
+    assert_eq!(t.shape(), wp.input, "input shape");
+    assert_eq!(rows.len(), wp.scratch_words(), "row scratch size");
+    assert_eq!(
+        (out.h(), out.w(), out.c()),
+        (wp.out_h(), wp.out_w(), wp.window_bits()),
+        "one window word per output pixel"
+    );
+    let (
+        Shape { h, w, c, .. },
+        ConvParams {
+            kh, stride, pad, ..
+        },
+    ) = (wp.input, wp.params);
+    let level = VectorScheduler::new().streaming_level();
+    let (lead, row_words, image_words) = (wp.lead_words(), wp.row_words(), (w * c).div_ceil(64));
+    for (y, row) in rows
+        .chunks_exact_mut(row_words)
+        .skip(pad)
+        .take(h)
+        .enumerate()
+    {
+        let floats = &t.data()[y * w * c..][..w * c];
+        pack_rows(level, floats, 1, w * c, &mut row[lead..lead + image_words]);
+    }
+    // Bit 0 of output column 0's field: the left margin ends where the
+    // image bits begin, at word `lead`.
+    let origin = lead * 64 - pad * c;
+    let field_bits = wp.params.kw * c;
+    let mask = !0u64 >> (64 - field_bits);
+    for (y, out_row) in out.words_mut().chunks_exact_mut(wp.out_w()).enumerate() {
+        for r in 0..kh {
+            let row = &rows[(y * stride + r) * row_words..][..row_words];
+            for (x, o) in out_row.iter_mut().enumerate() {
+                let bit = origin + x * stride * c;
+                let pair = row[bit / 64] as u128 | (row[bit / 64 + 1] as u128) << 64;
+                let field = ((pair >> (bit % 64)) as u64 & mask) << (r * field_bits);
+                *o = if r == 0 { field } else { *o | field };
+            }
+        }
     }
 }
 
@@ -198,6 +319,70 @@ mod tests {
         let a = binarize_pack_padded(&t, 1);
         let b = BitTensor::from_tensor_padded(&t, 1);
         assert_eq!(a.words(), b.words());
+    }
+
+    #[test]
+    fn window_press_is_the_window_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(134);
+        // (c, kh, kw): windows of 1 … 64 bits, fields that straddle words.
+        for (c, kh, kw) in [
+            (1usize, 1usize, 1usize),
+            (3, 3, 3),
+            (7, 3, 3),
+            (4, 2, 3),
+            (2, 5, 5),
+            (64, 1, 1),
+            (21, 1, 3),
+            (16, 2, 2),
+        ] {
+            for stride in 1..=2usize {
+                for pad in 0..=2usize {
+                    for (h, w) in [(5usize, 7usize), (9, 23), (3, 45)] {
+                        if kh > h + 2 * pad || kw > w + 2 * pad {
+                            continue;
+                        }
+                        let what = format!("c={c} {kh}x{kw} s={stride} p={pad} {h}x{w}");
+                        let t = Tensor::random(Shape::hwc(h, w, c), Layout::Nhwc, &mut rng);
+                        let wp = WindowPress::new(t.shape(), ConvParams::new(kh, kw, stride, pad));
+                        let mut rows = vec![0u64; wp.scratch_words()];
+                        let mut out = BitTensor::zeros(wp.out_h(), wp.out_w(), wp.window_bits());
+                        // Twice through the same scratch, poisoned output:
+                        // every word is written whole, the margins stay zero.
+                        for _ in 0..2 {
+                            out.words_mut().fill(!0);
+                            binarize_windows_into(&t, &wp, &mut rows, &mut out);
+                        }
+                        assert!(out.tail_is_zero(), "{what}");
+                        for y in 0..wp.out_h() {
+                            for x in 0..wp.out_w() {
+                                for (bit, (r, j, ch)) in (0..kh)
+                                    .flat_map(|r| {
+                                        (0..kw).flat_map(move |j| (0..c).map(move |ch| (r, j, ch)))
+                                    })
+                                    .enumerate()
+                                {
+                                    let (iy, ix) = (y * stride + r, x * stride + j);
+                                    let inside =
+                                        iy >= pad && iy < h + pad && ix >= pad && ix < w + pad;
+                                    let want = inside && t.at(0, iy - pad, ix - pad, ch) >= 0.0;
+                                    assert_eq!(
+                                        out.get(y, x, bit) == 1,
+                                        want,
+                                        "{what} ({y},{x}) bit {bit}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window of 65 bits")]
+    fn a_window_wider_than_a_word_is_refused() {
+        WindowPress::new(Shape::hwc(4, 4, 13), ConvParams::new(1, 5, 1, 0));
     }
 
     #[test]

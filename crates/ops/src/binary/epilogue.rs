@@ -49,16 +49,17 @@ pub enum PopCmp {
 /// Stored **lane-ready** for the filter-lane conv core
 /// (`bitflow_simd::conv`): every channel is normalised to the single
 /// compare `pop ≤ bound`, with `pop ≥ b` kept as `pop ≤ b − 1` plus a flip
-/// bit, so eight channels are decided by one vector compare and one xor
-/// with the group's flip byte. The arrays are padded to whole groups of
-/// [`LANES`] with never-set lanes (`bound = −1`, no flip), which is what
+/// bit, so eight channels are decided by one vector compare and the flip
+/// bits of 64 channels are one xor mask for the output word they fill. The
+/// bounds are padded to whole groups of [`LANES`] with never-set lanes
+/// (`bound = −1`) and the masks to whole words with no flip, which is what
 /// keeps the press tail of a conv output zero.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignThresholds {
     /// `bit = (pop ≤ lane_bounds[c]) ^ flip bit c`; `⌈len/8⌉·8` entries.
     lane_bounds: Vec<i64>,
-    /// Bit `c % 8` of byte `c / 8` is set for [`PopCmp::Ge`] channels.
-    lane_flips: Vec<u8>,
+    /// Bit `c % 64` of word `c / 64` is set for [`PopCmp::Ge`] channels.
+    flip_words: Vec<u64>,
     len: usize,
     /// Logical bits per reduction (`kh·kw·c` for a conv window, `n` for an
     /// FC row): `dot = window_bits − 2·pop`.
@@ -72,9 +73,8 @@ impl SignThresholds {
         assert_eq!(fold.thresholds.len(), fold.flip.len());
         let n = window_bits as i64;
         let len = fold.thresholds.len();
-        let groups = len.div_ceil(LANES);
-        let mut lane_bounds = vec![-1i64; groups * LANES];
-        let mut lane_flips = vec![0u8; groups];
+        let mut lane_bounds = vec![-1i64; len.div_ceil(LANES) * LANES];
+        let mut flip_words = vec![0u64; len.div_ceil(64)];
         for (c, (&t, &flip)) in fold.thresholds.iter().zip(&fold.flip).enumerate() {
             if t.is_nan() {
                 // `x ≥ NaN` and `x ≤ NaN` are both false: constant −1,
@@ -90,12 +90,12 @@ impl SignThresholds {
                 // bit ⇔ dot ≤ ⌊t⌋ ⇔ pop ≥ ⌈(n − ⌊t⌋)/2⌉ ⇔ ¬(pop ≤ that − 1).
                 let d = (t.floor() as i64).clamp(-(n + 2), n + 2);
                 lane_bounds[c] = (n - d + 1).div_euclid(2) - 1;
-                lane_flips[c / LANES] |= 1 << (c % LANES);
+                flip_words[c / 64] |= 1 << (c % 64);
             }
         }
         Self {
             lane_bounds,
-            lane_flips,
+            flip_words,
             len,
             window_bits: n,
         }
@@ -121,9 +121,9 @@ impl SignThresholds {
         &self.lane_bounds
     }
 
-    /// One flip byte per lane group (see the type docs).
-    pub fn lane_flips(&self) -> &[u8] {
-        &self.lane_flips
+    /// One xor mask per 64 channels (see the type docs).
+    pub fn flip_words(&self) -> &[u64] {
+        &self.flip_words
     }
 
     /// The popcount bound of channel `c`, in its own [`Self::direction`].
@@ -137,7 +137,7 @@ impl SignThresholds {
     /// Whether channel `c`'s flip bit is set.
     #[inline]
     fn flipped(&self, c: usize) -> bool {
-        (self.lane_flips[c / LANES] >> (c % LANES)) & 1 == 1
+        (self.flip_words[c / 64] >> (c % 64)) & 1 == 1
     }
 
     /// The comparison direction of channel `c`.

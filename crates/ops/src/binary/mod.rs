@@ -32,7 +32,7 @@ pub mod pressed_conv;
 
 pub use binarize::{
     binarize_pack, binarize_pack_into, binarize_pack_padded, binarize_threshold_into,
-    binarize_threshold_padded, fold_bn_into_thresholds, BnFold,
+    binarize_threshold_padded, binarize_windows_into, fold_bn_into_thresholds, BnFold, WindowPress,
 };
 pub use epilogue::{pack_signed_dots_into, ConvEpilogue, PopCmp, SignThresholds};
 pub use fc::{binary_fc, binary_fc_parallel, BinaryFcWeights};

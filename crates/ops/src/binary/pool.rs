@@ -2,12 +2,13 @@
 //!
 //! In the {−1,+1} domain with the +1 ↦ 1 encoding, `max` of a window is 1
 //! exactly when any element is 1 — a bitwise OR. The operator keeps the
-//! NHWC pressed layout and ORs whole channel-word vectors, so it runs at
-//! memory speed with the same kernels widths as PressedConv.
+//! NHWC pressed layout and works an output row at a time: each of the
+//! `kh·kw` window taps is one pass that ORs a strided run of input pixels
+//! into the row's words, a plain word loop the compiler vectorizes, so it
+//! runs at memory speed at every channel width.
 
 use bitflow_simd::kernels::SimdLevel;
-use bitflow_simd::or_accumulate;
-use bitflow_simd::scheduler::infer_pool;
+use bitflow_simd::scheduler::{infer_pool, ConvGeometry};
 use bitflow_tensor::BitTensor;
 use rayon::prelude::*;
 
@@ -27,9 +28,10 @@ pub fn binary_max_pool(
 
 /// Binary max-pool into the interior of a pre-allocated (optionally padded)
 /// output tensor — the allocation-free engine path, with zero-cost padding
-/// for the following convolution baked into `out`.
+/// for the following convolution baked into `out`. The OR is a word loop at
+/// every `level`, which is kept for the callers that carry one.
 pub fn binary_max_pool_into(
-    level: SimdLevel,
+    _level: SimdLevel,
     input: &BitTensor,
     kh: usize,
     kw: usize,
@@ -45,60 +47,69 @@ pub fn binary_max_pool_into(
         "output height incl. padding"
     );
     assert_eq!(out.w(), g.out_w + 2 * out_pad, "output width incl. padding");
-    let cw = input.c_words();
+    let row_words = g.out_w * input.c_words();
     for oy in 0..g.out_h {
-        for ox in 0..g.out_w {
-            let base = out.pixel_words_index(oy + out_pad, ox + out_pad);
-            pool_window(level, input, kh, kw, stride, oy, ox, {
-                &mut out.words_mut()[base..base + cw]
-            });
-        }
+        let at = out.pixel_words_index(oy + out_pad, out_pad);
+        let orow = &mut out.words_mut()[at..at + row_words];
+        pool_row(input, (kh, kw, stride), oy, orow);
     }
 }
 
-/// Multi-threaded binary max-pool (output pixels over the installed pool).
+/// Multi-threaded binary max-pool (output rows over the installed pool).
 /// Bit-identical to the serial version.
 pub fn binary_max_pool_parallel(
-    level: SimdLevel,
+    _level: SimdLevel,
     input: &BitTensor,
     kh: usize,
     kw: usize,
     stride: usize,
 ) -> BitTensor {
-    let g = infer_pool(input.h(), input.w(), input.c(), kh, kw, stride);
-    let mut out = BitTensor::zeros(g.out_h, g.out_w, input.c());
-    let cw = input.c_words();
-    let out_w = g.out_w;
+    let ConvGeometry { out_h, out_w, .. } =
+        infer_pool(input.h(), input.w(), input.c(), kh, kw, stride);
+    let mut out = BitTensor::zeros(out_h, out_w, input.c());
     out.words_mut()
-        .par_chunks_mut(cw)
+        .par_chunks_mut(out_w * input.c_words())
         .enumerate()
-        .with_min_len(32)
-        .for_each(|(px, owords)| {
-            pool_window(level, input, kh, kw, stride, px / out_w, px % out_w, owords);
-        });
+        .for_each(|(oy, orow)| pool_row(input, (kh, kw, stride), oy, orow));
     out
 }
 
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pool_window(
-    level: SimdLevel,
+/// Output row `oy` of the pool into `orow` (whole pixels, `out_w·c_words`
+/// words): one pass per window tap, the first copied, the others ORed on
+/// top. Output pixel ox reads input pixel `ox·stride + j` of the tap's row.
+/// A pixel of four words or more is ORed as the contiguous run it is; a
+/// narrower one is all loop overhead that way, so its passes go down one
+/// word column at a time, a strided loop as long as the row.
+fn pool_row(
     input: &BitTensor,
-    kh: usize,
-    kw: usize,
-    stride: usize,
+    (kh, kw, stride): (usize, usize, usize),
     oy: usize,
-    ox: usize,
-    owords: &mut [u64],
+    orow: &mut [u64],
 ) {
-    let (iy, ix) = (oy * stride, ox * stride);
-    owords.copy_from_slice(input.pixel_words(iy, ix));
+    let cw = input.c_words();
+    let (out_w, pitch) = (orow.len() / cw, stride * cw);
     for i in 0..kh {
+        let irow = input.row_words(oy * stride + i, 0, input.w());
         for j in 0..kw {
-            if i == 0 && j == 0 {
-                continue;
+            let (taps, first) = (&irow[j * cw..], i == 0 && j == 0);
+            if cw >= 4 {
+                for ox in 0..out_w {
+                    let (o, t) = (&mut orow[ox * cw..][..cw], &taps[ox * pitch..][..cw]);
+                    if first {
+                        o.copy_from_slice(t);
+                    } else {
+                        o.iter_mut().zip(t).for_each(|(o, t)| *o |= t);
+                    }
+                }
+            } else {
+                for w in 0..cw {
+                    for ox in 0..out_w {
+                        let t = taps[ox * pitch + w];
+                        let o = &mut orow[ox * cw + w];
+                        *o = if first { t } else { *o | t };
+                    }
+                }
             }
-            or_accumulate(level, owords, input.pixel_words(iy + i, ix + j));
         }
     }
 }

@@ -167,7 +167,7 @@ pub fn pressed_conv_sign_into(
     for_row_bands(interior, row_stride, out_h, parallel, |rows, out| {
         let sink = ConvSink::Sign {
             bounds: st.lane_bounds(),
-            flips: st.lane_flips(),
+            flips: st.flip_words(),
             out,
             origin,
             row_stride,

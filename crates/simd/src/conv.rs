@@ -12,19 +12,27 @@
 //!   group): per window word it loads one group, xors it against the
 //!   **broadcast** input word of each tile pixel, popcounts, and adds into
 //!   that pixel's accumulator — eight pixels × eight filters of running
-//!   popcounts held in registers, each filter word loaded once per tile;
+//!   popcounts held in registers, each filter word loaded once per tile. The
+//!   window is one flat run of `kh·kw·c_words` steps over a running input
+//!   offset, and its first step *is* the accumulator (no zeroing, no add),
+//!   so a one-word window — the window-pressed first layer — is a xor and a
+//!   popcount per pixel and nothing else;
 //! * after the window a [`ConvSink::Sign`] compares the eight popcounts of a
 //!   pixel against the group's eight bounds in one vector compare, yielding
-//!   eight output **bits**; eight groups fill an output word in a register
-//!   and it is stored. A [`ConvSink::Dots`] stores `n − 2·pop` as `f32`
+//!   eight output **bits** — one byte of the pixel's output word, stored as
+//!   a byte into the tile's 64-byte block of words; after eight groups the
+//!   words are read back whole, the word's flip mask is xored in once, and
+//!   they are stored. A [`ConvSink::Dots`] stores `n − 2·pop` as `f32`
 //!   instead. No float accumulator, no dot scratch, no horizontal
 //!   reduction, no transposition.
 //!
 //! Because the lane axis is K, the same loop serves every channel width,
-//! kernel size and stride. The SIMD tier is dispatched once per call and
-//! only decides how a 64-byte group is processed ([`GroupBody`]): one zmm
-//! with `VPOPCNTQ`, two ymm with the nibble-lookup popcount, or eight
-//! scalar words.
+//! kernel size and stride. It is monomorphized over the SIMD tier and the
+//! sink, both dispatched once per call: the tier decides how a 64-byte group
+//! is processed ([`GroupBody`]: one zmm with `VPOPCNTQ`, two ymm with the
+//! nibble-lookup popcount, or eight scalar words), the sink what happens to
+//! the finished popcounts ([`TileSink`]), so neither sink's registers or
+//! spills exist in the other's loop.
 //!
 //! Layout contract (established by `bitflow-tensor`):
 //!
@@ -69,18 +77,18 @@ pub struct ConvGeom {
 
 /// What the core does with the popcounts of a finished window.
 pub enum ConvSink<'a> {
-    /// Threshold-sign in the popcount domain and store pressed bits: lane
-    /// `l` of group `g` yields `(pop ≤ bounds[8g + l]) ^ bit l of flips[g]`.
-    /// Output pixel (y, x) of the call's row range occupies the
-    /// `⌈K/64⌉` words at `origin + (y − rows.start)·row_stride + x·⌈K/64⌉`
-    /// of `out`; words outside those pixels (padding margins) are not
-    /// touched. Lanes beyond K must carry `bounds = −1`, `flip = 0` so the
-    /// press tail stays zero.
+    /// Threshold-sign in the popcount domain and store pressed bits: bit
+    /// `k % 64` of output word `k / 64` is `(pop ≤ bounds[k]) ^ bit k % 64 of
+    /// flips[k / 64]`. Output pixel (y, x) of the call's row range occupies
+    /// the `⌈K/64⌉` words at `origin + (y − rows.start)·row_stride +
+    /// x·⌈K/64⌉` of `out`; words outside those pixels (padding margins) are
+    /// not touched. Lanes beyond K must carry `bounds = −1`, `flip = 0` so
+    /// the press tail stays zero.
     Sign {
         /// `⌈K/8⌉·8` popcount bounds.
         bounds: &'a [i64],
-        /// `⌈K/8⌉` per-group direction bytes.
-        flips: &'a [u8],
+        /// `⌈K/64⌉` xor masks, one per output word of a pixel.
+        flips: &'a [u64],
         /// Destination words.
         out: &'a mut [u64],
         /// Word offset of the first output pixel of the row range.
@@ -99,29 +107,25 @@ pub enum ConvSink<'a> {
 }
 
 /// How one SIMD tier processes a 64-byte filter group. `Acc` holds the eight
-/// running popcounts of one output pixel.
+/// running popcounts of one output pixel, `Bounds` a group's eight popcount
+/// bounds, loaded once per (tile, group).
 ///
 /// # Safety
-/// Every method requires the tier's CPU features to be available; `load`
-/// additionally requires [`LANES`] readable words at `f`.
+/// Every method requires the tier's CPU features to be available; `load` and
+/// `bounds` additionally require [`LANES`] readable words at their pointer.
 trait GroupBody {
     type Group: Copy;
     type Acc: Copy;
-    unsafe fn zero() -> Self::Acc;
+    type Bounds: Copy;
     unsafe fn load(f: *const u64) -> Self::Group;
+    /// `popcount(f ⊕ broadcast(x))`, lane-wise: a window's first step.
+    unsafe fn first(f: Self::Group, x: u64) -> Self::Acc;
     /// `acc + popcount(f ⊕ broadcast(x))`, lane-wise.
     unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc;
     unsafe fn pops(acc: Self::Acc) -> [u64; LANES];
-    /// Bit `l` = `pops[l] ≤ bounds[l]`.
-    #[inline(always)]
-    unsafe fn le_mask(acc: Self::Acc, bounds: &[i64; LANES]) -> u8 {
-        let pops = Self::pops(acc);
-        let mut m = 0u8;
-        for (l, (&pop, &bound)) in pops.iter().zip(bounds).enumerate() {
-            m |= ((pop as i64 <= bound) as u8) << l;
-        }
-        m
-    }
+    unsafe fn bounds(b: *const i64) -> Self::Bounds;
+    /// Bit `l` = `pops[l] ≤ bounds[l]`; bits 8 and up are zero.
+    unsafe fn le_mask(acc: Self::Acc, bounds: Self::Bounds) -> u64;
 }
 
 /// Eight scalar words per group: the Scalar/SSE tier (SSE has no vector
@@ -133,13 +137,14 @@ struct Words<const OPAQUE: bool>;
 impl<const OPAQUE: bool> GroupBody for Words<OPAQUE> {
     type Group = [u64; LANES];
     type Acc = [u64; LANES];
-    #[inline(always)]
-    unsafe fn zero() -> Self::Acc {
-        [0; LANES]
-    }
+    type Bounds = [i64; LANES];
     #[inline(always)]
     unsafe fn load(f: *const u64) -> Self::Group {
         f.cast::<[u64; LANES]>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn first(f: Self::Group, x: u64) -> Self::Acc {
+        Self::step([0; LANES], f, x)
     }
     #[inline(always)]
     unsafe fn step(mut acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
@@ -157,13 +162,26 @@ impl<const OPAQUE: bool> GroupBody for Words<OPAQUE> {
     unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
         acc
     }
+    #[inline(always)]
+    unsafe fn bounds(b: *const i64) -> Self::Bounds {
+        b.cast::<[i64; LANES]>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn le_mask(acc: Self::Acc, bounds: Self::Bounds) -> u64 {
+        let mut m = 0u64;
+        for (l, (&pop, &bound)) in acc.iter().zip(&bounds).enumerate() {
+            m |= ((pop as i64 <= bound) as u64) << l;
+        }
+        m
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
 /// Two ymm halves per group with the nibble-lookup popcount: the AVX2 tier,
-/// and AVX-512 hosts without VPOPCNTDQ.
+/// and AVX-512 hosts without VPOPCNTDQ. The sign compare is two `VPCMPGTQ`
+/// whose sign bits `VMOVMSKPD` collects.
 #[cfg(target_arch = "x86_64")]
 struct Ymm2;
 
@@ -171,10 +189,7 @@ struct Ymm2;
 impl GroupBody for Ymm2 {
     type Group = [__m256i; 2];
     type Acc = [__m256i; 2];
-    #[inline(always)]
-    unsafe fn zero() -> Self::Acc {
-        [_mm256_setzero_si256(); 2]
-    }
+    type Bounds = [__m256i; 2];
     #[inline(always)]
     unsafe fn load(f: *const u64) -> Self::Group {
         [
@@ -183,12 +198,20 @@ impl GroupBody for Ymm2 {
         ]
     }
     #[inline(always)]
-    unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
+    unsafe fn first(f: Self::Group, x: u64) -> Self::Acc {
         use crate::popcount::popcount_m256_lookup as popcount;
         let x = _mm256_set1_epi64x(x as i64);
         [
-            _mm256_add_epi64(acc[0], popcount(_mm256_xor_si256(f[0], x))),
-            _mm256_add_epi64(acc[1], popcount(_mm256_xor_si256(f[1], x))),
+            popcount(_mm256_xor_si256(f[0], x)),
+            popcount(_mm256_xor_si256(f[1], x)),
+        ]
+    }
+    #[inline(always)]
+    unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
+        let pop = Self::first(f, x);
+        [
+            _mm256_add_epi64(acc[0], pop[0]),
+            _mm256_add_epi64(acc[1], pop[1]),
         ]
     }
     #[inline(always)]
@@ -197,6 +220,17 @@ impl GroupBody for Ymm2 {
         _mm256_storeu_si256(pops.as_mut_ptr() as *mut __m256i, acc[0]);
         _mm256_storeu_si256(pops.as_mut_ptr().add(4) as *mut __m256i, acc[1]);
         pops
+    }
+    #[inline(always)]
+    unsafe fn bounds(b: *const i64) -> Self::Bounds {
+        Self::load(b as *const u64)
+    }
+    #[inline(always)]
+    unsafe fn le_mask(acc: Self::Acc, bounds: Self::Bounds) -> u64 {
+        // Popcounts are far below 2⁶³, so the signed compare is exact.
+        let gt0 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(acc[0], bounds[0])));
+        let gt1 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(acc[1], bounds[1])));
+        (gt0 | gt1 << 4) as u64 ^ 0xFF
     }
 }
 
@@ -209,18 +243,18 @@ struct Zmm;
 impl GroupBody for Zmm {
     type Group = __m512i;
     type Acc = __m512i;
-    #[inline(always)]
-    unsafe fn zero() -> Self::Acc {
-        _mm512_setzero_si512()
-    }
+    type Bounds = __m512i;
     #[inline(always)]
     unsafe fn load(f: *const u64) -> Self::Group {
         _mm512_loadu_si512(f as *const _)
     }
     #[inline(always)]
+    unsafe fn first(f: Self::Group, x: u64) -> Self::Acc {
+        _mm512_popcnt_epi64(_mm512_xor_si512(f, _mm512_set1_epi64(x as i64)))
+    }
+    #[inline(always)]
     unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc {
-        let v = _mm512_xor_si512(f, _mm512_set1_epi64(x as i64));
-        _mm512_add_epi64(acc, _mm512_popcnt_epi64(v))
+        _mm512_add_epi64(acc, Self::first(f, x))
     }
     #[inline(always)]
     unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
@@ -229,109 +263,205 @@ impl GroupBody for Zmm {
         pops
     }
     #[inline(always)]
-    unsafe fn le_mask(acc: Self::Acc, bounds: &[i64; LANES]) -> u8 {
-        _mm512_cmple_epi64_mask(acc, _mm512_loadu_si512(bounds.as_ptr() as *const _))
+    unsafe fn bounds(b: *const i64) -> Self::Bounds {
+        _mm512_loadu_si512(b as *const _)
+    }
+    #[inline(always)]
+    unsafe fn le_mask(acc: Self::Acc, bounds: Self::Bounds) -> u64 {
+        _mm512_cmple_epi64_mask(acc, bounds) as u64
     }
 }
 
-/// The tile loop, monomorphized per tier.
+/// What one sink does with a tile's finished popcounts. `Word` is whatever
+/// a tile carries from group to group of one output word.
+///
+/// # Safety
+/// `group` requires `B`'s CPU features; both methods rely on the slice
+/// checks of [`conv_rows`] for the geometry they are called with.
+trait TileSink {
+    type Word: Copy;
+    const EMPTY: Self::Word;
+    /// Takes the popcounts of filter group `gi` for the tile whose first
+    /// pixel is number `px0` of the row range and which has `valid` pixels.
+    unsafe fn group<B: GroupBody>(
+        &mut self,
+        gi: usize,
+        acc: &[B::Acc; TILE],
+        word: &mut Self::Word,
+        px0: usize,
+        valid: usize,
+    );
+    /// Called after the groups of output word `wi`; `dst[p]` is the offset
+    /// of tile pixel `p` relative to the first pixel of the row range, in
+    /// output-pixel words.
+    unsafe fn word(&mut self, wi: usize, word: Self::Word, dst: &[usize]);
+}
+
+/// [`ConvSink::Sign`] inside the tile loop: a group's eight sign bits are
+/// byte `gi % 8` of its pixel's output word, written there as a byte — a
+/// store, which leaves the popcount and compare ports alone — so after
+/// eight groups the tile's eight words are complete. A last word of fewer
+/// groups keeps the zero bytes it started with: the press tail.
+struct SignSink<'a> {
+    bounds: &'a [i64],
+    flips: &'a [u64],
+    out: &'a mut [u64],
+    origin: usize,
+}
+
+impl TileSink for SignSink<'_> {
+    type Word = [[u8; WORD_GROUPS]; TILE];
+    const EMPTY: Self::Word = [[0; WORD_GROUPS]; TILE];
+    #[inline(always)]
+    unsafe fn group<B: GroupBody>(
+        &mut self,
+        gi: usize,
+        acc: &[B::Acc; TILE],
+        word: &mut Self::Word,
+        _px0: usize,
+        _valid: usize,
+    ) {
+        // SAFETY: `gi < ⌈K/8⌉` and conv_rows asserted `⌈K/8⌉·8` bounds; B's
+        // features are available (caller contract).
+        unsafe {
+            let b = B::bounds(self.bounds.as_ptr().add(gi * LANES));
+            for (w, &a) in word.iter_mut().zip(acc) {
+                w[gi % WORD_GROUPS] = B::le_mask(a, b) as u8;
+            }
+        }
+    }
+    #[inline(always)]
+    unsafe fn word(&mut self, wi: usize, word: Self::Word, dst: &[usize]) {
+        let flip = self.flips[wi];
+        for (&d, &w) in dst.iter().zip(&word) {
+            self.out[self.origin + d + wi] = u64::from_le_bytes(w) ^ flip;
+        }
+    }
+}
+
+/// [`ConvSink::Dots`] inside the tile loop.
+struct DotsSink<'a> {
+    window_bits: i32,
+    k: usize,
+    out: &'a mut [f32],
+}
+
+impl TileSink for DotsSink<'_> {
+    type Word = ();
+    const EMPTY: Self::Word = ();
+    #[inline(always)]
+    unsafe fn group<B: GroupBody>(
+        &mut self,
+        gi: usize,
+        acc: &[B::Acc; TILE],
+        _word: &mut Self::Word,
+        px0: usize,
+        valid: usize,
+    ) {
+        let lanes = LANES.min(self.k - gi * LANES);
+        for (p, &a) in acc[..valid].iter().enumerate() {
+            // SAFETY: B's features are available.
+            let pops = unsafe { B::pops(a) };
+            let o = (px0 + p) * self.k + gi * LANES;
+            for (dst, &pop) in self.out[o..o + lanes].iter_mut().zip(&pops) {
+                *dst = (self.window_bits - 2 * pop as i32) as f32;
+            }
+        }
+    }
+    #[inline(always)]
+    unsafe fn word(&mut self, _wi: usize, _word: Self::Word, _dst: &[usize]) {}
+}
+
+/// The tile loop, monomorphized per tier and sink. `dst_row` is the sink's
+/// word distance between output rows (see [`TileSink::word`]).
 ///
 /// # Safety
 /// `B`'s CPU features must be available, and the geometry must have passed
 /// the bounds checks of [`conv_rows`]: every window word of every pixel of
 /// `rows` lies inside `input`, and `filters` holds `⌈K/8⌉` whole groups.
 #[inline(always)]
-unsafe fn tiles<B: GroupBody>(
+unsafe fn tiles<B: GroupBody, S: TileSink>(
     input: &[u64],
     filters: &[u64],
     g: &ConvGeom,
     rows: Range<usize>,
-    sink: &mut ConvSink<'_>,
+    dst_row: usize,
+    sink: &mut S,
 ) {
     let row_len = g.kw * g.c_words;
-    let in_row = g.in_w * g.c_words;
-    let group_words = g.kh * row_len * LANES;
+    // From the last word of a window row to the first of the next.
+    let row_skip = g.in_w * g.c_words - row_len;
+    let steps = g.kh * row_len;
     let groups = g.k.div_ceil(LANES);
     let out_c_words = g.k.div_ceil(64);
+    let px_pitch = g.stride * g.c_words;
     let n_px = rows.len() * g.out_w;
-    let (mut oy, mut ox) = (0usize, 0usize);
+    let (inp, fil) = (input.as_ptr(), filters.as_ptr());
+    // Window origin in `input`, and sink offset, of the next pixel and of
+    // the first pixel of its row.
+    let mut row_at = (rows.start * g.stride * g.in_w * g.c_words, 0usize);
+    let mut at = row_at;
+    let mut ox = 0usize;
     for px0 in (0..n_px).step_by(TILE) {
         let valid = TILE.min(n_px - px0);
-        // Window origin in `input`, and (row, x) within the row range, of
-        // every tile pixel.
         let mut base = [0usize; TILE];
-        let mut at = [(0usize, 0usize); TILE];
+        let mut dst = [0usize; TILE];
         for p in 0..TILE {
             if p < valid {
-                base[p] = ((rows.start + oy) * g.stride * g.in_w + ox * g.stride) * g.c_words;
-                at[p] = (oy, ox);
+                (base[p], dst[p]) = at;
                 ox += 1;
                 if ox == g.out_w {
-                    (oy, ox) = (oy + 1, 0);
+                    ox = 0;
+                    row_at = (row_at.0 + g.in_w * px_pitch, row_at.1 + dst_row);
+                    at = row_at;
+                } else {
+                    at = (at.0 + px_pitch, at.1 + out_c_words);
                 }
             } else {
                 base[p] = base[valid - 1];
             }
         }
         for g0 in (0..groups).step_by(WORD_GROUPS) {
-            let mut word = [0u64; TILE];
+            let mut word = S::EMPTY;
             for gi in g0..groups.min(g0 + WORD_GROUPS) {
-                // SAFETY: B's features are available (caller contract).
-                let mut acc = [unsafe { B::zero() }; TILE];
-                for r in 0..g.kh {
-                    for i in 0..row_len {
-                        let t = r * row_len + i;
-                        // SAFETY: `gi < groups` and `t < kh·row_len`, so the
-                        // LANES words at this offset are inside the
-                        // `groups·group_words` filter words conv_rows
-                        // asserted; `base[p] + r·in_row + i` is a window word
-                        // of a pixel of `rows`, asserted inside `input`.
-                        unsafe {
-                            let f = B::load(filters.as_ptr().add(gi * group_words + t * LANES));
+                // SAFETY: `gi < groups` and `t < steps`, so the LANES words
+                // at `(gi·steps + t)·LANES` are inside the `groups·steps·
+                // LANES` filter words conv_rows asserted; `base[p] + off`
+                // walks the `kh` runs of `row_len` window words of a pixel
+                // of `rows`, asserted inside `input`. B's features are
+                // available (caller contract).
+                unsafe {
+                    let mut f = fil.add(gi * steps * LANES);
+                    let f0 = B::load(f);
+                    let mut acc = [B::first(f0, *inp.add(base[0])); TILE];
+                    for p in 1..TILE {
+                        acc[p] = B::first(f0, *inp.add(base[p]));
+                    }
+                    // The rest of the window: `kh` runs of `row_len` words,
+                    // the first one short of the step taken above.
+                    let (mut off, mut run) = (1usize, row_len - 1);
+                    for _ in 0..g.kh {
+                        for _ in 0..run {
+                            f = f.add(LANES);
+                            let ft = B::load(f);
                             for (a, &b) in acc.iter_mut().zip(&base) {
-                                *a = B::step(*a, f, *input.as_ptr().add(b + r * in_row + i));
+                                *a = B::step(*a, ft, *inp.add(b + off));
                             }
+                            off += 1;
                         }
+                        off += row_skip;
+                        run = row_len;
                     }
-                }
-                match sink {
-                    ConvSink::Sign { bounds, flips, .. } => {
-                        let b: &[i64; LANES] = bounds[gi * LANES..][..LANES]
-                            .try_into()
-                            .expect("a whole group of bounds");
-                        for (w, &a) in word.iter_mut().zip(&acc) {
-                            // SAFETY: B's features are available.
-                            let bits = unsafe { B::le_mask(a, b) } ^ flips[gi];
-                            *w |= (bits as u64) << (LANES * (gi - g0));
-                        }
-                    }
-                    ConvSink::Dots { window_bits, out } => {
-                        let lanes = LANES.min(g.k - gi * LANES);
-                        for (p, &a) in acc[..valid].iter().enumerate() {
-                            // SAFETY: B's features are available.
-                            let pops = unsafe { B::pops(a) };
-                            let o = (px0 + p) * g.k + gi * LANES;
-                            for (dst, &pop) in out[o..o + lanes].iter_mut().zip(&pops) {
-                                *dst = (*window_bits - 2 * pop as i32) as f32;
-                            }
-                        }
-                    }
+                    sink.group::<B>(gi, &acc, &mut word, px0, valid);
                 }
             }
-            if let ConvSink::Sign {
-                out,
-                origin,
-                row_stride,
-                ..
-            } = sink
-            {
-                for (&(y, x), &w) in at[..valid].iter().zip(&word) {
-                    out[*origin + y * *row_stride + x * out_c_words + g0 / WORD_GROUPS] = w;
-                }
-            }
+            // SAFETY: forwarded contract.
+            unsafe { sink.word(g0 / WORD_GROUPS, word, &dst[..valid]) };
         }
     }
 }
+
+type TileFn<S> = unsafe fn(&[u64], &[u64], &ConvGeom, Range<usize>, usize, &mut S);
 
 /// [`tiles`] compiled with a tier's CPU features enabled.
 macro_rules! tier {
@@ -340,15 +470,16 @@ macro_rules! tier {
         /// As [`tiles`], whose `B` is this tier's body.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $features)]
-        unsafe fn $name(
+        unsafe fn $name<S: TileSink>(
             input: &[u64],
             filters: &[u64],
             g: &ConvGeom,
             rows: Range<usize>,
-            sink: &mut ConvSink<'_>,
+            dst_row: usize,
+            sink: &mut S,
         ) {
             // SAFETY: forwarded contract; the features are enabled on this fn.
-            unsafe { tiles::<$body>(input, filters, g, rows, sink) }
+            unsafe { tiles::<$body, S>(input, filters, g, rows, dst_row, sink) }
         }
     };
 }
@@ -358,27 +489,25 @@ tier!(tiles_avx2, Ymm2, "avx2");
 tier!(tiles_popcnt, Words<false>, "popcnt");
 tier!(tiles_popcnt_opaque, Words<true>, "popcnt");
 
-type TileFn = unsafe fn(&[u64], &[u64], &ConvGeom, Range<usize>, &mut ConvSink<'_>);
-
 /// The tile loop for `level`: a level the host lacks demotes to the widest
 /// body it has.
-fn body_for(level: SimdLevel) -> TileFn {
+fn body_for<S: TileSink>(level: SimdLevel) -> TileFn<S> {
     let opaque = level == SimdLevel::Unvectorized;
     #[cfg(target_arch = "x86_64")]
     {
         let f = crate::detect::features();
         match level {
-            SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => return tiles_avx512,
-            SimdLevel::Avx512 | SimdLevel::Avx2 if f.avx2 => return tiles_avx2,
-            _ if f.popcnt && opaque => return tiles_popcnt_opaque,
-            _ if f.popcnt => return tiles_popcnt,
+            SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => return tiles_avx512::<S>,
+            SimdLevel::Avx512 | SimdLevel::Avx2 if f.avx2 => return tiles_avx2::<S>,
+            _ if f.popcnt && opaque => return tiles_popcnt_opaque::<S>,
+            _ if f.popcnt => return tiles_popcnt::<S>,
             _ => {}
         }
     }
     if opaque {
-        tiles::<Words<true>>
+        tiles::<Words<true>, S>
     } else {
-        tiles::<Words<false>>
+        tiles::<Words<false>, S>
     }
 }
 
@@ -407,7 +536,7 @@ pub fn conv_rows(
     filters: &[u64],
     g: &ConvGeom,
     rows: Range<usize>,
-    mut sink: ConvSink<'_>,
+    sink: ConvSink<'_>,
 ) {
     assert!(
         g.c_words > 0 && g.kh > 0 && g.kw > 0 && g.stride > 0 && g.out_w > 0 && g.k > 0,
@@ -435,7 +564,9 @@ pub fn conv_rows(
         words(&[groups, g.kh, g.kw, g.c_words, LANES]),
         "filter bank is not ⌈K/8⌉ whole lane groups"
     );
-    match &sink {
+    // SAFETY (both arms): bounds asserted above and in the arm; `body_for`
+    // only returns bodies whose CPU features the detector verified.
+    match sink {
         ConvSink::Sign {
             bounds,
             flips,
@@ -443,20 +574,29 @@ pub fn conv_rows(
             origin,
             row_stride,
         } => {
+            let out_c_words = g.k.div_ceil(64);
             assert_eq!(bounds.len(), groups * LANES, "one bound per filter lane");
-            assert_eq!(flips.len(), groups, "one flip byte per filter group");
-            let last = origin + (rows.len() - 1) * row_stride + g.out_w * g.k.div_ceil(64);
+            assert_eq!(flips.len(), out_c_words, "one flip mask per output word");
+            let last = origin + (rows.len() - 1) * row_stride + g.out_w * out_c_words;
             assert!(last <= out.len(), "last output pixel out of bounds");
+            let mut sink = SignSink {
+                bounds,
+                flips,
+                out,
+                origin,
+            };
+            unsafe { body_for(level)(input, filters, g, rows, row_stride, &mut sink) }
         }
-        ConvSink::Dots { out, .. } => {
+        ConvSink::Dots { window_bits, out } => {
             assert_eq!(out.len(), words(&[rows.len(), g.out_w, g.k]), "dots size");
+            let mut sink = DotsSink {
+                window_bits,
+                k: g.k,
+                out,
+            };
+            unsafe { body_for(level)(input, filters, g, rows, 0, &mut sink) }
         }
     }
-
-    let run = body_for(level);
-    // SAFETY: bounds asserted above; `body_for` only returns bodies whose
-    // CPU features the detector verified.
-    unsafe { run(input, filters, g, rows, &mut sink) }
 }
 
 #[cfg(test)]
@@ -499,10 +639,9 @@ mod tests {
     }
 
     /// Bounds mixing both directions, ties, and saturated lanes.
-    fn lane_bounds(rng: &mut StdRng, k: usize, window_bits: i64) -> (Vec<i64>, Vec<u8>) {
-        let groups = k.div_ceil(LANES);
-        let mut bounds = vec![-1i64; groups * LANES];
-        let mut flips = vec![0u8; groups];
+    fn lane_bounds(rng: &mut StdRng, k: usize, window_bits: i64) -> (Vec<i64>, Vec<u64>) {
+        let mut bounds = vec![-1i64; k.div_ceil(LANES) * LANES];
+        let mut flips = vec![0u64; k.div_ceil(64)];
         for kk in 0..k {
             bounds[kk] = match kk % 5 {
                 0 => -1,              // never ≤
@@ -510,7 +649,7 @@ mod tests {
                 _ => rng.gen_range(window_bits / 4..window_bits * 3 / 4 + 1),
             };
             if rng.gen::<bool>() {
-                flips[kk / LANES] |= 1 << (kk % LANES);
+                flips[kk / 64] |= 1 << (kk % 64);
             }
         }
         (bounds, flips)
@@ -552,7 +691,7 @@ mod tests {
                 let at = origin + px / g.out_w * row_stride + px % g.out_w * ocw;
                 want[at..at + ocw].fill(0);
                 for kk in 0..g.k {
-                    let flip = (flips[kk / LANES] >> (kk % LANES)) & 1 == 1;
+                    let flip = (flips[kk / 64] >> (kk % 64)) & 1 == 1;
                     if (pops[px * g.k + kk] <= bounds[kk]) ^ flip {
                         want[at + kk / 64] |= 1 << (kk % 64);
                     }
@@ -590,7 +729,9 @@ mod tests {
             for k in [1usize, 5, 7, 8, 9, 63, 64, 65, 70] {
                 for (kh, kw) in [(1usize, 1usize), (3, 3), (5, 5), (2, 3)] {
                     for stride in 1..=3usize {
-                        for out_w in [1usize, 4, 7, 8, 9, 17] {
+                        // 2 and 3: the maps a window-pressed first layer
+                        // of a tiny input leaves, narrower than half a tile.
+                        for out_w in [1usize, 2, 3, 4, 7, 8, 9, 17] {
                             case += 1;
                             let g = ConvGeom {
                                 c_words,

@@ -23,11 +23,18 @@
 //! unpadded outputs and adversarial thresholds, against a reference that
 //! shares no code with the packing or the kernels (`i32` arithmetic on the
 //! ±1 values).
+//!
+//! The first layer has two lowerings — window-pressed when `kh·kw·C ≤ 64`,
+//! channel-pressed otherwise — and both are held to that same reference: at
+//! the operator level against each other at every level, and through the
+//! engine (where the plan alone chooses) on fused and unfused plans, serial
+//! and parallel contexts, with windows of 63, 64 and 65 bits pinning the
+//! rule's edge from both sides.
 
 use bitflow_gemm::sgemm::sgemm_naive;
 use bitflow_ops::binary::{
-    binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv, pressed_conv_sign_into,
-    BinaryFcWeights, BnFold, SignThresholds,
+    binarize_windows_into, binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv,
+    pressed_conv_sign_into, BinaryFcWeights, BnFold, SignThresholds, WindowPress,
 };
 use bitflow_ops::float::max_pool;
 use bitflow_ops::ConvParams;
@@ -187,6 +194,22 @@ fn adversarial_fold(rng: &mut StdRng, dots: &[i32], k: usize, window_bits: usize
     }
 }
 
+/// The folded sign activation of element `i` of a `k`-channel map of
+/// integer dots: the float compare the popcount-domain epilogue must equal.
+fn folded_bit(fold: &BnFold, k: usize, dots: &[i32], i: usize) -> bool {
+    let (x, t) = (dots[i] as f32, fold.thresholds[i % k]);
+    if fold.flip[i % k] {
+        x <= t
+    } else {
+        x >= t
+    }
+}
+
+/// ±1 of every value as the press sees it: `x ≥ 0` is +1.
+fn signs(xs: &[f32]) -> Vec<i32> {
+    xs.iter().map(|&x| if x >= 0.0 { 1 } else { -1 }).collect()
+}
+
 #[test]
 fn conv_core_matches_integer_reference_at_every_level_and_width() {
     const KS: [usize; 9] = [1, 5, 7, 8, 9, 63, 64, 65, 70];
@@ -222,14 +245,7 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
             assert_eq!((oh, ow), (out_h, out_w), "case geometry");
             let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
             let st = SignThresholds::from_fold(&fold, kh * kw * c);
-            let want_bit = |px: usize, kk: usize| {
-                let (x, t) = (dots[px * k + kk] as f32, fold.thresholds[kk]);
-                if fold.flip[kk] {
-                    x <= t
-                } else {
-                    x >= t
-                }
-            };
+            let want_bit = |px: usize, kk: usize| folded_bit(&fold, k, &dots, px * k + kk);
 
             let pressed = BitTensor::from_tensor_padded(&input, pad);
             let bank = BitFilterBank::from_floats(&weights, fshape);
@@ -274,14 +290,204 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
     }
 }
 
+/// Filter counts the first-layer cases cycle through: group and word tails.
+const FIRST_LAYER_KS: [usize; 6] = [1, 5, 8, 9, 64, 70];
+
+/// First-layer geometries: C × kernel × stride × pad × odd map sizes, plus
+/// windows of exactly 63, 64 and 65 bits. `(c, kh, kw, stride, pad, h, w)`.
+fn first_layer_cases() -> Vec<(usize, usize, usize, usize, usize, usize, usize)> {
+    let mut cases = Vec::new();
+    for c in [1usize, 2, 3, 4, 7] {
+        for (kh, kw) in [(1usize, 1usize), (3, 3), (5, 5), (2, 3)] {
+            for stride in 1..=2usize {
+                for pad in 0..=2usize {
+                    let (h, w) = [(5usize, 7usize), (9, 5), (7, 11)][cases.len() % 3];
+                    cases.push((c, kh, kw, stride, pad, h, w));
+                }
+            }
+        }
+    }
+    for (c, kh, kw) in [
+        (7usize, 3usize, 3usize),
+        (16, 2, 2),
+        (64, 1, 1),
+        (13, 1, 5),
+        (13, 5, 1),
+    ] {
+        cases.push((c, kh, kw, 1, 1, 5, 7));
+        cases.push((c, kh, kw, 2, 0, 7, 9));
+    }
+    cases
+}
+
+#[test]
+fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
+    let mut rng = StdRng::seed_from_u64(0x1F1E);
+    let cases = first_layer_cases();
+    let pressable = cases.iter().filter(|&&(c, kh, kw, ..)| kh * kw * c <= 64);
+    for (case, &(c, kh, kw, stride, pad, h, w)) in pressable.enumerate() {
+        let k = FIRST_LAYER_KS[case % FIRST_LAYER_KS.len()];
+        let what = format!("c={c} k={k} {kh}x{kw} s={stride} p={pad} {h}x{w}");
+        let shape = Shape::hwc(h, w, c);
+        let fshape = FilterShape::new(k, kh, kw, c);
+        let input = Tensor::from_vec(pm1_vec(&mut rng, shape.numel()), shape, Layout::Nhwc);
+        let weights = pm1_vec(&mut rng, fshape.numel());
+        let (dots, oh, ow) = integer_conv(
+            &signs(input.data()),
+            (h, w, c),
+            &signs(&weights),
+            (k, kh, kw),
+            stride,
+            pad,
+        );
+        let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
+        let st = SignThresholds::from_fold(&fold, kh * kw * c);
+
+        // Channel-pressed: a padded map under the kh×kw bank.
+        let by_channel = BitTensor::from_tensor_padded(&input, pad);
+        let bank = BitFilterBank::from_floats(&weights, fshape);
+        // Window-pressed: one word a pixel under the same floats as 1×1.
+        let wp = WindowPress::new(shape, ConvParams::new(kh, kw, stride, pad));
+        assert_eq!((wp.out_h(), wp.out_w()), (oh, ow), "{what}");
+        let mut by_window = BitTensor::zeros(oh, ow, kh * kw * c);
+        binarize_windows_into(
+            &input,
+            &wp,
+            &mut vec![0; wp.scratch_words()],
+            &mut by_window,
+        );
+        let bank_1x1 = BitFilterBank::from_floats(&weights, FilterShape::new(k, 1, 1, kh * kw * c));
+
+        for level in ALL_LEVELS {
+            for (press, map, bank, stride) in [
+                ("channel", &by_channel, &bank, stride),
+                ("window", &by_window, &bank_1x1, 1),
+            ] {
+                let counts = pressed_conv(level, map, bank, stride);
+                let got: Vec<i32> = counts.data().iter().map(|&x| x as i32).collect();
+                assert_eq!(got, dots, "{what} {level:?} {press}: dots");
+                for parallel in [false, true] {
+                    let mut out = BitTensor::zeros(oh + 2, ow + 2, k);
+                    pressed_conv_sign_into(level, map, bank, stride, &st, &mut out, 1, parallel);
+                    assert!(out.tail_is_zero(), "{what} {level:?} {press}");
+                    for i in 0..oh * ow * k {
+                        let got = out.get(i / k / ow + 1, i / k % ow + 1, i % k) == 1;
+                        let want = folded_bit(&fold, k, &dots, i);
+                        assert_eq!(got, want, "{what} {level:?} {press} element {i}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn both_first_layer_lowerings_match_the_integer_reference_through_the_engine() {
+    use bitflow::graph::{
+        BnParams, CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights, PlanOptions,
+    };
+    const CLASSES: usize = 5;
+    let mut rng = StdRng::seed_from_u64(0xF125);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool");
+    for (case, (c, kh, kw, stride, pad, h, w)) in first_layer_cases().into_iter().enumerate() {
+        let k = FIRST_LAYER_KS[case % FIRST_LAYER_KS.len()];
+        let what = format!("c={c} k={k} {kh}x{kw} s={stride} p={pad} {h}x{w}");
+        let spec = NetworkSpec {
+            name: "first-layer".into(),
+            input: Shape::hwc(h, w, c),
+            layers: vec![
+                LayerSpec::Conv {
+                    name: "conv1".into(),
+                    k,
+                    params: ConvParams::new(kh, kw, stride, pad),
+                },
+                LayerSpec::Fc {
+                    name: "fc1".into(),
+                    k: CLASSES,
+                },
+            ],
+        };
+        let mut weights = NetworkWeights::random(&spec, &mut rng);
+        let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+
+        // The reference, in i32 on the signs: conv, threshold, flatten, FC.
+        let (conv_w, fc_w) = match &weights.layers[..] {
+            [LayerWeights::Conv { w: cw, .. }, LayerWeights::Fc { w: fw, .. }] => {
+                (signs(cw), signs(fw))
+            }
+            _ => unreachable!("conv then fc"),
+        };
+        let (dots, oh, ow) = integer_conv(
+            &signs(input.data()),
+            (h, w, c),
+            &conv_w,
+            (k, kh, kw),
+            stride,
+            pad,
+        );
+        let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
+        // Batch-norm statistics that fold to exactly those thresholds:
+        // γ = ±1, β = 0 leave `t = μ`, whatever μ is.
+        if let LayerWeights::Conv { bn, .. } = &mut weights.layers[0] {
+            *bn = BnParams {
+                gamma: fold
+                    .flip
+                    .iter()
+                    .map(|&f| if f { -1.0 } else { 1.0 })
+                    .collect(),
+                mean: fold.thresholds.clone(),
+                ..BnParams::identity(k)
+            };
+        }
+        let acts: Vec<i32> = (0..oh * ow * k)
+            .map(|i| {
+                if folded_bit(&fold, k, &dots, i) {
+                    1
+                } else {
+                    -1
+                }
+            })
+            .collect();
+        let want: Vec<f32> = (0..CLASSES)
+            .map(|j| {
+                acts.iter()
+                    .enumerate()
+                    .map(|(i, a)| a * fc_w[i * CLASSES + j])
+                    .sum::<i32>() as f32
+            })
+            .collect();
+
+        for opts in [PlanOptions::default(), PlanOptions::unfused()] {
+            let model = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile");
+            assert_eq!(
+                model.plan().input_windows().is_some(),
+                kh * kw * c <= 64,
+                "{what}: the rule"
+            );
+            let mut ctx = model.try_new_context().expect("context");
+            for parallel in [false, true] {
+                ctx.parallel = parallel;
+                let got = pool
+                    .install(|| model.try_infer(&mut ctx, &input))
+                    .expect("infer");
+                assert_eq!(got, want, "{what} fuse={} parallel={parallel}", opts.fuse);
+            }
+        }
+    }
+}
+
 /// The compile path presses with the vector kernel (`bitflow_simd::pack`
 /// through `pack_rows`/`pack_transposed`); the bit-field loops of
 /// `BitFilterBank::from_floats` and `pack_b_fused_columnwise` are the
 /// reference. A model whose weights carry every value class of the
 /// `x >= 0.0` contract — NaN of both signs, ±0.0, ±∞, subnormals — must hold
 /// exactly the reference's banks and FC rows: C ∈ {3, 96, 160} covers the
-/// sub-strip, word-and-a-half and two-and-a-half-word taps, K = 13 the
-/// zero-padded lane group, and fc1's N = 325 a press tail in every row.
+/// sub-strip (window-pressed: one 27-bit tap a filter), word-and-a-half and
+/// two-and-a-half-word taps, K = 13 the zero-padded lane group, and fc1's
+/// N = 325 a press tail in every row.
 #[test]
 fn compiled_weights_are_the_reference_press() {
     use bitflow::graph::{
@@ -338,7 +544,13 @@ fn compiled_weights_are_the_reference_press() {
             assert_eq!(name, layer.name());
             match lw {
                 LayerWeights::Conv { w, fshape, .. } => {
-                    let want = BitFilterBank::from_floats(w, *fshape);
+                    // conv1's 3×3×3 window is pressed whole: its floats,
+                    // in the same order, are one 27-bit tap.
+                    let pressed_as = match name {
+                        "conv1" => FilterShape::new(fshape.k, 1, 1, 27),
+                        _ => *fshape,
+                    };
+                    let want = BitFilterBank::from_floats(w, pressed_as);
                     assert_eq!(words, want.lane_words(), "{name} bank");
                 }
                 LayerWeights::Fc { w, n, k, .. } => {

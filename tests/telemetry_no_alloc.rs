@@ -8,9 +8,9 @@
 //! vector and nothing else. A counting global allocator pins these facts so
 //! an accidental `Vec`/`String`/boxing on the request path fails loudly.
 
-use bitflow_graph::models::small_cnn;
+use bitflow_graph::models::{small_cnn, tiered_cnn};
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::{BatchItem, CompiledModel};
+use bitflow_graph::{BatchItem, CompiledModel, NetworkSpec};
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
@@ -80,13 +80,17 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (n, out)
 }
 
+/// A channel-pressed and a window-pressed first layer.
+fn specs() -> [NetworkSpec; 2] {
+    [small_cnn(), tiered_cnn()]
+}
+
 /// Allocations of one warm `run` of a bare item, and of a one-item
 /// `run_batch` in the same context.
-fn alloc_counts(enable_telemetry: bool) -> (u64, u64) {
-    let spec = small_cnn();
+fn alloc_counts(spec: &NetworkSpec, enable_telemetry: bool) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(21);
-    let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+    let weights = NetworkWeights::random(spec, &mut rng);
+    let model = CompiledModel::try_compile(spec, &weights).expect("model compiles");
     if enable_telemetry {
         model.enable_telemetry();
     }
@@ -106,19 +110,25 @@ fn alloc_counts(enable_telemetry: bool) -> (u64, u64) {
 #[test]
 fn try_infer_allocates_exactly_once_without_telemetry() {
     // The single allocation is the returned logits vector.
-    assert_eq!(alloc_counts(false).0, 1);
+    for spec in specs() {
+        assert_eq!(alloc_counts(&spec, false).0, 1, "{}", spec.name);
+    }
 }
 
 #[test]
 fn noop_telemetry_adds_no_allocations() {
     // Recording metrics must not add a single heap allocation over the
     // bare path.
-    assert_eq!(alloc_counts(true).0, 1);
+    for spec in specs() {
+        assert_eq!(alloc_counts(&spec, true).0, 1, "{}", spec.name);
+    }
 }
 
 #[test]
 fn one_item_batch_allocates_no_context() {
     // The logits and the result vector; a context would be five more.
-    assert!(alloc_counts(false).1 <= 2);
-    assert!(alloc_counts(true).1 <= 2);
+    for spec in specs() {
+        assert!(alloc_counts(&spec, false).1 <= 2, "{}", spec.name);
+        assert!(alloc_counts(&spec, true).1 <= 2, "{}", spec.name);
+    }
 }
