@@ -26,27 +26,19 @@ fn main() {
     let run = collect_run(quick);
 
     println!(
-        "machine: {} | peak {:.0} GOPS, {:.1} GB/s | perf {}",
+        "machine: {} | peak {:.0} GOPS, {:.1} GB/s",
         run.fingerprint(),
         run.machine.peak_gops,
         run.machine.peak_gb_per_s,
-        run.perf_status
     );
     println!(
-        "{:<10} {:>12} {:>10} {:>10} {:>8} {:>12}",
-        "op", "median", "mad", "gops", "%peak", "cycles"
+        "{:<10} {:>12} {:>10} {:>10} {:>8}",
+        "op", "median", "mad", "gops", "%peak"
     );
     for op in &run.ops {
         println!(
-            "{:<10} {:>10}ns {:>8}ns {:>10.1} {:>7.2}% {:>12}",
-            op.name,
-            op.median_ns,
-            op.mad_ns,
-            op.gops,
-            op.pct_of_peak_compute,
-            op.cycles
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "n/a".to_string()),
+            "{:<10} {:>10}ns {:>8}ns {:>10.1} {:>7.2}%",
+            op.name, op.median_ns, op.mad_ns, op.gops, op.pct_of_peak_compute,
         );
     }
 

@@ -157,7 +157,7 @@ fn main() {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
     println!(
-        "roofline: peak {:.0} GOPS ({} b SIMD × {} cores @ {:.2} GHz [{}]), {:.1} GB/s [{}]{} | perf: {}",
+        "roofline: peak {:.0} GOPS ({} b SIMD × {} cores @ {:.2} GHz [{}]), {:.1} GB/s [{}]{}",
         m.peak_gops,
         m.simd_width_bits,
         m.logical_cores,
@@ -176,7 +176,6 @@ fn main() {
             }
         ))
         .unwrap_or_default(),
-        snapshot.perf.status,
     );
 
     write_json(

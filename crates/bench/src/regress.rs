@@ -39,7 +39,6 @@
 use crate::runners::{run_once, Impl};
 use crate::timing::with_pool;
 use crate::workloads::{prepare, table_iv, OpKind, Prepared, Workload};
-use bitflow_simd::perf;
 use bitflow_telemetry::{roofline, MachineSnapshot, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
@@ -63,11 +62,6 @@ pub struct OpBench {
     pub gops: f64,
     /// Share of the machine's peak xor+popcount throughput, percent.
     pub pct_of_peak_compute: f64,
-    /// Core cycles across all samples of this operator, when the PMU is
-    /// available.
-    pub cycles: Option<u64>,
-    /// Retired instructions across all samples, when available.
-    pub instructions: Option<u64>,
 }
 
 /// A complete regression-bench run: what `results/baseline.json` stores
@@ -84,9 +78,6 @@ pub struct BenchRun {
     pub threads: u64,
     /// Machine description + roofline peaks.
     pub machine: MachineSnapshot,
-    /// `"ok"` or `"unavailable: <reason>"` — whether per-op cycle and
-    /// instruction counts could be collected.
-    pub perf_status: String,
     /// One entry per Table IV workload.
     pub ops: Vec<OpBench>,
 }
@@ -169,9 +160,8 @@ pub fn workload_bit_ops(w: &Workload) -> u64 {
 }
 
 /// Times one prepared workload: `n_samples` wall-clock samples (with inner
-/// repetitions so each sample is long enough to time reliably), wrapped in
-/// one perf-counter window. Returns the samples (ns) and the counters.
-fn sample_workload(p: &Prepared, n_samples: usize) -> (Vec<u64>, Option<perf::PerfSample>) {
+/// repetitions so each sample is long enough to time reliably), in ns.
+fn sample_workload(p: &Prepared, n_samples: usize) -> Vec<u64> {
     // Warm caches and the frequency governor.
     run_once(Impl::BitFlow, p, 1);
     run_once(Impl::BitFlow, p, 1);
@@ -180,41 +170,15 @@ fn sample_workload(p: &Prepared, n_samples: usize) -> (Vec<u64>, Option<perf::Pe
     run_once(Impl::BitFlow, p, 1);
     let once_ns = t0.elapsed().as_nanos().max(1) as u64;
     let reps = (200_000 / once_ns).clamp(1, 1_000) as usize;
-    perf::with_thread_group(|g| {
-        let run = || {
-            let mut samples = Vec::with_capacity(n_samples);
-            for _ in 0..n_samples {
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    run_once(Impl::BitFlow, p, 1);
-                }
-                samples.push(t0.elapsed().as_nanos() as u64 / reps as u64);
-            }
-            samples
-        };
-        match g {
-            Some(g) => g.measure(run),
-            None => (run(), None),
+    let mut samples = Vec::with_capacity(n_samples);
+    for _ in 0..n_samples {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            run_once(Impl::BitFlow, p, 1);
         }
-    })
-}
-
-/// Sums two perf windows (used to merge the per-sweep counter reads of
-/// one operator). Optional events stay `Some` only if every window
-/// counted them.
-fn merge_perf(
-    a: Option<perf::PerfSample>,
-    b: Option<perf::PerfSample>,
-) -> Option<perf::PerfSample> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(perf::PerfSample {
-            cycles: a.cycles + b.cycles,
-            instructions: a.instructions + b.instructions,
-            llc_misses: a.llc_misses.zip(b.llc_misses).map(|(x, y)| x + y),
-            branch_misses: a.branch_misses.zip(b.branch_misses).map(|(x, y)| x + y),
-        }),
-        (x, None) | (None, x) => x,
+        samples.push(t0.elapsed().as_nanos() as u64 / reps as u64);
     }
+    samples
 }
 
 /// Runs the full regression workload sweep and assembles a [`BenchRun`].
@@ -241,19 +205,15 @@ pub fn collect_run(quick: bool) -> BenchRun {
         .map(|w| if quick { w.shrunk(4) } else { w })
         .collect();
     let mut samples_by_op: Vec<Vec<u64>> = vec![Vec::new(); workloads.len()];
-    let mut perf_by_op: Vec<Option<perf::PerfSample>> = vec![None; workloads.len()];
     for _ in 0..SWEEPS {
         for (i, w) in workloads.iter().enumerate() {
             let p = prepare(w, 42);
-            let (s, ps) = with_pool(1, || sample_workload(&p, per_sweep));
-            samples_by_op[i].extend(s);
-            perf_by_op[i] = merge_perf(perf_by_op[i].take(), ps);
+            samples_by_op[i].extend(with_pool(1, || sample_workload(&p, per_sweep)));
         }
     }
     let mut ops = Vec::new();
     for (i, w) in workloads.iter().enumerate() {
         let mut samples = std::mem::take(&mut samples_by_op[i]);
-        let perf_sample = perf_by_op[i];
         if let Some(inj) = &injection {
             let f = inj.factor_for(w.name);
             if f != 1.0 {
@@ -278,8 +238,6 @@ pub fn collect_run(quick: bool) -> BenchRun {
             } else {
                 0.0
             },
-            cycles: perf_sample.as_ref().map(|s| s.cycles),
-            instructions: perf_sample.as_ref().map(|s| s.instructions),
         });
     }
     BenchRun {
@@ -291,10 +249,6 @@ pub fn collect_run(quick: bool) -> BenchRun {
         quick,
         threads: 1,
         machine: roof.to_snapshot(),
-        perf_status: match perf::probe() {
-            Ok(_) => "ok".to_string(),
-            Err(reason) => format!("unavailable: {reason}"),
-        },
         ops,
     }
 }
@@ -445,8 +399,6 @@ mod tests {
             bit_ops,
             gops: bit_ops as f64 / median_ns.max(1) as f64,
             pct_of_peak_compute: 1.0,
-            cycles: None,
-            instructions: None,
         }
     }
 
@@ -466,7 +418,6 @@ mod tests {
                 peak_gb_per_s: 10.0,
                 bw_source: "env".to_string(),
             },
-            perf_status: "ok".to_string(),
             ops,
         }
     }

@@ -86,8 +86,8 @@ pub mod prelude {
     };
     pub use bitflow_simd::{features, HwFeatures, VectorScheduler};
     pub use bitflow_telemetry::{
-        FlightRecorder, MachineSnapshot, MetricsSnapshot, ModelTelemetry, OpBound, PerfSnapshot,
-        RecorderConfig, RequestTrace, Roofline, TraceBuilder, SCHEMA_VERSION,
+        FlightRecorder, MachineSnapshot, MetricsSnapshot, ModelTelemetry, OpBound, RecorderConfig,
+        RequestTrace, Roofline, TraceBuilder, SCHEMA_VERSION,
     };
     pub use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 }

@@ -960,10 +960,6 @@ impl CompiledModel {
     /// enabled or a trace attached each costs one `Instant` pair, fed
     /// straight to [`ModelTelemetry::record_op`] and/or
     /// [`TraceBuilder::push_op`] (start offsets on the trace's own origin).
-    /// With telemetry on the loop also runs inside
-    /// [`ModelTelemetry::perf_request_scope`], which accumulates the
-    /// request's hardware counters where the host has them and is one
-    /// relaxed load where it has not.
     pub fn run(
         &self,
         ctx: &mut InferenceContext,
@@ -973,38 +969,31 @@ impl CompiledModel {
         let telemetry = self.telemetry.get();
         let trace = item.trace.as_deref();
         let timed = telemetry.is_some() || trace.is_some();
-        let mut ops = || -> Result<(), BitFlowError> {
-            for i in 0..self.ops.len() {
-                item.cancel.check()?;
-                let t0 = timed.then(Instant::now);
-                self.run_op(&mut ctx.slots, ctx.parallel, i, item.input, item.tag)?;
-                let Some(t0) = t0 else { continue };
-                // The span's name is built before the clock is read: an
-                // allocation right after a kernel has swept the caches is
-                // not free, and a trace charges it to the operator it
-                // describes, not to the loop around the operators.
-                let name = trace.map(|_| self.ops[i].name().to_string());
-                let ns = t0.elapsed().as_nanos() as u64;
-                if let Some(t) = telemetry {
-                    t.record_op(i, ns);
-                }
-                if let (Some(tb), Some(name)) = (trace, name) {
-                    tb.push_op(OpSpan {
-                        op_index: i as u64,
-                        name,
-                        start_ns: tb.offset_ns(t0),
-                        duration_ns: ns,
-                    });
-                }
+        if let Some(t) = telemetry {
+            t.request_started();
+        }
+        for i in 0..self.ops.len() {
+            item.cancel.check()?;
+            let t0 = timed.then(Instant::now);
+            self.run_op(&mut ctx.slots, ctx.parallel, i, item.input, item.tag)?;
+            let Some(t0) = t0 else { continue };
+            // The span's name is built before the clock is read: an
+            // allocation right after a kernel has swept the caches is
+            // not free, and a trace charges it to the operator it
+            // describes, not to the loop around the operators.
+            let name = trace.map(|_| self.ops[i].name().to_string());
+            let ns = t0.elapsed().as_nanos() as u64;
+            if let Some(t) = telemetry {
+                t.record_op(i, ns);
             }
-            Ok(())
-        };
-        match telemetry {
-            Some(t) => {
-                t.request_started();
-                t.perf_request_scope(ops)?;
+            if let (Some(tb), Some(name)) = (trace, name) {
+                tb.push_op(OpSpan {
+                    op_index: i as u64,
+                    name,
+                    start_ns: tb.offset_ns(t0),
+                    duration_ns: ns,
+                });
             }
-            None => ops()?,
         }
         Ok(ctx.slots[self.logits_slot]
             .vec()

@@ -31,7 +31,9 @@
 //!   `429` with an `x-bitflow-quota` header, draining is `503`, a missed
 //!   deadline is `504`. Error bodies are the engine's own
 //!   `{"code", "message"}` JSON ([`bitflow_graph::BitFlowError`]).
-//! * `GET /metrics` — Prometheus text exposition of the default tenant.
+//! * `GET /metrics` — one Prometheus text exposition of every tenant,
+//!   told apart by their served names as the `model` label (a lone tenant
+//!   keeps its model's own name).
 //! * `GET /healthz` — `200 ok` while the circuit breaker is closed and
 //!   the server is not draining; `503` otherwise.
 //! * `GET /debug/trace` and `GET /debug/requests/{id}`

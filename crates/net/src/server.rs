@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 use bitflow_graph::{BitFlowError, CancelToken, RejectReason};
 use bitflow_serve::{ChaosConfig, DegradationState, Server, Submission};
 use bitflow_telemetry::{
-    to_chrome_trace, FlightRecorder, MetricsSnapshot, ServeGauges, Stage, TraceBuilder,
+    to_chrome_trace, to_prometheus, FlightRecorder, MetricsSnapshot, ServeGauges, Stage,
+    TraceBuilder,
 };
 
 use crate::config::NetConfig;
@@ -197,17 +198,17 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
                     if chaos.conn_kill_hit(conn) {
                         // Injected abrupt disconnect: accepted, then gone
                         // before a single byte moves either way.
-                        shared.gauges.conn_accepted();
+                        shared.gauges.net_accepted_conns.inc();
                         drop(stream);
                         continue;
                     }
                 }
                 if shared.open_conns.load(Ordering::Acquire) >= shared.config.max_conns {
-                    shared.gauges.conn_rejected();
+                    shared.gauges.net_rejected_conns.inc();
                     shed(shared, stream);
                     continue;
                 }
-                shared.gauges.conn_accepted();
+                shared.gauges.net_accepted_conns.inc();
                 shared.open_conns.fetch_add(1, Ordering::AcqRel);
                 let conn_shared = Arc::clone(shared);
                 // The stream rides in a take-able cell so a failed spawn
@@ -235,7 +236,7 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
                     // best-effort 503 + retry-after instead of a silent
                     // drop.
                     shared.open_conns.fetch_sub(1, Ordering::AcqRel);
-                    shared.gauges.spawn_shed();
+                    shared.gauges.govern.net_spawn_sheds.inc();
                     let recovered = cell.lock().map(|mut slot| slot.take()).unwrap_or(None);
                     if let Some(stream) = recovered {
                         shed(shared, stream);
@@ -250,7 +251,7 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
             Err(_) => {
                 // EMFILE, ENFILE, ECONNABORTED storms, interface flaps:
                 // count it, back off exponentially, keep listening.
-                shared.gauges.accept_error();
+                shared.gauges.govern.net_accept_errors.inc();
                 thread::sleep(backoff);
                 backoff = next_accept_backoff(backoff);
             }
@@ -267,7 +268,7 @@ fn shed(shared: &NetShared, mut stream: TcpStream) {
         .to_bytes(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     if let Ok(n) = stream.write(&bytes) {
-        shared.gauges.add_bytes_out(n as u64);
+        shared.gauges.net_bytes_out.add(n as u64);
     }
     let _ = stream.shutdown(Shutdown::Both);
 }
@@ -346,7 +347,7 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, conn: u64) {
         let head = match http::parse_head(&head_bytes) {
             Ok(head) => head,
             Err(e) => {
-                shared.gauges.malformed_request();
+                shared.gauges.net_malformed_requests.inc();
                 let wire_id = format!("c{conn}-r{req_no}");
                 let resp = Response::new(400).text(&e.to_string());
                 let _ = write_response(shared, &mut stream, conn, req_no, &wire_id, &resp, false);
@@ -433,13 +434,13 @@ fn read_head(
     loop {
         if let Some(end) = http::find_head_end(buf) {
             if end > http::MAX_HEAD_BYTES {
-                shared.gauges.malformed_request();
+                shared.gauges.net_malformed_requests.inc();
                 return HeadOutcome::Fail(431);
             }
             return HeadOutcome::Complete(end);
         }
         if buf.len() > http::MAX_HEAD_BYTES {
-            shared.gauges.malformed_request();
+            shared.gauges.net_malformed_requests.inc();
             return HeadOutcome::Fail(431);
         }
         if shared.shutdown.load(Ordering::Acquire) && buf.is_empty() {
@@ -453,7 +454,7 @@ fn read_head(
                 // Idle keep-alive expiry, not an attack: close silently.
                 return HeadOutcome::Close;
             }
-            shared.gauges.read_timeout();
+            shared.gauges.net_timeouts_read.inc();
             return HeadOutcome::Fail(408);
         }
         match read_some(shared, stream, conn, read_no, deadline - now, buf) {
@@ -491,7 +492,7 @@ fn read_some(
     match stream.read(&mut chunk) {
         Ok(0) => ReadOutcome::Closed,
         Ok(n) => {
-            shared.gauges.add_bytes_in(n as u64);
+            shared.gauges.net_bytes_in.add(n as u64);
             buf.extend_from_slice(&chunk[..n]);
             ReadOutcome::Data
         }
@@ -533,7 +534,7 @@ fn read_body(
         }
         let now = Instant::now();
         if now >= deadline {
-            shared.gauges.read_timeout();
+            shared.gauges.net_timeouts_read.inc();
             return Err(HeadOutcome::Fail(408));
         }
         match read_some(shared, stream, conn, read_no, deadline - now, buf) {
@@ -636,23 +637,37 @@ fn healthz(shared: &NetShared) -> Response {
     }
 }
 
-/// Prometheus exposition for the default tenant. With telemetry enabled
-/// this is the full snapshot (ops, roofline, serve); without it, a
-/// serve-only snapshot so the `net_*` and admission counters are always
-/// scrapeable.
+/// One Prometheus exposition for every registered tenant (a server has at
+/// least one). A tenant whose current model has telemetry enabled
+/// contributes its full snapshot (ops, roofline, batch); one without, a
+/// serve-only snapshot. Either way the `serve` section is read from the
+/// entry's own gauges — the ones admission, the wire and the governor
+/// record into, stable across hot swaps — so the `net_*` and admission
+/// counters are always scrapeable and a swap never zeroes them. A lone
+/// tenant keeps its model's own name as the `model` label (what a
+/// single-model server has always exposed); several are told apart by
+/// their served names, which are unique where model names need not be.
 fn metrics(shared: &NetShared) -> Response {
-    let snapshot = shared.server.registry().entries().first().map(|entry| {
-        match entry.current().metrics_snapshot() {
-            Some(snap) => snap,
-            None => MetricsSnapshot::serve_only(entry.name(), entry.gauges().snapshot()),
-        }
-    });
-    match snapshot {
-        Some(snap) => Response::new(200)
-            .header("content-type", "text/plain; version=0.0.4; charset=utf-8")
-            .body(snap.to_prometheus().into_bytes()),
-        None => Response::new(500).text("no model registered"),
-    }
+    let entries = shared.server.registry().entries();
+    let tenants: Vec<MetricsSnapshot> = entries
+        .iter()
+        .map(|entry| {
+            let serve = entry.gauges().snapshot();
+            match entry.current().metrics_snapshot() {
+                Some(mut snap) => {
+                    snap.serve = serve;
+                    if entries.len() > 1 {
+                        snap.model = entry.name().to_string();
+                    }
+                    snap
+                }
+                None => MetricsSnapshot::serve_only(entry.name(), serve),
+            }
+        })
+        .collect();
+    Response::new(200)
+        .header("content-type", "text/plain; version=0.0.4; charset=utf-8")
+        .body(to_prometheus(&tenants).into_bytes())
 }
 
 fn infer(
@@ -667,23 +682,23 @@ fn infer(
     let content_length = match head.content_length() {
         Ok(Some(n)) => n,
         Ok(None) => {
-            shared.gauges.malformed_request();
+            shared.gauges.net_malformed_requests.inc();
             return RouteOutcome::RespondClose(Response::new(411).text("content-length required"));
         }
         Err(ParseError::UnsupportedTransferEncoding) => {
-            shared.gauges.malformed_request();
+            shared.gauges.net_malformed_requests.inc();
             return RouteOutcome::RespondClose(
                 Response::new(501).text("only content-length framing is supported"),
             );
         }
         Err(e) => {
-            shared.gauges.malformed_request();
+            shared.gauges.net_malformed_requests.inc();
             return RouteOutcome::RespondClose(Response::new(400).text(&e.to_string()));
         }
     };
     if content_length > shared.config.max_body_bytes {
         // Refused from the header alone — not a single body byte is read.
-        shared.gauges.malformed_request();
+        shared.gauges.net_malformed_requests.inc();
         return RouteOutcome::RespondClose(
             Response::new(413)
                 .header("x-bitflow-max-body", shared.config.max_body_bytes)
@@ -727,7 +742,7 @@ fn infer(
     let tensor = match bitflow_tensor::io::decode_tensor(&body) {
         Ok(t) => t,
         Err(e) => {
-            shared.gauges.malformed_request();
+            shared.gauges.net_malformed_requests.inc();
             return RouteOutcome::Respond(bad_request("bad_tensor", &e.to_string()));
         }
     };
@@ -743,7 +758,7 @@ fn infer(
         None => None,
         Some(Ok(ms)) => Some(Duration::from_millis(ms)),
         Some(Err(_)) => {
-            shared.gauges.malformed_request();
+            shared.gauges.net_malformed_requests.inc();
             return RouteOutcome::Respond(bad_request(
                 "bad_deadline",
                 "x-bitflow-deadline-ms must be a whole number of milliseconds",
@@ -849,7 +864,8 @@ fn write_response(
     let out = write_response_inner(shared, stream, conn, req_no, wire_id, resp, keep_alive);
     shared
         .gauges
-        .record_write_ns(t0.elapsed().as_nanos() as u64);
+        .stage_write
+        .record(t0.elapsed().as_nanos() as u64);
     out
 }
 
@@ -877,14 +893,14 @@ fn write_response_inner(
     let mut written = 0usize;
     while written < limit {
         if Instant::now() >= deadline {
-            shared.gauges.write_timeout();
+            shared.gauges.net_timeouts_write.inc();
             return Err(());
         }
         match stream.write(&bytes[written..limit]) {
             Ok(0) => return Err(()),
             Ok(n) => {
                 written += n;
-                shared.gauges.add_bytes_out(n as u64);
+                shared.gauges.net_bytes_out.add(n as u64);
             }
             Err(e)
                 if matches!(

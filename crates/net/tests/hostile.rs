@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use bitflow_graph::{small_cnn, CompiledModel, NetworkWeights};
 use bitflow_net::{NetConfig, NetServer};
-use bitflow_serve::{Server, ServerConfig};
+use bitflow_serve::{ModelRegistry, Server, ServerConfig};
 use bitflow_tensor::io::encode_tensor;
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
@@ -30,6 +30,11 @@ struct Stack {
 }
 
 fn stack(cfg: NetConfig) -> Stack {
+    stack_with(cfg, ModelRegistry::single)
+}
+
+/// [`stack`] with the tenants `registry` makes of the one compiled model.
+fn stack_with(cfg: NetConfig, registry: impl FnOnce(Arc<CompiledModel>) -> ModelRegistry) -> Stack {
     let spec = small_cnn();
     let mut rng = StdRng::seed_from_u64(42);
     let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
@@ -37,8 +42,8 @@ fn stack(cfg: NetConfig) -> Stack {
     let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     let mut ctx = model.try_new_context().expect("context allocates");
     let oracle = model.try_infer(&mut ctx, &input).expect("inference");
-    let server = Arc::new(Server::start(
-        Arc::clone(&model),
+    let server = Arc::new(Server::start_multi(
+        registry(model),
         ServerConfig {
             workers: 2,
             queue_capacity: 64,
@@ -296,6 +301,75 @@ fn routing_and_methods_are_enforced() {
     ] {
         assert!(text.contains(family), "/metrics missing {family}");
     }
+}
+
+/// A quota'd tenant's refusals used to be unscrapeable: `/metrics` showed
+/// the first registered tenant only.
+#[test]
+fn metrics_exposes_every_tenant_in_one_exposition() {
+    let stack = stack_with(NetConfig::default(), |model| {
+        let mut registry = ModelRegistry::new();
+        registry.register("open", Arc::clone(&model), None);
+        // A quota of zero is exhausted from the first request on.
+        registry.register("capped", model, Some(0));
+        registry
+    });
+    let enc = encode_tensor(&stack.input);
+    let infer = |path: &str| {
+        let mut stream = connect(&stack);
+        stream
+            .write_all(&infer_request(path, &enc, ""))
+            .expect("write");
+        read_response(&mut stream).expect("a response").0
+    };
+    let scrape = || {
+        let mut stream = connect(&stack);
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+            .expect("write");
+        let (status, _, body) = read_response(&mut stream).expect("a response");
+        assert_eq!(status, 200);
+        String::from_utf8_lossy(&body).to_string()
+    };
+    let count = |text: &str, series: &str| text.lines().filter(|l| *l == series).count();
+
+    assert_eq!(infer("/v1/infer/open"), 200);
+    assert_eq!(infer("/v1/infer/capped"), 429);
+    let text = scrape();
+    for series in [
+        "bitflow_serve_completed_total{model=\"open\"} 1",
+        "bitflow_serve_completed_total{model=\"capped\"} 0",
+        "bitflow_serve_rejected_total{model=\"open\",reason=\"quota\"} 0",
+        "bitflow_serve_rejected_total{model=\"capped\",reason=\"quota\"} 1",
+        "bitflow_serve_queue_depth{model=\"capped\"} 0",
+        "bitflow_mem_leases{model=\"capped\"} 1",
+    ] {
+        assert_eq!(count(&text, series), 1, "{series}");
+    }
+    // One family, one header: the two tenants' series sit under it together.
+    assert_eq!(
+        count(&text, "# TYPE bitflow_serve_rejected_total counter"),
+        1
+    );
+
+    // A hot swap to a telemetry-enabled model brings the operator families
+    // and keeps the tenant's serving counters, which live in the entry and
+    // not in the model that was swapped in.
+    let spec = small_cnn();
+    let weights = NetworkWeights::random_with_bn(&spec, &mut StdRng::seed_from_u64(42));
+    let watched = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+    watched.enable_telemetry();
+    let open = stack.server.registry().get("open").expect("registered");
+    open.swap_model(Arc::new(watched));
+    assert_eq!(infer("/v1/infer/open"), 200);
+    let text = scrape();
+    assert_eq!(
+        count(&text, "bitflow_serve_completed_total{model=\"open\"} 2"),
+        1
+    );
+    assert_eq!(count(&text, "bitflow_requests_total{model=\"open\"} 1"), 1);
+    let op_series = "bitflow_op_calls_total{model=\"open\",op=";
+    assert!(text.lines().any(|l| l.starts_with(op_series)));
 }
 
 #[test]

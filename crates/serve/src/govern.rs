@@ -293,8 +293,13 @@ impl ResourceGovernor {
             return Arc::clone(t);
         }
         let effective = self.tenant_budget.min(self.global_budget);
-        gauges.set_mem_budget(if effective == u64::MAX { 0 } else { effective });
-        gauges.set_degradation_state(self.state.load(Ordering::Relaxed));
+        let cells = &gauges.govern;
+        cells
+            .mem_budget_bytes
+            .set(if effective == u64::MAX { 0 } else { effective });
+        cells
+            .degradation_state
+            .set(self.state.load(Ordering::Relaxed));
         let account = Arc::new(TenantAccount {
             name: name.to_string(),
             used: AtomicU64::new(0),
@@ -443,7 +448,7 @@ impl ResourceGovernor {
         if next != current {
             self.state.store(next.as_u64(), Ordering::Relaxed);
             for t in lock(&self.tenants).iter() {
-                t.gauges.set_degradation_state(next.as_u64());
+                t.gauges.govern.degradation_state.set(next.as_u64());
             }
         }
         next
@@ -691,13 +696,13 @@ mod tests {
         let _b = gov.tenant("b", &gb);
         let lease = gov.reserve(&a, 90, "test").expect("fits");
         gov.evaluate(0, 64);
-        assert_eq!(ga.degradation_state(), 1);
-        assert_eq!(gb.degradation_state(), 1);
+        assert_eq!(ga.govern.degradation_state.get(), 1);
+        assert_eq!(gb.govern.degradation_state.get(), 1);
         drop(lease);
         for _ in 0..RECOVERY_EVALS {
             gov.evaluate(0, 64);
         }
-        assert_eq!(ga.degradation_state(), 0);
-        assert_eq!(gb.degradation_state(), 0);
+        assert_eq!(ga.govern.degradation_state.get(), 0);
+        assert_eq!(gb.govern.degradation_state.get(), 0);
     }
 }

@@ -268,7 +268,7 @@ impl Shared {
             b.open_until = Some(Instant::now() + self.config.breaker.cooldown);
             // The breaker guards the whole pool, so its trips land on the
             // default entry's gauges.
-            self.default_entry.counters().breaker_trip();
+            self.default_entry.counters().breaker_trips.inc();
         }
     }
 
@@ -608,7 +608,7 @@ impl ModelClient<'_> {
         if let Some(t) = &trace {
             t.tb.set_tenant(entry.name());
         }
-        entry.counters().submitted();
+        entry.counters().submitted.inc();
         let refuse = |reason| Err(reject(sh, entry, &trace, t_submit, reason));
         if sh.breaker_open() {
             return refuse(RejectReason::Shedding);
@@ -768,12 +768,13 @@ fn resolve_dead(shared: &Shared, req: &Request) {
     let now = Instant::now();
     req.entry
         .counters()
-        .record_queue_wait_ns(now.saturating_duration_since(req.enqueued_at).as_nanos() as u64);
+        .stage_queue_wait
+        .record(now.saturating_duration_since(req.enqueued_at).as_nanos() as u64);
     if req.token.is_cancelled() {
-        req.entry.counters().cancelled();
+        req.entry.counters().cancelled.inc();
         req.slot.resolve(Err(BitFlowError::Cancelled));
     } else {
-        req.entry.counters().shed_deadline();
+        req.entry.counters().shed_deadline.inc();
         shared.governor.record_outcome(true);
         req.slot.resolve(Err(BitFlowError::DeadlineExceeded));
     }
@@ -954,7 +955,7 @@ fn worker_main(shared: &Shared, worker_id: u64) {
         }));
         match exited {
             Ok(()) => return,
-            Err(_) => shared.default_entry.counters().worker_restart(),
+            Err(_) => shared.default_entry.counters().worker_restarts.inc(),
         }
     }
 }
@@ -1007,14 +1008,15 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
     let window_us = shared.config.coalesce_window.as_micros() as u64;
     let est_batch_ns = entry.est_batch_ns();
     for req in &live {
-        req.entry.counters().record_queue_wait_ns(
+        req.entry.counters().stage_queue_wait.record(
             req.popped_at
                 .saturating_duration_since(req.enqueued_at)
                 .as_nanos() as u64,
         );
-        req.entry.counters().record_batch_wait_ns(
-            started.saturating_duration_since(req.popped_at).as_nanos() as u64,
-        );
+        req.entry
+            .counters()
+            .stage_batch_wait
+            .record(started.saturating_duration_since(req.popped_at).as_nanos() as u64);
         if let Some(t) = &req.trace {
             t.tb.stage(Stage::QueueWait, req.enqueued_at, req.popped_at);
             t.tb.stage(Stage::BatchWait, req.popped_at, started);
@@ -1060,7 +1062,7 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
         // the item-exact timings.
         let exec_ns = t1.saturating_duration_since(t0).as_nanos() as u64;
         for (req, result) in rest.iter().zip(results) {
-            req.entry.counters().record_exec_ns(exec_ns);
+            req.entry.counters().stage_exec.record(exec_ns);
             if let Some(t) = &req.trace {
                 t.tb.stage(Stage::Exec, t0, t1);
             }
@@ -1076,23 +1078,23 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
 fn account(shared: &Shared, req: &Request, result: Result<Vec<f32>, BitFlowError>) {
     match &result {
         Ok(_) => {
-            req.entry.counters().completed();
+            req.entry.counters().completed.inc();
             shared.governor.record_outcome(false);
             shared.breaker_success();
         }
-        Err(BitFlowError::Cancelled) => req.entry.counters().cancelled(),
+        Err(BitFlowError::Cancelled) => req.entry.counters().cancelled.inc(),
         Err(BitFlowError::DeadlineExceeded) => {
-            req.entry.counters().deadline_missed();
+            req.entry.counters().deadline_missed.inc();
             shared.governor.record_outcome(true);
         }
         Err(BitFlowError::Internal(_)) => {
             // A panic isolated inside inference. This is the only outcome
             // that feeds the breaker.
-            req.entry.counters().worker_panic();
-            req.entry.counters().failed();
+            req.entry.counters().worker_panics.inc();
+            req.entry.counters().failed.inc();
             shared.breaker_fault();
         }
-        Err(_) => req.entry.counters().failed(),
+        Err(_) => req.entry.counters().failed.inc(),
     }
     if let Some(t) = &req.trace {
         if let Err(e) = &result {

@@ -43,12 +43,10 @@ pub mod conv;
 pub mod detect;
 pub mod kernels;
 pub mod pack;
-pub mod perf;
 pub mod popcount;
 pub mod scheduler;
 pub mod vec_u;
 
 pub use detect::{features, machine, FreqSource, HwFeatures, MachineInfo};
 pub use kernels::{binary_dot, or_accumulate, xor_popcount};
-pub use perf::{PerfCaps, PerfGroup, PerfSample};
 pub use scheduler::{KernelChoice, UnsupportedKernel, VectorScheduler};

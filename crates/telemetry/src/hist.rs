@@ -9,6 +9,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::snapshot::HistBucket;
+
 /// Linear sub-buckets per octave (power of two). 16 sub-buckets bound the
 /// relative resolution error at 6.25% of the value.
 const SUB_BITS: u32 = 4;
@@ -71,6 +73,12 @@ pub struct LatencyHistogram {
     buckets: Box<[AtomicU64; BUCKETS]>,
 }
 
+impl std::fmt::Debug for LatencyHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "LatencyHistogram({} samples)", self.count())
+    }
+}
+
 impl Default for LatencyHistogram {
     fn default() -> Self {
         Self::new()
@@ -122,6 +130,20 @@ impl LatencyHistogram {
             b.store(0, Ordering::Relaxed);
         }
     }
+}
+
+/// The occupied entries of a bucket-count vector, each with its inclusive
+/// upper edge — the sparse, non-cumulative form snapshots carry.
+pub(crate) fn sparse(buckets: &[u64]) -> Vec<HistBucket> {
+    buckets
+        .iter()
+        .enumerate()
+        .filter(|(_, &count)| count > 0)
+        .map(|(idx, &count)| HistBucket {
+            le_ns: bucket_upper_edge(idx),
+            count,
+        })
+        .collect()
 }
 
 /// Percentile over a bucket-count vector (shared by the live histogram and

@@ -10,8 +10,13 @@
 //!   per-operator call counts, latency histograms (p50/p95/p99), a static
 //!   cost model (bit-ops, bytes moved, bgemm tile shape) from which GOPS
 //!   and bandwidth are derived at snapshot time, and batch-queue gauges.
+//! * [`ServeGauges`] / [`BatchGauges`] — the serving, network, governance
+//!   and batch cells, generated with their snapshot structs and Prometheus
+//!   descriptors from the one metric table (`table.rs`): a new counter is
+//!   one row there plus the call site that bumps it.
 //! * [`MetricsSnapshot`] — a plain-data, `serde`-serializable copy of every
-//!   counter, written by the bench bins to `results/telemetry.json`.
+//!   counter, written by the bench bins to `results/telemetry.json`, and
+//!   [`to_prometheus`] — one text exposition of any number of snapshots.
 //! * [`TraceBuilder`] / [`FlightRecorder`] — request-scoped lifecycle
 //!   tracing across net → serve → engine, with tail-based sampling (every
 //!   error plus the slowest N per window) under a hard byte budget, and
@@ -35,17 +40,20 @@ mod recorder;
 pub mod roofline;
 mod snapshot;
 mod span;
+mod table;
 
 pub use chrome::to_chrome_trace;
 pub use hist::{bucket_upper_edge, percentile_of, LatencyHistogram};
-pub use metrics::{
-    BatchGauges, ModelTelemetry, OpCost, OpDescriptor, OpKind, ServeGauges, StageTimer, TileStats,
-};
+pub use metrics::{ModelTelemetry, OpCost, OpDescriptor, OpKind, TileStats};
+pub use prometheus::to_prometheus;
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderStats};
 pub use roofline::{BwSource, Roofline};
 pub use snapshot::{
-    BatchSnapshot, GovernSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound,
-    OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
-    SCHEMA_VERSION,
+    HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpSnapshot, SizeBucket, StageSnapshot,
+    BATCH_SIZE_EDGES, SCHEMA_VERSION,
 };
 pub use span::{OpSpan, RequestTrace, Stage, StageSpan, TraceBuilder};
+pub use table::{
+    BatchGauges, BatchSnapshot, Counter, Gauge, GovernGauges, GovernSnapshot, HighWater,
+    ServeGauges, ServeSnapshot, StageTimer,
+};

@@ -1,11 +1,18 @@
-//! Prometheus text exposition of a [`MetricsSnapshot`].
+//! Prometheus text exposition of one or more [`MetricsSnapshot`]s.
 //!
-//! [`MetricsSnapshot::to_prometheus`] renders the version-0.0.4 text
-//! format: one `# HELP`/`# TYPE` header per metric family, all series of a
-//! family contiguous, label values escaped, histogram buckets cumulative
-//! and terminated with `le="+Inf"`. The output is a plain `String` so a
-//! future HTTP endpoint can serve it verbatim; today the bench bins print
-//! it and the tests parse it back.
+//! [`to_prometheus`] renders the version-0.0.4 text format: one
+//! `# HELP`/`# TYPE` header per metric family, all series of a family
+//! contiguous (every tenant's series under the one header, told apart by
+//! the `model` label), label values escaped, histogram buckets cumulative
+//! and terminated with `le="+Inf"`. The output is a plain `String`; the
+//! network front-end serves it verbatim at `GET /metrics`.
+//!
+//! Nothing here names a serving metric: those families are the descriptor
+//! rows of [`crate::table`]. What is declared in this file is what has no
+//! live cell behind it — the model-level and per-operator values a
+//! snapshot derives — as rows of the same [`Family`] shape, and one
+//! renderer prints every row, scalar or histogram (per-operator latency,
+//! batch size and the stage timers are one shape).
 //!
 //! Counter families use the `_total` suffix convention; achieved rates and
 //! roofline percentages are gauges (they can go down); per-operator
@@ -15,6 +22,9 @@
 use std::fmt::Write;
 
 use crate::snapshot::{MetricsSnapshot, OpBound};
+use crate::table::{
+    Family, Kind, Section, Source, Value, BATCH_FAMILIES, GOVERN_FAMILIES, SERVE_FAMILIES,
+};
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote, and newline.
@@ -31,646 +41,287 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        (if v > 0.0 { "+Inf" } else { "-Inf" }).to_string()
-    } else {
-        format!("{v}")
+/// [`Family`] rows in the shape of a `cells!` row, for values with no cell.
+macro_rules! derived {
+    ($($name:literal, $kind:ident, $section:ident, $help:literal, $source:ident($get:expr);)*) => {
+        [$(Family {
+            name: $name,
+            help: $help,
+            kind: Kind::$kind,
+            label: None,
+            section: Section::$section,
+            get: Source::$source($get),
+        },)*]
+    };
+}
+
+/// The model-level and per-operator families.
+static DERIVED_FAMILIES: [Family; 13] = derived! {
+    "bitflow_requests_total", Counter, Requests,
+        "Requests that have entered the engine (including in-flight).",
+        Model(|m| Value::Int(m.requests));
+    "bitflow_op_calls_total", Counter, Ops, "Recorded operator invocations.",
+        Op(|op| Some(Value::Int(op.calls)));
+    "bitflow_op_time_ns_total", Counter, Ops,
+        "Wall time attributed to the operator, nanoseconds.",
+        Op(|op| Some(Value::Int(op.total_ns)));
+    "bitflow_op_gops", Gauge, Ops, "Sustained xor+popcount throughput, GOPS.",
+        Op(|op| Some(Value::Float(op.gops)));
+    "bitflow_op_gb_per_s", Gauge, Ops, "Sustained memory traffic, GB/s.",
+        Op(|op| Some(Value::Float(op.gb_per_s)));
+    "bitflow_op_pct_of_peak_compute", Gauge, Ops,
+        "Achieved share of the machine's peak xor+popcount throughput, percent.",
+        Op(|op| Some(Value::Float(op.pct_of_peak_compute)));
+    "bitflow_op_pct_of_peak_bandwidth", Gauge, Ops,
+        "Achieved share of the machine's peak memory bandwidth, percent.",
+        Op(|op| Some(Value::Float(op.pct_of_peak_bandwidth)));
+    "bitflow_op_memory_bound", Gauge, Ops,
+        "Roofline verdict: 1 memory-bound, 0 compute-bound, absent idle.",
+        Op(|op| match op.bound {
+            OpBound::Memory => Some(Value::Int(1)),
+            OpBound::Compute => Some(Value::Int(0)),
+            OpBound::Idle => None,
+        });
+    "bitflow_op_latency_ns", Histogram, Ops,
+        "Per-call operator latency, nanoseconds (log2-octave buckets).",
+        Op(|op| Some(Value::latency_hist(&op.hist, op.calls, op.total_ns)));
+    "bitflow_machine_peak_gops", Gauge, Machine,
+        "Theoretical peak xor+popcount throughput, GOPS.",
+        Model(|m| Value::Float(m.machine.peak_gops));
+    "bitflow_machine_peak_gb_per_s", Gauge, Machine, "Peak streaming memory bandwidth, GB/s.",
+        Model(|m| Value::Float(m.machine.peak_gb_per_s));
+    "bitflow_machine_freq_ghz", Gauge, Machine, "Estimated sustained core frequency, GHz.",
+        Model(|m| Value::Float(m.machine.freq_ghz));
+    "bitflow_machine_logical_cores", Gauge, Machine, "Logical cores visible to the process.",
+        Model(|m| Value::Int(m.machine.logical_cores));
+};
+
+/// Every descriptor row, in print order: by section, rows of one section
+/// in declaration order.
+fn families() -> Vec<&'static Family> {
+    let cells = [BATCH_FAMILIES, SERVE_FAMILIES, GOVERN_FAMILIES];
+    let mut rows: Vec<&Family> = (DERIVED_FAMILIES.iter())
+        .chain(cells.into_iter().flatten())
+        .collect();
+    rows.sort_by_key(|row| row.section);
+    rows
+}
+
+/// One snapshot with its label sets rendered once: `model="…"`, and per
+/// operator `model="…",op="…",kind="…"`.
+struct Tenant<'a> {
+    snap: &'a MetricsSnapshot,
+    labels: String,
+    op_labels: Vec<String>,
+}
+
+impl Tenant<'_> {
+    /// The series `row` contributes for this tenant, each with its labels.
+    fn series(&self, row: &Family) -> Vec<(String, Value)> {
+        match row.get {
+            Source::Model(get) => {
+                let labels = match row.label {
+                    Some((key, fixed)) => format!("{},{key}=\"{fixed}\"", self.labels),
+                    None => self.labels.clone(),
+                };
+                vec![(labels, get(self.snap))]
+            }
+            Source::Op(get) => (self.snap.ops.iter().zip(&self.op_labels))
+                .filter_map(|(op, labels)| Some((labels.clone(), get(op)?)))
+                .collect(),
+        }
     }
 }
 
-impl MetricsSnapshot {
-    /// Renders the snapshot in Prometheus text exposition format.
-    pub fn to_prometheus(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        let model = escape_label(&self.model);
-
-        fn family(s: &mut String, name: &str, help: &str, kind: &str, rows: Vec<(String, String)>) {
-            let _ = writeln!(s, "# HELP {name} {help}");
-            let _ = writeln!(s, "# TYPE {name} {kind}");
-            for (labels, value) in rows {
-                let _ = writeln!(s, "{name}{{{labels}}} {value}");
+/// One family: the header, then one line per scalar series; for
+/// histograms cumulative `le` buckets per series — closed by `+Inf` at the
+/// series' count unless its own overflow bucket already closed it — and
+/// then `_sum`/`_count` per series.
+fn render(out: &mut String, name: &str, help: &str, kind: Kind, series: &[(String, Value)]) {
+    let kind = match kind {
+        Kind::Counter => "counter",
+        Kind::Gauge | Kind::HighWater => "gauge",
+        Kind::Histogram => "histogram",
+    };
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    for (labels, value) in series {
+        let _ = match value {
+            Value::Int(v) => writeln!(out, "{name}{{{labels}}} {v}"),
+            Value::Float(v) if v.is_nan() => writeln!(out, "{name}{{{labels}}} NaN"),
+            Value::Float(v) if v.is_infinite() => {
+                let sign = if *v > 0.0 { '+' } else { '-' };
+                writeln!(out, "{name}{{{labels}}} {sign}Inf")
             }
-        }
-        let op_labels = |op: &crate::snapshot::OpSnapshot| {
-            format!(
-                "model=\"{model}\",op=\"{}\",kind=\"{}\"",
-                escape_label(&op.name),
-                op.kind.label()
-            )
-        };
-
-        family(
-            &mut s,
-            "bitflow_requests_total",
-            "Requests that have entered the engine (including in-flight).",
-            "counter",
-            vec![(format!("model=\"{model}\""), self.requests.to_string())],
-        );
-
-        family(
-            &mut s,
-            "bitflow_op_calls_total",
-            "Recorded operator invocations.",
-            "counter",
-            self.ops
-                .iter()
-                .map(|op| (op_labels(op), op.calls.to_string()))
-                .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_op_time_ns_total",
-            "Wall time attributed to the operator, nanoseconds.",
-            "counter",
-            self.ops
-                .iter()
-                .map(|op| (op_labels(op), op.total_ns.to_string()))
-                .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_op_gops",
-            "Sustained xor+popcount throughput, GOPS.",
-            "gauge",
-            self.ops
-                .iter()
-                .map(|op| (op_labels(op), fmt_f64(op.gops)))
-                .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_op_gb_per_s",
-            "Sustained memory traffic, GB/s.",
-            "gauge",
-            self.ops
-                .iter()
-                .map(|op| (op_labels(op), fmt_f64(op.gb_per_s)))
-                .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_op_pct_of_peak_compute",
-            "Achieved share of the machine's peak xor+popcount throughput, percent.",
-            "gauge",
-            self.ops
-                .iter()
-                .map(|op| (op_labels(op), fmt_f64(op.pct_of_peak_compute)))
-                .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_op_pct_of_peak_bandwidth",
-            "Achieved share of the machine's peak memory bandwidth, percent.",
-            "gauge",
-            self.ops
-                .iter()
-                .map(|op| (op_labels(op), fmt_f64(op.pct_of_peak_bandwidth)))
-                .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_op_memory_bound",
-            "Roofline verdict: 1 memory-bound, 0 compute-bound, absent idle.",
-            "gauge",
-            self.ops
-                .iter()
-                .filter(|op| op.bound != OpBound::Idle)
-                .map(|op| {
-                    let v = if op.bound == OpBound::Memory {
-                        "1"
-                    } else {
-                        "0"
+            Value::Float(v) => writeln!(out, "{name}{{{labels}}} {v}"),
+            Value::Hist { buckets, count, .. } => {
+                let mut cumulative = 0u64;
+                for &(le, n) in buckets {
+                    cumulative += n;
+                    let _ = match le {
+                        u64::MAX => writeln!(out, "{name}{{{labels},le=\"+Inf\"}} {cumulative}"),
+                        _ => writeln!(out, "{name}{{{labels},le=\"{le}\"}} {cumulative}"),
                     };
-                    (op_labels(op), v.to_string())
+                }
+                match buckets.last() {
+                    Some(&(u64::MAX, _)) => Ok(()),
+                    _ => writeln!(out, "{name}{{{labels},le=\"+Inf\"}} {count}"),
+                }
+            }
+        };
+    }
+    for (labels, value) in series {
+        if let Value::Hist { count, sum, .. } = value {
+            let _ = writeln!(out, "{name}_sum{{{labels}}} {sum}");
+            let _ = writeln!(out, "{name}_count{{{labels}}} {count}");
+        }
+    }
+}
+
+/// Renders the snapshots — one per served model name — as one Prometheus
+/// text exposition. Snapshots must differ in `model`, the label that tells
+/// their series apart.
+pub fn to_prometheus(snapshots: &[MetricsSnapshot]) -> String {
+    let tenants: Vec<Tenant<'_>> = snapshots
+        .iter()
+        .map(|snap| {
+            let labels = format!("model=\"{}\"", escape_label(&snap.model));
+            let op_labels = snap
+                .ops
+                .iter()
+                .map(|op| {
+                    format!(
+                        "{labels},op=\"{}\",kind=\"{}\"",
+                        escape_label(&op.name),
+                        op.kind.label()
+                    )
                 })
-                .collect(),
-        );
-
-        // Histogram family: cumulative buckets from the sparse snapshot.
-        let mut hist_rows = Vec::new();
-        for op in &self.ops {
-            let labels = op_labels(op);
-            let mut cum = 0u64;
-            for b in &op.hist {
-                cum += b.count;
-                hist_rows.push((format!("{labels},le=\"{}\"", b.le_ns), cum.to_string()));
+                .collect();
+            Tenant {
+                snap,
+                labels,
+                op_labels,
             }
-            hist_rows.push((format!("{labels},le=\"+Inf\""), op.calls.to_string()));
-        }
-        family(
-            &mut s,
-            "bitflow_op_latency_ns",
-            "Per-call operator latency, nanoseconds (log2-octave buckets).",
-            "histogram",
-            hist_rows,
-        );
-        // _sum/_count live outside the bucket family header.
-        for op in &self.ops {
-            let labels = op_labels(op);
-            let _ = writeln!(s, "bitflow_op_latency_ns_sum{{{labels}}} {}", op.total_ns);
-            let _ = writeln!(s, "bitflow_op_latency_ns_count{{{labels}}} {}", op.calls);
-        }
+        })
+        .collect();
+    let mut out = String::with_capacity(4096 * snapshots.len());
+    // Consecutive rows sharing a family name go under one header, every
+    // tenant's series with them.
+    for family in families().chunk_by(|a, b| a.name == b.name) {
+        let series: Vec<(String, Value)> = tenants
+            .iter()
+            .flat_map(|tenant| family.iter().flat_map(|row| tenant.series(row)))
+            .collect();
+        let first = family[0];
+        render(&mut out, first.name, first.help, first.kind, &series);
+    }
+    out
+}
 
-        let m = &self.machine;
-        let mlab = format!("model=\"{model}\"");
-        family(
-            &mut s,
-            "bitflow_machine_peak_gops",
-            "Theoretical peak xor+popcount throughput, GOPS.",
-            "gauge",
-            vec![(mlab.clone(), fmt_f64(m.peak_gops))],
-        );
-        family(
-            &mut s,
-            "bitflow_machine_peak_gb_per_s",
-            "Peak streaming memory bandwidth, GB/s.",
-            "gauge",
-            vec![(mlab.clone(), fmt_f64(m.peak_gb_per_s))],
-        );
-        family(
-            &mut s,
-            "bitflow_machine_freq_ghz",
-            "Estimated sustained core frequency, GHz.",
-            "gauge",
-            vec![(mlab.clone(), fmt_f64(m.freq_ghz))],
-        );
-        family(
-            &mut s,
-            "bitflow_machine_logical_cores",
-            "Logical cores visible to the process.",
-            "gauge",
-            vec![(mlab.clone(), m.logical_cores.to_string())],
-        );
-
-        family(
-            &mut s,
-            "bitflow_perf_sampled_requests_total",
-            "Requests wrapped in a hardware-counter group.",
-            "counter",
-            vec![(mlab.clone(), self.perf.sampled_requests.to_string())],
-        );
-        family(
-            &mut s,
-            "bitflow_perf_available",
-            "Whether hardware counters are being collected (status label).",
-            "gauge",
-            vec![(
-                format!(
-                    "model=\"{model}\",status=\"{}\"",
-                    escape_label(&self.perf.status)
-                ),
-                (if self.perf.status == "ok" { "1" } else { "0" }).to_string(),
-            )],
-        );
-        let perf_counters: [(&str, &str, Option<u64>); 4] = [
-            (
-                "bitflow_perf_cycles_total",
-                "Core cycles across sampled requests.",
-                self.perf.cycles,
-            ),
-            (
-                "bitflow_perf_instructions_total",
-                "Retired instructions across sampled requests.",
-                self.perf.instructions,
-            ),
-            (
-                "bitflow_perf_llc_misses_total",
-                "Last-level-cache misses across sampled requests.",
-                self.perf.llc_misses,
-            ),
-            (
-                "bitflow_perf_branch_misses_total",
-                "Mispredicted branches across sampled requests.",
-                self.perf.branch_misses,
-            ),
-        ];
-        for (name, help, value) in perf_counters {
-            if let Some(v) = value {
-                family(
-                    &mut s,
-                    name,
-                    help,
-                    "counter",
-                    vec![(mlab.clone(), v.to_string())],
-                );
-            }
-        }
-
-        let b = &self.batch;
-        family(
-            &mut s,
-            "bitflow_batch_items_total",
-            "Items accepted across all batches.",
-            "counter",
-            vec![(mlab.clone(), b.items.to_string())],
-        );
-        family(
-            &mut s,
-            "bitflow_batch_failed_items_total",
-            "Items that returned an error.",
-            "counter",
-            vec![(mlab.clone(), b.failed_items.to_string())],
-        );
-        family(
-            &mut s,
-            "bitflow_batch_queued_items",
-            "Items currently in flight inside try_infer_batch.",
-            "gauge",
-            vec![(mlab.clone(), b.queued_items.to_string())],
-        );
-
-        let sv = &self.serve;
-        let serve_counters: [(&str, &str, u64); 10] = [
-            (
-                "bitflow_serve_submitted_total",
-                "Requests offered to the serving admission queue.",
-                sv.submitted,
-            ),
-            (
-                "bitflow_serve_accepted_total",
-                "Requests admitted into the serving queue.",
-                sv.accepted,
-            ),
-            (
-                "bitflow_serve_completed_total",
-                "Admitted requests that returned logits.",
-                sv.completed,
-            ),
-            (
-                "bitflow_serve_failed_total",
-                "Admitted requests that resolved to an inference error.",
-                sv.failed,
-            ),
-            (
-                "bitflow_serve_deadline_shed_total",
-                "Admitted requests dropped before running: deadline unmeetable.",
-                sv.shed_deadline,
-            ),
-            (
-                "bitflow_serve_deadline_missed_total",
-                "Admitted requests cancelled mid-run by their deadline.",
-                sv.deadline_missed,
-            ),
-            (
-                "bitflow_serve_cancelled_total",
-                "Admitted requests cancelled by their caller.",
-                sv.cancelled,
-            ),
-            (
-                "bitflow_serve_worker_panics_total",
-                "Panics caught and isolated by serving workers.",
-                sv.worker_panics,
-            ),
-            (
-                "bitflow_serve_worker_restarts_total",
-                "Worker loops restarted after an escaped panic.",
-                sv.worker_restarts,
-            ),
-            (
-                "bitflow_serve_breaker_trips_total",
-                "Circuit-breaker transitions into the shedding state.",
-                sv.breaker_trips,
-            ),
-        ];
-        for (name, help, value) in serve_counters {
-            family(
-                &mut s,
-                name,
-                help,
-                "counter",
-                vec![(mlab.clone(), value.to_string())],
-            );
-        }
-        family(
-            &mut s,
-            "bitflow_serve_rejected_total",
-            "Submissions refused at admission, by reason.",
-            "counter",
-            [
-                ("queue_full", sv.rejected_queue_full),
-                ("shedding", sv.rejected_shedding),
-                ("draining", sv.rejected_draining),
-                ("quota", sv.rejected_quota),
-                ("memory", sv.govern.rejected_memory),
-            ]
-            .into_iter()
-            .map(|(reason, v)| (format!("{mlab},reason=\"{reason}\""), v.to_string()))
-            .collect(),
-        );
-        family(
-            &mut s,
-            "bitflow_serve_queue_depth",
-            "Requests waiting in the admission queue right now.",
-            "gauge",
-            vec![(mlab.clone(), sv.queue_depth.to_string())],
-        );
-        family(
-            &mut s,
-            "bitflow_serve_queue_depth_max",
-            "High-water mark of the admission queue since the last reset.",
-            "gauge",
-            vec![(mlab.clone(), sv.queue_depth_max.to_string())],
-        );
-
-        // Served-batch-size histogram: cumulative buckets from the sparse
-        // snapshot, +Inf at the total batch count, _sum over served items.
-        let mut batch_rows = Vec::new();
-        let mut cum = 0u64;
-        for b in &sv.batch_size_hist {
-            cum += b.count;
-            let le = if b.le == u64::MAX {
-                "+Inf".to_string()
-            } else {
-                b.le.to_string()
-            };
-            batch_rows.push((format!("{mlab},le=\"{le}\""), cum.to_string()));
-        }
-        if sv.batch_size_hist.last().map(|b| b.le) != Some(u64::MAX) {
-            batch_rows.push((format!("{mlab},le=\"+Inf\""), sv.batches.to_string()));
-        }
-        family(
-            &mut s,
-            "bitflow_serve_batch_size",
-            "Requests per served micro-batch (1 is the unbatched path).",
-            "histogram",
-            batch_rows,
-        );
-        let _ = writeln!(
-            s,
-            "bitflow_serve_batch_size_sum{{{mlab}}} {}",
-            sv.batch_items
-        );
-        let _ = writeln!(s, "bitflow_serve_batch_size_count{{{mlab}}} {}", sv.batches);
-        family(
-            &mut s,
-            "bitflow_serve_batch_size_max",
-            "Largest micro-batch served since the last reset.",
-            "gauge",
-            vec![(mlab.clone(), sv.batch_size_max.to_string())],
-        );
-
-        // Request-lifecycle stage histograms: cumulative buckets from the
-        // sparse snapshots, +Inf at the stage count, _sum over stage time.
-        let stage_hists: [(&str, &str, &crate::snapshot::StageSnapshot); 4] = [
-            (
-                "bitflow_stage_queue_wait_ns",
-                "Admission-queue wait per request, nanoseconds.",
-                &sv.stage_queue_wait,
-            ),
-            (
-                "bitflow_stage_batch_wait_ns",
-                "Batch-formation wait per request (coalescing + dispatch), nanoseconds.",
-                &sv.stage_batch_wait,
-            ),
-            (
-                "bitflow_stage_exec_ns",
-                "Engine execution time per request, nanoseconds.",
-                &sv.stage_exec,
-            ),
-            (
-                "bitflow_stage_write_ns",
-                "Response write time per request, nanoseconds.",
-                &sv.stage_write,
-            ),
-        ];
-        for (name, help, stage) in stage_hists {
-            let mut rows = Vec::new();
-            let mut cum = 0u64;
-            for b in &stage.buckets {
-                cum += b.count;
-                rows.push((format!("{mlab},le=\"{}\"", b.le_ns), cum.to_string()));
-            }
-            rows.push((format!("{mlab},le=\"+Inf\""), stage.count.to_string()));
-            family(&mut s, name, help, "histogram", rows);
-            let _ = writeln!(s, "{name}_sum{{{mlab}}} {}", stage.total_ns);
-            let _ = writeln!(s, "{name}_count{{{mlab}}} {}", stage.count);
-        }
-
-        let net_counters: [(&str, &str, u64); 9] = [
-            (
-                "bitflow_net_accepted_conns_total",
-                "TCP connections accepted by the network front-end.",
-                sv.net_accepted_conns,
-            ),
-            (
-                "bitflow_net_rejected_conns_total",
-                "TCP connections refused at the accept loop (connection cap).",
-                sv.net_rejected_conns,
-            ),
-            (
-                "bitflow_net_timeouts_read_total",
-                "Connections dropped by an expired read deadline (slowloris included).",
-                sv.net_timeouts_read,
-            ),
-            (
-                "bitflow_net_timeouts_write_total",
-                "Connections dropped by a stalled response write.",
-                sv.net_timeouts_write,
-            ),
-            (
-                "bitflow_net_malformed_requests_total",
-                "Requests refused as malformed before reaching admission.",
-                sv.net_malformed_requests,
-            ),
-            (
-                "bitflow_net_bytes_in_total",
-                "Request bytes read off the wire.",
-                sv.net_bytes_in,
-            ),
-            (
-                "bitflow_net_bytes_out_total",
-                "Response bytes written to the wire.",
-                sv.net_bytes_out,
-            ),
-            (
-                "bitflow_net_accept_errors_total",
-                "Accept-loop accept(2) errors (descriptor exhaustion included).",
-                sv.govern.net_accept_errors,
-            ),
-            (
-                "bitflow_net_spawn_sheds_total",
-                "Connections shed because a handler thread could not be spawned.",
-                sv.govern.net_spawn_sheds,
-            ),
-        ];
-        for (name, help, value) in net_counters {
-            family(
-                &mut s,
-                name,
-                help,
-                "counter",
-                vec![(mlab.clone(), value.to_string())],
-            );
-        }
-
-        let mem_gauges: [(&str, &str, u64); 3] = [
-            (
-                "bitflow_mem_used_bytes",
-                "Bytes currently held by live memory leases.",
-                sv.govern.mem_used_bytes,
-            ),
-            (
-                "bitflow_mem_budget_bytes",
-                "The resource governor's global byte budget (0 = unbudgeted).",
-                sv.govern.mem_budget_bytes,
-            ),
-            (
-                "bitflow_mem_leases",
-                "Live memory leases outstanding.",
-                sv.govern.mem_leases,
-            ),
-        ];
-        for (name, help, value) in mem_gauges {
-            family(
-                &mut s,
-                name,
-                help,
-                "gauge",
-                vec![(mlab.clone(), value.to_string())],
-            );
-        }
-        family(
-            &mut s,
-            "bitflow_degradation_state",
-            "Brownout state machine: 0 Normal, 1 Brownout, 2 Shed.",
-            "gauge",
-            vec![(mlab.clone(), sv.govern.degradation_state.to_string())],
-        );
-
-        s
+impl MetricsSnapshot {
+    /// Renders this snapshot alone in Prometheus text exposition format.
+    pub fn to_prometheus(&self) -> String {
+        to_prometheus(std::slice::from_ref(self))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::snapshot::{
-        BatchSnapshot, GovernSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound,
-        OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, SCHEMA_VERSION,
-    };
-    use crate::OpKind;
+    use super::*;
+    use crate::snapshot::tests::sample as snap;
 
-    fn snap() -> MetricsSnapshot {
-        MetricsSnapshot {
-            schema_version: SCHEMA_VERSION,
-            model: "small-cnn".to_string(),
-            requests: 8,
-            machine: MachineSnapshot {
-                features: "sse2+avx2".to_string(),
-                simd_width_bits: 256,
-                logical_cores: 2,
-                freq_ghz: 2.1,
-                freq_source: "cpuinfo".to_string(),
-                peak_gops: 2150.4,
-                peak_gb_per_s: 11.5,
-                bw_source: "measured".to_string(),
-            },
-            perf: PerfSnapshot::unavailable("no PMU"),
-            ops: vec![OpSnapshot {
-                name: "conv1".to_string(),
-                kind: OpKind::Conv,
-                calls: 8,
-                total_ns: 8_000,
-                mean_ns: 1_000.0,
-                max_ns: 1_500,
-                p50_ns: 1_008,
-                p95_ns: 1_488,
-                p99_ns: 1_488,
-                bit_ops_per_call: 1_000_000,
-                bytes_read_per_call: 4_096,
-                bytes_written_per_call: 1_024,
-                gops: 1_000.0,
-                gb_per_s: 5.12,
-                pct_of_peak_compute: 46.5,
-                pct_of_peak_bandwidth: 44.5,
-                bound: OpBound::Compute,
-                hist: vec![
-                    HistBucket {
-                        le_ns: 1_023,
-                        count: 5,
-                    },
-                    HistBucket {
-                        le_ns: 1_535,
-                        count: 3,
-                    },
-                ],
-                tile: None,
-            }],
-            batch: BatchSnapshot::default(),
-            serve: ServeSnapshot {
-                submitted: 20,
-                accepted: 17,
-                completed: 12,
-                failed: 1,
-                rejected_queue_full: 2,
-                rejected_shedding: 1,
-                rejected_draining: 0,
-                rejected_quota: 3,
-                shed_deadline: 2,
-                deadline_missed: 1,
-                cancelled: 1,
-                worker_panics: 1,
-                worker_restarts: 1,
-                breaker_trips: 1,
-                queue_depth: 3,
-                queue_depth_max: 6,
-                batches: 6,
-                batch_items: 14,
-                batch_size_max: 4,
-                batch_size_hist: vec![
-                    SizeBucket { le: 1, count: 2 },
-                    SizeBucket { le: 4, count: 4 },
-                ],
-                net_accepted_conns: 9,
-                net_rejected_conns: 2,
-                net_timeouts_read: 4,
-                net_timeouts_write: 1,
-                net_malformed_requests: 5,
-                net_bytes_in: 123_456,
-                net_bytes_out: 65_432,
-                govern: GovernSnapshot {
-                    rejected_memory: 4,
-                    net_accept_errors: 3,
-                    net_spawn_sheds: 2,
-                    mem_used_bytes: 2_097_152,
-                    mem_budget_bytes: 8_388_608,
-                    mem_leases: 5,
-                    degradation_state: 2,
-                },
-                stage_queue_wait: StageSnapshot {
-                    count: 12,
-                    total_ns: 48_000,
-                    buckets: vec![
-                        HistBucket {
-                            le_ns: 2_047,
-                            count: 7,
-                        },
-                        HistBucket {
-                            le_ns: 8_191,
-                            count: 5,
-                        },
-                    ],
-                },
-                stage_batch_wait: StageSnapshot {
-                    count: 12,
-                    total_ns: 6_000,
-                    buckets: vec![HistBucket {
-                        le_ns: 1_023,
-                        count: 12,
-                    }],
-                },
-                stage_exec: StageSnapshot {
-                    count: 12,
-                    total_ns: 96_000,
-                    buckets: vec![HistBucket {
-                        le_ns: 16_383,
-                        count: 12,
-                    }],
-                },
-                stage_write: StageSnapshot::default(),
-            },
+    /// The descriptor table checks itself: names, the `_total` convention,
+    /// one rendered series per row, and what `reset()` does to each kind
+    /// of cell.
+    #[test]
+    fn descriptor_tables_are_consistent() {
+        use crate::table::{BatchGauges, Cell, ServeGauges};
+        use std::collections::HashSet;
+
+        let rows = families();
+        let mut kinds: Vec<(&str, Kind)> = Vec::new();
+        let mut series = HashSet::new();
+        for row in &rows {
+            assert!(series.insert((row.name, row.label)), "{}", row.name);
+            match kinds.iter().find(|(name, _)| *name == row.name) {
+                // A second row of a family is a second label value of it.
+                Some((_, kind)) => assert!(row.label.is_some() && *kind == row.kind),
+                None => kinds.push((row.name, row.kind)),
+            }
+        }
+        for (name, kind) in &kinds {
+            assert!(
+                name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
+                "{name}"
+            );
+            assert_eq!(name.ends_with("_total"), *kind == Kind::Counter, "{name}");
+        }
+
+        // Filled, every cell reads 7; after `reset()` exactly the live
+        // gauges still do, and every histogram is empty.
+        let (batch, serve) = (BatchGauges::default(), ServeGauges::default());
+        batch.fill(7);
+        serve.fill(7);
+        batch.reset();
+        serve.reset();
+        let mut after = MetricsSnapshot::serve_only("m", serve.snapshot());
+        after.batch = batch.snapshot();
+        let cells = rows.iter().filter(|row| {
+            ![Section::Requests, Section::Ops, Section::Machine].contains(&row.section)
+        });
+        let mut live = Vec::new();
+        for row in cells {
+            let Source::Model(get) = row.get else {
+                panic!("{} reads a cell", row.name)
+            };
+            let empty = Value::Hist {
+                buckets: Vec::new(),
+                count: 0,
+                sum: 0,
+            };
+            match get(&after) {
+                Value::Int(0) => assert_ne!(row.kind, Kind::Gauge, "{}", row.name),
+                Value::Int(v) => {
+                    assert_eq!((v, row.kind), (7, Kind::Gauge), "{}", row.name);
+                    live.push(row.name);
+                }
+                value => assert_eq!((value, row.kind), (empty, Kind::Histogram), "{}", row.name),
+            }
+        }
+        assert_eq!(
+            live,
+            [
+                "bitflow_batch_queued_items",
+                "bitflow_serve_queue_depth",
+                "bitflow_mem_used_bytes",
+                "bitflow_mem_budget_bytes",
+                "bitflow_mem_leases",
+                "bitflow_degradation_state",
+            ]
+        );
+        assert_eq!((after.batch.batches, after.batch.max_batch), (0, 0));
+
+        // Every row is rendered exactly once — one series for the model,
+        // or one per operator — and every family has one header.
+        let snap = snap();
+        let text = snap.to_prometheus();
+        for row in &rows {
+            let (labels, want) = match (&row.get, row.label) {
+                (Source::Op(_), _) => ("model=\"small-cnn\",op=".to_string(), snap.ops.len()),
+                (_, Some((key, value))) => (format!("model=\"small-cnn\",{key}=\"{value}\"}} "), 1),
+                (_, None) => ("model=\"small-cnn\"} ".to_string(), 1),
+            };
+            let line = match row.kind {
+                Kind::Histogram => format!("{}_count{{{labels}", row.name),
+                _ => format!("{}{{{labels}", row.name),
+            };
+            let found = text.lines().filter(|l| l.starts_with(&line)).count();
+            assert_eq!(found, want, "{line}");
+        }
+        for (name, _) in &kinds {
+            let header = format!("# TYPE {name} ");
+            let found = text.lines().filter(|l| l.starts_with(&header)).count();
+            assert_eq!(found, 1, "{header}");
         }
     }
 
@@ -685,9 +336,6 @@ mod tests {
         assert!(text.contains("le=\"+Inf\"} 8"));
         assert!(text.contains("bitflow_op_latency_ns_sum"));
         assert!(text.contains("bitflow_op_latency_ns_count"));
-        assert!(text.contains("status=\"unavailable: no PMU\"} 0"));
-        // Unavailable counters are absent, not zero.
-        assert!(!text.contains("bitflow_perf_cycles_total{"));
     }
 
     #[test]

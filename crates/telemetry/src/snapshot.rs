@@ -7,21 +7,13 @@
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{OpKind, TileStats};
+use crate::table::{BatchSnapshot, ServeSnapshot};
 
 /// Schema version written into every [`MetricsSnapshot`] (and, via the
-/// bench crate, every `results/*.json` artifact). v1 was the PR-3 snapshot
-/// without roofline, machine, or perf-counter fields; v2 added them; v3
-/// added the serving-runtime counters ([`ServeSnapshot`]); v4 added the
-/// multi-model tenancy counters (quota rejections) and the served
-/// micro-batch-size histogram; v5 added the network front-end counters
-/// (`net_*`: connections, timeouts, malformed requests, byte totals);
-/// v6 added the request-lifecycle stage histograms
-/// ([`StageSnapshot`]: queue-wait, batch-wait, exec, write);
-/// v7 added the resource-governance counters ([`GovernSnapshot`]:
-/// memory-pressure rejections, byte-budget gauges, degradation state,
-/// accept-error and spawn-shed counters).
+/// bench crate, every `results/*.json` artifact); bumped whenever a JSON
+/// key is added, removed or renamed (v8 removed the `perf` object).
 /// Readers must refuse to overwrite files written by a *newer* schema.
-pub const SCHEMA_VERSION: u32 = 7;
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Upper edges of the served-batch-size histogram buckets. Batches larger
 /// than the last edge land in the implicit overflow bucket
@@ -57,7 +49,7 @@ pub struct HistBucket {
 /// histogram buckets (sparse, non-cumulative, same bucketing as
 /// [`HistBucket`] op histograms). Always on — the serving runtime records
 /// these whether or not tracing is enabled.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageSnapshot {
     /// Requests that passed through the stage.
     pub count: u64,
@@ -65,66 +57,6 @@ pub struct StageSnapshot {
     pub total_ns: u64,
     /// Occupied latency-histogram buckets (sparse, non-cumulative).
     pub buckets: Vec<HistBucket>,
-}
-
-// Manual impl so a v5 snapshot missing the stage fields (which the
-// vendored serde surfaces as `Null`) reads back as an empty stage — the
-// vendored derive has no `#[serde(default)]`.
-impl Deserialize for StageSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            count: Deserialize::from_value(v.field("count")?)?,
-            total_ns: Deserialize::from_value(v.field("total_ns")?)?,
-            buckets: Deserialize::from_value(v.field("buckets")?)?,
-        })
-    }
-}
-
-/// Resource-governance counters and gauges: the memory-budget and
-/// degradation-state face of the serving runtime, plus the accept-loop
-/// failure counters. Grouped so a v6 snapshot (no `govern` key, surfaced
-/// by the vendored serde as `Null`) reads back as all-zero defaults.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct GovernSnapshot {
-    /// Submissions refused because a byte budget (global or per-tenant)
-    /// could not cover the request.
-    pub rejected_memory: u64,
-    /// Accept-loop `accept(2)` errors (EMFILE/ENFILE descriptor
-    /// exhaustion included).
-    pub net_accept_errors: u64,
-    /// Connections shed because their handler thread could not be
-    /// spawned (counted apart from cap rejections).
-    pub net_spawn_sheds: u64,
-    /// Bytes currently held by live memory leases (gauge).
-    pub mem_used_bytes: u64,
-    /// The governor's global byte budget; 0 = unbudgeted (gauge).
-    pub mem_budget_bytes: u64,
-    /// Live memory leases outstanding (gauge).
-    pub mem_leases: u64,
-    /// Brownout state machine: 0 = Normal, 1 = Brownout, 2 = Shed (gauge).
-    pub degradation_state: u64,
-}
-
-// Manual impl so a v6 snapshot missing the `govern` field reads back as
-// zeroed governance counters — same pattern as [`StageSnapshot`].
-impl Deserialize for GovernSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        Ok(Self {
-            rejected_memory: Deserialize::from_value(v.field("rejected_memory")?)?,
-            net_accept_errors: Deserialize::from_value(v.field("net_accept_errors")?)?,
-            net_spawn_sheds: Deserialize::from_value(v.field("net_spawn_sheds")?)?,
-            mem_used_bytes: Deserialize::from_value(v.field("mem_used_bytes")?)?,
-            mem_budget_bytes: Deserialize::from_value(v.field("mem_budget_bytes")?)?,
-            mem_leases: Deserialize::from_value(v.field("mem_leases")?)?,
-            degradation_state: Deserialize::from_value(v.field("degradation_state")?)?,
-        })
-    }
 }
 
 /// Roofline verdict for one operator: which peak it is closer to.
@@ -140,7 +72,7 @@ pub enum OpBound {
 
 /// The machine the snapshot was taken on, plus its roofline peaks. Flat
 /// strings/numbers so the schema is self-describing in JSON.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MachineSnapshot {
     /// Detected ISA features, e.g. `"sse2+ssse3+popcnt+avx2"`.
     pub features: String,
@@ -159,44 +91,6 @@ pub struct MachineSnapshot {
     pub peak_gb_per_s: f64,
     /// Where the bandwidth peak came from: `"measured"` or `"env"`.
     pub bw_source: String,
-}
-
-/// Hardware-counter totals accumulated across sampled requests.
-///
-/// The contract of the acceptance criteria: counter fields are populated
-/// *or explicitly marked unavailable* — `status` always says which, and
-/// `None` never silently means zero.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PerfSnapshot {
-    /// `"ok"`, `"disabled"` (BITFLOW_PERF=0), or `"unavailable: <reason>"`.
-    pub status: String,
-    /// Requests the counter group was wrapped around.
-    pub sampled_requests: u64,
-    /// Total core cycles across sampled requests.
-    pub cycles: Option<u64>,
-    /// Total retired instructions across sampled requests.
-    pub instructions: Option<u64>,
-    /// Total last-level-cache misses, when the PMU granted the event.
-    pub llc_misses: Option<u64>,
-    /// Total mispredicted branches, when the PMU granted the event.
-    pub branch_misses: Option<u64>,
-    /// Instructions per cycle over all sampled requests.
-    pub ipc: Option<f64>,
-}
-
-impl PerfSnapshot {
-    /// A snapshot that explains why no counters were collected.
-    pub fn unavailable(reason: &str) -> Self {
-        Self {
-            status: format!("unavailable: {reason}"),
-            sampled_requests: 0,
-            cycles: None,
-            instructions: None,
-            llc_misses: None,
-            branch_misses: None,
-            ipc: None,
-        }
-    }
 }
 
 /// Point-in-time counters for one operator, with derived percentiles and
@@ -245,112 +139,6 @@ pub struct OpSnapshot {
     pub tile: Option<TileStats>,
 }
 
-/// Batch-serving counters from `try_infer_batch`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchSnapshot {
-    /// Batches accepted.
-    pub batches: u64,
-    /// Items across all batches.
-    pub items: u64,
-    /// Items that returned an error.
-    pub failed_items: u64,
-    /// Per-thread chunks the batches were split into.
-    pub chunks: u64,
-    /// Largest single batch seen.
-    pub max_batch: u64,
-    /// Items in flight at snapshot time (0 when idle).
-    pub queued_items: u64,
-}
-
-/// Serving-runtime counters from `bitflow-serve`: admission, shedding,
-/// deadlines, and worker health. All zero for a model served without the
-/// runtime.
-///
-/// Conservation law (checked by the soak test): `submitted` equals
-/// `accepted` plus the four `rejected_*` counters, and — once the server
-/// has drained — `accepted` equals `completed + failed + shed_deadline +
-/// deadline_missed + cancelled`. In a multi-model server each model's
-/// gauges obey the law independently.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeSnapshot {
-    /// Requests offered to `submit` (admitted or not).
-    pub submitted: u64,
-    /// Requests admitted into the queue.
-    pub accepted: u64,
-    /// Requests that completed with logits.
-    pub completed: u64,
-    /// Requests that resolved to a typed inference error (including
-    /// caught worker panics).
-    pub failed: u64,
-    /// Submissions refused because the queue was at capacity.
-    pub rejected_queue_full: u64,
-    /// Submissions refused while the circuit breaker was shedding load.
-    pub rejected_shedding: u64,
-    /// Submissions refused while the server was draining for shutdown.
-    pub rejected_draining: u64,
-    /// Submissions refused because the target model's admission quota was
-    /// exhausted (multi-model tenancy).
-    pub rejected_quota: u64,
-    /// Admitted requests dropped *before* running because their deadline
-    /// budget was already unmeetable (deadline-aware shedding).
-    pub shed_deadline: u64,
-    /// Admitted requests cancelled *mid-run* by their deadline.
-    pub deadline_missed: u64,
-    /// Admitted requests cancelled by their caller.
-    pub cancelled: u64,
-    /// Panics caught and isolated inside workers.
-    pub worker_panics: u64,
-    /// Worker loops restarted after a panic escaped the per-request
-    /// backstop.
-    pub worker_restarts: u64,
-    /// Circuit-breaker trips into the shedding state.
-    pub breaker_trips: u64,
-    /// Requests waiting in the admission queue right now (gauge).
-    pub queue_depth: u64,
-    /// Highest queue depth observed.
-    pub queue_depth_max: u64,
-    /// Coalesced micro-batches served (a batch of one is the unbatched
-    /// fast path).
-    pub batches: u64,
-    /// Requests served across all micro-batches (`batch_items / batches`
-    /// is the mean served batch size).
-    pub batch_items: u64,
-    /// Largest micro-batch served.
-    pub batch_size_max: u64,
-    /// Served-batch-size histogram over [`BATCH_SIZE_EDGES`] (sparse,
-    /// non-cumulative; `le == u64::MAX` is the overflow bucket).
-    pub batch_size_hist: Vec<SizeBucket>,
-    /// TCP connections accepted by the network front-end.
-    pub net_accepted_conns: u64,
-    /// TCP connections refused at the accept loop (connection cap).
-    pub net_rejected_conns: u64,
-    /// Connections dropped because a read deadline expired (includes the
-    /// slowloris header timeout).
-    pub net_timeouts_read: u64,
-    /// Connections dropped because a response write stalled past its
-    /// deadline.
-    pub net_timeouts_write: u64,
-    /// Requests refused as malformed before reaching admission (bad
-    /// request line, oversized headers or body, undecodable tensor).
-    pub net_malformed_requests: u64,
-    /// Request bytes read off the wire (headers + bodies).
-    pub net_bytes_in: u64,
-    /// Response bytes written to the wire (including partial writes).
-    pub net_bytes_out: u64,
-    /// Resource-governance counters and gauges (memory budgets, brownout
-    /// state, accept-loop failures).
-    pub govern: GovernSnapshot,
-    /// Admission-queue wait distribution (enqueue → worker pop).
-    pub stage_queue_wait: StageSnapshot,
-    /// Batch-formation wait distribution (pop → micro-batch exec start:
-    /// the coalescing window plus dispatch).
-    pub stage_batch_wait: StageSnapshot,
-    /// Engine execution distribution (per request, inside its batch).
-    pub stage_exec: StageSnapshot,
-    /// Response-write distribution (serialize + write to the wire).
-    pub stage_write: StageSnapshot,
-}
-
 /// Everything a model's telemetry knows, frozen at one instant.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -362,8 +150,6 @@ pub struct MetricsSnapshot {
     pub requests: u64,
     /// The machine and its roofline peaks.
     pub machine: MachineSnapshot,
-    /// Hardware-counter totals (or why they are absent).
-    pub perf: PerfSnapshot,
     /// One entry per operator, in execution order.
     pub ops: Vec<OpSnapshot>,
     /// Batch-serving counters.
@@ -374,25 +160,19 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// A snapshot carrying only serving-runtime counters, for exposing a
-    /// model served without operator telemetry: no ops, no perf counters,
-    /// and a zeroed machine section (building the real one would run the
-    /// roofline bandwidth probe, far too expensive for a metrics scrape).
+    /// model served without operator telemetry: no ops, and a zeroed
+    /// machine section (building the real one would run the roofline
+    /// bandwidth probe, far too expensive for a metrics scrape).
     pub fn serve_only(model: impl Into<String>, serve: ServeSnapshot) -> Self {
         Self {
             schema_version: SCHEMA_VERSION,
             model: model.into(),
             requests: 0,
             machine: MachineSnapshot {
-                features: String::new(),
-                simd_width_bits: 0,
-                logical_cores: 0,
-                freq_ghz: 0.0,
                 freq_source: "unavailable".to_string(),
-                peak_gops: 0.0,
-                peak_gb_per_s: 0.0,
                 bw_source: "unavailable".to_string(),
+                ..MachineSnapshot::default()
             },
-            perf: PerfSnapshot::unavailable("telemetry disabled"),
             ops: Vec::new(),
             batch: BatchSnapshot::default(),
             serve,
@@ -414,60 +194,54 @@ impl MetricsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::table::GovernSnapshot;
 
-    fn sample() -> MetricsSnapshot {
+    /// A populated snapshot: the fixture of the unit tests here and in
+    /// `prometheus.rs`.
+    pub(crate) fn sample() -> MetricsSnapshot {
         MetricsSnapshot {
             schema_version: SCHEMA_VERSION,
-            model: "vgg16".to_string(),
-            requests: 3,
+            model: "small-cnn".to_string(),
+            requests: 8,
             machine: MachineSnapshot {
                 features: "sse2+avx2".to_string(),
                 simd_width_bits: 256,
-                logical_cores: 4,
+                logical_cores: 2,
                 freq_ghz: 2.1,
                 freq_source: "cpuinfo".to_string(),
-                peak_gops: 4300.8,
-                peak_gb_per_s: 12.0,
+                peak_gops: 2150.4,
+                peak_gb_per_s: 11.5,
                 bw_source: "measured".to_string(),
-            },
-            perf: PerfSnapshot {
-                status: "ok".to_string(),
-                sampled_requests: 3,
-                cycles: Some(6_300_000),
-                instructions: Some(12_600_000),
-                llc_misses: Some(1_024),
-                branch_misses: None,
-                ipc: Some(2.0),
             },
             ops: vec![
                 OpSnapshot {
                     name: "conv1".to_string(),
                     kind: OpKind::Conv,
-                    calls: 3,
-                    total_ns: 3_000,
+                    calls: 8,
+                    total_ns: 8_000,
                     mean_ns: 1_000.0,
-                    max_ns: 1_200,
-                    p50_ns: 992,
-                    p95_ns: 1_184,
-                    p99_ns: 1_184,
+                    max_ns: 1_500,
+                    p50_ns: 1_008,
+                    p95_ns: 1_488,
+                    p99_ns: 1_488,
                     bit_ops_per_call: 1_000_000,
                     bytes_read_per_call: 4_096,
                     bytes_written_per_call: 1_024,
                     gops: 1_000.0,
                     gb_per_s: 5.12,
-                    pct_of_peak_compute: 23.25,
-                    pct_of_peak_bandwidth: 42.67,
-                    bound: OpBound::Memory,
+                    pct_of_peak_compute: 46.5,
+                    pct_of_peak_bandwidth: 44.5,
+                    bound: OpBound::Compute,
                     hist: vec![
                         HistBucket {
                             le_ns: 1_023,
-                            count: 2,
+                            count: 5,
                         },
                         HistBucket {
-                            le_ns: 1_215,
-                            count: 1,
+                            le_ns: 1_535,
+                            count: 3,
                         },
                     ],
                     tile: Some(TileStats {
@@ -513,67 +287,73 @@ mod tests {
                 queued_items: 0,
             },
             serve: ServeSnapshot {
-                submitted: 12,
-                accepted: 9,
-                completed: 6,
+                submitted: 20,
+                accepted: 17,
+                completed: 12,
                 failed: 1,
                 rejected_queue_full: 2,
                 rejected_shedding: 1,
                 rejected_draining: 0,
-                rejected_quota: 0,
-                shed_deadline: 1,
+                rejected_quota: 3,
+                shed_deadline: 2,
                 deadline_missed: 1,
-                cancelled: 0,
+                cancelled: 1,
                 worker_panics: 1,
                 worker_restarts: 1,
-                breaker_trips: 0,
-                queue_depth: 0,
-                queue_depth_max: 4,
-                batches: 4,
-                batch_items: 7,
-                batch_size_max: 3,
+                breaker_trips: 1,
+                queue_depth: 3,
+                queue_depth_max: 6,
+                batches: 6,
+                batch_items: 14,
+                batch_size_max: 4,
                 batch_size_hist: vec![
                     SizeBucket { le: 1, count: 2 },
-                    SizeBucket { le: 4, count: 2 },
+                    SizeBucket { le: 4, count: 4 },
                 ],
-                net_accepted_conns: 5,
-                net_rejected_conns: 1,
-                net_timeouts_read: 2,
+                net_accepted_conns: 9,
+                net_rejected_conns: 2,
+                net_timeouts_read: 4,
                 net_timeouts_write: 1,
-                net_malformed_requests: 3,
-                net_bytes_in: 40_960,
-                net_bytes_out: 8_192,
+                net_malformed_requests: 5,
+                net_bytes_in: 123_456,
+                net_bytes_out: 65_432,
                 govern: GovernSnapshot {
-                    rejected_memory: 2,
-                    net_accept_errors: 1,
-                    net_spawn_sheds: 1,
-                    mem_used_bytes: 1_048_576,
-                    mem_budget_bytes: 4_194_304,
-                    mem_leases: 3,
-                    degradation_state: 1,
+                    rejected_memory: 4,
+                    net_accept_errors: 3,
+                    net_spawn_sheds: 2,
+                    mem_used_bytes: 2_097_152,
+                    mem_budget_bytes: 8_388_608,
+                    mem_leases: 5,
+                    degradation_state: 2,
                 },
                 stage_queue_wait: StageSnapshot {
-                    count: 7,
-                    total_ns: 70_000,
-                    buckets: vec![HistBucket {
-                        le_ns: 16_383,
-                        count: 7,
-                    }],
+                    count: 12,
+                    total_ns: 48_000,
+                    buckets: vec![
+                        HistBucket {
+                            le_ns: 2_047,
+                            count: 7,
+                        },
+                        HistBucket {
+                            le_ns: 8_191,
+                            count: 5,
+                        },
+                    ],
                 },
                 stage_batch_wait: StageSnapshot {
-                    count: 7,
-                    total_ns: 3_500,
+                    count: 12,
+                    total_ns: 6_000,
                     buckets: vec![HistBucket {
-                        le_ns: 511,
-                        count: 7,
+                        le_ns: 1_023,
+                        count: 12,
                     }],
                 },
                 stage_exec: StageSnapshot {
-                    count: 7,
-                    total_ns: 700_000,
+                    count: 12,
+                    total_ns: 96_000,
                     buckets: vec![HistBucket {
-                        le_ns: 131_071,
-                        count: 7,
+                        le_ns: 16_383,
+                        count: 12,
                     }],
                 },
                 stage_write: StageSnapshot::default(),
@@ -590,7 +370,6 @@ mod tests {
         assert_eq!(back.model, snap.model);
         assert_eq!(back.requests, snap.requests);
         assert_eq!(back.machine, snap.machine);
-        assert_eq!(back.perf, snap.perf);
         assert_eq!(back.batch, snap.batch);
         assert_eq!(back.serve, snap.serve);
         assert_eq!(back.ops.len(), snap.ops.len());
@@ -616,36 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn v5_serve_snapshot_without_stage_fields_still_parses() {
-        let mut v = sample().serve.to_value();
-        match &mut v {
-            serde::Value::Object(fields) => fields.retain(|(k, _)| !k.starts_with("stage_")),
-            other => panic!("expected object, found {}", other.kind()),
-        }
-        let json = serde_json::to_string(&v).expect("serialize");
-        let back: ServeSnapshot = serde_json::from_str(&json).expect("v5 JSON parses");
-        assert_eq!(back.stage_queue_wait, StageSnapshot::default());
-        assert_eq!(back.net_bytes_in, 40_960);
-    }
-
-    #[test]
-    fn v6_serve_snapshot_without_govern_field_still_parses() {
-        let mut v = sample().serve.to_value();
-        match &mut v {
-            serde::Value::Object(fields) => fields.retain(|(k, _)| k != "govern"),
-            other => panic!("expected object, found {}", other.kind()),
-        }
-        let json = serde_json::to_string(&v).expect("serialize");
-        let back: ServeSnapshot = serde_json::from_str(&json).expect("v6 JSON parses");
-        assert_eq!(back.govern, GovernSnapshot::default());
-        assert_eq!(back.net_bytes_in, 40_960);
-        assert_eq!(back.stage_queue_wait.count, 7);
-    }
-
-    #[test]
     fn aggregates() {
         let snap = sample();
-        assert_eq!(snap.total_op_ns(), 3_600);
+        assert_eq!(snap.total_op_ns(), 8_600);
         assert_eq!(snap.hottest_op().map(|o| o.name.as_str()), Some("conv1"));
     }
 

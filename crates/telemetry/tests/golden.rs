@@ -8,7 +8,9 @@
 //! byte, so a renamed key, a reordered family or a reworded help line is a
 //! visible diff here and not a surprise on a dashboard.
 //!
-//! Regenerate after an intended format change with
+//! After an intended format change — a new counter, say — give the new key
+//! a value in `snapshot.json` by hand (the JSON is the fixture), then
+//! regenerate the exposition with
 //! `BITFLOW_BLESS=1 cargo test -p bitflow-telemetry --test golden`.
 
 use bitflow_telemetry::MetricsSnapshot;

@@ -1,27 +1,29 @@
 //! Property tests for the Prometheus text exposition.
 //!
 //! Two invariants, over randomized snapshots (including label values with
-//! quotes, backslashes, and newlines):
+//! quotes, backslashes, and newlines), rendered alone and as the first of
+//! two tenants in one exposition:
 //!
-//! 1. **Format validity** — every line of `to_prometheus()` is a comment
+//! 1. **Format validity** — every line of the exposition is a comment
 //!    header or a parseable series (`name{labels} value`), every `# TYPE`
-//!    precedes its family's series, histogram buckets are cumulative with
-//!    strictly increasing `le` edges terminated by `+Inf`, and
+//!    precedes its family's series, families are contiguous, no series
+//!    appears twice, histogram buckets are cumulative with strictly
+//!    increasing `le` edges terminated by `+Inf`, and
 //!    `+Inf == _count == calls`.
-//! 2. **Counter round-trip** — the integer counters in the text equal the
-//!    same counters read back from the serde-JSON form of the snapshot, so
-//!    the two exporters can never drift apart silently.
+//! 2. **Counter round-trip** — each tenant's integer counters in the text
+//!    equal the same counters read back from the serde-JSON form of its
+//!    snapshot, so the two exporters can never drift apart silently.
 
 use bitflow_telemetry::{
-    BatchSnapshot, GovernSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpKind,
-    OpSnapshot, PerfSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES,
-    SCHEMA_VERSION,
+    to_prometheus, BatchSnapshot, HistBucket, MachineSnapshot, MetricsSnapshot, OpBound, OpKind,
+    OpSnapshot, ServeSnapshot, SizeBucket, StageSnapshot, BATCH_SIZE_EDGES, SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use serde::{Deserialize, Serialize, Value};
 
 /// One parsed series line.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Series {
     name: String,
     labels: Vec<(String, String)>,
@@ -166,9 +168,25 @@ fn parse_exposition(text: &str) -> Result<Vec<Series>, String> {
                 seen_families.push(family);
             }
         }
+        if series
+            .iter()
+            .any(|t: &Series| t.name == s.name && t.labels == s.labels)
+        {
+            return Err(format!("series appears twice: {line}"));
+        }
         series.push(s);
     }
     Ok(series)
+}
+
+/// The series carrying `model="<model>"`: one tenant's share of an
+/// exposition.
+fn tenant_series(series: &[Series], model: &str) -> Vec<Series> {
+    series
+        .iter()
+        .filter(|s| s.labels.iter().any(|(k, v)| k == "model" && v == model))
+        .cloned()
+        .collect()
 }
 
 /// A random stage-latency snapshot: a sparse histogram with increasing
@@ -203,8 +221,17 @@ fn random_stage(rng: &mut StdRng) -> StageSnapshot {
     }
 }
 
+/// Replaces every integer leaf of a serde tree with a random one.
+fn randomize(v: &mut Value, rng: &mut StdRng) {
+    match v {
+        Value::UInt(n) => *n = rng.gen_range(0..u32::MAX as u64),
+        Value::Object(fields) => fields.iter_mut().for_each(|(_, f)| randomize(f, rng)),
+        _ => {}
+    }
+}
+
 /// Builds a randomized snapshot from a seed: tricky label values, sparse
-/// histograms, optional perf counters.
+/// histograms.
 fn random_snapshot(seed: u64) -> MetricsSnapshot {
     let mut rng = StdRng::seed_from_u64(seed);
     let tricky = ["plain", "qu\"ote", "back\\slash", "new\nline", "sp ace"];
@@ -253,19 +280,6 @@ fn random_snapshot(seed: u64) -> MetricsSnapshot {
             }
         })
         .collect();
-    let perf = if rng.gen_bool(0.5) {
-        PerfSnapshot {
-            status: "ok".to_string(),
-            sampled_requests: rng.gen_range(0..1000),
-            cycles: Some(rng.gen_range(0..u32::MAX as u64)),
-            instructions: Some(rng.gen_range(0..u32::MAX as u64)),
-            llc_misses: rng.gen_bool(0.5).then(|| rng.gen_range(0..1_000_000)),
-            branch_misses: None,
-            ipc: Some(rng.gen_range(0.0..8.0)),
-        }
-    } else {
-        PerfSnapshot::unavailable("perf_event_open(config=0) failed: ENOENT (errno 2)")
-    };
     MetricsSnapshot {
         schema_version: SCHEMA_VERSION,
         model,
@@ -280,7 +294,6 @@ fn random_snapshot(seed: u64) -> MetricsSnapshot {
             peak_gb_per_s: rng.gen_range(1.0..500.0),
             bw_source: "measured".to_string(),
         },
-        perf,
         ops,
         batch: BatchSnapshot {
             batches: rng.gen_range(0..1000),
@@ -303,47 +316,19 @@ fn random_snapshot(seed: u64) -> MetricsSnapshot {
                     batch_size_hist.push(SizeBucket { le, count: c });
                 }
             }
+            // Every scalar of the snapshot, whatever the metric table lists
+            // today, gets a random value through the serde tree; the
+            // histograms are then set to consistent shapes.
+            let mut tree = ServeSnapshot::default().to_value();
+            randomize(&mut tree, &mut rng);
             ServeSnapshot {
-                submitted: rng.gen_range(0..100_000),
-                accepted: rng.gen_range(0..100_000),
-                completed: rng.gen_range(0..100_000),
-                failed: rng.gen_range(0..1_000),
-                rejected_queue_full: rng.gen_range(0..10_000),
-                rejected_shedding: rng.gen_range(0..10_000),
-                rejected_draining: rng.gen_range(0..10_000),
-                rejected_quota: rng.gen_range(0..10_000),
-                shed_deadline: rng.gen_range(0..10_000),
-                deadline_missed: rng.gen_range(0..10_000),
-                cancelled: rng.gen_range(0..10_000),
-                worker_panics: rng.gen_range(0..100),
-                worker_restarts: rng.gen_range(0..100),
-                breaker_trips: rng.gen_range(0..100),
-                queue_depth: rng.gen_range(0..256),
-                queue_depth_max: rng.gen_range(0..256),
                 batches,
-                batch_items: rng.gen_range(0..100_000),
-                batch_size_max: rng.gen_range(0..64),
                 batch_size_hist,
-                net_accepted_conns: rng.gen_range(0..100_000),
-                net_rejected_conns: rng.gen_range(0..10_000),
-                net_timeouts_read: rng.gen_range(0..10_000),
-                net_timeouts_write: rng.gen_range(0..10_000),
-                net_malformed_requests: rng.gen_range(0..10_000),
-                net_bytes_in: rng.gen_range(0..u32::MAX as u64),
-                net_bytes_out: rng.gen_range(0..u32::MAX as u64),
-                govern: GovernSnapshot {
-                    rejected_memory: rng.gen_range(0..10_000),
-                    net_accept_errors: rng.gen_range(0..10_000),
-                    net_spawn_sheds: rng.gen_range(0..10_000),
-                    mem_used_bytes: rng.gen_range(0..u32::MAX as u64),
-                    mem_budget_bytes: rng.gen_range(0..u32::MAX as u64),
-                    mem_leases: rng.gen_range(0..10_000),
-                    degradation_state: rng.gen_range(0..3),
-                },
                 stage_queue_wait: random_stage(&mut rng),
                 stage_batch_wait: random_stage(&mut rng),
                 stage_exec: random_stage(&mut rng),
                 stage_write: random_stage(&mut rng),
+                ..ServeSnapshot::from_value(&tree).expect("same shape")
             }
         },
     }
@@ -384,236 +369,251 @@ proptest! {
     #[test]
     fn exposition_is_valid_and_round_trips_counters(seed in any::<u64>()) {
         let snap = random_snapshot(seed);
-        let text = snap.to_prometheus();
-        let series = parse_exposition(&text).map_err(TestCaseError::fail)?;
+        check_tenant(&snap.to_prometheus(), &snap)?;
 
-        // Counter round-trip goes through the *JSON* exporter, so the two
-        // serialization paths are checked against each other.
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
-
-        prop_assert_eq!(
-            series_value(&series, "bitflow_requests_total", None),
-            Some(back.requests as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_batch_items_total", None),
-            Some(back.batch.items as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_perf_sampled_requests_total", None),
-            Some(back.perf.sampled_requests as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_perf_cycles_total", None),
-            back.perf.cycles.map(|c| c as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_machine_logical_cores", None),
-            Some(back.machine.logical_cores as f64)
-        );
-
-        // Serving counters round-trip through both exporters too.
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_submitted_total", None),
-            Some(back.serve.submitted as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_accepted_total", None),
-            Some(back.serve.accepted as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_completed_total", None),
-            Some(back.serve.completed as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_deadline_shed_total", None),
-            Some(back.serve.shed_deadline as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_worker_restarts_total", None),
-            Some(back.serve.worker_restarts as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_queue_depth", None),
-            Some(back.serve.queue_depth as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "queue_full"),
-            Some(back.serve.rejected_queue_full as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "shedding"),
-            Some(back.serve.rejected_shedding as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "draining"),
-            Some(back.serve.rejected_draining as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "quota"),
-            Some(back.serve.rejected_quota as f64)
-        );
-        prop_assert_eq!(
-            rejected_value(&series, "memory"),
-            Some(back.serve.govern.rejected_memory as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_batch_size_count", None),
-            Some(back.serve.batches as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_serve_batch_size_sum", None),
-            Some(back.serve.batch_items as f64)
-        );
-
-        // Network front-end counters round-trip through both exporters.
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_accepted_conns_total", None),
-            Some(back.serve.net_accepted_conns as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_rejected_conns_total", None),
-            Some(back.serve.net_rejected_conns as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_timeouts_read_total", None),
-            Some(back.serve.net_timeouts_read as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_timeouts_write_total", None),
-            Some(back.serve.net_timeouts_write as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_malformed_requests_total", None),
-            Some(back.serve.net_malformed_requests as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_bytes_in_total", None),
-            Some(back.serve.net_bytes_in as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_bytes_out_total", None),
-            Some(back.serve.net_bytes_out as f64)
-        );
-
-        // Resource-governance counters and gauges round-trip too.
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_accept_errors_total", None),
-            Some(back.serve.govern.net_accept_errors as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_net_spawn_sheds_total", None),
-            Some(back.serve.govern.net_spawn_sheds as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_mem_used_bytes", None),
-            Some(back.serve.govern.mem_used_bytes as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_mem_budget_bytes", None),
-            Some(back.serve.govern.mem_budget_bytes as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_mem_leases", None),
-            Some(back.serve.govern.mem_leases as f64)
-        );
-        prop_assert_eq!(
-            series_value(&series, "bitflow_degradation_state", None),
-            Some(back.serve.govern.degradation_state as f64)
-        );
-
-        // Stage histograms: cumulative buckets terminated by +Inf, with
-        // _sum/_count round-tripping through both exporters.
-        let stages: [(&str, &StageSnapshot); 4] = [
-            ("bitflow_stage_queue_wait_ns", &back.serve.stage_queue_wait),
-            ("bitflow_stage_batch_wait_ns", &back.serve.stage_batch_wait),
-            ("bitflow_stage_exec_ns", &back.serve.stage_exec),
-            ("bitflow_stage_write_ns", &back.serve.stage_write),
-        ];
-        for (name, stage) in stages {
-            let buckets: Vec<&Series> = series.iter().filter(|s| s.name == name).collect();
-            let mut prev_le = -1.0f64;
-            let mut prev_cum = -1.0f64;
-            for b in &buckets {
-                let le = &b
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "le")
-                    .expect("bucket has le")
-                    .1;
-                let le = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>().expect("numeric le")
-                };
-                prop_assert!(le > prev_le, "le not increasing for {}", name);
-                prop_assert!(b.value >= prev_cum, "buckets not cumulative for {}", name);
-                prev_le = le;
-                prev_cum = b.value;
-            }
-            let last = buckets.last().expect("+Inf bucket always present");
-            prop_assert!(prev_le.is_infinite(), "{} not terminated by +Inf", name);
-            prop_assert_eq!(last.value, stage.count as f64, "{} +Inf != count", name);
-            prop_assert_eq!(
-                series_value(&series, &format!("{name}_count"), None),
-                Some(stage.count as f64)
-            );
-            prop_assert_eq!(
-                series_value(&series, &format!("{name}_sum"), None),
-                Some(stage.total_ns as f64)
-            );
-        }
-
-        for op in &back.ops {
-            prop_assert_eq!(
-                series_value(&series, "bitflow_op_calls_total", Some(&op.name)),
-                Some(op.calls as f64),
-                "op {}", op.name
-            );
-            prop_assert_eq!(
-                series_value(&series, "bitflow_op_time_ns_total", Some(&op.name)),
-                Some(op.total_ns as f64)
-            );
-
-            // Histogram invariants: cumulative counts monotone over
-            // strictly increasing le edges, +Inf == _count == calls.
-            let buckets: Vec<&Series> = series
-                .iter()
-                .filter(|s| {
-                    s.name == "bitflow_op_latency_ns"
-                        && s.labels.iter().any(|(k, v)| k == "op" && v == &op.name)
-                })
-                .collect();
-            let mut prev_le = -1.0f64;
-            let mut prev_cum = -1.0f64;
-            for b in &buckets {
-                let le = &b
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "le")
-                    .expect("bucket has le")
-                    .1;
-                let le = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>().expect("numeric le")
-                };
-                prop_assert!(le > prev_le, "le not increasing for {}", op.name);
-                prop_assert!(b.value >= prev_cum, "buckets not cumulative for {}", op.name);
-                prev_le = le;
-                prev_cum = b.value;
-            }
-            let last = buckets.last().expect("+Inf bucket always present");
-            prop_assert_eq!(last.value, op.calls as f64);
-            prop_assert_eq!(
-                series_value(&series, "bitflow_op_latency_ns_count", Some(&op.name)),
-                Some(op.calls as f64)
-            );
-            prop_assert_eq!(
-                series_value(&series, "bitflow_op_latency_ns_sum", Some(&op.name)),
-                Some(op.total_ns as f64)
-            );
+        // The same snapshot as one of two tenants: every family still
+        // contiguous under one header, and each tenant's series equal to
+        // its own JSON.
+        let mut other = random_snapshot(!seed);
+        other.model = format!("{}/2", snap.model);
+        let both = [snap, other];
+        let text = to_prometheus(&both);
+        for tenant in &both {
+            check_tenant(&text, tenant)?;
         }
     }
+}
+
+/// Parses `text` strictly and checks `snap`'s share of it — the series
+/// labelled with its model — against the snapshot's JSON form.
+fn check_tenant(text: &str, snap: &MetricsSnapshot) -> Result<(), TestCaseError> {
+    let series = parse_exposition(text).map_err(TestCaseError::fail)?;
+    let series = tenant_series(&series, &snap.model);
+
+    // Counter round-trip goes through the *JSON* exporter, so the two
+    // serialization paths are checked against each other.
+    let json = serde_json::to_string(snap).expect("serialize");
+    let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
+
+    prop_assert_eq!(
+        series_value(&series, "bitflow_requests_total", None),
+        Some(back.requests as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_batch_items_total", None),
+        Some(back.batch.items as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_machine_logical_cores", None),
+        Some(back.machine.logical_cores as f64)
+    );
+
+    // Serving counters round-trip through both exporters too.
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_submitted_total", None),
+        Some(back.serve.submitted as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_accepted_total", None),
+        Some(back.serve.accepted as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_completed_total", None),
+        Some(back.serve.completed as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_deadline_shed_total", None),
+        Some(back.serve.shed_deadline as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_worker_restarts_total", None),
+        Some(back.serve.worker_restarts as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_queue_depth", None),
+        Some(back.serve.queue_depth as f64)
+    );
+    prop_assert_eq!(
+        rejected_value(&series, "queue_full"),
+        Some(back.serve.rejected_queue_full as f64)
+    );
+    prop_assert_eq!(
+        rejected_value(&series, "shedding"),
+        Some(back.serve.rejected_shedding as f64)
+    );
+    prop_assert_eq!(
+        rejected_value(&series, "draining"),
+        Some(back.serve.rejected_draining as f64)
+    );
+    prop_assert_eq!(
+        rejected_value(&series, "quota"),
+        Some(back.serve.rejected_quota as f64)
+    );
+    prop_assert_eq!(
+        rejected_value(&series, "memory"),
+        Some(back.serve.govern.rejected_memory as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_batch_size_count", None),
+        Some(back.serve.batches as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_serve_batch_size_sum", None),
+        Some(back.serve.batch_items as f64)
+    );
+
+    // Network front-end counters round-trip through both exporters.
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_accepted_conns_total", None),
+        Some(back.serve.net_accepted_conns as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_rejected_conns_total", None),
+        Some(back.serve.net_rejected_conns as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_timeouts_read_total", None),
+        Some(back.serve.net_timeouts_read as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_timeouts_write_total", None),
+        Some(back.serve.net_timeouts_write as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_malformed_requests_total", None),
+        Some(back.serve.net_malformed_requests as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_bytes_in_total", None),
+        Some(back.serve.net_bytes_in as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_bytes_out_total", None),
+        Some(back.serve.net_bytes_out as f64)
+    );
+
+    // Resource-governance counters and gauges round-trip too.
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_accept_errors_total", None),
+        Some(back.serve.govern.net_accept_errors as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_net_spawn_sheds_total", None),
+        Some(back.serve.govern.net_spawn_sheds as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_mem_used_bytes", None),
+        Some(back.serve.govern.mem_used_bytes as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_mem_budget_bytes", None),
+        Some(back.serve.govern.mem_budget_bytes as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_mem_leases", None),
+        Some(back.serve.govern.mem_leases as f64)
+    );
+    prop_assert_eq!(
+        series_value(&series, "bitflow_degradation_state", None),
+        Some(back.serve.govern.degradation_state as f64)
+    );
+
+    // Stage histograms: cumulative buckets terminated by +Inf, with
+    // _sum/_count round-tripping through both exporters.
+    let stages: [(&str, &StageSnapshot); 4] = [
+        ("bitflow_stage_queue_wait_ns", &back.serve.stage_queue_wait),
+        ("bitflow_stage_batch_wait_ns", &back.serve.stage_batch_wait),
+        ("bitflow_stage_exec_ns", &back.serve.stage_exec),
+        ("bitflow_stage_write_ns", &back.serve.stage_write),
+    ];
+    for (name, stage) in stages {
+        let buckets: Vec<&Series> = series.iter().filter(|s| s.name == name).collect();
+        let mut prev_le = -1.0f64;
+        let mut prev_cum = -1.0f64;
+        for b in &buckets {
+            let le = &b
+                .labels
+                .iter()
+                .find(|(k, _)| k == "le")
+                .expect("bucket has le")
+                .1;
+            let le = if le == "+Inf" {
+                f64::INFINITY
+            } else {
+                le.parse::<f64>().expect("numeric le")
+            };
+            prop_assert!(le > prev_le, "le not increasing for {}", name);
+            prop_assert!(b.value >= prev_cum, "buckets not cumulative for {}", name);
+            prev_le = le;
+            prev_cum = b.value;
+        }
+        let last = buckets.last().expect("+Inf bucket always present");
+        prop_assert!(prev_le.is_infinite(), "{} not terminated by +Inf", name);
+        prop_assert_eq!(last.value, stage.count as f64, "{} +Inf != count", name);
+        prop_assert_eq!(
+            series_value(&series, &format!("{name}_count"), None),
+            Some(stage.count as f64)
+        );
+        prop_assert_eq!(
+            series_value(&series, &format!("{name}_sum"), None),
+            Some(stage.total_ns as f64)
+        );
+    }
+
+    for op in &back.ops {
+        prop_assert_eq!(
+            series_value(&series, "bitflow_op_calls_total", Some(&op.name)),
+            Some(op.calls as f64),
+            "op {}",
+            op.name
+        );
+        prop_assert_eq!(
+            series_value(&series, "bitflow_op_time_ns_total", Some(&op.name)),
+            Some(op.total_ns as f64)
+        );
+
+        // Histogram invariants: cumulative counts monotone over
+        // strictly increasing le edges, +Inf == _count == calls.
+        let buckets: Vec<&Series> = series
+            .iter()
+            .filter(|s| {
+                s.name == "bitflow_op_latency_ns"
+                    && s.labels.iter().any(|(k, v)| k == "op" && v == &op.name)
+            })
+            .collect();
+        let mut prev_le = -1.0f64;
+        let mut prev_cum = -1.0f64;
+        for b in &buckets {
+            let le = &b
+                .labels
+                .iter()
+                .find(|(k, _)| k == "le")
+                .expect("bucket has le")
+                .1;
+            let le = if le == "+Inf" {
+                f64::INFINITY
+            } else {
+                le.parse::<f64>().expect("numeric le")
+            };
+            prop_assert!(le > prev_le, "le not increasing for {}", op.name);
+            prop_assert!(
+                b.value >= prev_cum,
+                "buckets not cumulative for {}",
+                op.name
+            );
+            prev_le = le;
+            prev_cum = b.value;
+        }
+        let last = buckets.last().expect("+Inf bucket always present");
+        prop_assert_eq!(last.value, op.calls as f64);
+        prop_assert_eq!(
+            series_value(&series, "bitflow_op_latency_ns_count", Some(&op.name)),
+            Some(op.calls as f64)
+        );
+        prop_assert_eq!(
+            series_value(&series, "bitflow_op_latency_ns_sum", Some(&op.name)),
+            Some(op.total_ns as f64)
+        );
+    }
+    Ok(())
 }

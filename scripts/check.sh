@@ -2,7 +2,8 @@
 # One-command gate for PRs: formatting, lints, and the tier-1 tests.
 #
 #   scripts/check.sh          # everything, incl. building benchmark/ and
-#                             # running each of its workloads once
+#                             # running each of its workloads once; ends
+#                             # with the scripts/loc.sh table
 #   scripts/check.sh --fast   # skip the release build and the benchmark
 #                             # stage (lints + debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
@@ -34,11 +35,15 @@
 #   scripts/check.sh --perf   # additionally run the bench-regression gate
 #                             # (quick mode, twice: blesses a baseline if
 #                             # missing, then gates against it) and print
-#                             # the roofline summary. Off by default —
-#                             # sandboxes without a PMU still work (the
-#                             # gate degrades to wall-clock-only), but CI
+#                             # the roofline summary. Off by default: the
+#                             # gate compares wall-clock medians, so CI
 #                             # machines with unstable clocks should opt in
 #                             # deliberately.
+#   scripts/check.sh --sanitize # additionally run the unit tests of the two
+#                             # crates that hold the kernels' `unsafe`
+#                             # (bitflow-simd, bitflow-tensor) under
+#                             # AddressSanitizer (needs the nightly
+#                             # toolchain; builds into target/<triple>/)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +52,7 @@ perf=0
 serve=0
 net=0
 govern=0
+sanitize=0
 for arg in "$@"; do
     case "$arg" in
         --fast) fast=1 ;;
@@ -54,6 +60,7 @@ for arg in "$@"; do
         --serve) serve=1 ;;
         --net) net=1 ;;
         --govern) govern=1 ;;
+        --sanitize) sanitize=1 ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
 done
@@ -63,9 +70,6 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy -p bitflow-telemetry -- -D warnings"
-cargo clippy -p bitflow-telemetry --all-targets -- -D warnings
 
 if [[ $fast -eq 0 ]]; then
     echo "==> cargo build --release (tier-1)"
@@ -145,6 +149,17 @@ if [[ $perf -eq 1 ]]; then
     cargo run --release -q -p bitflow-bench --bin regress -- --quick
     echo "==> roofline summary (quick telemetry bench)"
     cargo run --release -q -p bitflow-bench --bin telemetry -- --quick 2>/dev/null | grep '^roofline:'
+fi
+
+if [[ $sanitize -eq 1 ]]; then
+    echo "==> AddressSanitizer: bitflow-simd + bitflow-tensor unit tests (nightly)"
+    RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --offline \
+        --target x86_64-unknown-linux-gnu --lib -p bitflow-simd -p bitflow-tensor
+fi
+
+if [[ $fast -eq 0 ]]; then
+    echo "==> scripts/loc.sh (tracked Rust lines per crate)"
+    scripts/loc.sh
 fi
 
 echo "OK"
