@@ -4,7 +4,9 @@
 //! The paper reports 12.87 ms (VGG-16) / 14.92 ms (VGG-19) on the GPU and
 //! 11.82 / 13.68 ms for BitFlow on the 64-core Xeon Phi. This host has
 //! fewer cores; the *shape* to check is that binarized VGG on a CPU lands
-//! in the same order of magnitude as a GPU running the float network.
+//! in the same order of magnitude as a GPU running the float network. Both
+//! ends of what this host can do are reported: one thread, and every CPU
+//! through the worker team (`ctx.parallel`).
 
 use bitflow_bench::timing::{measure, with_pool};
 use bitflow_bench::write_json;
@@ -24,6 +26,7 @@ struct Row {
     paper_gpu_ms: f64,
     bitflow_ms: f64,
     bitflow_threads: usize,
+    bitflow_1_thread_ms: f64,
     per_layer_ms: Vec<(String, f64)>,
 }
 
@@ -35,17 +38,21 @@ fn main() -> Result<(), BitFlowError> {
     let gpu = GpuModel::gtx1080();
     let mut rows = Vec::new();
     println!(
-        "{:<7} {:>16} {:>12} {:>12}",
-        "model", "GTX1080(model)", "paper GPU", "BitFlow"
+        "{:<7} {:>16} {:>12} {:>12} {:>12}",
+        "model",
+        "GTX1080(model)",
+        "paper GPU",
+        "BitFlow 1t",
+        format!("BitFlow {threads}t")
     );
     for (spec, paper_gpu_ms) in [(vgg16(), 12.87f64), (vgg19(), 14.92f64)] {
         let mut rng = StdRng::seed_from_u64(7);
         let weights = NetworkWeights::random(&spec, &mut rng);
         let model = CompiledModel::try_compile(&spec, &weights)?;
         let mut ctx = model.try_new_context()?;
-        ctx.parallel = threads > 1;
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let t = with_pool(threads, || {
+        let mut time = |parallel: bool| {
+            ctx.parallel = parallel;
             measure(
                 || {
                     std::hint::black_box(model.try_infer(&mut ctx, &input).expect("inference"));
@@ -54,13 +61,15 @@ fn main() -> Result<(), BitFlowError> {
                 3,
                 30,
             )
-        });
+        };
+        let t1 = time(false);
+        let t = with_pool(threads, || time(threads > 1));
         let (_, layer_times) = with_pool(threads, || model.try_infer_profiled(&mut ctx, &input))?;
         let tg = gpu.network_time(&spec).as_secs_f64() * 1e3;
-        let tb = t.as_secs_f64() * 1e3;
+        let (tb1, tb) = (t1.as_secs_f64() * 1e3, t.as_secs_f64() * 1e3);
         println!(
-            "{:<7} {:>14.2}ms {:>10.2}ms {:>10.2}ms",
-            spec.name, tg, paper_gpu_ms, tb
+            "{:<7} {:>14.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms",
+            spec.name, tg, paper_gpu_ms, tb1, tb
         );
         rows.push(Row {
             model: spec.name.clone(),
@@ -68,6 +77,7 @@ fn main() -> Result<(), BitFlowError> {
             paper_gpu_ms,
             bitflow_ms: tb,
             bitflow_threads: threads,
+            bitflow_1_thread_ms: tb1,
             per_layer_ms: layer_times
                 .iter()
                 .map(|(n, d)| (n.clone(), d.as_secs_f64() * 1e3))

@@ -31,7 +31,8 @@
 //!   arrives flattened from pooling in VGG.
 //! * The float baseline is the optimized im2col+sgemm path with weight
 //!   transposition hoisted, i.e. a fair production-style float operator.
-//! * Multi-thread runs install a sized rayon pool per measurement.
+//! * Multi-thread runs install a sized thread-count scope per measurement
+//!   (`timing::with_pool`); the threads are `bitflow_simd::team`'s.
 #![forbid(unsafe_code)]
 
 pub mod fig_multicore;

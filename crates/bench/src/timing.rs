@@ -71,14 +71,15 @@ pub fn measure_interleaved(
     (best_a, best_b)
 }
 
-/// Runs `f` inside a fresh rayon pool of `threads` threads and returns its
-/// result. Each figure's thread sweep builds its pools this way, so the
-/// global pool never leaks between configurations.
+/// Runs `f` with `threads` threads allowed to the parallel calls inside it
+/// (the worker team caps that at the machine's size) and returns its
+/// result. Each figure's thread sweep scopes its counts this way, so none
+/// leaks between configurations.
 pub fn with_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
-        .expect("rayon pool");
+        .expect("thread-count scope");
     pool.install(f)
 }
 

@@ -12,8 +12,8 @@
 
 use crate::pack::{pack_a_rows, pack_b_fused, PackedMatrix};
 use bitflow_simd::kernels::SimdLevel;
+use bitflow_simd::team;
 use bitflow_simd::{binary_dot, xor_popcount};
-use rayon::prelude::*;
 
 /// Binary GEMM over pre-packed operands: `a` holds M packed rows of N bits,
 /// `bt` holds K packed rows of N bits (B already fused-transposed).
@@ -112,7 +112,7 @@ pub fn tile_stats(m: usize, n: usize, k: usize) -> BgemmTileStats {
 }
 
 /// Multi-threaded binary GEMM: output columns (K) are distributed over the
-/// installed rayon pool in contiguous chunks — the paper's multi-core
+/// worker team in contiguous chunks — the paper's multi-core
 /// parallelism over the K dimension for binary FC operators. Each chunk
 /// runs the same 4-way unrolled micro-kernel as [`bgemm_packed`], and the
 /// chunk boundaries are deterministic (independent of the pool size), so
@@ -125,11 +125,9 @@ pub fn bgemm_packed_parallel(level: SimdLevel, a: &PackedMatrix, bt: &PackedMatr
     for mi in 0..a.rows {
         let arow = a.row(mi);
         let crow = &mut c[mi * k..(mi + 1) * k];
-        crow.par_chunks_mut(PAR_K_CHUNK)
-            .enumerate()
-            .for_each(|(ci, out)| {
-                bgemm_block(level, arow, bt, ci * PAR_K_CHUNK, n, out);
-            });
+        team::for_chunks_mut(crow, PAR_K_CHUNK, |ci, out| {
+            bgemm_block(level, arow, bt, ci * PAR_K_CHUNK, n, out);
+        });
     }
 }
 

@@ -7,7 +7,8 @@
 //! for unit-stride reads, block for cache, unroll the inner loop so LLVM
 //! autovectorizes to FMA.
 
-use rayon::prelude::*;
+use crate::bgemm::PAR_K_CHUNK;
+use bitflow_simd::team;
 
 /// Cache-block size along the reduction dimension (f32 elements).
 const BLOCK_N: usize = 256;
@@ -105,23 +106,25 @@ pub fn sgemm_pretransposed(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, n: us
 }
 
 /// Multi-threaded sgemm: rows of C in parallel when M > 1, otherwise columns
-/// of C in parallel (the batch-1 inference case). Uses whatever rayon pool
-/// is installed — benchmark harnesses install sized pools per measurement.
+/// of C in parallel (the batch-1 inference case), over the worker team —
+/// benchmark harnesses install a sized thread-count scope per measurement.
 pub fn sgemm_parallel(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     assert_eq!(a.len(), m * n);
     assert_eq!(b.len(), n * k);
     assert_eq!(c.len(), m * k);
     let bt = transpose(b, n, k);
     if m > 1 {
-        c.par_chunks_mut(k).enumerate().for_each(|(mi, crow)| {
+        team::for_chunks_mut(c, k, |mi, crow| {
             let arow = &a[mi * n..(mi + 1) * n];
             for ki in 0..k {
                 crow[ki] = dot(arow, &bt[ki * n..(ki + 1) * n]);
             }
         });
     } else {
-        c.par_iter_mut().enumerate().for_each(|(ki, out)| {
-            *out = dot(a, &bt[ki * n..(ki + 1) * n]);
+        team::for_chunks_mut(c, PAR_K_CHUNK, |ci, outs| {
+            for (ki, out) in (ci * PAR_K_CHUNK..).zip(outs) {
+                *out = dot(a, &bt[ki * n..(ki + 1) * n]);
+            }
         });
     }
 }

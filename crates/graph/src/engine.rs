@@ -20,8 +20,8 @@
 //! cancel token, chaos tag, trace — through the chain with **zero
 //! allocation** apart from the returned logits, and
 //! [`CompiledModel::run_batch`] runs many, fanning a heavy batch out over
-//! the installed rayon pool with one context per worker chunk (bit-identical
-//! to running the items serially).
+//! the worker team ([`bitflow_simd::team`]) with one context per
+//! participating thread (bit-identical to running the items serially).
 //!
 //! [`FloatNetwork`] compiles the same spec into the full-precision baseline
 //! engine (im2col conv + sgemm, float max-pool, sgemm FC).
@@ -42,12 +42,13 @@ use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, r
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::pack::pack_rows;
 use bitflow_simd::scheduler::VectorScheduler;
+use bitflow_simd::team;
 use bitflow_telemetry::{
     MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, TileStats, TraceBuilder,
 };
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use std::cell::Cell;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A fault-injection hook called at every operator boundary with the
@@ -63,17 +64,18 @@ pub type FaultHook = Arc<dyn Fn(usize, &str, u64) + Send + Sync>;
 pub const UNTAGGED: u64 = u64::MAX;
 
 /// Least single-thread work, in bit-ops ([`OpCost::bit_ops`] summed over
-/// the model), a rayon worker's share of a batch must hold before
-/// [`CompiledModel::run_batch`] fans the batch out: 2³² ≈ 3 ms at the
-/// ≈1.4 Tbit-op/s the conv core sustains, so a 25–40 µs cross-CPU wake-up
-/// stays near 1% of the share. Under it the batch runs on the calling
-/// thread. Measured on the 2-vCPU reference host with 16 `tiered_cnn`
-/// images (0.14 ms each, 1.5·10⁹ bit-ops a share): fanned out 1.26–2.0 ms
-/// a call with windows 19–20% apart, on the caller 2.26 ms with windows
-/// 3–5% apart; one VGG-16 image was 3.4·10¹⁰ bit-ops and always fans out.
-/// (With the first layer window-pressed the same share is 1.0·10⁹ and the
-/// image 3.1·10¹⁰: both where they were against this floor.)
-const FAN_OUT_MIN_SHARE_BIT_OPS: u64 = 1 << 32;
+/// the model), a thread's share of a batch must hold before
+/// [`CompiledModel::run_batch`] fans the batch out: 2²⁹ ≈ 0.35 ms at the
+/// ≈1.5 Tbit-op/s the conv core sustains, so the one thing a hand-off to
+/// the parked team can cost — a cold 25–40 µs cross-CPU futex wake-up —
+/// is about a tenth of the share, and a warm one (the team spins 50 µs
+/// for its next call) is nothing. Under it the batch runs on the calling
+/// thread. On the 2-vCPU reference host: 16 `tiered_cnn` images are
+/// 9.6·10⁸ bit-ops a share and fan out (0.64 ms a call against 1.24 on the
+/// caller); the 8 a serve batch coalesces by default are 4.8·10⁸ and do not,
+/// nor does any `small_cnn` batch; one VGG-16 image is 3.1·10¹⁰ and always
+/// does. (The floor was 2³² while a hand-off was a thread spawn and join.)
+const FAN_OUT_MIN_SHARE_BIT_OPS: u64 = 1 << 29;
 
 thread_local! {
     /// Index of the operator currently executing on this thread, or
@@ -173,7 +175,7 @@ pub type ProfiledLogits = (Vec<f32>, Vec<(String, Duration)>);
 /// One inference request as the engine sees it: the input tensor plus
 /// everything that travels with it. [`CompiledModel::run`] and
 /// [`CompiledModel::run_batch`] take nothing else, so a request's context
-/// reaches every operator — on the calling thread or a rayon worker — as a
+/// reaches every operator — on the calling thread or a team worker — as a
 /// plain argument.
 pub struct BatchItem<'a> {
     /// Input image.
@@ -409,8 +411,8 @@ pub struct InferenceContext {
     /// [`CompiledModel::run_batch`] drops the buffers after a caught panic
     /// and (re)builds them, fallibly, for the next item that needs them.
     slots: Vec<Slot>,
-    /// Use the multi-threaded operator variants (over the installed rayon
-    /// pool) for this session. Results are bit-identical either way.
+    /// Use the multi-threaded operator variants (over the worker team) for
+    /// this session. Results are bit-identical either way.
     pub parallel: bool,
 }
 
@@ -1032,21 +1034,23 @@ impl CompiledModel {
         Ok((logits, times))
     }
 
-    /// Runs a batch of requests with per-item results: the batch is split
-    /// into contiguous chunks, one per thread of the installed rayon pool,
-    /// each chunk gets its own [`InferenceContext`], and every item runs
-    /// [`CompiledModel::run`] inside its worker — with its own token, tag
-    /// and trace, so per-request cancellation, chaos decisions and operator
-    /// spans keep working when requests are coalesced.
+    /// Runs a batch of requests with per-item results: the items go over
+    /// the worker team ([`bitflow_simd::team`]) one at a time — each thread
+    /// starts on its own contiguous share and takes from the others' when
+    /// it runs out — every participating thread works in an
+    /// [`InferenceContext`] of its own, and every item runs
+    /// [`CompiledModel::run`] with its own token, tag and trace, so
+    /// per-request cancellation, chaos decisions and operator spans keep
+    /// working when requests are coalesced.
     ///
-    /// **Small batches are not fanned out.** When a worker's share is
-    /// under `FAN_OUT_MIN_SHARE_BIT_OPS` of work the whole batch runs as
-    /// one chunk on the calling thread, in `ctx`, and rayon is not entered:
-    /// handing half a millisecond of work to a sleeping worker costs a
-    /// wake-up that is neither small nor steady next to it, and the call
-    /// then ends when the slower worker does. A fanned-out batch leaves
-    /// `ctx` untouched; its chunks build their own contexts with
-    /// [`CompiledModel::try_new_context`].
+    /// **Small batches are not fanned out.** When a thread's share is
+    /// under `FAN_OUT_MIN_SHARE_BIT_OPS` of work the whole batch runs on
+    /// the calling thread, in `ctx`, and the team is not entered: waking a
+    /// parked worker for a fraction of a millisecond of work costs a
+    /// wake-up that is neither small nor steady next to it. A fanned-out
+    /// batch runs in `ctx` too — it is the first of the contexts the
+    /// threads take from — and builds the others, at most one per further
+    /// thread, with [`CompiledModel::try_new_context`].
     ///
     /// **Graceful degradation:** a malformed item (wrong shape, NaN) yields
     /// its own `Err` without poisoning the rest of the batch — every other
@@ -1062,7 +1066,7 @@ impl CompiledModel {
         ctx: &mut InferenceContext,
         items: &[BatchItem<'_>],
     ) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        self.run_chunks(ctx, items, self.batch_chunk(items.len()))
+        self.run_chunks(ctx, items, self.fans_out(items.len()))
     }
 
     /// [`CompiledModel::run_batch`] over bare inputs, in a context of its
@@ -1072,51 +1076,83 @@ impl CompiledModel {
         self.run_batch(&mut InferenceContext::unbuilt(), &items)
     }
 
-    /// Items per chunk of an `n`-item batch: an equal share per thread of
-    /// the installed pool, or all `n` (one chunk, run by the caller) when
-    /// that share is too little work to hand to another thread.
-    fn batch_chunk(&self, n: usize) -> usize {
-        let share = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        if (share as u64).saturating_mul(self.item_bit_ops) < FAN_OUT_MIN_SHARE_BIT_OPS {
-            n
-        } else {
-            share
-        }
+    /// Whether an `n`-item batch goes over the team: when more than one
+    /// thread would take part and an equal share of the items is enough
+    /// work to hand to another thread.
+    fn fans_out(&self, n: usize) -> bool {
+        let threads = team::parts(n);
+        let share = n.div_ceil(threads) as u64;
+        threads > 1 && share.saturating_mul(self.item_bit_ops) >= FAN_OUT_MIN_SHARE_BIT_OPS
     }
 
-    /// [`CompiledModel::run_batch`] at a given chunk size: a chunk that
-    /// covers the whole batch runs here, on the calling thread and in
-    /// `ctx`; smaller chunks go over rayon, each in a context of its own.
+    /// [`CompiledModel::run_batch`], on the calling thread and in `ctx`, or
+    /// with `fan_out` over the team.
     fn run_chunks(
         &self,
         ctx: &mut InferenceContext,
         items: &[BatchItem<'_>],
-        chunk: usize,
+        fan_out: bool,
     ) -> Vec<Result<Vec<f32>, BitFlowError>> {
-        use rayon::prelude::*;
         if items.is_empty() {
             return Vec::new();
         }
-        if let Some(t) = self.telemetry.get() {
-            t.batch()
-                .batch_started(items.len() as u64, items.len().div_ceil(chunk) as u64);
+        let batch = self.telemetry.get().map(|t| t.batch());
+        if let Some(b) = batch {
+            b.batch_started(items.len() as u64);
         }
-        if chunk >= items.len() {
-            return items.iter().map(|item| self.run_item(ctx, item)).collect();
+        let threads = if fan_out { team::parts(items.len()) } else { 1 };
+        let (out, ran_on) = if threads == 1 {
+            (
+                items.iter().map(|item| self.run_item(ctx, item)).collect(),
+                1,
+            )
+        } else {
+            self.run_fanned_out(ctx, items, threads)
+        };
+        if let Some(b) = batch {
+            b.batch_ran_on(ran_on as u64);
         }
-        let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), || {
-            Err(BitFlowError::Internal("item not reached".into()))
-        });
-        out.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(ci, outs)| {
-                let ctx = &mut InferenceContext::unbuilt();
-                for (item, out) in items[ci * chunk..].iter().zip(outs) {
-                    *out = self.run_item(ctx, item);
-                }
-            });
         out
+    }
+
+    /// The items over the team, one per chunk, and the number of threads
+    /// that took part. The threads take their contexts from a pool of
+    /// `threads` — `ctx` first, so the calling thread, which starts before
+    /// any worker has woken, runs in it — and hold one for the length of an
+    /// item.
+    fn run_fanned_out(
+        &self,
+        ctx: &mut InferenceContext,
+        items: &[BatchItem<'_>],
+        threads: usize,
+    ) -> (Vec<Result<Vec<f32>, BitFlowError>>, usize) {
+        // Placeholders nobody sees (every chunk runs, or the call unwinds),
+        // so they had better not allocate.
+        let mut out: Vec<Result<Vec<f32>, BitFlowError>> = Vec::with_capacity(items.len());
+        out.resize_with(items.len(), || Err(BitFlowError::Internal(String::new())));
+        let mut pool: Vec<Mutex<InferenceContext>> = Vec::with_capacity(threads);
+        pool.push(Mutex::new(std::mem::replace(
+            ctx,
+            InferenceContext::unbuilt(),
+        )));
+        pool.resize_with(threads, || Mutex::new(InferenceContext::unbuilt()));
+        let ran_on = team::for_chunks_mut(&mut out, 1, |i, out| {
+            // At most `threads` threads are in here and each holds one
+            // context, so a scan finds a free one; `run_item` catches the
+            // panics that would poison a lock.
+            let mut ctx = loop {
+                match pool.iter().find_map(|ctx| ctx.try_lock().ok()) {
+                    Some(ctx) => break ctx,
+                    None => std::hint::spin_loop(),
+                }
+            };
+            out[0] = self.run_item(&mut ctx, &items[i]);
+        });
+        *ctx = pool
+            .swap_remove(0)
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        (out, ran_on)
     }
 
     /// One item of a batch: [`CompiledModel::run`] under
@@ -1236,7 +1272,7 @@ impl CompiledModel {
                 ..
             } => {
                 // Fused single pass (conv + integer threshold + sign +
-                // pack); output rows go over the installed rayon pool when
+                // pack); output rows go over the worker team when
                 // the context is parallel.
                 let (inp, dst) = two_slots(slots, *in_slot, *out);
                 pressed_conv_sign_into(
@@ -1816,8 +1852,8 @@ mod tests {
                     "{case}: running enables nothing"
                 );
 
-                // Batches, on the caller and (forced) over rayon, watched
-                // or not, are the serial runs.
+                // Batches, on the caller and (forced) over the team,
+                // watched or not, are the serial runs.
                 let mut ctx = fresh(&bare);
                 let serial: Vec<Vec<f32>> = inputs
                     .iter()
@@ -1826,10 +1862,10 @@ mod tests {
                 let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
                 let pool = two_threads();
                 for model in [&bare, &watched] {
-                    for chunk in [items.len(), 2] {
+                    for fan_out in [false, true] {
                         let got =
-                            pool.install(|| model.run_chunks(&mut fresh(model), &items, chunk));
-                        assert_eq!(oks(got), serial, "{case}: chunk={chunk}");
+                            pool.install(|| model.run_chunks(&mut fresh(model), &items, fan_out));
+                        assert_eq!(oks(got), serial, "{case}: fan_out={fan_out}");
                     }
                 }
 
@@ -1987,12 +2023,11 @@ mod tests {
             let batch = pool.install(|| model.try_infer_batch(&inputs));
             assert_eq!(oks(batch), serial, "threads={threads}");
             // This model is far under the fan-out floor, so the call above
-            // ran on one thread; the rayon path is taken with the share a
-            // heavy model would get.
-            assert_eq!(model.batch_chunk(inputs.len()), inputs.len());
-            let chunk = inputs.len().div_ceil(threads);
-            let fanned = pool.install(|| model.run_chunks(&mut ctx, &items, chunk));
+            // ran on one thread; a heavy model's batch goes over the team.
+            assert!(!pool.install(|| model.fans_out(inputs.len())));
+            let fanned = pool.install(|| model.run_chunks(&mut ctx, &items, true));
             assert_eq!(oks(fanned), serial, "fanned out, threads={threads}");
+            assert_eq!(ctx.activation_bytes(), model.context_bytes());
         }
         assert!(model.try_infer_batch(&[]).is_empty());
         assert!(model.run_batch(&mut ctx, &[]).is_empty());
@@ -2003,27 +2038,23 @@ mod tests {
         let (spec, weights, _) = setup();
         let mut model = compile(&spec, &weights);
         let pool = two_threads();
+        // On a one-CPU host the team has nobody to hand a share to.
+        let cores = pool.install(|| team::parts(2)) == 2;
+        let fans_out = |model: &CompiledModel, n| pool.install(|| model.fans_out(n));
         assert!(model.item_bit_ops > 0, "cost model counts this net's work");
-        assert_eq!(pool.install(|| model.batch_chunk(16)), 16);
+        assert!(!fans_out(&model, 64), "{}", spec.name);
         model.item_bit_ops = FAN_OUT_MIN_SHARE_BIT_OPS / 8;
-        assert_eq!(
-            pool.install(|| model.batch_chunk(14)),
-            14,
-            "share just under"
-        );
-        assert_eq!(
-            pool.install(|| model.batch_chunk(16)),
-            8,
-            "share at the floor"
-        );
+        assert!(!fans_out(&model, 14), "share just under");
+        assert_eq!(fans_out(&model, 16), cores, "share at the floor");
         model.item_bit_ops = u64::MAX;
-        assert_eq!(pool.install(|| model.batch_chunk(3)), 2);
-        assert_eq!(pool.install(|| model.batch_chunk(1)), 1);
+        assert_eq!(fans_out(&model, 3), cores);
+        assert!(!fans_out(&model, 1), "one item is one thread's");
 
         // The real models, with the window-pressed first layer counted at
         // the 64 bits of a window it evaluates, not the kh·kw·64 of a padded
-        // channel press: VGG-16 always fans out, tiered_cnn never does at
-        // the 16 images the benchmark batches.
+        // channel press: one VGG-16 image a thread always fans out;
+        // tiered_cnn does at the 16 images the benchmark batches and not
+        // at the 8 a serve batch is capped at.
         let real = |spec: NetworkSpec, conv1_outputs: u64| {
             let weights = NetworkWeights::random(&spec, &mut StdRng::seed_from_u64(8));
             let model = compile(&spec, &weights);
@@ -2033,10 +2064,11 @@ mod tests {
         };
         let vgg = real(crate::models::vgg16(), 224 * 224 * 64);
         assert!((3.0e10..3.2e10).contains(&(vgg.item_bit_ops as f64)));
-        assert_eq!(pool.install(|| vgg.batch_chunk(2)), 1);
+        assert_eq!(fans_out(&vgg, 2), cores);
         let tiered = real(tiered_cnn(), 32 * 32 * 64);
         assert!((1.1e8..1.3e8).contains(&(tiered.item_bit_ops as f64)));
-        assert_eq!(pool.install(|| tiered.batch_chunk(16)), 16);
+        assert_eq!(fans_out(&tiered, 16), cores);
+        assert!(!fans_out(&tiered, 8));
     }
 
     #[test]
@@ -2130,10 +2162,10 @@ mod tests {
             })
             .collect();
         let pool = two_threads();
-        for chunk in [items.len(), 2] {
+        for fan_out in [false, true] {
             let mut ctx = fresh(&model);
             ctx.parallel = true;
-            let results = pool.install(|| model.run_chunks(&mut ctx, &items, chunk));
+            let results = pool.install(|| model.run_chunks(&mut ctx, &items, fan_out));
             for (i, r) in results.iter().enumerate() {
                 match (i, r) {
                     (1, Err(BitFlowError::Internal(msg))) => {
@@ -2147,7 +2179,20 @@ mod tests {
                 }
             }
             assert!(ctx.parallel, "a rebuilt context keeps the caller's choice");
-            assert_eq!(ctx.activation_bytes(), model.context_bytes());
+            // Rebuilt by the next item that ran in it — on the caller there
+            // always is one; over the team it may have been the last there.
+            let bytes = ctx.activation_bytes();
+            assert!(bytes == model.context_bytes() || (fan_out && bytes == 0));
+            // The team, and whatever is left of `ctx`, serve the next batch.
+            let bystanders = [&items[0], &items[2], &items[3]].map(|item| BatchItem {
+                tag: item.tag,
+                ..BatchItem::new(item.input)
+            });
+            let next = pool.install(|| model.run_chunks(&mut ctx, &bystanders, fan_out));
+            assert_eq!(
+                oks(next),
+                [&serial[0], &serial[2], &serial[3]].map(Vec::clone)
+            );
         }
         // The panic ends a batch: the caller's buffers are dropped, a
         // direct run refuses them typed, the next batch rebuilds them.
@@ -2222,7 +2267,7 @@ mod tests {
         model.enable_telemetry();
         let inputs = random_inputs(&spec, 4, 23);
         let pool = two_threads();
-        for chunk in [inputs.len(), 2] {
+        for fan_out in [false, true] {
             let builders: Vec<Arc<TraceBuilder>> = (0..4)
                 .map(|i| Arc::new(TraceBuilder::new(format!("req-{i}"))))
                 .collect();
@@ -2234,7 +2279,7 @@ mod tests {
                     ..BatchItem::new(input)
                 })
                 .collect();
-            let results = pool.install(|| model.run_chunks(&mut fresh(&model), &items, chunk));
+            let results = pool.install(|| model.run_chunks(&mut fresh(&model), &items, fan_out));
             assert!(results.iter().all(Result::is_ok));
             for (i, tb) in builders.iter().enumerate() {
                 let trace = tb.finish();
@@ -2242,7 +2287,7 @@ mod tests {
                 assert_eq!(
                     trace.spans.len(),
                     spec.layers.len() + 2,
-                    "chunk={chunk}: item {i} must collect exactly its own op spans"
+                    "fan_out={fan_out}: item {i} must collect exactly its own op spans"
                 );
             }
         }
@@ -2301,7 +2346,7 @@ mod tests {
         })));
         let inputs = random_inputs(&spec, 5, 19);
         let pool = two_threads();
-        for (base, chunk) in [(100, inputs.len()), (200, 2)] {
+        for (base, fan_out) in [(100, false), (200, true)] {
             let items: Vec<BatchItem<'_>> = inputs
                 .iter()
                 .enumerate()
@@ -2310,7 +2355,7 @@ mod tests {
                     ..BatchItem::new(input)
                 })
                 .collect();
-            let results = pool.install(|| model.run_chunks(&mut fresh(&model), &items, chunk));
+            let results = pool.install(|| model.run_chunks(&mut fresh(&model), &items, fan_out));
             assert!(results.iter().all(Result::is_ok));
             // Scoped: the hook locks this same mutex on this thread during
             // the next round.
@@ -2318,7 +2363,7 @@ mod tests {
             for i in 0..5u64 {
                 assert!(
                     seen.contains(&(base + i)),
-                    "chunk={chunk}: tag {} never reached the fault hook — the tag \
+                    "fan_out={fan_out}: tag {} never reached the fault hook — the tag \
                      must travel with the item onto whatever thread runs it",
                     base + i
                 );

@@ -7,10 +7,11 @@
 //! all). Vector parallelism runs over the N (input-neuron) dimension,
 //! multi-core parallelism over the K (output-neuron) dimension.
 
-use bitflow_gemm::bgemm::{bgemm_packed, bgemm_packed_parallel};
+use bitflow_gemm::bgemm::{bgemm_packed, bgemm_packed_parallel, PAR_K_CHUNK};
 use bitflow_gemm::pack::{pack_b_fused, PackedMatrix};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::pack::pack_f32;
+use bitflow_simd::team;
 
 /// Pre-packed binary FC weights: the fused binarize+pack+transpose product
 /// of an N×K float weight matrix (paper Table III).
@@ -59,23 +60,21 @@ impl BinaryFcWeights {
         }
     }
 
-    /// Multi-threaded [`Self::forward_into`] (output neurons over the
-    /// installed rayon pool).
+    /// Multi-threaded [`Self::forward_into`]: output neurons over the
+    /// worker team, [`PAR_K_CHUNK`] to a chunk like the binary GEMM's.
     pub fn forward_into_parallel(&self, level: SimdLevel, input_words: &[u64], out: &mut [f32]) {
-        use rayon::prelude::*;
         assert_eq!(
             input_words.len(),
             self.packed.words_per_row,
             "input word count"
         );
         assert_eq!(out.len(), self.k, "output width");
-        out.par_iter_mut()
-            .enumerate()
-            .with_min_len(8)
-            .for_each(|(kk, o)| {
+        team::for_chunks_mut(out, PAR_K_CHUNK, |ci, outs| {
+            for (kk, o) in (ci * PAR_K_CHUNK..).zip(outs) {
                 *o = bitflow_simd::binary_dot(level, input_words, self.packed.row(kk), self.n)
                     as f32;
-            });
+            }
+        });
     }
 }
 
@@ -87,7 +86,7 @@ pub fn binary_fc(level: SimdLevel, input: &[f32], weights: &BinaryFcWeights) -> 
     out
 }
 
-/// Multi-threaded binary FC (output neurons over the installed pool).
+/// Multi-threaded binary FC (output neurons over the worker team).
 pub fn binary_fc_parallel(level: SimdLevel, input: &[f32], weights: &BinaryFcWeights) -> Vec<f32> {
     let pin = pack_input(input, weights.n);
     let mut out = vec![0.0f32; weights.k];

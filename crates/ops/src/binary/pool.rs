@@ -9,8 +9,8 @@
 
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::scheduler::{infer_pool, ConvGeometry};
+use bitflow_simd::team;
 use bitflow_tensor::BitTensor;
-use rayon::prelude::*;
 
 /// Binary max-pool with a `kh×kw` window and `stride`.
 pub fn binary_max_pool(
@@ -55,7 +55,7 @@ pub fn binary_max_pool_into(
     }
 }
 
-/// Multi-threaded binary max-pool (output rows over the installed pool).
+/// Multi-threaded binary max-pool (output rows over the worker team).
 /// Bit-identical to the serial version.
 pub fn binary_max_pool_parallel(
     _level: SimdLevel,
@@ -67,10 +67,9 @@ pub fn binary_max_pool_parallel(
     let ConvGeometry { out_h, out_w, .. } =
         infer_pool(input.h(), input.w(), input.c(), kh, kw, stride);
     let mut out = BitTensor::zeros(out_h, out_w, input.c());
-    out.words_mut()
-        .par_chunks_mut(out_w * input.c_words())
-        .enumerate()
-        .for_each(|(oy, orow)| pool_row(input, (kh, kw, stride), oy, orow));
+    team::for_chunks_mut(out.words_mut(), out_w * input.c_words(), |oy, orow| {
+        pool_row(input, (kh, kw, stride), oy, orow)
+    });
     out
 }
 

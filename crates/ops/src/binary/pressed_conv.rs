@@ -14,19 +14,21 @@
 //! The arithmetic itself is [`bitflow_simd::conv`]'s filter-lane tile loop;
 //! this module validates the tensor-level geometry, picks the sink
 //! ([`crate::binary::ConvEpilogue`]: float dots or fused threshold-sign
-//! bits) and, when asked, splits the output rows over the rayon pool
-//! (Algorithm 1, step 3: multi-core parallelism over the output pixels).
+//! bits) and, when asked, splits the output rows over the worker team
+//! ([`bitflow_simd::team`]; Algorithm 1, step 3: multi-core parallelism
+//! over the output pixels).
 
 use crate::binary::epilogue::SignThresholds;
 use bitflow_simd::conv::{conv_rows, ConvGeom, ConvSink};
 use bitflow_simd::kernels::SimdLevel;
+use bitflow_simd::team;
 use bitflow_tensor::{BitFilterBank, BitTensor, Layout, Shape, Tensor};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Output rows per parallel work item. Fixed, so the split (and with it
 /// every output bit) is the same at every pool size; four rows of an
-/// even-width map are a whole number of 8-pixel tiles.
+/// even-width map are a whole number of 8-pixel tiles. Each thread starts
+/// on a contiguous run of bands, so only the runs' ends share a halo.
 const PAR_ROWS: usize = 4;
 
 /// Validates operand geometry and returns the core's view of it plus
@@ -58,18 +60,18 @@ fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (ConvG
 
 /// Runs `band(rows, chunk)` over `out` cut into bands of `row_len` elements
 /// per output row: one band covering all `out_h` rows, or [`PAR_ROWS`]-row
-/// bands over the rayon pool. `out` must start at output row 0.
+/// bands over the worker team. `out` must start at output row 0.
 fn for_row_bands<T: Send>(
     out: &mut [T],
     row_len: usize,
     out_h: usize,
     parallel: bool,
-    band: impl Fn(Range<usize>, &mut [T]) + Sync + Send,
+    band: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
     if parallel {
-        out.par_chunks_mut(PAR_ROWS * row_len)
-            .enumerate()
-            .for_each(|(i, chunk)| band(i * PAR_ROWS..out_h.min((i + 1) * PAR_ROWS), chunk));
+        team::for_chunks_mut(out, PAR_ROWS * row_len, |i, chunk| {
+            band(i * PAR_ROWS..out_h.min((i + 1) * PAR_ROWS), chunk)
+        });
     } else {
         band(0..out_h, out);
     }
@@ -99,8 +101,8 @@ pub fn pressed_conv(
 
 /// PressedConv with the `FloatOut` epilogue, writing the integer dot
 /// products into a pre-allocated output tensor. With `parallel` the output
-/// rows are split over the installed rayon pool; the result is
-/// bit-identical either way and at every pool size.
+/// rows are split over the worker team; the result is bit-identical either
+/// way and at every pool size.
 pub fn pressed_conv_into(
     level: SimdLevel,
     input: &BitTensor,
@@ -135,8 +137,8 @@ pub fn pressed_conv_into(
 /// against [`SignThresholds`] — an exact integer compare derived from the
 /// folded batch-norm (negative scales flip the comparison direction, see
 /// [`crate::binary::epilogue`]). With `parallel` the output rows are split
-/// over the installed rayon pool; the result is bit-identical either way
-/// and at every pool size.
+/// over the worker team; the result is bit-identical either way and at
+/// every pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn pressed_conv_sign_into(
     level: SimdLevel,

@@ -8,8 +8,8 @@
 
 use crate::params::ConvParams;
 use bitflow_gemm::sgemm::sgemm_pretransposed;
+use bitflow_simd::team;
 use bitflow_tensor::{FilterShape, Layout, Shape, Tensor};
-use rayon::prelude::*;
 
 /// Direct (seven-loop) convolution over NHWC input, used as the correctness
 /// oracle for every other convolution in the workspace (paper Eq. 2).
@@ -103,7 +103,7 @@ pub fn conv_im2col(
 }
 
 /// Multi-threaded image-to-column convolution: the GEMM's M dimension
-/// (output pixels) is split over the installed rayon pool.
+/// (output pixels) is split over the worker team, an output row to a chunk.
 pub fn conv_im2col_parallel(
     input: &Tensor,
     weights: &[f32],
@@ -113,14 +113,12 @@ pub fn conv_im2col_parallel(
     let (u, g, cols) = unfold_for(input, weights, fshape, params);
     let mut out = Tensor::zeros(Shape::hwc(g.0, g.1, fshape.k), Layout::Nhwc);
     let k = fshape.k;
-    out.data_mut()
-        .par_chunks_mut(k)
-        .enumerate()
-        .with_min_len(16)
-        .for_each(|(px, crow)| {
+    team::for_chunks_mut(out.data_mut(), g.1 * k, |oy, orow| {
+        for (px, crow) in (oy * g.1..).zip(orow.chunks_mut(k)) {
             let urow = &u[px * cols..(px + 1) * cols];
             sgemm_pretransposed(urow, weights, crow, 1, cols, k);
-        });
+        }
+    });
     out
 }
 

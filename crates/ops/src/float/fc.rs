@@ -1,7 +1,8 @@
 //! Float fully-connected operator (single-precision GEMM).
 
+use bitflow_gemm::bgemm::PAR_K_CHUNK;
 use bitflow_gemm::sgemm::{sgemm_pretransposed, transpose};
-use rayon::prelude::*;
+use bitflow_simd::team;
 
 /// Fully-connected: `out = input · W`, input 1×N, `weights` N×K row-major.
 /// The transpose of W is done inside (counted in the baseline's time, as a
@@ -25,18 +26,17 @@ pub fn fc_pretransposed(input: &[f32], wt: &[f32], n: usize, k: usize) -> Vec<f3
     out
 }
 
-/// Multi-threaded fully-connected: output neurons over the installed pool.
+/// Multi-threaded fully-connected: output neurons over the worker team.
 pub fn fc_parallel(input: &[f32], wt: &[f32], n: usize, k: usize) -> Vec<f32> {
     assert_eq!(input.len(), n);
     assert_eq!(wt.len(), n * k);
     let mut out = vec![0.0f32; k];
-    out.par_iter_mut()
-        .enumerate()
-        .with_min_len(8)
-        .for_each(|(ki, o)| {
+    team::for_chunks_mut(&mut out, PAR_K_CHUNK, |ci, outs| {
+        for (ki, o) in (ci * PAR_K_CHUNK..).zip(outs) {
             let row = &wt[ki * n..(ki + 1) * n];
             *o = input.iter().zip(row).map(|(a, b)| a * b).sum();
-        });
+        }
+    });
     out
 }
 

@@ -1,8 +1,8 @@
 //! Float max-pooling over NHWC tensors.
 
 use crate::params::ConvParams;
+use bitflow_simd::team;
 use bitflow_tensor::{Layout, Shape, Tensor};
-use rayon::prelude::*;
 
 /// Max-pool with window `params.kh × params.kw` and `params.stride`.
 pub fn max_pool(input: &Tensor, params: ConvParams) -> Tensor {
@@ -22,21 +22,18 @@ pub fn max_pool(input: &Tensor, params: ConvParams) -> Tensor {
     out
 }
 
-/// Multi-threaded max-pool: output pixels over the installed pool.
+/// Multi-threaded max-pool: output rows over the worker team.
 pub fn max_pool_parallel(input: &Tensor, params: ConvParams) -> Tensor {
     assert_eq!(input.layout(), Layout::Nhwc);
     let s = input.shape();
     assert_eq!(s.n, 1);
     let g = params.pool_out(s);
     let mut out = Tensor::zeros(Shape::hwc(g.out_h, g.out_w, g.out_c), Layout::Nhwc);
-    let (out_w, c) = (g.out_w, s.c);
-    out.data_mut()
-        .par_chunks_mut(c)
-        .enumerate()
-        .with_min_len(16)
-        .for_each(|(px, orow)| {
-            pool_window(input, params, px / out_w, px % out_w, orow);
-        });
+    team::for_chunks_mut(out.data_mut(), g.out_w * s.c, |oy, orow| {
+        for (ox, px) in orow.chunks_mut(s.c).enumerate() {
+            pool_window(input, params, oy, ox, px);
+        }
+    });
     out
 }
 

@@ -50,7 +50,7 @@
 //!    stalls, and worker kills, so the soak tests exercise every failure
 //!    path above without wall-clock flakiness deciding *which* path —
 //!    including inside coalesced batches, where the engine's per-request
-//!    tags carry the chaos stream onto rayon threads.
+//!    tags carry the chaos stream onto the worker team's threads.
 //!
 //! Every admitted request resolves exactly once; each tenant's
 //! [`bitflow_telemetry::ServeGauges`] counters independently obey the

@@ -1025,8 +1025,8 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
     }
     // The batch shares one model (`take_compatible` groups by model), so
     // one cached, leased context serves it: the engine runs the items back
-    // to back in it, or — when a share is worth a rayon wake-up — leaves
-    // it alone and fans out.
+    // to back in it, or — when a share is worth waking the worker team —
+    // fans them out, this thread still working in it.
     let mut rest = live.as_slice();
     while let Some(head) = rest.first() {
         let ctx = match cache.try_ctx_for(shared, head) {

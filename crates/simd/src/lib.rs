@@ -16,6 +16,9 @@
 //!   width of an operator and the detected hardware, select the optimal
 //!   computing kernel using the paper's rules (C ≡ 0 mod 512 → AVX-512,
 //!   mod 256 → AVX2, mod 128 → SSE, mod 32/64 → scalar words, else pad).
+//! * [`team`] — the parked **worker team** behind every multi-core call
+//!   (paper Algorithm 1, step 3): fixed chunks, claimed by whichever core
+//!   is free.
 //! * [`vec_u`] — Rust counterparts of the paper's `m128_u`/`m256_u`/`m512_u`
 //!   unions (Table II).
 //! * [`popcount`] — portable and SIMD population-count building blocks,
@@ -45,6 +48,7 @@ pub mod kernels;
 pub mod pack;
 pub mod popcount;
 pub mod scheduler;
+pub mod team;
 pub mod vec_u;
 
 pub use detect::{features, machine, FreqSource, HwFeatures, MachineInfo};

@@ -337,13 +337,14 @@ mod tests {
     #[test]
     fn batch_gauges_track_in_flight_items() {
         let t = ModelTelemetry::new("test-net", vec![]);
-        t.batch().batch_started(4, 2);
+        t.batch().batch_started(4);
         assert_eq!(t.batch().snapshot().queued_items, 4);
         t.batch().item_finished(true);
         t.batch().item_finished(false);
         assert_eq!(t.batch().snapshot().queued_items, 2);
         t.batch().item_finished(true);
         t.batch().item_finished(true);
+        t.batch().batch_ran_on(2);
         let snap = t.snapshot();
         assert_eq!(snap.batch.batches, 1);
         assert_eq!(snap.batch.items, 4);
@@ -357,7 +358,8 @@ mod tests {
     fn reset_zeroes_counters() {
         let t = ModelTelemetry::new("test-net", descriptors());
         t.record_op(0, 10);
-        t.batch().batch_started(2, 1);
+        t.batch().batch_started(2);
+        t.batch().batch_ran_on(1);
         t.batch().item_finished(true);
         t.batch().item_finished(true);
         t.reset();

@@ -216,7 +216,7 @@ impl RequestTrace {
 ///
 /// A builder is created where the request enters the system (the network
 /// front-end at accept, or the serving runtime at submit) and shared —
-/// `Arc`-cloned — with whichever connection, worker, and rayon threads
+/// `Arc`-cloned — with whichever connection, worker, and team threads
 /// touch the request. All timestamps are converted to offsets from the
 /// builder's origin `Instant`, so spans recorded on different threads
 /// land on one consistent timeline.

@@ -418,7 +418,7 @@ cells! {
     items: Counter = "bitflow_batch_items_total", Batch, "Items accepted across all batches.";
     failed_items: Counter
         = "bitflow_batch_failed_items_total", Batch, "Items that returned an error.";
-    /// Per-thread chunks the batches were split into.
+    /// Threads the batches ran on, summed: a batch on the caller adds 1.
     chunks: Counter;
     /// Largest single batch seen.
     max_batch: HighWater;
@@ -428,14 +428,20 @@ cells! {
 }
 
 impl BatchGauges {
-    /// Called once when a batch of `items` requests is accepted, split into
-    /// `chunks` per-thread chunks. Raises the queued-items gauge.
-    pub fn batch_started(&self, items: u64, chunks: u64) {
+    /// Called once when a batch of `items` requests is accepted. Raises
+    /// the queued-items gauge.
+    pub fn batch_started(&self, items: u64) {
         self.batches.inc();
         self.items.add(items);
-        self.chunks.add(chunks);
         self.max_batch.observe(items);
         self.queued_items.add(items);
+    }
+
+    /// Called once per batch with the number of threads that took part in
+    /// it — known only once it has run: a busy team runs the batch on its
+    /// caller, and a worker that never woke is not counted.
+    pub fn batch_ran_on(&self, threads: u64) {
+        self.chunks.add(threads);
     }
 
     /// Called per completed item. Lowers the queued-items gauge; counts the

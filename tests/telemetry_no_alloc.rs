@@ -5,20 +5,33 @@
 //! adds **zero** further allocations: metric recording is all relaxed
 //! atomics, and spans are built only for a request that carries a trace. A
 //! one-item `run_batch` runs in the caller's context, so it adds the result
-//! vector and nothing else. A counting global allocator pins these facts so
-//! an accidental `Vec`/`String`/boxing on the request path fails loudly.
+//! vector and nothing else. The multi-threaded paths add nothing either:
+//! a parallel operator hands its chunks to the parked worker team without
+//! allocating, on any thread, and a fanned-out batch builds a context per
+//! further thread, not per item. A counting global allocator pins these
+//! facts so an accidental `Vec`/`String`/boxing on the request path fails
+//! loudly.
+//!
+//! Allocations are counted on the threads that have opted in — the one
+//! inside [`count_allocs`], and the team's once [`count_on_the_team`] has
+//! visited them — and the tests take turns: the team is one per process,
+//! and a call that finds it busy runs on its caller.
 
 use bitflow_graph::models::{small_cnn, tiered_cnn};
 use bitflow_graph::weights::NetworkWeights;
 use bitflow_graph::{BatchItem, CompiledModel, NetworkSpec};
+use bitflow_simd::team;
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+
+static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    // const-init so reading the counter never itself allocates.
-    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+    // const-init so reading the flag never itself allocates.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -29,11 +42,8 @@ impl CountingAllocator {
         COUNTING.with(|on| {
             if on.get() {
                 on.set(false);
-                let n = ALLOC_COUNT.with(|c| {
-                    c.set(c.get() + 1);
-                    c.get()
-                });
-                if n >= 1 && std::env::var_os("ALLOC_TRACE").is_some() {
+                let n = ALLOC_COUNT.fetch_add(1, Ordering::Relaxed) + 1;
+                if std::env::var_os("ALLOC_TRACE").is_some() {
                     eprintln!(
                         "--- alloc #{n} ---\n{}",
                         std::backtrace::Backtrace::force_capture()
@@ -69,15 +79,44 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// One test at a time (see the module docs).
+fn in_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `f` with allocation counting enabled on this thread and returns how
-/// many heap allocations it performed.
+/// many heap allocations it, and the team threads working for it, performed.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    ALLOC_COUNT.with(|c| c.set(0));
+    ALLOC_COUNT.store(0, Ordering::Relaxed);
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
-    let n = ALLOC_COUNT.with(|c| c.get());
-    (n, out)
+    (ALLOC_COUNT.load(Ordering::Relaxed), out)
+}
+
+fn two_threads<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
+/// Turns counting on, for good, on every team thread a two-thread call
+/// uses, and returns how many threads that is (1 on a one-CPU host): one
+/// chunk per thread, each waiting for the others, so no thread takes two.
+fn count_on_the_team() -> usize {
+    two_threads(|| {
+        let threads = team::parts(2);
+        let all_in = Barrier::new(threads);
+        team::for_chunks_mut(&mut vec![0u8; threads], 1, |_, _| {
+            COUNTING.with(|on| on.set(true));
+            all_in.wait();
+        });
+        COUNTING.with(|on| on.set(false));
+        threads
+    })
 }
 
 /// A channel-pressed and a window-pressed first layer.
@@ -88,6 +127,7 @@ fn specs() -> [NetworkSpec; 2] {
 /// Allocations of one warm `run` of a bare item, and of a one-item
 /// `run_batch` in the same context.
 fn alloc_counts(spec: &NetworkSpec, enable_telemetry: bool) -> (u64, u64) {
+    let _turn = in_turn();
     let mut rng = StdRng::seed_from_u64(21);
     let weights = NetworkWeights::random(spec, &mut rng);
     let model = CompiledModel::try_compile(spec, &weights).expect("model compiles");
@@ -131,4 +171,60 @@ fn one_item_batch_allocates_no_context() {
         assert!(alloc_counts(&spec, false).1 <= 2, "{}", spec.name);
         assert!(alloc_counts(&spec, true).1 <= 2, "{}", spec.name);
     }
+}
+
+#[test]
+fn parallel_try_infer_allocates_what_the_serial_path_does() {
+    // The logits, on the caller; nothing on the team: no chunk list, no
+    // job box, no thread.
+    let _turn = in_turn();
+    count_on_the_team();
+    for spec in specs() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let weights = NetworkWeights::random(&spec, &mut rng);
+        let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+        let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+        let mut ctx = model.try_new_context().expect("context allocates");
+        let serial = model.try_infer(&mut ctx, &input).expect("serial");
+        ctx.parallel = true;
+        two_threads(|| {
+            let warm = model.try_infer(&mut ctx, &input).expect("warm-up");
+            assert_eq!(warm, serial, "{}", spec.name);
+            let (allocs, out) = count_allocs(|| model.try_infer(&mut ctx, &input));
+            assert_eq!(out.expect("measured"), serial, "{}", spec.name);
+            assert_eq!(allocs, 1, "{}", spec.name);
+        });
+    }
+}
+
+#[test]
+fn fanned_out_batch_builds_a_context_per_thread_not_per_item() {
+    let _turn = in_turn();
+    let threads = count_on_the_team() as u64;
+    let spec = tiered_cnn();
+    let mut rng = StdRng::seed_from_u64(23);
+    let weights = NetworkWeights::random(&spec, &mut rng);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+    let inputs: Vec<Tensor> = (0..32)
+        .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
+        .collect();
+    let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
+    let (per_context, ctx) = count_allocs(|| model.try_new_context());
+    let mut ctx = ctx.expect("context allocates");
+    assert!(per_context >= 5, "a context is a buffer per slot");
+    two_threads(|| {
+        // 16 of these are the batch the repo benchmark fans out.
+        for n in [16, 32] {
+            model.run_batch(&mut ctx, &items[..n]);
+            let (allocs, results) = count_allocs(|| model.run_batch(&mut ctx, &items[..n]));
+            assert!(results.iter().all(Result::is_ok));
+            // The results and the pool of contexts, each item's logits,
+            // and the buffers of the contexts `ctx` does not cover.
+            let most = 2 + n as u64 + (threads - 1) * per_context;
+            assert!(
+                (n as u64..=most).contains(&allocs),
+                "{n} items on {threads} threads: {allocs} allocations, at most {most}"
+            );
+        }
+    });
 }

@@ -1,15 +1,17 @@
 //! Thread-count invariance: every parallel kernel and the serving path must
-//! be bit-identical under rayon pools of 1, 2, and N threads.
+//! be bit-identical under thread-count scopes of 1, 2, and N threads.
 //!
 //! BitFlow's multi-core partitioning is fixed-chunk by design (the bgemm
-//! `PAR_K_CHUNK` split, `par_chunks_mut` over output-row bands in PressedConv,
-//! over channel words in the binary pool) precisely so the work decomposition
-//! — and therefore every intermediate integer — does not depend on how many
-//! workers drain the chunks. These tests pin that contract for the three
-//! `par_chunks_mut` paths (bgemm, pressed_conv, binary pool), the parallel
-//! FC, and the end-to-end `try_infer` / `try_infer_batch` serving calls.
+//! `PAR_K_CHUNK` split, `team::for_chunks_mut` over output-row bands in
+//! PressedConv, over output rows in the binary pool) precisely so the work
+//! decomposition — and therefore every intermediate integer — does not
+//! depend on how many threads drain the chunks, nor on which of them takes
+//! which. These tests pin that contract for the three chunked kernels
+//! (bgemm, pressed_conv, binary pool), the parallel FC, and the end-to-end
+//! `try_infer` / `try_infer_batch` serving calls — also when two callers
+//! want the one worker team at once.
 
-use bitflow_graph::models::small_cnn;
+use bitflow_graph::models::{small_cnn, tiered_cnn};
 use bitflow_graph::weights::{BnParams, NetworkWeights};
 use bitflow_graph::{CompiledModel, PlanOptions};
 use bitflow_ops::binary::{
@@ -21,8 +23,9 @@ use bitflow_simd::VectorScheduler;
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Pool sizes under test: serial-equivalent, minimal parallelism, and
-/// oversubscribed relative to this container's cores.
+/// Pool sizes under test: serial-equivalent, minimal parallelism, and more
+/// than this container's cores — which the worker team caps at its own
+/// size (the machine's), so 8 runs on as many threads as there are CPUs.
 const POOLS: [usize; 3] = [1, 2, 8];
 
 fn pm1_vec(rng: &mut impl Rng, n: usize) -> Vec<f32> {
@@ -218,5 +221,65 @@ fn engine_batch_invariant_across_pools() {
                 "try_infer_batch item {i} diverges at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn two_callers_share_the_one_team_without_deadlock() {
+    // A parallel `try_infer` and a fanned-out `try_infer_batch` (16
+    // `tiered_cnn` images a call are over the fan-out floor), started
+    // together and repeated: whenever both want the team, one gets it and
+    // the other runs its chunks on its own thread. Both must come out as
+    // the serial logits, and both must come out.
+    let spec = tiered_cnn();
+    let mut rng = StdRng::seed_from_u64(18);
+    let weights = NetworkWeights::random(&spec, &mut rng);
+    let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+    let inputs: Vec<Tensor> = (0..16)
+        .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
+        .collect();
+    let mut ctx = model.try_new_context().expect("context allocates");
+    let serial: Vec<Vec<f32>> = inputs
+        .iter()
+        .map(|i| model.try_infer(&mut ctx, i).expect("serial infer"))
+        .collect();
+
+    // Detached threads and a timed wait: a deadlock fails the test instead
+    // of hanging it in a join.
+    const ROUNDS: usize = 40;
+    let shared = std::sync::Arc::new((model, inputs, serial, std::sync::Barrier::new(2)));
+    let (done, finished) = std::sync::mpsc::channel();
+    let (single, batch) = (std::sync::Arc::clone(&shared), shared);
+    let single_done = done.clone();
+    std::thread::spawn(move || {
+        let (model, inputs, serial, start) = &*single;
+        in_pool(2, || {
+            let mut ctx = model.try_new_context().expect("context allocates");
+            ctx.parallel = true;
+            start.wait();
+            for round in 0..ROUNDS {
+                let i = round % inputs.len();
+                let got = model.try_infer(&mut ctx, &inputs[i]);
+                assert_eq!(got.expect("parallel infer"), serial[i], "round {round}");
+            }
+        });
+        single_done.send("try_infer").expect("test is waiting");
+    });
+    std::thread::spawn(move || {
+        let (model, inputs, serial, start) = &*batch;
+        in_pool(2, || {
+            start.wait();
+            for round in 0..ROUNDS {
+                for (i, got) in model.try_infer_batch(inputs).into_iter().enumerate() {
+                    assert_eq!(got.expect("batch item"), serial[i], "round {round}");
+                }
+            }
+        });
+        done.send("try_infer_batch").expect("test is waiting");
+    });
+    for _ in 0..2 {
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a caller failed, or is stuck behind the team");
     }
 }
