@@ -40,26 +40,35 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed request head: method, target, and lower-cased header names.
-#[derive(Clone, Debug)]
-pub struct Head {
+/// A parsed request head, borrowing the bytes it was parsed from: a
+/// request owns no copy of its method, target or headers.
+#[derive(Clone, Copy, Debug)]
+pub struct Head<'a> {
     /// Request method, as sent (methods are case-sensitive).
-    pub method: String,
+    pub method: &'a str,
     /// Request target (origin form, e.g. `/v1/infer/default`).
-    pub target: String,
+    pub target: &'a str,
     /// Whether the request was HTTP/1.1 (governs the keep-alive default).
     pub http11: bool,
-    headers: Vec<(String, String)>,
+    /// The header lines, each checked by [`parse_head`], up to (and maybe
+    /// past) the blank line that ends them.
+    headers: &'a str,
 }
 
-impl Head {
-    /// The first value of header `name` (ASCII case-insensitive).
+/// The header lines of a block that may run on past its blank line.
+fn header_lines(block: &str) -> impl Iterator<Item = &str> {
+    block.split("\r\n").take_while(|line| !line.is_empty())
+}
+
+impl<'a> Head<'a> {
+    /// The first value of header `name` (ASCII case-insensitive),
+    /// trimmed.
     #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        header_lines(self.headers)
+            .filter_map(|line| line.split_once(':'))
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.trim())
     }
 
     /// The declared body length. `Ok(None)` when absent; an unparseable
@@ -71,7 +80,6 @@ impl Head {
         match self.header("content-length") {
             None => Ok(None),
             Some(v) => v
-                .trim()
                 .parse::<usize>()
                 .map(Some)
                 .map_err(|_| ParseError::Malformed("content-length not a number")),
@@ -91,19 +99,28 @@ impl Head {
     }
 }
 
-/// Position one past the `\r\n\r\n` head terminator, if present.
+/// Position one past the `\r\n\r\n` head terminator, if present. Only
+/// bytes from `*scanned` on are looked at, and `*scanned` moves to where
+/// the next look (after more bytes arrive) must resume: three short of
+/// the end, since a terminator may straddle two reads. A head dripped a
+/// byte at a time is thus searched once, not once per byte.
 #[must_use]
-pub fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+pub fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let from = (*scanned).min(buf.len());
+    let found = buf[from..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|p| from + p + 4);
+    *scanned = found.unwrap_or(buf.len().saturating_sub(3).max(from));
+    found
 }
 
 /// Parses a complete request head (everything before the terminating
 /// blank line, which may be included).
-pub fn parse_head(bytes: &[u8]) -> Result<Head, ParseError> {
+pub fn parse_head(bytes: &[u8]) -> Result<Head<'_>, ParseError> {
     let text =
         std::str::from_utf8(bytes).map_err(|_| ParseError::Malformed("head is not UTF-8"))?;
-    let mut lines = text.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
+    let (request_line, headers) = text.split_once("\r\n").unwrap_or((text, ""));
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -124,27 +141,22 @@ pub fn parse_head(bytes: &[u8]) -> Result<Head, ParseError> {
         "HTTP/1.0" => false,
         _ => return Err(ParseError::Malformed("unsupported HTTP version")),
     };
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
+    for line in header_lines(headers) {
         // Obsolete line folding (a header continued on an indented line)
         // is a known request-smuggling vector: refuse it.
         if line.starts_with(' ') || line.starts_with('\t') {
             return Err(ParseError::Malformed("folded header"));
         }
-        let (name, value) = line
+        let (name, _) = line
             .split_once(':')
             .ok_or(ParseError::Malformed("header without colon"))?;
         if name.is_empty() || name.contains(' ') {
             return Err(ParseError::Malformed("bad header name"));
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
     Ok(Head {
-        method: method.to_string(),
-        target: target.to_string(),
+        method,
+        target,
         http11,
         headers,
     })
@@ -172,13 +184,53 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// A response header value: the three shapes the front-end emits, so the
+/// common ones (fixed strings, counts) are held without allocating.
+#[derive(Clone, Debug)]
+pub enum HeaderValue {
+    /// A fixed string.
+    Fixed(&'static str),
+    /// A count: seconds, bytes, requests.
+    Count(u64),
+    /// Text composed for this response.
+    Text(String),
+}
+
+impl From<&'static str> for HeaderValue {
+    fn from(v: &'static str) -> Self {
+        HeaderValue::Fixed(v)
+    }
+}
+
+impl From<u64> for HeaderValue {
+    fn from(v: u64) -> Self {
+        HeaderValue::Count(v)
+    }
+}
+
+impl From<String> for HeaderValue {
+    fn from(v: String) -> Self {
+        HeaderValue::Text(v)
+    }
+}
+
+impl fmt::Display for HeaderValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HeaderValue::Fixed(v) => f.write_str(v),
+            HeaderValue::Count(v) => write!(f, "{v}"),
+            HeaderValue::Text(v) => f.write_str(v),
+        }
+    }
+}
+
 /// One response, rendered to bytes in a single buffer so the socket
 /// writer deals in whole responses (and truncation is the *chaos*
 /// injection's job, never an accident of buffering).
 #[derive(Clone, Debug)]
 pub struct Response {
     status: u16,
-    headers: Vec<(String, String)>,
+    headers: Vec<(&'static str, HeaderValue)>,
     body: Vec<u8>,
 }
 
@@ -201,8 +253,8 @@ impl Response {
 
     /// Appends one header.
     #[must_use]
-    pub fn header(mut self, name: &str, value: impl fmt::Display) -> Self {
-        self.headers.push((name.to_string(), value.to_string()));
+    pub fn header(mut self, name: &'static str, value: impl Into<HeaderValue>) -> Self {
+        self.headers.push((name, value.into()));
         self
     }
 
@@ -220,41 +272,38 @@ impl Response {
             .body(body.as_bytes().to_vec())
     }
 
-    /// Renders the full wire form. `content-length` and `connection` are
-    /// always emitted so clients can frame the body and pipeline safely.
-    #[must_use]
-    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        self.render(keep_alive, None)
-    }
-
-    /// [`Response::to_bytes`] plus an `x-bitflow-request-id` echo header.
-    /// The front-end routes every response through this, so clients can
-    /// correlate even errors with the id they sent (or were assigned).
-    #[must_use]
-    pub fn to_bytes_tagged(&self, keep_alive: bool, request_id: &str) -> Vec<u8> {
-        self.render(keep_alive, Some(request_id))
-    }
-
-    fn render(&self, keep_alive: bool, request_id: Option<&str>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).as_bytes(),
-        );
+    /// Renders the full wire form into `out` (cleared first, so one
+    /// buffer serves every response of a connection). `content-length`
+    /// and `connection` are always emitted so clients can frame the body
+    /// and pipeline safely; `request_id`, when given, is echoed as
+    /// `x-bitflow-request-id` — the front-end tags every response, so
+    /// clients can correlate even errors with the id they sent (or were
+    /// assigned).
+    pub fn render(&self, out: &mut Vec<u8>, keep_alive: bool, request_id: Option<&str>) {
+        use std::io::Write;
+        out.clear();
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
         for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            let _ = write!(out, "{name}: {value}\r\n");
         }
         if let Some(id) = request_id {
-            out.extend_from_slice(format!("x-bitflow-request-id: {id}\r\n").as_bytes());
+            let _ = write!(out, "x-bitflow-request-id: {id}\r\n");
         }
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(
-            format!(
-                "connection: {}\r\n\r\n",
-                if keep_alive { "keep-alive" } else { "close" }
-            )
-            .as_bytes(),
+        let _ = write!(
+            out,
+            "content-length: {}\r\nconnection: {}\r\n\r\n",
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" }
         );
         out.extend_from_slice(&self.body);
+    }
+
+    /// [`Response::render`] into a fresh buffer, untagged.
+    #[must_use]
+    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.render(&mut out, keep_alive, None);
         out
     }
 }
@@ -326,14 +375,58 @@ mod tests {
 
     #[test]
     fn head_end_detection() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r"), None);
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nBODY"), Some(18));
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r", &mut 0), None);
+        assert_eq!(
+            find_head_end(b"GET / HTTP/1.1\r\n\r\nBODY", &mut 0),
+            Some(18)
+        );
+    }
+
+    /// A maximum-size head dripped a byte at a time: the search resumes
+    /// where it left off, so the bytes it is handed over the whole drip
+    /// (a bound on its compares) are linear in the head, where a rescan
+    /// from byte 0 after every read would be handed ~32 M.
+    #[test]
+    fn dripped_head_is_searched_once_not_once_per_byte() {
+        let mut head = b"POST /v1/infer HTTP/1.1\r\n".to_vec();
+        while head.len() < MAX_HEAD_BYTES - 16 {
+            head.extend_from_slice(b"x-drip: y\r\n");
+        }
+        head.extend_from_slice(b"\r\n");
+        let mut scanned = 0usize;
+        let mut looked_at = 0usize;
+        let mut found = None;
+        for len in 1..=head.len() {
+            assert_eq!(found, None, "found before the terminator arrived");
+            looked_at += len - scanned.min(len);
+            found = find_head_end(&head[..len], &mut scanned);
+            assert!(scanned <= len);
+        }
+        assert_eq!(found, Some(head.len()));
+        assert!(
+            looked_at <= 4 * head.len(),
+            "{looked_at} bytes searched for a {} byte head",
+            head.len()
+        );
+    }
+
+    #[test]
+    fn terminator_split_across_reads_is_found() {
+        let full = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\nNEXT";
+        let end = full.len() - 4;
+        // Every split of the four terminator bytes over two reads, and a
+        // split just before them.
+        for first in end - 5..end {
+            let mut scanned = 0usize;
+            assert_eq!(find_head_end(&full[..first], &mut scanned), None);
+            assert_eq!(find_head_end(full, &mut scanned), Some(end), "{first}");
+        }
     }
 
     #[test]
     fn response_wire_form() {
         let bytes = Response::new(429)
-            .header("retry-after", 2)
+            .header("retry-after", 2u64)
             .text("slow down")
             .to_bytes(true);
         let text = String::from_utf8(bytes).unwrap();
@@ -353,8 +446,13 @@ mod tests {
 
     #[test]
     fn tagged_wire_form_echoes_the_request_id() {
-        let bytes = Response::new(200).text("ok").to_bytes_tagged(true, "c7-r0");
+        // A reused buffer holds only the latest response.
+        let mut bytes = b"stale".to_vec();
+        Response::new(200)
+            .text("ok")
+            .render(&mut bytes, true, Some("c7-r0"));
         let text = String::from_utf8(bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("x-bitflow-request-id: c7-r0\r\n"), "{text}");
         assert!(
             !String::from_utf8(Response::new(200).to_bytes(true))

@@ -3,7 +3,12 @@
 //!
 //! One OS thread per connection, bounded by [`NetConfig::max_conns`] —
 //! past the cap the accept loop sheds with an immediate `503` and never
-//! blocks. Every socket interaction is deadline-bounded: the request head
+//! blocks. That thread does a request's whole work where it can: the
+//! request is read into, parsed in and decoded from one per-connection
+//! buffer, served through [`bitflow_serve::ModelClient::call`] (on this
+//! thread, when a worker is parked), and answered from a reused render
+//! buffer — on a healthy keep-alive connection one `read` and one `write`
+//! per request, the socket timeouts having been set once. Every socket interaction is deadline-bounded: the request head
 //! must complete within `header_timeout` however slowly it drips in
 //! (slowloris), bodies are length-checked before a byte is read and
 //! bounded by `read_timeout`, responses by `write_timeout`. Reads poll in
@@ -27,7 +32,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bitflow_graph::{BitFlowError, CancelToken, RejectReason};
-use bitflow_serve::{ChaosConfig, DegradationState, Server, Submission};
+use bitflow_serve::{ChaosConfig, DegradationState, MemoryLease, ModelClient, Server, Submission};
 use bitflow_telemetry::{
     to_chrome_trace, to_prometheus, FlightRecorder, MetricsSnapshot, ServeGauges, Stage,
     TraceBuilder,
@@ -263,7 +268,7 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
 /// never a thread.
 fn shed(shared: &NetShared, mut stream: TcpStream) {
     let bytes = Response::new(503)
-        .header("retry-after", 1)
+        .header("retry-after", 1u64)
         .text("connection limit reached")
         .to_bytes(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
@@ -297,65 +302,166 @@ enum RouteOutcome {
     Close,
 }
 
-/// A client-supplied `x-bitflow-request-id` is honored when it is 1..=64
-/// bytes of `[A-Za-z0-9._-]`; anything else (or no header) is replaced
-/// with a generated `c{conn}-r{req}` id. The charset/length bound keeps
-/// hostile ids out of response headers and the flight recorder.
-fn wire_request_id(head: &http::Head, conn: u64, req_no: u64) -> String {
-    head.header("x-bitflow-request-id")
-        .map(str::trim)
+/// What a request's head decided. The head borrows the connection's
+/// input buffer, and reading a body may grow — move — that buffer, so
+/// everything the head has to say is said into this before a body byte is
+/// read.
+enum Route<'s> {
+    /// Answered from the head alone.
+    Done(RouteOutcome),
+    /// An inference whose body is still (partly) on the wire.
+    Infer(InferPlan<'s>),
+}
+
+/// An inference request past every check its head allows.
+struct InferPlan<'s> {
+    content_length: usize,
+    /// The declared body's charge against the tenant's byte budget,
+    /// taken before the body is read and held to the end of the request.
+    body_lease: Option<MemoryLease>,
+    /// The `x-bitflow-deadline-ms` budget; `Err` when the header is there
+    /// but is not a whole number of milliseconds.
+    deadline: Result<Option<Duration>, ()>,
+    /// `None`: no such tenant.
+    client: Option<ModelClient<'s>>,
+}
+
+/// The socket side of one connection, kept across its keep-alive
+/// requests.
+struct Conn {
+    stream: TcpStream,
+    id: u64,
+    /// Input. `buf[..filled]` is read and not yet consumed: the current
+    /// request from byte 0, then whatever the client pipelined behind it.
+    /// The rest is room to read into, zeroed when the buffer grows and
+    /// never again, so a request is read where it will be parsed and
+    /// decoded — no bounce buffer, no per-request fill.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Reads issued so far (the index of the read-stall chaos stream).
+    read_no: u64,
+    /// `SO_RCVTIMEO` as last set: a read sets it only when it changes,
+    /// which on a healthy connection is once ([`POLL_SLICE`]).
+    read_timeout: Option<Duration>,
+    /// Whether `SO_SNDTIMEO` has been set (it is always [`POLL_SLICE`]).
+    write_timeout_set: bool,
+}
+
+impl Conn {
+    /// Room for the largest head plus the byte that proves one too
+    /// large: a request that fits in it — head *and* body — is one read.
+    fn new(stream: TcpStream, id: u64) -> Self {
+        Self {
+            stream,
+            id,
+            buf: vec![0; http::MAX_HEAD_BYTES + 1],
+            filled: 0,
+            read_no: 0,
+            read_timeout: None,
+            write_timeout_set: false,
+        }
+    }
+
+    /// Grows the buffer to hold `total` bytes. Fallible: a hostile
+    /// content-length that slipped past the byte bound (or genuine
+    /// exhaustion) is a `false` here — a 507 — never an abort.
+    fn make_room(&mut self, total: usize) -> bool {
+        let more = total.saturating_sub(self.buf.len());
+        if self.buf.try_reserve_exact(more).is_err() {
+            return false;
+        }
+        self.buf.resize(self.buf.len() + more, 0);
+        true
+    }
+
+    /// Drops the first `n` input bytes (a finished request), moving what
+    /// the client pipelined behind them — usually nothing — to the front.
+    fn consume(&mut self, n: usize) {
+        self.buf.copy_within(n..self.filled, 0);
+        self.filled -= n;
+    }
+}
+
+/// Writes the wire id of request `req_no` into `out`. A client-supplied
+/// `x-bitflow-request-id` is honored when it is 1..=64 bytes of
+/// `[A-Za-z0-9._-]`; anything else (or no header, or no parsed head at
+/// all) is replaced with a generated `c{conn}-r{req}` id. The
+/// charset/length bound keeps hostile ids out of response headers and the
+/// flight recorder.
+fn set_wire_id(out: &mut String, head: Option<&http::Head<'_>>, conn: u64, req_no: u64) {
+    use std::fmt::Write;
+    out.clear();
+    let supplied = head
+        .and_then(|h| h.header("x-bitflow-request-id"))
         .filter(|v| {
             (1..=64).contains(&v.len())
                 && v.bytes()
                     .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
-        })
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("c{conn}-r{req_no}"))
+        });
+    match supplied {
+        Some(id) => out.push_str(id),
+        None => {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "c{conn}-r{req_no}");
+        }
+    }
 }
 
-/// Records a trace for a request refused before (or while) parsing its
-/// head, so HTTP-layer failures are visible in the flight recorder too.
-fn offer_refused(shared: &NetShared, wire_id: String, from: Instant, status: u16) {
+/// What one connection thread reuses across its requests besides the
+/// socket: the wire id of the request in hand and the rendered response.
+#[derive(Default)]
+struct Scratch {
+    wire_id: String,
+    out: Vec<u8>,
+}
+
+/// Answers a request refused before (or while) parsing its head — the
+/// caller closes the connection after it — and records a trace for it, so
+/// HTTP-layer failures are visible in the flight recorder too.
+fn refuse(
+    shared: &NetShared,
+    conn: &mut Conn,
+    scratch: &mut Scratch,
+    req_no: u64,
+    from: Instant,
+    resp: &Response,
+) {
+    set_wire_id(&mut scratch.wire_id, None, conn.id, req_no);
+    let _ = write_response(shared, conn, scratch, req_no, resp, false);
     if let Some(rec) = &shared.recorder {
-        let tb = TraceBuilder::with_origin(wire_id, from);
+        let tb = TraceBuilder::with_origin(scratch.wire_id.clone(), from);
         tb.stage(Stage::Parse, from, Instant::now());
-        tb.set_outcome(&format!("http:{status}"));
+        tb.set_outcome(&format!("http:{}", resp.status()));
         rec.offer(tb.finish());
     }
 }
 
-fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, conn: u64) {
+fn handle_conn(shared: &Arc<NetShared>, stream: TcpStream, id: u64) {
     let accepted_at = Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut read_no: u64 = 0;
+    let mut conn = Conn::new(stream, id);
+    let mut scratch = Scratch::default();
     let mut req_no: u64 = 0;
     loop {
         let head_start = Instant::now();
-        let head_end = match read_head(shared, &mut stream, conn, &mut buf, &mut read_no) {
+        let head_end = match read_head(shared, &mut conn) {
             HeadOutcome::Complete(end) => end,
             HeadOutcome::Close => return,
             HeadOutcome::Fail(status) => {
-                let wire_id = format!("c{conn}-r{req_no}");
                 let resp = Response::new(status).text(http::reason(status));
-                let _ = write_response(shared, &mut stream, conn, req_no, &wire_id, &resp, false);
-                offer_refused(shared, wire_id, head_start, status);
+                refuse(shared, &mut conn, &mut scratch, req_no, head_start, &resp);
                 return;
             }
         };
-        let head_bytes: Vec<u8> = buf[..head_end].to_vec();
-        buf.drain(..head_end);
-        let head = match http::parse_head(&head_bytes) {
+        let head = match http::parse_head(&conn.buf[..head_end]) {
             Ok(head) => head,
             Err(e) => {
                 shared.gauges.net_malformed_requests.inc();
-                let wire_id = format!("c{conn}-r{req_no}");
                 let resp = Response::new(400).text(&e.to_string());
-                let _ = write_response(shared, &mut stream, conn, req_no, &wire_id, &resp, false);
-                offer_refused(shared, wire_id, head_start, 400);
+                refuse(shared, &mut conn, &mut scratch, req_no, head_start, &resp);
                 return;
             }
         };
-        let wire_id = wire_request_id(&head, conn, req_no);
+        set_wire_id(&mut scratch.wire_id, Some(&head), id, req_no);
         let parsed_at = Instant::now();
         // The trace timeline starts when the request could first have
         // been attributed to this connection: the accept for the first
@@ -363,7 +469,7 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, conn: u64) {
         // (idle time between requests belongs to no request).
         let trace = shared.tracing().then(|| {
             let origin = if req_no == 0 { accepted_at } else { head_start };
-            let tb = Arc::new(TraceBuilder::with_origin(wire_id.clone(), origin));
+            let tb = Arc::new(TraceBuilder::with_origin(scratch.wire_id.clone(), origin));
             if req_no == 0 {
                 tb.stage(Stage::Accept, accepted_at, head_start);
             }
@@ -373,29 +479,21 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, conn: u64) {
         // Draining: finish this request, but advertise (and enforce) that
         // the connection closes after it.
         let keep_alive = head.keep_alive() && !shared.shutdown.load(Ordering::Acquire);
-        let (resp, keep_alive) = match route(
-            shared,
-            &mut stream,
-            conn,
-            &mut buf,
-            &mut read_no,
-            &head,
-            trace.as_ref(),
-        ) {
+        // The last use of `head`: from here on the buffer may grow.
+        let outcome = match route(shared, &head) {
+            Route::Done(outcome) => {
+                conn.consume(head_end);
+                outcome
+            }
+            Route::Infer(plan) => infer(shared, &mut conn, head_end, plan, trace.as_ref()),
+        };
+        let (resp, keep_alive) = match outcome {
             RouteOutcome::Respond(resp) => (resp, keep_alive),
             RouteOutcome::RespondClose(resp) => (resp, false),
             RouteOutcome::Close => return,
         };
         let write_start = Instant::now();
-        let wrote = write_response(
-            shared,
-            &mut stream,
-            conn,
-            req_no,
-            &wire_id,
-            &resp,
-            keep_alive,
-        );
+        let wrote = write_response(shared, &mut conn, &mut scratch, req_no, &resp, keep_alive);
         if let Some(tb) = &trace {
             tb.stage(Stage::Write, write_start, Instant::now());
             // The serving runtime's verdicts (rejected:*, cancelled,
@@ -422,78 +520,73 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, conn: u64) {
 
 /// Reads until one full request head is buffered. The whole head shares
 /// one `header_timeout` budget no matter how many packets it arrives in —
-/// the slowloris guard.
-fn read_head(
-    shared: &NetShared,
-    stream: &mut TcpStream,
-    conn: u64,
-    buf: &mut Vec<u8>,
-    read_no: &mut u64,
-) -> HeadOutcome {
+/// the slowloris guard — and one pass of the terminator search no matter
+/// how many reads it arrives in.
+fn read_head(shared: &NetShared, conn: &mut Conn) -> HeadOutcome {
     let deadline = Instant::now() + shared.config.header_timeout;
+    let mut scanned = 0;
     loop {
-        if let Some(end) = http::find_head_end(buf) {
+        if let Some(end) = http::find_head_end(&conn.buf[..conn.filled], &mut scanned) {
             if end > http::MAX_HEAD_BYTES {
                 shared.gauges.net_malformed_requests.inc();
                 return HeadOutcome::Fail(431);
             }
             return HeadOutcome::Complete(end);
         }
-        if buf.len() > http::MAX_HEAD_BYTES {
+        if conn.filled > http::MAX_HEAD_BYTES {
             shared.gauges.net_malformed_requests.inc();
             return HeadOutcome::Fail(431);
         }
-        if shared.shutdown.load(Ordering::Acquire) && buf.is_empty() {
+        if shared.shutdown.load(Ordering::Acquire) && conn.filled == 0 {
             // Idle keep-alive connection during drain: nothing in flight,
             // close now so shutdown is not held hostage.
             return HeadOutcome::Close;
         }
         let now = Instant::now();
         if now >= deadline {
-            if buf.is_empty() {
+            if conn.filled == 0 {
                 // Idle keep-alive expiry, not an attack: close silently.
                 return HeadOutcome::Close;
             }
             shared.gauges.net_timeouts_read.inc();
             return HeadOutcome::Fail(408);
         }
-        match read_some(shared, stream, conn, read_no, deadline - now, buf) {
+        // Until the head says how long the request is, read no further
+        // than the byte that would prove the head oversized.
+        match read_some(shared, conn, deadline - now, http::MAX_HEAD_BYTES + 1) {
             ReadOutcome::Data | ReadOutcome::Nothing => {}
             ReadOutcome::Closed => return HeadOutcome::Close,
         }
     }
 }
 
-/// One bounded read: at most one [`POLL_SLICE`] of blocking, so callers
-/// can re-check deadlines and the shutdown flag between reads.
-fn read_some(
-    shared: &NetShared,
-    stream: &mut TcpStream,
-    conn: u64,
-    read_no: &mut u64,
-    remaining: Duration,
-    buf: &mut Vec<u8>,
-) -> ReadOutcome {
+/// One bounded read into `buf[filled..upto]` (never empty: callers read
+/// only while `filled < upto <= buf.len()`): at most one [`POLL_SLICE`]
+/// of blocking, so callers can re-check deadlines and the shutdown flag
+/// between reads.
+fn read_some(shared: &NetShared, conn: &mut Conn, remaining: Duration, upto: usize) -> ReadOutcome {
     let slice = remaining.min(POLL_SLICE).max(Duration::from_millis(1));
-    if stream.set_read_timeout(Some(slice)).is_err() {
-        return ReadOutcome::Closed;
+    if conn.read_timeout != Some(slice) {
+        if conn.stream.set_read_timeout(Some(slice)).is_err() {
+            return ReadOutcome::Closed;
+        }
+        conn.read_timeout = Some(slice);
     }
-    let this_read = *read_no;
-    *read_no += 1;
+    let this_read = conn.read_no;
+    conn.read_no += 1;
     if let Some(chaos) = &shared.chaos {
-        if chaos.read_stall_hit(conn, this_read) {
+        if chaos.read_stall_hit(conn.id, this_read) {
             // Injected network stall: burn one poll slice without data,
             // exactly as a wedged client would.
             thread::sleep(slice);
             return ReadOutcome::Nothing;
         }
     }
-    let mut chunk = [0u8; 4096];
-    match stream.read(&mut chunk) {
+    match conn.stream.read(&mut conn.buf[conn.filled..upto]) {
         Ok(0) => ReadOutcome::Closed,
         Ok(n) => {
             shared.gauges.net_bytes_in.add(n as u64);
-            buf.extend_from_slice(&chunk[..n]);
+            conn.filled += n;
             ReadOutcome::Data
         }
         Err(e)
@@ -508,67 +601,45 @@ fn read_some(
     }
 }
 
-/// Reads exactly `len` body bytes (the head's `content-length`, already
-/// checked against the body bound) within the `read_timeout` budget.
-fn read_body(
-    shared: &NetShared,
-    stream: &mut TcpStream,
-    conn: u64,
-    buf: &mut Vec<u8>,
-    read_no: &mut u64,
-    len: usize,
-) -> Result<Vec<u8>, HeadOutcome> {
+/// Reads until `buf[..total]` — the head and its whole body (the head's
+/// `content-length`, already checked against the body bound) — is
+/// buffered, within the `read_timeout` budget, asking the socket for
+/// exactly what is missing.
+fn read_body(shared: &NetShared, conn: &mut Conn, total: usize) -> Result<(), HeadOutcome> {
     let deadline = Instant::now() + shared.config.read_timeout;
-    loop {
-        if buf.len() >= len {
-            // Fallible copy: a hostile content-length that slipped past
-            // the byte bound (or genuine exhaustion) answers 507, never
-            // an abort.
-            let mut body: Vec<u8> = Vec::new();
-            if body.try_reserve_exact(len).is_err() {
-                return Err(HeadOutcome::Fail(507));
-            }
-            body.extend_from_slice(&buf[..len]);
-            buf.drain(..len);
-            return Ok(body);
-        }
+    if !conn.make_room(total) {
+        return Err(HeadOutcome::Fail(507));
+    }
+    while conn.filled < total {
         let now = Instant::now();
         if now >= deadline {
             shared.gauges.net_timeouts_read.inc();
             return Err(HeadOutcome::Fail(408));
         }
-        match read_some(shared, stream, conn, read_no, deadline - now, buf) {
+        match read_some(shared, conn, deadline - now, total) {
             ReadOutcome::Data | ReadOutcome::Nothing => {}
             ReadOutcome::Closed => return Err(HeadOutcome::Close),
         }
     }
+    Ok(())
 }
 
-fn route(
-    shared: &Arc<NetShared>,
-    stream: &mut TcpStream,
-    conn: u64,
-    buf: &mut Vec<u8>,
-    read_no: &mut u64,
-    head: &http::Head,
-    trace: Option<&Arc<TraceBuilder>>,
-) -> RouteOutcome {
-    let target = head.target.as_str();
+fn route<'s>(shared: &'s NetShared, head: &http::Head<'_>) -> Route<'s> {
+    let target = head.target;
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
     let is_infer = target == "/v1/infer" || target.starts_with("/v1/infer/");
     let is_debug = path == "/debug/trace" || path.starts_with("/debug/requests/");
-    match (head.method.as_str(), target) {
-        ("GET", "/healthz") => RouteOutcome::Respond(healthz(shared)),
-        ("GET", "/metrics") => RouteOutcome::Respond(metrics(shared)),
+    let respond = |resp| Route::Done(RouteOutcome::Respond(resp));
+    match (head.method, target) {
+        ("GET", "/healthz") => respond(healthz(shared)),
+        ("GET", "/metrics") => respond(metrics(shared)),
         (_, "/healthz" | "/metrics") => {
-            RouteOutcome::Respond(Response::new(405).header("allow", "GET").text("GET only"))
+            respond(Response::new(405).header("allow", "GET").text("GET only"))
         }
-        ("POST", _) if is_infer => infer(shared, stream, conn, buf, read_no, head, trace),
-        (_, _) if is_infer => {
-            RouteOutcome::Respond(Response::new(405).header("allow", "POST").text("POST only"))
-        }
-        (method, _) if is_debug => RouteOutcome::Respond(debug_route(shared, method, path, query)),
-        _ => RouteOutcome::Respond(Response::new(404).text("no such route")),
+        ("POST", _) if is_infer => plan_infer(shared, head),
+        (_, _) if is_infer => respond(Response::new(405).header("allow", "POST").text("POST only")),
+        (method, _) if is_debug => respond(debug_route(shared, method, path, query)),
+        _ => respond(Response::new(404).text("no such route")),
     }
 }
 
@@ -587,7 +658,7 @@ fn debug_route(shared: &NetShared, method: &str, path: &str, query: &str) -> Res
         // Trace dumps allocate serialized copies of everything retained —
         // exactly the wrong work under memory pressure.
         return Response::new(503)
-            .header("retry-after", 1)
+            .header("retry-after", 1u64)
             .text("degraded: debug endpoints are disabled under pressure");
     }
     let Some(rec) = &shared.recorder else {
@@ -632,7 +703,7 @@ fn healthz(shared: &NetShared) -> Response {
         DegradationState::Normal => Response::new(200).text("ok"),
         DegradationState::Brownout => Response::new(200).text("degraded: brownout"),
         DegradationState::Shed => Response::new(503)
-            .header("retry-after", 1)
+            .header("retry-after", 1u64)
             .text("shedding: resource pressure"),
     }
 }
@@ -670,38 +741,43 @@ fn metrics(shared: &NetShared) -> Response {
         .body(to_prometheus(&tenants).into_bytes())
 }
 
-fn infer(
-    shared: &Arc<NetShared>,
-    stream: &mut TcpStream,
-    conn: u64,
-    buf: &mut Vec<u8>,
-    read_no: &mut u64,
-    head: &http::Head,
-    trace: Option<&Arc<TraceBuilder>>,
-) -> RouteOutcome {
+/// The JSON refusal for a submission (or a body) the serving runtime
+/// would not take, with the backoff and quota hints its reason calls for.
+fn rejection(reason: RejectReason, retry_after: Duration, quota: Option<u64>) -> Response {
+    let mut resp = Response::new(reject_status(reason))
+        .header("content-type", "application/json")
+        .body(serde_json::to_vec(&BitFlowError::Rejected(reason)).unwrap_or_default());
+    if reject_wants_retry_after(reason) {
+        resp = resp.header("retry-after", retry_after.as_secs().max(1));
+    }
+    if let (RejectReason::QuotaExceeded, Some(q)) = (reason, quota) {
+        resp = resp.header("x-bitflow-quota", q);
+    }
+    resp
+}
+
+/// Everything an inference request's head decides: its framing, the body
+/// bound, the tenant's byte budget, the deadline header and the tenant
+/// itself — the last two only looked up here, and judged after the body
+/// is read, so a refusal over them leaves the connection usable.
+fn plan_infer<'s>(shared: &'s NetShared, head: &http::Head<'_>) -> Route<'s> {
+    let malformed = |resp| {
+        shared.gauges.net_malformed_requests.inc();
+        Route::Done(RouteOutcome::RespondClose(resp))
+    };
     let content_length = match head.content_length() {
         Ok(Some(n)) => n,
-        Ok(None) => {
-            shared.gauges.net_malformed_requests.inc();
-            return RouteOutcome::RespondClose(Response::new(411).text("content-length required"));
-        }
+        Ok(None) => return malformed(Response::new(411).text("content-length required")),
         Err(ParseError::UnsupportedTransferEncoding) => {
-            shared.gauges.net_malformed_requests.inc();
-            return RouteOutcome::RespondClose(
-                Response::new(501).text("only content-length framing is supported"),
-            );
+            return malformed(Response::new(501).text("only content-length framing is supported"));
         }
-        Err(e) => {
-            shared.gauges.net_malformed_requests.inc();
-            return RouteOutcome::RespondClose(Response::new(400).text(&e.to_string()));
-        }
+        Err(e) => return malformed(Response::new(400).text(&e.to_string())),
     };
     if content_length > shared.config.max_body_bytes {
         // Refused from the header alone — not a single body byte is read.
-        shared.gauges.net_malformed_requests.inc();
-        return RouteOutcome::RespondClose(
+        return malformed(
             Response::new(413)
-                .header("x-bitflow-max-body", shared.config.max_body_bytes)
+                .header("x-bitflow-max-body", shared.config.max_body_bytes as u64)
                 .text("request body exceeds the configured bound"),
         );
     }
@@ -711,35 +787,65 @@ fn infer(
         .filter(|name| !name.is_empty());
     // Charge the declared body size against the tenant's byte budget
     // before reading it: under memory pressure the refusal costs a head,
-    // not a buffered body. The lease lives to the end of this request.
-    let _body_lease = match shared.server.reserve_body(tenant, content_length as u64) {
+    // not a buffered body.
+    let body_lease = match shared.server.reserve_body(tenant, content_length as u64) {
         Ok(lease) => lease,
         Err(reason) => {
-            let mut resp = Response::new(reject_status(reason))
-                .header("content-type", "application/json")
-                .body(serde_json::to_vec(&BitFlowError::Rejected(reason)).unwrap_or_default());
-            if reject_wants_retry_after(reason) {
-                resp = resp.header(
-                    "retry-after",
-                    shared.server.retry_after_hint().as_secs().max(1),
-                );
-            }
-            return RouteOutcome::RespondClose(resp);
+            return Route::Done(RouteOutcome::RespondClose(rejection(
+                reason,
+                shared.server.retry_after_hint(),
+                None,
+            )));
         }
     };
+    Route::Infer(InferPlan {
+        content_length,
+        body_lease,
+        deadline: match head.header("x-bitflow-deadline-ms") {
+            None => Ok(None),
+            Some(v) => v
+                .parse::<u64>()
+                .map(|ms| Some(Duration::from_millis(ms)))
+                .map_err(|_| ()),
+        },
+        client: match tenant {
+            None => Some(shared.server.default_client()),
+            Some(name) => shared.server.client(name),
+        },
+    })
+}
+
+fn infer(
+    shared: &NetShared,
+    conn: &mut Conn,
+    head_end: usize,
+    plan: InferPlan<'_>,
+    trace: Option<&Arc<TraceBuilder>>,
+) -> RouteOutcome {
+    let InferPlan {
+        content_length,
+        body_lease: _body_lease,
+        deadline,
+        client,
+    } = plan;
     let body_start = Instant::now();
-    let body = match read_body(shared, stream, conn, buf, read_no, content_length) {
-        Ok(body) => body,
+    // Saturated, the sum is more than any buffer grows to: a 507 below.
+    let total = head_end.saturating_add(content_length);
+    match read_body(shared, conn, total) {
+        Ok(()) => {}
         Err(HeadOutcome::Fail(status)) => {
             return RouteOutcome::RespondClose(Response::new(status).text(http::reason(status)));
         }
         Err(_) => return RouteOutcome::Close,
-    };
+    }
     let decode_start = Instant::now();
     if let Some(tb) = trace {
         tb.stage(Stage::ReadBody, body_start, decode_start);
     }
-    let tensor = match bitflow_tensor::io::decode_tensor(&body) {
+    // Decoded where it was read; then the request's bytes are done with.
+    let decoded = bitflow_tensor::io::decode_tensor(&conn.buf[head_end..total]);
+    conn.consume(total);
+    let tensor = match decoded {
         Ok(t) => t,
         Err(e) => {
             shared.gauges.net_malformed_requests.inc();
@@ -751,67 +857,42 @@ fn infer(
     }
     // A budget the client asked for but did not spell as a whole number of
     // milliseconds is refused, never read as "no deadline".
-    let deadline = match head
-        .header("x-bitflow-deadline-ms")
-        .map(|v| v.trim().parse::<u64>())
-    {
-        None => None,
-        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
-        Some(Err(_)) => {
-            shared.gauges.net_malformed_requests.inc();
-            return RouteOutcome::Respond(bad_request(
-                "bad_deadline",
-                "x-bitflow-deadline-ms must be a whole number of milliseconds",
-            ));
-        }
+    let Ok(deadline) = deadline else {
+        shared.gauges.net_malformed_requests.inc();
+        return RouteOutcome::Respond(bad_request(
+            "bad_deadline",
+            "x-bitflow-deadline-ms must be a whole number of milliseconds",
+        ));
+    };
+    let Some(client) = client else {
+        return RouteOutcome::Respond(Response::new(404).text("unknown model"));
     };
     // One admission path for every tenant, traced or not: the serving
     // runtime records admit/queue/batch/exec stages and the engine its
-    // operator spans into the trace when there is one.
-    let client = match tenant {
-        None => shared.server.default_client(),
-        Some(name) => match shared.server.client(name) {
-            Some(client) => client,
-            None => return RouteOutcome::Respond(Response::new(404).text("unknown model")),
-        },
-    };
-    let result = client.submit(Submission {
+    // operator spans into the trace when there is one. This thread would
+    // only block for the answer, so it offers to compute it: `call` runs
+    // the request right here when a worker is parked.
+    let result = client.call(Submission {
         input: tensor,
         token: deadline.map(CancelToken::with_budget),
         trace: trace.cloned(),
     });
-    let retry_hint = client.retry_after_hint();
-    let quota = client.entry().quota();
-
     let mut resp = match result {
-        Err(reason) => {
-            let mut resp = Response::new(reject_status(reason))
-                .header("content-type", "application/json")
-                .body(serde_json::to_vec(&BitFlowError::Rejected(reason)).unwrap_or_default());
-            if reject_wants_retry_after(reason) {
-                resp = resp.header("retry-after", retry_hint.as_secs().max(1));
+        Ok(logits) => {
+            let mut body = Vec::with_capacity(logits.len() * 4);
+            for v in &logits {
+                body.extend_from_slice(&v.to_le_bytes());
             }
-            if matches!(reason, RejectReason::QuotaExceeded) {
-                if let Some(q) = quota {
-                    resp = resp.header("x-bitflow-quota", q);
-                }
-            }
-            resp
+            Response::new(200)
+                .header("content-type", "application/octet-stream")
+                .body(body)
         }
-        Ok(handle) => match handle.wait() {
-            Ok(logits) => {
-                let mut body = Vec::with_capacity(logits.len() * 4);
-                for v in &logits {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
-                Response::new(200)
-                    .header("content-type", "application/octet-stream")
-                    .body(body)
-            }
-            Err(err) => Response::new(error_status(&err))
-                .header("content-type", "application/json")
-                .body(serde_json::to_vec(&err).unwrap_or_default()),
-        },
+        Err(BitFlowError::Rejected(reason)) => {
+            rejection(reason, client.retry_after_hint(), client.entry().quota())
+        }
+        Err(err) => Response::new(error_status(&err))
+            .header("content-type", "application/json")
+            .body(serde_json::to_vec(&err).unwrap_or_default()),
     };
     if shared.config.server_timing {
         if let Some(tb) = trace {
@@ -848,20 +929,20 @@ fn bad_request(code: &str, message: &str) -> Response {
 /// handling partial writes; a failure (peer gone, timeout, injected
 /// truncation) returns `Err` and the caller closes the connection —
 /// never a panic, never a half-tracked byte count. Every response echoes
-/// the request's wire id, and every write lands in the
-/// `bitflow_stage_write_ns` histogram whether or not the request is
+/// the request's wire id (`scratch.wire_id`), and every write lands in
+/// the `bitflow_stage_write_ns` histogram whether or not the request is
 /// traced.
 fn write_response(
     shared: &NetShared,
-    stream: &mut TcpStream,
-    conn: u64,
+    conn: &mut Conn,
+    scratch: &mut Scratch,
     req_no: u64,
-    wire_id: &str,
     resp: &Response,
     keep_alive: bool,
 ) -> Result<(), ()> {
     let t0 = Instant::now();
-    let out = write_response_inner(shared, stream, conn, req_no, wire_id, resp, keep_alive);
+    resp.render(&mut scratch.out, keep_alive, Some(&scratch.wire_id));
+    let out = write_rendered(shared, conn, &scratch.out, req_no);
     shared
         .gauges
         .stage_write
@@ -869,34 +950,33 @@ fn write_response(
     out
 }
 
-fn write_response_inner(
+fn write_rendered(
     shared: &NetShared,
-    stream: &mut TcpStream,
-    conn: u64,
+    conn: &mut Conn,
+    bytes: &[u8],
     req_no: u64,
-    wire_id: &str,
-    resp: &Response,
-    keep_alive: bool,
 ) -> Result<(), ()> {
-    let bytes = resp.to_bytes_tagged(keep_alive, wire_id);
     let mut limit = bytes.len();
     let mut truncate = false;
     if let Some(chaos) = &shared.chaos {
-        if chaos.trunc_write_hit(conn, req_no) {
+        if chaos.trunc_write_hit(conn.id, req_no) {
             // Injected mid-response disconnect: half the bytes, then RST.
             limit = bytes.len() / 2;
             truncate = true;
         }
     }
     let deadline = Instant::now() + shared.config.write_timeout;
-    let _ = stream.set_write_timeout(Some(POLL_SLICE));
+    if !conn.write_timeout_set {
+        let _ = conn.stream.set_write_timeout(Some(POLL_SLICE));
+        conn.write_timeout_set = true;
+    }
     let mut written = 0usize;
     while written < limit {
         if Instant::now() >= deadline {
             shared.gauges.net_timeouts_write.inc();
             return Err(());
         }
-        match stream.write(&bytes[written..limit]) {
+        match conn.stream.write(&bytes[written..limit]) {
             Ok(0) => return Err(()),
             Ok(n) => {
                 written += n;
@@ -913,10 +993,10 @@ fn write_response_inner(
         }
     }
     if truncate {
-        let _ = stream.shutdown(Shutdown::Both);
+        let _ = conn.stream.shutdown(Shutdown::Both);
         return Err(());
     }
-    let _ = stream.flush();
+    let _ = conn.stream.flush();
     Ok(())
 }
 
@@ -924,6 +1004,110 @@ fn write_response_inner(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use bitflow_graph::{small_cnn, CompiledModel, NetworkWeights};
+    use bitflow_serve::ServerConfig;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// A listener's shared state without the listener.
+    fn shared() -> NetShared {
+        let spec = small_cnn();
+        let weights = NetworkWeights::random_with_bn(&spec, &mut StdRng::seed_from_u64(1));
+        let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+        let server = Arc::new(Server::start(Arc::new(model), ServerConfig::default()));
+        NetShared {
+            config: NetConfig::default(),
+            gauges: server.gauges(),
+            server,
+            chaos: None,
+            shutdown: AtomicBool::new(false),
+            open_conns: AtomicUsize::new(0),
+            conn_ids: AtomicU64::new(0),
+            recorder: None,
+        }
+    }
+
+    /// A connected loopback pair: the client's end, and the server's as a
+    /// fresh [`Conn`].
+    fn loopback() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        (client, Conn::new(stream, 0))
+    }
+
+    fn request(body: &[u8]) -> Vec<u8> {
+        let mut req = format!(
+            "POST /v1/infer HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        req.extend_from_slice(body);
+        req
+    }
+
+    /// Reads one whole request off `conn`; returns where its head ends
+    /// and where its body does.
+    fn read_request(shared: &NetShared, conn: &mut Conn) -> (usize, usize) {
+        let HeadOutcome::Complete(head_end) = read_head(shared, conn) else {
+            panic!("no complete head");
+        };
+        let len = http::parse_head(&conn.buf[..head_end])
+            .expect("head parses")
+            .content_length()
+            .expect("framed")
+            .expect("has a length");
+        assert!(read_body(shared, conn, head_end + len).is_ok());
+        (head_end, head_end + len)
+    }
+
+    #[test]
+    fn head_and_body_in_one_segment_cost_one_socket_read() {
+        let shared = shared();
+        let (mut client, mut conn) = loopback();
+        // The size of an encoded `small_cnn` input, give or take.
+        let body: Vec<u8> = (0..4200u32).map(|i| i as u8).collect();
+        client.write_all(&request(&body)).expect("write");
+        let (head_end, total) = read_request(&shared, &mut conn);
+        assert_eq!(&conn.buf[head_end..total], body.as_slice());
+        assert_eq!(conn.read_no, 1, "head and body arrived together");
+        conn.consume(total);
+        assert_eq!(conn.filled, 0);
+
+        // Keep-alive: the next request is one read again, under the poll
+        // slice the first read set (a healthy read never asks for another).
+        client.write_all(&request(&body)).expect("write");
+        let (head_end, total) = read_request(&shared, &mut conn);
+        assert_eq!(&conn.buf[head_end..total], body.as_slice());
+        assert_eq!(conn.read_no, 2);
+        assert_eq!(conn.read_timeout, Some(POLL_SLICE));
+    }
+
+    #[test]
+    fn pipelined_requests_and_large_bodies_are_read_in_place() {
+        let shared = shared();
+        let (mut client, mut conn) = loopback();
+        // Two small requests in one segment: the second is already
+        // buffered when the first is consumed — no further read.
+        let mut two = request(b"first");
+        two.extend_from_slice(&request(b"second!"));
+        client.write_all(&two).expect("write");
+        let (head_end, total) = read_request(&shared, &mut conn);
+        assert_eq!(&conn.buf[head_end..total], b"first");
+        conn.consume(total);
+        let (head_end, total) = read_request(&shared, &mut conn);
+        assert_eq!(&conn.buf[head_end..total], b"second!");
+        assert_eq!(conn.read_no, 1);
+        conn.consume(total);
+
+        // A body past the head-sized buffer: the buffer grows once to the
+        // declared size and the rest is read where it belongs.
+        let body: Vec<u8> = (0..40_000u32).map(|i| (i * 7) as u8).collect();
+        client.write_all(&request(&body)).expect("write");
+        let (head_end, total) = read_request(&shared, &mut conn);
+        assert_eq!(&conn.buf[head_end..total], body.as_slice());
+        assert!(conn.read_no >= 3, "one head-sized read, then the rest");
+        assert_eq!(conn.filled, total, "not a byte past the declared body");
+    }
 
     #[test]
     fn accept_backoff_doubles_and_caps() {

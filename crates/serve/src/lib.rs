@@ -2,8 +2,10 @@
 //!
 //! Overload-safe serving runtime in front of a
 //! [`bitflow_graph::CompiledModel`]: a bounded admission queue feeding a
-//! persistent pool of worker threads, each owning one
-//! [`bitflow_graph::engine::InferenceContext`].
+//! persistent pool of worker threads, each with one slot holding the
+//! [`bitflow_graph::engine::InferenceContext`] it serves in — a slot a
+//! parked worker lends to a blocking caller ([`ModelClient::call`]), who
+//! then runs its own request without crossing the queue.
 //!
 //! Design goals, in priority order:
 //!

@@ -21,8 +21,22 @@
 //!   fresh context — the engine's no-poisoning guarantee, exercised here
 //!   across panics, cancellations, context replacement, and coalesced
 //!   micro-batches.
-//! * Every context a worker runs in is built by `CtxCache::try_ctx_for`:
+//! * Every context a request runs in is built by `CtxCache::try_ctx_for`:
 //!   fallibly, and charged to its tenant for as long as it is cached.
+//! * **Execution needs a slot.** There is one context slot per worker
+//!   (`Shared::slots`), locked by whoever serves a batch in it, so at
+//!   most `config.workers` inferences run at once and at most that many
+//!   contexts are leased — workers and blocking callers counted together.
+//!
+//! **Where a request runs**: [`ModelClient::submit`] never blocks — the
+//! request crosses the queue and a worker serves it. A caller that would
+//! block for the answer anyway uses [`ModelClient::call`]: same
+//! admission, and then, if nothing is queued and a worker is parked, it
+//! borrows that worker's slot and serves its own request on its own
+//! thread (no hand-off to a worker and back); otherwise it queues and
+//! waits. A worker holds its slot only while it serves, so parked means
+//! free; a worker that wakes to find its slot borrowed waits out that
+//! one inference, as it would behind a busy pool.
 //!
 //! **Micro-batching**: a worker pops the queue head, then greedily
 //! coalesces queued requests that run the *same model `Arc`* and whose
@@ -44,7 +58,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -241,9 +255,27 @@ struct Shared {
     breaker: Mutex<BreakerState>,
     next_id: AtomicU64,
     pops: AtomicU64,
+    /// One scratch-context slot per worker, locked by whoever is serving
+    /// a batch in it: the worker itself, or — while that worker is parked
+    /// — a blocking caller ([`ModelClient::call`]). Execution needs a
+    /// slot, so at most `config.workers` inferences run and at most that
+    /// many contexts are leased, workers and callers counted together.
+    slots: Vec<Mutex<CtxCache>>,
 }
 
 impl Shared {
+    /// A slot nobody is serving in, with its worker's id. Never blocks.
+    fn free_slot(&self) -> Option<(u64, MutexGuard<'_, CtxCache>)> {
+        self.slots
+            .iter()
+            .zip(0u64..)
+            .find_map(|(slot, worker_id)| match slot.try_lock() {
+                Ok(cache) => Some((worker_id, cache)),
+                Err(TryLockError::Poisoned(p)) => Some((worker_id, p.into_inner())),
+                Err(TryLockError::WouldBlock) => None,
+            })
+    }
+
     /// Whether the breaker currently sheds admissions. An expired cooldown
     /// closes the breaker here, on the admission path — half-open probing
     /// is not modelled; after the cooldown the server simply trusts the
@@ -348,7 +380,6 @@ impl Server {
             registry,
             default_entry,
             governor,
-            config,
             queue: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 draining: false,
@@ -357,13 +388,15 @@ impl Server {
             breaker: Mutex::new(BreakerState::default()),
             next_id: AtomicU64::new(0),
             pops: AtomicU64::new(0),
+            slots: (0..config.workers).map(|_| Mutex::default()).collect(),
+            config,
         });
         let workers = (0..shared.config.workers)
             .map(|worker_id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("bitflow-serve-{worker_id}"))
-                    .spawn(move || worker_main(&shared, worker_id as u64))
+                    .spawn(move || worker_main(&shared, worker_id))
             })
             .filter_map(Result::ok)
             .collect();
@@ -579,10 +612,63 @@ impl std::fmt::Debug for ModelClient<'_> {
 }
 
 impl ModelClient<'_> {
-    /// Submits one request to this tenant — the one admission path every
-    /// other `submit` is a caller of. Never blocks: the request is either
-    /// admitted or rejected with a typed reason, counted either way.
+    /// Submits one request to this tenant through the admission queue.
+    /// Never blocks: the request is either admitted or rejected with a
+    /// typed reason, counted either way.
     pub fn submit(&self, request: Submission) -> Result<ResponseHandle, RejectReason> {
+        let (q, req) = self.admit(request)?;
+        Ok(enqueue(&self.server.shared, q, req))
+    }
+
+    /// Submits one request and blocks for its answer; a refusal at
+    /// admission comes back as [`BitFlowError::Rejected`]. Admission is
+    /// [`ModelClient::submit`]'s. Then, when nothing is queued and a
+    /// worker is parked, the request runs here, on the calling thread, in
+    /// that worker's context — a thread that is going to block for the
+    /// answer anyway saves the two hand-offs to a worker and back.
+    /// Otherwise it queues and waits like any other request, so a caller
+    /// never overtakes queued work and never runs beside a full pool.
+    pub fn call(&self, request: Submission) -> Result<Vec<f32>, BitFlowError> {
+        let sh = &*self.server.shared;
+        let (q, req) = self.admit(request).map_err(BitFlowError::Rejected)?;
+        let free = if q.items.is_empty() {
+            sh.free_slot()
+        } else {
+            None
+        };
+        let Some((worker_id, mut cache)) = free else {
+            return enqueue(sh, q, req).wait();
+        };
+        req.entry.counters().admitted_on_caller();
+        drop(q);
+        // The worker's obligations come with its slot: the backstop
+        // around everything outside the engine's own per-request one, and
+        // a fresh cache after a chaos kill — there is no loop to unwind
+        // here, so a kill only costs the context.
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            serve_pop(sh, worker_id, &mut cache, std::slice::from_ref(&req), true)
+        }));
+        if !matches!(served, Ok(None)) {
+            *cache = CtxCache::default();
+            sh.default_entry.counters().worker_restarts.inc();
+        }
+        drop(cache);
+        let answer = lock(&req.slot.result).take();
+        answer.unwrap_or_else(|| {
+            Err(BitFlowError::Internal(
+                "the serving runtime panicked outside inference".to_string(),
+            ))
+        })
+    }
+
+    /// The admission body `submit` and `call` share: every check, in this
+    /// order, each refusal counted. On success the request is built and
+    /// the queue is still locked, so where it goes next is decided under
+    /// the lock that admitted it.
+    fn admit(
+        &self,
+        request: Submission,
+    ) -> Result<(MutexGuard<'_, QueueState>, Request), RejectReason> {
         let Submission {
             input,
             token,
@@ -658,33 +744,30 @@ impl ModelClient<'_> {
             None => None,
         };
         // Quota last, after every other reject: a charge is then always
-        // matched by a queued request, and no reject path needs a release.
+        // matched by an admitted request, and no reject path needs a
+        // release.
         if !entry.try_admit() {
             return refuse(RejectReason::QuotaExceeded);
         }
         let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ResponseSlot::default());
         let now = Instant::now();
         if let Some(t) = &trace {
             t.tb.set_request_id(id);
             t.tb.stage(Stage::Admit, t_submit, now);
         }
-        q.items.push_back(Request {
+        let req = Request {
             id,
             entry: Arc::clone(entry),
             model: entry.current(),
             input,
-            token: token.clone(),
-            slot: Arc::clone(&slot),
+            token,
+            slot: Arc::new(ResponseSlot::default()),
             enqueued_at: now,
             popped_at: now,
             trace,
             _lease: lease,
-        });
-        entry.counters().enqueued();
-        drop(q);
-        sh.available.notify_one();
-        Ok(ResponseHandle { id, token, slot })
+        };
+        Ok((q, req))
     }
 
     /// The registry entry this client submits to.
@@ -727,6 +810,21 @@ impl ModelClient<'_> {
         }
         old
     }
+}
+
+/// Puts an admitted request in the queue (still locked by its admission),
+/// wakes a worker for it, and returns the caller's end.
+fn enqueue(shared: &Shared, mut q: MutexGuard<'_, QueueState>, req: Request) -> ResponseHandle {
+    let handle = ResponseHandle {
+        id: req.id,
+        token: req.token.clone(),
+        slot: Arc::clone(&req.slot),
+    };
+    req.entry.counters().enqueued();
+    q.items.push_back(req);
+    drop(q);
+    shared.available.notify_one();
+    handle
 }
 
 /// Counts a rejection on the entry's ledger and passes the reason
@@ -942,17 +1040,18 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Request>> {
 }
 
 /// The watchdog shell around one worker: restarts the serving loop (with
-/// a fresh context cache — the old one is mid-panic suspect) until it
-/// exits cleanly at drain. Restarts are counted but never give up: a
-/// worker that keeps dying keeps coming back, and the circuit breaker —
-/// not the pool size — is what turns persistent faults into load
-/// shedding.
-fn worker_main(shared: &Shared, worker_id: u64) {
+/// a fresh context cache in its slot — the old one is mid-panic suspect)
+/// until it exits cleanly at drain. Restarts are counted but never give
+/// up: a worker that keeps dying keeps coming back, and the circuit
+/// breaker — not the pool size — is what turns persistent faults into
+/// load shedding.
+fn worker_main(shared: &Shared, worker_id: usize) {
     loop {
-        let mut cache = CtxCache::default();
-        let exited = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(shared, worker_id, &mut cache)
-        }));
+        let exited = catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker_id)));
+        // Restarting or gone, the slot is emptied: at drain that returns
+        // the context's lease (waiting out a caller still serving in it;
+        // none can arrive after — admission is closed).
+        *lock(&shared.slots[worker_id]) = CtxCache::default();
         match exited {
             Ok(()) => return,
             Err(_) => shared.default_entry.counters().worker_restarts.inc(),
@@ -960,46 +1059,81 @@ fn worker_main(shared: &Shared, worker_id: u64) {
     }
 }
 
-/// Pops and serves micro-batches until drain completes. Panics escape to
-/// [`worker_main`] only from the chaos kill site or a bug in this crate —
-/// inference panics are contained per-request inside the engine.
-fn worker_loop(shared: &Shared, worker_id: u64, cache: &mut CtxCache) {
+/// Pops and serves micro-batches until drain completes, holding the
+/// worker's slot only while it serves one (parked, the slot is free for a
+/// blocking caller). Panics escape to [`worker_main`] only from the chaos
+/// kill site or a bug in this crate — inference panics are contained
+/// per-request inside the engine.
+fn worker_loop(shared: &Shared, worker_id: usize) {
     loop {
         let Some(batch) = pop_batch(shared) else {
             return;
         };
-        let pop = shared.pops.fetch_add(1, Ordering::Relaxed);
-        if let Some(chaos_cfg) = &shared.config.chaos {
-            if chaos_cfg.stall_hit(worker_id, pop) {
-                std::thread::sleep(chaos_cfg.stall);
-            }
-        }
-        serve_batch(shared, cache, batch);
-        if let Some(chaos_cfg) = &shared.config.chaos {
-            if chaos_cfg.kill_hit(worker_id, pop) {
-                // After `serve_batch`: every popped request has resolved,
-                // so killing the loop here can only cost a restart, never
-                // a response.
-                panic!("chaos: injected worker kill (worker {worker_id}, pop {pop})");
-            }
+        // A caller that borrowed the slot while this worker was parked is
+        // waited out: one inference at most, as if the pool were busy.
+        let mut cache = lock(&shared.slots[worker_id]);
+        let killed = serve_pop(shared, worker_id as u64, &mut cache, &batch, false);
+        drop(cache);
+        if let Some(pop) = killed {
+            panic!("chaos: injected worker kill (worker {worker_id}, pop {pop})");
         }
     }
 }
 
-/// Serves one popped micro-batch and resolves every slot. Exactly one
-/// outcome counter fires per request, keeping the conservation law exact.
-fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
-    // Dead on arrival: don't spend an inference run on them.
-    let mut live: Vec<Request> = Vec::with_capacity(batch.len());
-    for req in batch {
-        if req.token.is_cancelled() || req.token.deadline_passed() {
-            resolve_dead(shared, &req);
-        } else {
-            live.push(req);
+/// Serves one pop — a worker's micro-batch, or a caller's own request —
+/// in `cache`, the slot of worker `worker_id`, with that worker's seeded
+/// chaos around it: a stall before the batch, and `Some(pop)` back when
+/// chaos kills this pop. The kill is decided after `serve_batch`: every
+/// request has resolved, so it can only cost a restart, never a response.
+fn serve_pop(
+    shared: &Shared,
+    worker_id: u64,
+    cache: &mut CtxCache,
+    batch: &[Request],
+    on_caller: bool,
+) -> Option<u64> {
+    let pop = shared.pops.fetch_add(1, Ordering::Relaxed);
+    let chaos_cfg = shared.config.chaos.as_ref();
+    if let Some(chaos_cfg) = chaos_cfg {
+        if chaos_cfg.stall_hit(worker_id, pop) {
+            std::thread::sleep(chaos_cfg.stall);
         }
     }
+    serve_batch(shared, cache, batch, on_caller);
+    chaos_cfg
+        .is_some_and(|c| c.kill_hit(worker_id, pop))
+        .then_some(pop)
+}
+
+/// Serves one micro-batch and resolves every slot. Exactly one outcome
+/// counter fires per request, keeping the conservation law exact.
+fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: &[Request], on_caller: bool) {
+    // Dead on arrival: don't spend an inference run on them. A singleton
+    // — every pop of a calm queue, every caller-run request — is looked at
+    // where it lies; only a real batch collects its survivors.
+    let dead = |req: &Request| {
+        let dead = req.token.is_cancelled() || req.token.deadline_passed();
+        if dead {
+            resolve_dead(shared, req);
+        }
+        dead
+    };
+    let (one, many);
+    let live: &[&Request] = match batch {
+        [only] => {
+            if dead(only) {
+                return;
+            }
+            one = [only];
+            &one
+        }
+        _ => {
+            many = batch.iter().filter(|req| !dead(req)).collect::<Vec<_>>();
+            &many
+        }
+    };
     let Some(head) = live.first() else { return };
-    let entry = Arc::clone(&head.entry);
+    let entry = &head.entry;
     entry.counters().batch_served(live.len() as u64);
     let started = Instant::now();
     // Stage accounting: queue wait (enqueue → dequeue) and batch-formation
@@ -1007,7 +1141,8 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
     // histograms, and into each request's trace when tracing is on.
     let window_us = shared.config.coalesce_window.as_micros() as u64;
     let est_batch_ns = entry.est_batch_ns();
-    for req in &live {
+    let ran_on = if on_caller { "caller" } else { "worker" };
+    for req in live {
         req.entry.counters().stage_queue_wait.record(
             req.popped_at
                 .saturating_duration_since(req.enqueued_at)
@@ -1020,14 +1155,14 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
         if let Some(t) = &req.trace {
             t.tb.stage(Stage::QueueWait, req.enqueued_at, req.popped_at);
             t.tb.stage(Stage::BatchWait, req.popped_at, started);
-            t.tb.set_batch(live.len() as u64, window_us, est_batch_ns);
+            t.tb.set_batch(live.len() as u64, window_us, est_batch_ns, ran_on);
         }
     }
     // The batch shares one model (`take_compatible` groups by model), so
     // one cached, leased context serves it: the engine runs the items back
     // to back in it, or — when a share is worth waking the worker team —
     // fans them out, this thread still working in it.
-    let mut rest = live.as_slice();
+    let mut rest = live;
     while let Some(head) = rest.first() {
         let ctx = match cache.try_ctx_for(shared, head) {
             Ok(ctx) => ctx,
@@ -1040,9 +1175,9 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
                 continue;
             }
         };
-        // A singleton — every pop of a calm queue — lends its item from
-        // the stack: on the 26 µs loopback round trip of `small_cnn`, a
-        // one-element vector here measured 0.6 µs.
+        // A singleton lends its item from the stack: on the 26 µs
+        // loopback round trip of `small_cnn`, a one-element vector here
+        // measured 0.6 µs.
         let (one, many);
         let items = match rest {
             [only] => {
@@ -1050,7 +1185,7 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: Vec<Request>) {
                 std::slice::from_ref(&one)
             }
             _ => {
-                many = rest.iter().map(Request::item).collect::<Vec<_>>();
+                many = rest.iter().map(|req| req.item()).collect::<Vec<_>>();
                 many.as_slice()
             }
         };

@@ -103,7 +103,7 @@ impl std::fmt::Debug for FlightRecorder {
 /// footprint's variable part so the byte budget errs on the safe side
 /// without serializing anything.
 fn approx_bytes(t: &RequestTrace) -> usize {
-    let strings = t.id.len() + t.tenant.len() + t.outcome.len();
+    let strings = t.id.len() + t.tenant.len() + t.outcome.len() + t.ran_on.len();
     let stages = t.stages.len() * std::mem::size_of::<crate::span::StageSpan>();
     let spans: usize = t
         .spans

@@ -301,6 +301,7 @@ pub(crate) mod tests {
                 worker_panics: 1,
                 worker_restarts: 1,
                 breaker_trips: 1,
+                served_on_caller: 5,
                 queue_depth: 3,
                 queue_depth_max: 6,
                 batches: 6,

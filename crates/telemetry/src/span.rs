@@ -164,6 +164,10 @@ pub struct RequestTrace {
     /// The EWMA batch-latency estimate used for deadline-fit decisions
     /// when the batch formed, nanoseconds.
     pub est_batch_ns: u64,
+    /// The thread the batch executed on: `"caller"` when a blocking caller
+    /// ran its own request in a parked worker's context, `"worker"` when
+    /// it crossed the queue. Empty when the request never executed.
+    pub ran_on: String,
     /// Per-operator spans in execution order.
     pub spans: Vec<OpSpan>,
 }
@@ -180,6 +184,7 @@ impl Deserialize for RequestTrace {
             batch_size: field_or_default(v, "batch_size")?,
             coalesce_window_us: field_or_default(v, "coalesce_window_us")?,
             est_batch_ns: field_or_default(v, "est_batch_ns")?,
+            ran_on: field_or_default(v, "ran_on")?,
             spans: Deserialize::from_value(v.field("spans")?)?,
         })
     }
@@ -200,6 +205,7 @@ impl RequestTrace {
             batch_size: 0,
             coalesce_window_us: 0,
             est_batch_ns: 0,
+            ran_on: String::new(),
             spans,
         }
     }
@@ -237,6 +243,7 @@ struct TraceInner {
     batch_size: u64,
     coalesce_window_us: u64,
     est_batch_ns: u64,
+    ran_on: &'static str,
 }
 
 impl TraceBuilder {
@@ -316,12 +323,20 @@ impl TraceBuilder {
         }
     }
 
-    /// Records batch-formation metadata.
-    pub fn set_batch(&self, batch_size: u64, coalesce_window_us: u64, est_batch_ns: u64) {
+    /// Records batch-formation metadata and the thread the batch runs on
+    /// (`"caller"` or `"worker"`).
+    pub fn set_batch(
+        &self,
+        batch_size: u64,
+        coalesce_window_us: u64,
+        est_batch_ns: u64,
+        ran_on: &'static str,
+    ) {
         let mut g = self.lock();
         g.batch_size = batch_size;
         g.coalesce_window_us = coalesce_window_us;
         g.est_batch_ns = est_batch_ns;
+        g.ran_on = ran_on;
     }
 
     /// Records one lifecycle stage between two instants.
@@ -382,6 +397,7 @@ impl TraceBuilder {
             batch_size: inner.batch_size,
             coalesce_window_us: inner.coalesce_window_us,
             est_batch_ns: inner.est_batch_ns,
+            ran_on: inner.ran_on.to_string(),
             spans: inner.spans,
         }
     }
@@ -432,7 +448,7 @@ mod tests {
         tb.set_request_id(9);
         tb.set_tenant("vgg");
         tb.set_outcome("ok");
-        tb.set_batch(4, 250, 1_000_000);
+        tb.set_batch(4, 250, 1_000_000, "worker");
         // Record stages out of order; finish() must sort by start offset.
         tb.stage_ns(Stage::Exec, 3_000, 500);
         tb.stage_ns(Stage::Parse, 0, 1_000);
@@ -455,6 +471,7 @@ mod tests {
             (t.batch_size, t.coalesce_window_us, t.est_batch_ns),
             (4, 250, 1_000_000)
         );
+        assert_eq!(t.ran_on, "worker");
         let order: Vec<Stage> = t.stages.iter().map(|s| s.stage).collect();
         assert_eq!(order, vec![Stage::Parse, Stage::QueueWait, Stage::Exec]);
         assert_eq!(t.spans.len(), 1);

@@ -559,6 +559,11 @@ cells! {
     pub breaker_trips: Counter
         = "bitflow_serve_breaker_trips_total", Lifecycle,
           "Circuit-breaker transitions into the shedding state.";
+    /// A blocking caller found the queue empty and a worker parked, and
+    /// ran its own request in that worker's context (never queued).
+    served_on_caller: Counter
+        = "bitflow_serve_served_on_caller_total", Lifecycle,
+          "Admitted requests served on their calling thread in a parked worker's context.";
     queue_depth: Gauge
         = "bitflow_serve_queue_depth", Queue,
           "Requests waiting in the admission queue right now.";
@@ -626,6 +631,13 @@ impl ServeGauges {
     pub fn enqueued(&self) {
         self.accepted.inc();
         self.queue_depth_max.observe(self.queue_depth.add(1));
+    }
+
+    /// A blocking caller was admitted straight into a free worker slot:
+    /// accepted, but never queued.
+    pub fn admitted_on_caller(&self) {
+        self.accepted.inc();
+        self.served_on_caller.inc();
     }
 
     /// A request left the admission queue (picked up or shed). Lowers the

@@ -75,6 +75,42 @@ pub fn encode_tensor(t: &Tensor) -> Bytes {
     buf.freeze()
 }
 
+/// Reads a header spelled exactly as [`encode_tensor`] spells it —
+/// `{"shape":{"n":1,"h":32,"w":32,"c":3},"layout":"Nhwc","dtype":"F32"}`
+/// — without building a JSON tree. `None` for any other spelling, which
+/// the caller hands to the JSON parser: this is the shortcut for the bytes
+/// every encoder-built request carries (11 allocations otherwise, on a
+/// served request that makes a handful), not a second grammar.
+fn canonical_header(json: &[u8]) -> Option<TensorHeader> {
+    fn dim<'a>(s: &'a str, key: &str) -> Option<(usize, &'a str)> {
+        let s = s.strip_prefix(key)?;
+        let digits = s.bytes().take_while(u8::is_ascii_digit).count();
+        // As JSON spells a number: no empty one, no leading zero.
+        if digits == 0 || (digits > 1 && s.starts_with('0')) {
+            return None;
+        }
+        Some((s[..digits].parse().ok()?, &s[digits..]))
+    }
+    let s = std::str::from_utf8(json).ok()?;
+    let (n, s) = dim(s, "{\"shape\":{\"n\":")?;
+    let (h, s) = dim(s, ",\"h\":")?;
+    let (w, s) = dim(s, ",\"w\":")?;
+    let (c, s) = dim(s, ",\"c\":")?;
+    let s = s.strip_prefix("},\"layout\":\"")?;
+    let (layout, s) = [("Nhwc\"", Layout::Nhwc), ("Nchw\"", Layout::Nchw)]
+        .into_iter()
+        .find_map(|(name, layout)| Some((layout, s.strip_prefix(name)?)))?;
+    let s = s.strip_prefix(",\"dtype\":\"")?;
+    let (dtype, s) = [("F32\"", DType::F32), ("U64\"", DType::U64)]
+        .into_iter()
+        .find_map(|(name, dtype)| Some((dtype, s.strip_prefix(name)?)))?;
+    (s == "}").then_some(TensorHeader {
+        shape: Shape::new(n, h, w, c),
+        layout,
+        dtype,
+    })
+}
+
 /// Deserializes a float tensor from the container format.
 pub fn decode_tensor(mut data: &[u8]) -> Result<Tensor, DecodeError> {
     if data.remaining() < 8 || data.get_u32_le() != MAGIC {
@@ -84,8 +120,10 @@ pub fn decode_tensor(mut data: &[u8]) -> Result<Tensor, DecodeError> {
     if data.remaining() < hlen {
         return Err(DecodeError::Truncated);
     }
-    let header: TensorHeader =
-        serde_json::from_slice(&data[..hlen]).map_err(|_| DecodeError::BadHeader)?;
+    let header = match canonical_header(&data[..hlen]) {
+        Some(header) => header,
+        None => serde_json::from_slice(&data[..hlen]).map_err(|_| DecodeError::BadHeader)?,
+    };
     data.advance(hlen);
     if header.dtype != DType::F32 {
         return Err(DecodeError::BadHeader);
@@ -103,11 +141,13 @@ pub fn decode_tensor(mut data: &[u8]) -> Result<Tensor, DecodeError> {
     if data.remaining() < payload_len {
         return Err(DecodeError::Truncated);
     }
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(data.get_f32_le());
+    // Straight into the tensor's own (aligned) storage: one allocation,
+    // no staging vector.
+    let mut tensor = Tensor::zeros(header.shape, header.layout);
+    for (value, bytes) in tensor.data_mut().iter_mut().zip(data.chunks_exact(4)) {
+        *value = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
-    Ok(Tensor::from_vec(values, header.shape, header.layout))
+    Ok(tensor)
 }
 
 #[cfg(test)]
@@ -124,6 +164,49 @@ mod tests {
         assert_eq!(back.shape(), t.shape());
         assert_eq!(back.layout(), t.layout());
         assert_eq!(back.max_abs_diff(&t), 0.0);
+    }
+
+    #[test]
+    fn canonical_header_agrees_with_the_json_parser() {
+        // Whatever the encoder writes is read by the shortcut, to the
+        // same header the JSON parser reads.
+        for (shape, layout, dtype) in [
+            (Shape::new(1, 32, 32, 3), Layout::Nhwc, DType::F32),
+            (Shape::new(0, 1, 10, 4096), Layout::Nchw, DType::U64),
+            (Shape::new(usize::MAX, 7, 0, 12), Layout::Nhwc, DType::F32),
+        ] {
+            let header = TensorHeader {
+                shape,
+                layout,
+                dtype,
+            };
+            let json = serde_json::to_vec(&header).unwrap();
+            assert_eq!(canonical_header(&json), Some(header.clone()));
+            assert_eq!(
+                serde_json::from_slice::<TensorHeader>(&json).unwrap(),
+                header
+            );
+        }
+        // Any other spelling is left to the JSON parser, which decides.
+        for other in [
+            &br#"{ "shape":{"n":1,"h":2,"w":3,"c":4},"layout":"Nhwc","dtype":"F32"}"#[..],
+            br#"{"layout":"Nhwc","shape":{"n":1,"h":2,"w":3,"c":4},"dtype":"F32"}"#,
+            br#"{"shape":{"n":01,"h":2,"w":3,"c":4},"layout":"Nhwc","dtype":"F32"}"#,
+            br#"{"shape":{"n":,"h":2,"w":3,"c":4},"layout":"Nhwc","dtype":"F32"}"#,
+            br#"{"shape":{"n":1,"h":2,"w":3,"c":4},"layout":"Nhwc","dtype":"F32"} "#,
+            br#"{"shape":{"n":99999999999999999999999,"h":2,"w":3,"c":4},"layout":"Nhwc","dtype":"F32"}"#,
+            b"oops",
+        ] {
+            assert_eq!(canonical_header(other), None);
+        }
+        // ... and a reordered, spaced-out header still decodes.
+        let mut buf = BytesMut::new();
+        let header = br#"{ "dtype":"F32", "layout":"Nhwc", "shape":{"n":1,"h":1,"w":1,"c":1} }"#;
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(header.len() as u32);
+        buf.put_slice(header);
+        buf.put_f32_le(2.5);
+        assert_eq!(decode_tensor(&buf).unwrap().data(), &[2.5]);
     }
 
     #[test]

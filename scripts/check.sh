@@ -8,19 +8,22 @@
 #                             # stage (lints + debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
-#                             # incl. unwrap/expect, denied), the chaos
-#                             # soaks in quick mode (single-model and the
-#                             # multi-model batched variant), and the
+#                             # incl. unwrap/expect, denied), the
+#                             # caller-runs slot test in release mode, the
+#                             # chaos soaks in quick mode (single-model and
+#                             # the multi-model batched variant), and the
 #                             # goodput micro-batching comparison (quick,
 #                             # informational — appended to
 #                             # results/history/goodput.jsonl)
 #   scripts/check.sh --net    # additionally run the network front-end gate:
 #                             # strict clippy on bitflow-net (warnings,
 #                             # incl. unwrap/expect, denied), the hostile-
-#                             # client + tracing suites, the trace-export
-#                             # round-trip proptests, the TCP chaos soak in
-#                             # quick mode with the flight recorder enabled,
-#                             # and the load-to-failure sweep (quick,
+#                             # client + tracing suites, the per-request
+#                             # allocation budget in release mode, the
+#                             # trace-export round-trip proptests, the TCP
+#                             # chaos soak in quick mode with the flight
+#                             # recorder enabled, and the load-to-failure
+#                             # sweep (quick,
 #                             # twice: blesses a capacity baseline if
 #                             # missing, then gates against it — appended
 #                             # to results/history/load.jsonl)
@@ -111,6 +114,8 @@ if [[ $serve -eq 1 ]]; then
     cargo clippy -p bitflow-serve --all-targets -- -D warnings
     echo "==> serving unit tests"
     cargo test -q -p bitflow-serve
+    echo "==> caller-runs: callers and workers share the slots (release)"
+    cargo test --release -q -p bitflow-serve --test caller_runs
     echo "==> chaos soaks (quick mode: single-model + multi-model batched)"
     BITFLOW_QUICK=1 cargo test -q --test serve_soak
     echo "==> goodput micro-batching comparison (quick, informational)"
@@ -122,6 +127,8 @@ if [[ $net -eq 1 ]]; then
     cargo clippy -p bitflow-net --all-targets -- -D warnings
     echo "==> net unit tests + hostile-client and tracing suites"
     cargo test -q -p bitflow-net
+    echo "==> allocation budget of a warm keep-alive request (release)"
+    cargo test --release -q -p bitflow-net --test alloc_budget
     echo "==> trace-export round-trip proptests (Chrome + Prometheus)"
     cargo test -q -p bitflow-telemetry --test chrome_props --test prometheus_props
     echo "==> TCP chaos soak (quick mode, flight recorder enabled)"

@@ -10,6 +10,11 @@
 //! the seed*: exactly the accepted connections whose kill/truncation
 //! stream fires are the ones that die without a full response.
 //!
+//! The listener serves through `ModelClient::call`, so every wire request
+//! may run on its connection thread in a parked worker's slot; an
+//! in-process client `submit`s to tenant `a` beside them, so the queue
+//! path and the caller path share the pool — and the chaos — throughout.
+//!
 //! The contract:
 //!
 //! * **Bit-identical 200s** — every complete 200 body equals the tenant's
@@ -34,10 +39,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bitflow::prelude::*;
+use bitflow_graph::BitFlowError;
 use bitflow_net::{NetConfig, NetServer};
 use bitflow_telemetry::{to_chrome_trace, FlightRecorder, RecorderConfig};
 use bitflow_tensor::io::encode_tensor;
@@ -277,6 +284,47 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
         }
     }
 
+    // Beside the wire clients, one in-process client on tenant `a` that
+    // goes through the queue (`submit`, then wait): its outcomes are known
+    // exactly and join the same tallies.
+    let wire_done = Arc::new(AtomicBool::new(false));
+    let submitter = {
+        let wire_done = Arc::clone(&wire_done);
+        let server = Arc::clone(&server);
+        let inputs = inputs.clone();
+        let oracle_a = oracle_a.clone();
+        std::thread::spawn(move || {
+            let client = server.client("a").expect("registered");
+            let mut outcomes = [0u64; 5];
+            // Paced to last as long as the wire clients do.
+            let mut i = 0;
+            while i < n / 8 || !wire_done.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_micros(500));
+                i += 1;
+                let input = inputs[i % DISTINCT_INPUTS].clone();
+                let outcome = match client.submit(Submission::new(input)).map(|h| h.wait()) {
+                    Err(_reason) => Outcome::Rejected,
+                    Ok(Ok(logits)) => {
+                        assert_eq!(
+                            logits,
+                            oracle_a[i % DISTINCT_INPUTS],
+                            "in-process request {i} diverged from the serial oracle"
+                        );
+                        Outcome::Ok
+                    }
+                    Ok(Err(BitFlowError::DeadlineExceeded)) => Outcome::Deadline,
+                    Ok(Err(BitFlowError::Internal(msg))) => {
+                        assert!(msg.contains("chaos"), "in-process request {i}: {msg}");
+                        Outcome::Failed
+                    }
+                    Ok(Err(other)) => panic!("in-process request {i}: unexpected error {other}"),
+                };
+                outcomes[outcome as usize] += 1;
+            }
+            outcomes
+        })
+    };
+
     let mut tallies = [[0u64; 5]; 2]; // [tenant][Ok, Rejected, Deadline, Failed, Broken]
     let mut error_ids: Vec<usize> = Vec::new(); // complete 500s/504s, by request index
     for worker in workers {
@@ -286,6 +334,14 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
                 error_ids.push(i);
             }
         }
+    }
+
+    wire_done.store(true, Ordering::Release);
+    for (tally, n) in tallies[0]
+        .iter_mut()
+        .zip(submitter.join().expect("in-process client"))
+    {
+        *tally += n;
     }
 
     assert!(net.shutdown(), "drain must complete within the budget");

@@ -18,6 +18,14 @@
 //!   cancellations, context replacement, and worker restarts must never
 //!   perturb the logits of the requests that do complete.
 //!
+//! Two kinds of client drive both chaos soaks at once: the main thread
+//! `submit`s and collects handles (the open-loop shape), and a few
+//! blocking clients go through `ModelClient::call`, which serves a request
+//! on its calling thread whenever the queue is empty and a worker is
+//! parked — so the stalls, kills, panics, cancellations and the hot swap
+//! land on the caller path too, under the same seeds and the same
+//! assertions.
+//!
 //! The multi-model variant runs the same contract per tenant: two models
 //! behind one server (one quota-metered), continuous micro-batching on,
 //! and a mid-stream hot swap to bit-identical weights — each tenant's
@@ -31,7 +39,7 @@
 
 use bitflow::prelude::*;
 use bitflow_graph::BitFlowError;
-use bitflow_serve::ResponseHandle;
+use bitflow_serve::{ModelClient, ResponseHandle};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,11 +105,91 @@ fn wait_with_watchdog(
 /// server's gauges.
 #[derive(Default)]
 struct Tally {
+    submitted: u64,
     completed: u64,
     failed: u64,
     deadline: u64, // shed before running or cut mid-run: same client error
     cancelled: u64,
     rejected: u64,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.failed += other.failed;
+        self.deadline += other.deadline;
+        self.cancelled += other.cancelled;
+        self.rejected += other.rejected;
+    }
+
+    /// Books one resolved request, checking a success against its oracle.
+    fn resolved(&mut self, i: usize, result: Result<Vec<f32>, BitFlowError>, oracle: &[Vec<f32>]) {
+        match result {
+            Ok(logits) => {
+                assert_eq!(
+                    logits,
+                    oracle[i % DISTINCT_INPUTS],
+                    "request {i} completed with logits differing from serial inference"
+                );
+                self.completed += 1;
+            }
+            Err(BitFlowError::DeadlineExceeded) => self.deadline += 1,
+            Err(BitFlowError::Cancelled) => self.cancelled += 1,
+            Err(BitFlowError::Internal(msg)) => {
+                assert!(
+                    msg.contains("chaos"),
+                    "request {i}: only injected panics may fail here, got: {msg}"
+                );
+                self.failed += 1;
+            }
+            Err(other) => panic!("request {i}: unexpected typed error {other}"),
+        }
+    }
+}
+
+/// The soaks' deadline profile: most requests unbounded, some generous,
+/// some hopeless (they exercise shedding and mid-run expiry).
+fn budget_for(i: usize) -> Option<Duration> {
+    match i % 10 {
+        9 => Some(Duration::from_micros(50)),
+        7 | 8 => Some(Duration::from_millis(500)),
+        _ => None,
+    }
+}
+
+/// Blocking clients per tenant beside the submitting main thread, and the
+/// share of the submitter's request count each of them sends.
+const BLOCKING_CLIENTS: usize = 3;
+const BLOCKING_SHARE: usize = 8;
+
+/// One blocking client: requests `first..first + count` through `call`,
+/// with the submitter's deadline profile and its slice of client
+/// cancellations (the token is cancelled before the call — nobody else
+/// holds it once the thread blocks — so those arrive dead).
+fn blocking_client(
+    client: &ModelClient<'_>,
+    inputs: &[Tensor],
+    oracle: &[Vec<f32>],
+    first: usize,
+    count: usize,
+) -> Tally {
+    let mut tally = Tally::default();
+    for i in first..first + count {
+        let token = budget_for(i).map_or_else(CancelToken::new, CancelToken::with_budget);
+        if i % 37 == 0 {
+            token.cancel();
+        }
+        tally.submitted += 1;
+        match client.call(Submission {
+            token: Some(token),
+            ..Submission::new(inputs[i % DISTINCT_INPUTS].clone())
+        }) {
+            Err(BitFlowError::Rejected(_)) => tally.rejected += 1,
+            result => tally.resolved(i, result, oracle),
+        }
+    }
+    tally
 }
 
 #[test]
@@ -143,63 +231,58 @@ fn chaos_soak_conserves_every_request_and_preserves_logits() {
     );
 
     let mut tally = Tally::default();
-    let mut pending: Vec<(usize, ResponseHandle)> = Vec::with_capacity(n);
-    for i in 0..n {
-        // Pace the submitter in bursts: an unthrottled loop finishes in
-        // microseconds and admits only ~2 queue-fulls of work, so almost
-        // no request id ever reaches the chaos streams. Bursts of 8 keep
-        // the queue pressured (overload still observed) while hundreds of
-        // requests actually run.
-        if i % 8 == 7 {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        let input = inputs[i % DISTINCT_INPUTS].clone();
-        // Mixed deadline profile: most requests unbounded, some generous,
-        // some hopeless (they exercise shedding and mid-run expiry).
-        let submitted = match i % 10 {
-            9 => server.submit_with_deadline(input, Duration::from_micros(50)),
-            7 | 8 => server.submit_with_deadline(input, Duration::from_millis(500)),
-            _ => server.submit(input),
-        };
-        match submitted {
-            Ok(handle) => {
-                // A slice of explicit client cancellations.
-                if i % 37 == 0 {
-                    handle.cancel();
-                }
-                pending.push((i, handle));
-            }
-            Err(_reason) => tally.rejected += 1,
-        }
-    }
+    std::thread::scope(|s| {
+        let blocking: Vec<_> = (0..BLOCKING_CLIENTS)
+            .map(|t| {
+                let (server, inputs, oracle) = (&server, &inputs, &oracle);
+                let count = n / BLOCKING_SHARE;
+                s.spawn(move || {
+                    blocking_client(&server.default_client(), inputs, oracle, t * count, count)
+                })
+            })
+            .collect();
 
-    for (i, handle) in pending {
-        match wait_with_watchdog(&handle, Duration::from_secs(60)) {
-            Ok(logits) => {
-                assert_eq!(
-                    logits,
-                    oracle[i % DISTINCT_INPUTS],
-                    "request {i} completed with logits differing from serial inference"
-                );
-                tally.completed += 1;
+        let mut pending: Vec<(usize, ResponseHandle)> = Vec::with_capacity(n);
+        for i in 0..n {
+            // Pace the submitter in bursts: an unthrottled loop finishes in
+            // microseconds and admits only ~2 queue-fulls of work, so almost
+            // no request id ever reaches the chaos streams. Bursts of 8 keep
+            // the queue pressured (overload still observed) while hundreds of
+            // requests actually run.
+            if i % 8 == 7 {
+                std::thread::sleep(Duration::from_micros(100));
             }
-            Err(BitFlowError::DeadlineExceeded) => tally.deadline += 1,
-            Err(BitFlowError::Cancelled) => tally.cancelled += 1,
-            Err(BitFlowError::Internal(msg)) => {
-                assert!(
-                    msg.contains("chaos"),
-                    "request {i}: only injected panics may fail here, got: {msg}"
-                );
-                tally.failed += 1;
+            let input = inputs[i % DISTINCT_INPUTS].clone();
+            tally.submitted += 1;
+            let submitted = match budget_for(i) {
+                Some(budget) => server.submit_with_deadline(input, budget),
+                None => server.submit(input),
+            };
+            match submitted {
+                Ok(handle) => {
+                    // A slice of explicit client cancellations.
+                    if i % 37 == 0 {
+                        handle.cancel();
+                    }
+                    pending.push((i, handle));
+                }
+                Err(_reason) => tally.rejected += 1,
             }
-            Err(other) => panic!("request {i}: unexpected typed error {other}"),
         }
-    }
+
+        for (i, handle) in pending {
+            let result = wait_with_watchdog(&handle, Duration::from_secs(60));
+            tally.resolved(i, result, &oracle);
+        }
+        for client in blocking {
+            tally.add(&client.join().expect("blocking client"));
+        }
+    });
 
     let snap = server.shutdown();
 
     // Caller-side tallies reconcile exactly with the server's gauges.
-    assert_eq!(snap.submitted, n as u64, "every submission counted");
+    assert_eq!(snap.submitted, tally.submitted, "every submission counted");
     assert_eq!(snap.completed, tally.completed);
     assert_eq!(snap.failed, tally.failed);
     assert_eq!(snap.cancelled, tally.cancelled);
@@ -241,6 +324,10 @@ fn chaos_soak_conserves_every_request_and_preserves_logits() {
     // outruns the pool, so a healthy run sees faults and overload.
     assert!(snap.completed > 0, "no request completed");
     if n >= 1000 {
+        assert!(
+            snap.served_on_caller > 0,
+            "no blocking client ever found a parked worker: the caller path went unexercised"
+        );
         assert!(snap.worker_panics > 0, "chaos panics never fired");
         assert!(
             snap.rejected_queue_full + snap.shed_deadline + snap.deadline_missed > 0,
@@ -312,65 +399,66 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
 
     // (model index 0 = a, 1 = b) → caller-side tallies and pending sets.
     let mut tallies = [Tally::default(), Tally::default()];
-    let mut submitted = [0u64, 0u64];
-    let mut pending: Vec<(usize, usize, ResponseHandle)> = Vec::with_capacity(n);
-    for i in 0..n {
-        if i == n / 2 {
-            let displaced = server
-                .client("a")
-                .expect("registered")
-                .swap(Arc::clone(&model_a2));
-            assert!(
-                Arc::ptr_eq(&displaced, &model_a),
-                "swap must return the model it displaced"
-            );
-        }
-        let which = usize::from(i % 3 == 0); // a, a, b, a, a, b, ...
-        let name = if which == 0 { "a" } else { "b" };
-        let client = server.client(name).expect("registered");
-        let input = inputs[i % DISTINCT_INPUTS].clone();
-        let budget = match i % 10 {
-            9 => Some(Duration::from_micros(50)),
-            7 | 8 => Some(Duration::from_millis(500)),
-            _ => None,
-        };
-        let result = client.submit(Submission {
-            token: budget.map(CancelToken::with_budget),
-            ..Submission::new(input)
-        });
-        submitted[which] += 1;
-        match result {
-            Ok(handle) => {
-                if i % 37 == 0 {
-                    handle.cancel();
-                }
-                pending.push((which, i, handle));
-            }
-            Err(_reason) => tallies[which].rejected += 1,
-        }
-    }
+    std::thread::scope(|s| {
+        // Blocking clients on both tenants, for the whole stream: the hot
+        // swap below happens under them.
+        let blocking: Vec<_> = (0..BLOCKING_CLIENTS * 2)
+            .map(|t| {
+                let which = t % 2;
+                let oracle = if which == 0 { &oracle_a } else { &oracle_b };
+                let (server, inputs) = (&server, &inputs);
+                let count = n / BLOCKING_SHARE;
+                s.spawn(move || {
+                    let name = if which == 0 { "a" } else { "b" };
+                    let client = server.client(name).expect("registered");
+                    let tally = blocking_client(&client, inputs, oracle, t * count, count);
+                    (which, tally)
+                })
+            })
+            .collect();
 
-    for (which, i, handle) in pending {
-        let oracle = if which == 0 { &oracle_a } else { &oracle_b };
-        let tally = &mut tallies[which];
-        match wait_with_watchdog(&handle, Duration::from_secs(60)) {
-            Ok(logits) => {
-                assert_eq!(
-                    logits,
-                    oracle[i % DISTINCT_INPUTS],
-                    "request {i} (model {which}) diverged from its tenant's oracle"
+        let mut pending: Vec<(usize, usize, ResponseHandle)> = Vec::with_capacity(n);
+        for i in 0..n {
+            if i == n / 2 {
+                let displaced = server
+                    .client("a")
+                    .expect("registered")
+                    .swap(Arc::clone(&model_a2));
+                assert!(
+                    Arc::ptr_eq(&displaced, &model_a),
+                    "swap must return the model it displaced"
                 );
-                tally.completed += 1;
             }
-            Err(BitFlowError::DeadlineExceeded) => tally.deadline += 1,
-            Err(BitFlowError::Cancelled) => tally.cancelled += 1,
-            Err(BitFlowError::Internal(msg)) => {
-                assert!(msg.contains("chaos"), "request {i}: {msg}");
-                tally.failed += 1;
+            let which = usize::from(i % 3 == 0); // a, a, b, a, a, b, ...
+            let name = if which == 0 { "a" } else { "b" };
+            let client = server.client(name).expect("registered");
+            let input = inputs[i % DISTINCT_INPUTS].clone();
+            let result = client.submit(Submission {
+                token: budget_for(i).map(CancelToken::with_budget),
+                ..Submission::new(input)
+            });
+            tallies[which].submitted += 1;
+            match result {
+                Ok(handle) => {
+                    if i % 37 == 0 {
+                        handle.cancel();
+                    }
+                    pending.push((which, i, handle));
+                }
+                Err(_reason) => tallies[which].rejected += 1,
             }
-            Err(other) => panic!("request {i}: unexpected typed error {other}"),
         }
-    }
+
+        for (which, i, handle) in pending {
+            let oracle = if which == 0 { &oracle_a } else { &oracle_b };
+            let result = wait_with_watchdog(&handle, Duration::from_secs(60));
+            tallies[which].resolved(i, result, oracle);
+        }
+        for client in blocking {
+            let (which, tally) = client.join().expect("blocking client");
+            tallies[which].add(&tally);
+        }
+    });
 
     assert_eq!(
         server.client("a").expect("registered").entry().swaps(),
@@ -387,7 +475,7 @@ fn multi_model_batched_chaos_soak_conserves_per_model() {
             + snap.rejected_draining
             + snap.rejected_quota
             + snap.govern.rejected_memory;
-        assert_eq!(snap.submitted, submitted[which], "model {which} submitted");
+        assert_eq!(snap.submitted, tally.submitted, "model {which} submitted");
         assert_eq!(snap.completed, tally.completed, "model {which} completed");
         assert_eq!(snap.failed, tally.failed, "model {which} failed");
         assert_eq!(snap.cancelled, tally.cancelled, "model {which} cancelled");
