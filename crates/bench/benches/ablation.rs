@@ -107,6 +107,7 @@ fn bench_fused_conv_sign(c: &mut Criterion) {
                 &mut out,
                 1,
                 false,
+                None,
             );
             black_box(&out);
         });

@@ -39,6 +39,8 @@ use bitflow_ops::binary::{
     SignThresholds, WindowPress,
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
+use bitflow_simd::amx::{AmxBank, AmxStrip};
+use bitflow_simd::conv::{body_choice, BodyChoice, ConvBody, ConvGeom};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::pack::pack_rows;
 use bitflow_simd::scheduler::VectorScheduler;
@@ -273,6 +275,10 @@ enum RtOp {
     ConvSign {
         name: String,
         bank: BitFilterBank,
+        /// The bank's int8 copy, when `body` is the AMX body.
+        amx: Option<AmxBank>,
+        /// The body the conv core runs, and why.
+        body: BodyChoice,
         st: SignThresholds,
         stride: usize,
         level: SimdLevel,
@@ -285,6 +291,8 @@ enum RtOp {
     ConvFloat {
         name: String,
         bank: BitFilterBank,
+        /// The body the conv core runs, and why.
+        body: BodyChoice,
         stride: usize,
         level: SimdLevel,
         input: usize,
@@ -369,6 +377,30 @@ fn press_bank(
     BitFilterBank::from_pressed(pressed, fshape)
 }
 
+/// The conv core's view of a conv whose pressed input is planned as
+/// `input`, and that map's height.
+fn conv_geom(
+    input: &SlotSpec,
+    fshape: FilterShape,
+    stride: usize,
+    out_w: usize,
+) -> (ConvGeom, usize) {
+    let (h, w) = match *input {
+        SlotSpec::Bit { h, w, .. } => (h, w),
+        _ => unreachable!("a conv reads a pressed map"),
+    };
+    let g = ConvGeom {
+        c_words: fshape.c.div_ceil(64),
+        in_w: w,
+        kh: fshape.kh,
+        kw: fshape.kw,
+        stride,
+        out_w,
+        k: fshape.k,
+    };
+    (g, h)
+}
+
 /// The immutable compiled binary inference engine: packed weights, folded
 /// batch-norm thresholds, per-layer kernel choices, and the activation
 /// buffer plan. `Send + Sync` by construction — share one instance across
@@ -382,6 +414,9 @@ pub struct CompiledModel {
     logits_slot: usize,
     float_bytes: usize,
     packed_bytes: usize,
+    /// Bytes of one AMX strip — the most any conv on the AMX body uses —
+    /// or 0 when none is; a context holds one per team part.
+    strip_bytes: usize,
     /// Σ `bit_ops` of [`CompiledModel::op_descriptors`]: one inference's
     /// work, what the batch paths weigh a worker's share with.
     item_bit_ops: u64,
@@ -411,6 +446,9 @@ pub struct InferenceContext {
     /// [`CompiledModel::run_batch`] drops the buffers after a caught panic
     /// and (re)builds them, fallibly, for the next item that needs them.
     slots: Vec<Slot>,
+    /// The AMX body's input strips, one per team part (none when no conv
+    /// runs that body). Scratch only: nothing in them outlives a call.
+    strips: Vec<AmxStrip>,
     /// Use the multi-threaded operator variants (over the worker team) for
     /// this session. Results are bit-identical either way.
     pub parallel: bool,
@@ -421,13 +459,15 @@ impl InferenceContext {
     fn unbuilt() -> Self {
         Self {
             slots: Vec::new(),
+            strips: Vec::new(),
             parallel: false,
         }
     }
 
     /// Total pre-allocated activation/scratch memory in bytes.
     pub fn activation_bytes(&self) -> usize {
-        self.slots.iter().map(Slot::bytes).sum()
+        self.slots.iter().map(Slot::bytes).sum::<usize>()
+            + self.strips.iter().map(AmxStrip::bytes).sum::<usize>()
     }
 }
 
@@ -460,6 +500,7 @@ impl CompiledModel {
         let mut ops = Vec::new();
         let mut slot_specs = Vec::new();
         let mut pressed = Vec::new();
+        let mut strip_bytes = 0;
 
         // Input stage: binarize+pack the float input into a buffer padded
         // for the first layer, or window by window for a first conv that
@@ -531,10 +572,19 @@ impl CompiledModel {
                         _ => unreachable!(),
                     };
                     let input = cur.bit_slot();
+                    let (g, in_h) = conv_geom(&slot_specs[input], fshape, stride, ow);
                     let out = if fused.contains(name.as_str()) {
                         // Fused Conv→BN→Sign: the sign epilogue compares
                         // the popcount against the folded threshold and
-                        // writes the output already pressed.
+                        // writes the output already pressed — on the AMX
+                        // body when the rule picks it, from int8 filters
+                        // expanded here, once.
+                        let body = body_choice(level, &g, in_h, true);
+                        let amx = (body.body == ConvBody::Amx).then(|| {
+                            strip_bytes = strip_bytes.max(AmxStrip::bytes_for(&g, in_h));
+                            let steps = g.kh * g.kw * g.c_words;
+                            AmxBank::from_lane_words(bank.lane_words(), g.k, steps)
+                        });
                         let st = SignThresholds::from_fold(&fold, params.kh * params.kw * in_c);
                         let out = slot_specs.len();
                         slot_specs.push(SlotSpec::Bit {
@@ -545,6 +595,8 @@ impl CompiledModel {
                         ops.push(RtOp::ConvSign {
                             name: name.clone(),
                             bank,
+                            amx,
+                            body,
                             st,
                             stride,
                             level,
@@ -571,6 +623,7 @@ impl CompiledModel {
                         ops.push(RtOp::ConvFloat {
                             name: name.clone(),
                             bank,
+                            body: body_choice(level, &g, in_h, false),
                             stride,
                             level,
                             input,
@@ -680,6 +733,17 @@ impl CompiledModel {
         }
 
         let logits_slot = slot_specs.len() - 1;
+        // The AMX copies are weights this engine holds, as resident as the
+        // words they were expanded from.
+        let amx_bytes: usize = ops
+            .iter()
+            .filter_map(|op| match op {
+                RtOp::ConvSign {
+                    amx: Some(bank), ..
+                } => Some(bank.bytes()),
+                _ => None,
+            })
+            .sum();
         let mut model = Self {
             spec: spec.clone(),
             plan,
@@ -687,7 +751,8 @@ impl CompiledModel {
             slot_specs,
             logits_slot,
             float_bytes: weights.float_bytes(),
-            packed_bytes: weights.packed_bytes(),
+            packed_bytes: weights.packed_bytes() + amx_bytes,
+            strip_bytes,
             item_bit_ops: 0,
             telemetry: OnceLock::new(),
             fault_hook: OnceLock::new(),
@@ -734,27 +799,34 @@ impl CompiledModel {
     /// allocator abort. The probe is freed before the real allocation, so
     /// the transient overhead is one slot's bytes.
     pub fn try_new_context(&self) -> Result<InferenceContext, BitFlowError> {
+        let exhausted = |bytes: usize| BitFlowError::ResourceExhausted {
+            what: "inference context",
+            bytes: bytes as u64,
+        };
+        let probe = |bytes: usize| {
+            let mut probe: Vec<u8> = Vec::new();
+            probe.try_reserve_exact(bytes).map_err(|_| exhausted(bytes))
+        };
         let mut slots: Vec<Slot> = Vec::new();
         slots
             .try_reserve_exact(self.slot_specs.len())
-            .map_err(|_| BitFlowError::ResourceExhausted {
-                what: "inference context",
-                bytes: (self.slot_specs.len() * std::mem::size_of::<Slot>()) as u64,
-            })?;
+            .map_err(|_| exhausted(self.slot_specs.len() * std::mem::size_of::<Slot>()))?;
         for spec in &self.slot_specs {
-            let bytes = slot_bytes(spec);
-            let mut probe: Vec<u8> = Vec::new();
-            probe
-                .try_reserve_exact(bytes)
-                .map_err(|_| BitFlowError::ResourceExhausted {
-                    what: "inference context",
-                    bytes: bytes as u64,
-                })?;
-            drop(probe);
+            probe(slot_bytes(spec))?;
             slots.push(spec.allocate());
+        }
+        let parts = self.strip_parts();
+        let mut strips = Vec::new();
+        strips
+            .try_reserve_exact(parts)
+            .map_err(|_| exhausted(parts * size_of::<AmxStrip>()))?;
+        for _ in 0..parts {
+            probe(self.strip_bytes)?;
+            strips.push(AmxStrip::new(self.strip_bytes));
         }
         Ok(InferenceContext {
             slots,
+            strips,
             parallel: false,
         })
     }
@@ -769,14 +841,34 @@ impl CompiledModel {
         self.float_bytes
     }
 
-    /// Packed model size in bytes (what this engine holds) — Table V.
+    /// Packed model size in bytes (what this engine holds): the pressed
+    /// weights of Table V, plus the int8 copies of the banks of convs that
+    /// run the AMX body (none on a host without one).
     pub fn packed_model_bytes(&self) -> usize {
         self.packed_bytes
     }
 
-    /// Activation/scratch bytes each [`InferenceContext`] pre-allocates.
+    /// Activation/scratch bytes each [`InferenceContext`] pre-allocates:
+    /// the planned buffers plus [`CompiledModel::conv_scratch_bytes`].
     pub fn context_bytes(&self) -> usize {
-        self.slot_specs.iter().map(slot_bytes).sum()
+        self.slot_specs.iter().map(slot_bytes).sum::<usize>() + self.conv_scratch_bytes()
+    }
+
+    /// Bytes of a context's AMX strips (one per team part): scratch of the
+    /// conv core's AMX body that the activation plan does not describe,
+    /// because it exists only on hosts that run that body.
+    pub fn conv_scratch_bytes(&self) -> usize {
+        self.strip_parts() * self.strip_bytes
+    }
+
+    /// Strips a context holds: one per team part, when any conv runs the
+    /// AMX body.
+    fn strip_parts(&self) -> usize {
+        if self.strip_bytes == 0 {
+            0
+        } else {
+            team::max_parts()
+        }
     }
 
     /// Enables per-operator telemetry and returns the shared handle.
@@ -808,6 +900,10 @@ impl CompiledModel {
         self.ops
             .iter()
             .map(|op| {
+                let body = match op {
+                    RtOp::ConvSign { body, .. } | RtOp::ConvFloat { body, .. } => Some(*body),
+                    _ => None,
+                };
                 let (kind, cost) = match op {
                     RtOp::BinarizeInput { out, press } => {
                         // A window press writes its dense rows and reads
@@ -917,6 +1013,7 @@ impl CompiledModel {
                     name: op.name().to_string(),
                     kind,
                     cost,
+                    body,
                 }
             })
             .collect()
@@ -977,7 +1074,7 @@ impl CompiledModel {
         for i in 0..self.ops.len() {
             item.cancel.check()?;
             let t0 = timed.then(Instant::now);
-            self.run_op(&mut ctx.slots, ctx.parallel, i, item.input, item.tag)?;
+            self.run_op(ctx, i, item.input, item.tag)?;
             let Some(t0) = t0 else { continue };
             // The span's name is built before the clock is read: an
             // allocation right after a kernel has swept the caches is
@@ -1165,7 +1262,8 @@ impl CompiledModel {
     ) -> Result<Vec<f32>, BitFlowError> {
         let result = self.catch_fault(|| {
             if ctx.slots.is_empty() {
-                ctx.slots = self.try_new_context()?.slots;
+                let built = self.try_new_context()?;
+                (ctx.slots, ctx.strips) = (built.slots, built.strips);
             }
             self.run(ctx, item)
         });
@@ -1174,6 +1272,7 @@ impl CompiledModel {
             // without them the next item here rebuilds, and so stays
             // bit-identical to a serial run.
             ctx.slots.clear();
+            ctx.strips.clear();
         }
         if let Some(t) = self.telemetry.get() {
             t.batch().item_finished(result.is_ok());
@@ -1227,12 +1326,12 @@ impl CompiledModel {
 
     fn run_op(
         &self,
-        slots: &mut [Slot],
-        parallel: bool,
+        ctx: &mut InferenceContext,
         i: usize,
         input: &Tensor,
         tag: u64,
     ) -> Result<(), BitFlowError> {
+        let (slots, parallel) = (&mut ctx.slots[..], ctx.parallel);
         let op_name = self.ops[i].name();
         // Record which operator this thread is in, so the catch_unwind
         // backstops can name it if a panic unwinds out of the kernels.
@@ -1263,6 +1362,7 @@ impl CompiledModel {
             },
             RtOp::ConvSign {
                 bank,
+                amx,
                 st,
                 stride,
                 level,
@@ -1273,7 +1373,8 @@ impl CompiledModel {
             } => {
                 // Fused single pass (conv + integer threshold + sign +
                 // pack); output rows go over the worker team when
-                // the context is parallel.
+                // the context is parallel, each thread expanding into the
+                // strip of its part on the AMX body.
                 let (inp, dst) = two_slots(slots, *in_slot, *out);
                 pressed_conv_sign_into(
                     *level,
@@ -1284,6 +1385,7 @@ impl CompiledModel {
                     dst.bit_mut().map_err(slot_type(op_name, SlotKind::Bit))?,
                     *out_pad,
                     parallel,
+                    amx.as_ref().map(|bank| (bank, &mut ctx.strips[..])),
                 );
             }
             RtOp::ConvFloat {

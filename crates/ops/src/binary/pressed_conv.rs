@@ -11,14 +11,17 @@
 //! contiguity is the entire point of the locality-aware layout: no
 //! unfolding, no gather, no layout change on the output.
 //!
-//! The arithmetic itself is [`bitflow_simd::conv`]'s filter-lane tile loop;
-//! this module validates the tensor-level geometry, picks the sink
+//! The arithmetic itself is [`bitflow_simd::conv`]'s filter-lane tile loop,
+//! or — for a sign call given the matrix unit's operands on a host and
+//! geometry that qualify — its AMX body ([`bitflow_simd::amx`]); this
+//! module validates the tensor-level geometry, picks the sink
 //! ([`crate::binary::ConvEpilogue`]: float dots or fused threshold-sign
 //! bits) and, when asked, splits the output rows over the worker team
 //! ([`bitflow_simd::team`]; Algorithm 1, step 3: multi-core parallelism
-//! over the output pixels).
+//! over the output pixels), each thread expanding into a strip of its own.
 
 use crate::binary::epilogue::SignThresholds;
+use bitflow_simd::amx::{AmxBank, AmxStrip};
 use bitflow_simd::conv::{conv_rows, ConvGeom, ConvSink};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::team;
@@ -58,22 +61,32 @@ fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (ConvG
     (g, (input.h() - f.kh) / stride + 1)
 }
 
-/// Runs `band(rows, chunk)` over `out` cut into bands of `row_len` elements
-/// per output row: one band covering all `out_h` rows, or [`PAR_ROWS`]-row
-/// bands over the worker team. `out` must start at output row 0.
+/// Runs `band(rows, chunk, strip)` over `out` cut into bands of `row_len`
+/// elements per output row: one band covering all `out_h` rows, or
+/// [`PAR_ROWS`]-row bands over the worker team. `out` must start at output
+/// row 0. Each thread's bands get the strip of its part, while `strips`
+/// lasts (none when it is empty).
 fn for_row_bands<T: Send>(
     out: &mut [T],
     row_len: usize,
     out_h: usize,
     parallel: bool,
-    band: impl Fn(Range<usize>, &mut [T]) + Sync,
+    strips: &mut [AmxStrip],
+    band: impl Fn(Range<usize>, &mut [T], Option<&mut AmxStrip>) + Sync,
 ) {
-    if parallel {
-        team::for_chunks_mut(out, PAR_ROWS * row_len, |i, chunk| {
-            band(i * PAR_ROWS..out_h.min((i + 1) * PAR_ROWS), chunk)
-        });
-    } else {
-        band(0..out_h, out);
+    let rows = |i: usize| i * PAR_ROWS..out_h.min((i + 1) * PAR_ROWS);
+    match (parallel, strips) {
+        (false, strips) => band(0..out_h, out, strips.first_mut()),
+        (true, []) => {
+            team::for_chunks_mut(out, PAR_ROWS * row_len, |i, chunk| {
+                band(rows(i), chunk, None)
+            });
+        }
+        (true, strips) => {
+            team::for_chunks_mut_with(out, PAR_ROWS * row_len, strips, |strip, i, chunk| {
+                band(rows(i), chunk, Some(strip))
+            });
+        }
     }
 }
 
@@ -120,7 +133,8 @@ pub fn pressed_conv_into(
         g.out_w * g.k,
         out_h,
         parallel,
-        |rows, out| {
+        &mut [],
+        |rows, out, _| {
             let sink = ConvSink::Dots { window_bits, out };
             conv_rows(level, input.words(), filters.lane_words(), &g, rows, sink);
         },
@@ -139,6 +153,13 @@ pub fn pressed_conv_into(
 /// [`crate::binary::epilogue`]). With `parallel` the output rows are split
 /// over the worker team; the result is bit-identical either way and at
 /// every pool size.
+///
+/// `amx` offers the matrix unit's operands — the bank's AMX copy and one
+/// strip per team part ([`bitflow_simd::team::max_parts`]) — which the core
+/// uses whenever it can run the AMX body on this geometry
+/// ([`bitflow_simd::conv::amx_can_run`]); whether that pays is the caller's
+/// question ([`bitflow_simd::conv::body_choice`]). The output is the same
+/// words either way.
 #[allow(clippy::too_many_arguments)]
 pub fn pressed_conv_sign_into(
     level: SimdLevel,
@@ -149,6 +170,7 @@ pub fn pressed_conv_sign_into(
     out: &mut BitTensor,
     out_pad: usize,
     parallel: bool,
+    amx: Option<(&AmxBank, &mut [AmxStrip])>,
 ) {
     let (g, out_h) = geometry(input, filters, stride);
     let f = filters.shape();
@@ -166,21 +188,34 @@ pub fn pressed_conv_sign_into(
     // Margin rows stay all-zero (logical −1 padding): hand out the interior
     // rows only.
     let interior = &mut out.words_mut()[out_pad * row_stride..][..out_h * row_stride];
-    for_row_bands(interior, row_stride, out_h, parallel, |rows, out| {
-        let sink = ConvSink::Sign {
-            bounds: st.lane_bounds(),
-            flips: st.flip_words(),
-            out,
-            origin,
-            row_stride,
-        };
-        conv_rows(level, input.words(), filters.lane_words(), &g, rows, sink);
-    });
+    let (bank, strips) = match amx {
+        Some((bank, strips)) => (Some(bank), strips),
+        None => (None, &mut [][..]),
+    };
+    for_row_bands(
+        interior,
+        row_stride,
+        out_h,
+        parallel,
+        strips,
+        |rows, out, strip| {
+            let sink = ConvSink::Sign {
+                bounds: st.lane_bounds(),
+                flips: st.flip_words(),
+                out,
+                origin,
+                row_stride,
+                amx: bank.zip(strip),
+            };
+            conv_rows(level, input.words(), filters.lane_words(), &g, rows, sink);
+        },
+    );
 }
 
 /// Source-compatibility shim for callers written against the scratch-taking
-/// signature: [`pressed_conv_sign_into`], single-threaded. `_dots` is
-/// ignored — the integer core compares popcounts in registers.
+/// signature: [`pressed_conv_sign_into`], single-threaded, on the
+/// filter-lane loop. `_dots` is ignored — the integer core compares
+/// popcounts in registers.
 #[allow(clippy::too_many_arguments)]
 pub fn pressed_conv_sign_scratch_into(
     level: SimdLevel,
@@ -192,7 +227,7 @@ pub fn pressed_conv_sign_scratch_into(
     out: &mut BitTensor,
     out_pad: usize,
 ) {
-    pressed_conv_sign_into(level, input, filters, stride, st, out, out_pad, false);
+    pressed_conv_sign_into(level, input, filters, stride, st, out, out_pad, false, None);
 }
 
 #[cfg(test)]
@@ -362,6 +397,7 @@ mod tests {
             &mut out,
             1,
             false,
+            None,
         );
         assert!(out.tail_is_zero());
         for h in 0..6 {
@@ -402,11 +438,49 @@ mod tests {
         let st = SignThresholds::from_fold(&fold, 3 * 3 * 64);
         let mut serial = BitTensor::zeros(7 + 2, 5 + 2, k);
         let level = SimdLevel::Avx512;
-        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1, false);
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1, false, None);
         let mut par = BitTensor::zeros(7 + 2, 5 + 2, k);
-        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut par, 1, true);
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut par, 1, true, None);
         assert_eq!(serial.words(), par.words());
         assert!(par.tail_is_zero());
+    }
+
+    #[test]
+    fn amx_operands_change_no_bit_serial_or_parallel() {
+        use bitflow_simd::conv::amx_can_run;
+        let mut rng = StdRng::seed_from_u64(96);
+        let shape = Shape::hwc(13, 11, 128);
+        let k = 48usize;
+        let fshape = FilterShape::new(k, 3, 3, 128);
+        let raw = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
+        let weights = rand_pm1(&mut rng, fshape.numel());
+        let pressed = BitTensor::from_tensor_padded(&raw, 1);
+        let bank = BitFilterBank::from_floats(&weights, fshape);
+        let fold = BnFold {
+            thresholds: (0..k).map(|i| (i as f32) * 9.0 - 200.0).collect(),
+            flip: (0..k).map(|i| i % 5 == 0).collect(),
+        };
+        let st = SignThresholds::from_fold(&fold, 3 * 3 * 128);
+        let level = SimdLevel::Avx512;
+        let mut zmm = BitTensor::zeros(13 + 2, 11 + 2, k);
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut zmm, 1, false, None);
+        let (g, _) = geometry(&pressed, &bank, 1);
+        if !amx_can_run(level, &g, true) {
+            println!("AMX body not exercised: host lacks amx-int8");
+            return;
+        }
+        let amx = AmxBank::from_lane_words(bank.lane_words(), k, 3 * 3 * 2);
+        let mut strips: Vec<AmxStrip> = (0..team::max_parts())
+            .map(|_| AmxStrip::new(AmxStrip::bytes_for(&g, pressed.h())))
+            .collect();
+        for parallel in [false, true] {
+            let mut out = BitTensor::zeros(13 + 2, 11 + 2, k);
+            let operands = Some((&amx, &mut strips[..]));
+            pressed_conv_sign_into(
+                level, &pressed, &bank, 1, &st, &mut out, 1, parallel, operands,
+            );
+            assert_eq!(out.words(), zmm.words(), "parallel={parallel}");
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ proptest! {
 
         let st = SignThresholds::from_fold(&BnFold { thresholds, flip }, 3 * 3 * c);
         let mut got = BitTensor::zeros(h + 2 * out_pad, w + 2 * out_pad, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, out_pad, false);
+        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, out_pad, false, None);
         prop_assert_eq!(got.words(), want.words());
         prop_assert!(got.tail_is_zero());
     }

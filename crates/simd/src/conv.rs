@@ -34,6 +34,11 @@
 //! the finished popcounts ([`TileSink`]), so neither sink's registers or
 //! spills exist in the other's loop.
 //!
+//! A `Sign` call that carries the matrix unit's operands runs the second
+//! body instead, the AMX int8 tile loop of [`crate::amx`]: same operands
+//! and output, word for word. [`body_choice`] is the one rule that says
+//! which convs get those operands, from the host and the map alone.
+//!
 //! Layout contract (established by `bitflow-tensor`):
 //!
 //! * `input` — packed words of the whole (padded) input map, pixel-major:
@@ -43,7 +48,9 @@
 //!   zero filters.
 //! * `pop = popcount(window ⊕ filter)`; `dot = window_bits − 2·pop`.
 
+use crate::amx::{self, AmxBank, AmxStrip};
 use crate::kernels::SimdLevel;
+use std::fmt;
 use std::ops::Range;
 
 /// Filters per lane group (`u64` lanes of one 64-byte line).
@@ -95,6 +102,11 @@ pub enum ConvSink<'a> {
         origin: usize,
         /// Words between consecutive output rows.
         row_stride: usize,
+        /// The matrix unit's operands, when the caller has them: the
+        /// bank's int8 copy and a strip to expand the input into. The call
+        /// then runs the AMX body if it can ([`amx_can_run`]); without
+        /// them it runs the filter-lane loop. Both write the same words.
+        amx: Option<(&'a AmxBank, &'a mut AmxStrip)>,
     },
     /// Store the integer dot products `window_bits − 2·pop` as `f32`,
     /// (row, x, k)-major and dense, for the call's row range.
@@ -301,12 +313,13 @@ trait TileSink {
 /// byte `gi % 8` of its pixel's output word, written there as a byte — a
 /// store, which leaves the popcount and compare ports alone — so after
 /// eight groups the tile's eight words are complete. A last word of fewer
-/// groups keeps the zero bytes it started with: the press tail.
-struct SignSink<'a> {
-    bounds: &'a [i64],
-    flips: &'a [u64],
-    out: &'a mut [u64],
-    origin: usize,
+/// groups keeps the zero bytes it started with: the press tail. The AMX
+/// body writes the same fields its own way.
+pub(crate) struct SignSink<'a> {
+    pub(crate) bounds: &'a [i64],
+    pub(crate) flips: &'a [u64],
+    pub(crate) out: &'a mut [u64],
+    pub(crate) origin: usize,
 }
 
 impl TileSink for SignSink<'_> {
@@ -489,18 +502,184 @@ tier!(tiles_avx2, Ymm2, "avx2");
 tier!(tiles_popcnt, Words<false>, "popcnt");
 tier!(tiles_popcnt_opaque, Words<true>, "popcnt");
 
-/// The tile loop for `level`: a level the host lacks demotes to the widest
-/// body it has.
-fn body_for<S: TileSink>(level: SimdLevel) -> TileFn<S> {
-    let opaque = level == SimdLevel::Unvectorized;
+/// Which loop runs a call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConvBody {
+    /// The AMX int8 tile loop ([`crate::amx`]).
+    Amx,
+    /// The filter-lane loop on one zmm per group (`VPOPCNTQ`).
+    Zmm,
+    /// The filter-lane loop on two ymm per group (nibble lookup).
+    Ymm,
+    /// The filter-lane loop on eight scalar words per group.
+    Words,
+}
+
+/// The clauses of the AMX eligibility rule, in the order [`body_choice`]
+/// checks them: the first that fails keeps a call on the filter-lane loop.
+/// The first six say whether the AMX body *can* run a call
+/// ([`amx_can_run`]); the last three whether it *pays*, read off the
+/// per-layer and per-workload Zmm-vs-AMX measurements (DESIGN.md §5.9).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AmxRule {
+    /// The host cannot run AMX int8 (`HwFeatures::amx_int8`).
+    Host,
+    /// The call's tier is below AVX-512, whose registers the epilogue uses.
+    Tier,
+    /// A `Dots` sink: the body writes sign bits only.
+    Sink,
+    /// Stride ≠ 1: a tile row of positions must be a row of the grid.
+    Stride,
+    /// K is not whole 16-filter B tiles.
+    Filters,
+    /// `kh` input rows overflow [`amx::STRIP_BYTES`]: no band fits.
+    Strip,
+    /// Fewer than [`AMX_MIN_STEPS`] K-steps (`kh·kw·c_words`) a window:
+    /// the tile set-up and the strip expansion are not paid back (1×1
+    /// convs, the window-pressed first layer).
+    Depth,
+    /// Fewer than [`AMX_MIN_OUT_W`] output columns: the `kw − 1` wrapped
+    /// positions a row computes and discards outweigh the gain
+    /// (`tiered_cnn` conv4, 4 × 4: ×1.00 on one thread).
+    Width,
+    /// Under [`AMX_MIN_MACS`] multiply-accumulates a map: the Zmm code
+    /// that runs after an AMX call runs ≈10% slower for a while, which
+    /// eats a gain of a few µs (`tiered_cnn` conv2/conv3, `small_cnn`).
+    Work,
+    /// Every clause holds: the AMX body.
+    Eligible,
+}
+
+impl AmxRule {
+    /// The clause as a short phrase.
+    pub fn describe(self) -> &'static str {
+        match self {
+            AmxRule::Host => "host lacks amx-int8",
+            AmxRule::Tier => "tier below avx512",
+            AmxRule::Sink => "dots sink",
+            AmxRule::Stride => "stride != 1",
+            AmxRule::Filters => "K % 16 != 0",
+            AmxRule::Strip => "kh rows > strip",
+            AmxRule::Depth => "kh*kw*c_words < 9",
+            AmxRule::Width => "out_w < 8",
+            AmxRule::Work => "map < 2^26 MACs",
+            AmxRule::Eligible => "eligible",
+        }
+    }
+}
+
+/// Least K-steps (`kh·kw·c_words`) a window must have for the AMX body.
+pub const AMX_MIN_STEPS: usize = 9;
+
+/// Least output columns a map must have for the AMX body.
+pub const AMX_MIN_OUT_W: usize = 8;
+
+/// Least multiply-accumulates (`out_h·out_w·K·kh·kw·c_words·64`) a map must
+/// take for the AMX body: ≈80 µs on the Zmm tier. `tiered_cnn`'s convs are
+/// 1.9·10⁷, VGG-16's smallest (conv5.x) 4.6·10⁸.
+pub const AMX_MIN_MACS: usize = 1 << 26;
+
+/// The body a call runs and the clause of the AMX rule that decided it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BodyChoice {
+    /// The loop.
+    pub body: ConvBody,
+    /// The first failing clause, or [`AmxRule::Eligible`].
+    pub rule: AmxRule,
+}
+
+impl fmt::Display for BodyChoice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let body = match self.body {
+            ConvBody::Amx => "amx",
+            ConvBody::Zmm => "zmm",
+            ConvBody::Ymm => "ymm",
+            ConvBody::Words => "words",
+        };
+        write!(f, "{body} ({})", self.rule.describe())
+    }
+}
+
+/// The one rule behind every conv: the AMX body for a `sign` conv at
+/// [`SimdLevel::Avx512`] over an `in_h`-row map when the host can run AMX
+/// and the geometry qualifies — stride 1, `K % 16 == 0`, a band within the
+/// strip, at least [`AMX_MIN_STEPS`] K-steps, [`AMX_MIN_OUT_W`] output
+/// columns and [`AMX_MIN_MACS`] — and the filter-lane loop of `level`
+/// otherwise. A pure function of the host and the map, never of the rows
+/// a call covers. The engine asks it once per conv, at compile, and hands
+/// the AMX operands only to the convs it picks.
+pub fn body_choice(level: SimdLevel, g: &ConvGeom, in_h: usize, sign: bool) -> BodyChoice {
+    let steps = g.kh * g.kw * g.c_words;
+    let macs = (in_h + 1).saturating_sub(g.kh) * g.out_w * g.k * steps * 64;
+    let rule = match amx_refusal(level, g, sign) {
+        Some(rule) => rule,
+        None if steps < AMX_MIN_STEPS => AmxRule::Depth,
+        None if g.out_w < AMX_MIN_OUT_W => AmxRule::Width,
+        None if macs < AMX_MIN_MACS => AmxRule::Work,
+        None => AmxRule::Eligible,
+    };
+    BodyChoice {
+        body: match rule {
+            AmxRule::Eligible => ConvBody::Amx,
+            _ => lane_body(level),
+        },
+        rule,
+    }
+}
+
+/// Whether the AMX body can run a call: what [`conv_rows`] checks before
+/// it runs that body on the operands a caller hands it — whether it pays
+/// was the caller's question ([`body_choice`]).
+pub fn amx_can_run(level: SimdLevel, g: &ConvGeom, sign: bool) -> bool {
+    amx_refusal(level, g, sign).is_none()
+}
+
+/// The first clause that makes a call impossible for the AMX body.
+fn amx_refusal(level: SimdLevel, g: &ConvGeom, sign: bool) -> Option<AmxRule> {
+    let f = crate::detect::features();
+    if !f.amx_int8 {
+        Some(AmxRule::Host)
+    } else if level != SimdLevel::Avx512 || !(f.avx512f && f.avx512bw) {
+        Some(AmxRule::Tier)
+    } else if !sign {
+        Some(AmxRule::Sink)
+    } else if g.stride != 1 {
+        Some(AmxRule::Stride)
+    } else if !g.k.is_multiple_of(amx::FILTERS) {
+        Some(AmxRule::Filters)
+    } else if amx::band_rows(g, usize::MAX) == 0 {
+        Some(AmxRule::Strip)
+    } else {
+        None
+    }
+}
+
+/// The filter-lane body that runs `level`: a level the host lacks demotes
+/// to the widest body it has.
+fn lane_body(level: SimdLevel) -> ConvBody {
     #[cfg(target_arch = "x86_64")]
     {
         let f = crate::detect::features();
         match level {
-            SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => return tiles_avx512::<S>,
-            SimdLevel::Avx512 | SimdLevel::Avx2 if f.avx2 => return tiles_avx2::<S>,
-            _ if f.popcnt && opaque => return tiles_popcnt_opaque::<S>,
-            _ if f.popcnt => return tiles_popcnt::<S>,
+            SimdLevel::Avx512 if f.avx512f && f.avx512vpopcntdq => return ConvBody::Zmm,
+            SimdLevel::Avx512 | SimdLevel::Avx2 if f.avx2 => return ConvBody::Ymm,
+            _ => {}
+        }
+    }
+    ConvBody::Words
+}
+
+/// The filter-lane tile loop for `level` ([`lane_body`]).
+fn body_for<S: TileSink>(level: SimdLevel) -> TileFn<S> {
+    let opaque = level == SimdLevel::Unvectorized;
+    #[cfg(target_arch = "x86_64")]
+    {
+        let popcnt = crate::detect::features().popcnt;
+        match lane_body(level) {
+            ConvBody::Zmm => return tiles_avx512::<S>,
+            ConvBody::Ymm => return tiles_avx2::<S>,
+            _ if popcnt && opaque => return tiles_popcnt_opaque::<S>,
+            _ if popcnt => return tiles_popcnt::<S>,
             _ => {}
         }
     }
@@ -521,7 +700,8 @@ fn words(factors: &[usize]) -> usize {
 
 /// Convolves output rows `rows` of the map described by `g` at the
 /// requested SIMD level and hands every finished window to `sink`. A level
-/// the host lacks demotes to the widest body it has.
+/// the host lacks demotes to the widest body it has; a `Sign` sink with
+/// AMX operands runs the AMX body when it can ([`amx_can_run`]).
 ///
 /// All bounds are checked here, once per call, before the unchecked tile
 /// loop is entered.
@@ -529,7 +709,8 @@ fn words(factors: &[usize]) -> usize {
 /// # Panics
 /// If the geometry is degenerate, a window of `rows` or the last filter
 /// group would fall outside its slice, or the sink's slices do not match
-/// the geometry.
+/// the geometry — or, on the AMX body, the AMX bank is not this geometry's
+/// or the strip cannot hold one band.
 pub fn conv_rows(
     level: SimdLevel,
     input: &[u64],
@@ -573,6 +754,7 @@ pub fn conv_rows(
             out,
             origin,
             row_stride,
+            amx,
         } => {
             let out_c_words = g.k.div_ceil(64);
             assert_eq!(bounds.len(), groups * LANES, "one bound per filter lane");
@@ -585,7 +767,27 @@ pub fn conv_rows(
                 out,
                 origin,
             };
-            unsafe { body_for(level)(input, filters, g, rows, row_stride, &mut sink) }
+            match amx {
+                #[cfg(target_arch = "x86_64")]
+                Some((bank, strip)) if amx_can_run(level, g, true) => {
+                    // The B tiles of every filter block and K-step, and a
+                    // strip with room for one band and for what its last A
+                    // tiles read (smaller bands read less); the rule
+                    // guaranteed stride 1 and whole 16-filter blocks.
+                    assert_eq!(
+                        (bank.k(), bank.steps()),
+                        (g.k, g.kh * g.kw * g.c_words),
+                        "AMX bank of another geometry"
+                    );
+                    let band = amx::band_rows(g, strip.bytes()).min(rows.len());
+                    assert!(
+                        band > 0 && amx::reach(g, band) <= strip.bytes(),
+                        "strip cannot hold one band"
+                    );
+                    unsafe { amx::tiles(input, bank, strip, g, rows, row_stride, &mut sink) }
+                }
+                _ => unsafe { body_for(level)(input, filters, g, rows, row_stride, &mut sink) },
+            }
         }
         ConvSink::Dots { window_bits, out } => {
             assert_eq!(out.len(), words(&[rows.len(), g.out_w, g.k]), "dots size");
@@ -706,6 +908,7 @@ mod tests {
                     out: &mut out,
                     origin,
                     row_stride,
+                    amx: None,
                 };
                 conv_rows(level, &input, &bank, g, 0..out_h, sink);
                 assert_eq!(out, want, "{what}");
@@ -717,7 +920,49 @@ mod tests {
                 conv_rows(level, &input, &bank, g, 0..out_h, sink);
                 assert_eq!(dots, want_dots, "{what}");
             }
+            if !amx_can_run(SimdLevel::Avx512, g, true) {
+                continue;
+            }
+            // The AMX body on the same inputs: in one band, and in bands of
+            // one row (a strip of kh rows), each against the reference and
+            // directly against the Zmm body's words.
+            let amx_bank = AmxBank::from_lane_words(&bank, g.k, per_filter);
+            let mut zmm = poison.clone();
+            let sink = ConvSink::Sign {
+                bounds: &bounds,
+                flips: &flips,
+                out: &mut zmm,
+                origin,
+                row_stride,
+                amx: None,
+            };
+            conv_rows(SimdLevel::Avx512, &input, &bank, g, 0..out_h, sink);
+            for strip_rows in [in_h, g.kh] {
+                let mut strip = AmxStrip::new(AmxStrip::bytes_for(g, strip_rows));
+                let mut out = poison.clone();
+                let sink = ConvSink::Sign {
+                    bounds: &bounds,
+                    flips: &flips,
+                    out: &mut out,
+                    origin,
+                    row_stride,
+                    amx: Some((&amx_bank, &mut strip)),
+                };
+                conv_rows(SimdLevel::Avx512, &input, &bank, g, 0..out_h, sink);
+                let what = format!("amx {g:?} out_h={out_h} pad={out_pad} strip={strip_rows}");
+                assert_eq!(out, zmm, "{what}: against the Zmm body");
+                assert_eq!(out, want, "{what}");
+            }
         }
+    }
+
+    /// Whether this host runs the AMX body; says why not when it does not.
+    fn amx_host(test: &str) -> bool {
+        let amx = crate::detect::features().amx_int8;
+        if !amx {
+            println!("{test}: AMX body not exercised: host lacks amx-int8");
+        }
+        amx
     }
 
     #[test]
@@ -749,6 +994,309 @@ mod tests {
                 }
             }
         }
+        // The AMX body's geometries: C ∈ {64, 128, 256, 512}, whole and
+        // odd 16-filter blocks, position blocks that end mid-row and
+        // mid-tile, against the same reference and the Zmm body.
+        amx_host("every_level_matches_the_integer_reference");
+        for c_words in [1usize, 2, 4, 8] {
+            for k in [16usize, 48, 64, 128] {
+                for out_w in [8usize, 9, 14, 17, 28] {
+                    case += 1;
+                    let g = ConvGeom {
+                        c_words,
+                        in_w: out_w + 2 + case % 2,
+                        kh: 3,
+                        kw: 3,
+                        stride: 1,
+                        out_w,
+                        k,
+                    };
+                    assert_eq!(
+                        amx_can_run(SimdLevel::Avx512, &g, true),
+                        crate::detect::features().amx_int8,
+                        "{g:?}"
+                    );
+                    check_geometry(&mut rng, &g, 1 + case % 3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_amx_rule_names_the_clause_that_decided() {
+        let g = ConvGeom {
+            c_words: 1,
+            in_w: 10,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            out_w: 8,
+            k: 128,
+        };
+        // A 224-row map: enough work for every geometry below.
+        let choice = |level, g: ConvGeom, sign| body_choice(level, &g, 224, sign).rule;
+        if !crate::detect::features().amx_int8 {
+            assert_eq!(choice(SimdLevel::Avx512, g, true), AmxRule::Host);
+            println!("the_amx_rule_names_the_clause_that_decided: host lacks amx-int8");
+            return;
+        }
+        assert_eq!(choice(SimdLevel::Avx512, g, true), AmxRule::Eligible);
+        assert_eq!(choice(SimdLevel::Avx2, g, true), AmxRule::Tier);
+        assert_eq!(choice(SimdLevel::Avx512, g, false), AmxRule::Sink);
+        let stride2 = ConvGeom {
+            stride: 2,
+            in_w: 17,
+            ..g
+        };
+        assert_eq!(choice(SimdLevel::Avx512, stride2, true), AmxRule::Stride);
+        assert_eq!(
+            choice(SimdLevel::Avx512, ConvGeom { k: 40, ..g }, true),
+            AmxRule::Filters
+        );
+        // A 1×1 over 512 channels has 8 steps.
+        let one_by_one = ConvGeom {
+            c_words: 8,
+            kh: 1,
+            kw: 1,
+            in_w: 8,
+            ..g
+        };
+        assert_eq!(choice(SimdLevel::Avx512, one_by_one, true), AmxRule::Depth);
+        let narrow = ConvGeom {
+            out_w: 7,
+            in_w: 9,
+            ..g
+        };
+        assert_eq!(choice(SimdLevel::Avx512, narrow, true), AmxRule::Width);
+        let wide = ConvGeom {
+            c_words: 8,
+            in_w: 1000,
+            out_w: 998,
+            ..g
+        };
+        assert_eq!(choice(SimdLevel::Avx512, wide, true), AmxRule::Strip);
+        // The maps of the benchmark models: tiered_cnn's conv2 (16 × 16 ×
+        // 64 → 128) and small_cnn's conv (8 × 8 × 16 → 32) are too little
+        // work; VGG-16's conv5.x (14 × 14 × 512 → 512) is not.
+        let map = |hw: usize, c_words, k| ConvGeom {
+            c_words,
+            in_w: hw + 2,
+            out_w: hw,
+            k,
+            ..g
+        };
+        let rule = |hw, c_words, k| {
+            body_choice(SimdLevel::Avx512, &map(hw, c_words, k), hw + 2, true).rule
+        };
+        assert_eq!(rule(16, 1, 128), AmxRule::Work);
+        assert_eq!(rule(8, 1, 32), AmxRule::Work);
+        assert_eq!(rule(14, 8, 512), AmxRule::Eligible);
+        assert_eq!(
+            body_choice(SimdLevel::Avx512, &narrow, 224, true).to_string(),
+            "zmm (out_w < 8)"
+        );
+        assert_eq!(
+            body_choice(SimdLevel::Avx512, &g, 224, true).to_string(),
+            "amx (eligible)"
+        );
+    }
+
+    /// A seeded AMX-eligible sign call: input, lane bank, AMX bank, bounds,
+    /// flips, and the Zmm body's output words.
+    struct AmxCase {
+        g: ConvGeom,
+        out_h: usize,
+        input: Vec<u64>,
+        bank: Vec<u64>,
+        amx_bank: AmxBank,
+        bounds: Vec<i64>,
+        flips: Vec<u64>,
+        zmm: Vec<u64>,
+    }
+
+    impl AmxCase {
+        fn new(seed: u64, g: ConvGeom, out_h: usize) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let in_h = out_h + g.kh - 1;
+            let input: Vec<u64> = (0..in_h * g.in_w * g.c_words).map(|_| rng.gen()).collect();
+            let per_filter = g.kh * g.kw * g.c_words;
+            let flat: Vec<u64> = (0..g.k * per_filter).map(|_| rng.gen()).collect();
+            let bank = interleave(&flat, g.k, per_filter);
+            let (bounds, flips) = lane_bounds(&mut rng, g.k, (per_filter * 64) as i64);
+            let amx_bank = AmxBank::from_lane_words(&bank, g.k, per_filter);
+            let mut case = Self {
+                g,
+                out_h,
+                input,
+                bank,
+                amx_bank,
+                bounds,
+                flips,
+                zmm: Vec::new(),
+            };
+            case.zmm = case.run(0..out_h, None);
+            case
+        }
+
+        /// Output words of rows `rows` (the whole map's layout), through the
+        /// AMX body with `strip`, or the Zmm body without.
+        fn run(&self, rows: Range<usize>, strip: Option<&mut AmxStrip>) -> Vec<u64> {
+            let row_stride = self.g.out_w * self.g.k.div_ceil(64);
+            let mut out = vec![!0u64; self.out_h * row_stride];
+            let sink = ConvSink::Sign {
+                bounds: &self.bounds,
+                flips: &self.flips,
+                out: &mut out[rows.start * row_stride..],
+                origin: 0,
+                row_stride,
+                amx: strip.map(|s| (&self.amx_bank, s)),
+            };
+            conv_rows(
+                SimdLevel::Avx512,
+                &self.input,
+                &self.bank,
+                &self.g,
+                rows,
+                sink,
+            );
+            out
+        }
+    }
+
+    #[test]
+    fn amx_row_ranges_and_bands_compose_to_the_whole_map() {
+        if !amx_host("amx_row_ranges_and_bands_compose_to_the_whole_map") {
+            return;
+        }
+        // 28 × 28 × 512 → 64 (conv4-like rows, cut short), and a map of 226-wide rows.
+        for (seed, g, out_h) in [
+            (
+                80,
+                ConvGeom {
+                    c_words: 8,
+                    in_w: 30,
+                    kh: 3,
+                    kw: 3,
+                    stride: 1,
+                    out_w: 28,
+                    k: 48,
+                },
+                9,
+            ),
+            (
+                81,
+                ConvGeom {
+                    c_words: 1,
+                    in_w: 226,
+                    kh: 3,
+                    kw: 3,
+                    stride: 1,
+                    out_w: 224,
+                    k: 64,
+                },
+                7,
+            ),
+        ] {
+            let case = AmxCase::new(seed, g, out_h);
+            let in_h = out_h + g.kh - 1;
+            let row_stride = g.out_w * g.k.div_ceil(64);
+            for strip_rows in [in_h, g.kh, g.kh + 2] {
+                let mut strip = AmxStrip::new(AmxStrip::bytes_for(&g, strip_rows));
+                assert_eq!(
+                    case.run(0..out_h, Some(&mut strip)),
+                    case.zmm,
+                    "strip {strip_rows}"
+                );
+                // Row ranges of a parallel split, each run on its own.
+                let mut parts = vec![!0u64; case.zmm.len()];
+                for rows in [0..1, 1..5, 5..out_h] {
+                    let got = case.run(rows.clone(), Some(&mut strip));
+                    let words = rows.start * row_stride..rows.end * row_stride;
+                    parts[words.clone()].copy_from_slice(&got[words]);
+                }
+                assert_eq!(parts, case.zmm, "split, strip {strip_rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn amx_bounds_decide_at_both_ends_of_the_window() {
+        if !amx_host("amx_bounds_decide_at_both_ends_of_the_window") {
+            return;
+        }
+        // All-zero filters over an all-zero map (every pop 0, every dot
+        // +N) and an all-ones map (every pop N, every dot −N), against
+        // bounds just inside and outside both ends — the saturated lanes
+        // every real layer has, met exactly.
+        let g = ConvGeom {
+            c_words: 2,
+            in_w: 10,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            out_w: 8,
+            k: 64,
+        };
+        let n = (g.kh * g.kw * g.c_words * 64) as i64;
+        let per_filter = g.kh * g.kw * g.c_words;
+        let bank = vec![0u64; g.k * per_filter];
+        let amx_bank = AmxBank::from_lane_words(&bank, g.k, per_filter);
+        let bounds: Vec<i64> = (0..g.k as i64)
+            .map(|kk| [-2, -1, 0, 1, n - 1, n, n + 1][kk as usize % 7])
+            .collect();
+        let flips = [0x00FF_0000_FF00_00FFu64];
+        let mut strip = AmxStrip::new(AmxStrip::bytes_for(&g, 3));
+        for (fill, pop) in [(0u64, 0i64), (!0, n)] {
+            let input = vec![fill; 3 * g.in_w * g.c_words];
+            let want: u64 =
+                (0..g.k).fold(0, |w, kk| w | u64::from(pop <= bounds[kk]) << kk) ^ flips[0];
+            let mut out = vec![0x5A5A_5A5Au64; g.out_w];
+            let sink = ConvSink::Sign {
+                bounds: &bounds,
+                flips: &flips,
+                out: &mut out,
+                origin: 0,
+                row_stride: g.out_w,
+                amx: Some((&amx_bank, &mut strip)),
+            };
+            conv_rows(SimdLevel::Avx512, &input, &bank, &g, 0..1, sink);
+            assert_eq!(out, vec![want; g.out_w], "pop {pop}");
+        }
+    }
+
+    #[test]
+    fn two_fresh_threads_run_the_amx_body_at_once() {
+        if !amx_host("two_fresh_threads_run_the_amx_body_at_once") {
+            return;
+        }
+        let g = ConvGeom {
+            c_words: 2,
+            in_w: 16,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            out_w: 14,
+            k: 128,
+        };
+        let case = AmxCase::new(82, g, 14);
+        let both_in = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        // A thread's first tile configuration happens here.
+                        let mut strip = AmxStrip::new(AmxStrip::bytes_for(&g, 16));
+                        both_in.wait();
+                        (0..20)
+                            .map(|_| case.run(0..14, Some(&mut strip)))
+                            .all(|out| out == case.zmm)
+                    })
+                })
+                .collect();
+            for t in threads {
+                assert!(t.join().expect("AMX thread"), "a thread diverged");
+            }
+        });
     }
 
     #[test]
@@ -812,6 +1360,26 @@ mod tests {
             k: 3,
         };
         (g, vec![0u64; 4 * 4], vec![0u64; 9 * LANES])
+    }
+
+    #[test]
+    #[should_panic(expected = "strip cannot hold one band")]
+    fn a_strip_short_of_one_band_is_rejected_before_the_kernel() {
+        if !crate::detect::features().amx_int8 {
+            panic!("strip cannot hold one band (host lacks amx-int8; nothing to check)");
+        }
+        let g = ConvGeom {
+            c_words: 1,
+            in_w: 10,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            out_w: 8,
+            k: 16,
+        };
+        let case = AmxCase::new(83, g, 2);
+        let mut strip = AmxStrip::new(AmxStrip::bytes_for(&g, g.kh) - 64);
+        case.run(0..2, Some(&mut strip));
     }
 
     #[test]

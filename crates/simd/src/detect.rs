@@ -27,6 +27,11 @@ pub struct HwFeatures {
     pub avx512bw: bool,
     /// `_mm512_popcnt_epi64` — the VPOPCNTDQ extension of paper Table I.
     pub avx512vpopcntdq: bool,
+    /// The AMX int8 matrix unit (`tdpbssd`), usable by this process: the
+    /// CPU has it, the OS saves its tile state, and the kernel granted the
+    /// tile-data permission. Absent from JSON written before it existed.
+    #[serde(default)]
+    pub amx_int8: bool,
 }
 
 impl HwFeatures {
@@ -41,6 +46,7 @@ impl HwFeatures {
             avx512f: is_x86_feature_detected!("avx512f"),
             avx512bw: is_x86_feature_detected!("avx512bw"),
             avx512vpopcntdq: is_x86_feature_detected!("avx512vpopcntdq"),
+            amx_int8: amx_int8_usable(),
         }
     }
 
@@ -62,17 +68,20 @@ impl HwFeatures {
             avx512f: false,
             avx512bw: false,
             avx512vpopcntdq: false,
+            amx_int8: false,
         }
     }
 
     /// Caps this feature set at a maximum vector width in bits (128/256/512).
     /// Used by the ablation benches to force narrower kernels on wide
     /// hardware, reproducing the paper's per-ISA comparisons on one machine.
+    /// The matrix unit goes with AVX-512, whose registers its epilogue uses.
     pub fn capped(mut self, max_bits: usize) -> Self {
         if max_bits < 512 {
             self.avx512f = false;
             self.avx512bw = false;
             self.avx512vpopcntdq = false;
+            self.amx_int8 = false;
         }
         if max_bits < 256 {
             self.avx2 = false;
@@ -122,6 +131,9 @@ impl fmt::Display for HwFeatures {
         if self.avx512vpopcntdq {
             names.push("avx512vpopcntdq");
         }
+        if self.amx_int8 {
+            names.push("amx-int8");
+        }
         if names.is_empty() {
             write!(f, "scalar-only")
         } else {
@@ -134,6 +146,56 @@ impl fmt::Display for HwFeatures {
 pub fn features() -> HwFeatures {
     static CACHE: OnceLock<HwFeatures> = OnceLock::new();
     *CACHE.get_or_init(HwFeatures::detect)
+}
+
+/// Whether this process may run AMX int8 instructions: CPUID.(7,0):EDX
+/// bits 24 (AMX-TILE) and 25 (AMX-INT8), XCR0 bits 17 and 18 (the OS
+/// saves TILECFG and TILEDATA), and the tile-data permission Linux grants
+/// per process on request (`arch_prctl(ARCH_REQ_XCOMP_PERM,
+/// XFEATURE_XTILEDATA)`). The request is made once; a refusal means no
+/// AMX, never a fault.
+#[cfg(target_arch = "x86_64")]
+fn amx_int8_usable() -> bool {
+    use std::arch::x86_64::{__cpuid_count, _xgetbv};
+    const AMX_TILE_INT8: u32 = 0b11 << 24;
+    const XTILECFG_XTILEDATA: u64 = 0b11 << 17;
+    static PERMITTED: OnceLock<bool> = OnceLock::new();
+    // `xgetbv` faults unless the OS enabled XSAVE, which `xsave` implies.
+    if !is_x86_feature_detected!("xsave")
+        || __cpuid_count(7, 0).edx & AMX_TILE_INT8 != AMX_TILE_INT8
+    {
+        return false;
+    }
+    // SAFETY: XSAVE is enabled (checked above), so XGETBV is defined.
+    if unsafe { _xgetbv(0) } & XTILECFG_XTILEDATA != XTILECFG_XTILEDATA {
+        return false;
+    }
+    *PERMITTED.get_or_init(request_tile_data)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn amx_int8_usable() -> bool {
+    false
+}
+
+/// Asks Linux for the tile-data permission; `true` when granted.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn request_tile_data() -> bool {
+    const SYS_ARCH_PRCTL: i64 = 158;
+    const ARCH_REQ_XCOMP_PERM: i64 = 0x1023;
+    const XFEATURE_XTILEDATA: i64 = 18;
+    extern "C" {
+        fn syscall(number: i64, ...) -> i64;
+    }
+    // SAFETY: `arch_prctl(ARCH_REQ_XCOMP_PERM, feature)` takes two integer
+    // arguments and only changes which XSAVE components the process may
+    // use; an older kernel answers −1 (EINVAL).
+    unsafe { syscall(SYS_ARCH_PRCTL, ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) == 0 }
+}
+
+#[cfg(all(target_arch = "x86_64", not(target_os = "linux")))]
+fn request_tile_data() -> bool {
+    false
 }
 
 /// Where a [`MachineInfo`] frequency estimate came from.
@@ -265,6 +327,7 @@ mod tests {
             avx512f: true,
             avx512bw: true,
             avx512vpopcntdq: true,
+            amx_int8: true,
         };
         assert_eq!(full.max_width_bits(), 512);
         assert_eq!(full.capped(256).max_width_bits(), 256);
@@ -273,6 +336,38 @@ mod tests {
         // Capping never re-enables features.
         assert!(!full.capped(128).avx2);
         assert_eq!(full.capped(512), full);
+        // The matrix unit leaves with AVX-512, and with everything else.
+        assert!(!full.capped(256).amx_int8);
+        assert!(!full.capped(511).amx_int8);
+        assert!(!HwFeatures::scalar_only().amx_int8);
+        assert_eq!(
+            full.to_string(),
+            "sse2+ssse3+popcnt+avx2+avx512f+avx512bw+avx512vpopcntdq+amx-int8"
+        );
+        assert!(!full.capped(256).to_string().contains("amx"));
+    }
+
+    #[test]
+    fn json_written_before_the_amx_flag_reads_as_no_amx() {
+        let old = r#"{"sse2":true,"ssse3":true,"popcnt":true,"avx2":true,
+            "avx512f":true,"avx512bw":true,"avx512vpopcntdq":true}"#;
+        let f: HwFeatures = serde_json::from_str(old).expect("pre-AMX JSON parses");
+        assert!(f.avx512vpopcntdq && !f.amx_int8);
+        let with = serde_json::to_string(&HwFeatures {
+            amx_int8: true,
+            ..f
+        })
+        .expect("serialize");
+        let back: HwFeatures = serde_json::from_str(&with).expect("round trip");
+        assert!(back.amx_int8);
+    }
+
+    #[test]
+    fn amx_implies_the_avx512_registers_its_epilogue_uses() {
+        let f = features();
+        if f.amx_int8 {
+            assert!(f.avx512f && f.avx512bw, "{f}");
+        }
     }
 
     #[test]

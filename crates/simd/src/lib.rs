@@ -4,6 +4,9 @@
 //!
 //! This crate owns everything that touches `std::arch`:
 //!
+//! * [`amx`] — the conv core's second body: the AMX int8 tile loop that
+//!   [`conv::conv_rows`] runs for qualifying sign calls on hosts with the
+//!   matrix unit, bits in and bits out.
 //! * [`detect`] — the **hardware detector** of the paper's vector execution
 //!   scheduler (§III-B): runtime discovery of SSE/AVX2/AVX-512 (+VPOPCNTDQ).
 //! * [`kernels`] — xor+popcount inner kernels at every vector width
@@ -42,6 +45,7 @@
 //! Pad bits are 0 in both operands, xor to 0, and contribute nothing to the
 //! popcount, so the identity holds with no correction term.
 
+pub mod amx;
 pub mod conv;
 pub mod detect;
 pub mod kernels;

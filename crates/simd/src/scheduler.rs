@@ -350,6 +350,7 @@ mod tests {
             avx512f: true,
             avx512bw: true,
             avx512vpopcntdq: true,
+            amx_int8: true,
         }
     }
 

@@ -5,6 +5,8 @@
 //! threads as the call may use. The chunk boundaries are a pure function of
 //! the arguments — never of the thread count — so a kernel that writes only
 //! its own chunk produces the same bytes at every pool size.
+//! [`for_chunks_mut_with`] also hands every part (every thread taking part)
+//! a scratch element of its own, for kernels that need one per thread.
 //!
 //! * **Lifetime.** One process-wide team of `available_parallelism() − 1`
 //!   threads, started by the first call that has more than one chunk and
@@ -12,8 +14,9 @@
 //!   one CPU never spawns a thread. On Linux a new worker moves off its
 //!   spawner's CPU once, at birth (see `placement`).
 //! * **Claim order.** The call is split into `parts = min(chunks,
-//!   rayon::current_num_threads(), team size)` contiguous ranges of chunks,
-//!   one per participating thread (the caller is part 0). A part claims the
+//!   rayon::current_num_threads(), team size, scratch elements)` contiguous
+//!   ranges of chunks, one per participating thread (the caller is part 0,
+//!   and owns scratch element 0). A part claims the
 //!   chunks of its own range through that range's atomic cursor and, once
 //!   it is empty, drains the other ranges' cursors: neighbouring rows stay
 //!   on one core while the cores run evenly, and a slow or descheduled core
@@ -59,8 +62,8 @@ struct Lane {
 
 /// One call, on the caller's stack for as long as any part can reach it.
 struct Job<'a> {
-    /// Runs chunk `i`.
-    chunk: &'a (dyn Fn(usize) + Sync),
+    /// Runs chunk `i` (second argument) as part `p` (first).
+    chunk: &'a (dyn Fn(usize, usize) + Sync),
     /// The ranges of this call, one per part.
     lanes: &'a [Lane],
     /// Whom the last worker wakes.
@@ -86,7 +89,7 @@ impl Job<'_> {
                     if i >= end {
                         break;
                     }
-                    (self.chunk)(i);
+                    (self.chunk)(p, i);
                 }
             }
         };
@@ -244,11 +247,16 @@ impl<T> Base<T> {
     }
 }
 
-/// The chunks in order, on the calling thread: a call of one part.
-fn inline<T>(data: &mut [T], chunk_len: usize, f: &(dyn Fn(usize, &mut [T]) + Sync)) -> usize {
+/// What a part's chunk function gets: its scratch element, the chunk's
+/// index, the chunk.
+type PartFn<'a, T, S> = &'a (dyn Fn(&mut S, usize, &mut [T]) + Sync);
+
+/// The chunks in order, on the calling thread with `scratch`: a call of one
+/// part.
+fn inline<T, S>(data: &mut [T], chunk_len: usize, scratch: &mut S, f: PartFn<'_, T, S>) -> usize {
     data.chunks_mut(chunk_len)
         .enumerate()
-        .for_each(|(i, chunk)| f(i, chunk));
+        .for_each(|(i, chunk)| f(scratch, i, chunk));
     1
 }
 
@@ -291,7 +299,9 @@ impl Team {
     }
 
     /// [`for_chunks_mut`] on this team, for a caller entitled to `threads`
-    /// threads.
+    /// threads (the tests' entry; the process-wide team is entered through
+    /// [`Team::run_with`]).
+    #[cfg(test)]
     fn run<T: Send>(
         &self,
         threads: usize,
@@ -299,26 +309,59 @@ impl Team {
         chunk_len: usize,
         f: &(dyn Fn(usize, &mut [T]) + Sync),
     ) -> usize {
+        // A `Vec` of a zero-sized type never allocates.
+        let mut parts = vec![(); threads.max(1)];
+        self.run_with(threads, data, chunk_len, &mut parts, &|_, i, chunk| {
+            f(i, chunk)
+        })
+    }
+
+    /// [`for_chunks_mut_with`] on this team, for a caller entitled to
+    /// `threads` threads.
+    fn run_with<T: Send, S: Send>(
+        &self,
+        threads: usize,
+        data: &mut [T],
+        chunk_len: usize,
+        scratch: &mut [S],
+        f: PartFn<'_, T, S>,
+    ) -> usize {
         let shared = &*self.shared;
         let chunks = data.len().div_ceil(chunk_len);
-        let parts = chunks.min(threads).min(self.workers.len() + 1);
+        let parts = chunks
+            .min(threads)
+            .min(self.workers.len() + 1)
+            .min(scratch.len());
         if parts <= 1
             || shared
                 .busy
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_err()
         {
-            return inline(data, chunk_len, f);
+            return inline(data, chunk_len, &mut scratch[0], f);
         }
-        let (len, base) = (data.len(), Base(data.as_mut_ptr()));
-        let chunk = |i: usize| {
+        let (len, base, per_part) = (
+            data.len(),
+            Base(data.as_mut_ptr()),
+            Base(scratch.as_mut_ptr()),
+        );
+        let chunk = |p: usize, i: usize| {
             let at = i * chunk_len;
             // SAFETY: every index below `chunks` is dealt out exactly once
             // (the lanes partition `0..chunks` and a cursor yields each of
             // its values once), so the ranges `at..at + chunk_len` clipped
             // to `len` are disjoint and inside `data`, which this call
             // holds mutably borrowed until every part is done with them.
-            f(i, unsafe { base.chunk(at, chunk_len.min(len - at)) });
+            // Part `p < parts ≤ scratch.len()` is run by one thread, one
+            // chunk at a time, so its scratch element is that thread's
+            // alone for as long as the chunk runs.
+            let (scratch, chunk) = unsafe {
+                (
+                    &mut per_part.chunk(p, 1)[0],
+                    base.chunk(at, chunk_len.min(len - at)),
+                )
+            };
+            f(scratch, i, chunk);
         };
         let lanes = &shared.lanes[..parts];
         for (p, lane) in lanes.iter().enumerate() {
@@ -397,6 +440,12 @@ pub fn parts(chunks: usize) -> usize {
         .max(1)
 }
 
+/// The most threads a call here can run on — what a caller sizes
+/// per-part scratch for.
+pub fn max_parts() -> usize {
+    machine_threads()
+}
+
 /// Runs `f(chunk_index, chunk)` on every `chunk_len`-element chunk of
 /// `data` (the last may be shorter), on the calling thread and — when the
 /// call has more than one chunk and more than one thread to use — the
@@ -410,14 +459,42 @@ pub fn for_chunks_mut<T: Send>(
     chunk_len: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) -> usize {
+    // A `Vec` of a zero-sized type never allocates.
+    for_chunks_mut_with(
+        data,
+        chunk_len,
+        &mut vec![(); max_parts()],
+        |_, i, chunk| f(i, chunk),
+    )
+}
+
+/// [`for_chunks_mut`] with per-thread scratch: `f(scratch, chunk_index,
+/// chunk)`, where `scratch` is the element of `scratch` that belongs to
+/// the part (the thread) running the chunk — element 0 on the calling
+/// thread. At most `scratch.len()` threads take part, so a caller that
+/// wants every thread sizes it [`max_parts`].
+///
+/// # Panics
+/// If `chunk_len` is zero or `scratch` empty, or with the payload of a
+/// chunk that panicked.
+pub fn for_chunks_mut_with<T: Send, S: Send>(
+    data: &mut [T],
+    chunk_len: usize,
+    scratch: &mut [S],
+    f: impl Fn(&mut S, usize, &mut [T]) + Sync,
+) -> usize {
     static TEAM: OnceLock<Team> = OnceLock::new();
     assert!(chunk_len > 0, "chunk length must be non-zero");
-    let threads = parts(data.len().div_ceil(chunk_len));
+    assert!(
+        !scratch.is_empty(),
+        "one scratch element per part, at least one"
+    );
+    let threads = parts(data.len().div_ceil(chunk_len)).min(scratch.len());
     if threads <= 1 {
-        return inline(data, chunk_len, &f);
+        return inline(data, chunk_len, &mut scratch[0], &f);
     }
     TEAM.get_or_init(|| Team::start(machine_threads() - 1, SPIN))
-        .run(threads, data, chunk_len, &f)
+        .run_with(threads, data, chunk_len, scratch, &f)
 }
 
 #[cfg(test)]
@@ -529,6 +606,33 @@ mod tests {
             slot[0] = placement::affinity();
         });
         assert_eq!(seen, [Some(mine), Some(mine)]);
+    }
+
+    #[test]
+    fn every_part_owns_its_scratch_element_while_it_runs() {
+        // A chunk marks its part's element busy, dawdles, and clears it: a
+        // part handed to two threads at once, or a scratch element shared
+        // by two parts, shows as a chunk that finds it already busy.
+        let team = parking_team(3);
+        for scratch_len in [1usize, 2, 4, 9] {
+            let mut scratch = vec![(false, 0usize); scratch_len];
+            let mut data = vec![0usize; 64];
+            let ran = team.run_with(4, &mut data, 2, &mut scratch, &|s, i, chunk| {
+                assert!(!std::mem::replace(&mut s.0, true), "scratch shared");
+                dawdle();
+                s.0 = false;
+                s.1 += 1;
+                chunk.iter_mut().for_each(|x| *x += i + 1);
+            });
+            assert_filled_once(&data, 2);
+            assert!(
+                ran <= scratch_len.min(4),
+                "{ran} parts for {scratch_len} elements"
+            );
+            assert_eq!(scratch.iter().map(|s| s.1).sum::<usize>(), 32);
+            let used = scratch.iter().filter(|s| s.1 > 0).count();
+            assert!(used <= ran, "{used} elements used by {ran} parts");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bitflow_simd::conv::BodyChoice;
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LatencyHistogram;
@@ -97,6 +98,10 @@ pub struct OpDescriptor {
     pub kind: OpKind,
     /// Static per-call cost.
     pub cost: OpCost,
+    /// For a conv: the body the conv core runs (AMX tile loop or a
+    /// filter-lane loop) and the clause of the eligibility rule that
+    /// decided it. Plan introspection only: not part of the snapshot.
+    pub body: Option<BodyChoice>,
 }
 
 /// One operator: its description and its live counters, all relaxed
@@ -275,6 +280,7 @@ mod tests {
                 name: "binarize-input".to_string(),
                 kind: OpKind::Binarize,
                 cost: OpCost::default(),
+                body: None,
             },
             OpDescriptor {
                 name: "conv1".to_string(),
@@ -292,6 +298,7 @@ mod tests {
                         par_k_chunk: 32,
                     }),
                 },
+                body: None,
             },
         ]
     }

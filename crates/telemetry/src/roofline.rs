@@ -184,6 +184,7 @@ mod tests {
                 avx512f: false,
                 avx512bw: false,
                 avx512vpopcntdq: false,
+                amx_int8: false,
             },
             logical_cores: 4,
             freq_ghz: 2.0,

@@ -102,7 +102,7 @@ proptest! {
         // Fused: integer popcount-domain compare inside the conv.
         let st = SignThresholds::from_fold(&fold, 3 * 3 * c);
         let mut got = BitTensor::zeros(h + 2, w + 2, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1, false);
+        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1, false, None);
 
         prop_assert_eq!(got.words(), want.words(), "fused != unfused (c={}, k={})", c, k);
         prop_assert!(got.tail_is_zero());
@@ -213,6 +213,7 @@ fn flipped_tie_lands_on_plus_one() {
         &mut fused,
         0,
         false,
+        None,
     );
     assert_eq!(fused.get(0, 0, 0), 1, "fused: tie must be +1");
 

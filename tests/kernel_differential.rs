@@ -264,7 +264,7 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
                         *px.last_mut().unwrap() = tail;
                     }
                     pressed_conv_sign_into(
-                        level, &pressed, &bank, stride, &st, &mut out, out_pad, false,
+                        level, &pressed, &bank, stride, &st, &mut out, out_pad, false, None,
                     );
                     assert!(out.tail_is_zero(), "{what} pad={out_pad}: press tail");
                     for y in 0..out.h() {
@@ -368,7 +368,9 @@ fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
                 assert_eq!(got, dots, "{what} {level:?} {press}: dots");
                 for parallel in [false, true] {
                     let mut out = BitTensor::zeros(oh + 2, ow + 2, k);
-                    pressed_conv_sign_into(level, map, bank, stride, &st, &mut out, 1, parallel);
+                    pressed_conv_sign_into(
+                        level, map, bank, stride, &st, &mut out, 1, parallel, None,
+                    );
                     assert!(out.tail_is_zero(), "{what} {level:?} {press}");
                     for i in 0..oh * ow * k {
                         let got = out.get(i / k / ow + 1, i / k % ow + 1, i % k) == 1;
@@ -475,6 +477,79 @@ fn both_first_layer_lowerings_match_the_integer_reference_through_the_engine() {
                     .expect("infer");
                 assert_eq!(got, want, "{what} fuse={} parallel={parallel}", opts.fuse);
             }
+        }
+    }
+}
+
+/// VGG-16's twelve 3×3 convs after the first, at full size through the
+/// engine at the widest tier: fused, each runs the body the plan chose —
+/// the AMX tile loop on a host with the matrix unit — and unfused, the
+/// filter-lane loop's dots and a separate threshold pass. A small FC head
+/// over the whole sign map turns every output bit into logits, which must
+/// be equal, on serial and two-thread contexts alike.
+#[test]
+fn vgg16_conv_geometries_agree_on_every_body_through_the_engine() {
+    use bitflow::graph::{CompiledModel, LayerSpec, NetworkSpec, NetworkWeights, PlanOptions};
+    use bitflow_simd::conv::ConvBody;
+    const VGG: [(&str, usize, usize, usize); 12] = [
+        ("conv1.2", 224, 64, 64),
+        ("conv2.1", 112, 64, 128),
+        ("conv2.2", 112, 128, 128),
+        ("conv3.1", 56, 128, 256),
+        ("conv3.2", 56, 256, 256),
+        ("conv3.3", 56, 256, 256),
+        ("conv4.1", 28, 256, 512),
+        ("conv4.2", 28, 512, 512),
+        ("conv4.3", 28, 512, 512),
+        ("conv5.1", 14, 512, 512),
+        ("conv5.2", 14, 512, 512),
+        ("conv5.3", 14, 512, 512),
+    ];
+    if !features().amx_int8 {
+        println!("vgg16 conv geometries: host lacks amx-int8, both plans run the filter-lane loop");
+    }
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool");
+    for (i, (name, hw, c, k)) in VGG.into_iter().enumerate() {
+        let spec = NetworkSpec {
+            name: name.into(),
+            input: Shape::hwc(hw, hw, c),
+            layers: vec![
+                LayerSpec::Conv {
+                    name: name.into(),
+                    k,
+                    params: ConvParams::VGG_CONV,
+                },
+                LayerSpec::Fc {
+                    name: "head".into(),
+                    k: 3,
+                },
+            ],
+        };
+        let mut rng = StdRng::seed_from_u64(0x0A3E + i as u64);
+        let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+        let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+        let [fused, unfused] = [PlanOptions::default(), PlanOptions::unfused()]
+            .map(|opts| CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile"));
+        let body = fused.op_descriptors()[1]
+            .body
+            .expect("a conv names its body");
+        assert_eq!(
+            body.body == ConvBody::Amx,
+            features().amx_int8,
+            "{name}: {body}"
+        );
+        let mut ctx = unfused.try_new_context().expect("context");
+        let want = unfused.try_infer(&mut ctx, &input).expect("unfused");
+        let mut ctx = fused.try_new_context().expect("context");
+        for parallel in [false, true] {
+            ctx.parallel = parallel;
+            let got = pool
+                .install(|| fused.try_infer(&mut ctx, &input))
+                .expect("fused");
+            assert_eq!(got, want, "{name} ({body}) parallel={parallel}");
         }
     }
 }

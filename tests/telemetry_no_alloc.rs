@@ -12,6 +12,9 @@
 //! facts so an accidental `Vec`/`String`/boxing on the request path fails
 //! loudly.
 //!
+//! The AMX conv body expands its input into a strip the context owns, one
+//! per team part, so a model with a conv on that body allocates no more.
+//!
 //! Allocations are counted on the threads that have opted in — the one
 //! inside [`count_allocs`], and the team's once [`count_on_the_team`] has
 //! visited them — and the tests take turns: the team is one per process,
@@ -19,9 +22,11 @@
 
 use bitflow_graph::models::{small_cnn, tiered_cnn};
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::{BatchItem, CompiledModel, NetworkSpec};
+use bitflow_graph::{BatchItem, CompiledModel, LayerSpec, NetworkSpec};
+use bitflow_ops::ConvParams;
+use bitflow_simd::conv::ConvBody;
 use bitflow_simd::team;
-use bitflow_tensor::{Layout, Tensor};
+use bitflow_tensor::{Layout, Shape, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
@@ -119,9 +124,49 @@ fn count_on_the_team() -> usize {
     })
 }
 
-/// A channel-pressed and a window-pressed first layer.
-fn specs() -> [NetworkSpec; 2] {
-    [small_cnn(), tiered_cnn()]
+/// A channel-pressed and a window-pressed first layer, and a conv the
+/// engine puts on the AMX body on a host that has one (28 × 28 × 256 →
+/// 256, VGG-16's conv4.1 shape at half the filters).
+fn specs() -> [NetworkSpec; 3] {
+    let amx_cnn = NetworkSpec {
+        name: "AmxCNN".into(),
+        input: Shape::hwc(28, 28, 256),
+        layers: vec![
+            LayerSpec::Conv {
+                name: "conv1".into(),
+                k: 256,
+                params: ConvParams::VGG_CONV,
+            },
+            LayerSpec::Pool {
+                name: "pool1".into(),
+                params: ConvParams::VGG_POOL,
+            },
+            LayerSpec::Fc {
+                name: "fc1".into(),
+                k: 10,
+            },
+        ],
+    };
+    [small_cnn(), tiered_cnn(), amx_cnn]
+}
+
+#[test]
+fn the_amx_spec_runs_the_amx_body_where_the_host_has_it() {
+    let spec = specs()[2].clone();
+    let mut rng = StdRng::seed_from_u64(20);
+    let model = CompiledModel::try_compile(&spec, &NetworkWeights::random(&spec, &mut rng))
+        .expect("model compiles");
+    let body = model.op_descriptors()[1]
+        .body
+        .expect("a conv names its body");
+    if !bitflow_simd::features().amx_int8 {
+        println!("AMX body not exercised: host lacks amx-int8 ({body})");
+    }
+    assert_eq!(
+        body.body == ConvBody::Amx,
+        bitflow_simd::features().amx_int8,
+        "{body}"
+    );
 }
 
 /// Allocations of one warm `run` of a bare item, and of a one-item

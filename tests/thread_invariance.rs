@@ -92,11 +92,11 @@ fn fused_conv_sign_invariant_across_pools() {
     let st = SignThresholds::from_fold(&bn.fold(), 3 * 3 * 128);
 
     let mut serial = BitTensor::zeros(11, 11, 70);
-    pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1, false);
+    pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut serial, 1, false, None);
     for threads in POOLS {
         let got = in_pool(threads, || {
             let mut out = BitTensor::zeros(11, 11, 70);
-            pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut out, 1, true);
+            pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut out, 1, true, None);
             out
         });
         assert_eq!(
