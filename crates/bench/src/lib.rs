@@ -3,23 +3,28 @@
 //! Benchmark harness for the BitFlow reproduction. Every table and figure
 //! of the paper's evaluation section has a regenerating target:
 //!
-//! | paper artifact | binary (`cargo run --release -p bitflow-bench --bin …`) | criterion bench |
-//! |---|---|---|
-//! | Table I (SIMD instructions) | `table1` | — |
-//! | Table II (data structures) | `table2` | — |
-//! | Table III (fused packing) | `table3` | `--bench table3` |
-//! | Table IV (workloads) | `table4` | — |
-//! | Table V (accuracy & size) | `table5` | `--bench table5` |
-//! | Fig. 7 (vectorization speedup) | `fig7` | `--bench fig7` |
-//! | Fig. 8 (multi-core, i7 analog) | `fig8` | `--bench fig8` |
-//! | Fig. 9 (multi-core, Phi analog) | `fig9` | `--bench fig9` |
-//! | Fig. 10 (per-op vs GPU) | `fig10` | `--bench fig10` |
-//! | Fig. 11 (VGG end-to-end vs GPU) | `fig11` | `--bench fig11` |
-//! | §III-A AIT analysis | `ait` | `--bench ablation` |
+//! | paper artifact | binary (`cargo run --release -p bitflow-bench --bin …`) |
+//! |---|---|
+//! | Table I (SIMD instructions) | `table1` |
+//! | Table II (data structures) | `table2` |
+//! | Table III (fused packing) | `table3` |
+//! | Table IV (workloads) | `table4` |
+//! | Table V (accuracy & size) | `table5` |
+//! | Fig. 7 (vectorization speedup) | `fig7` |
+//! | Fig. 8 (multi-core, i7 analog) | `fig8` |
+//! | Fig. 9 (multi-core, Phi analog) | `fig9` |
+//! | Fig. 10 (per-op vs GPU) | `fig10` |
+//! | Fig. 11 (VGG end-to-end vs GPU) | `fig11` |
+//! | §III-A AIT analysis | `ait` |
+//!
+//! `cargo bench -p bitflow-bench --bench ablation` times the design choices
+//! beyond the paper's figures (EXPERIMENTS.md, "Ablations").
 //!
 //! All binaries print a paper-style text table and write machine-readable
 //! JSON next to the repo root under `results/` (override the directory
-//! with `BITFLOW_RESULTS_DIR`).
+//! with `BITFLOW_RESULTS_DIR`). End-to-end and per-layer regressions are the
+//! repo benchmark's to catch (`benchmark/`, `scripts/pairs.sh`), not this
+//! crate's.
 //!
 //! Measurement conventions (documented deviations in EXPERIMENTS.md):
 //!
@@ -36,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod fig_multicore;
-pub mod regress;
 pub mod runners;
 pub mod timing;
 pub mod workloads;
@@ -119,14 +123,9 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// True when quick (smoke-run) mode is requested. This is the single place
-/// that defines quick-mode activation for every bench binary:
-///
-/// * `--quick` on the command line, or
-/// * `BITFLOW_QUICK=1`, or
-/// * `BITFLOW_BENCH_QUICK=1` (alias; convenient when a wrapper such as
-///   `scripts/check.sh` wants to force quick mode for the whole workspace
-///   without colliding with other tools' `*_QUICK` flags).
+/// True when quick (smoke-run) mode is requested: `--quick` on the command
+/// line, or `BITFLOW_QUICK=1`. This is the single place that defines
+/// quick-mode activation for every bench binary.
 ///
 /// Quick mode shrinks workloads (spatial dims 4×, VGG-16 → small CNN,
 /// shorter measurement budgets); the exact reduction is each binary's
@@ -134,7 +133,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
         || std::env::var("BITFLOW_QUICK").is_ok_and(|v| v == "1")
-        || std::env::var("BITFLOW_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
 #[cfg(test)]

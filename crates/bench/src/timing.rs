@@ -28,11 +28,6 @@ pub fn measure(
     best
 }
 
-/// Default measurement: 1 s budget, 3–50 iterations.
-pub fn measure_default(f: impl FnMut()) -> Duration {
-    measure(f, Duration::from_secs(1), 3, 50)
-}
-
 /// Measures two closures under the *same* load conditions by interleaving
 /// their iterations (a, b, a, b, ...) and returning each one's minimum
 /// observed time.

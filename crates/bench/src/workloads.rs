@@ -9,10 +9,9 @@ use bitflow_ops::ConvParams;
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Operator category.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
     /// Convolution with K filters.
     Conv {
@@ -29,7 +28,7 @@ pub enum OpKind {
 }
 
 /// One Table IV workload.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Workload {
     /// Paper name, e.g. "conv3.1".
     pub name: &'static str,

@@ -11,10 +11,7 @@
 #                             # incl. unwrap/expect, denied), the
 #                             # caller-runs slot test in release mode, the
 #                             # chaos soaks in quick mode (single-model and
-#                             # the multi-model batched variant), and the
-#                             # goodput micro-batching comparison (quick,
-#                             # informational — appended to
-#                             # results/history/goodput.jsonl)
+#                             # the multi-model batched variant)
 #   scripts/check.sh --net    # additionally run the network front-end gate:
 #                             # strict clippy on bitflow-net (warnings,
 #                             # incl. unwrap/expect, denied), the hostile-
@@ -22,11 +19,7 @@
 #                             # allocation budget in release mode, the
 #                             # trace-export round-trip proptests, the TCP
 #                             # chaos soak in quick mode with the flight
-#                             # recorder enabled, and the load-to-failure
-#                             # sweep (quick,
-#                             # twice: blesses a capacity baseline if
-#                             # missing, then gates against it — appended
-#                             # to results/history/load.jsonl)
+#                             # recorder enabled
 #   scripts/check.sh --govern # additionally run the resource-governance
 #                             # gate: strict clippy on bitflow-serve,
 #                             # the governor/chaos fault-injection unit
@@ -35,12 +28,13 @@
 #                             # (mixed-priority tenants under injected
 #                             # allocation failure, conservation incl.
 #                             # rejected_memory, brownout + recovery)
-#   scripts/check.sh --perf   # additionally run the bench-regression gate
-#                             # (quick mode, twice: blesses a baseline if
-#                             # missing, then gates against it) and print
-#                             # the roofline summary. Off by default: the
-#                             # gate compares wall-clock medians, so CI
-#                             # machines with unstable clocks should opt in
+#   scripts/check.sh --perf   # additionally run the repo benchmark's
+#                             # four workloads on the working tree against
+#                             # HEAD: scripts/pairs.sh HEAD --pairs 3
+#                             # --seconds 5, which fails if --compare calls
+#                             # any row `regressed`. Off by default: it
+#                             # compares wall-clock medians, so CI machines
+#                             # with unstable clocks should opt in
 #                             # deliberately.
 #   scripts/check.sh --sanitize # additionally run the unit tests of the two
 #                             # crates that hold the kernels' `unsafe`
@@ -86,18 +80,27 @@ echo "==> fusion gate: fused-vs-unfused differential + BITFLOW_FUSE=0 golden, fu
 cargo test -q --test fusion_differential
 BITFLOW_FUSE=0 cargo test -q --test golden_snapshot --test fusion_differential --test kernel_differential
 
-echo "==> BITFLOW_BENCH_QUICK=1 cargo test -q --workspace (all crates, bench in quick mode)"
-BITFLOW_BENCH_QUICK=1 cargo test -q --workspace
+echo "==> cargo test -q --workspace (all crates)"
+cargo test -q --workspace
 
 if [[ $fast -eq 0 ]]; then
     # benchmark/ is a package of its own that pins the crates' public API
     # (benchmark/src/sut.rs) and their logits (benchmark/golden.json); the
     # driver builds and runs it, so an API change that passes everything
     # above can still be refused there. A smoke test, not a measurement.
+    # Building rewrites benchmark/Cargo.lock whenever a crate's dependency
+    # list changed; it is put back as it was, since only a change to
+    # benchmark/ may change it.
     echo "==> benchmark build + one short run per workload (pinned API, pinned logits)"
-    CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    mkdir -p .bench_build
+    cp benchmark/Cargo.lock .bench_build/Cargo.lock.saved
+    build=0
+    CARGO_TARGET_DIR=.bench_build/change cargo build --release --offline \
+        --manifest-path benchmark/Cargo.toml || build=$?
+    cp .bench_build/Cargo.lock.saved benchmark/Cargo.lock
+    ((build == 0)) || exit "$build"
     for workload in vgg16_latency tiered_batch small_http_closed tiered_serve_open; do
-        last=$(.bench_build/release/bitflow-benchmark --workload "$workload" \
+        last=$(.bench_build/change/release/bitflow-benchmark --workload "$workload" \
             --seconds 2 --trace 0 --seed 1 | tail -n 1)
         if [[ $last != *'"correct": true'* ]]; then
             echo "benchmark workload $workload did not end in \"correct\": true: $last" >&2
@@ -118,8 +121,6 @@ if [[ $serve -eq 1 ]]; then
     cargo test --release -q -p bitflow-serve --test caller_runs
     echo "==> chaos soaks (quick mode: single-model + multi-model batched)"
     BITFLOW_QUICK=1 cargo test -q --test serve_soak
-    echo "==> goodput micro-batching comparison (quick, informational)"
-    cargo run --release -q -p bitflow-bench --bin goodput -- --quick
 fi
 
 if [[ $net -eq 1 ]]; then
@@ -133,9 +134,6 @@ if [[ $net -eq 1 ]]; then
     cargo test -q -p bitflow-telemetry --test chrome_props --test prometheus_props
     echo "==> TCP chaos soak (quick mode, flight recorder enabled)"
     BITFLOW_QUICK=1 BITFLOW_TRACE=1 cargo test -q --test net_soak
-    echo "==> load-to-failure sweep (quick, twice: bless-if-needed then gate)"
-    cargo run --release -q -p bitflow-bench --bin loadgen -- --quick
-    cargo run --release -q -p bitflow-bench --bin loadgen -- --quick
 fi
 
 if [[ $govern -eq 1 ]]; then
@@ -151,11 +149,8 @@ if [[ $govern -eq 1 ]]; then
 fi
 
 if [[ $perf -eq 1 ]]; then
-    echo "==> bench-regression gate (quick, twice: bless-if-needed then gate)"
-    cargo run --release -q -p bitflow-bench --bin regress -- --quick
-    cargo run --release -q -p bitflow-bench --bin regress -- --quick
-    echo "==> roofline summary (quick telemetry bench)"
-    cargo run --release -q -p bitflow-bench --bin telemetry -- --quick 2>/dev/null | grep '^roofline:'
+    echo "==> benchmark pairs: the working tree against HEAD (scripts/pairs.sh)"
+    scripts/pairs.sh HEAD --pairs 3 --seconds 5
 fi
 
 if [[ $sanitize -eq 1 ]]; then
