@@ -33,8 +33,7 @@ fn main() {
                     format!("{}x{}x{}", g.out_h, g.out_w, g.out_c),
                     // Filter-lane core: the widest tier at every C.
                     s.streaming_level().to_string(),
-                    body_choice(s.streaming_level(), &geom, w.h + 2 * w.params.pad, true)
-                        .to_string(),
+                    body_choice(s.streaming_level(), &geom, w.h + 2 * w.params.pad).to_string(),
                 )
             }
             OpKind::Fc { k } => (

@@ -71,13 +71,12 @@ pub mod prelude {
     pub use bitflow_graph::spec::{LayerSpec, NetworkSpec};
     pub use bitflow_graph::weights::{BnParams, LayerWeights, NetworkWeights};
     pub use bitflow_graph::{
-        BatchItem, BitFlowError, CancelToken, CompiledModel, ExecPlan, FloatNetwork,
-        InferenceContext, PlanNode, PlanOptions,
+        BatchItem, BitFlowError, CancelToken, CompiledModel, FloatNetwork, InferenceContext,
     };
     pub use bitflow_net::{NetConfig, NetServer};
     pub use bitflow_ops::binary::{
         binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv, pressed_conv_into,
-        BinaryFcWeights, ConvEpilogue, PopCmp, SignThresholds,
+        BinaryFcWeights, PopCmp, SignThresholds,
     };
     pub use bitflow_ops::{ConvParams, SimdLevel};
     pub use bitflow_serve::{

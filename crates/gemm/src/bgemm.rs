@@ -11,9 +11,9 @@
 //! the sgemm literature.
 
 use crate::pack::{pack_a_rows, pack_b_fused, PackedMatrix};
+use bitflow_simd::binary_dot;
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::team;
-use bitflow_simd::{binary_dot, xor_popcount};
 
 /// Binary GEMM over pre-packed operands: `a` holds M packed rows of N bits,
 /// `bt` holds K packed rows of N bits (B already fused-transposed).
@@ -153,22 +153,6 @@ pub fn bgemm_f32(
     bgemm_packed(level, &pa, &pb, c);
 }
 
-/// Raw xor+popcount throughput primitive exposed for benches: total
-/// popcount between two packed matrices' storage. Exercises the same memory
-/// stream as bgemm without the per-row bookkeeping.
-///
-/// # Panics
-/// If the two matrices' logical geometry differs. Equal `words.len()` alone
-/// is not enough: two matrices with the same storage size but different
-/// `n_logical`/`words_per_row` splits would line up different press-tail
-/// positions and silently count tail bits as data.
-pub fn xnor_popcount_throughput(level: SimdLevel, a: &PackedMatrix, b: &PackedMatrix) -> u64 {
-    assert_eq!(a.n_logical, b.n_logical, "reduction widths differ");
-    assert_eq!(a.words_per_row, b.words_per_row, "row geometries differ");
-    assert_eq!(a.words.len(), b.words.len(), "storage sizes differ");
-    xor_popcount(level, &a.words, &b.words)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,56 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn throughput_primitive_counts() {
-        let a = PackedMatrix {
-            words: vec![u64::MAX; 8],
-            rows: 2,
-            n_logical: 256,
-            words_per_row: 4,
-        };
-        let b = PackedMatrix {
-            words: vec![0u64; 8],
-            rows: 2,
-            n_logical: 256,
-            words_per_row: 4,
-        };
-        assert_eq!(xnor_popcount_throughput(SimdLevel::Avx2, &a, &b), 512);
-    }
-
-    #[test]
     #[should_panic(expected = "reduction widths")]
     fn width_mismatch_panics() {
         let a = PackedMatrix::zeros(1, 64);
         let b = PackedMatrix::zeros(1, 128);
         let mut c = vec![0.0f32; 1];
         bgemm_packed(SimdLevel::Scalar, &a, &b, &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "reduction widths")]
-    fn throughput_rejects_mismatched_geometry() {
-        // Same words.len() (8 words each), different logical splits:
-        // 2 rows × 256 bits vs 4 rows × 128 bits. Before the geometry
-        // asserts this silently xor'd rows against misaligned press-tails.
-        let a = PackedMatrix::zeros(2, 256);
-        let b = PackedMatrix::zeros(4, 128);
-        assert_eq!(a.words.len(), b.words.len());
-        xnor_popcount_throughput(SimdLevel::Scalar, &a, &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "row geometries")]
-    fn throughput_rejects_mismatched_words_per_row() {
-        // Equal n_logical and words.len() can still disagree on rows ×
-        // words_per_row if one matrix was built with extra padding.
-        let a = PackedMatrix::zeros(2, 100); // 2 rows × 2 words
-        let b = PackedMatrix {
-            words: vec![0u64; 4],
-            rows: 1,
-            n_logical: 100,
-            words_per_row: 4,
-        };
-        assert_eq!(a.words.len(), b.words.len());
-        xnor_popcount_throughput(SimdLevel::Scalar, &a, &b);
     }
 }

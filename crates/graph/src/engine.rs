@@ -28,15 +28,14 @@
 
 use crate::cancel::CancelToken;
 use crate::error::{BitFlowError, InputGeometry, SlotKind, SlotTypeError};
-use crate::plan::{ExecPlan, PlanOptions};
-use crate::spec::{LayerIo, LayerSpec, NetworkSpec};
+use crate::plan::{self, InputPress, PlanOptions, SlotSpec};
+use crate::spec::{LayerSpec, NetworkSpec};
 use crate::weights::{LayerWeights, NetworkWeights};
 use bitflow_gemm::pack::PackedMatrix;
 use bitflow_gemm::sgemm::transpose;
 use bitflow_ops::binary::{
-    binarize_pack_into, binarize_threshold_into, binarize_windows_into, binary_max_pool_into,
-    pack_signed_dots_into, pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights,
-    SignThresholds, WindowPress,
+    binarize_pack_into, binarize_windows_into, binary_max_pool_into, pack_signed_dots_into,
+    pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::amx::{AmxBank, AmxStrip};
@@ -48,7 +47,7 @@ use bitflow_simd::team;
 use bitflow_telemetry::{
     MetricsSnapshot, ModelTelemetry, OpCost, OpDescriptor, OpKind, OpSpan, TileStats, TraceBuilder,
 };
-use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
+use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Tensor};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -90,8 +89,6 @@ thread_local! {
 enum Slot {
     /// Pressed activation map (possibly with padding margins).
     Bit(BitTensor),
-    /// Float scratch map (conv integer counts before re-binarization).
-    Map(Tensor),
     /// Float vector (FC counts / logits).
     Vec(Vec<f32>),
     /// Packed activation vector between FC layers.
@@ -99,18 +96,27 @@ enum Slot {
 }
 
 impl Slot {
+    /// The buffer [`SlotSpec`] plans.
+    fn allocate(spec: &SlotSpec) -> Self {
+        match *spec {
+            SlotSpec::Bit { h, w, c, pad } => {
+                Slot::Bit(BitTensor::zeros(h + 2 * pad, w + 2 * pad, c))
+            }
+            SlotSpec::Vec { len } => Slot::Vec(vec![0.0f32; len]),
+            SlotSpec::Packed { n } => Slot::Packed(PackedMatrix::zeros(1, n)),
+        }
+    }
     /// What this slot holds (diagnostic face of the enum).
     fn kind(&self) -> SlotKind {
         match self {
             Slot::Bit(_) => SlotKind::Bit,
-            Slot::Map(_) => SlotKind::Map,
             Slot::Vec(_) => SlotKind::Vec,
             Slot::Packed(_) => SlotKind::Packed,
         }
     }
     // The typed accessors: a mismatch yields the actual kind, and the
     // operator dispatch turns it into a `SlotTypeError` carrying the layer
-    // name — one diagnosable path instead of eight anonymous panics.
+    // name — one diagnosable path instead of anonymous panics.
     fn bit(&self) -> Result<&BitTensor, SlotKind> {
         match self {
             Slot::Bit(t) => Ok(t),
@@ -120,18 +126,6 @@ impl Slot {
     fn bit_mut(&mut self) -> Result<&mut BitTensor, SlotKind> {
         match self {
             Slot::Bit(t) => Ok(t),
-            other => Err(other.kind()),
-        }
-    }
-    fn map(&self) -> Result<&Tensor, SlotKind> {
-        match self {
-            Slot::Map(t) => Ok(t),
-            other => Err(other.kind()),
-        }
-    }
-    fn map_mut(&mut self) -> Result<&mut Tensor, SlotKind> {
-        match self {
-            Slot::Map(t) => Ok(t),
             other => Err(other.kind()),
         }
     }
@@ -147,12 +141,6 @@ impl Slot {
             other => Err(other.kind()),
         }
     }
-    fn packed(&self) -> Result<&PackedMatrix, SlotKind> {
-        match self {
-            Slot::Packed(p) => Ok(p),
-            other => Err(other.kind()),
-        }
-    }
     fn packed_mut(&mut self) -> Result<&mut PackedMatrix, SlotKind> {
         match self {
             Slot::Packed(p) => Ok(p),
@@ -163,7 +151,6 @@ impl Slot {
     fn bytes(&self) -> usize {
         match self {
             Slot::Bit(t) => t.words().len() * 8,
-            Slot::Map(t) => t.data().len() * 4,
             Slot::Vec(v) => v.len() * 4,
             Slot::Packed(p) => p.bytes(),
         }
@@ -218,58 +205,11 @@ fn slot_type(layer: &str, expected: SlotKind) -> impl FnOnce(SlotKind) -> BitFlo
     }
 }
 
-/// The compile-time description of one runtime buffer: the model keeps the
-/// *plan* (immutable, shareable), each [`InferenceContext`] allocates the
-/// actual [`Slot`]s from it.
-#[derive(Clone, Copy, Debug)]
-enum SlotSpec {
-    /// Pressed activation map of the given padded geometry.
-    Bit { h: usize, w: usize, c: usize },
-    /// Float scratch map.
-    Map { h: usize, w: usize, c: usize },
-    /// Float vector.
-    Vec { len: usize },
-    /// Single-row packed vector of `n` logical bits.
-    Packed { n: usize },
-}
-
-impl SlotSpec {
-    fn allocate(&self) -> Slot {
-        match *self {
-            SlotSpec::Bit { h, w, c } => Slot::Bit(BitTensor::zeros(h, w, c)),
-            SlotSpec::Map { h, w, c } => {
-                Slot::Map(Tensor::zeros(Shape::hwc(h, w, c), Layout::Nhwc))
-            }
-            SlotSpec::Vec { len } => Slot::Vec(vec![0.0f32; len]),
-            SlotSpec::Packed { n } => Slot::Packed(PackedMatrix::zeros(1, n)),
-        }
-    }
-}
-
-/// Source of an FC layer's input.
-#[derive(Clone, Copy)]
-enum FcIn {
-    /// Flattened pressed map in the given slot.
-    Bit(usize),
-    /// Packed vector from a previous FC.
-    Packed(usize),
-}
-
-/// How [`RtOp::BinarizeInput`] presses the image (the plan's choice, see
-/// [`ExecPlan::build`]).
-enum InputPress {
-    /// By channel, into a map padded by `pad` for the first layer.
-    Channels { pad: usize },
-    /// By window, through the dense-row scratch in slot `rows`; the first
-    /// conv then runs 1×1 at stride 1.
-    Windows { wp: WindowPress, rows: usize },
-}
-
 /// One compiled runtime operation.
 enum RtOp {
     /// Float input map → pressed input buffer.
     BinarizeInput { out: usize, press: InputPress },
-    /// Fused PressedConv + integer-threshold sign epilogue → pressed
+    /// PressedConv with the integer-threshold sign epilogue → pressed
     /// (padded) output: popcounts are compared in registers, so neither a
     /// float count map nor a dot scratch exists.
     ConvSign {
@@ -282,28 +222,6 @@ enum RtOp {
         st: SignThresholds,
         stride: usize,
         level: SimdLevel,
-        input: usize,
-        out: usize,
-        out_pad: usize,
-    },
-    /// Unfused conv: PressedConv → float count map (`BITFLOW_FUSE=0` or a
-    /// float-tapped chain). A [`RtOp::BnSign`] consumes the map.
-    ConvFloat {
-        name: String,
-        bank: BitFilterBank,
-        /// The body the conv core runs, and why.
-        body: BodyChoice,
-        stride: usize,
-        level: SimdLevel,
-        input: usize,
-        out: usize,
-    },
-    /// Standalone folded-BN threshold + sign + pack over a float count map
-    /// (the unfused second pass).
-    BnSign {
-        name: String,
-        thresholds: Vec<f32>,
-        flip: Vec<bool>,
         input: usize,
         out: usize,
         out_pad: usize,
@@ -328,7 +246,7 @@ enum RtOp {
         weights: BinaryFcWeights,
         st: SignThresholds,
         level: SimdLevel,
-        input: FcIn,
+        input: usize,
         scratch: usize,
         out: usize,
     },
@@ -337,7 +255,7 @@ enum RtOp {
         name: String,
         weights: BinaryFcWeights,
         level: SimdLevel,
-        input: FcIn,
+        input: usize,
         out: usize,
     },
 }
@@ -348,8 +266,6 @@ impl RtOp {
             RtOp::BinarizeInput { .. } => "binarize-input",
             RtOp::Reflatten { .. } => "flatten",
             RtOp::ConvSign { name, .. }
-            | RtOp::ConvFloat { name, .. }
-            | RtOp::BnSign { name, .. }
             | RtOp::Pool { name, .. }
             | RtOp::FcSign { name, .. }
             | RtOp::FcOut { name, .. } => name,
@@ -377,28 +293,27 @@ fn press_bank(
     BitFilterBank::from_pressed(pressed, fshape)
 }
 
-/// The conv core's view of a conv whose pressed input is planned as
-/// `input`, and that map's height.
+/// The conv core's view of a conv from the pressed map planned as `input`
+/// to the one planned as `out`, and the input map's height.
 fn conv_geom(
     input: &SlotSpec,
+    out: &SlotSpec,
     fshape: FilterShape,
     stride: usize,
-    out_w: usize,
 ) -> (ConvGeom, usize) {
-    let (h, w) = match *input {
-        SlotSpec::Bit { h, w, .. } => (h, w),
-        _ => unreachable!("a conv reads a pressed map"),
+    let (&SlotSpec::Bit { h, w, pad, .. }, &SlotSpec::Bit { w: out_w, .. }) = (input, out) else {
+        unreachable!("a conv maps a pressed map to a pressed map")
     };
     let g = ConvGeom {
         c_words: fshape.c.div_ceil(64),
-        in_w: w,
+        in_w: w + 2 * pad,
         kh: fshape.kh,
         kw: fshape.kw,
         stride,
         out_w,
         k: fshape.k,
     };
-    (g, h)
+    (g, h + 2 * pad)
 }
 
 /// The immutable compiled binary inference engine: packed weights, folded
@@ -408,7 +323,6 @@ fn conv_geom(
 /// [`InferenceContext`].
 pub struct CompiledModel {
     spec: NetworkSpec,
-    plan: ExecPlan,
     ops: Vec<RtOp>,
     slot_specs: Vec<SlotSpec>,
     logits_slot: usize,
@@ -480,259 +394,117 @@ impl CompiledModel {
     /// [`NetworkWeights::validate_against`] first, so the build below
     /// works on geometry-checked data only.
     pub fn try_compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Result<Self, BitFlowError> {
-        Self::try_compile_with(spec, weights, &PlanOptions::from_env())
-    }
-
-    /// [`CompiledModel::try_compile`] with explicit [`PlanOptions`] instead
-    /// of the environment's — the deterministic entry point for A/B and
-    /// differential harnesses (`BITFLOW_FUSE` is process-global; options
-    /// are not).
-    pub fn try_compile_with(
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-        opts: &PlanOptions,
-    ) -> Result<Self, BitFlowError> {
         let shapes = spec.validate()?;
         weights.validate_against(spec, &shapes)?;
-        let plan = ExecPlan::build(spec, opts);
-        let fused: std::collections::BTreeSet<&str> = plan.fused_convs().into_iter().collect();
+        let slots = plan::slots(spec, &shapes);
+        let slot_specs: Vec<SlotSpec> = slots.specs.into_iter().map(|(_, s)| s).collect();
         let scheduler = VectorScheduler::new();
-        let mut ops = Vec::new();
-        let mut slot_specs = Vec::new();
+        let mut ops = vec![RtOp::BinarizeInput {
+            out: slots.layers[0].input,
+            press: slots.press,
+        }];
         let mut pressed = Vec::new();
         let mut strip_bytes = 0;
-
-        // Input stage: binarize+pack the float input into a buffer padded
-        // for the first layer, or window by window for a first conv that
-        // then has nothing left to pad or stride over.
-        let windows = plan.input_windows();
-        let press = match windows {
-            Some(wp) => {
-                // The dense rows, as one run of words, then the window map.
-                let rows = slot_specs.len();
-                slot_specs.push(SlotSpec::Packed {
-                    n: wp.scratch_words() * 64,
-                });
-                slot_specs.push(SlotSpec::Bit {
-                    h: wp.out_h(),
-                    w: wp.out_w(),
-                    c: wp.window_bits(),
-                });
-                InputPress::Windows { wp, rows }
-            }
-            None => {
-                let pad = spec.layers[0].input_pad();
-                slot_specs.push(SlotSpec::Bit {
-                    h: spec.input.h + 2 * pad,
-                    w: spec.input.w + 2 * pad,
-                    c: spec.input.c,
-                });
-                InputPress::Channels { pad }
-            }
-        };
-        let input_slot = slot_specs.len() - 1;
-        ops.push(RtOp::BinarizeInput {
-            out: input_slot,
-            press,
-        });
-        let mut cur = CurSlot::Bit(input_slot);
-
-        for (i, layer) in spec.layers.iter().enumerate() {
-            let out_pad = spec.layers.get(i + 1).map_or(0, LayerSpec::input_pad);
-            let (in_h, in_w, in_c) = match if i == 0 {
-                LayerIo::Map {
-                    h: spec.input.h,
-                    w: spec.input.w,
-                    c: spec.input.c,
-                }
-            } else {
-                shapes[i - 1]
-            } {
-                LayerIo::Map { h, w, c } => (h, w, c),
-                LayerIo::Vector { n } => (1, 1, n),
+        let layers = spec.layers.iter().zip(&weights.layers).zip(&slots.layers);
+        for (i, ((layer, lw), at)) in layers.enumerate() {
+            let (input, out) = (at.input, at.out);
+            let out_pad = match slot_specs[out] {
+                SlotSpec::Bit { pad, .. } => pad,
+                SlotSpec::Vec { .. } | SlotSpec::Packed { .. } => 0,
             };
-            match (layer, &weights.layers[i]) {
+            match (layer, lw) {
                 (LayerSpec::Conv { name, k, params }, LayerWeights::Conv { w, fshape, bn }) => {
-                    debug_assert_eq!(*fshape, FilterShape::new(*k, params.kh, params.kw, in_c));
                     // The conv core's vector lanes are output filters, so
                     // it runs at the widest tier for every C; §III-B's
                     // channel rule (checked by `spec.validate`) governs
                     // the packing width only.
                     let level = scheduler.streaming_level();
+                    let st =
+                        SignThresholds::from_fold(&bn.fold(), params.kh * params.kw * fshape.c);
                     // Over a window-pressed input the filter's kh·kw·C
                     // floats, already in window order, are one 1×1 tap.
-                    let (fshape, stride) = match windows {
-                        Some(wp) if i == 0 => (FilterShape::new(*k, 1, 1, wp.window_bits()), 1),
+                    let (fshape, stride) = match slots.press {
+                        InputPress::Windows { wp, .. } if i == 0 => {
+                            (FilterShape::new(*k, 1, 1, wp.window_bits()), 1)
+                        }
                         _ => (*fshape, params.stride),
                     };
                     let bank = press_bank(level, w, fshape, &mut pressed);
-                    let fold = bn.fold();
-                    let (oh, ow) = match shapes[i] {
-                        LayerIo::Map { h, w, .. } => (h, w),
-                        _ => unreachable!(),
-                    };
-                    let input = cur.bit_slot();
-                    let (g, in_h) = conv_geom(&slot_specs[input], fshape, stride, ow);
-                    let out = if fused.contains(name.as_str()) {
-                        // Fused Conv→BN→Sign: the sign epilogue compares
-                        // the popcount against the folded threshold and
-                        // writes the output already pressed — on the AMX
-                        // body when the rule picks it, from int8 filters
-                        // expanded here, once.
-                        let body = body_choice(level, &g, in_h, true);
-                        let amx = (body.body == ConvBody::Amx).then(|| {
-                            strip_bytes = strip_bytes.max(AmxStrip::bytes_for(&g, in_h));
-                            let steps = g.kh * g.kw * g.c_words;
-                            AmxBank::from_lane_words(bank.lane_words(), g.k, steps)
-                        });
-                        let st = SignThresholds::from_fold(&fold, params.kh * params.kw * in_c);
-                        let out = slot_specs.len();
-                        slot_specs.push(SlotSpec::Bit {
-                            h: oh + 2 * out_pad,
-                            w: ow + 2 * out_pad,
-                            c: *k,
-                        });
-                        ops.push(RtOp::ConvSign {
-                            name: name.clone(),
-                            bank,
-                            amx,
-                            body,
-                            st,
-                            stride,
-                            level,
-                            input,
-                            out,
-                            out_pad,
-                        });
-                        out
-                    } else {
-                        // Unfused reference dataflow: conv → float count
-                        // map, then a separate BN+sign pass re-reads it.
-                        let counts = slot_specs.len();
-                        slot_specs.push(SlotSpec::Map {
-                            h: oh,
-                            w: ow,
-                            c: *k,
-                        });
-                        let out = slot_specs.len();
-                        slot_specs.push(SlotSpec::Bit {
-                            h: oh + 2 * out_pad,
-                            w: ow + 2 * out_pad,
-                            c: *k,
-                        });
-                        ops.push(RtOp::ConvFloat {
-                            name: name.clone(),
-                            bank,
-                            body: body_choice(level, &g, in_h, false),
-                            stride,
-                            level,
-                            input,
-                            out: counts,
-                        });
-                        ops.push(RtOp::BnSign {
-                            name: format!("{name}:bnsign"),
-                            thresholds: fold.thresholds,
-                            flip: fold.flip,
-                            input: counts,
-                            out,
-                            out_pad,
-                        });
-                        out
-                    };
-                    cur = CurSlot::Bit(out);
+                    let (g, in_h) = conv_geom(&slot_specs[input], &slot_specs[out], fshape, stride);
+                    // Conv→BN→Sign in one pass: the sign epilogue compares
+                    // the popcount against the folded threshold and writes
+                    // the output already pressed — on the AMX body when
+                    // the rule picks it, from int8 filters expanded here,
+                    // once.
+                    let body = body_choice(level, &g, in_h);
+                    let amx = (body.body == ConvBody::Amx).then(|| {
+                        strip_bytes = strip_bytes.max(AmxStrip::bytes_for(&g, in_h));
+                        let steps = g.kh * g.kw * g.c_words;
+                        AmxBank::from_lane_words(bank.lane_words(), g.k, steps)
+                    });
+                    ops.push(RtOp::ConvSign {
+                        name: name.clone(),
+                        bank,
+                        amx,
+                        body,
+                        st,
+                        stride,
+                        level,
+                        input,
+                        out,
+                        out_pad,
+                    });
                 }
                 (LayerSpec::Pool { name, params }, LayerWeights::Pool) => {
-                    let (oh, ow, oc) = match shapes[i] {
-                        LayerIo::Map { h, w, c } => (h, w, c),
-                        _ => unreachable!(),
-                    };
-                    let _ = (in_h, in_w);
-                    let out = slot_specs.len();
-                    slot_specs.push(SlotSpec::Bit {
-                        h: oh + 2 * out_pad,
-                        w: ow + 2 * out_pad,
-                        c: oc,
-                    });
                     ops.push(RtOp::Pool {
                         name: name.clone(),
                         kh: params.kh,
                         kw: params.kw,
                         stride: params.stride,
-                        level: scheduler.try_select(in_c)?.level,
-                        input: cur.bit_slot(),
+                        level: scheduler.try_select(spec.input_width(i, &shapes))?.level,
+                        input,
                         out,
                         out_pad,
                     });
-                    cur = CurSlot::Bit(out);
                 }
-                (LayerSpec::Fc { name, k }, LayerWeights::Fc { w, n, k: wk, bn }) => {
-                    debug_assert_eq!(k, wk, "fc width mismatch");
-                    let fc_in = match cur {
-                        CurSlot::Bit(slot) => {
-                            let (bh, bw, bc) = match slot_specs[slot] {
-                                SlotSpec::Bit { h, w, c } => (h, w, c),
-                                _ => unreachable!("FC input slot is pressed"),
-                            };
-                            // Direct flatten works when pixels are
-                            // word-tight (no press-tail gaps between
-                            // pixels) and the buffer carries no padding.
-                            let tight = bc % 64 == 0 || (bh == 1 && bw == 1);
-                            debug_assert_eq!(bh * bw * bc, *n, "flatten width");
-                            if tight {
-                                FcIn::Bit(slot)
-                            } else {
-                                let flat = slot_specs.len();
-                                slot_specs.push(SlotSpec::Packed { n: *n });
-                                ops.push(RtOp::Reflatten {
-                                    input: slot,
-                                    out: flat,
-                                });
-                                FcIn::Packed(flat)
-                            }
+                (LayerSpec::Fc { name, .. }, LayerWeights::Fc { w, n, k, bn }) => {
+                    let input = match at.flat {
+                        Some(flat) => {
+                            ops.push(RtOp::Reflatten { input, out: flat });
+                            flat
                         }
-                        CurSlot::Packed(slot) => FcIn::Packed(slot),
+                        None => input,
                     };
-                    let weights_packed = BinaryFcWeights::pack(w, *n, *k);
+                    let weights = BinaryFcWeights::pack(w, *n, *k);
                     let level = scheduler.streaming_level();
-                    let is_last = i + 1 == spec.layers.len();
-                    if is_last {
-                        let out = slot_specs.len();
-                        slot_specs.push(SlotSpec::Vec { len: *k });
-                        ops.push(RtOp::FcOut {
-                            name: name.clone(),
-                            weights: weights_packed,
-                            level,
-                            input: fc_in,
-                            out,
-                        });
-                        cur = CurSlot::Packed(usize::MAX); // terminal
-                    } else {
+                    let name = name.clone();
+                    ops.push(match at.dots {
                         // The FC dots are integer-valued (n − 2·popcount),
                         // so the same popcount-domain epilogue applies with
                         // window width n.
-                        let st = SignThresholds::from_fold(&bn.fold(), *n);
-                        let scratch = slot_specs.len();
-                        slot_specs.push(SlotSpec::Vec { len: *k });
-                        let out = slot_specs.len();
-                        slot_specs.push(SlotSpec::Packed { n: *k });
-                        ops.push(RtOp::FcSign {
-                            name: name.clone(),
-                            weights: weights_packed,
-                            st,
+                        Some(scratch) => RtOp::FcSign {
+                            name,
+                            weights,
+                            st: SignThresholds::from_fold(&bn.fold(), *n),
                             level,
-                            input: fc_in,
+                            input,
                             scratch,
                             out,
-                        });
-                        cur = CurSlot::Packed(out);
-                    }
+                        },
+                        None => RtOp::FcOut {
+                            name,
+                            weights,
+                            level,
+                            input,
+                            out,
+                        },
+                    });
                 }
                 // validate_against() already rejected kind disagreements.
                 (l, _) => unreachable!("spec/weights mismatch at layer {}", l.name()),
             }
         }
 
-        let logits_slot = slot_specs.len() - 1;
         // The AMX copies are weights this engine holds, as resident as the
         // words they were expanded from.
         let amx_bytes: usize = ops
@@ -746,10 +518,9 @@ impl CompiledModel {
             .sum();
         let mut model = Self {
             spec: spec.clone(),
-            plan,
             ops,
+            logits_slot: slot_specs.len() - 1,
             slot_specs,
-            logits_slot,
             float_bytes: weights.float_bytes(),
             packed_bytes: weights.packed_bytes() + amx_bytes,
             strip_bytes,
@@ -761,15 +532,14 @@ impl CompiledModel {
         Ok(model)
     }
 
-    /// The execution plan this engine compiled to — introspection for
-    /// tests and tools asserting exactly which Conv→BN→Sign chains fused.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// Names of convs whose sign epilogue fused, in execution order.
-    pub fn fused_conv_names(&self) -> Vec<&str> {
-        self.plan.fused_convs()
+    /// [`CompiledModel::try_compile`]: [`PlanOptions`] has nothing left to
+    /// choose.
+    pub fn try_compile_with(
+        spec: &NetworkSpec,
+        weights: &NetworkWeights,
+        _opts: &PlanOptions,
+    ) -> Result<Self, BitFlowError> {
+        Self::try_compile(spec, weights)
     }
 
     /// The pressed weights this engine holds, `(operator name, words)` in
@@ -780,9 +550,7 @@ impl CompiledModel {
         self.ops
             .iter()
             .filter_map(|op| match op {
-                RtOp::ConvSign { name, bank, .. } | RtOp::ConvFloat { name, bank, .. } => {
-                    Some((name.as_str(), bank.lane_words()))
-                }
+                RtOp::ConvSign { name, bank, .. } => Some((name.as_str(), bank.lane_words())),
                 RtOp::FcSign { name, weights, .. } | RtOp::FcOut { name, weights, .. } => {
                     Some((name.as_str(), weights.packed().words.as_slice()))
                 }
@@ -812,8 +580,8 @@ impl CompiledModel {
             .try_reserve_exact(self.slot_specs.len())
             .map_err(|_| exhausted(self.slot_specs.len() * std::mem::size_of::<Slot>()))?;
         for spec in &self.slot_specs {
-            probe(slot_bytes(spec))?;
-            slots.push(spec.allocate());
+            probe(spec.bytes())?;
+            slots.push(Slot::allocate(spec));
         }
         let parts = self.strip_parts();
         let mut strips = Vec::new();
@@ -851,7 +619,7 @@ impl CompiledModel {
     /// Activation/scratch bytes each [`InferenceContext`] pre-allocates:
     /// the planned buffers plus [`CompiledModel::conv_scratch_bytes`].
     pub fn context_bytes(&self) -> usize {
-        self.slot_specs.iter().map(slot_bytes).sum::<usize>() + self.conv_scratch_bytes()
+        self.slot_specs.iter().map(SlotSpec::bytes).sum::<usize>() + self.conv_scratch_bytes()
     }
 
     /// Bytes of a context's AMX strips (one per team part): scratch of the
@@ -894,120 +662,66 @@ impl CompiledModel {
     /// many effective xor+popcount bit-operations one call performs, how
     /// many bytes it moves, and (for GEMM-backed ops) the bgemm tile shape.
     /// Pure geometry — computed once here so the serving hot path records
-    /// nothing but latency. Public so roofline/regression gates can compare
-    /// fused vs. unfused bytes-moved without enabling telemetry.
+    /// nothing but latency. Public so roofline gates can read bytes moved
+    /// without enabling telemetry.
     pub fn op_descriptors(&self) -> Vec<OpDescriptor> {
+        let bytes = |slot: usize| self.slot_specs[slot].bytes();
+        // An op that reads one slot and writes another, computing nothing.
+        let moves = |input: usize, out: usize| OpCost {
+            bit_ops: 0,
+            bytes_read: bytes(input) as u64,
+            bytes_written: bytes(out) as u64,
+            tile: None,
+        };
         self.ops
             .iter()
             .map(|op| {
-                let body = match op {
-                    RtOp::ConvSign { body, .. } | RtOp::ConvFloat { body, .. } => Some(*body),
-                    _ => None,
-                };
-                let (kind, cost) = match op {
+                let (kind, cost, body) = match op {
                     RtOp::BinarizeInput { out, press } => {
                         // A window press writes its dense rows and reads
                         // them back for the gather.
                         let rows = match press {
-                            InputPress::Windows { rows, .. } => slot_bytes(&self.slot_specs[*rows]),
+                            InputPress::Windows { rows, .. } => bytes(*rows),
                             InputPress::Channels { .. } => 0,
                         };
-                        (
-                            OpKind::Binarize,
-                            OpCost {
-                                bit_ops: 0,
-                                bytes_read: (self.spec.input.numel() * 4 + rows) as u64,
-                                bytes_written: (rows + slot_bytes(&self.slot_specs[*out])) as u64,
-                                tile: None,
-                            },
-                        )
+                        let cost = OpCost {
+                            bit_ops: 0,
+                            bytes_read: (self.spec.input.numel() * 4 + rows) as u64,
+                            bytes_written: (rows + bytes(*out)) as u64,
+                            tile: None,
+                        };
+                        (OpKind::Binarize, cost, None)
                     }
                     RtOp::ConvSign {
                         bank,
+                        body,
                         input,
                         out,
-                        out_pad,
                         ..
                     } => {
                         let f = bank.shape();
-                        let cw = bank.c_words();
-                        let (oh, ow) = match self.slot_specs[*out] {
-                            SlotSpec::Bit { h, w, .. } => (h - 2 * out_pad, w - 2 * out_pad),
-                            _ => (0, 0),
+                        let SlotSpec::Bit { h, w, .. } = self.slot_specs[*out] else {
+                            unreachable!("a conv writes a pressed map")
                         };
                         // One output element = one binary dot over the
                         // kh·kw window of pressed words; every evaluated
                         // bit position costs one xor + one
                         // popcount-accumulate.
-                        let window_bits = (f.kh * f.kw * cw * 64) as u64;
-                        (
-                            OpKind::Conv,
-                            OpCost {
-                                bit_ops: 2 * (oh * ow * f.k) as u64 * window_bits,
-                                bytes_read: (slot_bytes(&self.slot_specs[*input])
-                                    + bank.packed_bytes())
-                                    as u64,
-                                bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
-                                tile: None,
-                            },
-                        )
-                    }
-                    RtOp::ConvFloat {
-                        bank, input, out, ..
-                    } => {
-                        let f = bank.shape();
-                        let cw = bank.c_words();
-                        let (oh, ow) = match self.slot_specs[*out] {
-                            SlotSpec::Map { h, w, .. } => (h, w),
-                            _ => (0, 0),
+                        let window_bits = (f.kh * f.kw * bank.c_words() * 64) as u64;
+                        let cost = OpCost {
+                            bit_ops: 2 * (h * w * f.k) as u64 * window_bits,
+                            bytes_read: (bytes(*input) + bank.packed_bytes()) as u64,
+                            bytes_written: bytes(*out) as u64,
+                            tile: None,
                         };
-                        let window_bits = (f.kh * f.kw * cw * 64) as u64;
-                        (
-                            OpKind::Conv,
-                            OpCost {
-                                bit_ops: 2 * (oh * ow * f.k) as u64 * window_bits,
-                                bytes_read: (slot_bytes(&self.slot_specs[*input])
-                                    + bank.packed_bytes())
-                                    as u64,
-                                // The float count map the fused epilogue
-                                // never materializes.
-                                bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
-                                tile: None,
-                            },
-                        )
+                        (OpKind::Conv, cost, Some(*body))
                     }
-                    RtOp::BnSign { input, out, .. } => (
-                        OpKind::Binarize,
-                        OpCost {
-                            bit_ops: 0,
-                            bytes_read: slot_bytes(&self.slot_specs[*input]) as u64,
-                            bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
-                            tile: None,
-                        },
-                    ),
-                    RtOp::Pool { input, out, .. } => (
-                        OpKind::Pool,
-                        OpCost {
-                            bit_ops: 0,
-                            bytes_read: slot_bytes(&self.slot_specs[*input]) as u64,
-                            bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
-                            tile: None,
-                        },
-                    ),
-                    RtOp::Reflatten { input, out } => (
-                        OpKind::Flatten,
-                        OpCost {
-                            bit_ops: 0,
-                            bytes_read: slot_bytes(&self.slot_specs[*input]) as u64,
-                            bytes_written: slot_bytes(&self.slot_specs[*out]) as u64,
-                            tile: None,
-                        },
-                    ),
-                    RtOp::FcSign { weights, out, .. } => (
-                        OpKind::Fc,
-                        (fc_cost(weights, Some(slot_bytes(&self.slot_specs[*out])))),
-                    ),
-                    RtOp::FcOut { weights, .. } => (OpKind::FcOut, fc_cost(weights, None)),
+                    RtOp::Pool { input, out, .. } => (OpKind::Pool, moves(*input, *out), None),
+                    RtOp::Reflatten { input, out } => (OpKind::Flatten, moves(*input, *out), None),
+                    RtOp::FcSign { weights, out, .. } => {
+                        (OpKind::Fc, fc_cost(weights, Some(bytes(*out))), None)
+                    }
+                    RtOp::FcOut { weights, .. } => (OpKind::FcOut, fc_cost(weights, None), None),
                 };
                 OpDescriptor {
                     name: op.name().to_string(),
@@ -1319,11 +1033,6 @@ impl CompiledModel {
         self.fault_hook.set(hook).is_ok()
     }
 
-    /// Whether a fault hook is installed.
-    pub fn fault_hook_installed(&self) -> bool {
-        self.fault_hook.get().is_some()
-    }
-
     fn run_op(
         &self,
         ctx: &mut InferenceContext,
@@ -1388,36 +1097,6 @@ impl CompiledModel {
                     amx.as_ref().map(|bank| (bank, &mut ctx.strips[..])),
                 );
             }
-            RtOp::ConvFloat {
-                bank,
-                stride,
-                level,
-                input: in_slot,
-                out,
-                ..
-            } => {
-                let (inp, dst) = two_slots(slots, *in_slot, *out);
-                let input = inp.bit().map_err(slot_type(op_name, SlotKind::Bit))?;
-                let counts = dst.map_mut().map_err(slot_type(op_name, SlotKind::Map))?;
-                pressed_conv_into(*level, input, bank, *stride, counts, parallel);
-            }
-            RtOp::BnSign {
-                thresholds,
-                flip,
-                input: in_slot,
-                out,
-                out_pad,
-                ..
-            } => {
-                let (src, dst) = two_slots(slots, *in_slot, *out);
-                binarize_threshold_into(
-                    src.map().map_err(slot_type(op_name, SlotKind::Map))?,
-                    thresholds,
-                    flip,
-                    dst.bit_mut().map_err(slot_type(op_name, SlotKind::Bit))?,
-                    *out_pad,
-                );
-            }
             RtOp::Pool {
                 kh,
                 kw,
@@ -1454,12 +1133,12 @@ impl CompiledModel {
                 weights,
                 st,
                 level,
-                input: fc_in,
+                input,
                 scratch,
                 out,
                 ..
             } => {
-                run_fc_into(op_name, slots, *fc_in, weights, *level, *scratch, parallel)?;
+                run_fc_into(op_name, slots, *input, weights, *level, *scratch, parallel)?;
                 let (scr, dst) = two_slots(slots, *scratch, *out);
                 let packed = dst
                     .packed_mut()
@@ -1473,40 +1152,14 @@ impl CompiledModel {
             RtOp::FcOut {
                 weights,
                 level,
-                input: fc_in,
+                input,
                 out,
                 ..
             } => {
-                run_fc_into(op_name, slots, *fc_in, weights, *level, *out, parallel)?;
+                run_fc_into(op_name, slots, *input, weights, *level, *out, parallel)?;
             }
         }
         Ok(())
-    }
-}
-
-/// Tracks which slot holds the live activation during compilation.
-enum CurSlot {
-    Bit(usize),
-    Packed(usize),
-}
-
-impl CurSlot {
-    fn bit_slot(&self) -> usize {
-        match self {
-            CurSlot::Bit(s) => *s,
-            CurSlot::Packed(_) => panic!("spatial layer after FC"),
-        }
-    }
-}
-
-/// Planned size of a slot in bytes, mirroring [`SlotSpec::allocate`]'s
-/// layout arithmetic without allocating.
-fn slot_bytes(spec: &SlotSpec) -> usize {
-    match *spec {
-        SlotSpec::Bit { h, w, c } => h * w * c.div_ceil(64) * 8,
-        SlotSpec::Map { h, w, c } => h * w * c * 4,
-        SlotSpec::Vec { len } => len * 4,
-        SlotSpec::Packed { n } => n.div_ceil(64) * 8,
     }
 }
 
@@ -1545,32 +1198,24 @@ fn two_slots(slots: &mut [Slot], a: usize, b: usize) -> (&mut Slot, &mut Slot) {
     }
 }
 
-/// Runs the binary FC matmul allocation-free, reading from either a
-/// flattened pressed map (whose word array, for word-tight channel counts,
-/// *is* the packed activation vector) or a packed vector, writing the K dot
-/// products into the vec slot `out`.
+/// Runs the binary FC matmul allocation-free, reading from slot `input`,
+/// either a flattened pressed map (whose word array, for word-tight channel
+/// counts, *is* the packed activation vector) or a packed vector, writing
+/// the K dot products into the vec slot `out`.
 fn run_fc_into(
     op_name: &str,
     slots: &mut [Slot],
-    fc_in: FcIn,
+    input: usize,
     weights: &BinaryFcWeights,
     level: SimdLevel,
     out: usize,
     parallel: bool,
 ) -> Result<(), BitFlowError> {
-    let in_slot = match fc_in {
-        FcIn::Bit(s) | FcIn::Packed(s) => s,
-    };
-    let (inp, dst) = two_slots(slots, in_slot, out);
-    let words: &[u64] = match fc_in {
-        FcIn::Bit(_) => inp
-            .bit()
-            .map_err(slot_type(op_name, SlotKind::Bit))?
-            .words(),
-        FcIn::Packed(_) => inp
-            .packed()
-            .map_err(slot_type(op_name, SlotKind::Packed))?
-            .row(0),
+    let (inp, dst) = two_slots(slots, input, out);
+    let words: &[u64] = match inp {
+        Slot::Bit(t) => t.words(),
+        Slot::Packed(p) => p.row(0),
+        other => return Err(slot_type(op_name, SlotKind::Packed)(other.kind())),
     };
     let dst = dst.vec_mut().map_err(slot_type(op_name, SlotKind::Vec))?;
     if parallel {
@@ -1782,6 +1427,7 @@ mod tests {
 
     use super::*;
     use crate::models::{mlp, small_cnn, tiered_cnn};
+    use bitflow_tensor::{Layout, Shape};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
     use std::sync::Mutex;
@@ -1891,134 +1537,128 @@ mod tests {
     #[test]
     fn every_observer_sees_the_same_run() {
         for spec in [small_cnn(), tiered_cnn(), mlp(256, 128)] {
-            for opts in [PlanOptions::default(), PlanOptions::unfused()] {
-                let case = format!("{} fuse={}", spec.name, opts.fuse);
-                let mut rng = StdRng::seed_from_u64(31);
-                let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-                let inputs = random_inputs(&spec, 5, 32);
-                let input = &inputs[0];
-                // Telemetry is per model and stays on once enabled, so the
-                // same weights are compiled twice: one model nobody watches,
-                // one with telemetry.
-                let bare = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("bare");
-                let watched =
-                    CompiledModel::try_compile_with(&spec, &weights, &opts).expect("watched");
-                watched.enable_telemetry();
-                let names: Vec<String> =
-                    bare.op_descriptors().into_iter().map(|d| d.name).collect();
-                let want = infer(&bare, input);
+            let case = &spec.name;
+            let mut rng = StdRng::seed_from_u64(31);
+            let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+            let inputs = random_inputs(&spec, 5, 32);
+            let input = &inputs[0];
+            // Telemetry is per model and stays on once enabled, so the
+            // same weights are compiled twice: one model nobody watches,
+            // one with telemetry.
+            let bare = compile(&spec, &weights);
+            let watched = compile(&spec, &weights);
+            watched.enable_telemetry();
+            let names: Vec<String> = bare.op_descriptors().into_iter().map(|d| d.name).collect();
+            let want = infer(&bare, input);
 
-                let traced = |model: &CompiledModel| {
-                    let tb = Arc::new(TraceBuilder::new("req"));
-                    let item = BatchItem {
-                        trace: Some(Arc::clone(&tb)),
-                        ..BatchItem::new(input)
-                    };
-                    let logits = model.run(&mut fresh(model), &item).expect("traced");
-                    let spans = tb.finish().spans;
-                    for w in spans.windows(2) {
-                        assert!(
-                            w[0].start_ns + w[0].duration_ns <= w[1].start_ns,
-                            "{case}: op spans run in sequence on one timeline"
-                        );
-                    }
-                    (
-                        logits,
-                        spans.into_iter().map(|s| s.name).collect::<Vec<_>>(),
-                    )
+            let traced = |model: &CompiledModel| {
+                let tb = Arc::new(TraceBuilder::new("req"));
+                let item = BatchItem {
+                    trace: Some(Arc::clone(&tb)),
+                    ..BatchItem::new(input)
                 };
-                assert_eq!(
-                    traced(&bare),
-                    (want.clone(), names.clone()),
-                    "{case}: trace"
-                );
-                assert_eq!(infer(&watched, input), want, "{case}: telemetry");
-                assert_eq!(
-                    traced(&watched),
-                    (want.clone(), names.clone()),
-                    "{case}: both"
-                );
-                let (profiled, times) = bare
-                    .try_infer_profiled(&mut fresh(&bare), input)
-                    .expect("profiled");
-                assert_eq!(profiled, want, "{case}: profiled");
-                let timed: Vec<String> = times.into_iter().map(|(name, _)| name).collect();
-                assert_eq!(timed, names, "{case}: profiled ops");
-                let snap = watched.metrics_snapshot().expect("enabled");
-                assert_eq!(snap.requests, 2, "{case}");
-                let channels: Vec<&str> = snap.ops.iter().map(|o| o.name.as_str()).collect();
-                assert_eq!(channels, names, "{case}: telemetry channels");
-                assert!(snap.ops.iter().all(|o| o.calls == 2), "{case}");
-                assert!(
-                    bare.metrics_snapshot().is_none(),
-                    "{case}: running enables nothing"
-                );
-
-                // Batches, on the caller and (forced) over the team,
-                // watched or not, are the serial runs.
-                let mut ctx = fresh(&bare);
-                let serial: Vec<Vec<f32>> = inputs
-                    .iter()
-                    .map(|img| bare.try_infer(&mut ctx, img).expect("serial"))
-                    .collect();
-                let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
-                let pool = two_threads();
-                for model in [&bare, &watched] {
-                    for fan_out in [false, true] {
-                        let got =
-                            pool.install(|| model.run_chunks(&mut fresh(model), &items, fan_out));
-                        assert_eq!(oks(got), serial, "{case}: fan_out={fan_out}");
-                    }
+                let logits = model.run(&mut fresh(model), &item).expect("traced");
+                let spans = tb.finish().spans;
+                for w in spans.windows(2) {
+                    assert!(
+                        w[0].start_ns + w[0].duration_ns <= w[1].start_ns,
+                        "{case}: op spans run in sequence on one timeline"
+                    );
                 }
+                (
+                    logits,
+                    spans.into_iter().map(|s| s.name).collect::<Vec<_>>(),
+                )
+            };
+            assert_eq!(
+                traced(&bare),
+                (want.clone(), names.clone()),
+                "{case}: trace"
+            );
+            assert_eq!(infer(&watched, input), want, "{case}: telemetry");
+            assert_eq!(
+                traced(&watched),
+                (want.clone(), names.clone()),
+                "{case}: both"
+            );
+            let (profiled, times) = bare
+                .try_infer_profiled(&mut fresh(&bare), input)
+                .expect("profiled");
+            assert_eq!(profiled, want, "{case}: profiled");
+            let timed: Vec<String> = times.into_iter().map(|(name, _)| name).collect();
+            assert_eq!(timed, names, "{case}: profiled ops");
+            let snap = watched.metrics_snapshot().expect("enabled");
+            assert_eq!(snap.requests, 2, "{case}");
+            let channels: Vec<&str> = snap.ops.iter().map(|o| o.name.as_str()).collect();
+            assert_eq!(channels, names, "{case}: telemetry channels");
+            assert!(snap.ops.iter().all(|o| o.calls == 2), "{case}");
+            assert!(
+                bare.metrics_snapshot().is_none(),
+                "{case}: running enables nothing"
+            );
 
-                // A token that fires at operator boundary k: the hook
-                // cancels it as operator k − 1 starts, that operator runs
-                // to completion, and the check before operator k trips.
-                let armed: Arc<Mutex<Option<(usize, CancelToken)>>> = Arc::default();
-                let hook_armed = Arc::clone(&armed);
-                assert!(watched.install_fault_hook(Arc::new(move |i, _, _| {
-                    if let Some((k, token)) = &*hook_armed.lock().expect("hook lock") {
-                        if i + 1 == *k {
-                            token.cancel();
-                        }
-                    }
-                })));
-                let mut ctx = fresh(&watched);
-                for k in 0..names.len() {
-                    let token = CancelToken::new();
-                    if k == 0 {
+            // Batches, on the caller and (forced) over the team,
+            // watched or not, are the serial runs.
+            let mut ctx = fresh(&bare);
+            let serial: Vec<Vec<f32>> = inputs
+                .iter()
+                .map(|img| bare.try_infer(&mut ctx, img).expect("serial"))
+                .collect();
+            let items: Vec<BatchItem<'_>> = inputs.iter().map(BatchItem::new).collect();
+            let pool = two_threads();
+            for model in [&bare, &watched] {
+                for fan_out in [false, true] {
+                    let got = pool.install(|| model.run_chunks(&mut fresh(model), &items, fan_out));
+                    assert_eq!(oks(got), serial, "{case}: fan_out={fan_out}");
+                }
+            }
+
+            // A token that fires at operator boundary k: the hook
+            // cancels it as operator k − 1 starts, that operator runs
+            // to completion, and the check before operator k trips.
+            let armed: Arc<Mutex<Option<(usize, CancelToken)>>> = Arc::default();
+            let hook_armed = Arc::clone(&armed);
+            assert!(watched.install_fault_hook(Arc::new(move |i, _, _| {
+                if let Some((k, token)) = &*hook_armed.lock().expect("hook lock") {
+                    if i + 1 == *k {
                         token.cancel();
                     }
-                    *armed.lock().expect("lock") = Some((k, token.clone()));
-                    let before = calls(&watched);
-                    let tb = Arc::new(TraceBuilder::new("cut"));
-                    let item = BatchItem {
-                        cancel: &token,
-                        trace: Some(Arc::clone(&tb)),
-                        ..BatchItem::new(input)
-                    };
-                    let cut = watched.run(&mut ctx, &item);
-                    assert!(
-                        matches!(cut, Err(BitFlowError::Cancelled)),
-                        "{case}: k={k} got {cut:?}"
-                    );
-                    let spans: Vec<String> =
-                        tb.finish().spans.into_iter().map(|s| s.name).collect();
-                    assert_eq!(spans, names[..k], "{case}: k={k} spans");
-                    let ran: Vec<u64> = calls(&watched)
-                        .iter()
-                        .zip(&before)
-                        .map(|(after, before)| after - before)
-                        .collect();
-                    let expect: Vec<u64> = (0..names.len()).map(|j| u64::from(j < k)).collect();
-                    assert_eq!(ran, expect, "{case}: k={k} telemetry calls");
-                    *armed.lock().expect("lock") = None;
-                    assert_eq!(
-                        watched.try_infer(&mut ctx, input).expect("full run"),
-                        want,
-                        "{case}: k={k} the abandoned run must not poison its context"
-                    );
                 }
+            })));
+            let mut ctx = fresh(&watched);
+            for k in 0..names.len() {
+                let token = CancelToken::new();
+                if k == 0 {
+                    token.cancel();
+                }
+                *armed.lock().expect("lock") = Some((k, token.clone()));
+                let before = calls(&watched);
+                let tb = Arc::new(TraceBuilder::new("cut"));
+                let item = BatchItem {
+                    cancel: &token,
+                    trace: Some(Arc::clone(&tb)),
+                    ..BatchItem::new(input)
+                };
+                let cut = watched.run(&mut ctx, &item);
+                assert!(
+                    matches!(cut, Err(BitFlowError::Cancelled)),
+                    "{case}: k={k} got {cut:?}"
+                );
+                let spans: Vec<String> = tb.finish().spans.into_iter().map(|s| s.name).collect();
+                assert_eq!(spans, names[..k], "{case}: k={k} spans");
+                let ran: Vec<u64> = calls(&watched)
+                    .iter()
+                    .zip(&before)
+                    .map(|(after, before)| after - before)
+                    .collect();
+                let expect: Vec<u64> = (0..names.len()).map(|j| u64::from(j < k)).collect();
+                assert_eq!(ran, expect, "{case}: k={k} telemetry calls");
+                *armed.lock().expect("lock") = None;
+                assert_eq!(
+                    watched.try_infer(&mut ctx, input).expect("full run"),
+                    want,
+                    "{case}: k={k} the abandoned run must not poison its context"
+                );
             }
         }
     }
@@ -2178,10 +1818,7 @@ mod tests {
         let spec = tiered_cnn();
         let weights = NetworkWeights::random(&spec, &mut StdRng::seed_from_u64(8));
         let model = compile(&spec, &weights);
-        let wp = model
-            .plan()
-            .input_windows()
-            .expect("3×3×3 is window-pressed");
+        let wp = plan::input_windows(&spec).expect("3×3×3 is window-pressed");
         let (rows, map) = (wp.scratch_words() as u64 * 8, 32 * 32 * 8);
         let ops = model.op_descriptors();
         assert_eq!(ops[0].name, "binarize-input");

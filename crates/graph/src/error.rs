@@ -27,8 +27,6 @@ use std::fmt;
 pub enum SlotKind {
     /// Pressed (bit-packed) activation map.
     Bit,
-    /// Float scratch map.
-    Map,
     /// Float vector.
     Vec,
     /// Packed activation vector.
@@ -39,7 +37,6 @@ impl fmt::Display for SlotKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SlotKind::Bit => write!(f, "pressed map"),
-            SlotKind::Map => write!(f, "float map"),
             SlotKind::Vec => write!(f, "float vector"),
             SlotKind::Packed => write!(f, "packed vector"),
         }

@@ -54,6 +54,6 @@ pub use error::{
 };
 pub use model_io::{load_model, save_model, ModelIoError};
 pub use models::{small_cnn, vgg16, vgg19};
-pub use plan::{fuse_enabled_from, ExecPlan, MemoryPlan, PlanNode, PlanOptions};
+pub use plan::{MemoryPlan, PlanOptions};
 pub use spec::{LayerSpec, NetworkSpec};
 pub use weights::{BnParams, LayerWeights, NetworkWeights, DEFAULT_BN_EPS};

@@ -1,275 +1,197 @@
-//! Static memory planning report.
+//! Static memory planning.
 //!
 //! The paper's network-level optimization pre-allocates "all the memory
 //! needed for storing the output and intermediate results by analysis of
-//! the neural network as a static computational graph". The engine does
-//! that at compile time — the plan lives in the shared
-//! [`crate::engine::CompiledModel`], and every
-//! [`crate::engine::InferenceContext`] allocates one copy of these buffers.
-//! This module derives the same numbers *without* compiling, so tools and
-//! docs can report a model's runtime footprint from its spec alone; for a
-//! concurrent deployment, total activation memory is
-//! [`MemoryPlan::contexts_bytes`] for the chosen session count on top of the
-//! one shared packed-weight copy.
+//! the neural network as a static computational graph". [`slots`] is that
+//! analysis: from the spec alone — no weights — it lays out every buffer
+//! the binary engine reads and writes, each sized at the padded geometry
+//! its consumer requires, and [`crate::engine::CompiledModel::try_compile`]
+//! lowers the layers onto exactly those buffers. [`MemoryPlan`] reports
+//! the same buffers, so tools and docs can give a model's runtime footprint
+//! without compiling; for a concurrent deployment, total activation memory
+//! is [`MemoryPlan::contexts_bytes`] for the chosen session count on top of
+//! the one shared packed-weight copy.
 
 use crate::spec::{LayerIo, LayerSpec, NetworkSpec};
 use bitflow_ops::binary::WindowPress;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
-/// Compile-time planning options, shared by [`MemoryPlan`] and
-/// [`crate::engine::CompiledModel`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanOptions {
-    /// Fuse Conv→BN→Sign chains into a single integer-threshold node
-    /// (default). When false every conv materializes its float count map
-    /// and a separate BN+sign pass re-reads it — the paper's unfused
-    /// reference dataflow, kept as an A/B and debugging path.
-    pub fuse: bool,
-    /// Conv layers whose float output is observed by something other than
-    /// the following BN+sign (e.g. a profiling tap). Fusion would make the
-    /// float map unobservable, so these chains are never fused.
-    pub float_taps: BTreeSet<String>,
+/// Compile-time planning options: none are left, since every spec has one
+/// lowering. Kept for [`crate::engine::CompiledModel::try_compile_with`]'s
+/// callers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanOptions;
+
+/// The window press of the first layer, if it gets one: a first conv whose
+/// whole window fits one word (`kh·kw·C ≤ 64`: an RGB 3×3 is 27 bits) has
+/// its input pressed by window, so its `kh·kw` window steps — each a 64-bit
+/// word holding `C` real bits, §III-B's "else pad channels" — become one.
+/// A pure function of the first layer's geometry; every other layer, and
+/// every wider first layer, is channel-pressed.
+pub fn input_windows(spec: &NetworkSpec) -> Option<WindowPress> {
+    match spec.layers.first() {
+        Some(LayerSpec::Conv { params, .. }) => {
+            let taps = params.kh.checked_mul(params.kw);
+            let bits = taps.and_then(|t| t.checked_mul(spec.input.c));
+            matches!(bits, Some(1..=64)).then(|| WindowPress::new(spec.input, *params))
+        }
+        _ => None,
+    }
 }
 
-impl Default for PlanOptions {
-    fn default() -> Self {
-        Self {
-            fuse: true,
-            float_taps: BTreeSet::new(),
+/// One runtime buffer, as every [`crate::engine::InferenceContext`]
+/// allocates it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SlotSpec {
+    /// Pressed `h×w×c` activation map inside a margin of `pad` pixels.
+    Bit {
+        h: usize,
+        w: usize,
+        c: usize,
+        pad: usize,
+    },
+    /// Float vector.
+    Vec { len: usize },
+    /// Single-row packed vector of `n` logical bits.
+    Packed { n: usize },
+}
+
+impl SlotSpec {
+    /// Elements held, before padding and pressing.
+    fn logical_elems(&self) -> usize {
+        match *self {
+            SlotSpec::Bit { h, w, c, .. } => h * w * c,
+            SlotSpec::Vec { len } => len,
+            SlotSpec::Packed { n } => n,
+        }
+    }
+
+    /// Bytes allocated, padding margins and press tail included.
+    pub(crate) fn bytes(&self) -> usize {
+        match *self {
+            SlotSpec::Bit { h, w, c, pad } => (h + 2 * pad) * (w + 2 * pad) * c.div_ceil(64) * 8,
+            SlotSpec::Vec { len } => len * 4,
+            SlotSpec::Packed { n } => n.div_ceil(64) * 8,
         }
     }
 }
 
-impl PlanOptions {
-    /// Options honoring the `BITFLOW_FUSE` environment variable
-    /// (`0`/`false`/`off`/`no` disable fusion; anything else, or unset,
-    /// enables it).
-    pub fn from_env() -> Self {
-        Self {
-            fuse: fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()),
-            ..Self::default()
+/// How the input stage presses the image.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum InputPress {
+    /// By channel, into a map padded by `pad` for the first layer.
+    Channels { pad: usize },
+    /// By window ([`input_windows`]), through the dense-row scratch in slot
+    /// `rows`; the first conv then runs 1×1 at stride 1.
+    Windows { wp: WindowPress, rows: usize },
+}
+
+/// The slots one layer reads and writes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LayerSlots {
+    /// The activation it reads: a pressed map, or a packed vector.
+    pub(crate) input: usize,
+    /// FC over a map that is not word-tight: the packed vector the map is
+    /// repacked into first, and what the FC reads instead.
+    pub(crate) flat: Option<usize>,
+    /// Hidden FC: the float dots its sign is taken from.
+    pub(crate) dots: Option<usize>,
+    /// What it writes: a padded pressed map, a packed vector, or (last
+    /// layer) the logits.
+    pub(crate) out: usize,
+}
+
+/// Every buffer of the binary engine for one spec, and which of them each
+/// layer reads and writes.
+pub(crate) struct Slots {
+    /// The buffers in allocation order, each with its producer's name.
+    pub(crate) specs: Vec<(String, SlotSpec)>,
+    /// How the input stage presses the image into `layers[0].input`.
+    pub(crate) press: InputPress,
+    /// Index-aligned with the spec's layers.
+    pub(crate) layers: Vec<LayerSlots>,
+}
+
+/// Plans the binary engine's buffers for `spec`, whose output geometry per
+/// layer is `shapes`: the input press, then per layer its output padded
+/// for the next one (zero-cost padding), a repack before an FC that cannot
+/// read its map flat, and an FC's dots and packed signs.
+pub(crate) fn slots(spec: &NetworkSpec, shapes: &[LayerIo]) -> Slots {
+    let mut specs = Vec::new();
+    let push = |specs: &mut Vec<(String, SlotSpec)>, producer: &str, slot| {
+        specs.push((producer.to_string(), slot));
+        specs.len() - 1
+    };
+    let press = match input_windows(spec) {
+        // The dense rows, as one run of words, then the window map.
+        Some(wp) => {
+            let n = wp.scratch_words() * 64;
+            let rows = push(&mut specs, "input", SlotSpec::Packed { n });
+            let (h, w, c) = (wp.out_h(), wp.out_w(), wp.window_bits());
+            push(&mut specs, "input", SlotSpec::Bit { h, w, c, pad: 0 });
+            InputPress::Windows { wp, rows }
         }
-    }
-
-    /// The unfused reference plan (equivalent to `BITFLOW_FUSE=0`).
-    pub fn unfused() -> Self {
-        Self {
-            fuse: false,
-            ..Self::default()
+        None => {
+            let pad = spec.layers.first().map_or(0, LayerSpec::input_pad);
+            let (h, w, c) = (spec.input.h, spec.input.w, spec.input.c);
+            push(&mut specs, "input", SlotSpec::Bit { h, w, c, pad });
+            InputPress::Channels { pad }
         }
-    }
-}
-
-/// Interprets a `BITFLOW_FUSE` value: unset means fused; only explicit
-/// `0`/`false`/`off`/`no` (case-insensitive) disable it.
-pub fn fuse_enabled_from(v: Option<&str>) -> bool {
-    match v {
-        None => true,
-        Some(s) => !matches!(
-            s.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-    }
-}
-
-/// One node of the compiled execution plan — the introspectable shape of
-/// what [`crate::engine::CompiledModel`] will run, before slot assignment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanNode {
-    /// Binarize + press the float input tensor: by channel into a map
-    /// padded for the first layer, or — when `windows` is set — by window,
-    /// one word per output pixel of the first convolution, which then runs
-    /// as a stride-1 1×1 convolution over that map (see
-    /// [`ExecPlan::build`] for the rule).
-    BinarizeInput {
-        /// The window press of the first layer, if the plan chose it.
-        windows: Option<WindowPress>,
-    },
-    /// Binary convolution. `fused_sign == true` means the BN+sign epilogue
-    /// runs inside the conv on the integer dot products and the output is
-    /// written already pressed; `false` means the conv writes a float count
-    /// map consumed by a separate [`PlanNode::BnSign`].
-    Conv {
-        /// Layer name from the spec.
-        name: String,
-        /// Whether the sign epilogue is fused into the conv.
-        fused_sign: bool,
-    },
-    /// Standalone BN-threshold + sign + pack pass over a float count map
-    /// (only present in unfused plans or behind float taps).
-    BnSign {
-        /// Name of the conv layer whose counts this binarizes.
-        name: String,
-    },
-    /// Binary max-pool.
-    Pool {
-        /// Layer name from the spec.
-        name: String,
-    },
-    /// Hidden fully-connected layer: binary GEMV + BN+sign back to bits.
-    FcSign {
-        /// Layer name from the spec.
-        name: String,
-    },
-    /// Final fully-connected layer emitting float logits (the softmax
-    /// tail). Never fused: its float output *is* the network's result.
-    FcOut {
-        /// Layer name from the spec.
-        name: String,
-    },
-}
-
-impl PlanNode {
-    /// The spec layer this node belongs to, if any.
-    pub fn layer_name(&self) -> Option<&str> {
-        match self {
-            PlanNode::BinarizeInput { .. } => None,
-            PlanNode::Conv { name, .. }
-            | PlanNode::BnSign { name }
-            | PlanNode::Pool { name }
-            | PlanNode::FcSign { name }
-            | PlanNode::FcOut { name } => Some(name),
-        }
-    }
-}
-
-/// The execution plan: the op chain after the fusion pass, exposed for
-/// plan introspection (tests assert exactly which chains fused).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecPlan {
-    nodes: Vec<PlanNode>,
-}
-
-impl ExecPlan {
-    /// Builds the plan for `spec`: expands every conv into the unfused
-    /// Conv+BnSign pair, then (when `opts.fuse`) collapses each legal
-    /// Conv→BN→Sign chain into a fused conv node.
-    ///
-    /// Fusion legality: the chain's float count map must have exactly one
-    /// consumer — the BN+sign that immediately follows it. Convs named in
-    /// `opts.float_taps` keep their float map observable and stay unfused;
-    /// the final FC (softmax tail) is never a candidate because its float
-    /// output is the network's result.
-    ///
-    /// Window press: a first-layer conv whose whole window fits one word
-    /// (`kh·kw·C ≤ 64`: an RGB 3×3 is 27 bits) gets its input pressed by
-    /// window, so its `kh·kw` window steps — each a 64-bit word holding `C`
-    /// real bits, §III-B's "else pad channels" — become one. A pure function
-    /// of the first layer's geometry; every other layer, and every wider
-    /// first layer, is channel-pressed.
-    pub fn build(spec: &NetworkSpec, opts: &PlanOptions) -> Self {
-        let windows = match spec.layers.first() {
-            Some(LayerSpec::Conv { params, .. }) => {
-                let taps = params.kh.checked_mul(params.kw);
-                let bits = taps.and_then(|t| t.checked_mul(spec.input.c));
-                matches!(bits, Some(1..=64)).then(|| WindowPress::new(spec.input, *params))
+    };
+    let mut input = specs.len() - 1;
+    let mut layers = Vec::with_capacity(spec.layers.len());
+    for (i, (layer, io)) in spec.layers.iter().zip(shapes).enumerate() {
+        let name = layer.name();
+        let at = match *io {
+            LayerIo::Map { h, w, c } => {
+                let pad = spec.layers.get(i + 1).map_or(0, LayerSpec::input_pad);
+                let out = push(&mut specs, name, SlotSpec::Bit { h, w, c, pad });
+                LayerSlots {
+                    input,
+                    flat: None,
+                    dots: None,
+                    out,
+                }
             }
-            _ => None,
-        };
-        let mut nodes = vec![PlanNode::BinarizeInput { windows }];
-        let last = spec.layers.len().saturating_sub(1);
-        for (i, layer) in spec.layers.iter().enumerate() {
-            match layer {
-                LayerSpec::Conv { name, .. } => {
-                    nodes.push(PlanNode::Conv {
-                        name: name.clone(),
-                        fused_sign: false,
-                    });
-                    nodes.push(PlanNode::BnSign { name: name.clone() });
-                }
-                LayerSpec::Pool { name, .. } => {
-                    nodes.push(PlanNode::Pool { name: name.clone() });
-                }
-                LayerSpec::Fc { name, .. } => {
-                    if i == last {
-                        nodes.push(PlanNode::FcOut { name: name.clone() });
-                    } else {
-                        nodes.push(PlanNode::FcSign { name: name.clone() });
+            LayerIo::Vector { n: k } => {
+                // A map is a packed vector as it lies when its pixels are
+                // word-tight (no press-tail gaps between them); an FC reads
+                // no padded map, since it asks for no padding.
+                let flat = match specs[input].1 {
+                    SlotSpec::Bit { h, w, c, .. } if c % 64 != 0 && h * w > 1 => {
+                        let n = h * w * c;
+                        Some(push(&mut specs, "flatten", SlotSpec::Packed { n }))
                     }
+                    _ => None,
+                };
+                let dots = push(&mut specs, name, SlotSpec::Vec { len: k });
+                let last = i + 1 == spec.layers.len();
+                LayerSlots {
+                    input,
+                    flat,
+                    dots: (!last).then_some(dots),
+                    out: if last {
+                        dots
+                    } else {
+                        push(&mut specs, name, SlotSpec::Packed { n: k })
+                    },
                 }
             }
-        }
-        let mut plan = Self { nodes };
-        if opts.fuse {
-            plan.fuse(&opts.float_taps);
-        }
-        plan
+        };
+        input = at.out;
+        layers.push(at);
     }
-
-    /// The fusion pass: rewrites each `Conv{fused_sign: false}` directly
-    /// followed by its own `BnSign` into `Conv{fused_sign: true}`, unless
-    /// the conv's float output has another consumer (`float_taps`).
-    fn fuse(&mut self, float_taps: &BTreeSet<String>) {
-        let mut fused = Vec::with_capacity(self.nodes.len());
-        let nodes = std::mem::take(&mut self.nodes);
-        let mut iter = nodes.into_iter().peekable();
-        while let Some(node) = iter.next() {
-            match node {
-                PlanNode::Conv {
-                    name,
-                    fused_sign: false,
-                } if !float_taps.contains(&name)
-                    && matches!(iter.peek(), Some(PlanNode::BnSign { name: bn }) if *bn == name) =>
-                {
-                    iter.next(); // consume the BnSign — it runs inside the conv now
-                    fused.push(PlanNode::Conv {
-                        name,
-                        fused_sign: true,
-                    });
-                }
-                other => fused.push(other),
-            }
-        }
-        self.nodes = fused;
-    }
-
-    /// The node chain, in execution order.
-    pub fn nodes(&self) -> &[PlanNode] {
-        &self.nodes
-    }
-
-    /// The window press of the first layer, if the plan chose it.
-    pub fn input_windows(&self) -> Option<WindowPress> {
-        match self.nodes.first() {
-            Some(PlanNode::BinarizeInput { windows }) => *windows,
-            _ => None,
-        }
-    }
-
-    /// Names of convs whose sign epilogue fused, in execution order.
-    pub fn fused_convs(&self) -> Vec<&str> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                PlanNode::Conv {
-                    name,
-                    fused_sign: true,
-                } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Names of convs still running the two-pass float dataflow.
-    pub fn unfused_convs(&self) -> Vec<&str> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                PlanNode::Conv {
-                    name,
-                    fused_sign: false,
-                } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect()
+    Slots {
+        specs,
+        press,
+        layers,
     }
 }
 
 /// One planned buffer.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlannedBuffer {
-    /// Producing layer (or "input").
+    /// Producing operator: a layer, "input" or "flatten".
     pub producer: String,
     /// Buffer kind.
     pub kind: BufferKind,
@@ -284,8 +206,6 @@ pub struct PlannedBuffer {
 pub enum BufferKind {
     /// Pressed (bit-packed) activation map, padded for its consumer.
     PressedMap,
-    /// Float scratch map (conv counts).
-    FloatMap,
     /// Packed or float vector.
     Vector,
 }
@@ -298,85 +218,28 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    /// Plans the binary engine's buffers for `spec` (mirrors
-    /// [`crate::engine::CompiledModel::try_new_context`]'s allocations) under the
-    /// environment's planning options (`BITFLOW_FUSE`).
+    /// The binary engine's buffers for `spec`: the slots every
+    /// [`crate::engine::CompiledModel::try_new_context`] allocates, read
+    /// off the same plan the engine compiles to. A context also holds
+    /// [`crate::engine::CompiledModel::conv_scratch_bytes`] on a host that
+    /// runs the AMX body.
+    ///
+    /// # Panics
+    /// On a spec [`NetworkSpec::validate`] rejects.
     pub fn for_binary(spec: &NetworkSpec) -> Self {
-        Self::for_binary_with(spec, &PlanOptions::from_env())
-    }
-
-    /// Plans the binary engine's buffers for `spec` under explicit options.
-    pub fn for_binary_with(spec: &NetworkSpec, opts: &PlanOptions) -> Self {
-        let shapes = spec.infer_shapes();
-        let plan = ExecPlan::build(spec, opts);
-        let fused: BTreeSet<&str> = plan.fused_convs().into_iter().collect();
-        let mut buffers = Vec::new();
-        let mut input = |logical_elems, bytes| {
-            buffers.push(PlannedBuffer {
-                producer: "input".into(),
-                kind: BufferKind::PressedMap,
-                logical_elems,
-                bytes,
-            });
-        };
-        match plan.input_windows() {
-            // Window-pressed: the dense rows, then one word per output
-            // pixel of layer 0.
-            Some(wp) => {
-                input(spec.input.numel(), wp.scratch_words() * 8);
-                let px = wp.out_h() * wp.out_w();
-                input(px * wp.window_bits(), px * 8);
-            }
-            // Channel-pressed, padded for layer 0.
-            None => {
-                let pad0 = spec.layers.first().map_or(0, LayerSpec::input_pad);
-                let s = spec.input;
-                input(s.numel(), pressed_bytes(s.h, s.w, s.c, pad0));
-            }
-        }
-        for (i, layer) in spec.layers.iter().enumerate() {
-            let out_pad = spec.layers.get(i + 1).map_or(0, LayerSpec::input_pad);
-            match (layer, shapes[i]) {
-                (LayerSpec::Conv { name, k, .. }, LayerIo::Map { h, w, .. }) => {
-                    // Float count map (unfused only) + pressed signed
-                    // output. A fused conv thresholds its popcounts in
-                    // registers: no float buffer at all.
-                    if !fused.contains(name.as_str()) {
-                        buffers.push(PlannedBuffer {
-                            producer: name.clone(),
-                            kind: BufferKind::FloatMap,
-                            logical_elems: h * w * k,
-                            bytes: h * w * k * 4,
-                        });
-                    }
-                    buffers.push(PlannedBuffer {
-                        producer: name.clone(),
-                        kind: BufferKind::PressedMap,
-                        logical_elems: h * w * k,
-                        bytes: pressed_bytes(h, w, *k, out_pad),
-                    });
-                }
-                (LayerSpec::Pool { name, .. }, LayerIo::Map { h, w, c }) => {
-                    buffers.push(PlannedBuffer {
-                        producer: name.clone(),
-                        kind: BufferKind::PressedMap,
-                        logical_elems: h * w * c,
-                        bytes: pressed_bytes(h, w, c, out_pad),
-                    });
-                }
-                (LayerSpec::Fc { name, k }, _) => {
-                    let is_last = i + 1 == spec.layers.len();
-                    // Counts vector (+ packed output when not last).
-                    buffers.push(PlannedBuffer {
-                        producer: name.clone(),
-                        kind: BufferKind::Vector,
-                        logical_elems: *k,
-                        bytes: k * 4 + if is_last { 0 } else { k.div_ceil(64) * 8 },
-                    });
-                }
-                (l, _) => panic!("inconsistent plan at {}", l.name()),
-            }
-        }
+        let buffers = slots(spec, &spec.infer_shapes())
+            .specs
+            .into_iter()
+            .map(|(producer, slot)| PlannedBuffer {
+                producer,
+                kind: match slot {
+                    SlotSpec::Bit { .. } => BufferKind::PressedMap,
+                    SlotSpec::Vec { .. } | SlotSpec::Packed { .. } => BufferKind::Vector,
+                },
+                logical_elems: slot.logical_elems(),
+                bytes: slot.bytes(),
+            })
+            .collect();
         Self { buffers }
     }
 
@@ -396,16 +259,8 @@ impl MemoryPlan {
     /// (4 bytes/element, no pressing) — the compression the pressed layout
     /// buys at run time, on top of the 32× weight compression.
     pub fn float_equivalent_bytes(&self) -> usize {
-        self.buffers
-            .iter()
-            .filter(|b| b.kind != BufferKind::FloatMap)
-            .map(|b| b.logical_elems * 4)
-            .sum()
+        self.buffers.iter().map(|b| b.logical_elems * 4).sum()
     }
-}
-
-fn pressed_bytes(h: usize, w: usize, c: usize, pad: usize) -> usize {
-    (h + 2 * pad) * (w + 2 * pad) * c.div_ceil(64) * 8
 }
 
 #[cfg(test)]
@@ -415,52 +270,54 @@ mod tests {
     use super::*;
     use crate::engine::CompiledModel;
     use crate::models::{mlp, small_cnn, tiered_cnn, vgg16, vgg19};
-    use crate::weights::NetworkWeights;
+    use crate::weights::{BnParams, LayerWeights, NetworkWeights};
     use bitflow_ops::ConvParams;
-    use rand::{rngs::StdRng, SeedableRng};
+    use bitflow_tensor::FilterShape;
 
-    #[test]
-    fn plan_matches_compiled_engine() {
-        let spec = small_cnn();
-        let mut rng = StdRng::seed_from_u64(3);
-        let weights = NetworkWeights::random(&spec, &mut rng);
-        let model = CompiledModel::try_compile(&spec, &weights).unwrap();
-        let plan = MemoryPlan::for_binary(&spec);
-        // The engine adds a Reflatten packed buffer for the non-aligned
-        // flatten; the plan's total must match within that one buffer.
-        let flatten_bytes = (4 * 4 * 32usize).div_ceil(64) * 8;
-        assert_eq!(plan.total_bytes() + flatten_bytes, model.context_bytes());
-        assert_eq!(plan.contexts_bytes(3), 3 * plan.total_bytes());
+    /// Weights of `spec`'s geometry that cost no memory until written:
+    /// zeroed allocations, which the press reads from the zero page.
+    fn zero_weights(spec: &NetworkSpec) -> NetworkWeights {
+        let shapes = spec.infer_shapes();
+        let layers = spec.layers.iter().enumerate().map(|(i, layer)| {
+            let c = spec.input_width(i, &shapes);
+            match *layer {
+                LayerSpec::Conv { k, params, .. } => {
+                    let fshape = FilterShape::new(k, params.kh, params.kw, c);
+                    let (w, bn) = (vec![0.0; fshape.numel()], BnParams::identity(k));
+                    LayerWeights::Conv { w, fshape, bn }
+                }
+                LayerSpec::Pool { .. } => LayerWeights::Pool,
+                LayerSpec::Fc { k, .. } => {
+                    let n = if i == 0 { c } else { shapes[i - 1].numel() };
+                    let (w, bn) = (vec![0.0; n * k], BnParams::identity(k));
+                    LayerWeights::Fc { w, n, k, bn }
+                }
+            }
+        });
+        NetworkWeights {
+            layers: layers.collect(),
+        }
     }
 
     #[test]
-    fn context_bytes_is_what_a_context_allocates() {
-        for spec in [small_cnn(), tiered_cnn(), mlp(256, 128), vgg16()] {
-            let mut rng = StdRng::seed_from_u64(4);
-            let weights = NetworkWeights::random(&spec, &mut rng);
-            let model = CompiledModel::try_compile(&spec, &weights).unwrap();
-            let ctx = model.try_new_context().unwrap();
+    fn plan_matches_compiled_engine() {
+        for spec in [small_cnn(), tiered_cnn(), mlp(256, 128), vgg16(), vgg19()] {
+            let model = CompiledModel::try_compile(&spec, &zero_weights(&spec)).unwrap();
+            let plan = MemoryPlan::for_binary(&spec);
             assert_eq!(
+                plan.total_bytes() + model.conv_scratch_bytes(),
                 model.context_bytes(),
-                ctx.activation_bytes(),
                 "{}",
                 spec.name
             );
-            // The two slots of a window-pressed input are in the plan as the
-            // context allocates them (these specs flatten word-tight, so
-            // nothing else is apart either, bar the AMX strips the plan
-            // leaves to the host).
-            if let Some(wp) = model.plan().input_windows() {
-                let plan = MemoryPlan::for_binary(&spec);
-                assert_eq!(plan.buffers[0].bytes, wp.scratch_words() * 8);
-                assert_eq!(plan.buffers[1].bytes, wp.out_h() * wp.out_w() * 8);
-                assert_eq!(
-                    plan.total_bytes() + model.conv_scratch_bytes(),
-                    model.context_bytes(),
-                    "{}",
-                    spec.name
-                );
-            }
+            let ctx = model.try_new_context().unwrap();
+            assert_eq!(
+                ctx.activation_bytes(),
+                model.context_bytes(),
+                "{}",
+                spec.name
+            );
+            assert_eq!(plan.contexts_bytes(3), 3 * plan.total_bytes());
         }
     }
 
@@ -481,20 +338,14 @@ mod tests {
                 },
             ],
         };
-        let bits = |spec: &NetworkSpec| {
-            // Fusion has no say in it.
-            let plan = ExecPlan::build(spec, &PlanOptions::default());
-            let unfused = ExecPlan::build(spec, &PlanOptions::unfused());
-            assert_eq!(
-                plan.input_windows(),
-                unfused.input_windows(),
-                "{}",
-                spec.name
-            );
-            plan.input_windows().map(|wp| wp.window_bits())
-        };
+        let bits = |spec: &NetworkSpec| input_windows(spec).map(|wp| wp.window_bits());
         for spec in [vgg16(), vgg19(), tiered_cnn()] {
             assert_eq!(bits(&spec), Some(27), "{}", spec.name);
+            // The dense rows, then one word per output pixel of layer 0.
+            let wp = input_windows(&spec).unwrap();
+            let plan = MemoryPlan::for_binary(&spec);
+            assert_eq!(plan.buffers[0].bytes, wp.scratch_words() * 8);
+            assert_eq!(plan.buffers[1].bytes, wp.out_h() * wp.out_w() * 8);
         }
         // 3×3×16 = 144 bits, no conv at all, 5×5×3 = 75 bits.
         for spec in [small_cnn(), mlp(256, 128), first_conv(3, 5, 5)] {
@@ -508,81 +359,19 @@ mod tests {
 
     #[test]
     fn vgg16_activation_memory_reasonable() {
-        let plan = MemoryPlan::for_binary_with(&vgg16(), &PlanOptions::unfused());
+        let plan = MemoryPlan::for_binary(&vgg16());
+        // Pressed maps, padded for their consumer: the largest is conv1.2's
+        // 226·226·64 bits ≈ 400 KB.
         let mb = plan.total_bytes() as f64 / (1024.0 * 1024.0);
-        // Unfused: dominated by the conv scratch float maps (largest:
-        // 112·112·128 floats ≈ 6.1 MB) plus pressed maps ≈ a few hundred
-        // KB each.
-        assert!(mb < 64.0, "plan too large: {mb} MB");
-        assert!(plan.total_bytes() > 0);
-        assert!(plan.float_equivalent_bytes() > plan.total_bytes() / 4);
-        // Fused: the h·w·k count maps disappear — the plan must shrink
-        // substantially.
-        let fused = MemoryPlan::for_binary_with(&vgg16(), &PlanOptions::default());
-        assert!(fused.total_bytes() * 2 < plan.total_bytes());
+        assert!(mb < 4.0, "plan too large: {mb} MB");
+        assert!(plan.float_equivalent_bytes() > 16 * plan.total_bytes());
     }
 
     #[test]
     fn buffer_inventory_names() {
-        let names = |opts: &PlanOptions| -> Vec<String> {
-            let plan = MemoryPlan::for_binary_with(&small_cnn(), opts);
-            plan.buffers.into_iter().map(|b| b.producer).collect()
-        };
-        assert_eq!(
-            names(&PlanOptions::unfused()),
-            ["input", "conv1", "conv1", "pool1", "fc1"]
-        );
-        // A fused conv owns its pressed output only.
-        assert_eq!(
-            names(&PlanOptions::default()),
-            ["input", "conv1", "pool1", "fc1"]
-        );
-    }
-
-    #[test]
-    fn fuse_env_parsing() {
-        assert!(fuse_enabled_from(None));
-        assert!(fuse_enabled_from(Some("1")));
-        assert!(fuse_enabled_from(Some("yes")));
-        assert!(fuse_enabled_from(Some("")));
-        assert!(!fuse_enabled_from(Some("0")));
-        assert!(!fuse_enabled_from(Some("false")));
-        assert!(!fuse_enabled_from(Some(" OFF ")));
-        assert!(!fuse_enabled_from(Some("no")));
-    }
-
-    #[test]
-    fn exec_plan_fuses_linear_chain() {
-        let spec = small_cnn();
-        let fused = ExecPlan::build(&spec, &PlanOptions::default());
-        assert_eq!(fused.fused_convs(), vec!["conv1"]);
-        assert!(fused.unfused_convs().is_empty());
-        assert!(!fused
-            .nodes()
-            .iter()
-            .any(|n| matches!(n, PlanNode::BnSign { .. })));
-
-        let unfused = ExecPlan::build(&spec, &PlanOptions::unfused());
-        assert!(unfused.fused_convs().is_empty());
-        assert_eq!(unfused.unfused_convs(), vec!["conv1"]);
-        assert!(unfused
-            .nodes()
-            .iter()
-            .any(|n| matches!(n, PlanNode::BnSign { name } if name == "conv1")));
-    }
-
-    #[test]
-    fn float_tap_blocks_fusion_of_that_conv_only() {
-        let spec = vgg16();
-        let mut opts = PlanOptions::default();
-        opts.float_taps.insert("conv2.1".into());
-        let plan = ExecPlan::build(&spec, &opts);
-        assert_eq!(plan.unfused_convs(), vec!["conv2.1"]);
-        assert_eq!(plan.fused_convs().len(), 12);
-        // The tapped conv keeps its standalone BnSign consumer.
-        assert!(plan
-            .nodes()
-            .iter()
-            .any(|n| matches!(n, PlanNode::BnSign { name } if name == "conv2.1")));
+        let plan = MemoryPlan::for_binary(&small_cnn());
+        let names: Vec<String> = plan.buffers.into_iter().map(|b| b.producer).collect();
+        // pool1's 4×4×32 map is not word-tight, so it is repacked for fc1.
+        assert_eq!(names, ["input", "conv1", "pool1", "flatten", "fc1"]);
     }
 }

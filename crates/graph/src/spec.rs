@@ -188,7 +188,7 @@ impl NetworkSpec {
                         .and_then(|x| x.checked_mul(params.kw))
                         .and_then(|x| x.checked_mul(c))
                         .ok_or_else(|| overflow(name))?;
-                    // Scratch float counts + padded pressed output.
+                    // Output elements + padded pressed output.
                     g.out_h
                         .checked_mul(g.out_w)
                         .and_then(|x| x.checked_mul(*k))

@@ -277,18 +277,6 @@ impl NetworkWeights {
         }
         Ok(())
     }
-
-    /// Flatten-order note: FC weights expect the producer's (h, w, c) NHWC
-    /// flatten order; this helper returns the flattened input width of
-    /// layer `i` for validation.
-    pub fn expect_fc_width(spec: &NetworkSpec, i: usize) -> usize {
-        let shapes = spec.infer_shapes();
-        if i == 0 {
-            spec.input.numel()
-        } else {
-            shapes[i - 1].numel()
-        }
-    }
 }
 
 /// Batch-norm statistic lengths must cover every output channel.

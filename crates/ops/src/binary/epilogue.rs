@@ -19,13 +19,9 @@
 //! (`β` pushing the boundary out of range, or the degenerate γ = 0 fold,
 //! which encodes `sign(β)` as a ∓∞ threshold).
 //!
-//! [`ConvEpilogue`] is the operator-level description of what happens to
-//! the accumulator before it is stored: the fused graph plan selects
-//! [`ConvEpilogue::SignThreshold`] so conv output is written *already
-//! pressed* (no float intermediate), while the unfused reference plan —
-//! and any conv whose float output is consumed elsewhere — keeps
-//! [`ConvEpilogue::FloatOut`]. The network's final FC is the float tail:
-//! its logits stay `FloatOut` by construction and are never sign-fused.
+//! Every conv the engine runs and every hidden FC decide their signs this
+//! way, so no float map is ever written between layers; only the network's
+//! final FC stores its dots, as the logits.
 
 use crate::binary::binarize::BnFold;
 use bitflow_simd::conv::LANES;
@@ -43,8 +39,8 @@ pub enum PopCmp {
 /// once at compile time from a [`BnFold`] and the reduction width.
 ///
 /// The equivalence with the float threshold compare is exact (see module
-/// docs), so a fused conv/FC using these bounds is bit-identical to the
-/// unfused float-scratch reference path.
+/// docs), so a conv or FC deciding its signs with these bounds is
+/// bit-identical to thresholding its float dots.
 ///
 /// Stored **lane-ready** for the filter-lane conv core
 /// (`bitflow_simd::conv`): every channel is normalised to the single
@@ -179,26 +175,6 @@ impl SignThresholds {
             PopCmp::Le => self.bound(c) < 0,
             PopCmp::Ge => self.bound(c) > self.window_bits,
         }
-    }
-}
-
-/// What a binary conv / bgemm reduction does with its accumulator before
-/// storing it — the operator-level epilogue the graph planner selects per
-/// node.
-#[derive(Clone, Debug)]
-pub enum ConvEpilogue {
-    /// Store the raw integer dot products as `f32` (the unfused reference
-    /// path, float taps, and the network's float-logits tail).
-    FloatOut,
-    /// Threshold-sign in the popcount domain and store pressed bits — the
-    /// fused Conv→BN→Sign path: no float intermediate is materialized.
-    SignThreshold(SignThresholds),
-}
-
-impl ConvEpilogue {
-    /// Whether this epilogue writes pressed output.
-    pub fn is_fused_sign(&self) -> bool {
-        matches!(self, ConvEpilogue::SignThreshold(_))
     }
 }
 

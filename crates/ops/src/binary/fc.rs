@@ -94,19 +94,6 @@ pub fn binary_fc_parallel(level: SimdLevel, input: &[f32], weights: &BinaryFcWei
     out
 }
 
-/// Binary FC over an input that is already packed (chained binary layers).
-pub fn binary_fc_packed(
-    level: SimdLevel,
-    input: &PackedMatrix,
-    weights: &BinaryFcWeights,
-) -> Vec<f32> {
-    assert_eq!(input.rows, 1, "batch-1 FC");
-    assert_eq!(input.n_logical, weights.n, "input width");
-    let mut out = vec![0.0f32; weights.k];
-    bgemm_packed(level, input, &weights.packed, &mut out);
-    out
-}
-
 fn pack_input(input: &[f32], n: usize) -> PackedMatrix {
     assert_eq!(input.len(), n, "input width");
     let mut pin = PackedMatrix::zeros(1, n);
@@ -145,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_packed_variants_agree() {
+    fn parallel_variant_agrees() {
         let mut rng = StdRng::seed_from_u64(111);
         let (n, k) = (300usize, 21usize);
         let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -153,10 +140,7 @@ mod tests {
         let packed = BinaryFcWeights::pack(&weights, n, k);
         let a = binary_fc(SimdLevel::Scalar, &input, &packed);
         let b = binary_fc_parallel(SimdLevel::Avx2, &input, &packed);
-        let pin = pack_input(&input, n);
-        let c = binary_fc_packed(SimdLevel::Sse, &pin, &packed);
         assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`pool`] — binary max-pool: OR over pressed words (§III-C).
 //! * [`binarize`] — fused sign+pack operators and batch-norm folding.
 //! * [`epilogue`] — integer-threshold conv epilogues: the folded BN+sign
-//!   moved into the popcount domain so fused convs never materialize a
-//!   float map.
+//!   moved into the popcount domain so convs never materialize a float
+//!   map.
 //!
 //! ## Padding semantics
 //!
@@ -34,7 +34,7 @@ pub use binarize::{
     binarize_pack, binarize_pack_into, binarize_pack_padded, binarize_threshold_into,
     binarize_threshold_padded, binarize_windows_into, fold_bn_into_thresholds, BnFold, WindowPress,
 };
-pub use epilogue::{pack_signed_dots_into, ConvEpilogue, PopCmp, SignThresholds};
+pub use epilogue::{pack_signed_dots_into, PopCmp, SignThresholds};
 pub use fc::{binary_fc, binary_fc_parallel, BinaryFcWeights};
 pub use im2col_conv::binary_conv_im2col;
 pub use pool::{binary_max_pool, binary_max_pool_into, binary_max_pool_parallel};

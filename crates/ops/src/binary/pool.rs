@@ -7,10 +7,19 @@
 //! into the row's words, a plain word loop the compiler vectorizes, so it
 //! runs at memory speed at every channel width.
 
+use crate::params::ConvParams;
 use bitflow_simd::kernels::SimdLevel;
-use bitflow_simd::scheduler::{infer_pool, ConvGeometry};
+use bitflow_simd::scheduler::ConvGeometry;
 use bitflow_simd::team;
-use bitflow_tensor::BitTensor;
+use bitflow_tensor::{BitTensor, Shape};
+
+/// Output geometry of a `kh×kw` pool at `stride` over `input`.
+///
+/// # Panics
+/// If the window does not fit the map.
+fn pool_out(input: &BitTensor, kh: usize, kw: usize, stride: usize) -> ConvGeometry {
+    ConvParams::new(kh, kw, stride, 0).pool_out(Shape::hwc(input.h(), input.w(), input.c()))
+}
 
 /// Binary max-pool with a `kh×kw` window and `stride`.
 pub fn binary_max_pool(
@@ -20,7 +29,7 @@ pub fn binary_max_pool(
     kw: usize,
     stride: usize,
 ) -> BitTensor {
-    let g = infer_pool(input.h(), input.w(), input.c(), kh, kw, stride);
+    let g = pool_out(input, kh, kw, stride);
     let mut out = BitTensor::zeros(g.out_h, g.out_w, input.c());
     binary_max_pool_into(level, input, kh, kw, stride, &mut out, 0);
     out
@@ -39,7 +48,7 @@ pub fn binary_max_pool_into(
     out: &mut BitTensor,
     out_pad: usize,
 ) {
-    let g = infer_pool(input.h(), input.w(), input.c(), kh, kw, stride);
+    let g = pool_out(input, kh, kw, stride);
     assert_eq!(out.c(), input.c(), "channel count");
     assert_eq!(
         out.h(),
@@ -64,8 +73,7 @@ pub fn binary_max_pool_parallel(
     kw: usize,
     stride: usize,
 ) -> BitTensor {
-    let ConvGeometry { out_h, out_w, .. } =
-        infer_pool(input.h(), input.w(), input.c(), kh, kw, stride);
+    let ConvGeometry { out_h, out_w, .. } = pool_out(input, kh, kw, stride);
     let mut out = BitTensor::zeros(out_h, out_w, input.c());
     team::for_chunks_mut(out.words_mut(), out_w * input.c_words(), |oy, orow| {
         pool_row(input, (kh, kw, stride), oy, orow)
@@ -117,8 +125,7 @@ fn pool_row(
 mod tests {
     use super::*;
     use crate::float::pool::max_pool;
-    use crate::params::ConvParams;
-    use bitflow_tensor::{Layout, Shape, Tensor};
+    use bitflow_tensor::{Layout, Tensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn rand_pm1_tensor(rng: &mut StdRng, h: usize, w: usize, c: usize) -> Tensor {

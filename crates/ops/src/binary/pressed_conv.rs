@@ -14,9 +14,9 @@
 //! The arithmetic itself is [`bitflow_simd::conv`]'s filter-lane tile loop,
 //! or — for a sign call given the matrix unit's operands on a host and
 //! geometry that qualify — its AMX body ([`bitflow_simd::amx`]); this
-//! module validates the tensor-level geometry, picks the sink
-//! ([`crate::binary::ConvEpilogue`]: float dots or fused threshold-sign
-//! bits) and, when asked, splits the output rows over the worker team
+//! module validates the tensor-level geometry, picks the sink (float dots
+//! for [`pressed_conv`], threshold-sign bits for [`pressed_conv_sign_into`])
+//! and, when asked, splits the output rows over the worker team
 //! ([`bitflow_simd::team`]; Algorithm 1, step 3: multi-core parallelism
 //! over the output pixels), each thread expanding into a strip of its own.
 
@@ -465,7 +465,7 @@ mod tests {
         let mut zmm = BitTensor::zeros(13 + 2, 11 + 2, k);
         pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut zmm, 1, false, None);
         let (g, _) = geometry(&pressed, &bank, 1);
-        if !amx_can_run(level, &g, true) {
+        if !amx_can_run(level, &g) {
             println!("AMX body not exercised: host lacks amx-int8");
             return;
         }

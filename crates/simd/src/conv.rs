@@ -517,7 +517,7 @@ pub enum ConvBody {
 
 /// The clauses of the AMX eligibility rule, in the order [`body_choice`]
 /// checks them: the first that fails keeps a call on the filter-lane loop.
-/// The first six say whether the AMX body *can* run a call
+/// The first five say whether the AMX body *can* run a call
 /// ([`amx_can_run`]); the last three whether it *pays*, read off the
 /// per-layer and per-workload Zmm-vs-AMX measurements (DESIGN.md §5.9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -526,8 +526,6 @@ pub enum AmxRule {
     Host,
     /// The call's tier is below AVX-512, whose registers the epilogue uses.
     Tier,
-    /// A `Dots` sink: the body writes sign bits only.
-    Sink,
     /// Stride ≠ 1: a tile row of positions must be a row of the grid.
     Stride,
     /// K is not whole 16-filter B tiles.
@@ -556,7 +554,6 @@ impl AmxRule {
         match self {
             AmxRule::Host => "host lacks amx-int8",
             AmxRule::Tier => "tier below avx512",
-            AmxRule::Sink => "dots sink",
             AmxRule::Stride => "stride != 1",
             AmxRule::Filters => "K % 16 != 0",
             AmxRule::Strip => "kh rows > strip",
@@ -600,7 +597,7 @@ impl fmt::Display for BodyChoice {
     }
 }
 
-/// The one rule behind every conv: the AMX body for a `sign` conv at
+/// The one rule behind every conv: the AMX body for a conv at
 /// [`SimdLevel::Avx512`] over an `in_h`-row map when the host can run AMX
 /// and the geometry qualifies — stride 1, `K % 16 == 0`, a band within the
 /// strip, at least [`AMX_MIN_STEPS`] K-steps, [`AMX_MIN_OUT_W`] output
@@ -608,10 +605,10 @@ impl fmt::Display for BodyChoice {
 /// otherwise. A pure function of the host and the map, never of the rows
 /// a call covers. The engine asks it once per conv, at compile, and hands
 /// the AMX operands only to the convs it picks.
-pub fn body_choice(level: SimdLevel, g: &ConvGeom, in_h: usize, sign: bool) -> BodyChoice {
+pub fn body_choice(level: SimdLevel, g: &ConvGeom, in_h: usize) -> BodyChoice {
     let steps = g.kh * g.kw * g.c_words;
     let macs = (in_h + 1).saturating_sub(g.kh) * g.out_w * g.k * steps * 64;
-    let rule = match amx_refusal(level, g, sign) {
+    let rule = match amx_refusal(level, g) {
         Some(rule) => rule,
         None if steps < AMX_MIN_STEPS => AmxRule::Depth,
         None if g.out_w < AMX_MIN_OUT_W => AmxRule::Width,
@@ -630,19 +627,17 @@ pub fn body_choice(level: SimdLevel, g: &ConvGeom, in_h: usize, sign: bool) -> B
 /// Whether the AMX body can run a call: what [`conv_rows`] checks before
 /// it runs that body on the operands a caller hands it — whether it pays
 /// was the caller's question ([`body_choice`]).
-pub fn amx_can_run(level: SimdLevel, g: &ConvGeom, sign: bool) -> bool {
-    amx_refusal(level, g, sign).is_none()
+pub fn amx_can_run(level: SimdLevel, g: &ConvGeom) -> bool {
+    amx_refusal(level, g).is_none()
 }
 
 /// The first clause that makes a call impossible for the AMX body.
-fn amx_refusal(level: SimdLevel, g: &ConvGeom, sign: bool) -> Option<AmxRule> {
+fn amx_refusal(level: SimdLevel, g: &ConvGeom) -> Option<AmxRule> {
     let f = crate::detect::features();
     if !f.amx_int8 {
         Some(AmxRule::Host)
     } else if level != SimdLevel::Avx512 || !(f.avx512f && f.avx512bw) {
         Some(AmxRule::Tier)
-    } else if !sign {
-        Some(AmxRule::Sink)
     } else if g.stride != 1 {
         Some(AmxRule::Stride)
     } else if !g.k.is_multiple_of(amx::FILTERS) {
@@ -769,7 +764,7 @@ pub fn conv_rows(
             };
             match amx {
                 #[cfg(target_arch = "x86_64")]
-                Some((bank, strip)) if amx_can_run(level, g, true) => {
+                Some((bank, strip)) if amx_can_run(level, g) => {
                     // The B tiles of every filter block and K-step, and a
                     // strip with room for one band and for what its last A
                     // tiles read (smaller bands read less); the rule
@@ -920,7 +915,7 @@ mod tests {
                 conv_rows(level, &input, &bank, g, 0..out_h, sink);
                 assert_eq!(dots, want_dots, "{what}");
             }
-            if !amx_can_run(SimdLevel::Avx512, g, true) {
+            if !amx_can_run(SimdLevel::Avx512, g) {
                 continue;
             }
             // The AMX body on the same inputs: in one band, and in bands of
@@ -1012,7 +1007,7 @@ mod tests {
                         k,
                     };
                     assert_eq!(
-                        amx_can_run(SimdLevel::Avx512, &g, true),
+                        amx_can_run(SimdLevel::Avx512, &g),
                         crate::detect::features().amx_int8,
                         "{g:?}"
                     );
@@ -1034,23 +1029,22 @@ mod tests {
             k: 128,
         };
         // A 224-row map: enough work for every geometry below.
-        let choice = |level, g: ConvGeom, sign| body_choice(level, &g, 224, sign).rule;
+        let choice = |level, g: ConvGeom| body_choice(level, &g, 224).rule;
         if !crate::detect::features().amx_int8 {
-            assert_eq!(choice(SimdLevel::Avx512, g, true), AmxRule::Host);
+            assert_eq!(choice(SimdLevel::Avx512, g), AmxRule::Host);
             println!("the_amx_rule_names_the_clause_that_decided: host lacks amx-int8");
             return;
         }
-        assert_eq!(choice(SimdLevel::Avx512, g, true), AmxRule::Eligible);
-        assert_eq!(choice(SimdLevel::Avx2, g, true), AmxRule::Tier);
-        assert_eq!(choice(SimdLevel::Avx512, g, false), AmxRule::Sink);
+        assert_eq!(choice(SimdLevel::Avx512, g), AmxRule::Eligible);
+        assert_eq!(choice(SimdLevel::Avx2, g), AmxRule::Tier);
         let stride2 = ConvGeom {
             stride: 2,
             in_w: 17,
             ..g
         };
-        assert_eq!(choice(SimdLevel::Avx512, stride2, true), AmxRule::Stride);
+        assert_eq!(choice(SimdLevel::Avx512, stride2), AmxRule::Stride);
         assert_eq!(
-            choice(SimdLevel::Avx512, ConvGeom { k: 40, ..g }, true),
+            choice(SimdLevel::Avx512, ConvGeom { k: 40, ..g }),
             AmxRule::Filters
         );
         // A 1×1 over 512 channels has 8 steps.
@@ -1061,20 +1055,20 @@ mod tests {
             in_w: 8,
             ..g
         };
-        assert_eq!(choice(SimdLevel::Avx512, one_by_one, true), AmxRule::Depth);
+        assert_eq!(choice(SimdLevel::Avx512, one_by_one), AmxRule::Depth);
         let narrow = ConvGeom {
             out_w: 7,
             in_w: 9,
             ..g
         };
-        assert_eq!(choice(SimdLevel::Avx512, narrow, true), AmxRule::Width);
+        assert_eq!(choice(SimdLevel::Avx512, narrow), AmxRule::Width);
         let wide = ConvGeom {
             c_words: 8,
             in_w: 1000,
             out_w: 998,
             ..g
         };
-        assert_eq!(choice(SimdLevel::Avx512, wide, true), AmxRule::Strip);
+        assert_eq!(choice(SimdLevel::Avx512, wide), AmxRule::Strip);
         // The maps of the benchmark models: tiered_cnn's conv2 (16 × 16 ×
         // 64 → 128) and small_cnn's conv (8 × 8 × 16 → 32) are too little
         // work; VGG-16's conv5.x (14 × 14 × 512 → 512) is not.
@@ -1085,18 +1079,17 @@ mod tests {
             k,
             ..g
         };
-        let rule = |hw, c_words, k| {
-            body_choice(SimdLevel::Avx512, &map(hw, c_words, k), hw + 2, true).rule
-        };
+        let rule =
+            |hw, c_words, k| body_choice(SimdLevel::Avx512, &map(hw, c_words, k), hw + 2).rule;
         assert_eq!(rule(16, 1, 128), AmxRule::Work);
         assert_eq!(rule(8, 1, 32), AmxRule::Work);
         assert_eq!(rule(14, 8, 512), AmxRule::Eligible);
         assert_eq!(
-            body_choice(SimdLevel::Avx512, &narrow, 224, true).to_string(),
+            body_choice(SimdLevel::Avx512, &narrow, 224).to_string(),
             "zmm (out_w < 8)"
         );
         assert_eq!(
-            body_choice(SimdLevel::Avx512, &g, 224, true).to_string(),
+            body_choice(SimdLevel::Avx512, &g, 224).to_string(),
             "amx (eligible)"
         );
     }

@@ -3,7 +3,7 @@
 //! Three components:
 //!
 //! 1. **Shape inferer** — computes the output dimensions of every operator
-//!    from input and filter sizes ([`infer_conv`], [`infer_pool`]).
+//!    from input and filter sizes ([`try_infer_conv`], [`try_infer_pool`]).
 //! 2. **Hardware detector** — [`crate::detect`].
 //! 3. **Code generator / kernel selector** — [`VectorScheduler::select`]
 //!    applies the paper's rules to pick a computing kernel per operator:
@@ -171,27 +171,6 @@ pub fn try_infer_conv(
     })
 }
 
-/// Shape inferer for convolution (panicking wrapper over
-/// [`try_infer_conv`], kept for callers on the trusted path).
-///
-/// # Panics
-/// If the kernel does not fit in the padded input or the geometry is
-/// otherwise unschedulable.
-pub fn infer_conv(
-    h: usize,
-    w: usize,
-    k: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> ConvGeometry {
-    match try_infer_conv(h, w, k, kh, kw, stride, pad) {
-        Ok(g) => g,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Fallible shape inferer for pooling: window kh×kw with given stride,
 /// channels kept.
 pub fn try_infer_pool(
@@ -219,24 +198,6 @@ pub fn try_infer_pool(
         out_w: (w - kw) / stride + 1,
         out_c: c,
     })
-}
-
-/// Shape inferer for pooling (panicking wrapper over [`try_infer_pool`]).
-///
-/// # Panics
-/// If the window does not fit or the geometry is unschedulable.
-pub fn infer_pool(
-    h: usize,
-    w: usize,
-    c: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-) -> ConvGeometry {
-    match try_infer_pool(h, w, c, kh, kw, stride) {
-        Ok(g) => g,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// The scheduler proper: holds a (possibly capped) hardware feature set and
@@ -420,19 +381,19 @@ mod tests {
     #[test]
     fn shape_inferer_conv() {
         // VGG 3x3 stride-1 pad-1 keeps spatial dims.
-        let g = infer_conv(112, 112, 128, 3, 3, 1, 1);
+        let g = try_infer_conv(112, 112, 128, 3, 3, 1, 1).unwrap();
         assert_eq!((g.out_h, g.out_w, g.out_c), (112, 112, 128));
         // No pad shrinks by k-1.
-        let g = infer_conv(112, 112, 128, 3, 3, 1, 0);
+        let g = try_infer_conv(112, 112, 128, 3, 3, 1, 0).unwrap();
         assert_eq!((g.out_h, g.out_w), (110, 110));
         // Stride 2.
-        let g = infer_conv(8, 8, 4, 2, 2, 2, 0);
+        let g = try_infer_conv(8, 8, 4, 2, 2, 2, 0).unwrap();
         assert_eq!((g.out_h, g.out_w), (4, 4));
     }
 
     #[test]
     fn shape_inferer_pool() {
-        let g = infer_pool(28, 28, 512, 2, 2, 2);
+        let g = try_infer_pool(28, 28, 512, 2, 2, 2).unwrap();
         assert_eq!((g.out_h, g.out_w, g.out_c), (14, 14, 512));
     }
 

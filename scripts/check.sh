@@ -76,10 +76,6 @@ fi
 echo "==> cargo test -q (tier-1: root suite incl. differential/golden/no-alloc harnesses)"
 cargo test -q
 
-echo "==> fusion gate: fused-vs-unfused differential + BITFLOW_FUSE=0 golden, fusion and kernel replay"
-cargo test -q --test fusion_differential
-BITFLOW_FUSE=0 cargo test -q --test golden_snapshot --test fusion_differential --test kernel_differential
-
 echo "==> cargo test -q --workspace (all crates)"
 cargo test -q --workspace
 

@@ -1,7 +1,8 @@
-//! Fusion differential harness: the fused Conv→BN→Sign integer-threshold
-//! epilogue must be **bit-identical** to the unfused reference dataflow
-//! (float count map → float threshold compare) on every input — including
-//! the adversarial batch-norm corners where the two could plausibly split:
+//! Sign-epilogue differential harness: the engine's one conv lowering
+//! decides Conv→BN→Sign as an integer bound on the popcount, and must be
+//! **bit-identical** to the float threshold compare of the folded
+//! batch-norm on every input — including the adversarial corners where the
+//! two could plausibly split:
 //!
 //! * negative γ (comparison direction flips),
 //! * γ ≈ 0 and γ = 0 (degenerate constant channels),
@@ -11,11 +12,13 @@
 //! * exact integer ties (dot == threshold — where the old
 //!   `(x >= t) ^ flip` semantics were wrong for flipped channels).
 //!
-//! Three tiers: operator-level proptests over every §III-B channel width,
-//! whole-graph fused-vs-unfused logit equality, and plan introspection
-//! pinning exactly which chains fused.
+//! Two tiers: operator-level proptests over every §III-B channel width
+//! against the two-pass reference (float dots, then the threshold
+//! compare), and whole-graph logit equality with the integer oracle.
 
-use bitflow::graph::plan::{PlanNode, PlanOptions};
+#[path = "common/oracle.rs"]
+mod oracle;
+
 use bitflow::graph::spec::{LayerSpec, NetworkSpec};
 use bitflow::graph::weights::{BnParams, LayerWeights, NetworkWeights};
 use bitflow::graph::CompiledModel;
@@ -72,9 +75,9 @@ fn pm1(rng: &mut StdRng, n: usize) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Operator level: the fused integer epilogue equals the unfused
-    /// two-pass (float counts, then folded float threshold compare) for
-    /// every §III-B channel width under adversarial BN.
+    /// Operator level: the integer epilogue equals the two-pass reference
+    /// (float counts, then folded float threshold compare) for every
+    /// §III-B channel width under adversarial BN.
     #[test]
     fn fused_epilogue_matches_unfused_reference(
         c_idx in 0usize..SECTION_3B_WIDTHS.len(),
@@ -94,25 +97,24 @@ proptest! {
         let pressed = BitTensor::from_tensor_padded(&input, 1);
         let bank = BitFilterBank::from_floats(&weights, fshape);
 
-        // Unfused reference: float count map, then the folded float
-        // threshold compare (the exact dataflow `BITFLOW_FUSE=0` runs).
+        // Two-pass reference: float count map, then the folded float
+        // threshold compare.
         let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
         let want = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 1);
 
-        // Fused: integer popcount-domain compare inside the conv.
+        // One pass: integer popcount-domain compare inside the conv.
         let st = SignThresholds::from_fold(&fold, 3 * 3 * c);
         let mut got = BitTensor::zeros(h + 2, w + 2, k);
         pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1, false, None);
 
-        prop_assert_eq!(got.words(), want.words(), "fused != unfused (c={}, k={})", c, k);
+        prop_assert_eq!(got.words(), want.words(), "epilogue != two-pass (c={}, k={})", c, k);
         prop_assert!(got.tail_is_zero());
     }
 
-    /// Whole graph: a fused compile and an unfused compile of the same
-    /// spec + weights produce bit-identical logits, with adversarial BN on
-    /// the conv layer.
+    /// Whole graph: the engine's logits are the oracle's, with adversarial
+    /// BN on the conv layer, on serial and parallel contexts.
     #[test]
-    fn fused_and_unfused_plans_agree_on_logits(
+    fn engine_matches_the_oracle_under_adversarial_bn(
         c_idx in 0usize..SECTION_3B_WIDTHS.len(),
         k_idx in 0usize..3,
         seed in 0u64..u64::MAX,
@@ -120,7 +122,7 @@ proptest! {
         let c = SECTION_3B_WIDTHS[c_idx];
         let k = [32usize, 64, 128][k_idx];
         let spec = NetworkSpec {
-            name: "fusion-diff".into(),
+            name: "epilogue-diff".into(),
             input: Shape::hwc(6, 6, c),
             layers: vec![
                 LayerSpec::Conv {
@@ -142,27 +144,15 @@ proptest! {
             *bn = adversarial_bn(k, &mut rng);
         }
         let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+        let want = oracle::logits(&spec, &weights, &image);
 
-        let fused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::default())
-            .expect("fused compile");
-        let unfused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::unfused())
-            .expect("unfused compile");
-        prop_assert_eq!(fused.fused_conv_names(), vec!["conv1"]);
-        prop_assert!(unfused.fused_conv_names().is_empty());
-
-        let a = fused
-            .try_infer(&mut fused.try_new_context().expect("context allocates"), &image)
-            .expect("fused infer");
-        let b = unfused
-            .try_infer(&mut unfused.try_new_context().expect("context allocates"), &image)
-            .expect("unfused infer");
-        prop_assert_eq!(&a, &b, "fused and unfused logits diverge (c={}, k={})", c, k);
-
-        // The parallel fused kernel must also agree.
-        let mut ctx = fused.try_new_context().expect("context allocates");
-        ctx.parallel = true;
-        let p = fused.try_infer(&mut ctx, &image).expect("parallel fused infer");
-        prop_assert_eq!(&a, &p, "parallel fused kernel diverges");
+        let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
+        let mut ctx = model.try_new_context().expect("context allocates");
+        for parallel in [false, true] {
+            ctx.parallel = parallel;
+            let got = model.try_infer(&mut ctx, &image).expect("infer");
+            prop_assert_eq!(&got, &want, "c={} k={} parallel={}", c, k, parallel);
+        }
     }
 }
 
@@ -215,140 +205,9 @@ fn flipped_tie_lands_on_plus_one() {
         false,
         None,
     );
-    assert_eq!(fused.get(0, 0, 0), 1, "fused: tie must be +1");
+    assert_eq!(fused.get(0, 0, 0), 1, "epilogue: tie must be +1");
 
-    let unfused = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 0);
-    assert_eq!(unfused.get(0, 0, 0), 1, "unfused: tie must be +1");
-}
-
-/// Plan introspection: the quickstart recipe fuses exactly its one conv.
-#[test]
-fn quickstart_plan_fuses_exactly_conv1() {
-    let spec = bitflow::graph::models::small_cnn();
-    let mut rng = StdRng::seed_from_u64(11);
-    let weights = NetworkWeights::random(&spec, &mut rng);
-    let model = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::default())
-        .expect("compile small_cnn");
-    assert_eq!(model.fused_conv_names(), vec!["conv1"]);
-    let nodes = model.plan().nodes();
-    assert!(
-        !nodes.iter().any(|n| matches!(n, PlanNode::BnSign { .. })),
-        "no standalone BN+sign remains in the fused plan"
-    );
-    // The softmax tail stays a float FcOut — never a fusion candidate.
-    assert!(matches!(nodes.last(), Some(PlanNode::FcOut { name }) if name == "fc1"));
-}
-
-/// Plan introspection: VGG-16 fuses all 13 convs; the FC tail is left
-/// alone (fc6/fc7 sign via the integer epilogue *as FC ops*, fc8 emits
-/// float logits).
-#[test]
-fn vgg16_plan_fuses_all_convs() {
-    let spec = bitflow::graph::models::vgg16();
-    let opts = PlanOptions::default();
-    let plan = bitflow::graph::plan::ExecPlan::build(&spec, &opts);
-    assert_eq!(plan.fused_convs().len(), 13);
-    assert!(plan.unfused_convs().is_empty());
-    assert!(
-        !plan
-            .nodes()
-            .iter()
-            .any(|n| matches!(n, PlanNode::BnSign { .. })),
-        "no unfused BN+sign nodes in the default VGG-16 plan"
-    );
-    assert!(matches!(plan.nodes().last(), Some(PlanNode::FcOut { name }) if name == "fc8"));
-
-    // A float-tapped conv is excluded from fusion — its float map has a
-    // second consumer — while every other chain still fuses.
-    let mut tapped = PlanOptions::default();
-    tapped.float_taps.insert("conv3.2".into());
-    let plan = bitflow::graph::plan::ExecPlan::build(&spec, &tapped);
-    assert_eq!(plan.unfused_convs(), vec!["conv3.2"]);
-    assert_eq!(plan.fused_convs().len(), 12);
-}
-
-/// A float-tapped compile still produces bit-identical logits — fusion is
-/// a pure dataflow optimization, never a numerics change.
-#[test]
-fn float_tap_keeps_logits_bit_identical() {
-    let spec = bitflow::graph::models::small_cnn();
-    let mut rng = StdRng::seed_from_u64(12);
-    let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-
-    let fused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::default())
-        .expect("fused compile");
-    let mut tapped_opts = PlanOptions::default();
-    tapped_opts.float_taps.insert("conv1".into());
-    let tapped =
-        CompiledModel::try_compile_with(&spec, &weights, &tapped_opts).expect("tapped compile");
-    assert!(tapped.fused_conv_names().is_empty());
-
-    let a = fused
-        .try_infer(
-            &mut fused.try_new_context().expect("context allocates"),
-            &image,
-        )
-        .expect("fused");
-    let b = tapped
-        .try_infer(
-            &mut tapped.try_new_context().expect("context allocates"),
-            &image,
-        )
-        .expect("tapped");
-    assert_eq!(a, b);
-}
-
-/// Telemetry honesty: on the Table IV workload (VGG-16) every fused conv
-/// row must report strictly fewer bytes moved than the unfused
-/// ConvFloat + BnSign pair it replaced — the roofline attribution sees
-/// the float count map disappear.
-#[test]
-fn vgg16_fused_convs_move_strictly_fewer_bytes() {
-    let spec = bitflow::graph::models::vgg16();
-    let mut rng = StdRng::seed_from_u64(13);
-    let weights = NetworkWeights::random(&spec, &mut rng);
-    let fused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::default())
-        .expect("fused compile");
-    let unfused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::unfused())
-        .expect("unfused compile");
-
-    let fused_rows = fused.op_descriptors();
-    let unfused_rows = unfused.op_descriptors();
-    let conv_names: Vec<String> = spec
-        .layers
-        .iter()
-        .filter_map(|l| match l {
-            LayerSpec::Conv { name, .. } => Some(name.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(conv_names.len(), 13);
-
-    for name in &conv_names {
-        let f = fused_rows
-            .iter()
-            .find(|d| &d.name == name)
-            .unwrap_or_else(|| panic!("fused row for {name}"));
-        let u_conv = unfused_rows
-            .iter()
-            .find(|d| &d.name == name)
-            .unwrap_or_else(|| panic!("unfused conv row for {name}"));
-        let bnsign = format!("{name}:bnsign");
-        let u_bn = unfused_rows
-            .iter()
-            .find(|d| d.name == bnsign)
-            .unwrap_or_else(|| panic!("unfused bnsign row for {name}"));
-        let fused_bytes = f.cost.bytes_read + f.cost.bytes_written;
-        let unfused_bytes = u_conv.cost.bytes_read
-            + u_conv.cost.bytes_written
-            + u_bn.cost.bytes_read
-            + u_bn.cost.bytes_written;
-        assert!(
-            fused_bytes < unfused_bytes,
-            "{name}: fused moves {fused_bytes} B, unfused {unfused_bytes} B"
-        );
-        // The arithmetic is identical — only the data movement shrinks.
-        assert_eq!(f.cost.bit_ops, u_conv.cost.bit_ops);
-    }
+    let two_pass = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 0);
+    assert_eq!(two_pass.get(0, 0, 0), 1, "two-pass: tie must be +1");
+    assert!(oracle::folded(&fold, 0, 3), "oracle: tie must be +1");
 }

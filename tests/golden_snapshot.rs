@@ -12,12 +12,17 @@
 //! BITFLOW_BLESS=1 cargo test --test golden_snapshot
 //! ```
 //!
-//! which rewrites the files under `tests/golden/`.
+//! which rewrites the files under `tests/golden/`. The integer oracle
+//! reproduces the quickstart digest on its own, which ties the goldens to
+//! the arithmetic rather than to whatever the engine once computed.
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use bitflow_graph::models::{small_cnn, vgg16};
 use bitflow_graph::spec::NetworkSpec;
 use bitflow_graph::weights::NetworkWeights;
-use bitflow_graph::{CompiledModel, PlanOptions};
+use bitflow_graph::CompiledModel;
 use bitflow_tensor::{Layout, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::PathBuf;
@@ -42,18 +47,18 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.fnv64"))
 }
 
-/// Runs the example recipe: seeded weights, then the image from the same rng.
-fn run_recipe(spec: &NetworkSpec, seed: u64) -> Vec<f32> {
-    run_recipe_with(spec, seed, &PlanOptions::from_env())
-}
-
-/// Same recipe under an explicit plan — lets the suite pin both the fused
-/// (default) and unfused (`BITFLOW_FUSE=0`) dataflows to golden digests.
-fn run_recipe_with(spec: &NetworkSpec, seed: u64, opts: &PlanOptions) -> Vec<f32> {
+/// The example recipe: seeded weights, then the image from the same rng.
+fn recipe(spec: &NetworkSpec, seed: u64) -> (NetworkWeights, Tensor) {
     let mut rng = StdRng::seed_from_u64(seed);
     let weights = NetworkWeights::random(spec, &mut rng);
-    let model = CompiledModel::try_compile_with(spec, &weights, opts).expect("golden compile");
     let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
+    (weights, image)
+}
+
+/// The engine's logits for the example recipe.
+fn run_recipe(spec: &NetworkSpec, seed: u64) -> Vec<f32> {
+    let (weights, image) = recipe(spec, seed);
+    let model = CompiledModel::try_compile(spec, &weights).expect("golden compile");
     let mut ctx = model.try_new_context().expect("context allocates");
     model.try_infer(&mut ctx, &image).expect("golden inference")
 }
@@ -94,19 +99,14 @@ fn vgg16_logits_reproduce_exactly() {
     check_golden("vgg16", &logits);
 }
 
-/// The unfused (`BITFLOW_FUSE=0`) plan has its own golden rows — and because
-/// the fused integer epilogue is bit-identical to the float threshold pass,
-/// they pin the *same* digests as the fused recipes above. A divergence in
-/// either direction (fused drifts, or fusion stops being exact) trips one of
-/// the two rows.
 #[test]
-fn unfused_plan_reproduces_same_goldens() {
-    let quick = run_recipe_with(&small_cnn(), 42, &PlanOptions::unfused());
-    check_golden("quickstart_small_cnn_unfused", &quick);
-    check_golden("quickstart_small_cnn", &quick);
-    let vgg = run_recipe_with(&vgg16(), 7, &PlanOptions::unfused());
-    check_golden("vgg16_unfused", &vgg);
-    check_golden("vgg16", &vgg);
+fn oracle_reproduces_the_quickstart_golden() {
+    let spec = small_cnn();
+    let (weights, image) = recipe(&spec, 42);
+    check_golden(
+        "quickstart_small_cnn",
+        &oracle::logits(&spec, &weights, &image),
+    );
 }
 
 #[test]
@@ -114,10 +114,8 @@ fn batch_path_matches_golden_single_path() {
     // The batch serving path must land on the same logits as the
     // single-request path for the same recipe.
     let spec = small_cnn();
-    let mut rng = StdRng::seed_from_u64(42);
-    let weights = NetworkWeights::random(&spec, &mut rng);
+    let (weights, image) = recipe(&spec, 42);
     let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
-    let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
 
     let mut ctx = model.try_new_context().expect("context allocates");
     let single = model.try_infer(&mut ctx, &image).expect("single");

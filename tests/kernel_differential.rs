@@ -20,16 +20,18 @@
 //! deterministically: every level × every channel width — including pairs
 //! like (AVX-512, C = 64) that `select(c)` never produces — over group and
 //! word tails of K, every kernel/stride/tile-remainder shape, padded and
-//! unpadded outputs and adversarial thresholds, against a reference that
-//! shares no code with the packing or the kernels (`i32` arithmetic on the
-//! ±1 values).
+//! unpadded outputs and adversarial thresholds, against the integer oracle
+//! (`tests/common/oracle.rs`), which shares no code with the packing or the
+//! kernels.
 //!
 //! The first layer has two lowerings — window-pressed when `kh·kw·C ≤ 64`,
-//! channel-pressed otherwise — and both are held to that same reference: at
-//! the operator level against each other at every level, and through the
-//! engine (where the plan alone chooses) on fused and unfused plans, serial
-//! and parallel contexts, with windows of 63, 64 and 65 bits pinning the
-//! rule's edge from both sides.
+//! channel-pressed otherwise — and both are held to the oracle: at the
+//! operator level at every level, and through the engine (where the plan
+//! alone chooses) on serial and parallel contexts, with windows of 63, 64
+//! and 65 bits pinning the rule's edge from both sides.
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use bitflow_gemm::sgemm::sgemm_naive;
 use bitflow_ops::binary::{
@@ -131,46 +133,6 @@ const ALL_LEVELS: [SimdLevel; 5] = [
     SimdLevel::Avx512,
 ];
 
-/// Integer dot products of a ±1 map (−1 beyond its edge, `pad` pixels
-/// deep) with ±1 filters in (k, kh, kw, c) order: `[(oy·out_w + ox)·k + kk]`.
-#[allow(clippy::too_many_arguments)]
-fn integer_conv(
-    input: &[i32],
-    (h, w, c): (usize, usize, usize),
-    weights: &[i32],
-    (k, kh, kw): (usize, usize, usize),
-    stride: usize,
-    pad: usize,
-) -> (Vec<i32>, usize, usize) {
-    let (out_h, out_w) = (
-        (h + 2 * pad - kh) / stride + 1,
-        (w + 2 * pad - kw) / stride + 1,
-    );
-    let mut dots = Vec::with_capacity(out_h * out_w * k);
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            for kk in 0..k {
-                let mut dot = 0i32;
-                for i in 0..kh {
-                    for j in 0..kw {
-                        let (y, x) = (oy * stride + i, ox * stride + j);
-                        let inside = y >= pad && y < h + pad && x >= pad && x < w + pad;
-                        let wrow = &weights[((kk * kh + i) * kw + j) * c..][..c];
-                        dot += if inside {
-                            let px = &input[((y - pad) * w + (x - pad)) * c..][..c];
-                            px.iter().zip(wrow).map(|(a, b)| a * b).sum::<i32>()
-                        } else {
-                            -wrow.iter().sum::<i32>()
-                        };
-                    }
-                }
-                dots.push(dot);
-            }
-        }
-    }
-    (dots, out_h, out_w)
-}
-
 /// Thresholds that probe every edge of the popcount-domain epilogue: ±∞
 /// (the γ = 0 fold), NaN, saturation on either side, and an exact tie with
 /// a dot the map really produces — each under both comparison directions.
@@ -194,20 +156,9 @@ fn adversarial_fold(rng: &mut StdRng, dots: &[i32], k: usize, window_bits: usize
     }
 }
 
-/// The folded sign activation of element `i` of a `k`-channel map of
-/// integer dots: the float compare the popcount-domain epilogue must equal.
+/// The oracle's folded sign of element `i` of a `k`-channel map of dots.
 fn folded_bit(fold: &BnFold, k: usize, dots: &[i32], i: usize) -> bool {
-    let (x, t) = (dots[i] as f32, fold.thresholds[i % k]);
-    if fold.flip[i % k] {
-        x <= t
-    } else {
-        x >= t
-    }
-}
-
-/// ±1 of every value as the press sees it: `x ≥ 0` is +1.
-fn signs(xs: &[f32]) -> Vec<i32> {
-    xs.iter().map(|&x| if x >= 0.0 { 1 } else { -1 }).collect()
+    oracle::folded(fold, i % k, dots[i])
 }
 
 #[test]
@@ -233,11 +184,10 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
             let fshape = FilterShape::new(k, kh, kw, c);
             let input = Tensor::from_vec(pm1_vec(&mut rng, shape.numel()), shape, Layout::Nhwc);
             let weights = pm1_vec(&mut rng, fshape.numel());
-            let as_i32 = |xs: &[f32]| xs.iter().map(|&x| x as i32).collect::<Vec<_>>();
-            let (dots, oh, ow) = integer_conv(
-                &as_i32(input.data()),
+            let (dots, oh, ow) = oracle::conv(
+                &oracle::signs(input.data()),
                 (h, w, c),
-                &as_i32(&weights),
+                &oracle::signs(&weights),
                 (k, kh, kw),
                 stride,
                 pad,
@@ -332,10 +282,10 @@ fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
         let fshape = FilterShape::new(k, kh, kw, c);
         let input = Tensor::from_vec(pm1_vec(&mut rng, shape.numel()), shape, Layout::Nhwc);
         let weights = pm1_vec(&mut rng, fshape.numel());
-        let (dots, oh, ow) = integer_conv(
-            &signs(input.data()),
+        let (dots, oh, ow) = oracle::conv(
+            &oracle::signs(input.data()),
             (h, w, c),
-            &signs(&weights),
+            &oracle::signs(&weights),
             (k, kh, kw),
             stride,
             pad,
@@ -385,10 +335,10 @@ fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
 
 #[test]
 fn both_first_layer_lowerings_match_the_integer_reference_through_the_engine() {
+    use bitflow::graph::plan::input_windows;
     use bitflow::graph::{
-        BnParams, CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights, PlanOptions,
+        BnParams, CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights,
     };
-    const CLASSES: usize = 5;
     let mut rng = StdRng::seed_from_u64(0xF125);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(2)
@@ -408,88 +358,64 @@ fn both_first_layer_lowerings_match_the_integer_reference_through_the_engine() {
                 },
                 LayerSpec::Fc {
                     name: "fc1".into(),
-                    k: CLASSES,
+                    k: 5,
                 },
             ],
         };
+        assert_eq!(
+            input_windows(&spec).is_some(),
+            kh * kw * c <= 64,
+            "{what}: the rule"
+        );
         let mut weights = NetworkWeights::random(&spec, &mut rng);
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-
-        // The reference, in i32 on the signs: conv, threshold, flatten, FC.
-        let (conv_w, fc_w) = match &weights.layers[..] {
-            [LayerWeights::Conv { w: cw, .. }, LayerWeights::Fc { w: fw, .. }] => {
-                (signs(cw), signs(fw))
-            }
-            _ => unreachable!("conv then fc"),
+        // Thresholds drawn against the dots this map really produces, and
+        // batch-norm statistics that fold to exactly them: γ = ±1, β = 0
+        // leave `t = μ`, whatever μ is.
+        let LayerWeights::Conv { w: conv_w, bn, .. } = &mut weights.layers[0] else {
+            unreachable!("conv first")
         };
-        let (dots, oh, ow) = integer_conv(
-            &signs(input.data()),
+        let (dots, ..) = oracle::conv(
+            &oracle::signs(input.data()),
             (h, w, c),
-            &conv_w,
+            &oracle::signs(conv_w),
             (k, kh, kw),
             stride,
             pad,
         );
         let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
-        // Batch-norm statistics that fold to exactly those thresholds:
-        // γ = ±1, β = 0 leave `t = μ`, whatever μ is.
-        if let LayerWeights::Conv { bn, .. } = &mut weights.layers[0] {
-            *bn = BnParams {
-                gamma: fold
-                    .flip
-                    .iter()
-                    .map(|&f| if f { -1.0 } else { 1.0 })
-                    .collect(),
-                mean: fold.thresholds.clone(),
-                ..BnParams::identity(k)
-            };
-        }
-        let acts: Vec<i32> = (0..oh * ow * k)
-            .map(|i| {
-                if folded_bit(&fold, k, &dots, i) {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect();
-        let want: Vec<f32> = (0..CLASSES)
-            .map(|j| {
-                acts.iter()
-                    .enumerate()
-                    .map(|(i, a)| a * fc_w[i * CLASSES + j])
-                    .sum::<i32>() as f32
-            })
-            .collect();
+        *bn = BnParams {
+            gamma: fold
+                .flip
+                .iter()
+                .map(|&f| if f { -1.0 } else { 1.0 })
+                .collect(),
+            mean: fold.thresholds,
+            ..BnParams::identity(k)
+        };
+        let want = oracle::logits(&spec, &weights, &input);
 
-        for opts in [PlanOptions::default(), PlanOptions::unfused()] {
-            let model = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile");
-            assert_eq!(
-                model.plan().input_windows().is_some(),
-                kh * kw * c <= 64,
-                "{what}: the rule"
-            );
-            let mut ctx = model.try_new_context().expect("context");
-            for parallel in [false, true] {
-                ctx.parallel = parallel;
-                let got = pool
-                    .install(|| model.try_infer(&mut ctx, &input))
-                    .expect("infer");
-                assert_eq!(got, want, "{what} fuse={} parallel={parallel}", opts.fuse);
-            }
+        let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
+        let mut ctx = model.try_new_context().expect("context");
+        for parallel in [false, true] {
+            ctx.parallel = parallel;
+            let got = pool
+                .install(|| model.try_infer(&mut ctx, &input))
+                .expect("infer");
+            assert_eq!(got, want, "{what} parallel={parallel}");
         }
     }
 }
 
 /// VGG-16's twelve 3×3 convs after the first, at full size through the
-/// engine at the widest tier: fused, each runs the body the plan chose —
-/// the AMX tile loop on a host with the matrix unit — and unfused, the
-/// filter-lane loop's dots and a separate threshold pass. A small FC head
-/// over the whole sign map turns every output bit into logits, which must
-/// be equal, on serial and two-thread contexts alike.
+/// engine at the widest tier, each on the body the plan chose — the AMX
+/// tile loop on a host with the matrix unit. The reference is the same conv
+/// at operator level on the filter-lane loop, with the oracle's FC head
+/// over its sign map: a small head turns every output bit into logits,
+/// which must be equal, on serial and two-thread contexts alike.
 #[test]
 fn vgg16_conv_geometries_agree_on_every_body_through_the_engine() {
-    use bitflow::graph::{CompiledModel, LayerSpec, NetworkSpec, NetworkWeights, PlanOptions};
+    use bitflow::graph::{CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights};
     use bitflow_simd::conv::ConvBody;
     const VGG: [(&str, usize, usize, usize); 12] = [
         ("conv1.2", 224, 64, 64),
@@ -506,8 +432,11 @@ fn vgg16_conv_geometries_agree_on_every_body_through_the_engine() {
         ("conv5.3", 14, 512, 512),
     ];
     if !features().amx_int8 {
-        println!("vgg16 conv geometries: host lacks amx-int8, both plans run the filter-lane loop");
+        println!(
+            "vgg16 conv geometries: host lacks amx-int8, the engine runs the filter-lane loop too"
+        );
     }
+    let level = VectorScheduler::new().streaming_level();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(2)
         .build()
@@ -531,9 +460,25 @@ fn vgg16_conv_geometries_agree_on_every_body_through_the_engine() {
         let mut rng = StdRng::seed_from_u64(0x0A3E + i as u64);
         let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
         let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-        let [fused, unfused] = [PlanOptions::default(), PlanOptions::unfused()]
-            .map(|opts| CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile"));
-        let body = fused.op_descriptors()[1]
+        let LayerWeights::Conv { w, fshape, bn } = &weights.layers[0] else {
+            unreachable!("conv first")
+        };
+        let mut map = BitTensor::zeros(hw, hw, k);
+        pressed_conv_sign_into(
+            level,
+            &BitTensor::from_tensor_padded(&input, 1),
+            &BitFilterBank::from_floats(w, *fshape),
+            1,
+            &SignThresholds::from_fold(&bn.fold(), 9 * c),
+            &mut map,
+            0,
+            false,
+            None,
+        );
+        let want = oracle::run(&spec, &weights, 1, oracle::Act::of(&map.to_tensor()));
+
+        let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
+        let body = model.op_descriptors()[1]
             .body
             .expect("a conv names its body");
         assert_eq!(
@@ -541,14 +486,12 @@ fn vgg16_conv_geometries_agree_on_every_body_through_the_engine() {
             features().amx_int8,
             "{name}: {body}"
         );
-        let mut ctx = unfused.try_new_context().expect("context");
-        let want = unfused.try_infer(&mut ctx, &input).expect("unfused");
-        let mut ctx = fused.try_new_context().expect("context");
+        let mut ctx = model.try_new_context().expect("context");
         for parallel in [false, true] {
             ctx.parallel = parallel;
             let got = pool
-                .install(|| fused.try_infer(&mut ctx, &input))
-                .expect("fused");
+                .install(|| model.try_infer(&mut ctx, &input))
+                .expect("infer");
             assert_eq!(got, want, "{name} ({body}) parallel={parallel}");
         }
     }
@@ -565,9 +508,7 @@ fn vgg16_conv_geometries_agree_on_every_body_through_the_engine() {
 /// N = 325 a press tail in every row.
 #[test]
 fn compiled_weights_are_the_reference_press() {
-    use bitflow::graph::{
-        CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights, PlanOptions,
-    };
+    use bitflow::graph::{CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights};
     use bitflow_gemm::pack::pack_b_fused_columnwise;
 
     const SALT: [u32; 8] = [
@@ -611,29 +552,27 @@ fn compiled_weights_are_the_reference_press() {
             }
         }
     }
-    for opts in [PlanOptions::default(), PlanOptions::unfused()] {
-        let model = CompiledModel::try_compile_with(&spec, &weights, &opts).expect("compile");
-        let got = model.packed_weights();
-        assert_eq!(got.len(), 5, "three banks and two FC matrices");
-        for ((layer, lw), (name, words)) in spec.layers.iter().zip(&weights.layers).zip(got) {
-            assert_eq!(name, layer.name());
-            match lw {
-                LayerWeights::Conv { w, fshape, .. } => {
-                    // conv1's 3×3×3 window is pressed whole: its floats,
-                    // in the same order, are one 27-bit tap.
-                    let pressed_as = match name {
-                        "conv1" => FilterShape::new(fshape.k, 1, 1, 27),
-                        _ => *fshape,
-                    };
-                    let want = BitFilterBank::from_floats(w, pressed_as);
-                    assert_eq!(words, want.lane_words(), "{name} bank");
-                }
-                LayerWeights::Fc { w, n, k, .. } => {
-                    let want = pack_b_fused_columnwise(w, *n, *k);
-                    assert_eq!(words, want.words.as_slice(), "{name} rows");
-                }
-                LayerWeights::Pool => unreachable!("no pool in this spec"),
+    let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
+    let got = model.packed_weights();
+    assert_eq!(got.len(), 5, "three banks and two FC matrices");
+    for ((layer, lw), (name, words)) in spec.layers.iter().zip(&weights.layers).zip(got) {
+        assert_eq!(name, layer.name());
+        match lw {
+            LayerWeights::Conv { w, fshape, .. } => {
+                // conv1's 3×3×3 window is pressed whole: its floats,
+                // in the same order, are one 27-bit tap.
+                let pressed_as = match name {
+                    "conv1" => FilterShape::new(fshape.k, 1, 1, 27),
+                    _ => *fshape,
+                };
+                let want = BitFilterBank::from_floats(w, pressed_as);
+                assert_eq!(words, want.lane_words(), "{name} bank");
             }
+            LayerWeights::Fc { w, n, k, .. } => {
+                let want = pack_b_fused_columnwise(w, *n, *k);
+                assert_eq!(words, want.words.as_slice(), "{name} rows");
+            }
+            LayerWeights::Pool => unreachable!("no pool in this spec"),
         }
     }
 }

@@ -69,14 +69,6 @@ fn compiled_small_cnn(seed: u64) -> (Arc<CompiledModel>, Vec<Tensor>) {
         .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
         .collect();
     let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
-    // The soak exercises the production plan: under the default env the
-    // serving path must run the fused Conv→BN→Sign epilogue.
-    if bitflow_graph::fuse_enabled_from(std::env::var("BITFLOW_FUSE").ok().as_deref()) {
-        assert!(
-            !model.fused_conv_names().is_empty(),
-            "serving soak expected a fused plan"
-        );
-    }
     (Arc::new(model), inputs)
 }
 

@@ -13,7 +13,7 @@
 
 use bitflow_graph::models::{small_cnn, tiered_cnn};
 use bitflow_graph::weights::{BnParams, NetworkWeights};
-use bitflow_graph::{CompiledModel, PlanOptions};
+use bitflow_graph::CompiledModel;
 use bitflow_ops::binary::{
     binary_fc, binary_fc_parallel, binary_max_pool, binary_max_pool_parallel, pressed_conv,
     pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
@@ -163,36 +163,6 @@ fn engine_infer_invariant_across_pools() {
             model.try_infer(&mut ctx, &input).expect("parallel infer")
         });
         assert_eq!(got, serial, "try_infer diverges at {threads} threads");
-    }
-}
-
-#[test]
-fn unfused_engine_infer_invariant_across_pools() {
-    // The `BITFLOW_FUSE=0` dataflow (parallel float conv, then a separate
-    // threshold binarize) must be just as thread-invariant as the fused
-    // default — and agree with it bit-for-bit.
-    let spec = small_cnn();
-    let mut rng = StdRng::seed_from_u64(17);
-    let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    let fused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::default())
-        .expect("fused compile");
-    let unfused = CompiledModel::try_compile_with(&spec, &weights, &PlanOptions::unfused())
-        .expect("unfused compile");
-    let input = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
-
-    let mut ctx = fused.try_new_context().expect("context allocates");
-    let serial = fused.try_infer(&mut ctx, &input).expect("fused serial");
-
-    for threads in POOLS {
-        let got = in_pool(threads, || {
-            let mut ctx = unfused.try_new_context().expect("context allocates");
-            ctx.parallel = true;
-            unfused.try_infer(&mut ctx, &input).expect("unfused infer")
-        });
-        assert_eq!(
-            got, serial,
-            "unfused parallel plan diverges at {threads} threads"
-        );
     }
 }
 
