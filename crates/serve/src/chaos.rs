@@ -172,28 +172,6 @@ impl ChaosConfig {
         Some(cfg)
     }
 
-    /// Whether any injection can fire.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.slow_ppm > 0
-            || self.panic_ppm > 0
-            || self.stall_ppm > 0
-            || self.kill_ppm > 0
-            || self.conn_kill_ppm > 0
-            || self.read_stall_ppm > 0
-            || self.trunc_write_ppm > 0
-            || self.alloc_fail_nth > 0
-    }
-
-    /// Whether accounted reservation number `reservation` (1-based, in
-    /// grant order) fails with an injected allocation error. Every Nth
-    /// reservation fails: deterministic under a replayed request
-    /// sequence, no hashing needed — the stream is already ordered.
-    #[must_use]
-    pub fn alloc_fail_hit(&self, reservation: u64) -> bool {
-        self.alloc_fail_nth != 0 && reservation.is_multiple_of(self.alloc_fail_nth)
-    }
-
     /// The (request, operator) decision: panic wins the roll's low range,
     /// slow the next, so the two rates never overlap.
     fn op_roll(&self, request: u64, op: u64) -> OpFault {
@@ -209,14 +187,16 @@ impl ChaosConfig {
 
     /// Whether pop number `pop` on worker `worker` stalls before
     /// processing.
-    pub(crate) fn stall_hit(&self, worker: u64, pop: u64) -> bool {
+    #[must_use]
+    pub fn stall_hit(&self, worker: u64, pop: u64) -> bool {
         roll(self.seed, DOMAIN_POP, worker, pop) < u64::from(self.stall_ppm)
     }
 
     /// Whether pop number `pop` on worker `worker` kills the worker loop
     /// after the request resolves. Drawn from the same roll as the stall
     /// (disjoint range above it).
-    pub(crate) fn kill_hit(&self, worker: u64, pop: u64) -> bool {
+    #[must_use]
+    pub fn kill_hit(&self, worker: u64, pop: u64) -> bool {
         let r = roll(self.seed, DOMAIN_POP, worker, pop);
         r >= u64::from(self.stall_ppm) && r < u64::from(self.stall_ppm) + u64::from(self.kill_ppm)
     }
@@ -345,20 +325,6 @@ mod tests {
         // The 9th field is the allocation-failure count.
         let alloc = ChaosConfig::parse("7:1:2:3:4:5:6:8:16").unwrap();
         assert_eq!(alloc.alloc_fail_nth, 16);
-        assert!(alloc.active());
-    }
-
-    #[test]
-    fn alloc_fail_fires_every_nth_reservation() {
-        let cfg = ChaosConfig {
-            seed: 1,
-            alloc_fail_nth: 5,
-            ..ChaosConfig::default()
-        };
-        let hits: Vec<u64> = (1..=20).filter(|&r| cfg.alloc_fail_hit(r)).collect();
-        assert_eq!(hits, vec![5, 10, 15, 20]);
-        let off = ChaosConfig::default();
-        assert!((1..=1000).all(|r| !off.alloc_fail_hit(r)));
     }
 
     #[test]

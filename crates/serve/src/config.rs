@@ -1,6 +1,5 @@
 //! Serving-runtime configuration: pool size, queue bound, default
-//! deadline, shedding policy, micro-batching, circuit breaker, chaos,
-//! request tracing.
+//! deadline, micro-batching, circuit breaker, chaos, request tracing.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,20 +9,15 @@ use bitflow_telemetry::FlightRecorder;
 use crate::chaos::ChaosConfig;
 use crate::govern::GovernorConfig;
 
-/// What `submit` does when the admission queue is at capacity.
+/// What `submit` does when the admission queue is at capacity. There is
+/// one behaviour; the type stays because callers name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShedPolicy {
-    /// Reject the new submission with
-    /// [`bitflow_graph::RejectReason::QueueFull`]. Strict FIFO fairness:
-    /// admitted work is never dropped.
+    /// Evict one queued request that is already dead — deadline passed or
+    /// caller-cancelled — resolve it with its typed error, and admit the
+    /// new request in its place; with no dead entry, reject the new one
+    /// with [`bitflow_graph::RejectReason::QueueFull`].
     #[default]
-    RejectNewest,
-    /// Before rejecting, evict one queued request that is already dead —
-    /// deadline passed or caller-cancelled — resolve it with its typed
-    /// error, and admit the new request in its place. Under deadline'd
-    /// load this converts head-of-line blocking by doomed requests into
-    /// useful admissions; with no dead entry it degrades to
-    /// [`ShedPolicy::RejectNewest`].
     DeadlineAware,
 }
 
@@ -173,7 +167,7 @@ mod tests {
         assert!(cfg.workers >= 1);
         assert!(cfg.queue_capacity >= 1);
         assert!(cfg.default_deadline.is_none());
-        assert_eq!(cfg.shed_policy, ShedPolicy::RejectNewest);
+        assert_eq!(cfg.shed_policy, ShedPolicy::DeadlineAware);
         assert!(cfg.chaos.is_none());
         assert_eq!(cfg.govern, GovernorConfig::default(), "unmetered default");
         assert!(cfg.breaker.fault_threshold >= 1);

@@ -25,12 +25,14 @@
 //! and resetting them mid-serve would break the conservation law.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bitflow_graph::CompiledModel;
 use bitflow_telemetry::ServeGauges;
 
-use crate::govern::{MemoryLease, Priority, TenantAccount};
+use crate::govern::{MemoryLease, TenantAccount};
+use crate::policy::Priority;
+use crate::server::lock;
 
 /// Name under which [`ModelRegistry::single`] registers its only model
 /// (the single-model [`crate::Server::start`] path).
@@ -39,10 +41,6 @@ pub const DEFAULT_MODEL: &str = "default";
 /// Exponential-moving-average weight for the per-entry batch-latency
 /// estimate: `new = old + (sample - old) / 4`.
 const EWMA_SHIFT: u32 = 2;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One tenant of a multi-model server: a hot-swappable model handle, the
 /// entry's serving gauges, its admission quota, and the live admission
@@ -168,25 +166,12 @@ impl ModelEntry {
     /// Charges one admission against the quota; `false` leaves the count
     /// untouched (the submission must be rejected).
     pub(crate) fn try_admit(&self) -> bool {
-        let Some(quota) = self.quota else {
-            self.in_flight.fetch_add(1, Ordering::Relaxed);
-            return true;
-        };
-        let mut cur = self.in_flight.load(Ordering::Relaxed);
-        loop {
-            if cur >= quota {
-                return false;
-            }
-            match self.in_flight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
+        let quota = self.quota.unwrap_or(u64::MAX);
+        self.in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < quota).then_some(n + 1)
+            })
+            .is_ok()
     }
 
     /// Releases one admission (the request resolved, whatever the

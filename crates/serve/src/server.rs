@@ -21,7 +21,7 @@
 //!   fresh context — the engine's no-poisoning guarantee, exercised here
 //!   across panics, cancellations, context replacement, and coalesced
 //!   micro-batches.
-//! * Every context a request runs in is built by `CtxCache::try_ctx_for`:
+//! * Every context a request runs in is built by `ctx_for`:
 //!   fallibly, and charged to its tenant for as long as it is cached.
 //! * **Execution needs a slot.** There is one context slot per worker
 //!   (`Shared::slots`), locked by whoever serves a batch in it, so at
@@ -29,31 +29,16 @@
 //!   contexts are leased — workers and blocking callers counted together.
 //!
 //! **Where a request runs**: [`ModelClient::submit`] never blocks — the
-//! request crosses the queue and a worker serves it. A caller that would
-//! block for the answer anyway uses [`ModelClient::call`]: same
-//! admission, and then, if nothing is queued and a worker is parked, it
-//! borrows that worker's slot and serves its own request on its own
-//! thread (no hand-off to a worker and back); otherwise it queues and
-//! waits. A worker holds its slot only while it serves, so parked means
-//! free; a worker that wakes to find its slot borrowed waits out that
-//! one inference, as it would behind a busy pool.
+//! request crosses the queue and a worker serves it. [`ModelClient::call`]
+//! admits the same way, then, if nothing is queued and a worker is parked,
+//! borrows that worker's slot and serves the request on the calling
+//! thread; otherwise it queues and waits.
 //!
-//! **Micro-batching**: a worker pops the queue head, then greedily
-//! coalesces queued requests that run the *same model `Arc`* and whose
-//! deadlines can absorb the entry's measured batch latency
-//! ([`ModelEntry`]'s EWMA), up to [`ServerConfig::max_batch`]. With a
-//! non-zero [`ServerConfig::coalesce_window`] an under-full batch may
-//! additionally wait for followers; the default window is zero, so calm
-//! traffic is served immediately and p50 latency does not regress —
-//! batches then only form when the queue is already deep, which is
-//! exactly when amortising dispatch across requests buys goodput.
-//!
-//! **Tenancy**: [`Server::start_multi`] serves every entry of a
-//! [`ModelRegistry`] from one queue and one worker pool. Each entry has
-//! its own gauges and an optional admission quota charged at admission
-//! and released at resolution, so one tenant cannot starve the others of
-//! queue space. [`Server::client`] scopes submission to one entry;
-//! [`ModelClient::swap`] hot-swaps its model with zero downtime.
+//! Every decision — admission, batch formation, the breaker, the brownout
+//! state — is [`crate::policy::Policy`]'s, called under the queue lock.
+//! This module keeps the threads, the queue, the slots, the leases and the
+//! traces. One queue and one pool serve every entry of a
+//! [`ModelRegistry`] ([`Server::start_multi`]).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,15 +54,16 @@ use bitflow_tensor::Tensor;
 
 use crate::chaos;
 use crate::chaos::ChaosConfig;
-use crate::config::{ServerConfig, ShedPolicy};
-use crate::govern::{DegradationState, MemoryLease, ResourceGovernor};
+use crate::config::ServerConfig;
+use crate::govern::{MemoryLease, ResourceGovernor};
+use crate::policy::{DegradationState, Outcome, Policy, Queued, Verdict};
 use crate::registry::{ModelEntry, ModelRegistry};
 
 /// Locks, treating poisoning as recovered: the runtime catches panics
 /// around everything that runs under these locks, and the guarded state
 /// stays consistent (counters and queues are updated atomically with
 /// respect to the panic points).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -128,13 +114,6 @@ impl ResponseHandle {
     /// mid-inference it stops at the next operator boundary.
     pub fn cancel(&self) {
         self.token.cancel();
-    }
-
-    /// A clone of the request's cancellation token, for callers that
-    /// outlive the handle (e.g. a connection-closed watcher).
-    #[must_use]
-    pub fn cancel_token(&self) -> CancelToken {
-        self.token.clone()
     }
 
     /// Non-blocking poll; `None` while the request is still in flight.
@@ -234,15 +213,26 @@ impl Request {
     }
 }
 
+impl Queued for Request {
+    fn deadline(&self) -> Option<Instant> {
+        self.token.deadline()
+    }
+
+    fn cancelled(&self) -> bool {
+        self.token.is_cancelled()
+    }
+
+    fn batches_with(&self, head: &Self) -> bool {
+        Arc::ptr_eq(&self.model, &head.model)
+    }
+}
+
+/// Everything under the queue lock: the queue, the drain flag, and the
+/// policy that decides admission, batching, degradation and the breaker.
 struct QueueState {
     items: VecDeque<Request>,
     draining: bool,
-}
-
-#[derive(Default)]
-struct BreakerState {
-    consecutive_faults: u32,
-    open_until: Option<Instant>,
+    policy: Policy,
 }
 
 struct Shared {
@@ -252,7 +242,6 @@ struct Shared {
     config: ServerConfig,
     queue: Mutex<QueueState>,
     available: Condvar,
-    breaker: Mutex<BreakerState>,
     next_id: AtomicU64,
     pops: AtomicU64,
     /// One scratch-context slot per worker, locked by whoever is serving
@@ -276,36 +265,14 @@ impl Shared {
             })
     }
 
-    /// Whether the breaker currently sheds admissions. An expired cooldown
-    /// closes the breaker here, on the admission path — half-open probing
-    /// is not modelled; after the cooldown the server simply trusts the
-    /// pool again until faults re-accumulate.
-    fn breaker_open(&self) -> bool {
-        let mut b = lock(&self.breaker);
-        match b.open_until {
-            Some(until) if Instant::now() < until => true,
-            Some(_) => {
-                b.open_until = None;
-                b.consecutive_faults = 0;
-                false
-            }
-            None => false,
+    /// Ticks the policy (the queue lock held) against the governor's
+    /// pressure, mirroring a state change to every tenant's gauge.
+    fn tick(&self, q: &mut QueueState, now: Instant) -> DegradationState {
+        let pressure = self.governor.pressure_permille();
+        if let Some(state) = q.policy.tick(now, pressure, q.items.len()) {
+            self.governor.mirror(state);
         }
-    }
-
-    fn breaker_fault(&self) {
-        let mut b = lock(&self.breaker);
-        b.consecutive_faults = b.consecutive_faults.saturating_add(1);
-        if b.consecutive_faults >= self.config.breaker.fault_threshold && b.open_until.is_none() {
-            b.open_until = Some(Instant::now() + self.config.breaker.cooldown);
-            // The breaker guards the whole pool, so its trips land on the
-            // default entry's gauges.
-            self.default_entry.counters().breaker_trips.inc();
-        }
-    }
-
-    fn breaker_success(&self) {
-        lock(&self.breaker).consecutive_faults = 0;
+        q.policy.state()
     }
 }
 
@@ -336,10 +303,6 @@ impl Server {
     /// registered entry is the default the [`Server::submit`] pair
     /// targets; use [`Server::client`] to address the others.
     ///
-    /// If `config.chaos` injects operator faults, each model's fault hook
-    /// is installed here (first installer wins — the hook slot is one per
-    /// model).
-    ///
     /// # Panics
     /// If the registry is empty.
     #[must_use]
@@ -351,29 +314,11 @@ impl Server {
         config.workers = config.workers.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         config.max_batch = config.max_batch.max(1);
-        if let Some(chaos_cfg) = &config.chaos {
-            if chaos_cfg.slow_ppm > 0 || chaos_cfg.panic_ppm > 0 {
-                for entry in registry.entries() {
-                    let _ = entry
-                        .current()
-                        .install_fault_hook(chaos::fault_hook(chaos_cfg.clone()));
-                }
-            }
-        }
         let alloc_fail_nth = config.chaos.as_ref().map_or(0, |c| c.alloc_fail_nth);
         let governor = ResourceGovernor::new(config.govern, alloc_fail_nth);
         for entry in registry.entries() {
-            let account = governor.tenant(entry.name(), &entry.gauges());
-            entry.bind_account(Arc::clone(&account));
-            // Weights are a forced charge: the server must start even
-            // overcommitted — the pressure ratio then exceeds 1.0 and the
-            // brownout machine degrades service instead of refusing to
-            // exist. The lease follows the *served* model (hot swaps
-            // re-lease); a displaced model draining its last requests is
-            // transiently unaccounted, bounded by the drain.
-            let model = entry.current();
-            let bytes = (model.float_model_bytes() + model.packed_model_bytes()) as u64;
-            let _ = entry.set_weight_lease(governor.reserve_forced(&account, bytes));
+            entry.bind_account(governor.tenant(entry.name(), &entry.gauges()));
+            ready_to_serve(&config, &governor, entry, &entry.current());
         }
         let default_entry = Arc::clone(&registry.entries()[0]);
         let shared = Arc::new(Shared {
@@ -383,9 +328,9 @@ impl Server {
             queue: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 draining: false,
+                policy: Policy::new(&config),
             }),
             available: Condvar::new(),
-            breaker: Mutex::new(BreakerState::default()),
             next_id: AtomicU64::new(0),
             pops: AtomicU64::new(0),
             slots: (0..config.workers).map(|_| Mutex::default()).collect(),
@@ -472,12 +417,6 @@ impl Server {
         self.shared.config.recorder.clone()
     }
 
-    /// Requests currently waiting in the admission queue (all tenants).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.queue).items.len()
-    }
-
     /// The chaos configuration this server was started with, if any — a
     /// network front-end shares it so its connection/read/write fault
     /// streams ride the same seed as the op and pop streams.
@@ -490,7 +429,7 @@ impl Server {
     /// health signal a front-end's `/healthz` endpoint reports.
     #[must_use]
     pub fn breaker_open(&self) -> bool {
-        self.shared.breaker_open()
+        lock(&self.shared.queue).policy.breaker_open(Instant::now())
     }
 
     /// The resource governor metering this server's byte budgets.
@@ -505,10 +444,8 @@ impl Server {
     /// at it.
     #[must_use]
     pub fn degradation_state(&self) -> DegradationState {
-        let depth = lock(&self.shared.queue).items.len();
         self.shared
-            .governor
-            .evaluate(depth, self.shared.config.queue_capacity)
+            .tick(&mut lock(&self.shared.queue), Instant::now())
     }
 
     /// Charges `bytes` of not-yet-read request body against `tenant`'s
@@ -553,44 +490,30 @@ impl Server {
     /// always back off a meaningful amount.
     #[must_use]
     pub fn retry_after_hint(&self) -> Duration {
-        self.entry_retry_hint(&self.shared.default_entry)
-    }
-
-    fn entry_retry_hint(&self, entry: &ModelEntry) -> Duration {
-        let depth = lock(&self.shared.queue).items.len() as u64;
-        let max_batch = self.shared.config.max_batch.max(1) as u64;
-        let workers = self.shared.config.workers.max(1) as u64;
-        let batches = depth.div_ceil(max_batch);
-        let ns = batches.saturating_mul(entry.est_batch_ns().max(1)) / workers;
-        Duration::from_nanos(ns).max(Duration::from_secs(1))
+        self.default_client().retry_after_hint()
     }
 
     /// Stops admissions without stopping the pool: from here on `submit`
     /// returns [`RejectReason::Draining`] while already-queued requests
     /// are still served. Irreversible; [`Server::shutdown`] completes it.
     pub fn drain(&self) {
-        self.begin_drain();
+        lock(&self.shared.queue).draining = true;
+        self.shared.available.notify_all();
     }
 
     /// Stops admissions, serves out the queue, joins the pool, and
-    /// returns the default model's final counters.
-    pub fn shutdown(mut self) -> ServeSnapshot {
-        self.begin_drain();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.shared.default_entry.counters().snapshot()
-    }
-
-    fn begin_drain(&self) {
-        lock(&self.shared.queue).draining = true;
-        self.shared.available.notify_all();
+    /// returns the default model's final counters (its weights still
+    /// leased: the entry outlives the pool).
+    pub fn shutdown(self) -> ServeSnapshot {
+        let entry = Arc::clone(&self.shared.default_entry);
+        drop(self);
+        entry.counters().snapshot()
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.begin_drain();
+        self.drain();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -630,7 +553,7 @@ impl ModelClient<'_> {
     /// never overtakes queued work and never runs beside a full pool.
     pub fn call(&self, request: Submission) -> Result<Vec<f32>, BitFlowError> {
         let sh = &*self.server.shared;
-        let (q, req) = self.admit(request).map_err(BitFlowError::Rejected)?;
+        let (mut q, req) = self.admit(request).map_err(BitFlowError::Rejected)?;
         let free = if q.items.is_empty() {
             sh.free_slot()
         } else {
@@ -640,6 +563,7 @@ impl ModelClient<'_> {
             return enqueue(sh, q, req).wait();
         };
         req.entry.counters().admitted_on_caller();
+        q.policy.begin();
         drop(q);
         // The worker's obligations come with its slot: the backstop
         // around everything outside the engine's own per-request one, and
@@ -649,7 +573,7 @@ impl ModelClient<'_> {
             serve_pop(sh, worker_id, &mut cache, std::slice::from_ref(&req), true)
         }));
         if !matches!(served, Ok(None)) {
-            *cache = CtxCache::default();
+            *cache = None;
             sh.default_entry.counters().worker_restarts.inc();
         }
         drop(cache);
@@ -661,10 +585,11 @@ impl ModelClient<'_> {
         })
     }
 
-    /// The admission body `submit` and `call` share: every check, in this
-    /// order, each refusal counted. On success the request is built and
-    /// the queue is still locked, so where it goes next is decided under
-    /// the lock that admitted it.
+    /// The admission body `submit` and `call` share: the policy's verdict
+    /// ([`Policy::admit`]), then the payload lease and the quota, each
+    /// refusal counted. On success the request is built and the queue is
+    /// still locked, so where it goes next is decided under the lock that
+    /// admitted it.
     fn admit(
         &self,
         request: Submission,
@@ -696,39 +621,25 @@ impl ModelClient<'_> {
         }
         entry.counters().submitted.inc();
         let refuse = |reason| Err(reject(sh, entry, &trace, t_submit, reason));
-        if sh.breaker_open() {
-            return refuse(RejectReason::Shedding);
-        }
         let mut q = lock(&sh.queue);
-        if q.draining {
-            return refuse(RejectReason::Draining);
-        }
-        // Brownout: every submission re-evaluates the state machine (a
-        // few relaxed loads), then the tenant's priority class decides
-        // whether this state sheds it — before the request costs queue
-        // space or bytes.
-        sh.governor
-            .evaluate(q.items.len(), sh.config.queue_capacity);
-        if sh.governor.sheds(entry.priority()) {
-            return refuse(RejectReason::MemoryPressure);
-        }
-        if q.items.len() >= sh.config.queue_capacity {
-            match sh.config.shed_policy {
-                ShedPolicy::RejectNewest => return refuse(RejectReason::QueueFull),
-                ShedPolicy::DeadlineAware => {
-                    let dead = q
-                        .items
-                        .iter()
-                        .position(|r| r.token.is_cancelled() || r.token.deadline_passed());
-                    match dead.and_then(|i| q.items.remove(i)) {
-                        Some(victim) => {
-                            victim.entry.counters().dequeued();
-                            resolve_dead(sh, &victim);
-                        }
-                        None => return refuse(RejectReason::QueueFull),
-                    }
+        // Every submission ticks the state machine, so the verdict sees
+        // the state as of now — before the request costs queue space or
+        // bytes.
+        sh.tick(&mut q, t_submit);
+        let QueueState {
+            items,
+            draining,
+            policy,
+        } = &mut *q;
+        match policy.admit(entry.priority(), items, *draining, t_submit) {
+            Verdict::Admit => {}
+            Verdict::Evict(i) => {
+                if let Some(victim) = items.remove(i) {
+                    victim.entry.counters().dequeued();
+                    account(sh, &victim, Err(dead_error(&victim)), true);
                 }
             }
+            Verdict::Refuse(reason) => return refuse(reason),
         }
         // The payload's byte charge rides just ahead of the quota: the
         // lease is RAII, so a quota reject below releases it by drop and
@@ -786,7 +697,11 @@ impl ModelClient<'_> {
     /// tenant, from the shared queue depth and the tenant's batch EWMA.
     #[must_use]
     pub fn retry_after_hint(&self) -> Duration {
-        self.server.entry_retry_hint(&self.entry)
+        let config = &self.server.shared.config;
+        let depth = lock(&self.server.shared.queue).items.len() as u64;
+        let batches = depth.div_ceil(config.max_batch as u64);
+        let ns = batches.saturating_mul(self.entry.est_batch_ns().max(1)) / config.workers as u64;
+        Duration::from_nanos(ns).max(Duration::from_secs(1))
     }
 
     /// Hot-swaps this tenant's model with zero downtime: in-flight and
@@ -795,20 +710,33 @@ impl ModelClient<'_> {
     /// the server injects operator chaos, the replacement gets the fault
     /// hook before it can serve.
     pub fn swap(&self, new: Arc<CompiledModel>) -> Arc<CompiledModel> {
-        if let Some(chaos_cfg) = &self.server.shared.config.chaos {
-            if chaos_cfg.slow_ppm > 0 || chaos_cfg.panic_ppm > 0 {
-                let _ = new.install_fault_hook(chaos::fault_hook(chaos_cfg.clone()));
-            }
-        }
-        let bytes = (new.float_model_bytes() + new.packed_model_bytes()) as u64;
-        let old = self.entry.swap_model(new);
-        // Re-lease the weight charge for the replacement; dropping the
-        // displaced lease releases the old model's bytes.
-        if let Some(account) = self.entry.account() {
-            let lease = self.server.shared.governor.reserve_forced(account, bytes);
-            drop(self.entry.set_weight_lease(lease));
-        }
-        old
+        let shared = &self.server.shared;
+        ready_to_serve(&shared.config, &shared.governor, &self.entry, &new);
+        self.entry.swap_model(new)
+    }
+}
+
+/// Readies `model` to serve under `entry`: the chaos fault hook (the first
+/// installer wins), and a forced charge for its weights that replaces the
+/// displaced model's lease — forced, because a server must start even
+/// overcommitted and let the brownout machine degrade it. A displaced
+/// model draining its last requests is briefly unaccounted.
+fn ready_to_serve(
+    config: &ServerConfig,
+    governor: &Arc<ResourceGovernor>,
+    entry: &ModelEntry,
+    model: &CompiledModel,
+) {
+    if let Some(c) = config
+        .chaos
+        .as_ref()
+        .filter(|c| c.slow_ppm > 0 || c.panic_ppm > 0)
+    {
+        let _ = model.install_fault_hook(chaos::fault_hook(c.clone()));
+    }
+    if let Some(account) = entry.account() {
+        let bytes = (model.float_model_bytes() + model.packed_model_bytes()) as u64;
+        drop(entry.set_weight_lease(governor.reserve_forced(account, bytes)));
     }
 }
 
@@ -858,125 +786,53 @@ fn finish_owned(shared: &Shared, t: &TraceRef) {
     }
 }
 
-/// Resolves a request that died in the queue (evicted by deadline-aware
-/// shedding, or popped already-dead): caller cancellation wins over
-/// deadline expiry, mirroring [`CancelToken::check`]. Releases the
-/// request's quota charge.
-fn resolve_dead(shared: &Shared, req: &Request) {
-    let now = Instant::now();
-    req.entry
-        .counters()
-        .stage_queue_wait
-        .record(now.saturating_duration_since(req.enqueued_at).as_nanos() as u64);
+/// The error a request found dead resolves with: caller cancellation wins
+/// over deadline expiry, mirroring [`CancelToken::check`].
+fn dead_error(req: &Request) -> BitFlowError {
     if req.token.is_cancelled() {
-        req.entry.counters().cancelled.inc();
-        req.slot.resolve(Err(BitFlowError::Cancelled));
+        BitFlowError::Cancelled
     } else {
-        req.entry.counters().shed_deadline.inc();
-        shared.governor.record_outcome(true);
-        req.slot.resolve(Err(BitFlowError::DeadlineExceeded));
-    }
-    if let Some(t) = &req.trace {
-        t.tb.stage(Stage::QueueWait, req.enqueued_at, now);
-        t.tb.set_outcome(if req.token.is_cancelled() {
-            "cancelled"
-        } else {
-            "shed:deadline"
-        });
-        finish_owned(shared, t);
-    }
-    req.entry.release();
-}
-
-/// A worker's scratch context, keyed by the model it was built for. In a
-/// multi-model server a worker hops between tenants; the cache rebuilds
-/// only when the served model actually changes (hot swap or tenant hop),
-/// so the common single-tenant path reuses one context forever.
-#[derive(Default)]
-struct CtxCache {
-    /// Model, its scratch context, and the governor's byte charge for
-    /// that context (held while cached; released when the worker hops
-    /// to another model or exits).
-    slot: Option<(Arc<CompiledModel>, InferenceContext, Option<MemoryLease>)>,
-}
-
-impl CtxCache {
-    /// The cached context for `model`, building one fallibly on a miss:
-    /// the allocation goes through [`CompiledModel::try_new_context`]
-    /// and its bytes are charged to the request's tenant — the typed
-    /// error on refusal fails one request instead of aborting the
-    /// worker.
-    fn try_ctx_for(
-        &mut self,
-        shared: &Shared,
-        req: &Request,
-    ) -> Result<&mut InferenceContext, BitFlowError> {
-        let model = &req.model;
-        let stale = match &self.slot {
-            Some((cached, _, _)) => !Arc::ptr_eq(cached, model),
-            None => true,
-        };
-        if stale {
-            // Free the displaced context's charge before building the
-            // replacement, so a tight budget can still hop tenants.
-            self.slot = None;
-            let ctx = model.try_new_context()?;
-            let lease = match req.entry.account() {
-                Some(account) => Some(shared.governor.reserve(
-                    account,
-                    ctx.activation_bytes() as u64,
-                    "inference context",
-                )?),
-                None => None,
-            };
-            self.slot = Some((Arc::clone(model), ctx, lease));
-        }
-        match &mut self.slot {
-            Some((_, ctx, _)) => Ok(ctx),
-            None => unreachable!("slot was just filled"),
-        }
+        BitFlowError::DeadlineExceeded
     }
 }
 
-/// Whether a request's deadline can absorb an estimated batch latency.
-/// No estimate yet (`est_ns == 0`) or no deadline → always fits.
-fn deadline_fits(token: &CancelToken, est_ns: u64) -> bool {
-    if est_ns == 0 {
-        return true;
+/// A worker's scratch context, keyed by the model it was built for, with
+/// the governor's byte charge for it (held while cached). In a multi-model
+/// server a worker hops between tenants; the cache rebuilds only when the
+/// served model changes (hot swap or tenant hop), so the common
+/// single-tenant path reuses one context forever.
+type CtxCache = Option<(Arc<CompiledModel>, InferenceContext, Option<MemoryLease>)>;
+
+/// The cached context for `req`'s model, building one fallibly on a miss:
+/// the allocation goes through [`CompiledModel::try_new_context`] and its
+/// bytes are charged to the request's tenant — the typed error on refusal
+/// fails one request instead of aborting the worker.
+fn ctx_for<'c>(
+    cache: &'c mut CtxCache,
+    shared: &Shared,
+    req: &Request,
+) -> Result<&'c mut InferenceContext, BitFlowError> {
+    let model = &req.model;
+    if !matches!(cache, Some((cached, ..)) if Arc::ptr_eq(cached, model)) {
+        // Free the displaced context's charge before building the
+        // replacement, so a tight budget can still hop tenants.
+        *cache = None;
+        let ctx = model.try_new_context()?;
+        let bytes = ctx.activation_bytes() as u64;
+        let lease = req.entry.account();
+        let lease = lease.map(|a| shared.governor.reserve(a, bytes, "inference context"));
+        *cache = Some((Arc::clone(model), ctx, lease.transpose()?));
     }
-    match token.deadline() {
-        Some(d) => Instant::now() + Duration::from_nanos(est_ns) <= d,
-        None => true,
+    match cache {
+        Some((_, ctx, _)) => Ok(ctx),
+        None => unreachable!("the cache was just filled"),
     }
 }
 
-/// Greedily moves queued requests compatible with `batch[0]` — same model
-/// `Arc`, deadline fits the entry's batch-latency estimate — into the
-/// batch, preserving queue order among the rest.
-fn take_compatible(q: &mut QueueState, batch: &mut Vec<Request>, max_batch: usize) {
-    let est = batch[0].entry.est_batch_ns();
-    let mut i = 0;
-    while batch.len() < max_batch && i < q.items.len() {
-        let fits = Arc::ptr_eq(&q.items[i].model, &batch[0].model)
-            && deadline_fits(&q.items[i].token, est);
-        if fits {
-            match q.items.remove(i) {
-                Some(mut req) => {
-                    req.popped_at = Instant::now();
-                    req.entry.counters().dequeued();
-                    batch.push(req);
-                }
-                None => break,
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Blocks for the next micro-batch: pops the queue head, coalesces
-/// compatible followers, and (with a non-zero coalesce window) waits a
-/// bounded time for more. Returns `None` when the queue is drained dry.
+/// Blocks for the next micro-batch: pops the queue head, then lets the
+/// policy coalesce compatible followers and (with a non-zero coalesce
+/// window) wait a bounded time for more ([`Policy::batch`]). Returns `None`
+/// when the queue is drained dry.
 fn pop_batch(shared: &Shared) -> Option<Vec<Request>> {
     let mut q = lock(&shared.queue);
     let head = loop {
@@ -993,48 +849,37 @@ fn pop_batch(shared: &Shared) -> Option<Vec<Request>> {
             .wait(q)
             .unwrap_or_else(PoisonError::into_inner);
     };
-    let max = shared.config.max_batch;
+    q.policy.begin();
+    let (popped, est) = (head.popped_at, head.entry.est_batch_ns());
     let mut batch = vec![head];
-    if max > 1 {
-        take_compatible(&mut q, &mut batch, max);
-        // Brownout shrinks the window (and Shed zeroes it): a pressured
-        // server serves-and-frees instead of holding requests to wait
-        // for company.
-        let window = shared.governor.scaled_window(shared.config.coalesce_window);
-        if batch.len() < max && window > Duration::ZERO && !q.draining {
-            // Cap the wait by what the head's deadline can absorb: a batch
-            // that forms too late to serve its own head is worse than no
-            // batch at all.
-            let est = batch[0].entry.est_batch_ns();
-            let cap = Instant::now() + window;
-            let wait_until = match batch[0].token.deadline() {
-                Some(d) => d
-                    .checked_sub(Duration::from_nanos(est))
-                    .map_or(cap, |latest| latest.min(cap)),
-                None => cap,
-            };
-            loop {
-                let now = Instant::now();
-                if now >= wait_until || batch.len() >= max || q.draining {
-                    break;
-                }
-                let (guard, timeout) = shared
-                    .available
-                    .wait_timeout(q, wait_until - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-                take_compatible(&mut q, &mut batch, max);
-                if timeout.timed_out() {
-                    break;
-                }
-            }
+    let mut now = popped;
+    loop {
+        let QueueState {
+            items,
+            draining,
+            policy,
+        } = &mut *q;
+        let taken = batch.len();
+        let wait_until = policy.batch(items, &mut batch, est, popped, now);
+        for req in &mut batch[taken..] {
+            req.popped_at = now;
+            req.entry.counters().dequeued();
         }
-        if !q.items.is_empty() {
-            // Incompatible requests may remain; make sure another worker
-            // wakes for them (this worker consumed notifications while
-            // coalescing).
-            shared.available.notify_one();
-        }
+        let Some(until) = wait_until.filter(|_| !*draining) else {
+            break;
+        };
+        q = shared
+            .available
+            .wait_timeout(q, until.saturating_duration_since(now))
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+        now = Instant::now();
+    }
+    if shared.config.max_batch > 1 && !q.items.is_empty() {
+        // Incompatible requests may remain; make sure another worker
+        // wakes for them (this worker consumed notifications while
+        // coalescing).
+        shared.available.notify_one();
     }
     Some(batch)
 }
@@ -1051,7 +896,7 @@ fn worker_main(shared: &Shared, worker_id: usize) {
         // Restarting or gone, the slot is emptied: at drain that returns
         // the context's lease (waiting out a caller still serving in it;
         // none can arrive after — admission is closed).
-        *lock(&shared.slots[worker_id]) = CtxCache::default();
+        *lock(&shared.slots[worker_id]) = None;
         match exited {
             Ok(()) => return,
             Err(_) => shared.default_entry.counters().worker_restarts.inc(),
@@ -1106,72 +951,69 @@ fn serve_pop(
 }
 
 /// Serves one micro-batch and resolves every slot. Exactly one outcome
-/// counter fires per request, keeping the conservation law exact.
+/// counter fires per request, keeping the conservation law exact, and the
+/// policy hears every outcome, under one lock, before any slot resolves.
 fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: &[Request], on_caller: bool) {
     // Dead on arrival: don't spend an inference run on them. A singleton
     // — every pop of a calm queue, every caller-run request — is looked at
-    // where it lies; only a real batch collects its survivors.
-    let dead = |req: &Request| {
-        let dead = req.token.is_cancelled() || req.token.deadline_passed();
-        if dead {
-            resolve_dead(shared, req);
-        }
-        dead
-    };
-    let (one, many);
-    let live: &[&Request] = match batch {
+    // where it lies; only a real batch is split into vectors.
+    let is_dead = |req: &&Request| req.token.is_cancelled() || req.token.deadline_passed();
+    let (one, split);
+    let (dead, live): (&[&Request], &[&Request]) = match batch {
         [only] => {
-            if dead(only) {
-                return;
-            }
             one = [only];
-            &one
+            if is_dead(&only) {
+                (&one, &[])
+            } else {
+                (&[], &one)
+            }
         }
         _ => {
-            many = batch.iter().filter(|req| !dead(req)).collect::<Vec<_>>();
-            &many
+            split = batch.iter().partition::<Vec<_>, _>(is_dead);
+            (&split.0, &split.1)
         }
     };
-    let Some(head) = live.first() else { return };
-    let entry = &head.entry;
-    entry.counters().batch_served(live.len() as u64);
     let started = Instant::now();
-    // Stage accounting: queue wait (enqueue → dequeue) and batch-formation
-    // wait (dequeue → execution start) — always into the entry's
-    // histograms, and into each request's trace when tracing is on.
-    let window_us = shared.config.coalesce_window.as_micros() as u64;
-    let est_batch_ns = entry.est_batch_ns();
-    let ran_on = if on_caller { "caller" } else { "worker" };
-    for req in live {
-        req.entry.counters().stage_queue_wait.record(
-            req.popped_at
-                .saturating_duration_since(req.enqueued_at)
-                .as_nanos() as u64,
-        );
-        req.entry
-            .counters()
-            .stage_batch_wait
-            .record(started.saturating_duration_since(req.popped_at).as_nanos() as u64);
-        if let Some(t) = &req.trace {
-            t.tb.stage(Stage::QueueWait, req.enqueued_at, req.popped_at);
-            t.tb.stage(Stage::BatchWait, req.popped_at, started);
-            t.tb.set_batch(live.len() as u64, window_us, est_batch_ns, ran_on);
+    if let Some(head) = live.first() {
+        head.entry.counters().batch_served(live.len() as u64);
+        // Stage accounting: queue wait (enqueue → dequeue) and
+        // batch-formation wait (dequeue → execution start) — always into
+        // the entry's histograms, and into each request's trace when
+        // tracing is on.
+        let window_us = shared.config.coalesce_window.as_micros() as u64;
+        let est_batch_ns = head.entry.est_batch_ns();
+        let ran_on = if on_caller { "caller" } else { "worker" };
+        for req in live {
+            req.entry.counters().stage_queue_wait.record(
+                req.popped_at
+                    .saturating_duration_since(req.enqueued_at)
+                    .as_nanos() as u64,
+            );
+            req.entry
+                .counters()
+                .stage_batch_wait
+                .record(started.saturating_duration_since(req.popped_at).as_nanos() as u64);
+            if let Some(t) = &req.trace {
+                t.tb.stage(Stage::QueueWait, req.enqueued_at, req.popped_at);
+                t.tb.stage(Stage::BatchWait, req.popped_at, started);
+                t.tb.set_batch(live.len() as u64, window_us, est_batch_ns, ran_on);
+            }
         }
     }
-    // The batch shares one model (`take_compatible` groups by model), so
-    // one cached, leased context serves it: the engine runs the items back
-    // to back in it, or — when a share is worth waking the worker team —
-    // fans them out, this thread still working in it.
-    let mut rest = live;
-    while let Some(head) = rest.first() {
-        let ctx = match cache.try_ctx_for(shared, head) {
+    // The batch shares one model (`Policy::batch` groups by model), so one
+    // cached, leased context serves it: the engine runs the items back to
+    // back in it, or — when a share is worth waking the worker team — fans
+    // them out, this thread still working in it.
+    let mut results = Vec::new();
+    while results.len() < live.len() {
+        let rest = &live[results.len()..];
+        let ctx = match ctx_for(cache, shared, rest[0]) {
             Ok(ctx) => ctx,
             Err(e) => {
                 // Context creation refused (budget or injected allocation
                 // failure): this request fails typed, the worker lives,
                 // and the next request retries the build.
-                account(shared, head, Err(e));
-                rest = &rest[1..];
+                results.push(Err(e));
                 continue;
             }
         };
@@ -1190,55 +1032,106 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: &[Request], on_call
             }
         };
         let t0 = Instant::now();
-        let results = head.model.run_batch(ctx, items);
+        let ran = rest[0].model.run_batch(ctx, items);
         let t1 = Instant::now();
         // One engine call serves the batch, so per-request exec is the
         // whole batch's span; the operator spans inside the trace carry
         // the item-exact timings.
         let exec_ns = t1.saturating_duration_since(t0).as_nanos() as u64;
-        for (req, result) in rest.iter().zip(results) {
+        for req in rest {
             req.entry.counters().stage_exec.record(exec_ns);
             if let Some(t) = &req.trace {
                 t.tb.stage(Stage::Exec, t0, t1);
             }
-            account(shared, req, result);
         }
-        break;
+        // Taking the engine's vector whole keeps a singleton at one
+        // allocation.
+        if results.is_empty() {
+            results = ran;
+        } else {
+            results.extend(ran);
+        }
     }
-    entry.record_batch_ns(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    // The policy hears every outcome, under one lock, before any slot
+    // resolves. The breaker guards the whole pool, so its trips land on
+    // the default entry's gauges.
+    let done = Instant::now();
+    let outcomes = dead.iter().map(|req| outcome(&Err(dead_error(req))));
+    if lock(&shared.queue)
+        .policy
+        .on_outcomes(outcomes.chain(results.iter().map(outcome)), done)
+    {
+        shared.default_entry.counters().breaker_trips.inc();
+    }
+    for req in dead {
+        account(shared, req, Err(dead_error(req)), true);
+    }
+    for (req, result) in live.iter().zip(results) {
+        account(shared, req, result, false);
+    }
+    if let Some(head) = live.first() {
+        let ns = done.saturating_duration_since(started).as_nanos();
+        head.entry
+            .record_batch_ns(u64::try_from(ns).unwrap_or(u64::MAX));
+    }
+}
+
+/// What a served request's result means to the policy.
+fn outcome(result: &Result<Vec<f32>, BitFlowError>) -> Outcome {
+    match result {
+        Ok(_) => Outcome::Completed,
+        Err(BitFlowError::DeadlineExceeded) => Outcome::Missed,
+        // A panic isolated inside inference: the only outcome that feeds
+        // the breaker.
+        Err(BitFlowError::Internal(_)) => Outcome::Fault,
+        Err(_) => Outcome::Other,
+    }
 }
 
 /// Counts one request's outcome on its entry's ledger, resolves its slot,
-/// and releases its quota charge.
-fn account(shared: &Shared, req: &Request, result: Result<Vec<f32>, BitFlowError>) {
-    match &result {
-        Ok(_) => {
-            req.entry.counters().completed.inc();
-            shared.governor.record_outcome(false);
-            shared.breaker_success();
+/// and releases its quota charge. A `shed` request died in the queue
+/// (evicted at a full queue, or popped dead) and never ran: its queue wait
+/// ends here, and an expired deadline counts as `shed_deadline`.
+fn account(shared: &Shared, req: &Request, result: Result<Vec<f32>, BitFlowError>, shed: bool) {
+    let counters = req.entry.counters();
+    if shed {
+        let now = Instant::now();
+        let waited = now.saturating_duration_since(req.enqueued_at);
+        counters.stage_queue_wait.record(waited.as_nanos() as u64);
+        if let Some(t) = &req.trace {
+            t.tb.stage(Stage::QueueWait, req.enqueued_at, now);
         }
-        Err(BitFlowError::Cancelled) => req.entry.counters().cancelled.inc(),
+    }
+    let label = match &result {
+        Ok(_) => {
+            counters.completed.inc();
+            ""
+        }
+        Err(BitFlowError::Cancelled) => {
+            counters.cancelled.inc();
+            "cancelled"
+        }
+        Err(BitFlowError::DeadlineExceeded) if shed => {
+            counters.shed_deadline.inc();
+            "shed:deadline"
+        }
         Err(BitFlowError::DeadlineExceeded) => {
-            req.entry.counters().deadline_missed.inc();
-            shared.governor.record_outcome(true);
+            counters.deadline_missed.inc();
+            "deadline"
         }
         Err(BitFlowError::Internal(_)) => {
-            // A panic isolated inside inference. This is the only outcome
-            // that feeds the breaker.
-            req.entry.counters().worker_panics.inc();
-            req.entry.counters().failed.inc();
-            shared.breaker_fault();
+            counters.worker_panics.inc();
+            counters.failed.inc();
+            "error:panic"
         }
-        Err(_) => req.entry.counters().failed.inc(),
-    }
+        Err(_) => {
+            counters.failed.inc();
+            "error"
+        }
+    };
     if let Some(t) = &req.trace {
-        if let Err(e) = &result {
-            t.tb.set_outcome(match e {
-                BitFlowError::Cancelled => "cancelled",
-                BitFlowError::DeadlineExceeded => "deadline",
-                BitFlowError::Internal(_) => "error:panic",
-                _ => "error",
-            });
+        if result.is_err() {
+            t.tb.set_outcome(label);
         }
         finish_owned(shared, t);
     }
@@ -1342,7 +1235,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 1,
-                shed_policy: ShedPolicy::DeadlineAware,
                 chaos: Some(always_stall(Duration::from_millis(300))),
                 ..ServerConfig::default()
             },
@@ -1411,6 +1303,48 @@ mod tests {
         // either way it is accounted exactly once.
         assert_eq!(snap.deadline_missed + snap.shed_deadline, 1);
         assert_eq!(snap.completed, 0);
+    }
+
+    #[test]
+    fn an_idle_server_leaves_shed_after_a_stall_longer_than_the_budgets() {
+        let (model, inputs) = model_and_inputs(1);
+        let server = Server::start(
+            model,
+            ServerConfig {
+                workers: 1,
+                chaos: Some(always_stall(Duration::from_millis(20))),
+                ..ServerConfig::default()
+            },
+        );
+        // Every pop stalls past every budget: 24 misses take the miss EWMA
+        // over the Shed threshold.
+        let doomed: Vec<ResponseHandle> = (0..24)
+            .map(|_| {
+                server
+                    .submit_with_deadline(inputs[0].clone(), Duration::from_millis(1))
+                    .expect("admitted")
+            })
+            .collect();
+        for handle in doomed {
+            assert!(matches!(handle.wait(), Err(BitFlowError::DeadlineExceeded)));
+        }
+        assert_eq!(server.degradation_state(), DegradationState::Shed);
+        // Shed refuses every Normal-priority request, so no outcome can
+        // fold the EWMA back down: only idle time does.
+        let give_up = Instant::now() + Duration::from_secs(5);
+        loop {
+            let state = server.degradation_state();
+            if state == DegradationState::Normal {
+                break;
+            }
+            assert!(
+                Instant::now() < give_up,
+                "an idle server stuck in {state:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let handle = server.submit(inputs[0].clone()).expect("admitted again");
+        assert!(handle.wait().is_ok());
     }
 
     #[test]

@@ -10,8 +10,11 @@
 #                             # strict clippy on bitflow-serve (warnings,
 #                             # incl. unwrap/expect, denied), the
 #                             # caller-runs slot test in release mode, the
-#                             # chaos soaks in quick mode (single-model and
-#                             # the multi-model batched variant)
+#                             # policy simulator's 10 000-seed sweep (the
+#                             # #[ignore]d half of crates/serve/tests/sim.rs;
+#                             # tier-1 runs a 256-seed slice), the chaos
+#                             # soaks in quick mode (single-model and the
+#                             # multi-model batched variant)
 #   scripts/check.sh --net    # additionally run the network front-end gate:
 #                             # strict clippy on bitflow-net (warnings,
 #                             # incl. unwrap/expect, denied), the hostile-
@@ -115,6 +118,8 @@ if [[ $serve -eq 1 ]]; then
     cargo test -q -p bitflow-serve
     echo "==> caller-runs: callers and workers share the slots (release)"
     cargo test --release -q -p bitflow-serve --test caller_runs
+    echo "==> policy simulator: the 10 000-seed sweep"
+    cargo test -q -p bitflow-serve --test sim -- --ignored
     echo "==> chaos soaks (quick mode: single-model + multi-model batched)"
     BITFLOW_QUICK=1 cargo test -q --test serve_soak
 fi
