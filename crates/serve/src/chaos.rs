@@ -6,7 +6,7 @@
 //! makes "the chaos soak found a bug" a reproducible statement instead of
 //! an anecdote.
 //!
-//! Two decision streams:
+//! Five hashed decision streams, plus a counter:
 //!
 //! * **Per-(request, operator)** — decided inside the engine via the
 //!   model's fault hook: an operator either sleeps ([`ChaosConfig::slow`])
@@ -20,6 +20,10 @@
 //!   worker kill (panic *after* the popped batch resolves, so no request
 //!   is ever lost — the kill exercises the watchdog restart path, not
 //!   response delivery).
+//! * **Per-connection, per-read, per-write** — the network front-end's
+//!   kill at accept, stalled read and response truncated mid-write.
+//! * **Every Nth fallible reservation** ([`ChaosConfig::alloc_fail_nth`]):
+//!   a count, not a hash; the resource governor refuses it.
 //!
 //! Configured from `BITFLOW_CHAOS` (see [`ChaosConfig::from_env`]).
 

@@ -114,8 +114,8 @@ impl ServerConfig {
     ///   governor; `0` (default) leaves it unmetered.
     /// * `BITFLOW_MEM_TENANT_BUDGET` — per-tenant byte budget; `0`
     ///   (default) unmetered.
-    /// * `BITFLOW_CHAOS` — fault injection
-    ///   (`seed[:slow_ppm[:panic_ppm[:stall_ppm[:kill_ppm]]]]`).
+    /// * `BITFLOW_CHAOS` — fault injection, up to nine `:`-separated
+    ///   fields (see [`ChaosConfig::from_env`]).
     /// * `BITFLOW_TRACE` (with `BITFLOW_TRACE_SAMPLE` /
     ///   `BITFLOW_TRACE_BYTES`) — request tracing into a bounded flight
     ///   recorder (see [`FlightRecorder::from_env`]).

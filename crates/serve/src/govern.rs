@@ -18,23 +18,21 @@
 //! [`RejectReason::MemoryPressure`] — a typed, retryable rejection, not
 //! an abort. Weight registrations are *forced* (the server must be able
 //! to start): they always charge, and overcommit simply drives the
-//! pressure ratio past 1.0, which the brownout machine then answers. A
-//! state change is mirrored here to every tenant's
-//! `bitflow_degradation_state` gauge.
+//! pressure ratio past 1.0, which the brownout machine then answers.
+//! A tenant's byte ledger is its `bitflow_mem_used_bytes` gauge, held to
+//! the per-tenant budget by one compare-and-swap
+//! ([`ServeGauges::try_mem_reserve`]); the governor keeps the global one.
 //!
 //! Chaos: when [`crate::ChaosConfig::alloc_fail_nth`] is non-zero, every
-//! Nth *fallible* reservation fails as if the allocator refused it —
-//! the deterministic domain `tests/exhaustion_soak.rs` uses to prove
-//! the conservation law survives injected allocation failure.
+//! Nth *fallible* reservation fails as if the allocator refused it — a
+//! deterministic domain: `tests/sim.rs` checks that injections land on
+//! exactly that stream and never feed the breaker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bitflow_graph::{BitFlowError, RejectReason};
 use bitflow_telemetry::ServeGauges;
-
-use crate::policy::DegradationState;
-use crate::server::lock;
 
 /// Byte-budget configuration. `None` leaves that scope unmetered; the
 /// governor still accounts usage (the `bitflow_mem_*` gauges stay
@@ -47,38 +45,19 @@ pub struct GovernorConfig {
     pub tenant_budget: Option<u64>,
 }
 
-/// One tenant's accounted-byte ledger. Created by
-/// [`ResourceGovernor::tenant`] and pinned to the tenant's
-/// [`ServeGauges`], so `bitflow_mem_used_bytes` is per served name.
-pub struct TenantAccount {
-    name: String,
-    used: AtomicU64,
-    gauges: Arc<ServeGauges>,
-}
-
-impl std::fmt::Debug for TenantAccount {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantAccount")
-            .field("name", &self.name)
-            .field("used", &self.used.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
 /// RAII charge against the governor's budgets. Dropping it returns the
 /// bytes to both scopes and decrements the tenant's gauges — whatever
 /// path drops it (served, shed, cancelled, panicked worker unwinding a
 /// request).
 pub struct MemoryLease {
     gov: Arc<ResourceGovernor>,
-    tenant: Arc<TenantAccount>,
+    gauges: Arc<ServeGauges>,
     bytes: u64,
 }
 
 impl std::fmt::Debug for MemoryLease {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryLease")
-            .field("tenant", &self.tenant.name)
             .field("bytes", &self.bytes)
             .finish_non_exhaustive()
     }
@@ -89,41 +68,21 @@ impl Drop for MemoryLease {
         self.gov
             .global_used
             .fetch_sub(self.bytes, Ordering::Relaxed);
-        self.tenant.used.fetch_sub(self.bytes, Ordering::Relaxed);
-        self.tenant.gauges.mem_released(self.bytes);
+        self.gauges.mem_released(self.bytes);
     }
-}
-
-/// Adds `bytes` to `counter` only if the sum stays within `budget`.
-fn try_charge(counter: &AtomicU64, budget: u64, bytes: u64) -> bool {
-    counter
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            cur.checked_add(bytes).filter(|&next| next <= budget)
-        })
-        .is_ok()
 }
 
 /// The byte-budget authority shared by the serving runtime and its
 /// network front-end.
+#[derive(Debug)]
 pub struct ResourceGovernor {
     global_budget: u64,
     tenant_budget: u64,
     global_used: AtomicU64,
-    tenants: Mutex<Vec<Arc<TenantAccount>>>,
     /// Fallible reservations granted or refused so far — the chaos
     /// domain's deterministic clock.
     reservations: AtomicU64,
     alloc_fail_nth: u64,
-}
-
-impl std::fmt::Debug for ResourceGovernor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResourceGovernor")
-            .field("global_budget", &self.global_budget)
-            .field("tenant_budget", &self.tenant_budget)
-            .field("global_used", &self.global_used.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
 }
 
 impl ResourceGovernor {
@@ -135,41 +94,30 @@ impl ResourceGovernor {
             global_budget: config.global_budget.unwrap_or(u64::MAX),
             tenant_budget: config.tenant_budget.unwrap_or(u64::MAX),
             global_used: AtomicU64::new(0),
-            tenants: Mutex::new(Vec::new()),
             reservations: AtomicU64::new(0),
             alloc_fail_nth,
         })
     }
 
-    /// Find-or-create the account metering `name`, pinning it to that
-    /// tenant's gauges (also sets the tenant's `bitflow_mem_budget_bytes`
-    /// gauge — 0 when both scopes are unmetered).
-    pub fn tenant(&self, name: &str, gauges: &Arc<ServeGauges>) -> Arc<TenantAccount> {
-        let mut tenants = lock(&self.tenants);
-        if let Some(t) = tenants.iter().find(|t| t.name == name) {
-            return Arc::clone(t);
+    /// The budget each tenant is held to — the per-tenant scope capped by
+    /// the global one — as its `bitflow_mem_budget_bytes` gauge reads it
+    /// (0 when both scopes are unmetered).
+    #[must_use]
+    pub fn tenant_budget(&self) -> u64 {
+        match self.tenant_budget.min(self.global_budget) {
+            u64::MAX => 0,
+            budget => budget,
         }
-        let effective = self.tenant_budget.min(self.global_budget);
-        gauges
-            .govern
-            .mem_budget_bytes
-            .set(if effective == u64::MAX { 0 } else { effective });
-        let account = Arc::new(TenantAccount {
-            name: name.to_string(),
-            used: AtomicU64::new(0),
-            gauges: Arc::clone(gauges),
-        });
-        tenants.push(Arc::clone(&account));
-        account
     }
 
-    /// Fallibly charges `bytes` against both scopes. Refusals are typed:
-    /// budget refusal is [`RejectReason::MemoryPressure`] (retry later),
-    /// a chaos-injected failure is [`BitFlowError::ResourceExhausted`]
-    /// (the allocator said no). Either way the bytes were never charged.
+    /// Fallibly charges `bytes` to the global scope and to the tenant
+    /// whose gauges are `tenant`. Refusals are typed: budget refusal is
+    /// [`RejectReason::MemoryPressure`] (retry later), a chaos-injected
+    /// failure is [`BitFlowError::ResourceExhausted`] (the allocator said
+    /// no). Either way the bytes were never charged.
     pub fn reserve(
         self: &Arc<Self>,
-        tenant: &Arc<TenantAccount>,
+        tenant: &Arc<ServeGauges>,
         bytes: u64,
         what: &'static str,
     ) -> Result<MemoryLease, BitFlowError> {
@@ -177,10 +125,16 @@ impl ResourceGovernor {
         if self.alloc_fail_nth != 0 && nth.is_multiple_of(self.alloc_fail_nth) {
             return Err(BitFlowError::ResourceExhausted { what, bytes });
         }
-        if !try_charge(&self.global_used, self.global_budget, bytes) {
+        let global = self
+            .global_used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                cur.checked_add(bytes)
+                    .filter(|&next| next <= self.global_budget)
+            });
+        if global.is_err() {
             return Err(BitFlowError::Rejected(RejectReason::MemoryPressure));
         }
-        if !try_charge(&tenant.used, self.tenant_budget, bytes) {
+        if !tenant.try_mem_reserve(bytes, self.tenant_budget) {
             self.global_used.fetch_sub(bytes, Ordering::Relaxed);
             return Err(BitFlowError::Rejected(RejectReason::MemoryPressure));
         }
@@ -194,22 +148,17 @@ impl ResourceGovernor {
     /// there. Forced charges do not tick the chaos reservation clock:
     /// they cannot fail, so injecting into them would only skew the
     /// stream.
-    pub fn reserve_forced(
-        self: &Arc<Self>,
-        tenant: &Arc<TenantAccount>,
-        bytes: u64,
-    ) -> MemoryLease {
+    pub fn reserve_forced(self: &Arc<Self>, tenant: &Arc<ServeGauges>, bytes: u64) -> MemoryLease {
         self.global_used.fetch_add(bytes, Ordering::Relaxed);
-        tenant.used.fetch_add(bytes, Ordering::Relaxed);
+        tenant.mem_reserved(bytes);
         self.lease(tenant, bytes)
     }
 
     /// The lease for `bytes` already charged to both scopes.
-    fn lease(self: &Arc<Self>, tenant: &Arc<TenantAccount>, bytes: u64) -> MemoryLease {
-        tenant.gauges.mem_reserved(bytes);
+    fn lease(self: &Arc<Self>, tenant: &Arc<ServeGauges>, bytes: u64) -> MemoryLease {
         MemoryLease {
             gov: Arc::clone(self),
-            tenant: Arc::clone(tenant),
+            gauges: Arc::clone(tenant),
             bytes,
         }
     }
@@ -229,13 +178,6 @@ impl ResourceGovernor {
         }
         let used = self.global_used.load(Ordering::Relaxed) as u128;
         (used * 1000 / (self.global_budget.max(1) as u128)).min(u64::MAX as u128) as u64
-    }
-
-    /// Mirrors a degradation-state change to every tenant's gauge.
-    pub(crate) fn mirror(&self, state: DegradationState) {
-        for t in lock(&self.tenants).iter() {
-            t.gauges.govern.degradation_state.set(state.as_u64());
-        }
     }
 }
 
@@ -258,9 +200,8 @@ mod tests {
             0,
         );
         let g = gauges();
-        let t = gov.tenant("a", &g);
-        assert_eq!(g.snapshot().govern.mem_budget_bytes, 600);
-        let lease = gov.reserve(&t, 500, "test").expect("fits both scopes");
+        assert_eq!(gov.tenant_budget(), 600);
+        let lease = gov.reserve(&g, 500, "test").expect("fits both scopes");
         assert_eq!(gov.used(), 500);
         assert_eq!(g.snapshot().govern.mem_used_bytes, 500);
         assert_eq!(g.snapshot().govern.mem_leases, 1);
@@ -279,7 +220,7 @@ mod tests {
             },
             0,
         );
-        let t = gov.tenant("a", &gauges());
+        let t = gauges();
         let held = gov.reserve(&t, 300, "test").expect("exactly the budget");
         match gov.reserve(&t, 1, "test") {
             Err(BitFlowError::Rejected(RejectReason::MemoryPressure)) => {}
@@ -300,8 +241,7 @@ mod tests {
             },
             0,
         );
-        let a = gov.tenant("a", &gauges());
-        let b = gov.tenant("b", &gauges());
+        let (a, b) = (gauges(), gauges());
         let _la = gov.reserve(&a, 400, "test").expect("a fits");
         match gov.reserve(&b, 200, "test") {
             Err(BitFlowError::Rejected(RejectReason::MemoryPressure)) => {}
@@ -313,9 +253,8 @@ mod tests {
     #[test]
     fn unmetered_governor_never_refuses_but_still_accounts() {
         let gov = ResourceGovernor::new(GovernorConfig::default(), 0);
-        let g = gauges();
-        let t = gov.tenant("a", &g);
-        assert_eq!(g.snapshot().govern.mem_budget_bytes, 0, "0 = unmetered");
+        let t = gauges();
+        assert_eq!(gov.tenant_budget(), 0, "0 = unmetered");
         let lease = gov.reserve(&t, u64::MAX / 2, "test").expect("unmetered");
         assert_eq!(gov.used(), u64::MAX / 2);
         assert_eq!(gov.pressure_permille(), 0, "no budget, no pressure");
@@ -331,7 +270,7 @@ mod tests {
             },
             0,
         );
-        let t = gov.tenant("a", &gauges());
+        let t = gauges();
         let lease = gov.reserve_forced(&t, 150);
         assert_eq!(gov.pressure_permille(), 1500, "overcommit exceeds 1000");
         drop(lease);
@@ -340,7 +279,7 @@ mod tests {
     #[test]
     fn chaos_fails_every_nth_fallible_reservation() {
         let gov = ResourceGovernor::new(GovernorConfig::default(), 3);
-        let t = gov.tenant("a", &gauges());
+        let t = gauges();
         let mut outcomes = Vec::new();
         for _ in 0..9 {
             outcomes.push(gov.reserve(&t, 1, "test").is_ok());
@@ -364,20 +303,5 @@ mod tests {
             }
             other => panic!("12th must be injected, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn state_changes_mirror_to_every_tenant_gauge() {
-        let gov = ResourceGovernor::new(GovernorConfig::default(), 0);
-        let ga = gauges();
-        let gb = gauges();
-        let _a = gov.tenant("a", &ga);
-        let _b = gov.tenant("b", &gb);
-        gov.mirror(DegradationState::Brownout);
-        assert_eq!(ga.govern.degradation_state.get(), 1);
-        assert_eq!(gb.govern.degradation_state.get(), 1);
-        gov.mirror(DegradationState::Normal);
-        assert_eq!(ga.govern.degradation_state.get(), 0);
-        assert_eq!(gb.govern.degradation_state.get(), 0);
     }
 }

@@ -22,9 +22,10 @@
 //! 5. **Multi-model tenancy**: per-tenant quotas and gauges, and
 //!    [`ModelClient::swap`] to hot-swap a tenant's model.
 //! 6. **Resource governance.** A [`ResourceGovernor`] meters weights,
-//!    contexts and payloads through RAII [`MemoryLease`]s; sustained
-//!    pressure degrades service ([`DegradationState`], shedding
-//!    [`Priority::Low`] first) instead of letting the allocator abort.
+//!    contexts and payloads through RAII [`MemoryLease`]s, each tenant's
+//!    bytes on its own `bitflow_mem_used_bytes` gauge; sustained pressure
+//!    degrades service ([`DegradationState`], shedding [`Priority::Low`]
+//!    first) instead of letting the allocator abort.
 //! 7. **Seed-deterministic chaos** ([`ChaosConfig`]) reaches every failure
 //!    path above, inside coalesced batches too.
 //!

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use bitflow_graph::RejectReason;
+use bitflow_graph::{BitFlowError, RejectReason};
 
 use crate::config::{BreakerConfig, ServerConfig};
 
@@ -68,7 +68,8 @@ impl DegradationState {
 /// Escalation thresholds, permille: memory pressure of the global budget
 /// (queue depth of its capacity shares the brownout one), and miss EWMA.
 pub const BROWNOUT_PRESSURE: u64 = 750;
-const SHED_PRESSURE: u64 = 950;
+/// See [`BROWNOUT_PRESSURE`].
+pub const SHED_PRESSURE: u64 = 950;
 /// See [`BROWNOUT_PRESSURE`].
 pub const BROWNOUT_MISS: u64 = 500;
 /// See [`BROWNOUT_PRESSURE`].
@@ -117,6 +118,21 @@ pub enum Outcome {
     Fault,
     /// Cancelled, or failed another typed way: no signal.
     Other,
+}
+
+impl Outcome {
+    /// What a served request's result means to the policy.
+    #[must_use]
+    pub fn of(result: &Result<Vec<f32>, BitFlowError>) -> Self {
+        match result {
+            Ok(_) => Self::Completed,
+            Err(BitFlowError::DeadlineExceeded) => Self::Missed,
+            // A panic isolated inside inference: the only outcome that
+            // feeds the breaker; a refused allocation is `Other`.
+            Err(BitFlowError::Internal(_)) => Self::Fault,
+            Err(_) => Self::Other,
+        }
+    }
 }
 
 /// The serving runtime's decisions and the state they depend on.

@@ -25,12 +25,12 @@
 //! and resetting them mid-serve would break the conservation law.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use bitflow_graph::CompiledModel;
 use bitflow_telemetry::ServeGauges;
 
-use crate::govern::{MemoryLease, TenantAccount};
+use crate::govern::MemoryLease;
 use crate::policy::Priority;
 use crate::server::lock;
 
@@ -54,9 +54,6 @@ pub struct ModelEntry {
     in_flight: AtomicU64,
     swaps: AtomicU64,
     ewma_batch_ns: AtomicU64,
-    /// This tenant's byte ledger with the resource governor, bound once
-    /// at server start.
-    account: OnceLock<Arc<TenantAccount>>,
     /// The forced charge for the weights currently served under this
     /// name; replaced on hot swap (the displaced model's bytes are
     /// released when its lease drops).
@@ -83,7 +80,6 @@ impl ModelEntry {
             in_flight: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             ewma_batch_ns: AtomicU64::new(0),
-            account: OnceLock::new(),
             weight_lease: Mutex::new(None),
         }
     }
@@ -107,8 +103,9 @@ impl ModelEntry {
         Arc::clone(&self.gauges)
     }
 
-    /// Borrow of the gauges for hot accounting paths (no `Arc` clone).
-    pub(crate) fn counters(&self) -> &ServeGauges {
+    /// Borrow of the gauges for hot accounting paths (no `Arc` clone);
+    /// their used-bytes gauge is this tenant's byte ledger.
+    pub(crate) fn counters(&self) -> &Arc<ServeGauges> {
         &self.gauges
     }
 
@@ -122,17 +119,6 @@ impl ModelEntry {
     #[must_use]
     pub fn priority(&self) -> Priority {
         self.priority
-    }
-
-    /// Binds this entry to its governor account (server start; first
-    /// bind wins).
-    pub(crate) fn bind_account(&self, account: Arc<TenantAccount>) {
-        let _ = self.account.set(account);
-    }
-
-    /// The governor account metering this tenant, once bound.
-    pub(crate) fn account(&self) -> Option<&Arc<TenantAccount>> {
-        self.account.get()
     }
 
     /// Installs the forced weight charge for the currently served model,

@@ -197,7 +197,7 @@ struct Request {
     trace: Option<TraceRef>,
     /// The governor's byte charge for this request's payload, released
     /// (by drop) when the request resolves — whatever path resolves it.
-    _lease: Option<MemoryLease>,
+    _lease: MemoryLease,
 }
 
 impl Request {
@@ -266,11 +266,17 @@ impl Shared {
     }
 
     /// Ticks the policy (the queue lock held) against the governor's
-    /// pressure, mirroring a state change to every tenant's gauge.
+    /// pressure, publishing a state change on every tenant's gauge.
     fn tick(&self, q: &mut QueueState, now: Instant) -> DegradationState {
         let pressure = self.governor.pressure_permille();
         if let Some(state) = q.policy.tick(now, pressure, q.items.len()) {
-            self.governor.mirror(state);
+            for entry in self.registry.entries() {
+                entry
+                    .counters()
+                    .govern
+                    .degradation_state
+                    .set(state.as_u64());
+            }
         }
         q.policy.state()
     }
@@ -317,7 +323,8 @@ impl Server {
         let alloc_fail_nth = config.chaos.as_ref().map_or(0, |c| c.alloc_fail_nth);
         let governor = ResourceGovernor::new(config.govern, alloc_fail_nth);
         for entry in registry.entries() {
-            entry.bind_account(governor.tenant(entry.name(), &entry.gauges()));
+            let budget = &entry.counters().govern.mem_budget_bytes;
+            budget.set(governor.tenant_budget());
             ready_to_serve(&config, &governor, entry, &entry.current());
         }
         let default_entry = Arc::clone(&registry.entries()[0]);
@@ -452,7 +459,7 @@ impl Server {
     /// budget — the network front-end calls this before reading a body,
     /// so a hostile `content-length` is refused before a byte is
     /// buffered. `Ok(None)` when the tenant is unknown (the router 404s
-    /// later) and when governance is unbound; `Err` maps to
+    /// later); `Err` maps to
     /// [`RejectReason::MemoryPressure`]. No serving counters move here:
     /// the request was never submitted, so the conservation law is
     /// untouched.
@@ -468,12 +475,13 @@ impl Server {
                 None => return Ok(None),
             },
         };
-        match entry.account() {
-            Some(account) => match self.shared.governor.reserve(account, bytes, "request body") {
-                Ok(lease) => Ok(Some(lease)),
-                Err(_) => Err(RejectReason::MemoryPressure),
-            },
-            None => Ok(None),
+        match self
+            .shared
+            .governor
+            .reserve(entry.counters(), bytes, "request body")
+        {
+            Ok(lease) => Ok(Some(lease)),
+            Err(_) => Err(RejectReason::MemoryPressure),
         }
     }
 
@@ -644,15 +652,12 @@ impl ModelClient<'_> {
         // The payload's byte charge rides just ahead of the quota: the
         // lease is RAII, so a quota reject below releases it by drop and
         // the "no reject path needs a release" discipline still holds.
-        let lease = match entry.account() {
-            Some(account) => {
-                let bytes = std::mem::size_of_val(input.data()) as u64;
-                match sh.governor.reserve(account, bytes, "request payload") {
-                    Ok(lease) => Some(lease),
-                    Err(_) => return refuse(RejectReason::MemoryPressure),
-                }
-            }
-            None => None,
+        let bytes = std::mem::size_of_val(input.data()) as u64;
+        let Ok(lease) = sh
+            .governor
+            .reserve(entry.counters(), bytes, "request payload")
+        else {
+            return refuse(RejectReason::MemoryPressure);
         };
         // Quota last, after every other reject: a charge is then always
         // matched by an admitted request, and no reject path needs a
@@ -734,10 +739,8 @@ fn ready_to_serve(
     {
         let _ = model.install_fault_hook(chaos::fault_hook(c.clone()));
     }
-    if let Some(account) = entry.account() {
-        let bytes = (model.float_model_bytes() + model.packed_model_bytes()) as u64;
-        drop(entry.set_weight_lease(governor.reserve_forced(account, bytes)));
-    }
+    let bytes = (model.float_model_bytes() + model.packed_model_bytes()) as u64;
+    drop(entry.set_weight_lease(governor.reserve_forced(entry.counters(), bytes)));
 }
 
 /// Puts an admitted request in the queue (still locked by its admission),
@@ -801,7 +804,7 @@ fn dead_error(req: &Request) -> BitFlowError {
 /// server a worker hops between tenants; the cache rebuilds only when the
 /// served model changes (hot swap or tenant hop), so the common
 /// single-tenant path reuses one context forever.
-type CtxCache = Option<(Arc<CompiledModel>, InferenceContext, Option<MemoryLease>)>;
+type CtxCache = Option<(Arc<CompiledModel>, InferenceContext, MemoryLease)>;
 
 /// The cached context for `req`'s model, building one fallibly on a miss:
 /// the allocation goes through [`CompiledModel::try_new_context`] and its
@@ -819,9 +822,10 @@ fn ctx_for<'c>(
         *cache = None;
         let ctx = model.try_new_context()?;
         let bytes = ctx.activation_bytes() as u64;
-        let lease = req.entry.account();
-        let lease = lease.map(|a| shared.governor.reserve(a, bytes, "inference context"));
-        *cache = Some((Arc::clone(model), ctx, lease.transpose()?));
+        let lease = shared
+            .governor
+            .reserve(req.entry.counters(), bytes, "inference context")?;
+        *cache = Some((Arc::clone(model), ctx, lease));
     }
     match cache {
         Some((_, ctx, _)) => Ok(ctx),
@@ -1056,10 +1060,10 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: &[Request], on_call
     // resolves. The breaker guards the whole pool, so its trips land on
     // the default entry's gauges.
     let done = Instant::now();
-    let outcomes = dead.iter().map(|req| outcome(&Err(dead_error(req))));
+    let outcomes = dead.iter().map(|req| Outcome::of(&Err(dead_error(req))));
     if lock(&shared.queue)
         .policy
-        .on_outcomes(outcomes.chain(results.iter().map(outcome)), done)
+        .on_outcomes(outcomes.chain(results.iter().map(Outcome::of)), done)
     {
         shared.default_entry.counters().breaker_trips.inc();
     }
@@ -1073,18 +1077,6 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: &[Request], on_call
         let ns = done.saturating_duration_since(started).as_nanos();
         head.entry
             .record_batch_ns(u64::try_from(ns).unwrap_or(u64::MAX));
-    }
-}
-
-/// What a served request's result means to the policy.
-fn outcome(result: &Result<Vec<f32>, BitFlowError>) -> Outcome {
-    match result {
-        Ok(_) => Outcome::Completed,
-        Err(BitFlowError::DeadlineExceeded) => Outcome::Missed,
-        // A panic isolated inside inference: the only outcome that feeds
-        // the breaker.
-        Err(BitFlowError::Internal(_)) => Outcome::Fault,
-        Err(_) => Outcome::Other,
     }
 }
 
@@ -1308,8 +1300,11 @@ mod tests {
     #[test]
     fn an_idle_server_leaves_shed_after_a_stall_longer_than_the_budgets() {
         let (model, inputs) = model_and_inputs(1);
-        let server = Server::start(
-            model,
+        let mut registry = ModelRegistry::new();
+        registry.register("a", Arc::clone(&model), None);
+        registry.register("b", model, None);
+        let server = Server::start_multi(
+            registry,
             ServerConfig {
                 workers: 1,
                 chaos: Some(always_stall(Duration::from_millis(20))),
@@ -1329,6 +1324,11 @@ mod tests {
             assert!(matches!(handle.wait(), Err(BitFlowError::DeadlineExceeded)));
         }
         assert_eq!(server.degradation_state(), DegradationState::Shed);
+        // Every tenant's state gauge reads the change, not only the one
+        // whose requests missed.
+        let gauges = |name: &str| server.client(name).expect("registered").metrics();
+        let states = || ["a", "b"].map(|name| gauges(name).govern.degradation_state);
+        assert_eq!(states(), [2, 2]);
         // Shed refuses every Normal-priority request, so no outcome can
         // fold the EWMA back down: only idle time does.
         let give_up = Instant::now() + Duration::from_secs(5);
@@ -1343,6 +1343,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+        assert_eq!(states(), [0, 0]);
         let handle = server.submit(inputs[0].clone()).expect("admitted again");
         assert!(handle.wait().is_ok());
     }
@@ -1592,6 +1593,10 @@ mod tests {
                 workers: 1,
                 max_batch: 8,
                 chaos: Some(always_stall(Duration::from_millis(200))),
+                govern: crate::GovernorConfig {
+                    global_budget: Some(64 << 20),
+                    tenant_budget: Some(48 << 20),
+                },
                 ..ServerConfig::default()
             },
         );
@@ -1642,6 +1647,8 @@ mod tests {
             (5, 2, 2)
         );
         assert_eq!(snap_b.rejected_quota, 3);
+        // The budget gauge reads the one each tenant is held to.
+        assert_eq!(snap_b.govern.mem_budget_bytes, 48 << 20);
         assert_eq!(client_a.entry().in_flight(), 0, "quota fully released");
         assert_eq!(client_b.entry().in_flight(), 0, "quota fully released");
         drop(server);

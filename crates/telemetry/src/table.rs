@@ -167,6 +167,17 @@ impl Gauge {
         self.0.fetch_add(n, Relaxed) + n
     }
 
+    /// Raises the level by `n` only if the new level stays within `limit`;
+    /// `false` leaves it untouched.
+    #[inline]
+    pub fn try_add(&self, n: u64, limit: u64) -> bool {
+        self.0
+            .fetch_update(Relaxed, Relaxed, |cur| {
+                cur.checked_add(n).filter(|&next| next <= limit)
+            })
+            .is_ok()
+    }
+
     /// Lowers the level by `n`.
     #[inline]
     pub fn sub(&self, n: u64) {
@@ -486,7 +497,7 @@ cells! {
         = "bitflow_mem_used_bytes", Govern, "Bytes currently held by live memory leases.";
     pub mem_budget_bytes: Gauge
         = "bitflow_mem_budget_bytes", Govern,
-          "The resource governor's global byte budget (0 = unbudgeted).";
+          "The byte budget this tenant is held to: the per-tenant budget, capped by the global one (0 = unbudgeted).";
     mem_leases: Gauge = "bitflow_mem_leases", Govern, "Live memory leases outstanding.";
     pub degradation_state: Gauge
         = "bitflow_degradation_state", Govern,
@@ -675,6 +686,16 @@ impl ServeGauges {
     pub fn mem_reserved(&self, bytes: u64) {
         self.govern.mem_used_bytes.add(bytes);
         self.govern.mem_leases.add(1);
+    }
+
+    /// Grants a lease of `bytes` only if the used-bytes gauge — the
+    /// tenant's byte ledger — stays within `limit`; `false` moves nothing.
+    pub fn try_mem_reserve(&self, bytes: u64, limit: u64) -> bool {
+        let granted = self.govern.mem_used_bytes.try_add(bytes, limit);
+        if granted {
+            self.govern.mem_leases.add(1);
+        }
+        granted
     }
 
     /// A memory lease of `bytes` was released. Lowers the used-bytes and

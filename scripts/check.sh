@@ -8,29 +8,22 @@
 #                             # stage (lints + debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
-#                             # incl. unwrap/expect, denied), the
+#                             # incl. unwrap/expect, denied), its unit tests
+#                             # (governor and chaos included), the
 #                             # caller-runs slot test in release mode, the
-#                             # policy simulator's 10 000-seed sweep (the
-#                             # #[ignore]d half of crates/serve/tests/sim.rs;
-#                             # tier-1 runs a 256-seed slice), the chaos
-#                             # soaks in quick mode (single-model and the
-#                             # multi-model batched variant)
+#                             # simulator's 10 000-seed sweep of the policy
+#                             # and the resource governor (the #[ignore]d
+#                             # half of crates/serve/tests/sim.rs; tier-1
+#                             # runs a 256-seed slice), and the multi-tenant
+#                             # chaos soak (injected allocation failure
+#                             # included) with its calm control
 #   scripts/check.sh --net    # additionally run the network front-end gate:
 #                             # strict clippy on bitflow-net (warnings,
 #                             # incl. unwrap/expect, denied), the hostile-
 #                             # client + tracing suites, the per-request
 #                             # allocation budget in release mode, the
 #                             # trace-export round-trip proptests, the TCP
-#                             # chaos soak in quick mode with the flight
-#                             # recorder enabled
-#   scripts/check.sh --govern # additionally run the resource-governance
-#                             # gate: strict clippy on bitflow-serve,
-#                             # the governor/chaos fault-injection unit
-#                             # tests, the model-header hostile-size fuzz,
-#                             # and the exhaustion soak in quick mode
-#                             # (mixed-priority tenants under injected
-#                             # allocation failure, conservation incl.
-#                             # rejected_memory, brownout + recovery)
+#                             # chaos soak with the flight recorder enabled
 #   scripts/check.sh --perf   # additionally run the repo benchmark's
 #                             # four workloads on the working tree against
 #                             # HEAD: scripts/pairs.sh HEAD --pairs 3
@@ -51,7 +44,6 @@ fast=0
 perf=0
 serve=0
 net=0
-govern=0
 sanitize=0
 for arg in "$@"; do
     case "$arg" in
@@ -59,7 +51,6 @@ for arg in "$@"; do
         --perf) perf=1 ;;
         --serve) serve=1 ;;
         --net) net=1 ;;
-        --govern) govern=1 ;;
         --sanitize) sanitize=1 ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
@@ -120,8 +111,8 @@ if [[ $serve -eq 1 ]]; then
     cargo test --release -q -p bitflow-serve --test caller_runs
     echo "==> policy simulator: the 10 000-seed sweep"
     cargo test -q -p bitflow-serve --test sim -- --ignored
-    echo "==> chaos soaks (quick mode: single-model + multi-model batched)"
-    BITFLOW_QUICK=1 cargo test -q --test serve_soak
+    echo "==> chaos soak (multi-tenant, injected allocation failure) + calm control"
+    cargo test -q --test serve_soak
 fi
 
 if [[ $net -eq 1 ]]; then
@@ -133,20 +124,8 @@ if [[ $net -eq 1 ]]; then
     cargo test --release -q -p bitflow-net --test alloc_budget
     echo "==> trace-export round-trip proptests (Chrome + Prometheus)"
     cargo test -q -p bitflow-telemetry --test chrome_props --test prometheus_props
-    echo "==> TCP chaos soak (quick mode, flight recorder enabled)"
-    BITFLOW_QUICK=1 BITFLOW_TRACE=1 cargo test -q --test net_soak
-fi
-
-if [[ $govern -eq 1 ]]; then
-    echo "==> clippy -p bitflow-serve (unwrap/expect denied on the serving runtime)"
-    cargo clippy -p bitflow-serve --all-targets -- -D warnings
-    echo "==> governor + chaos fault-injection unit tests"
-    cargo test -q -p bitflow-serve govern
-    cargo test -q -p bitflow-serve chaos
-    echo "==> model-header hostile-size fuzz (near-usize::MAX declared counts)"
-    cargo test -q -p bitflow-graph --test model_fuzz
-    echo "==> exhaustion soak (quick mode: injected allocation failure, brownout, recovery)"
-    BITFLOW_QUICK=1 cargo test -q --test exhaustion_soak
+    echo "==> TCP chaos soak (flight recorder enabled)"
+    BITFLOW_TRACE=1 cargo test -q --test net_soak
 fi
 
 if [[ $perf -eq 1 ]]; then

@@ -1,7 +1,7 @@
 //! Golden end-to-end snapshots: the serving path must reproduce checksummed
 //! logits for the two example models, exactly.
 //!
-//! The recipes mirror `examples/quickstart.rs` (small CNN, seed 42) and
+//! The recipes follow `examples/quickstart.rs` (small CNN, seed 42) and
 //! `examples/vgg_inference.rs` (VGG-16, seed 7): seed an `StdRng`, draw
 //! random weights, then draw the input image from the *same* stream. Every
 //! BitFlow operator computes exact integers over ±1 data, so the logits are

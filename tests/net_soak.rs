@@ -11,21 +11,19 @@
 //! stream fires are the ones that die without a full response.
 //!
 //! The listener serves through `ModelClient::call`, so every wire request
-//! may run on its connection thread in a parked worker's slot; an
-//! in-process client `submit`s to tenant `a` beside them, so the queue
-//! path and the caller path share the pool — and the chaos — throughout.
+//! may run on its connection thread in a parked worker's slot (the queue
+//! path beside it is `serve_soak`'s).
 //!
 //! The contract:
 //!
 //! * **Bit-identical 200s** — every complete 200 body equals the tenant's
 //!   serial-oracle logits for that input, chaos or no chaos.
-//! * **Exact gauge↔tally conservation per tenant** — the serve-layer law
-//!   (`submitted == accepted + rejected_*`, every admitted request
-//!   resolved exactly once) holds per tenant; client-side tallies pin
-//!   `submitted` and `completed` exactly once the seed-predicted broken
-//!   connections are accounted for; and at the wire,
-//!   `accepted_conns == connections opened` with zero sheds.
-//! * **Each chaos type fired** (full mode): connection kills, truncated
+//! * **Gauge↔tally reconciliation per tenant** — client-side tallies pin
+//!   each tenant's counters within the seed-predicted broken connections
+//!   (the serve-layer conservation law itself is `serve_soak`'s and the
+//!   simulator's); at the wire, `accepted_conns == connections opened`
+//!   with zero sheds.
+//! * **Each chaos type fired**: connection kills, truncated
 //!   writes, and worker panics all observed; the read-stall stream is
 //!   non-empty over the connection range actually used.
 //! * **Flight-recorder tail sampling** — the soak runs fully traced;
@@ -33,44 +31,21 @@
 //!   its client-supplied request id, the recorder never exceeds its byte
 //!   budget, and the dump exports to a loadable Chrome trace.
 //!
-//! Sizing mirrors `serve_soak`: `BITFLOW_QUICK=1` → 300 requests,
-//! default 1500, `BITFLOW_SOAK_REQUESTS=N` overrides; `BITFLOW_CHAOS`
-//! replays a seed verbatim.
+//! `BITFLOW_CHAOS` replays a seed verbatim.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bitflow::prelude::*;
-use bitflow_graph::BitFlowError;
 use bitflow_net::{NetConfig, NetServer};
 use bitflow_telemetry::{to_chrome_trace, FlightRecorder, RecorderConfig};
 use bitflow_tensor::io::encode_tensor;
-use rand::{rngs::StdRng, SeedableRng};
 
-const DISTINCT_INPUTS: usize = 16;
-
-fn soak_requests() -> usize {
-    if let Ok(v) = std::env::var("BITFLOW_SOAK_REQUESTS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    if std::env::var_os("BITFLOW_QUICK").is_some_and(|v| v == "1") {
-        300
-    } else {
-        1500
-    }
-}
-
-fn compiled(seed: u64) -> Arc<CompiledModel> {
-    let spec = small_cnn();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
-    Arc::new(CompiledModel::try_compile(&spec, &weights).expect("model compiles"))
-}
+#[path = "common/soak.rs"]
+mod soak;
+use soak::{compiled_small_cnn, serial_oracle, DISTINCT_INPUTS, SOAK_REQUESTS};
 
 /// Client-side view of one request's fate.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -122,26 +97,12 @@ fn read_response(stream: &mut TcpStream) -> Option<(u16, Vec<u8>)> {
 
 #[test]
 fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
-    let n = soak_requests();
-    let model_a = compiled(42);
-    let model_b = compiled(7);
-    let spec = small_cnn();
-    let mut rng = StdRng::seed_from_u64(42);
-    let inputs: Vec<Tensor> = (0..DISTINCT_INPUTS)
-        .map(|_| Tensor::random(spec.input, Layout::Nhwc, &mut rng))
-        .collect();
+    let n = SOAK_REQUESTS;
+    let (model_a, inputs) = compiled_small_cnn(42);
+    let model_b = compiled_small_cnn(7).0;
     let encoded: Vec<Vec<u8>> = inputs.iter().map(|i| encode_tensor(i).to_vec()).collect();
-
-    let mut ctx_a = model_a.try_new_context().expect("context allocates");
-    let mut ctx_b = model_b.try_new_context().expect("context allocates");
-    let oracle_a: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|i| model_a.try_infer(&mut ctx_a, i).expect("inference"))
-        .collect();
-    let oracle_b: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|i| model_b.try_infer(&mut ctx_b, i).expect("inference"))
-        .collect();
+    let oracle_a = serial_oracle(&model_a, &inputs);
+    let oracle_b = serial_oracle(&model_b, &inputs);
 
     let chaos = ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::with_seed(0xB17F));
     let mut registry = ModelRegistry::new();
@@ -217,16 +178,12 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
                             "POST {path} HTTP/1.1\r\nx-bitflow-request-id: soak-{i}\r\n{deadline_header}content-length: {}\r\nconnection: close\r\n\r\n",
                             body.len()
                         );
-                        if stream.write_all(req.as_bytes()).is_err()
-                            || stream.write_all(body).is_err()
-                        {
-                            // The server may already have killed the
-                            // connection; drain whatever it did send.
-                            return match read_response(&mut stream) {
-                                Some((status, resp)) => classify(i, tenant, status, &resp, &oracle_a, &oracle_b),
-                                None => Outcome::Broken,
-                            };
-                        }
+                        // A failed write is not the end: the server may
+                        // already have killed the connection, so read
+                        // whatever it did send.
+                        let _ = stream
+                            .write_all(req.as_bytes())
+                            .and_then(|()| stream.write_all(body));
                         match read_response(&mut stream) {
                             Some((status, resp)) => classify(i, tenant, status, &resp, &oracle_a, &oracle_b),
                             None => Outcome::Broken,
@@ -275,47 +232,6 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
         }
     }
 
-    // Beside the wire clients, one in-process client on tenant `a` that
-    // goes through the queue (`submit`, then wait): its outcomes are known
-    // exactly and join the same tallies.
-    let wire_done = Arc::new(AtomicBool::new(false));
-    let submitter = {
-        let wire_done = Arc::clone(&wire_done);
-        let server = Arc::clone(&server);
-        let inputs = inputs.clone();
-        let oracle_a = oracle_a.clone();
-        std::thread::spawn(move || {
-            let client = server.client("a").expect("registered");
-            let mut outcomes = [0u64; 5];
-            // Paced to last as long as the wire clients do.
-            let mut i = 0;
-            while i < n / 8 || !wire_done.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(500));
-                i += 1;
-                let input = inputs[i % DISTINCT_INPUTS].clone();
-                let outcome = match client.submit(Submission::new(input)).map(|h| h.wait()) {
-                    Err(_reason) => Outcome::Rejected,
-                    Ok(Ok(logits)) => {
-                        assert_eq!(
-                            logits,
-                            oracle_a[i % DISTINCT_INPUTS],
-                            "in-process request {i} diverged from the serial oracle"
-                        );
-                        Outcome::Ok
-                    }
-                    Ok(Err(BitFlowError::DeadlineExceeded)) => Outcome::Deadline,
-                    Ok(Err(BitFlowError::Internal(msg))) => {
-                        assert!(msg.contains("chaos"), "in-process request {i}: {msg}");
-                        Outcome::Failed
-                    }
-                    Ok(Err(other)) => panic!("in-process request {i}: unexpected error {other}"),
-                };
-                outcomes[outcome as usize] += 1;
-            }
-            outcomes
-        })
-    };
-
     let mut tallies = [[0u64; 5]; 2]; // [tenant][Ok, Rejected, Deadline, Failed, Broken]
     let mut error_ids: Vec<usize> = Vec::new(); // complete 500s/504s, by request index
     for worker in workers {
@@ -325,14 +241,6 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
                 error_ids.push(i);
             }
         }
-    }
-
-    wire_done.store(true, Ordering::Release);
-    for (tally, n) in tallies[0]
-        .iter_mut()
-        .zip(submitter.join().expect("in-process client"))
-    {
-        *tally += n;
     }
 
     assert!(net.shutdown(), "drain must complete within the budget");
@@ -372,70 +280,46 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
             + snap.rejected_draining
             + snap.rejected_quota;
 
-        // The serve-layer law, exact, per tenant.
-        assert_eq!(
-            snap.submitted,
-            snap.accepted + rejected_gauge,
-            "tenant {tenant}: submitted splits into accepted + rejected"
-        );
-        assert_eq!(
-            snap.accepted,
-            snap.completed
-                + snap.failed
-                + snap.shed_deadline
-                + snap.deadline_missed
-                + snap.cancelled,
-            "tenant {tenant}: every admitted request resolved exactly once"
-        );
-        assert_eq!(snap.worker_panics, snap.failed, "tenant {tenant}: panics");
-
         // Gauge↔tally: every complete response is pinned exactly; broken
         // connections bound the slack (a killed connection never
         // submitted; a truncated one resolved before the wire died).
-        assert!(
-            snap.completed >= ok && snap.completed <= ok + broken,
-            "tenant {tenant}: completed {} outside [{}, {}]",
-            snap.completed,
-            ok,
-            ok + broken
+        let within = |gauge: u64, seen: u64, what: &str| {
+            let bound = seen..=seen + broken;
+            assert!(
+                bound.contains(&gauge),
+                "tenant {tenant}: {what} {gauge} outside {bound:?}"
+            );
+        };
+        within(snap.completed, ok, "completed");
+        within(rejected_gauge, rejected, "rejections");
+        within(
+            snap.shed_deadline + snap.deadline_missed,
+            deadline,
+            "deadline outcomes",
         );
-        assert!(
-            rejected_gauge >= rejected && rejected_gauge <= rejected + broken,
-            "tenant {tenant}: rejections out of range"
-        );
-        assert!(
-            snap.shed_deadline + snap.deadline_missed >= deadline
-                && snap.shed_deadline + snap.deadline_missed <= deadline + broken,
-            "tenant {tenant}: deadline outcomes out of range"
-        );
-        let known = ok + rejected + deadline + failed;
-        assert!(
-            snap.submitted >= known && snap.submitted <= known + broken,
-            "tenant {tenant}: submitted {} outside [{known}, {}]",
+        within(
             snap.submitted,
-            known + broken
+            ok + rejected + deadline + failed,
+            "submitted",
         );
         assert!(snap.completed > 0, "tenant {tenant} starved");
     }
-    assert_eq!(snap_a.queue_depth, 0, "drain leaves the queue empty");
 
-    // --- Each chaos type must actually fire (full mode) ---------------
-    if n >= 1000 {
-        assert!(kills > 0, "the connection-kill stream never fired");
-        assert!(truncs > 0, "the truncated-write stream never fired");
-        assert!(
-            snap_a.worker_panics + snap_b.worker_panics > 0,
-            "worker-panic chaos never fired"
-        );
-        let stalls = (0..n as u64)
-            .flat_map(|c| (0..4u64).map(move |r| (c, r)))
-            .filter(|&(c, r)| chaos.read_stall_hit(c, r))
-            .count();
-        assert!(
-            stalls > 0,
-            "the read-stall stream is empty over the soak range"
-        );
-    }
+    // --- Each chaos type must actually fire ----------------------------
+    assert!(kills > 0, "the connection-kill stream never fired");
+    assert!(truncs > 0, "the truncated-write stream never fired");
+    assert!(
+        snap_a.worker_panics + snap_b.worker_panics > 0,
+        "worker-panic chaos never fired"
+    );
+    let stalls = (0..n as u64)
+        .flat_map(|c| (0..4u64).map(move |r| (c, r)))
+        .filter(|&(c, r)| chaos.read_stall_hit(c, r))
+        .count();
+    assert!(
+        stalls > 0,
+        "the read-stall stream is empty over the soak range"
+    );
 
     // --- Flight-recorder contract under chaos --------------------------
     // Tail-based sampling keeps every error trace: each complete error
