@@ -1,14 +1,17 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **kernel-width sweep** — PressedConv on conv5.1 with every SIMD tier
-//!   forced (the per-ISA deltas behind Fig. 7's per-operator gains);
+//! * **kernel-width sweep** — the engine's conv (PressedConv + sign, pressed
+//!   bits out) on conv5.1 with every SIMD tier forced on the filter-lane
+//!   loop (the per-ISA deltas behind Fig. 7's per-operator gains);
 //! * **pressed vs image-to-column binary conv** — the §III-A algorithmic
-//!   claim, same operator both ways;
-//! * **fused conv+sign vs two-pass** — the engine's serial fusion;
+//!   claim, same operator and same output bits both ways;
 //! * **popcount implementations** — native VPOPCNTDQ vs AVX2 nibble lookup
 //!   vs scalar POPCNT on a bgemm-sized stream;
 //! * **zero-cost padding vs copy-padding** — pre-padded buffer reuse vs
 //!   explicitly re-packing into a padded tensor each time.
+//!
+//! Every conv row writes sign bits into a prepared padded map
+//! (`workloads::ConvOperands`), as the engine does.
 //!
 //! `cargo bench -p bitflow-bench --bench ablation` prints the fastest of
 //! repeated calls per configuration (`timing::measure`); the two sides of an
@@ -18,10 +21,9 @@
 
 use bitflow_bench::quick_mode;
 use bitflow_bench::timing::{fmt_duration, measure, measure_interleaved};
-use bitflow_bench::workloads::{prepare, table_iv};
+use bitflow_bench::workloads::{prepare, table_iv, Prepared};
 use bitflow_ops::binary::{
-    binarize_pack_padded, binary_conv_im2col, pressed_conv, pressed_conv_sign_into, BnFold,
-    SignThresholds,
+    binarize_pack_into, binary_conv_im2col, pack_signed_dots_into, pressed_conv_sign_into,
 };
 use bitflow_ops::SimdLevel;
 use bitflow_simd::xor_popcount;
@@ -80,13 +82,23 @@ impl Budget {
     }
 }
 
+/// The engine's conv of `input` under a prepared workload's bank and
+/// thresholds, on the filter-lane loop at `level`, into its prepared
+/// destination.
+fn sign_conv(p: &Prepared, input: &BitTensor, level: SimdLevel) {
+    let conv = p.conv.as_ref().unwrap();
+    let out = &mut conv.scratch.lock().expect("a timed conv panicked").0;
+    let (bank, st) = (p.bank.as_ref().unwrap(), &conv.st);
+    pressed_conv_sign_into(level, input, bank, 1, st, out, 1, false, None);
+    black_box(out);
+}
+
 fn kernel_width(budget: &Budget) {
     let w = table_iv()[3]; // conv5.1, C=512 divides every tier
     let p = prepare(&w, 60);
-    let bank = p.bank.as_ref().unwrap();
     for level in TIERS {
         budget.one(&format!("ablation-kernel-width/conv5.1/{level}"), || {
-            black_box(pressed_conv(level, &p.bit_input, bank, 1));
+            sign_conv(&p, &p.bit_input, level);
         });
     }
 }
@@ -95,69 +107,27 @@ fn pressed_vs_im2col(budget: &Budget) {
     for w in [table_iv()[1], table_iv()[3]] {
         // conv3.1, conv5.1
         let p = prepare(&w, 61);
-        let bank = p.bank.as_ref().unwrap();
         let f = p.fshape.unwrap();
+        let out_w = w.params.conv_out(w.input_shape(), f.k).out_w;
         budget.pair(
             &format!("ablation-algorithm/{}", w.name),
-            ("pressed", || {
-                black_box(pressed_conv(SimdLevel::Avx512, &p.bit_input, bank, 1));
-            }),
+            ("pressed", || sign_conv(&p, &p.bit_input, SimdLevel::Avx512)),
+            // The same bits: im2col counts, then each pixel's dots through
+            // the same thresholds into the same padded map.
             ("binary-im2col", || {
-                black_box(binary_conv_im2col(
-                    SimdLevel::Avx512,
-                    &p.input,
-                    &p.weights,
-                    f,
-                    w.params,
-                ));
+                let counts =
+                    binary_conv_im2col(SimdLevel::Avx512, &p.input, &p.weights, f, w.params);
+                let conv = p.conv.as_ref().unwrap();
+                let out = &mut conv.scratch.lock().expect("a timed conv panicked").0;
+                let c_words = out.c_words();
+                for (px, dots) in counts.data().chunks_exact(f.k).enumerate() {
+                    let at = out.pixel_words_index(px / out_w + 1, px % out_w + 1);
+                    pack_signed_dots_into(dots, &conv.st, &mut out.words_mut()[at..][..c_words]);
+                }
+                black_box(out);
             }),
         );
     }
-}
-
-fn fused_conv_sign(budget: &Budget) {
-    let w = table_iv()[2]; // conv4.1
-    let p = prepare(&w, 62);
-    let bank = p.bank.as_ref().unwrap();
-    let k = bank.shape().k;
-    let thresholds = vec![0.0f32; k];
-    let flip = vec![false; k];
-    let f = bank.shape();
-    let st = SignThresholds::from_fold(
-        &BnFold {
-            thresholds: thresholds.clone(),
-            flip: flip.clone(),
-        },
-        f.kh * f.kw * f.c,
-    );
-    let g = w.params.conv_out(w.input_shape(), k);
-    let mut out = BitTensor::zeros(g.out_h + 2, g.out_w + 2, k);
-    budget.pair(
-        "ablation-conv-sign-fusion/conv4.1",
-        ("fused-conv-sign-pack", || {
-            pressed_conv_sign_into(
-                SimdLevel::Avx512,
-                &p.bit_input,
-                bank,
-                1,
-                &st,
-                &mut out,
-                1,
-                false,
-                None,
-            );
-            black_box(&out);
-        }),
-        ("two-pass-counts-then-pack", || {
-            let counts = pressed_conv(SimdLevel::Avx512, &p.bit_input, bank, 1);
-            black_box(bitflow_ops::binary::binarize_threshold_padded(
-                &counts,
-                &thresholds,
-                &flip,
-                1,
-            ));
-        }),
-    );
 }
 
 fn popcount_impls(budget: &Budget) {
@@ -206,19 +176,19 @@ fn layout_packing(budget: &Budget) {
 fn padding_strategy(budget: &Budget) {
     let w = table_iv()[0]; // conv2.1: biggest spatial extent → biggest pad cost
     let p = prepare(&w, 64);
-    let bank = p.bank.as_ref().unwrap();
     budget.pair(
         "ablation-padding/conv2.1",
         // Zero-cost: the padded pressed input already exists (built once by
         // the network plan); convolving it directly is the whole cost.
         ("zero-cost-padding", || {
-            black_box(pressed_conv(SimdLevel::Avx512, &p.bit_input, bank, 1));
+            sign_conv(&p, &p.bit_input, SimdLevel::Avx512)
         }),
         // Copy-padding: re-binarize+pack the float map into a fresh padded
         // tensor every inference (first-convolution-then-padding convention).
         ("copy-padding-then-conv", || {
-            let padded = binarize_pack_padded(&p.input, 1);
-            black_box(pressed_conv(SimdLevel::Avx512, &padded, bank, 1));
+            let mut padded = BitTensor::zeros(w.h + 2, w.w + 2, w.c);
+            binarize_pack_into(&p.input, &mut padded, 1);
+            sign_conv(&p, &padded, SimdLevel::Avx512)
         }),
     );
 }
@@ -227,7 +197,6 @@ fn main() {
     let budget = Budget::new();
     kernel_width(&budget);
     pressed_vs_im2col(&budget);
-    fused_conv_sign(&budget);
     popcount_impls(&budget);
     layout_packing(&budget);
     padding_strategy(&budget);

@@ -32,8 +32,10 @@
 //!   weights (packing is a network-initialization cost in BitFlow) and,
 //!   for convolution, pre-packed inputs (inter-layer activations stay
 //!   packed inside a BNN; the binarize+pack of the previous layer's output
-//!   is fused there). Binary FC timings include input packing — its input
-//!   arrives flattened from pooling in VGG.
+//!   is fused there). A conv is the engine's call: sign bits into a padded
+//!   map allocated once, on the body the engine would pick
+//!   (`workloads::ConvOperands`). Binary FC timings include input packing —
+//!   its input arrives flattened from pooling in VGG.
 //! * The float baseline is the optimized im2col+sgemm path with weight
 //!   transposition hoisted, i.e. a fair production-style float operator.
 //! * Multi-thread runs install a sized thread-count scope per measurement

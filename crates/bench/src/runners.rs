@@ -2,13 +2,12 @@
 
 use crate::timing::{measure, measure_interleaved, with_pool};
 use crate::workloads::{OpKind, Prepared};
-use bitflow_ops::binary::{binary_max_pool, pressed_conv_into};
+use bitflow_ops::binary::{binary_max_pool, pressed_conv_sign_into};
 use bitflow_ops::float::{
     conv_im2col, conv_im2col_parallel, fc_parallel, fc_pretransposed, max_pool, max_pool_parallel,
 };
 use bitflow_ops::SimdLevel;
 use bitflow_simd::VectorScheduler;
-use bitflow_tensor::{Layout, Shape, Tensor};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -34,6 +33,16 @@ pub fn scheduled_level(p: &Prepared) -> SimdLevel {
     match p.workload.kind {
         OpKind::Pool => s.select(p.workload.c).level,
         OpKind::Conv { .. } | OpKind::Fc { .. } => s.streaming_level(),
+    }
+}
+
+/// What a prepared workload runs on under [`Impl::BitFlow`]: the conv body
+/// the engine would pick (and the clause of the rule that picked it), or
+/// the kernel level of the other operators.
+pub fn kernel(p: &Prepared) -> String {
+    match &p.conv {
+        Some(conv) => conv.body.to_string(),
+        None => scheduled_level(p).to_string(),
     }
 }
 
@@ -78,13 +87,27 @@ pub fn run_once(imp: Impl, p: &Prepared, threads: usize) {
             };
             match kind {
                 OpKind::Conv { .. } => {
-                    let bank = p.bank.as_ref().unwrap();
-                    let w = &p.workload;
-                    let g = w.params.conv_out(w.input_shape(), bank.shape().k);
-                    let mut out =
-                        Tensor::zeros(Shape::hwc(g.out_h, g.out_w, g.out_c), Layout::Nhwc);
-                    let stride = w.params.stride;
-                    pressed_conv_into(level, &p.bit_input, bank, stride, &mut out, threads != 1);
+                    // The engine's call: sign bits into the next layer's
+                    // padded input; the AMX body only where the engine
+                    // would run it, the forced tiers on the lane loop.
+                    let conv = p.conv.as_ref().unwrap();
+                    let mut scratch = conv.scratch.lock().expect("a timed conv panicked");
+                    let (out, strips) = &mut *scratch;
+                    let amx = match imp {
+                        Impl::BitFlow => conv.amx.as_ref().map(|bank| (bank, &mut strips[..])),
+                        _ => None,
+                    };
+                    pressed_conv_sign_into(
+                        level,
+                        &p.bit_input,
+                        p.bank.as_ref().unwrap(),
+                        p.workload.params.stride,
+                        &conv.st,
+                        out,
+                        p.workload.params.pad,
+                        threads != 1,
+                        amx,
+                    );
                     black_box(out);
                 }
                 OpKind::Fc { .. } => {

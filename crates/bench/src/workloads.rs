@@ -5,10 +5,15 @@
 //! cover every tier of the vector execution scheduler: C = 64 (scalar
 //! words), 128 (SSE), 256 (AVX2), 512 (AVX-512).
 
+use bitflow_ops::binary::{amx_operands, conv_geometry, BnFold, SignThresholds};
 use bitflow_ops::ConvParams;
+use bitflow_simd::amx::{AmxBank, AmxStrip};
+use bitflow_simd::conv::BodyChoice;
+use bitflow_simd::{team, VectorScheduler};
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 /// Operator category.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,8 +171,54 @@ pub struct Prepared {
     pub bit_input: BitTensor,
     /// Pre-packed conv filter bank.
     pub bank: Option<BitFilterBank>,
+    /// What else the engine's conv call takes.
+    pub conv: Option<ConvOperands>,
     /// Pre-packed FC weights.
     pub fc_weights: Option<bitflow_ops::binary::BinaryFcWeights>,
+}
+
+/// The rest of the engine's conv call (`pressed_conv_sign_into`): the sign
+/// thresholds of an identity batch-norm, the body the engine would pick at
+/// the widest tier, and, when that is the AMX body, the bank's int8 copy.
+/// The destination (padded for a next conv) and one AMX strip per team
+/// part are a context's, allocated once here and reused by every call.
+pub struct ConvOperands {
+    /// Popcount bounds and flip masks.
+    pub st: SignThresholds,
+    /// The body the engine runs this conv on, and the rule's clause.
+    pub body: BodyChoice,
+    /// The AMX copy of the bank, when `body` is the AMX body.
+    pub amx: Option<AmxBank>,
+    /// Destination map and per-part strips.
+    pub scratch: Mutex<(BitTensor, Vec<AmxStrip>)>,
+}
+
+impl ConvOperands {
+    fn new(w: &Workload, bit_input: &BitTensor, bank: &BitFilterBank) -> Self {
+        let f = bank.shape();
+        let (g, out_h) = conv_geometry(bit_input, bank, w.params.stride);
+        let level = VectorScheduler::new().streaming_level();
+        let (body, amx) = amx_operands(level, &g, bit_input.h(), bank);
+        let (amx, strips) = match amx {
+            Some((amx, bytes)) => {
+                let strips = (0..team::max_parts()).map(|_| AmxStrip::new(bytes));
+                (Some(amx), strips.collect())
+            }
+            None => (None, Vec::new()),
+        };
+        let fold = BnFold {
+            thresholds: vec![0.0; f.k],
+            flip: vec![false; f.k],
+        };
+        let pad = w.params.pad;
+        let dst = BitTensor::zeros(out_h + 2 * pad, g.out_w + 2 * pad, f.k);
+        Self {
+            st: SignThresholds::from_fold(&fold, f.kh * f.kw * f.c),
+            body,
+            amx,
+            scratch: Mutex::new((dst, strips)),
+        }
+    }
 }
 
 /// Builds the operands for a workload, seeded deterministically.
@@ -183,6 +234,7 @@ pub fn prepare(w: &Workload, seed: u64) -> Prepared {
                 .to_vec();
             let bank = BitFilterBank::from_floats(&weights, fshape);
             let bit_input = BitTensor::from_tensor_padded(&input, w.params.pad);
+            let conv = Some(ConvOperands::new(w, &bit_input, &bank));
             Prepared {
                 workload: *w,
                 input,
@@ -192,6 +244,7 @@ pub fn prepare(w: &Workload, seed: u64) -> Prepared {
                 fshape: Some(fshape),
                 bit_input,
                 bank: Some(bank),
+                conv,
                 fc_weights: None,
             }
         }
@@ -211,6 +264,7 @@ pub fn prepare(w: &Workload, seed: u64) -> Prepared {
                 weights_t,
                 fshape: None,
                 bank: None,
+                conv: None,
                 fc_weights: Some(fc_weights),
             }
         }
@@ -223,6 +277,7 @@ pub fn prepare(w: &Workload, seed: u64) -> Prepared {
             weights_t: Vec::new(),
             fshape: None,
             bank: None,
+            conv: None,
             fc_weights: None,
         },
     }

@@ -34,12 +34,12 @@ use crate::weights::{LayerWeights, NetworkWeights};
 use bitflow_gemm::pack::PackedMatrix;
 use bitflow_gemm::sgemm::transpose;
 use bitflow_ops::binary::{
-    binarize_pack_into, binarize_windows_into, binary_max_pool_into, pack_signed_dots_into,
-    pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
+    amx_operands, binarize_pack_into, binarize_windows_into, binary_max_pool_into,
+    pack_signed_dots_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::amx::{AmxBank, AmxStrip};
-use bitflow_simd::conv::{body_choice, BodyChoice, ConvBody, ConvGeom};
+use bitflow_simd::conv::{BodyChoice, ConvGeom};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::pack::pack_rows;
 use bitflow_simd::scheduler::VectorScheduler;
@@ -436,11 +436,10 @@ impl CompiledModel {
                     // the output already pressed — on the AMX body when
                     // the rule picks it, from int8 filters expanded here,
                     // once.
-                    let body = body_choice(level, &g, in_h);
-                    let amx = (body.body == ConvBody::Amx).then(|| {
-                        strip_bytes = strip_bytes.max(AmxStrip::bytes_for(&g, in_h));
-                        let steps = g.kh * g.kw * g.c_words;
-                        AmxBank::from_lane_words(bank.lane_words(), g.k, steps)
+                    let (body, amx) = amx_operands(level, &g, in_h, &bank);
+                    let amx = amx.map(|(amx, bytes)| {
+                        strip_bytes = strip_bytes.max(bytes);
+                        amx
                     });
                     ops.push(RtOp::ConvSign {
                         name: name.clone(),
@@ -1678,37 +1677,47 @@ mod tests {
         assert!(times.iter().any(|(n, _)| n == "flatten"));
     }
 
+    /// `small_cnn` by hand from integer references: the conv's im2col
+    /// counts (−1 padding), each made ±1 by `sign(channel, count)`, the
+    /// float max-pool of those ±1, and the FC's dots as sums of ±1 products.
+    fn small_cnn_by_hand(
+        weights: &NetworkWeights,
+        input: &Tensor,
+        sign: impl Fn(usize, f32) -> bool,
+    ) -> Vec<f32> {
+        use bitflow_ops::binary::binary_conv_im2col;
+        use bitflow_ops::ConvParams;
+        let (LayerWeights::Conv { w, fshape, .. }, LayerWeights::Fc { w: fw, n, k, .. }) =
+            (&weights.layers[0], &weights.layers[2])
+        else {
+            unreachable!("small_cnn is conv, pool, fc")
+        };
+        let params = ConvParams::VGG_CONV;
+        let mut map = binary_conv_im2col(SimdLevel::Scalar, input, w, *fshape, params);
+        for (i, x) in map.data_mut().iter_mut().enumerate() {
+            *x = if sign(i % fshape.k, *x) { 1.0 } else { -1.0 };
+        }
+        let pooled = bitflow_ops::float::max_pool(&map, ConvParams::VGG_POOL);
+        let pm1 = |x: f32| if x >= 0.0 { 1.0 } else { -1.0 };
+        (0..*k)
+            .map(|j| {
+                (0..*n)
+                    .map(|i| pm1(pooled.data()[i]) * pm1(fw[i * k + j]))
+                    .sum()
+            })
+            .collect()
+    }
+
     #[test]
     fn engine_matches_direct_op_chain() {
-        // Hand-execute the same small network with the raw ops and compare.
+        // The same small network by hand, its conv signs the folded compare.
         let (spec, weights, input) = setup();
         let got = infer(&compile(&spec, &weights), &input);
-
-        use bitflow_ops::binary::{
-            binarize_pack_padded, binary_fc, binary_max_pool, pressed_conv, BinaryFcWeights,
+        let LayerWeights::Conv { bn, .. } = &weights.layers[0] else {
+            unreachable!("conv first")
         };
-        let (cw, cf, cbn) = match &weights.layers[0] {
-            LayerWeights::Conv { w, fshape, bn } => (w, fshape, bn),
-            _ => unreachable!(),
-        };
-        let bank = BitFilterBank::from_floats(cw, *cf);
-        let pressed = binarize_pack_padded(&input, 1);
-        let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
-        let fold = cbn.fold();
-        let signed = bitflow_ops::binary::binarize_threshold_padded(
-            &counts,
-            &fold.thresholds,
-            &fold.flip,
-            0,
-        );
-        let pooled = binary_max_pool(SimdLevel::Avx512, &signed, 2, 2, 2);
-        let (fw, fn_, fk) = match &weights.layers[2] {
-            LayerWeights::Fc { w, n, k, .. } => (w, *n, *k),
-            _ => unreachable!(),
-        };
-        let flat = pooled.to_tensor();
-        let packed_w = BinaryFcWeights::pack(fw, fn_, fk);
-        let want = binary_fc(SimdLevel::Avx512, flat.data(), &packed_w);
+        let fold = bn.fold();
+        let want = small_cnn_by_hand(&weights, &input, |c, x| fold.sign(c, x));
         assert_eq!(got, want);
     }
 
@@ -2141,34 +2150,12 @@ mod tests {
 
         // Hand-executed chain with explicit BN: y = γ·(x−μ)/√(σ²+ε) + β,
         // bit = y ≥ 0 — no folding anywhere.
-        use bitflow_ops::binary::{
-            binarize_pack_padded, binarize_threshold_padded, binary_fc, binary_max_pool,
-            pressed_conv, BinaryFcWeights,
+        let LayerWeights::Conv { bn, .. } = &weights.layers[0] else {
+            unreachable!("conv first")
         };
-        let (cw, cf, cbn) = match &weights.layers[0] {
-            LayerWeights::Conv { w, fshape, bn } => (w, fshape, bn),
-            _ => unreachable!(),
-        };
-        let bank = BitFilterBank::from_floats(cw, *cf);
-        let pressed = binarize_pack_padded(&input, 1);
-        let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
-        let k = cf.k;
-        let mut bn_out = counts.clone();
-        for (i, y) in bn_out.data_mut().iter_mut().enumerate() {
-            let c = i % k;
-            *y = cbn.gamma[c] * (*y - cbn.mean[c]) / (cbn.var[c] + cbn.eps).sqrt() + cbn.beta[c];
-        }
-        let zeros = vec![0.0f32; k];
-        let no_flip = vec![false; k];
-        let signed = binarize_threshold_padded(&bn_out, &zeros, &no_flip, 0);
-        let pooled = binary_max_pool(SimdLevel::Avx512, &signed, 2, 2, 2);
-        let (fw, fn_, fk) = match &weights.layers[2] {
-            LayerWeights::Fc { w, n, k, .. } => (w, *n, *k),
-            _ => unreachable!(),
-        };
-        let flat = pooled.to_tensor();
-        let packed_w = BinaryFcWeights::pack(fw, fn_, fk);
-        let want = binary_fc(SimdLevel::Avx512, flat.data(), &packed_w);
+        let want = small_cnn_by_hand(&weights, &input, |c, x| {
+            bn.gamma[c] * (x - bn.mean[c]) / (bn.var[c] + bn.eps).sqrt() + bn.beta[c] >= 0.0
+        });
         assert_eq!(got, want, "engine must fold with the layer's ε");
 
         // Regression half: the old behavior (hardcoded 1e-5) folds

@@ -225,11 +225,9 @@ mod tests {
                 let mut dot = -(n as i64);
                 while dot <= n as i64 {
                     for (c, &t) in ts.iter().enumerate() {
-                        let x = dot as f32;
-                        let want = if flip { x <= t } else { x >= t };
                         assert_eq!(
                             st.bit_from_dot(c, dot),
-                            want,
+                            f.sign(c, dot as f32),
                             "n={n} t={t} flip={flip} dot={dot}"
                         );
                     }
@@ -288,7 +286,8 @@ mod tests {
         let k = 70usize; // partial final word
         let thresholds: Vec<f32> = (0..k).map(|i| i as f32 - 35.0).collect();
         let flip: Vec<bool> = (0..k).map(|i| i % 3 == 0).collect();
-        let st = SignThresholds::from_fold(&fold(thresholds.clone(), flip.clone()), n);
+        let f = fold(thresholds, flip);
+        let st = SignThresholds::from_fold(&f, n);
         let dots: Vec<f32> = (0..k)
             .map(|i| ((i as i64 * 7) % 65 - 32) * 2) // even dots
             .map(|d| d as f32)
@@ -296,11 +295,7 @@ mod tests {
         let mut out = vec![u64::MAX; k.div_ceil(64)];
         pack_signed_dots_into(&dots, &st, &mut out);
         for (i, &d) in dots.iter().enumerate() {
-            let want = if flip[i] {
-                d <= thresholds[i]
-            } else {
-                d >= thresholds[i]
-            };
+            let want = f.sign(i, d);
             assert_eq!((out[i / 64] >> (i % 64)) & 1 == 1, want, "i={i}");
         }
         // Press tail zeroed.

@@ -7,10 +7,9 @@
 //! all). Vector parallelism runs over the N (input-neuron) dimension,
 //! multi-core parallelism over the K (output-neuron) dimension.
 
-use bitflow_gemm::bgemm::{bgemm_packed, bgemm_packed_parallel, PAR_K_CHUNK};
+use bitflow_gemm::bgemm::PAR_K_CHUNK;
 use bitflow_gemm::pack::{pack_b_fused, PackedMatrix};
 use bitflow_simd::kernels::SimdLevel;
-use bitflow_simd::pack::pack_f32;
 use bitflow_simd::team;
 
 /// Pre-packed binary FC weights: the fused binarize+pack+transpose product
@@ -49,56 +48,35 @@ impl BinaryFcWeights {
     /// (length `ceil(n/64)`, press-tail zeros), writing the K dot products
     /// into `out`. Allocation-free — the engine's hot path.
     pub fn forward_into(&self, level: SimdLevel, input_words: &[u64], out: &mut [f32]) {
-        assert_eq!(
-            input_words.len(),
-            self.packed.words_per_row,
-            "input word count"
-        );
-        assert_eq!(out.len(), self.k, "output width");
-        for (kk, o) in out.iter_mut().enumerate() {
-            *o = bitflow_simd::binary_dot(level, input_words, self.packed.row(kk), self.n) as f32;
-        }
+        self.check(input_words, out);
+        self.dots(level, input_words, 0, out);
     }
 
     /// Multi-threaded [`Self::forward_into`]: output neurons over the
     /// worker team, [`PAR_K_CHUNK`] to a chunk like the binary GEMM's.
     pub fn forward_into_parallel(&self, level: SimdLevel, input_words: &[u64], out: &mut [f32]) {
+        self.check(input_words, out);
+        team::for_chunks_mut(out, PAR_K_CHUNK, |ci, outs| {
+            self.dots(level, input_words, ci * PAR_K_CHUNK, outs)
+        });
+    }
+
+    fn check(&self, input_words: &[u64], out: &[f32]) {
         assert_eq!(
             input_words.len(),
             self.packed.words_per_row,
             "input word count"
         );
         assert_eq!(out.len(), self.k, "output width");
-        team::for_chunks_mut(out, PAR_K_CHUNK, |ci, outs| {
-            for (kk, o) in (ci * PAR_K_CHUNK..).zip(outs) {
-                *o = bitflow_simd::binary_dot(level, input_words, self.packed.row(kk), self.n)
-                    as f32;
-            }
-        });
     }
-}
 
-/// Binary FC: binarize+pack the input vector, then K binary dot products.
-pub fn binary_fc(level: SimdLevel, input: &[f32], weights: &BinaryFcWeights) -> Vec<f32> {
-    let pin = pack_input(input, weights.n);
-    let mut out = vec![0.0f32; weights.k];
-    bgemm_packed(level, &pin, &weights.packed, &mut out);
-    out
-}
-
-/// Multi-threaded binary FC (output neurons over the worker team).
-pub fn binary_fc_parallel(level: SimdLevel, input: &[f32], weights: &BinaryFcWeights) -> Vec<f32> {
-    let pin = pack_input(input, weights.n);
-    let mut out = vec![0.0f32; weights.k];
-    bgemm_packed_parallel(level, &pin, &weights.packed, &mut out);
-    out
-}
-
-fn pack_input(input: &[f32], n: usize) -> PackedMatrix {
-    assert_eq!(input.len(), n, "input width");
-    let mut pin = PackedMatrix::zeros(1, n);
-    pack_f32(input, pin.row_mut(0));
-    pin
+    /// The dots of output neurons `first..first + out.len()`.
+    #[inline]
+    fn dots(&self, level: SimdLevel, input_words: &[u64], first: usize, out: &mut [f32]) {
+        for (kk, o) in (first..).zip(out) {
+            *o = bitflow_simd::binary_dot(level, input_words, self.packed.row(kk), self.n) as f32;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +92,13 @@ mod tests {
         }
     }
 
+    /// The input pressed as the engine hands it over: `⌈n/64⌉` words.
+    fn press(input: &[f32]) -> Vec<u64> {
+        let mut words = vec![0u64; input.len().div_ceil(64)];
+        bitflow_simd::pack::pack_f32(input, &mut words);
+        words
+    }
+
     #[test]
     fn matches_float_reference() {
         let mut rng = StdRng::seed_from_u64(110);
@@ -121,7 +106,8 @@ mod tests {
             let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let weights: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let packed = BinaryFcWeights::pack(&weights, n, k);
-            let got = binary_fc(SimdLevel::Avx512, &input, &packed);
+            let mut got = vec![f32::NAN; k];
+            packed.forward_into(SimdLevel::Avx512, &press(&input), &mut got);
             for kk in 0..k {
                 let want: f32 = (0..n)
                     .map(|i| sign(input[i]) * sign(weights[i * k + kk]))
@@ -134,12 +120,15 @@ mod tests {
     #[test]
     fn parallel_variant_agrees() {
         let mut rng = StdRng::seed_from_u64(111);
-        let (n, k) = (300usize, 21usize);
+        // K over several PAR_K_CHUNKs, the last one short.
+        let (n, k) = (300usize, 2 * PAR_K_CHUNK + 21);
         let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let weights: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let packed = BinaryFcWeights::pack(&weights, n, k);
-        let a = binary_fc(SimdLevel::Scalar, &input, &packed);
-        let b = binary_fc_parallel(SimdLevel::Avx2, &input, &packed);
+        let words = press(&input);
+        let (mut a, mut b) = (vec![f32::NAN; k], vec![f32::NAN; k]);
+        packed.forward_into(SimdLevel::Scalar, &words, &mut a);
+        packed.forward_into_parallel(SimdLevel::Avx2, &words, &mut b);
         assert_eq!(a, b);
     }
 

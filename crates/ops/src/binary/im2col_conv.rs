@@ -14,7 +14,9 @@
 //!
 //! With `level = SimdLevel::Scalar` this operator *is* the paper's
 //! "unoptimized BNN implementation": bitwise xor+popcount binary
-//! convolution with no vector parallelism. (The figure-7 harness uses the
+//! convolution with no vector parallelism. Sharing no code with the
+//! filter-lane core, it is also the integer reference PressedConv's unit
+//! tests check the sign conv against. (The figure-7 harness uses the
 //! scalar **PressedConv** as the unvectorized baseline so that exactly one
 //! variable — vectorization — changes; this operator additionally changes
 //! the algorithm, which is what the `ablation` bench quantifies.)
@@ -112,31 +114,12 @@ fn im2col_fill(input: &Tensor, params: ConvParams, kh: usize, kw: usize, fill: f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::pressed_conv::pressed_conv;
-    use bitflow_tensor::{BitFilterBank, BitTensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn rand_pm1(rng: &mut StdRng, n: usize) -> Vec<f32> {
         (0..n)
             .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
             .collect()
-    }
-
-    #[test]
-    fn agrees_with_pressed_conv() {
-        let mut rng = StdRng::seed_from_u64(100);
-        for (c, pad, stride) in [(3usize, 1usize, 1usize), (64, 1, 1), (64, 0, 1), (96, 1, 2)] {
-            let shape = Shape::hwc(6, 5, c);
-            let fshape = FilterShape::new(5, 3, 3, c);
-            let input = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
-            let weights = rand_pm1(&mut rng, fshape.numel());
-            let params = ConvParams::new(3, 3, stride, pad);
-            let a = binary_conv_im2col(SimdLevel::Scalar, &input, &weights, fshape, params);
-            let pressed = BitTensor::from_tensor_padded(&input, pad);
-            let bank = BitFilterBank::from_floats(&weights, fshape);
-            let b = pressed_conv(SimdLevel::Avx512, &pressed, &bank, stride);
-            assert_eq!(a.max_abs_diff(&b), 0.0, "c={c} pad={pad} stride={stride}");
-        }
     }
 
     #[test]

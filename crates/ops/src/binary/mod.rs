@@ -1,17 +1,21 @@
 //! Binary operators — the paper's contribution.
 //!
-//! * [`pressed_conv`] — PressedConv (paper §III-B, Algorithm 1).
+//! * [`pressed_conv`] — PressedConv (paper §III-B, Algorithm 1), fused
+//!   with the next layer's batch-norm + sign: pressed bits in, pressed bits
+//!   out. The engine's only conv.
 //! * [`im2col_conv`] — binary convolution via the conventional
 //!   image-to-column route (paper §III-A), kept as the algorithmic
 //!   baseline whose low arithmetic intensity PressedConv fixes. Run at
 //!   [`bitflow_simd::kernels::SimdLevel::Scalar`] this doubles as the
 //!   paper's "unoptimized BNN implementation".
-//! * [`fc`] — binary fully-connected over `bitflow-gemm`'s bgemm.
+//! * [`fc`] — binary fully-connected: pre-packed weight rows, a pressed
+//!   input vector, K binary dot products (serial or over the worker team).
 //! * [`pool`] — binary max-pool: OR over pressed words (§III-C).
-//! * [`binarize`] — fused sign+pack operators and batch-norm folding.
-//! * [`epilogue`] — integer-threshold conv epilogues: the folded BN+sign
-//!   moved into the popcount domain so convs never materialize a float
-//!   map.
+//! * [`binarize`] — the press of the network's float input, and batch-norm
+//!   folding.
+//! * [`epilogue`] — integer-threshold epilogues: the folded BN+sign moved
+//!   into the popcount domain, so no operator materializes a float map
+//!   between layers.
 //!
 //! ## Padding semantics
 //!
@@ -20,8 +24,8 @@
 //! binary convolution pads with **−1**, not with the float 0 (which does
 //! not exist in the {−1,+1} domain). This matches standard BNN practice
 //! and training in `bitflow-train` uses the same convention, so training
-//! and inference agree. Float-vs-binary equivalence tests pad the float
-//! reference input with −1.0 explicitly.
+//! and inference agree. Float references in the tests pad their input with
+//! −1.0 explicitly.
 
 pub mod binarize;
 pub mod epilogue;
@@ -31,13 +35,12 @@ pub mod pool;
 pub mod pressed_conv;
 
 pub use binarize::{
-    binarize_pack, binarize_pack_into, binarize_pack_padded, binarize_threshold_into,
-    binarize_threshold_padded, binarize_windows_into, fold_bn_into_thresholds, BnFold, WindowPress,
+    binarize_pack_into, binarize_windows_into, fold_bn_into_thresholds, BnFold, WindowPress,
 };
 pub use epilogue::{pack_signed_dots_into, PopCmp, SignThresholds};
-pub use fc::{binary_fc, binary_fc_parallel, BinaryFcWeights};
+pub use fc::BinaryFcWeights;
 pub use im2col_conv::binary_conv_im2col;
 pub use pool::{binary_max_pool, binary_max_pool_into, binary_max_pool_parallel};
 pub use pressed_conv::{
-    pressed_conv, pressed_conv_into, pressed_conv_sign_into, pressed_conv_sign_scratch_into,
+    amx_operands, conv_geometry, pressed_conv_sign_into, pressed_conv_sign_scratch_into,
 };

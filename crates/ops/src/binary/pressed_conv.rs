@@ -12,20 +12,22 @@
 //! unfolding, no gather, no layout change on the output.
 //!
 //! The arithmetic itself is [`bitflow_simd::conv`]'s filter-lane tile loop,
-//! or — for a sign call given the matrix unit's operands on a host and
-//! geometry that qualify — its AMX body ([`bitflow_simd::amx`]); this
-//! module validates the tensor-level geometry, picks the sink (float dots
-//! for [`pressed_conv`], threshold-sign bits for [`pressed_conv_sign_into`])
-//! and, when asked, splits the output rows over the worker team
-//! ([`bitflow_simd::team`]; Algorithm 1, step 3: multi-core parallelism
-//! over the output pixels), each thread expanding into a strip of its own.
+//! or — for a call given the matrix unit's operands on a host and geometry
+//! that qualify — its AMX body ([`bitflow_simd::amx`]). Either way the
+//! popcounts are decided against the next layer's folded batch-norm in
+//! registers and leave as pressed sign bits: the engine's only conv, and
+//! this module's only entry ([`pressed_conv_sign_into`]). It validates the
+//! tensor-level geometry and, when asked, splits the output rows over the
+//! worker team ([`bitflow_simd::team`]; Algorithm 1, step 3: multi-core
+//! parallelism over the output pixels), each thread expanding into a strip
+//! of its own.
 
 use crate::binary::epilogue::SignThresholds;
 use bitflow_simd::amx::{AmxBank, AmxStrip};
-use bitflow_simd::conv::{conv_rows, ConvGeom, ConvSink};
+use bitflow_simd::conv::{body_choice, conv_rows, BodyChoice, ConvBody, ConvGeom, ConvSink};
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::team;
-use bitflow_tensor::{BitFilterBank, BitTensor, Layout, Shape, Tensor};
+use bitflow_tensor::{BitFilterBank, BitTensor};
 use std::ops::Range;
 
 /// Output rows per parallel work item. Fixed, so the split (and with it
@@ -36,7 +38,11 @@ const PAR_ROWS: usize = 4;
 
 /// Validates operand geometry and returns the core's view of it plus
 /// `out_h`.
-fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (ConvGeom, usize) {
+pub fn conv_geometry(
+    input: &BitTensor,
+    filters: &BitFilterBank,
+    stride: usize,
+) -> (ConvGeom, usize) {
     let f = filters.shape();
     assert_eq!(input.c(), f.c, "channel mismatch");
     assert_eq!(
@@ -61,18 +67,36 @@ fn geometry(input: &BitTensor, filters: &BitFilterBank, stride: usize) -> (ConvG
     (g, (input.h() - f.kh) / stride + 1)
 }
 
+/// What a conv of geometry `g` over `in_h` input rows is given at `level`:
+/// the body [`body_choice`] picks and, when that is the AMX body, the
+/// bank's int8 copy and the bytes of one strip per team part.
+pub fn amx_operands(
+    level: SimdLevel,
+    g: &ConvGeom,
+    in_h: usize,
+    filters: &BitFilterBank,
+) -> (BodyChoice, Option<(AmxBank, usize)>) {
+    let body = body_choice(level, g, in_h);
+    let amx = (body.body == ConvBody::Amx).then(|| {
+        let steps = g.kh * g.kw * g.c_words;
+        let bank = AmxBank::from_lane_words(filters.lane_words(), g.k, steps);
+        (bank, AmxStrip::bytes_for(g, in_h))
+    });
+    (body, amx)
+}
+
 /// Runs `band(rows, chunk, strip)` over `out` cut into bands of `row_len`
-/// elements per output row: one band covering all `out_h` rows, or
+/// words per output row: one band covering all `out_h` rows, or
 /// [`PAR_ROWS`]-row bands over the worker team. `out` must start at output
 /// row 0. Each thread's bands get the strip of its part, while `strips`
 /// lasts (none when it is empty).
-fn for_row_bands<T: Send>(
-    out: &mut [T],
+fn for_row_bands(
+    out: &mut [u64],
     row_len: usize,
     out_h: usize,
     parallel: bool,
     strips: &mut [AmxStrip],
-    band: impl Fn(Range<usize>, &mut [T], Option<&mut AmxStrip>) + Sync,
+    band: impl Fn(Range<usize>, &mut [u64], Option<&mut AmxStrip>) + Sync,
 ) {
     let rows = |i: usize| i * PAR_ROWS..out_h.min((i + 1) * PAR_ROWS);
     match (parallel, strips) {
@@ -88,57 +112,6 @@ fn for_row_bands<T: Send>(
             });
         }
     }
-}
-
-/// PressedConv: binary convolution of a pressed input against a pressed
-/// filter bank, returning the integer dot products as a freshly allocated
-/// f32 NHWC tensor of shape (out_h, out_w, K) — the allocating,
-/// single-threaded convenience over [`pressed_conv_into`] for tests and
-/// benches.
-///
-/// Spatial padding must be pre-baked into `input`
-/// ([`BitTensor::from_tensor_padded`] or the graph memory planner); pad
-/// pixels are all-zero words, i.e. logical −1 (see module docs of
-/// [`crate::binary`]).
-pub fn pressed_conv(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    stride: usize,
-) -> Tensor {
-    let (g, out_h) = geometry(input, filters, stride);
-    let mut out = Tensor::zeros(Shape::hwc(out_h, g.out_w, g.k), Layout::Nhwc);
-    pressed_conv_into(level, input, filters, stride, &mut out, false);
-    out
-}
-
-/// PressedConv with the `FloatOut` epilogue, writing the integer dot
-/// products into a pre-allocated output tensor. With `parallel` the output
-/// rows are split over the worker team; the result is bit-identical either
-/// way and at every pool size.
-pub fn pressed_conv_into(
-    level: SimdLevel,
-    input: &BitTensor,
-    filters: &BitFilterBank,
-    stride: usize,
-    out: &mut Tensor,
-    parallel: bool,
-) {
-    let (g, out_h) = geometry(input, filters, stride);
-    assert_eq!(out.shape(), Shape::hwc(out_h, g.out_w, g.k), "output shape");
-    let f = filters.shape();
-    let window_bits = (f.kh * f.kw * f.c) as i32;
-    for_row_bands(
-        out.data_mut(),
-        g.out_w * g.k,
-        out_h,
-        parallel,
-        &mut [],
-        |rows, out, _| {
-            let sink = ConvSink::Dots { window_bits, out };
-            conv_rows(level, input.words(), filters.lane_words(), &g, rows, sink);
-        },
-    );
 }
 
 /// Fused PressedConv + integer-threshold sign epilogue, writing packed
@@ -158,7 +131,7 @@ pub fn pressed_conv_into(
 /// strip per team part ([`bitflow_simd::team::max_parts`]) — which the core
 /// uses whenever it can run the AMX body on this geometry
 /// ([`bitflow_simd::conv::amx_can_run`]); whether that pays is the caller's
-/// question ([`bitflow_simd::conv::body_choice`]). The output is the same
+/// question ([`amx_operands`]). The output is the same
 /// words either way.
 #[allow(clippy::too_many_arguments)]
 pub fn pressed_conv_sign_into(
@@ -172,7 +145,7 @@ pub fn pressed_conv_sign_into(
     parallel: bool,
     amx: Option<(&AmxBank, &mut [AmxStrip])>,
 ) {
-    let (g, out_h) = geometry(input, filters, stride);
+    let (g, out_h) = conv_geometry(input, filters, stride);
     let f = filters.shape();
     assert_eq!(st.len(), f.k, "one threshold per output feature");
     assert_eq!(
@@ -199,7 +172,7 @@ pub fn pressed_conv_sign_into(
         parallel,
         strips,
         |rows, out, strip| {
-            let sink = ConvSink::Sign {
+            let sink = ConvSink {
                 bounds: st.lane_bounds(),
                 flips: st.flip_words(),
                 out,
@@ -234,9 +207,7 @@ pub fn pressed_conv_sign_scratch_into(
 mod tests {
     use super::*;
     use crate::binary::binarize::BnFold;
-    use crate::float::conv::conv_direct;
-    use crate::params::ConvParams;
-    use bitflow_tensor::FilterShape;
+    use bitflow_tensor::{FilterShape, Layout, Shape, Tensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn rand_pm1(rng: &mut StdRng, n: usize) -> Vec<f32> {
@@ -245,180 +216,26 @@ mod tests {
             .collect()
     }
 
-    /// Float reference with −1 padding: pre-pad the ±1 input with −1.0 and
-    /// run the direct convolution with pad 0.
-    fn reference(
-        input: &Tensor,
-        weights: &[f32],
-        fshape: FilterShape,
-        stride: usize,
-        pad: usize,
-    ) -> Tensor {
-        let s = input.shape();
-        let padded = Tensor::from_fn(
-            Shape::hwc(s.h + 2 * pad, s.w + 2 * pad, s.c),
-            Layout::Nhwc,
-            |_, h, w, c| {
-                if h < pad || h >= s.h + pad || w < pad || w >= s.w + pad {
-                    -1.0
-                } else {
-                    input.at(0, h - pad, w - pad, c)
-                }
-            },
-        );
-        conv_direct(
-            &padded,
-            weights,
-            fshape,
-            ConvParams::new(fshape.kh, fshape.kw, stride, 0),
-        )
-    }
-
-    fn levels() -> [SimdLevel; 4] {
-        [
-            SimdLevel::Scalar,
-            SimdLevel::Sse,
-            SimdLevel::Avx2,
-            SimdLevel::Avx512,
-        ]
-    }
-
-    #[test]
-    fn matches_float_reference_across_channel_widths() {
-        let mut rng = StdRng::seed_from_u64(90);
-        // Channel widths hitting every scheduler tier incl. the padded one.
-        for c in [3usize, 32, 64, 128, 160, 256] {
-            let shape = Shape::hwc(5, 6, c);
-            let fshape = FilterShape::new(7, 3, 3, c);
-            let raw = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
-            let weights = rand_pm1(&mut rng, fshape.numel());
-            let want = reference(&raw, &weights, fshape, 1, 1);
-            let pressed = BitTensor::from_tensor_padded(&raw, 1);
-            let bank = BitFilterBank::from_floats(&weights, fshape);
-            for level in levels() {
-                let got = pressed_conv(level, &pressed, &bank, 1);
-                assert_eq!(got.max_abs_diff(&want), 0.0, "c={c} {level}");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_no_padding_and_strides() {
-        let mut rng = StdRng::seed_from_u64(91);
-        for (stride, pad) in [(1usize, 0usize), (2, 0), (2, 1), (3, 0)] {
-            let shape = Shape::hwc(9, 9, 64);
-            let fshape = FilterShape::new(4, 3, 3, 64);
-            let raw = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
-            let weights = rand_pm1(&mut rng, fshape.numel());
-            let want = reference(&raw, &weights, fshape, stride, pad);
-            let pressed = BitTensor::from_tensor_padded(&raw, pad);
-            let bank = BitFilterBank::from_floats(&weights, fshape);
-            let got = pressed_conv(SimdLevel::Avx512, &pressed, &bank, stride);
-            assert_eq!(got.max_abs_diff(&want), 0.0, "stride={stride} pad={pad}");
-        }
-    }
-
-    #[test]
-    fn parallel_bit_identical_to_serial() {
-        let mut rng = StdRng::seed_from_u64(92);
-        let shape = Shape::hwc(8, 8, 128);
-        let fshape = FilterShape::new(16, 3, 3, 128);
-        let raw = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
-        let weights = rand_pm1(&mut rng, fshape.numel());
-        let pressed = BitTensor::from_tensor_padded(&raw, 1);
-        let bank = BitFilterBank::from_floats(&weights, fshape);
-        let a = pressed_conv(SimdLevel::Avx2, &pressed, &bank, 1);
-        let mut b = Tensor::zeros(a.shape(), Layout::Nhwc);
-        pressed_conv_into(SimdLevel::Avx2, &pressed, &bank, 1, &mut b, true);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-    }
-
-    #[test]
-    fn one_by_one_kernel_is_channel_dot() {
-        let mut rng = StdRng::seed_from_u64(93);
-        let shape = Shape::hwc(3, 3, 64);
-        let fshape = FilterShape::new(2, 1, 1, 64);
-        let raw = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
-        let weights = rand_pm1(&mut rng, fshape.numel());
-        let pressed = BitTensor::from_tensor(&raw);
-        let bank = BitFilterBank::from_floats(&weights, fshape);
-        let got = pressed_conv(SimdLevel::Scalar, &pressed, &bank, 1);
-        for h in 0..3 {
-            for w in 0..3 {
-                for k in 0..2 {
-                    let want: f32 = (0..64)
-                        .map(|c| raw.at(0, h, w, c) * weights[k * 64 + c])
-                        .sum();
-                    assert_eq!(got.at(0, h, w, k), want);
-                }
-            }
-        }
-    }
-
     #[test]
     fn all_margin_window_gives_full_anticorrelation() {
         // 1x1 input padded by 1, 3x3 all-(+1) filter: window at (0,0) sees
-        // 8 margin pixels (−1) and the single real pixel.
+        // 8 margin pixels (−1) and the single real pixel, so its dot is
+        // 8·4·(−1) + 4·(+1) = −28: +1 against a threshold of −28 (the
+        // tie), −1 against −27.
         let raw = Tensor::from_vec(vec![1.0; 4], Shape::hwc(1, 1, 4), Layout::Nhwc);
-        let fshape = FilterShape::new(1, 3, 3, 4);
+        let fshape = FilterShape::new(2, 3, 3, 4);
         let weights = vec![1.0f32; fshape.numel()];
         let pressed = BitTensor::from_tensor_padded(&raw, 1);
         let bank = BitFilterBank::from_floats(&weights, fshape);
-        let got = pressed_conv(SimdLevel::Scalar, &pressed, &bank, 1);
-        // dot = 8·4·(−1) + 4·(+1) = −28.
-        assert_eq!(got.at(0, 0, 0, 0), -28.0);
-    }
-
-    #[test]
-    fn sign_into_matches_threshold_on_counts() {
-        let mut rng = StdRng::seed_from_u64(94);
-        let shape = Shape::hwc(6, 6, 64);
-        let k = 70usize; // non-multiple of 64 exercises partial out words
-        let fshape = FilterShape::new(k, 3, 3, 64);
-        let raw = Tensor::from_vec(rand_pm1(&mut rng, shape.numel()), shape, Layout::Nhwc);
-        let weights = rand_pm1(&mut rng, fshape.numel());
-        let pressed = BitTensor::from_tensor_padded(&raw, 1);
-        let bank = BitFilterBank::from_floats(&weights, fshape);
-        let thresholds: Vec<f32> = (0..k).map(|i| (i as f32) - 35.0).collect();
-        let flip: Vec<bool> = (0..k).map(|i| i % 7 == 0).collect();
         let fold = BnFold {
-            thresholds: thresholds.clone(),
-            flip: flip.clone(),
+            thresholds: vec![-28.0, -27.0],
+            flip: vec![false; 2],
         };
-        let st = SignThresholds::from_fold(&fold, 3 * 3 * 64);
-        let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
-        let mut out = BitTensor::zeros(6 + 2, 6 + 2, k);
-        pressed_conv_sign_into(
-            SimdLevel::Avx512,
-            &pressed,
-            &bank,
-            1,
-            &st,
-            &mut out,
-            1,
-            false,
-            None,
-        );
-        assert!(out.tail_is_zero());
-        for h in 0..6 {
-            for w in 0..6 {
-                for kk in 0..k {
-                    let x = counts.at(0, h, w, kk);
-                    let bit = if flip[kk] {
-                        x <= thresholds[kk]
-                    } else {
-                        x >= thresholds[kk]
-                    };
-                    let want = if bit { 1 } else { -1 };
-                    assert_eq!(out.get(h + 1, w + 1, kk), want, "({h},{w},{kk})");
-                }
-            }
-        }
-        // Margins untouched.
-        for w in 0..8 {
-            assert!(out.pixel_words(0, w).iter().all(|&x| x == 0));
-            assert!(out.pixel_words(7, w).iter().all(|&x| x == 0));
-        }
+        let st = SignThresholds::from_fold(&fold, 3 * 3 * 4);
+        let mut out = BitTensor::zeros(1, 1, 2);
+        let level = SimdLevel::Scalar;
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut out, 0, false, None);
+        assert_eq!((out.get(0, 0, 0), out.get(0, 0, 1)), (1, -1));
     }
 
     #[test]
@@ -464,7 +281,7 @@ mod tests {
         let level = SimdLevel::Avx512;
         let mut zmm = BitTensor::zeros(13 + 2, 11 + 2, k);
         pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut zmm, 1, false, None);
-        let (g, _) = geometry(&pressed, &bank, 1);
+        let (g, _) = conv_geometry(&pressed, &bank, 1);
         if !amx_can_run(level, &g) {
             println!("AMX body not exercised: host lacks amx-int8");
             return;
@@ -488,6 +305,13 @@ mod tests {
     fn channel_mismatch_rejected() {
         let input = BitTensor::zeros(4, 4, 64);
         let bank = BitFilterBank::zeros(FilterShape::new(2, 3, 3, 128));
-        let _ = pressed_conv(SimdLevel::Scalar, &input, &bank, 1);
+        let fold = BnFold {
+            thresholds: vec![0.0; 2],
+            flip: vec![false; 2],
+        };
+        let st = SignThresholds::from_fold(&fold, 3 * 3 * 128);
+        let mut out = BitTensor::zeros(2, 2, 2);
+        let level = SimdLevel::Scalar;
+        pressed_conv_sign_into(level, &input, &bank, 1, &st, &mut out, 0, false, None);
     }
 }

@@ -1,4 +1,4 @@
-//! Pointwise float layers: ReLU, sign, batch-norm (inference form), softmax.
+//! Pointwise float layers: ReLU, batch-norm (inference form), softmax.
 
 use bitflow_tensor::Tensor;
 
@@ -9,12 +9,6 @@ pub fn relu(t: &mut Tensor) {
             *x = 0.0;
         }
     }
-}
-
-/// Elementwise sign into {−1.0, +1.0} (paper Eq. 3) — reference form of the
-/// binarizing activation.
-pub fn sign_tensor(t: &Tensor) -> Tensor {
-    t.sign()
 }
 
 /// Inference-time batch normalization over the channel dimension:

@@ -1,23 +1,12 @@
 //! Float fully-connected operator (single-precision GEMM).
 
 use bitflow_gemm::bgemm::PAR_K_CHUNK;
-use bitflow_gemm::sgemm::{sgemm_pretransposed, transpose};
+use bitflow_gemm::sgemm::sgemm_pretransposed;
 use bitflow_simd::team;
 
-/// Fully-connected: `out = input · W`, input 1×N, `weights` N×K row-major.
-/// The transpose of W is done inside (counted in the baseline's time, as a
-/// framework would do on an unprepared weight matrix; use
-/// [`fc_pretransposed`] to hoist it).
-pub fn fc(input: &[f32], weights: &[f32], n: usize, k: usize) -> Vec<f32> {
-    assert_eq!(input.len(), n);
-    assert_eq!(weights.len(), n * k);
-    let wt = transpose(weights, n, k);
-    let mut out = vec![0.0f32; k];
-    sgemm_pretransposed(input, &wt, &mut out, 1, n, k);
-    out
-}
-
-/// Fully-connected with an already-transposed weight matrix (K×N row-major).
+/// Fully-connected, `out = input · W` for input 1×N, with the transposed
+/// weight matrix Wᵀ (K×N row-major) — the transpose hoisted to set-up, as
+/// a production float engine does.
 pub fn fc_pretransposed(input: &[f32], wt: &[f32], n: usize, k: usize) -> Vec<f32> {
     assert_eq!(input.len(), n);
     assert_eq!(wt.len(), n * k);
@@ -43,6 +32,7 @@ pub fn fc_parallel(input: &[f32], wt: &[f32], n: usize, k: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitflow_gemm::sgemm::transpose;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -50,7 +40,7 @@ mod tests {
         let input = vec![1.0, 2.0, 3.0];
         // W 3x2 (n x k): columns are [1,0,1] and [0,1,-1].
         let weights = vec![1.0, 0.0, 0.0, 1.0, 1.0, -1.0];
-        let out = fc(&input, &weights, 3, 2);
+        let out = fc_pretransposed(&input, &transpose(&weights, 3, 2), 3, 2);
         assert_eq!(out, vec![4.0, -1.0]);
     }
 
@@ -61,12 +51,10 @@ mod tests {
         let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let weights: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let wt = transpose(&weights, n, k);
-        let a = fc(&input, &weights, n, k);
-        let b = fc_pretransposed(&input, &wt, n, k);
-        let c = fc_parallel(&input, &wt, n, k);
+        let a = fc_pretransposed(&input, &wt, n, k);
+        let b = fc_parallel(&input, &wt, n, k);
         for i in 0..k {
             assert!((a[i] - b[i]).abs() < 1e-4);
-            assert!((a[i] - c[i]).abs() < 1e-4);
         }
     }
 }

@@ -10,7 +10,7 @@ pub mod conv;
 pub mod fc;
 pub mod pool;
 
-pub use activation::{batch_norm, relu, sign_tensor, softmax};
+pub use activation::{batch_norm, relu, softmax};
 pub use conv::{conv_direct, conv_im2col, conv_im2col_parallel, im2col};
-pub use fc::{fc, fc_parallel, fc_pretransposed};
+pub use fc::{fc_parallel, fc_pretransposed};
 pub use pool::{max_pool, max_pool_parallel};

@@ -2,8 +2,7 @@
 //! arbitrary geometry, and the binary/float equivalences the engine rests on.
 
 use bitflow_ops::binary::{
-    binarize_threshold_padded, binary_conv_im2col, binary_max_pool, pressed_conv,
-    pressed_conv_sign_into, BnFold, SignThresholds,
+    binary_conv_im2col, binary_max_pool, pressed_conv_sign_into, BnFold, SignThresholds,
 };
 use bitflow_ops::float::{conv_direct, conv_im2col, max_pool};
 use bitflow_ops::{ConvParams, SimdLevel};
@@ -53,6 +52,91 @@ fn reference_conv(
     conv_direct(&padded, weights, f, ConvParams::new(f.kh, f.kw, stride, 0))
 }
 
+/// Thresholds for a map of integer dots, in both compare directions: a tie
+/// with one of the channel's own dots (so a popcount off by one either way
+/// flips a bit), or a fraction in ±10.
+fn fold_for(seed: u64, dots: &Tensor) -> BnFold {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let k = dots.shape().c;
+    let pixels = dots.data().len() / k;
+    BnFold {
+        thresholds: (0..k)
+            .map(|kk| match rng.gen_range(0..3u32) {
+                0 => rng.gen_range(-10.0f32..10.0),
+                _ => dots.data()[rng.gen_range(0..pixels) * k + kk],
+            })
+            .collect(),
+        flip: (0..k).map(|_| rng.gen()).collect(),
+    }
+}
+
+/// The sign conv at `level`, into an `out_pad`-padded map, is the folded
+/// compare of the reference `dots`; margins and the press tail stay zero.
+fn sign_conv_matches(
+    level: SimdLevel,
+    (pressed, bank, stride): (&BitTensor, &BitFilterBank, usize),
+    dots: &Tensor,
+    fold: &BnFold,
+    out_pad: usize,
+) -> Result<(), TestCaseError> {
+    let (s, f) = (dots.shape(), bank.shape());
+    let st = SignThresholds::from_fold(fold, f.kh * f.kw * f.c);
+    let mut got = BitTensor::zeros(s.h + 2 * out_pad, s.w + 2 * out_pad, s.c);
+    pressed_conv_sign_into(
+        level, pressed, bank, stride, &st, &mut got, out_pad, false, None,
+    );
+    let mut want = BitTensor::zeros(s.h + 2 * out_pad, s.w + 2 * out_pad, s.c);
+    for (i, &x) in dots.data().iter().enumerate() {
+        if fold.sign(i % s.c, x) {
+            want.set(i / s.c / s.w + out_pad, i / s.c % s.w + out_pad, i % s.c, 1);
+        }
+    }
+    prop_assert_eq!(got.words(), want.words(), "{}", level);
+    Ok(())
+}
+
+/// Geometries the property below draws rarely, at every level: each
+/// scheduler tier's channel width with K = 70 (a partial output word),
+/// strides 2–3 with and without padding, and a 1×1 kernel.
+#[test]
+fn fixed_geometries_match_the_reference() {
+    let mut cases = Vec::new();
+    for c in [3usize, 32, 64, 128, 160, 256] {
+        cases.push((
+            Shape::hwc(5, 6, c),
+            FilterShape::new(70, 3, 3, c),
+            1,
+            1,
+            c % 2,
+        ));
+    }
+    for (stride, pad) in [(1usize, 0usize), (2, 0), (2, 1), (3, 0)] {
+        let f = FilterShape::new(4, 3, 3, 64);
+        cases.push((Shape::hwc(9, 9, 64), f, stride, pad, 1));
+    }
+    cases.push((Shape::hwc(3, 3, 64), FilterShape::new(2, 1, 1, 64), 1, 0, 0));
+    for (case, (s, f, stride, pad, out_pad)) in cases.into_iter().enumerate() {
+        let seed = 90 + case as u64;
+        let input = pm1_tensor(seed, s.h, s.w, s.c);
+        let weights = pm1_weights(seed ^ 1, f);
+        let dots = reference_conv(&input, &weights, f, stride, pad);
+        let fold = fold_for(seed ^ 4, &dots);
+        let pressed = BitTensor::from_tensor_padded(&input, pad);
+        let bank = BitFilterBank::from_floats(&weights, f);
+        for level in [
+            SimdLevel::Unvectorized,
+            SimdLevel::Scalar,
+            SimdLevel::Sse,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+        ] {
+            sign_conv_matches(level, (&pressed, &bank, stride), &dots, &fold, out_pad)
+                .unwrap_or_else(|e| panic!("case {case} {s:?} {f:?} stride {stride}: {e:?}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -80,16 +164,18 @@ proptest! {
         prop_assert!(a.max_abs_diff(&b) < 1e-3);
     }
 
-    /// PressedConv equals the −1-padded float reference for any geometry
-    /// the engine can produce, at every level.
+    /// PressedConv's signs are the folded compare of the −1-padded float
+    /// reference for any geometry the engine can produce, at every level,
+    /// into padded and unpadded outputs, with partial output words.
     #[test]
     fn pressed_conv_equals_reference(
         h in 3usize..7,
         w in 3usize..7,
         c_idx in 0usize..4,
-        k in 1usize..5,
+        k in 1usize..70,
         stride in 1usize..3,
         pad in 0usize..2,
+        out_pad in 0usize..2,
         seed in any::<u64>(),
     ) {
         let c = [3usize, 33, 64, 100][c_idx];
@@ -97,17 +183,17 @@ proptest! {
         let f = FilterShape::new(k, 3, 3, c);
         prop_assume!(3 <= h + 2 * pad && 3 <= w + 2 * pad);
         let weights = pm1_weights(seed ^ 1, f);
-        let want = reference_conv(&input, &weights, f, stride, pad);
+        let dots = reference_conv(&input, &weights, f, stride, pad);
+        let fold = fold_for(seed ^ 4, &dots);
         let pressed = BitTensor::from_tensor_padded(&input, pad);
         let bank = BitFilterBank::from_floats(&weights, f);
         for level in [SimdLevel::Unvectorized, SimdLevel::Scalar, SimdLevel::Avx512] {
-            let got = pressed_conv(level, &pressed, &bank, stride);
-            prop_assert_eq!(got.max_abs_diff(&want), 0.0, "{}", level);
+            sign_conv_matches(level, (&pressed, &bank, stride), &dots, &fold, out_pad)?;
         }
     }
 
-    /// The im2col binary conv agrees with PressedConv (two algorithms, one
-    /// function).
+    /// The im2col binary conv's counts, thresholded, are PressedConv's
+    /// signs (two algorithms, one function).
     #[test]
     fn binary_algorithms_agree(
         h in 3usize..7,
@@ -122,11 +208,11 @@ proptest! {
         prop_assume!(3 <= h + 2 * pad && 3 <= w + 2 * pad);
         let weights = pm1_weights(seed ^ 2, f);
         let params = ConvParams::new(3, 3, 1, pad);
-        let a = binary_conv_im2col(SimdLevel::Scalar, &input, &weights, f, params);
+        let counts = binary_conv_im2col(SimdLevel::Scalar, &input, &weights, f, params);
+        let fold = fold_for(seed ^ 3, &counts);
         let pressed = BitTensor::from_tensor_padded(&input, pad);
         let bank = BitFilterBank::from_floats(&weights, f);
-        let b = pressed_conv(SimdLevel::Avx2, &pressed, &bank, 1);
-        prop_assert_eq!(a.max_abs_diff(&b), 0.0);
+        sign_conv_matches(SimdLevel::Avx2, (&pressed, &bank, 1), &counts, &fold, 0)?;
     }
 
     /// Binary OR-pool equals float max-pool on ±1 data for any window.
@@ -144,38 +230,6 @@ proptest! {
         let pressed = BitTensor::from_tensor(&t);
         let got = binary_max_pool(SimdLevel::Avx512, &pressed, win, win, win).to_tensor();
         prop_assert_eq!(got.max_abs_diff(&want), 0.0);
-    }
-
-    /// Fused conv+sign equals counts-then-threshold, including flipped
-    /// channels and padded outputs.
-    #[test]
-    fn fused_conv_sign_equals_two_pass(
-        h in 3usize..6,
-        w in 3usize..6,
-        c_idx in 0usize..3,
-        k in 1usize..70,
-        out_pad in 0usize..2,
-        seed in any::<u64>(),
-    ) {
-        let c = [16usize, 64, 96][c_idx];
-        let input = pm1_tensor(seed, h, w, c);
-        let f = FilterShape::new(k, 3, 3, c);
-        let weights = pm1_weights(seed ^ 3, f);
-        let pressed = BitTensor::from_tensor_padded(&input, 1);
-        let bank = BitFilterBank::from_floats(&weights, f);
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed ^ 4);
-        let thresholds: Vec<f32> = (0..k).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
-        let flip: Vec<bool> = (0..k).map(|_| rng.gen()).collect();
-
-        let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
-        let want = binarize_threshold_padded(&counts, &thresholds, &flip, out_pad);
-
-        let st = SignThresholds::from_fold(&BnFold { thresholds, flip }, 3 * 3 * c);
-        let mut got = BitTensor::zeros(h + 2 * out_pad, w + 2 * out_pad, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, out_pad, false, None);
-        prop_assert_eq!(got.words(), want.words());
-        prop_assert!(got.tail_is_zero());
     }
 
     /// AIT formulas: intrinsic ≥ im2col-achievable always; fraction in (0,1].

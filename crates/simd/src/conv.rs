@@ -17,27 +17,26 @@
 //!   offset, and its first step *is* the accumulator (no zeroing, no add),
 //!   so a one-word window — the window-pressed first layer — is a xor and a
 //!   popcount per pixel and nothing else;
-//! * after the window a [`ConvSink::Sign`] compares the eight popcounts of a
-//!   pixel against the group's eight bounds in one vector compare, yielding
-//!   eight output **bits** — one byte of the pixel's output word, stored as
-//!   a byte into the tile's 64-byte block of words; after eight groups the
-//!   words are read back whole, the word's flip mask is xored in once, and
-//!   they are stored. A [`ConvSink::Dots`] stores `n − 2·pop` as `f32`
-//!   instead. No float accumulator, no dot scratch, no horizontal
-//!   reduction, no transposition.
+//! * after the window the sink ([`ConvSink`]) compares the eight popcounts
+//!   of a pixel against the group's eight bounds in one vector compare,
+//!   yielding eight output **bits** — one byte of the pixel's output word,
+//!   stored as a byte into the tile's 64-byte block of words; after eight
+//!   groups the words are read back whole, the word's flip mask is xored in
+//!   once, and they are stored. The popcounts never leave the registers: no
+//!   float accumulator, no dot scratch, no horizontal reduction, no
+//!   transposition, and no count map — the output is the next layer's
+//!   pressed input.
 //!
 //! Because the lane axis is K, the same loop serves every channel width,
-//! kernel size and stride. It is monomorphized over the SIMD tier and the
-//! sink, both dispatched once per call: the tier decides how a 64-byte group
-//! is processed ([`GroupBody`]: one zmm with `VPOPCNTQ`, two ymm with the
-//! nibble-lookup popcount, or eight scalar words), the sink what happens to
-//! the finished popcounts ([`TileSink`]), so neither sink's registers or
-//! spills exist in the other's loop.
+//! kernel size and stride. It is monomorphized over the SIMD tier,
+//! dispatched once per call: the tier decides how a 64-byte group is
+//! processed ([`GroupBody`]: one zmm with `VPOPCNTQ`, two ymm with the
+//! nibble-lookup popcount, or eight scalar words).
 //!
-//! A `Sign` call that carries the matrix unit's operands runs the second
-//! body instead, the AMX int8 tile loop of [`crate::amx`]: same operands
-//! and output, word for word. [`body_choice`] is the one rule that says
-//! which convs get those operands, from the host and the map alone.
+//! A call that carries the matrix unit's operands runs the second body
+//! instead, the AMX int8 tile loop of [`crate::amx`]: same operands and
+//! output, word for word. [`body_choice`] is the one rule that says which
+//! convs get those operands, from the host and the map alone.
 //!
 //! Layout contract (established by `bitflow-tensor`):
 //!
@@ -82,40 +81,29 @@ pub struct ConvGeom {
     pub k: usize,
 }
 
-/// What the core does with the popcounts of a finished window.
-pub enum ConvSink<'a> {
-    /// Threshold-sign in the popcount domain and store pressed bits: bit
-    /// `k % 64` of output word `k / 64` is `(pop ≤ bounds[k]) ^ bit k % 64 of
-    /// flips[k / 64]`. Output pixel (y, x) of the call's row range occupies
-    /// the `⌈K/64⌉` words at `origin + (y − rows.start)·row_stride +
-    /// x·⌈K/64⌉` of `out`; words outside those pixels (padding margins) are
-    /// not touched. Lanes beyond K must carry `bounds = −1`, `flip = 0` so
-    /// the press tail stays zero.
-    Sign {
-        /// `⌈K/8⌉·8` popcount bounds.
-        bounds: &'a [i64],
-        /// `⌈K/64⌉` xor masks, one per output word of a pixel.
-        flips: &'a [u64],
-        /// Destination words.
-        out: &'a mut [u64],
-        /// Word offset of the first output pixel of the row range.
-        origin: usize,
-        /// Words between consecutive output rows.
-        row_stride: usize,
-        /// The matrix unit's operands, when the caller has them: the
-        /// bank's int8 copy and a strip to expand the input into. The call
-        /// then runs the AMX body if it can ([`amx_can_run`]); without
-        /// them it runs the filter-lane loop. Both write the same words.
-        amx: Option<(&'a AmxBank, &'a mut AmxStrip)>,
-    },
-    /// Store the integer dot products `window_bits − 2·pop` as `f32`,
-    /// (row, x, k)-major and dense, for the call's row range.
-    Dots {
-        /// Logical bits per window (`kh·kw·C`).
-        window_bits: i32,
-        /// `rows.len()·out_w·K` destination floats.
-        out: &'a mut [f32],
-    },
+/// What the core does with the popcounts of a finished window: threshold-sign
+/// them in the popcount domain and store pressed bits. Bit `k % 64` of output
+/// word `k / 64` is `(pop ≤ bounds[k]) ^ bit k % 64 of flips[k / 64]`. Output
+/// pixel (y, x) of the call's row range occupies the `⌈K/64⌉` words at
+/// `origin + (y − rows.start)·row_stride + x·⌈K/64⌉` of `out`; words outside
+/// those pixels (padding margins) are not touched. Lanes beyond K must carry
+/// `bounds = −1`, `flip = 0` so the press tail stays zero.
+pub struct ConvSink<'a> {
+    /// `⌈K/8⌉·8` popcount bounds.
+    pub bounds: &'a [i64],
+    /// `⌈K/64⌉` xor masks, one per output word of a pixel.
+    pub flips: &'a [u64],
+    /// Destination words.
+    pub out: &'a mut [u64],
+    /// Word offset of the first output pixel of the row range.
+    pub origin: usize,
+    /// Words between consecutive output rows.
+    pub row_stride: usize,
+    /// The matrix unit's operands, when the caller has them: the bank's
+    /// int8 copy and a strip to expand the input into. The call then runs
+    /// the AMX body if it can ([`amx_can_run`]); without them it runs the
+    /// filter-lane loop. Both write the same words.
+    pub amx: Option<(&'a AmxBank, &'a mut AmxStrip)>,
 }
 
 /// How one SIMD tier processes a 64-byte filter group. `Acc` holds the eight
@@ -134,7 +122,6 @@ trait GroupBody {
     unsafe fn first(f: Self::Group, x: u64) -> Self::Acc;
     /// `acc + popcount(f ⊕ broadcast(x))`, lane-wise.
     unsafe fn step(acc: Self::Acc, f: Self::Group, x: u64) -> Self::Acc;
-    unsafe fn pops(acc: Self::Acc) -> [u64; LANES];
     unsafe fn bounds(b: *const i64) -> Self::Bounds;
     /// Bit `l` = `pops[l] ≤ bounds[l]`; bits 8 and up are zero.
     unsafe fn le_mask(acc: Self::Acc, bounds: Self::Bounds) -> u64;
@@ -168,10 +155,6 @@ impl<const OPAQUE: bool> GroupBody for Words<OPAQUE> {
             };
             *a += v.count_ones() as u64;
         }
-        acc
-    }
-    #[inline(always)]
-    unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
         acc
     }
     #[inline(always)]
@@ -227,13 +210,6 @@ impl GroupBody for Ymm2 {
         ]
     }
     #[inline(always)]
-    unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
-        let mut pops = [0u64; LANES];
-        _mm256_storeu_si256(pops.as_mut_ptr() as *mut __m256i, acc[0]);
-        _mm256_storeu_si256(pops.as_mut_ptr().add(4) as *mut __m256i, acc[1]);
-        pops
-    }
-    #[inline(always)]
     unsafe fn bounds(b: *const i64) -> Self::Bounds {
         Self::load(b as *const u64)
     }
@@ -269,12 +245,6 @@ impl GroupBody for Zmm {
         _mm512_add_epi64(acc, Self::first(f, x))
     }
     #[inline(always)]
-    unsafe fn pops(acc: Self::Acc) -> [u64; LANES] {
-        let mut pops = [0u64; LANES];
-        _mm512_storeu_si512(pops.as_mut_ptr() as *mut _, acc);
-        pops
-    }
-    #[inline(always)]
     unsafe fn bounds(b: *const i64) -> Self::Bounds {
         _mm512_loadu_si512(b as *const _)
     }
@@ -284,37 +254,15 @@ impl GroupBody for Zmm {
     }
 }
 
-/// What one sink does with a tile's finished popcounts. `Word` is whatever
-/// a tile carries from group to group of one output word.
-///
-/// # Safety
-/// `group` requires `B`'s CPU features; both methods rely on the slice
-/// checks of [`conv_rows`] for the geometry they are called with.
-trait TileSink {
-    type Word: Copy;
-    const EMPTY: Self::Word;
-    /// Takes the popcounts of filter group `gi` for the tile whose first
-    /// pixel is number `px0` of the row range and which has `valid` pixels.
-    unsafe fn group<B: GroupBody>(
-        &mut self,
-        gi: usize,
-        acc: &[B::Acc; TILE],
-        word: &mut Self::Word,
-        px0: usize,
-        valid: usize,
-    );
-    /// Called after the groups of output word `wi`; `dst[p]` is the offset
-    /// of tile pixel `p` relative to the first pixel of the row range, in
-    /// output-pixel words.
-    unsafe fn word(&mut self, wi: usize, word: Self::Word, dst: &[usize]);
-}
+/// The eight output words of a tile, a byte per lane group.
+type TileWords = [[u8; WORD_GROUPS]; TILE];
 
-/// [`ConvSink::Sign`] inside the tile loop: a group's eight sign bits are
-/// byte `gi % 8` of its pixel's output word, written there as a byte — a
-/// store, which leaves the popcount and compare ports alone — so after
-/// eight groups the tile's eight words are complete. A last word of fewer
-/// groups keeps the zero bytes it started with: the press tail. The AMX
-/// body writes the same fields its own way.
+/// [`ConvSink`] inside the tile loop: a group's eight sign bits are byte
+/// `gi % 8` of its pixel's output word, written there as a byte — a store,
+/// which leaves the popcount and compare ports alone — so after eight groups
+/// the tile's eight words are complete. A last word of fewer groups keeps
+/// the zero bytes it started with: the press tail. The AMX body writes the
+/// same fields its own way.
 pub(crate) struct SignSink<'a> {
     pub(crate) bounds: &'a [i64],
     pub(crate) flips: &'a [u64],
@@ -322,18 +270,13 @@ pub(crate) struct SignSink<'a> {
     pub(crate) origin: usize,
 }
 
-impl TileSink for SignSink<'_> {
-    type Word = [[u8; WORD_GROUPS]; TILE];
-    const EMPTY: Self::Word = [[0; WORD_GROUPS]; TILE];
+impl SignSink<'_> {
+    /// Takes the popcounts of filter group `gi` of a tile.
+    ///
+    /// # Safety
+    /// `B`'s CPU features must be available and `gi < ⌈K/8⌉`.
     #[inline(always)]
-    unsafe fn group<B: GroupBody>(
-        &mut self,
-        gi: usize,
-        acc: &[B::Acc; TILE],
-        word: &mut Self::Word,
-        _px0: usize,
-        _valid: usize,
-    ) {
+    unsafe fn group<B: GroupBody>(&self, gi: usize, acc: &[B::Acc; TILE], word: &mut TileWords) {
         // SAFETY: `gi < ⌈K/8⌉` and conv_rows asserted `⌈K/8⌉·8` bounds; B's
         // features are available (caller contract).
         unsafe {
@@ -343,8 +286,12 @@ impl TileSink for SignSink<'_> {
             }
         }
     }
+
+    /// Stores output word `wi` of the tile; `dst[p]` is the offset of tile
+    /// pixel `p` relative to the first pixel of the row range, in
+    /// output-pixel words.
     #[inline(always)]
-    unsafe fn word(&mut self, wi: usize, word: Self::Word, dst: &[usize]) {
+    fn word(&mut self, wi: usize, word: TileWords, dst: &[usize]) {
         let flip = self.flips[wi];
         for (&d, &w) in dst.iter().zip(&word) {
             self.out[self.origin + d + wi] = u64::from_le_bytes(w) ^ flip;
@@ -352,54 +299,21 @@ impl TileSink for SignSink<'_> {
     }
 }
 
-/// [`ConvSink::Dots`] inside the tile loop.
-struct DotsSink<'a> {
-    window_bits: i32,
-    k: usize,
-    out: &'a mut [f32],
-}
-
-impl TileSink for DotsSink<'_> {
-    type Word = ();
-    const EMPTY: Self::Word = ();
-    #[inline(always)]
-    unsafe fn group<B: GroupBody>(
-        &mut self,
-        gi: usize,
-        acc: &[B::Acc; TILE],
-        _word: &mut Self::Word,
-        px0: usize,
-        valid: usize,
-    ) {
-        let lanes = LANES.min(self.k - gi * LANES);
-        for (p, &a) in acc[..valid].iter().enumerate() {
-            // SAFETY: B's features are available.
-            let pops = unsafe { B::pops(a) };
-            let o = (px0 + p) * self.k + gi * LANES;
-            for (dst, &pop) in self.out[o..o + lanes].iter_mut().zip(&pops) {
-                *dst = (self.window_bits - 2 * pop as i32) as f32;
-            }
-        }
-    }
-    #[inline(always)]
-    unsafe fn word(&mut self, _wi: usize, _word: Self::Word, _dst: &[usize]) {}
-}
-
-/// The tile loop, monomorphized per tier and sink. `dst_row` is the sink's
-/// word distance between output rows (see [`TileSink::word`]).
+/// The tile loop, monomorphized per tier. `dst_row` is the word distance
+/// between output rows (see [`SignSink::word`]).
 ///
 /// # Safety
 /// `B`'s CPU features must be available, and the geometry must have passed
 /// the bounds checks of [`conv_rows`]: every window word of every pixel of
 /// `rows` lies inside `input`, and `filters` holds `⌈K/8⌉` whole groups.
 #[inline(always)]
-unsafe fn tiles<B: GroupBody, S: TileSink>(
+unsafe fn tiles<B: GroupBody>(
     input: &[u64],
     filters: &[u64],
     g: &ConvGeom,
     rows: Range<usize>,
     dst_row: usize,
-    sink: &mut S,
+    sink: &mut SignSink<'_>,
 ) {
     let row_len = g.kw * g.c_words;
     // From the last word of a window row to the first of the next.
@@ -435,7 +349,7 @@ unsafe fn tiles<B: GroupBody, S: TileSink>(
             }
         }
         for g0 in (0..groups).step_by(WORD_GROUPS) {
-            let mut word = S::EMPTY;
+            let mut word = [[0; WORD_GROUPS]; TILE];
             for gi in g0..groups.min(g0 + WORD_GROUPS) {
                 // SAFETY: `gi < groups` and `t < steps`, so the LANES words
                 // at `(gi·steps + t)·LANES` are inside the `groups·steps·
@@ -465,16 +379,15 @@ unsafe fn tiles<B: GroupBody, S: TileSink>(
                         off += row_skip;
                         run = row_len;
                     }
-                    sink.group::<B>(gi, &acc, &mut word, px0, valid);
+                    sink.group::<B>(gi, &acc, &mut word);
                 }
             }
-            // SAFETY: forwarded contract.
-            unsafe { sink.word(g0 / WORD_GROUPS, word, &dst[..valid]) };
+            sink.word(g0 / WORD_GROUPS, word, &dst[..valid]);
         }
     }
 }
 
-type TileFn<S> = unsafe fn(&[u64], &[u64], &ConvGeom, Range<usize>, usize, &mut S);
+type TileFn = unsafe fn(&[u64], &[u64], &ConvGeom, Range<usize>, usize, &mut SignSink<'_>);
 
 /// [`tiles`] compiled with a tier's CPU features enabled.
 macro_rules! tier {
@@ -483,16 +396,16 @@ macro_rules! tier {
         /// As [`tiles`], whose `B` is this tier's body.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $features)]
-        unsafe fn $name<S: TileSink>(
+        unsafe fn $name(
             input: &[u64],
             filters: &[u64],
             g: &ConvGeom,
             rows: Range<usize>,
             dst_row: usize,
-            sink: &mut S,
+            sink: &mut SignSink<'_>,
         ) {
             // SAFETY: forwarded contract; the features are enabled on this fn.
-            unsafe { tiles::<$body, S>(input, filters, g, rows, dst_row, sink) }
+            unsafe { tiles::<$body>(input, filters, g, rows, dst_row, sink) }
         }
     };
 }
@@ -665,23 +578,23 @@ fn lane_body(level: SimdLevel) -> ConvBody {
 }
 
 /// The filter-lane tile loop for `level` ([`lane_body`]).
-fn body_for<S: TileSink>(level: SimdLevel) -> TileFn<S> {
+fn body_for(level: SimdLevel) -> TileFn {
     let opaque = level == SimdLevel::Unvectorized;
     #[cfg(target_arch = "x86_64")]
     {
         let popcnt = crate::detect::features().popcnt;
         match lane_body(level) {
-            ConvBody::Zmm => return tiles_avx512::<S>,
-            ConvBody::Ymm => return tiles_avx2::<S>,
-            _ if popcnt && opaque => return tiles_popcnt_opaque::<S>,
-            _ if popcnt => return tiles_popcnt::<S>,
+            ConvBody::Zmm => return tiles_avx512,
+            ConvBody::Ymm => return tiles_avx2,
+            _ if popcnt && opaque => return tiles_popcnt_opaque,
+            _ if popcnt => return tiles_popcnt,
             _ => {}
         }
     }
     if opaque {
-        tiles::<Words<true>, S>
+        tiles::<Words<true>>
     } else {
-        tiles::<Words<false>, S>
+        tiles::<Words<false>>
     }
 }
 
@@ -695,8 +608,8 @@ fn words(factors: &[usize]) -> usize {
 
 /// Convolves output rows `rows` of the map described by `g` at the
 /// requested SIMD level and hands every finished window to `sink`. A level
-/// the host lacks demotes to the widest body it has; a `Sign` sink with
-/// AMX operands runs the AMX body when it can ([`amx_can_run`]).
+/// the host lacks demotes to the widest body it has; a sink with AMX
+/// operands runs the AMX body when it can ([`amx_can_run`]).
 ///
 /// All bounds are checked here, once per call, before the unchecked tile
 /// loop is entered.
@@ -740,59 +653,47 @@ pub fn conv_rows(
         words(&[groups, g.kh, g.kw, g.c_words, LANES]),
         "filter bank is not ⌈K/8⌉ whole lane groups"
     );
+    let ConvSink {
+        bounds,
+        flips,
+        out,
+        origin,
+        row_stride,
+        amx,
+    } = sink;
+    let out_c_words = g.k.div_ceil(64);
+    assert_eq!(bounds.len(), groups * LANES, "one bound per filter lane");
+    assert_eq!(flips.len(), out_c_words, "one flip mask per output word");
+    let last = origin + (rows.len() - 1) * row_stride + g.out_w * out_c_words;
+    assert!(last <= out.len(), "last output pixel out of bounds");
+    let mut sink = SignSink {
+        bounds,
+        flips,
+        out,
+        origin,
+    };
     // SAFETY (both arms): bounds asserted above and in the arm; `body_for`
     // only returns bodies whose CPU features the detector verified.
-    match sink {
-        ConvSink::Sign {
-            bounds,
-            flips,
-            out,
-            origin,
-            row_stride,
-            amx,
-        } => {
-            let out_c_words = g.k.div_ceil(64);
-            assert_eq!(bounds.len(), groups * LANES, "one bound per filter lane");
-            assert_eq!(flips.len(), out_c_words, "one flip mask per output word");
-            let last = origin + (rows.len() - 1) * row_stride + g.out_w * out_c_words;
-            assert!(last <= out.len(), "last output pixel out of bounds");
-            let mut sink = SignSink {
-                bounds,
-                flips,
-                out,
-                origin,
-            };
-            match amx {
-                #[cfg(target_arch = "x86_64")]
-                Some((bank, strip)) if amx_can_run(level, g) => {
-                    // The B tiles of every filter block and K-step, and a
-                    // strip with room for one band and for what its last A
-                    // tiles read (smaller bands read less); the rule
-                    // guaranteed stride 1 and whole 16-filter blocks.
-                    assert_eq!(
-                        (bank.k(), bank.steps()),
-                        (g.k, g.kh * g.kw * g.c_words),
-                        "AMX bank of another geometry"
-                    );
-                    let band = amx::band_rows(g, strip.bytes()).min(rows.len());
-                    assert!(
-                        band > 0 && amx::reach(g, band) <= strip.bytes(),
-                        "strip cannot hold one band"
-                    );
-                    unsafe { amx::tiles(input, bank, strip, g, rows, row_stride, &mut sink) }
-                }
-                _ => unsafe { body_for(level)(input, filters, g, rows, row_stride, &mut sink) },
-            }
+    match amx {
+        #[cfg(target_arch = "x86_64")]
+        Some((bank, strip)) if amx_can_run(level, g) => {
+            // The B tiles of every filter block and K-step, and a strip with
+            // room for one band and for what its last A tiles read (smaller
+            // bands read less); the rule guaranteed stride 1 and whole
+            // 16-filter blocks.
+            assert_eq!(
+                (bank.k(), bank.steps()),
+                (g.k, g.kh * g.kw * g.c_words),
+                "AMX bank of another geometry"
+            );
+            let band = amx::band_rows(g, strip.bytes()).min(rows.len());
+            assert!(
+                band > 0 && amx::reach(g, band) <= strip.bytes(),
+                "strip cannot hold one band"
+            );
+            unsafe { amx::tiles(input, bank, strip, g, rows, row_stride, &mut sink) }
         }
-        ConvSink::Dots { window_bits, out } => {
-            assert_eq!(out.len(), words(&[rows.len(), g.out_w, g.k]), "dots size");
-            let mut sink = DotsSink {
-                window_bits,
-                k: g.k,
-                out,
-            };
-            unsafe { body_for(level)(input, filters, g, rows, 0, &mut sink) }
-        }
+        _ => unsafe { body_for(level)(input, filters, g, rows, row_stride, &mut sink) },
     }
 }
 
@@ -821,28 +722,42 @@ mod tests {
         bank
     }
 
-    /// Pure-integer reference: popcount of output pixel (oy, ox), filter kk.
-    fn ref_pop(input: &[u64], flat: &[u64], g: &ConvGeom, oy: usize, ox: usize, kk: usize) -> i64 {
+    /// Pure-integer reference: the popcount of every output pixel and
+    /// filter of `out_h` rows, `[(oy·out_w + ox)·K + kk]`.
+    fn ref_pops(input: &[u64], flat: &[u64], g: &ConvGeom, out_h: usize) -> Vec<i64> {
         let row_len = g.kw * g.c_words;
-        let mut pop = 0i64;
-        for r in 0..g.kh {
-            for i in 0..row_len {
-                let a = input[((oy * g.stride + r) * g.in_w + ox * g.stride) * g.c_words + i];
-                let b = flat[(kk * g.kh + r) * row_len + i];
-                pop += (a ^ b).count_ones() as i64;
+        let pop = |o: usize| {
+            let (kk, ox, oy) = (o % g.k, o / g.k % g.out_w, o / g.k / g.out_w);
+            let mut pop = 0i64;
+            for r in 0..g.kh {
+                for i in 0..row_len {
+                    let a = input[((oy * g.stride + r) * g.in_w + ox * g.stride) * g.c_words + i];
+                    pop += (a ^ flat[(kk * g.kh + r) * row_len + i]).count_ones() as i64;
+                }
             }
-        }
-        pop
+            pop
+        };
+        (0..out_h * g.out_w * g.k).map(pop).collect()
     }
 
-    /// Bounds mixing both directions, ties, and saturated lanes.
-    fn lane_bounds(rng: &mut StdRng, k: usize, window_bits: i64) -> (Vec<i64>, Vec<u64>) {
+    /// Bounds mixing both directions, saturated lanes and ties: a lane
+    /// bounded at the popcount of one of its real pixels, or one below it,
+    /// so a popcount off by one either way flips that pixel's bit.
+    fn lane_bounds(
+        rng: &mut StdRng,
+        k: usize,
+        window_bits: i64,
+        pops: &[i64],
+    ) -> (Vec<i64>, Vec<u64>) {
         let mut bounds = vec![-1i64; k.div_ceil(LANES) * LANES];
         let mut flips = vec![0u64; k.div_ceil(64)];
         for kk in 0..k {
-            bounds[kk] = match kk % 5 {
+            let tie = pops[rng.gen_range(0..pops.len() / k) * k + kk];
+            bounds[kk] = match rng.gen_range(0..5u32) {
                 0 => -1,              // never ≤
                 1 => window_bits + 1, // always ≤
+                2 => tie,
+                3 => tie - 1,
                 _ => rng.gen_range(window_bits / 4..window_bits * 3 / 4 + 1),
             };
             if rng.gen::<bool>() {
@@ -852,31 +767,18 @@ mod tests {
         (bounds, flips)
     }
 
-    /// Runs one geometry at every level, both sinks, `out_pad` 0 and 1,
-    /// against [`ref_pop`].
+    /// Runs one geometry at every level, `out_pad` 0 and 1, against
+    /// [`ref_pops`].
     fn check_geometry(rng: &mut StdRng, g: &ConvGeom, out_h: usize) {
         let in_h = (out_h - 1) * g.stride + g.kh;
         let input: Vec<u64> = (0..in_h * g.in_w * g.c_words).map(|_| rng.gen()).collect();
         let per_filter = g.kh * g.kw * g.c_words;
         let flat: Vec<u64> = (0..g.k * per_filter).map(|_| rng.gen()).collect();
         let bank = interleave(&flat, g.k, per_filter);
-        let window_bits = (per_filter * 64) as i64;
-        let (bounds, flips) = lane_bounds(rng, g.k, window_bits);
+        let pops = ref_pops(&input, &flat, g, out_h);
+        let (bounds, flips) = lane_bounds(rng, g.k, (per_filter * 64) as i64, &pops);
         let ocw = g.k.div_ceil(64);
         let n_px = out_h * g.out_w;
-        let pops: Vec<i64> = (0..n_px * g.k)
-            .map(|o| {
-                ref_pop(
-                    &input,
-                    &flat,
-                    g,
-                    o / g.k / g.out_w,
-                    o / g.k % g.out_w,
-                    o % g.k,
-                )
-            })
-            .collect();
-        let want_dots: Vec<f32> = pops.iter().map(|p| (window_bits - 2 * p) as f32).collect();
         for out_pad in [0usize, 1] {
             let row_stride = (g.out_w + 2 * out_pad) * ocw;
             let origin = out_pad * row_stride + out_pad * ocw;
@@ -897,7 +799,7 @@ mod tests {
             for level in LEVELS {
                 let what = format!("{level} {g:?} out_h={out_h} pad={out_pad}");
                 let mut out = poison.clone();
-                let sink = ConvSink::Sign {
+                let sink = ConvSink {
                     bounds: &bounds,
                     flips: &flips,
                     out: &mut out,
@@ -907,13 +809,6 @@ mod tests {
                 };
                 conv_rows(level, &input, &bank, g, 0..out_h, sink);
                 assert_eq!(out, want, "{what}");
-                let mut dots = vec![f32::NAN; n_px * g.k];
-                let sink = ConvSink::Dots {
-                    window_bits: window_bits as i32,
-                    out: &mut dots,
-                };
-                conv_rows(level, &input, &bank, g, 0..out_h, sink);
-                assert_eq!(dots, want_dots, "{what}");
             }
             if !amx_can_run(SimdLevel::Avx512, g) {
                 continue;
@@ -923,7 +818,7 @@ mod tests {
             // directly against the Zmm body's words.
             let amx_bank = AmxBank::from_lane_words(&bank, g.k, per_filter);
             let mut zmm = poison.clone();
-            let sink = ConvSink::Sign {
+            let sink = ConvSink {
                 bounds: &bounds,
                 flips: &flips,
                 out: &mut zmm,
@@ -935,7 +830,7 @@ mod tests {
             for strip_rows in [in_h, g.kh] {
                 let mut strip = AmxStrip::new(AmxStrip::bytes_for(g, strip_rows));
                 let mut out = poison.clone();
-                let sink = ConvSink::Sign {
+                let sink = ConvSink {
                     bounds: &bounds,
                     flips: &flips,
                     out: &mut out,
@@ -1115,7 +1010,8 @@ mod tests {
             let per_filter = g.kh * g.kw * g.c_words;
             let flat: Vec<u64> = (0..g.k * per_filter).map(|_| rng.gen()).collect();
             let bank = interleave(&flat, g.k, per_filter);
-            let (bounds, flips) = lane_bounds(&mut rng, g.k, (per_filter * 64) as i64);
+            let pops = ref_pops(&input, &flat, &g, out_h);
+            let (bounds, flips) = lane_bounds(&mut rng, g.k, (per_filter * 64) as i64, &pops);
             let amx_bank = AmxBank::from_lane_words(&bank, g.k, per_filter);
             let mut case = Self {
                 g,
@@ -1136,7 +1032,7 @@ mod tests {
         fn run(&self, rows: Range<usize>, strip: Option<&mut AmxStrip>) -> Vec<u64> {
             let row_stride = self.g.out_w * self.g.k.div_ceil(64);
             let mut out = vec![!0u64; self.out_h * row_stride];
-            let sink = ConvSink::Sign {
+            let sink = ConvSink {
                 bounds: &self.bounds,
                 flips: &self.flips,
                 out: &mut out[rows.start * row_stride..],
@@ -1244,7 +1140,7 @@ mod tests {
             let want: u64 =
                 (0..g.k).fold(0, |w, kk| w | u64::from(pop <= bounds[kk]) << kk) ^ flips[0];
             let mut out = vec![0x5A5A_5A5Au64; g.out_w];
-            let sink = ConvSink::Sign {
+            let sink = ConvSink {
                 bounds: &bounds,
                 flips: &flips,
                 out: &mut out,
@@ -1295,6 +1191,7 @@ mod tests {
     #[test]
     fn row_ranges_compose_to_the_whole_map() {
         let mut rng = StdRng::seed_from_u64(78);
+        // 13 filters: one partial lane group.
         let g = ConvGeom {
             c_words: 2,
             in_w: 9,
@@ -1304,45 +1201,36 @@ mod tests {
             out_w: 7,
             k: 13,
         };
-        let (in_h, out_h) = (8usize, 6usize);
+        let (in_h, out_h, per_filter) = (8usize, 6usize, 18usize);
         let input: Vec<u64> = (0..in_h * g.in_w * g.c_words).map(|_| rng.gen()).collect();
-        let flat: Vec<u64> = (0..g.k * 18).map(|_| rng.gen()).collect();
-        let bank = interleave(&flat, g.k, 18);
-        let mut whole = vec![0f32; out_h * g.out_w * g.k];
-        fn sink(out: &mut [f32]) -> ConvSink<'_> {
-            ConvSink::Dots {
-                window_bits: 18 * 64,
+        let flat: Vec<u64> = (0..g.k * per_filter).map(|_| rng.gen()).collect();
+        let bank = interleave(&flat, g.k, per_filter);
+        let pops = ref_pops(&input, &flat, &g, out_h);
+        let (bounds, flips) = lane_bounds(&mut rng, g.k, (per_filter * 64) as i64, &pops);
+        let row_stride = g.out_w;
+        let run = |rows: Range<usize>, out: &mut [u64]| {
+            let sink = ConvSink {
+                bounds: &bounds,
+                flips: &flips,
                 out,
-            }
+                origin: 0,
+                row_stride,
+                amx: None,
+            };
+            conv_rows(SimdLevel::Avx512, &input, &bank, &g, rows, sink);
+        };
+        let mut whole = vec![!0u64; out_h * row_stride];
+        run(0..out_h, &mut whole);
+        let mut parts = vec![!0u64; whole.len()];
+        for rows in [0..1, 1..5, 5..out_h] {
+            let words = rows.start * row_stride..rows.end * row_stride;
+            run(rows, &mut parts[words]);
         }
-        conv_rows(
-            SimdLevel::Avx512,
-            &input,
-            &bank,
-            &g,
-            0..out_h,
-            sink(&mut whole),
-        );
-        let mut parts = vec![0f32; whole.len()];
-        let row = g.out_w * g.k;
-        for (rows, chunk) in [
-            (0..1, 0..row),
-            (1..5, row..5 * row),
-            (5..6, 5 * row..6 * row),
-        ] {
-            conv_rows(
-                SimdLevel::Avx512,
-                &input,
-                &bank,
-                &g,
-                rows,
-                sink(&mut parts[chunk]),
-            );
-        }
-        assert_eq!(whole, parts);
+        assert_eq!(parts, whole);
     }
 
-    fn tiny() -> (ConvGeom, Vec<u64>, Vec<u64>) {
+    /// A 3×3 conv of three filters over a 4 × 4 map, and a sign sink for it.
+    fn tiny(out: &mut [u64]) -> (ConvGeom, Vec<u64>, Vec<u64>, ConvSink<'_>) {
         let g = ConvGeom {
             c_words: 1,
             in_w: 4,
@@ -1352,7 +1240,15 @@ mod tests {
             out_w: 2,
             k: 3,
         };
-        (g, vec![0u64; 4 * 4], vec![0u64; 9 * LANES])
+        let sink = ConvSink {
+            bounds: &[-1; LANES],
+            flips: &[0],
+            out,
+            origin: 0,
+            row_stride: 2,
+            amx: None,
+        };
+        (g, vec![0u64; 4 * 4], vec![0u64; 9 * LANES], sink)
     }
 
     #[test]
@@ -1378,31 +1274,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "last window row out of bounds")]
     fn rows_past_the_input_are_rejected_before_the_kernel() {
-        let (g, input, bank) = tiny();
-        let mut out = vec![0f32; 3 * 2 * 3];
-        let sink = ConvSink::Dots {
-            window_bits: 9 * 64,
-            out: &mut out,
-        };
+        let mut out = [0u64; 3 * 2];
+        let (g, input, bank, sink) = tiny(&mut out);
         conv_rows(SimdLevel::Avx512, &input, &bank, &g, 0..3, sink);
     }
 
     #[test]
     #[should_panic(expected = "whole lane groups")]
     fn a_filter_major_bank_is_rejected_before_the_kernel() {
-        let (g, input, _) = tiny();
-        let mut out = vec![0f32; 2 * 2 * 3];
-        let sink = ConvSink::Dots {
-            window_bits: 9 * 64,
-            out: &mut out,
-        };
-        conv_rows(
-            SimdLevel::Avx512,
-            &input,
-            &vec![0u64; 9 * 3],
-            &g,
-            0..2,
-            sink,
-        );
+        let mut out = [0u64; 2 * 2];
+        let (g, input, _, sink) = tiny(&mut out);
+        conv_rows(SimdLevel::Avx512, &input, &[0u64; 9 * 3], &g, 0..2, sink);
     }
 }

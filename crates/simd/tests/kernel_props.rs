@@ -211,22 +211,39 @@ proptest! {
                 bank[((kk / LANES) * per_filter + t) * LANES + kk % LANES] = flat[kk * per_filter + t];
             }
         }
-        let window_bits = (per_filter * 64) as i32;
-        let mut want = vec![0.0f32; out_h * out_w * k];
-        for (o, w) in want.iter_mut().enumerate() {
+        let mut pops = vec![0i64; out_h * out_w * k];
+        for (o, pop) in pops.iter_mut().enumerate() {
             let (kk, ox, oy) = (o % k, o / k % out_w, o / k / out_w);
-            let mut pop = 0u32;
             for r in 0..kh {
                 for i in 0..kw * c_words {
                     let a = input[((oy * stride + r) * in_w + ox * stride) * c_words + i];
-                    pop += popcount_swar(a ^ flat[(kk * kh + r) * kw * c_words + i]);
+                    *pop += popcount_swar(a ^ flat[(kk * kh + r) * kw * c_words + i]) as i64;
                 }
             }
-            *w = (window_bits - 2 * pop as i32) as f32;
+        }
+        // Every lane's bound is the popcount of one of its pixels, or one
+        // below it: a popcount off by one either way flips that pixel's bit.
+        let mut bounds = vec![-1i64; k.div_ceil(LANES) * LANES];
+        for (kk, b) in bounds[..k].iter_mut().enumerate() {
+            *b = pops[rng.gen_range(0..out_h * out_w) * k + kk] - rng.gen_range(0..2i64);
+        }
+        // Flip bits past K are the caller's to keep zero.
+        let ocw = k.div_ceil(64);
+        let mut flips: Vec<u64> = (0..ocw).map(|_| rng.gen()).collect();
+        if k % 64 != 0 {
+            flips[ocw - 1] &= !0 >> (64 - k % 64);
+        }
+        let mut want = vec![0u64; out_h * out_w * ocw];
+        for (o, &pop) in pops.iter().enumerate() {
+            let kk = o % k;
+            if (pop <= bounds[kk]) ^ ((flips[kk / 64] >> (kk % 64)) & 1 == 1) {
+                want[o / k * ocw + kk / 64] |= 1 << (kk % 64);
+            }
         }
         for level in LEVELS {
-            let mut out = vec![f32::NAN; want.len()];
-            conv_rows(level, &input, &bank, &g, 0..out_h, ConvSink::Dots { window_bits, out: &mut out });
+            let mut out = vec![!0u64; want.len()];
+            let sink = ConvSink { bounds: &bounds, flips: &flips, out: &mut out, origin: 0, row_stride: out_w * ocw, amx: None };
+            conv_rows(level, &input, &bank, &g, 0..out_h, sink);
             prop_assert_eq!(&out, &want, "{}", level);
         }
     }

@@ -251,8 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn binary_conv_matches_pressed_conv() {
-        use bitflow_ops::binary::pressed_conv;
+    fn binary_conv_signs_match_the_engine_conv() {
+        use bitflow_ops::binary::{pressed_conv_sign_into, BnFold, SignThresholds};
         use bitflow_ops::SimdLevel;
         use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
         let mut rng = StdRng::seed_from_u64(211);
@@ -263,12 +263,28 @@ mod tests {
             .collect();
         let x = Batch::new(data.clone(), 1, SampleShape::Map { h, w, c });
         let y = layer.forward(&x);
-        let t = Tensor::from_vec(data, Shape::hwc(h, w, c), Layout::Nhwc);
-        let pressed = BitTensor::from_tensor_padded(&t, 1);
+        // The engine decides signs on the popcount: threshold each channel
+        // at one of its own trained-layer dots, in both directions, so a
+        // dot that is off by one count flips a bit.
+        let fold = BnFold {
+            thresholds: (0..k).map(|kk| y.data[kk * 5 % (h * w) * k + kk]).collect(),
+            flip: (0..k).map(|kk| kk % 2 == 1).collect(),
+        };
+        let pressed = BitTensor::from_tensor_padded(
+            &Tensor::from_vec(data, Shape::hwc(h, w, c), Layout::Nhwc),
+            1,
+        );
         let bank = BitFilterBank::from_floats(&layer.w, FilterShape::new(k, 3, 3, c));
-        let want = pressed_conv(SimdLevel::Scalar, &pressed, &bank, 1);
-        for (a, b) in y.data.iter().zip(want.data()) {
-            assert_eq!(*a, *b, "trained-layer forward must equal engine conv");
+        let st = SignThresholds::from_fold(&fold, 9 * c);
+        let mut out = BitTensor::zeros(h, w, k);
+        let level = SimdLevel::Scalar;
+        pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut out, 0, false, None);
+        for (i, &dot) in y.data.iter().enumerate() {
+            assert_eq!(
+                out.get(i / k / w, i / k % w, i % k) == 1,
+                fold.sign(i % k, dot),
+                "trained-layer dot {i}"
+            );
         }
     }
 

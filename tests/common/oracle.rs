@@ -18,7 +18,7 @@
 use bitflow::graph::spec::{LayerSpec, NetworkSpec};
 use bitflow::graph::weights::{LayerWeights, NetworkWeights};
 use bitflow::ops::binary::BnFold;
-use bitflow::tensor::Tensor;
+use bitflow::tensor::{BitTensor, Tensor};
 
 /// ±1 of every value as the engine presses it: `x >= 0.0` is +1.
 pub fn signs(xs: &[f32]) -> Vec<i32> {
@@ -44,6 +44,15 @@ impl Act {
             c: s.c,
             v: signs(t.data()),
         }
+    }
+
+    /// The ±1 of a pressed map's interior, `pad` pixels in from each edge.
+    pub fn unpress(map: &BitTensor, pad: usize) -> Self {
+        let (h, w, c) = (map.h() - 2 * pad, map.w() - 2 * pad, map.c());
+        let v = (0..h * w * c)
+            .map(|i| map.get(i / c / w + pad, i / c % w + pad, i % c))
+            .collect();
+        Self { h, w, c, v }
     }
 }
 
@@ -90,16 +99,11 @@ pub fn conv(
 /// The folded batch-norm sign of `dot` on channel `c`: `dot ≥ t`, or
 /// `dot ≤ t` where γ < 0 flipped the compare, so a tie is +1 either way.
 pub fn folded(fold: &BnFold, c: usize, dot: i32) -> bool {
-    let (x, t) = (dot as f32, fold.thresholds[c]);
-    if fold.flip[c] {
-        x <= t
-    } else {
-        x >= t
-    }
+    fold.sign(c, dot as f32)
 }
 
 /// `dots` of a `k`-channel output through the folded sign, as ±1.
-fn threshold(fold: &BnFold, k: usize, dots: &[i32]) -> Vec<i32> {
+pub fn threshold(fold: &BnFold, k: usize, dots: &[i32]) -> Vec<i32> {
     let sign = |(i, &dot)| if folded(fold, i % k, dot) { 1 } else { -1 };
     dots.iter().enumerate().map(sign).collect()
 }

@@ -1,5 +1,8 @@
-//! Cross-crate integration tests: the compiled engine against hand-chained
-//! operators, parallel determinism, and a VGG-topology network end-to-end.
+//! Cross-crate integration tests: the compiled engine against the integer
+//! oracle, parallel determinism, and a VGG-topology network end-to-end.
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use bitflow::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -89,9 +92,9 @@ fn serial_and_parallel_engines_bit_identical() {
 }
 
 #[test]
-fn engine_matches_hand_chained_operators() {
-    // Manually execute mini_vgg's first block with raw ops and compare the
-    // intermediate bits against a truncated network.
+fn engine_matches_the_oracle_on_one_vgg_block() {
+    // One conv-pool block of mini_vgg and an FC head over the pooled words
+    // (128 channels are word-tight, so they are the flattened input).
     let mut rng = StdRng::seed_from_u64(3);
     let spec = NetworkSpec {
         name: "OneBlock".into(),
@@ -116,25 +119,7 @@ fn engine_matches_hand_chained_operators() {
     let (model, mut ctx) = engine(&spec, &weights);
     let img = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
     let got = model.try_infer(&mut ctx, &img).expect("inference");
-
-    // Hand chain with identity BN (random() uses identity): threshold 0.
-    let (w_conv, fshape) = match &weights.layers[0] {
-        LayerWeights::Conv { w, fshape, .. } => (w.clone(), *fshape),
-        _ => unreachable!(),
-    };
-    let bank = BitFilterBank::from_floats(&w_conv, fshape);
-    let pressed = BitTensor::from_tensor_padded(&img, 1);
-    let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
-    let signed =
-        bitflow::ops::binary::binarize_threshold_padded(&counts, &vec![0.0; 128], &[false; 128], 0);
-    let pooled = binary_max_pool(SimdLevel::Avx512, &signed, 2, 2, 2);
-    let (w_fc, n, k) = match &weights.layers[2] {
-        LayerWeights::Fc { w, n, k, .. } => (w.clone(), *n, *k),
-        _ => unreachable!(),
-    };
-    let fcw = BinaryFcWeights::pack(&w_fc, n, k);
-    let want = binary_fc(SimdLevel::Avx512, pooled.to_tensor().data(), &fcw);
-    assert_eq!(got, want);
+    assert_eq!(got, oracle::logits(&spec, &weights, &img));
 }
 
 #[test]

@@ -1,6 +1,12 @@
-//! Property-based cross-crate equivalence tests: the binary kernels must
-//! agree exactly with float references over the full input space, for all
-//! SIMD levels, arbitrary shapes, and both padding conventions.
+//! Property-based cross-crate equivalence tests: the operators the engine
+//! runs must agree exactly with the integer oracle (`tests/common/oracle.rs`)
+//! over the full input space, for all SIMD levels, arbitrary shapes, and
+//! both padding conventions.
+
+#[path = "common/adversarial.rs"]
+mod adversarial;
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use bitflow::prelude::*;
 use proptest::prelude::*;
@@ -21,46 +27,45 @@ fn pm1_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    /// PressedConv equals the float direct convolution (with −1 padding)
-    /// for random geometry, channels across all scheduler tiers, and every
-    /// SIMD level.
+    /// PressedConv's sign bits are the oracle's folded signs of its dots
+    /// (−1 padding) under adversarial thresholds, for random geometry,
+    /// channels across all scheduler tiers, and every SIMD level.
     #[test]
-    fn pressed_conv_equals_float_reference(
+    fn pressed_conv_signs_equal_the_oracle(
         h in 3usize..8,
         w in 3usize..8,
         c_idx in 0usize..5,
-        k in 1usize..5,
+        k in 1usize..12,
         seed in 0u64..1000,
     ) {
         let c = [3usize, 32, 64, 96, 130][c_idx];
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let n_in = h * w * c;
-        let input_v: Vec<f32> = (0..n_in).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect();
+        let input_v: Vec<f32> = (0..n_in).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let fshape = FilterShape::new(k, 3, 3, c);
-        let weights: Vec<f32> = (0..fshape.numel()).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect();
+        let weights: Vec<f32> = (0..fshape.numel()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let input = Tensor::from_vec(input_v, Shape::hwc(h, w, c), Layout::Nhwc);
-
-        // Float reference with explicit −1 border.
-        let padded = Tensor::from_fn(Shape::hwc(h + 2, w + 2, c), Layout::Nhwc, |_, y, x, cc| {
-            if y == 0 || y == h + 1 || x == 0 || x == w + 1 { -1.0 } else { input.at(0, y - 1, x - 1, cc) }
-        });
-        let want = bitflow::ops::float::conv_direct(
-            &padded, &weights, fshape, ConvParams::new(3, 3, 1, 0),
+        let (dots, ..) = oracle::conv(
+            &oracle::signs(input.data()), (h, w, c), &oracle::signs(&weights), (k, 3, 3), 1, 1,
         );
+        let fold = adversarial::fold(&mut rng, &dots, k, 9 * c);
+        let want = oracle::threshold(&fold, k, &dots);
+        let st = SignThresholds::from_fold(&fold, 9 * c);
 
         let pressed = BitTensor::from_tensor_padded(&input, 1);
         let bank = BitFilterBank::from_floats(&weights, fshape);
         for level in [SimdLevel::Scalar, SimdLevel::Sse, SimdLevel::Avx2, SimdLevel::Avx512] {
-            let got = pressed_conv(level, &pressed, &bank, 1);
-            prop_assert_eq!(got.max_abs_diff(&want), 0.0, "level {}", level);
+            let mut out = BitTensor::zeros(h + 2, w + 2, k);
+            pressed_conv_sign_into(level, &pressed, &bank, 1, &st, &mut out, 1, false, None);
+            prop_assert_eq!(&oracle::Act::unpress(&out, 1).v, &want, "level {}", level);
         }
     }
 
-    /// Binary FC equals the sign-matmul float reference for arbitrary
-    /// (non-±1) float inputs — binarization happens inside.
+    /// The binary FC's dots are the oracle's for arbitrary (non-±1) float
+    /// inputs and weights, serial and over the worker team.
     #[test]
-    fn binary_fc_equals_sign_matmul(
+    fn binary_fc_equals_the_oracle(
         n in 1usize..300,
         k in 1usize..20,
         seed in 0u64..1000,
@@ -70,10 +75,15 @@ proptest! {
         let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
         let weights: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
         let packed = BinaryFcWeights::pack(&weights, n, k);
-        let got = binary_fc(SimdLevel::Avx512, &input, &packed);
+        let mut words = vec![0u64; n.div_ceil(64)];
+        bitflow::simd::pack::pack_f32(&input, &mut words);
+        let want = oracle::dense(&oracle::signs(&input), &oracle::signs(&weights), k);
+        let (mut serial, mut parallel) = (vec![f32::NAN; k], vec![f32::NAN; k]);
+        packed.forward_into(SimdLevel::Avx512, &words, &mut serial);
+        packed.forward_into_parallel(SimdLevel::Avx512, &words, &mut parallel);
         for kk in 0..k {
-            let want: f32 = (0..n).map(|i| sign(input[i]) * sign(weights[i * k + kk])).sum();
-            prop_assert_eq!(got[kk], want);
+            prop_assert_eq!(serial[kk], want[kk] as f32);
+            prop_assert_eq!(parallel[kk], want[kk] as f32);
         }
     }
 

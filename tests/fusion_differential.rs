@@ -12,19 +12,19 @@
 //! * exact integer ties (dot == threshold — where the old
 //!   `(x >= t) ^ flip` semantics were wrong for flipped channels).
 //!
-//! Two tiers: operator-level proptests over every §III-B channel width
-//! against the two-pass reference (float dots, then the threshold
-//! compare), and whole-graph logit equality with the integer oracle.
+//! Two tiers, both against the integer oracle (`tests/common/oracle.rs`):
+//! operator-level proptests over every §III-B channel width (the oracle's
+//! dots through the folded compare), and whole-graph logit equality.
 
+#[path = "common/adversarial.rs"]
+mod adversarial;
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use bitflow::graph::spec::{LayerSpec, NetworkSpec};
 use bitflow::graph::weights::{BnParams, LayerWeights, NetworkWeights};
 use bitflow::graph::CompiledModel;
-use bitflow::ops::binary::{
-    binarize_threshold_padded, pressed_conv, pressed_conv_sign_into, SignThresholds,
-};
+use bitflow::ops::binary::{pressed_conv_sign_into, SignThresholds};
 use bitflow::ops::{ConvParams, SimdLevel};
 use bitflow::tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use proptest::prelude::*;
@@ -35,37 +35,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// paths).
 const SECTION_3B_WIDTHS: [usize; 6] = [3, 32, 64, 128, 160, 256];
 
-/// Draws adversarial BN statistics for `k` channels: mixed-sign γ with
-/// mass near zero and exactly zero, β occasionally huge (threshold leaves
-/// the reachable dot range), non-default ε half the time.
-fn adversarial_bn(k: usize, rng: &mut StdRng) -> BnParams {
-    let eps = if rng.gen::<bool>() { 1e-5 } else { 1e-1 };
-    let gamma = (0..k)
-        .map(|_| match rng.gen_range(0u32..8) {
-            0 => 0.0,
-            1 => rng.gen_range(-1e-4f32..1e-4),
-            2..=4 => -rng.gen_range(0.05f32..2.0),
-            _ => rng.gen_range(0.05f32..2.0),
-        })
-        .collect();
-    let beta = (0..k)
-        .map(|_| {
-            if rng.gen_range(0u32..8) == 0 {
-                rng.gen_range(-1e6f32..1e6)
-            } else {
-                rng.gen_range(-3.0f32..3.0)
-            }
-        })
-        .collect();
-    BnParams {
-        gamma,
-        beta,
-        mean: (0..k).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
-        var: (0..k).map(|_| rng.gen_range(0.05f32..3.0)).collect(),
-        eps,
-    }
-}
-
 fn pm1(rng: &mut StdRng, n: usize) -> Vec<f32> {
     (0..n)
         .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
@@ -75,11 +44,12 @@ fn pm1(rng: &mut StdRng, n: usize) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Operator level: the integer epilogue equals the two-pass reference
-    /// (float counts, then folded float threshold compare) for every
-    /// §III-B channel width under adversarial BN.
+    /// Operator level: the integer epilogue's bits are the oracle's folded
+    /// signs for every §III-B channel width, under the fold of adversarial
+    /// BN statistics and under adversarial thresholds (ties at real dots
+    /// among them).
     #[test]
-    fn fused_epilogue_matches_unfused_reference(
+    fn fused_epilogue_matches_the_oracle(
         c_idx in 0usize..SECTION_3B_WIDTHS.len(),
         k in 1usize..48,
         h in 3usize..6,
@@ -91,24 +61,20 @@ proptest! {
         let fshape = FilterShape::new(k, 3, 3, c);
         let input = Tensor::from_vec(pm1(&mut rng, h * w * c), Shape::hwc(h, w, c), Layout::Nhwc);
         let weights = pm1(&mut rng, fshape.numel());
-        let bn = adversarial_bn(k, &mut rng);
-        let fold = bn.fold();
-
+        let (dots, ..) = oracle::conv(
+            &oracle::signs(input.data()), (h, w, c), &oracle::signs(&weights), (k, 3, 3), 1, 1,
+        );
         let pressed = BitTensor::from_tensor_padded(&input, 1);
         let bank = BitFilterBank::from_floats(&weights, fshape);
-
-        // Two-pass reference: float count map, then the folded float
-        // threshold compare.
-        let counts = pressed_conv(SimdLevel::Avx512, &pressed, &bank, 1);
-        let want = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 1);
-
-        // One pass: integer popcount-domain compare inside the conv.
-        let st = SignThresholds::from_fold(&fold, 3 * 3 * c);
-        let mut got = BitTensor::zeros(h + 2, w + 2, k);
-        pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1, false, None);
-
-        prop_assert_eq!(got.words(), want.words(), "epilogue != two-pass (c={}, k={})", c, k);
-        prop_assert!(got.tail_is_zero());
+        let folds = [adversarial::bn(k, &mut rng).fold(), adversarial::fold(&mut rng, &dots, k, 9 * c)];
+        for fold in folds {
+            let st = SignThresholds::from_fold(&fold, 3 * 3 * c);
+            let mut got = BitTensor::zeros(h + 2, w + 2, k);
+            pressed_conv_sign_into(SimdLevel::Avx512, &pressed, &bank, 1, &st, &mut got, 1, false, None);
+            let want = oracle::threshold(&fold, k, &dots);
+            prop_assert_eq!(&oracle::Act::unpress(&got, 1).v, &want, "c={}, k={}", c, k);
+            prop_assert!(got.tail_is_zero());
+        }
     }
 
     /// Whole graph: the engine's logits are the oracle's, with adversarial
@@ -141,7 +107,7 @@ proptest! {
         let mut weights = NetworkWeights::random_with_bn(&spec, &mut rng);
         // Replace the conv's BN with adversarial statistics.
         if let LayerWeights::Conv { bn, .. } = &mut weights.layers[0] {
-            *bn = adversarial_bn(k, &mut rng);
+            *bn = adversarial::bn(k, &mut rng);
         }
         let image = Tensor::random(spec.input, Layout::Nhwc, &mut rng);
         let want = oracle::logits(&spec, &weights, &image);
@@ -171,13 +137,12 @@ fn flipped_tie_lands_on_plus_one() {
         1.0, 1.0, 1.0, //
         -1.0, -1.0, -1.0,
     ];
-    let input = Tensor::from_vec(vals, Shape::hwc(h, w, 1), Layout::Nhwc);
+    let input = Tensor::from_vec(vals.clone(), Shape::hwc(h, w, 1), Layout::Nhwc);
     let fshape = FilterShape::new(1, 3, 3, 1);
     let bank = BitFilterBank::from_floats(&[1.0f32; 9], fshape);
     let pressed = BitTensor::from_tensor(&input);
-
-    let counts = pressed_conv(SimdLevel::Scalar, &pressed, &bank, 1);
-    assert_eq!(counts.at(0, 0, 0, 0), 3.0, "window dot is the tie value");
+    let (dots, ..) = oracle::conv(&oracle::signs(&vals), (h, w, 1), &[1; 9], (1, 3, 3), 1, 0);
+    assert_eq!(dots, [3], "window dot is the tie value");
 
     // γ = −1, σ² = 1 − ε ⇒ s = −1, t = mean − β/s = 3 exactly.
     let bn = BnParams {
@@ -206,8 +171,5 @@ fn flipped_tie_lands_on_plus_one() {
         None,
     );
     assert_eq!(fused.get(0, 0, 0), 1, "epilogue: tie must be +1");
-
-    let two_pass = binarize_threshold_padded(&counts, &fold.thresholds, &fold.flip, 0);
-    assert_eq!(two_pass.get(0, 0, 0), 1, "two-pass: tie must be +1");
     assert!(oracle::folded(&fold, 0, 3), "oracle: tie must be +1");
 }

@@ -3,14 +3,13 @@
 //! For every kernel width the vector execution scheduler can select on this
 //! host — scalar u64, SSE-128, AVX2-256, AVX-512, plus the channel-padding
 //! fallback of rule 5 — force the `VectorScheduler` choice by capping the
-//! detected feature set, run PressedConv, binary FC, and binary max-pool at
-//! the forced level, and assert the results are
-//!
-//! * **bit-identical** to the im2col binary reference
-//!   (`binary_conv_im2col` at scalar level), and
-//! * **sign-consistent** with the full-precision float reference (on ±1
-//!   inputs the binary dot products equal the float dot products exactly,
-//!   so "sign-consistent" is checked as exact integer equality).
+//! detected feature set, run the engine's operators — PressedConv with its
+//! sign epilogue, the binary FC's `forward_into`, binary max-pool — at the
+//! forced level, and assert the results are the integer oracle's
+//! (`tests/common/oracle.rs`): the conv's bits under adversarial thresholds
+//! (`tests/common/adversarial.rs`: ties at real dots, ±∞, NaN, saturation,
+//! both directions), the FC's dots exactly, the pool's words against the
+//! scalar level and the float max-pool.
 //!
 //! Shapes are randomized with proptest; every case exercises the whole
 //! width ladder so a regression in any one tier fails the same property.
@@ -30,13 +29,14 @@
 //! alone chooses) on serial and parallel contexts, with windows of 63, 64
 //! and 65 bits pinning the rule's edge from both sides.
 
+#[path = "common/adversarial.rs"]
+mod adversarial;
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use bitflow_gemm::sgemm::sgemm_naive;
 use bitflow_ops::binary::{
-    binarize_windows_into, binary_conv_im2col, binary_fc, binary_max_pool, pressed_conv,
-    pressed_conv_sign_into, BinaryFcWeights, BnFold, SignThresholds, WindowPress,
+    binarize_windows_into, binary_max_pool, pressed_conv_sign_into, BinaryFcWeights, BnFold,
+    SignThresholds, WindowPress,
 };
 use bitflow_ops::float::max_pool;
 use bitflow_ops::ConvParams;
@@ -133,29 +133,6 @@ const ALL_LEVELS: [SimdLevel; 5] = [
     SimdLevel::Avx512,
 ];
 
-/// Thresholds that probe every edge of the popcount-domain epilogue: ±∞
-/// (the γ = 0 fold), NaN, saturation on either side, and an exact tie with
-/// a dot the map really produces — each under both comparison directions.
-fn adversarial_fold(rng: &mut StdRng, dots: &[i32], k: usize, window_bits: usize) -> BnFold {
-    let n = window_bits as f32;
-    let thresholds = (0..k)
-        .map(|kk| match kk % 7 {
-            0 => f32::INFINITY,
-            1 => f32::NEG_INFINITY,
-            2 => f32::NAN,
-            3 => n + 10.5,
-            4 => -n - 10.5,
-            // Ties: the dot of some real output pixel of this channel.
-            5 => dots[rng.gen_range(0..dots.len() / k) * k + kk] as f32,
-            _ => rng.gen_range(-n / 4.0..n / 4.0),
-        })
-        .collect();
-    BnFold {
-        thresholds,
-        flip: (0..k).map(|_| rng.gen()).collect(),
-    }
-}
-
 /// The oracle's folded sign of element `i` of a `k`-channel map of dots.
 fn folded_bit(fold: &BnFold, k: usize, dots: &[i32], i: usize) -> bool {
     oracle::folded(fold, i % k, dots[i])
@@ -193,7 +170,7 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
                 pad,
             );
             assert_eq!((oh, ow), (out_h, out_w), "case geometry");
-            let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
+            let fold = adversarial::fold(&mut rng, &dots, k, kh * kw * c);
             let st = SignThresholds::from_fold(&fold, kh * kw * c);
             let want_bit = |px: usize, kk: usize| folded_bit(&fold, k, &dots, px * k + kk);
 
@@ -201,9 +178,6 @@ fn conv_core_matches_integer_reference_at_every_level_and_width() {
             let bank = BitFilterBank::from_floats(&weights, fshape);
             for level in ALL_LEVELS {
                 let what = format!("{level:?} c={c} k={k} {kh}x{kw} s={stride} out={oh}x{ow}");
-                let counts = pressed_conv(level, &pressed, &bank, stride);
-                let got: Vec<i32> = counts.data().iter().map(|&x| x as i32).collect();
-                assert_eq!(got, dots, "{what}: float-out dots");
                 for out_pad in [0usize, 1] {
                     // Every bit pre-set: margins must keep theirs, interior
                     // pixels (press tail included) must be overwritten.
@@ -290,7 +264,7 @@ fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
             stride,
             pad,
         );
-        let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
+        let fold = adversarial::fold(&mut rng, &dots, k, kh * kw * c);
         let st = SignThresholds::from_fold(&fold, kh * kw * c);
 
         // Channel-pressed: a padded map under the kh×kw bank.
@@ -313,9 +287,6 @@ fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
                 ("channel", &by_channel, &bank, stride),
                 ("window", &by_window, &bank_1x1, 1),
             ] {
-                let counts = pressed_conv(level, map, bank, stride);
-                let got: Vec<i32> = counts.data().iter().map(|&x| x as i32).collect();
-                assert_eq!(got, dots, "{what} {level:?} {press}: dots");
                 for parallel in [false, true] {
                     let mut out = BitTensor::zeros(oh + 2, ow + 2, k);
                     pressed_conv_sign_into(
@@ -336,9 +307,7 @@ fn window_pressed_conv_is_the_channel_pressed_conv_at_every_level() {
 #[test]
 fn both_first_layer_lowerings_match_the_integer_reference_through_the_engine() {
     use bitflow::graph::plan::input_windows;
-    use bitflow::graph::{
-        BnParams, CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights,
-    };
+    use bitflow::graph::{CompiledModel, LayerSpec, LayerWeights, NetworkSpec, NetworkWeights};
     let mut rng = StdRng::seed_from_u64(0xF125);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(2)
@@ -383,16 +352,8 @@ fn both_first_layer_lowerings_match_the_integer_reference_through_the_engine() {
             stride,
             pad,
         );
-        let fold = adversarial_fold(&mut rng, &dots, k, kh * kw * c);
-        *bn = BnParams {
-            gamma: fold
-                .flip
-                .iter()
-                .map(|&f| if f { -1.0 } else { 1.0 })
-                .collect(),
-            mean: fold.thresholds,
-            ..BnParams::identity(k)
-        };
+        let fold = adversarial::fold(&mut rng, &dots, k, kh * kw * c);
+        *bn = adversarial::bn_folding_to(fold);
         let want = oracle::logits(&spec, &weights, &input);
 
         let model = CompiledModel::try_compile(&spec, &weights).expect("compile");
@@ -583,7 +544,7 @@ proptest! {
     fn pressed_conv_differential(
         (h, w) in (3usize..7, 3usize..7),
         c_idx in 0usize..CHANNELS.len(),
-        k in 1usize..6,
+        k in 1usize..16,
         ksz in 1usize..4,
         stride in 1usize..3,
         pad in 0usize..2,
@@ -596,63 +557,49 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let input = Tensor::from_vec(pm1_vec(&mut rng, shape.numel()), shape, Layout::Nhwc);
         let weights = pm1_vec(&mut rng, fshape.numel());
-        let params = ConvParams::new(ksz, ksz, stride, pad);
-
-        // Reference 1: im2col binary convolution, scalar level.
-        let reference = binary_conv_im2col(SimdLevel::Scalar, &input, &weights, fshape, params);
-
-        // Reference 2 (float, pad-free cases only: the float path pads with
-        // 0.0 which is not sign-equivalent to the pressed −1 padding): on
-        // ±1 data the float conv computes the same integers exactly.
-        let float_ref = if pad == 0 {
-            Some(bitflow_ops::float::conv_im2col(&input, &weights, fshape, params))
-        } else {
-            None
-        };
+        let (dots, oh, ow) = oracle::conv(
+            &oracle::signs(input.data()),
+            (h, w, c),
+            &oracle::signs(&weights),
+            (k, ksz, ksz),
+            stride,
+            pad,
+        );
+        let fold = adversarial::fold(&mut rng, &dots, k, ksz * ksz * c);
+        let want = oracle::threshold(&fold, k, &dots);
+        let st = SignThresholds::from_fold(&fold, ksz * ksz * c);
 
         let pressed = BitTensor::from_tensor_padded(&input, pad);
         let bank = BitFilterBank::from_floats(&weights, fshape);
         for (level, cap) in forced_levels(c) {
-            let got = pressed_conv(level, &pressed, &bank, stride);
+            let mut out = BitTensor::zeros(oh, ow, k);
+            pressed_conv_sign_into(level, &pressed, &bank, stride, &st, &mut out, 0, false, None);
             prop_assert_eq!(
-                got.max_abs_diff(&reference), 0.0,
-                "conv c={} {:?} (cap {}) diverges from im2col reference", c, level, cap
+                &oracle::Act::unpress(&out, 0).v, &want,
+                "conv c={} {:?} (cap {}) diverges from the oracle", c, level, cap
             );
-            if let Some(fr) = &float_ref {
-                prop_assert_eq!(
-                    got.max_abs_diff(fr), 0.0,
-                    "conv c={} {:?} (cap {}) diverges from float reference", c, level, cap
-                );
-            }
         }
     }
 
     fn binary_fc_differential(
-        n_idx in 0usize..CHANNELS.len(),
+        n in 1usize..600,
         k in 1usize..40,
         seed in 0u64..u64::MAX,
     ) {
-        let n = CHANNELS[n_idx];
         let mut rng = StdRng::seed_from_u64(seed);
-        let input = pm1_vec(&mut rng, n);
-        let wfloat = pm1_vec(&mut rng, n * k);
+        let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let wfloat: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let weights = BinaryFcWeights::pack(&wfloat, n, k);
-
-        // Binary reference: scalar level.
-        let reference = binary_fc(SimdLevel::Scalar, &input, &weights);
-
-        // Float reference: sgemm over the same ±1 operands gives the exact
-        // integer dot products.
-        let mut float_ref = vec![0.0f32; k];
-        sgemm_naive(&input, &wfloat, &mut float_ref, 1, n, k);
-        prop_assert_eq!(&reference, &float_ref, "scalar binary FC vs float reference n={}", n);
-
-        for (level, cap) in forced_levels(n) {
-            let got = binary_fc(level, &input, &weights);
-            prop_assert_eq!(
-                &got, &reference,
-                "fc n={} {:?} (cap {}) diverges", n, level, cap
-            );
+        let want: Vec<f32> = oracle::dense(&oracle::signs(&input), &oracle::signs(&wfloat), k)
+            .into_iter()
+            .map(|d| d as f32)
+            .collect();
+        let mut words = vec![0u64; n.div_ceil(64)];
+        bitflow_simd::pack::pack_f32(&input, &mut words);
+        for level in ALL_LEVELS {
+            let mut got = vec![f32::NAN; k];
+            weights.forward_into(level, &words, &mut got);
+            prop_assert_eq!(&got, &want, "fc n={} {:?} diverges from the oracle", n, level);
         }
     }
 

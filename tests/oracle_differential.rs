@@ -9,6 +9,8 @@
 //! worker team. Every case stays at or below `tiered_cnn` size: the oracle
 //! runs at the test profile's opt-level 0.
 
+#[path = "common/adversarial.rs"]
+mod adversarial;
 #[path = "common/oracle.rs"]
 mod oracle;
 
@@ -16,7 +18,6 @@ use bitflow::graph::models::{mlp, small_cnn, tiered_cnn};
 use bitflow::graph::spec::{LayerSpec, NetworkSpec};
 use bitflow::graph::weights::{BnParams, LayerWeights, NetworkWeights};
 use bitflow::graph::{BatchItem, CompiledModel};
-use bitflow::ops::binary::BnFold;
 use bitflow::ops::ConvParams;
 use bitflow::tensor::{Layout, Shape, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -56,44 +57,6 @@ fn assert_engine_is_oracle(spec: &NetworkSpec, weights: &NetworkWeights, input: 
     }
 }
 
-/// Batch-norm statistics that fold to exactly `fold`: γ = ±1 and β = 0
-/// leave `t = μ`, whatever μ is, and γ < 0 flips the compare.
-fn bn_folding_to(fold: BnFold) -> BnParams {
-    let k = fold.thresholds.len();
-    BnParams {
-        gamma: fold
-            .flip
-            .iter()
-            .map(|&f| if f { -1.0 } else { 1.0 })
-            .collect(),
-        mean: fold.thresholds,
-        ..BnParams::identity(k)
-    }
-}
-
-/// Thresholds over `k` channels of `n`-term dots at every edge of the
-/// folded compare: ±∞, NaN, out of reach on either side, an exact tie with
-/// a dot the layer really produces, and the reachable middle — each under
-/// both compare directions.
-fn adversarial_fold(rng: &mut StdRng, dots: &[i32], n: usize) -> BnFold {
-    let n = n as f32;
-    let thresholds = (0..dots.len())
-        .map(|kk| match kk % 7 {
-            0 => f32::INFINITY,
-            1 => f32::NEG_INFINITY,
-            2 => f32::NAN,
-            3 => n + 10.5,
-            4 => -n - 10.5,
-            5 => dots[kk] as f32,
-            _ => rng.gen_range(-n / 4.0..n / 4.0),
-        })
-        .collect();
-    BnFold {
-        thresholds,
-        flip: (0..dots.len()).map(|_| rng.gen()).collect(),
-    }
-}
-
 #[test]
 fn engine_matches_the_oracle_on_tiered_cnn() {
     // Channels 3 → 64 → 128 → 256 → 512: a window-pressed first conv, a
@@ -123,7 +86,7 @@ fn hidden_fc_signs_match_the_oracle_under_adversarial_bn() {
                 unreachable!("an MLP is FCs")
             };
             let dots = oracle::dense(&a, &oracle::signs(w), *k);
-            let fold = adversarial_fold(&mut rng, &dots, *n);
+            let fold = adversarial::fold(&mut rng, &dots, *k, *n);
             a = (0..*k)
                 .map(|j| {
                     if oracle::folded(&fold, j, dots[j]) {
@@ -133,7 +96,7 @@ fn hidden_fc_signs_match_the_oracle_under_adversarial_bn() {
                     }
                 })
                 .collect();
-            *bn = bn_folding_to(fold);
+            *bn = adversarial::bn_folding_to(fold);
         }
         assert_engine_is_oracle(&spec, &weights, &input);
     }

@@ -1,13 +1,14 @@
 //! Thread-count invariance: every parallel kernel and the serving path must
 //! be bit-identical under thread-count scopes of 1, 2, and N threads.
 //!
-//! BitFlow's multi-core partitioning is fixed-chunk by design (the bgemm
-//! `PAR_K_CHUNK` split, `team::for_chunks_mut` over output-row bands in
-//! PressedConv, over output rows in the binary pool) precisely so the work
-//! decomposition — and therefore every intermediate integer — does not
-//! depend on how many threads drain the chunks, nor on which of them takes
-//! which. These tests pin that contract for the three chunked kernels
-//! (bgemm, pressed_conv, binary pool), the parallel FC, and the end-to-end
+//! BitFlow's multi-core partitioning is fixed-chunk by design (the FC's
+//! `PAR_K_CHUNK` split of its outputs, `team::for_chunks_mut` over
+//! output-row bands in PressedConv, over output rows in the binary pool)
+//! precisely so the work decomposition — and therefore every intermediate
+//! integer — does not depend on how many threads drain the chunks, nor on
+//! which of them takes which. These tests pin that contract for the
+//! chunked operators the engine runs (the conv with its sign epilogue, the
+//! FC's `forward_into_parallel`, the binary pool), and the end-to-end
 //! `try_infer` / `try_infer_batch` serving calls — also when two callers
 //! want the one worker team at once.
 
@@ -15,8 +16,8 @@ use bitflow_graph::models::{small_cnn, tiered_cnn};
 use bitflow_graph::weights::{BnParams, NetworkWeights};
 use bitflow_graph::CompiledModel;
 use bitflow_ops::binary::{
-    binary_fc, binary_fc_parallel, binary_max_pool, binary_max_pool_parallel, pressed_conv,
-    pressed_conv_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
+    binary_max_pool, binary_max_pool_parallel, pressed_conv_sign_into, BinaryFcWeights,
+    SignThresholds,
 };
 use bitflow_simd::kernels::SimdLevel;
 use bitflow_simd::VectorScheduler;
@@ -47,32 +48,6 @@ where
 
 fn host_level(c: usize) -> SimdLevel {
     VectorScheduler::new().select(c).level
-}
-
-#[test]
-fn pressed_conv_invariant_across_pools() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let shape = Shape::hwc(9, 9, 128);
-    let fshape = FilterShape::new(16, 3, 3, 128);
-    let input = Tensor::from_vec(pm1_vec(&mut rng, shape.numel()), shape, Layout::Nhwc);
-    let weights = pm1_vec(&mut rng, fshape.numel());
-    let pressed = BitTensor::from_tensor_padded(&input, 1);
-    let bank = BitFilterBank::from_floats(&weights, fshape);
-    let level = VectorScheduler::new().streaming_level();
-
-    let serial = pressed_conv(level, &pressed, &bank, 1);
-    for threads in POOLS {
-        let got = in_pool(threads, || {
-            let mut out = Tensor::zeros(serial.shape(), Layout::Nhwc);
-            pressed_conv_into(level, &pressed, &bank, 1, &mut out, true);
-            out
-        });
-        assert_eq!(
-            got.max_abs_diff(&serial),
-            0.0,
-            "pressed_conv diverges at {threads} threads"
-        );
-    }
 }
 
 #[test]
@@ -110,16 +85,22 @@ fn fused_conv_sign_invariant_across_pools() {
 #[test]
 fn binary_fc_invariant_across_pools() {
     // 4096 input neurons × 1000 outputs: wide enough that PAR_K_CHUNK
-    // actually splits the K axis across workers.
+    // actually splits the K axis across workers. The engine's FC call.
     let mut rng = StdRng::seed_from_u64(12);
     let (n, k) = (4096, 1000);
-    let input = pm1_vec(&mut rng, n);
+    let mut input = vec![0u64; n / 64];
+    bitflow_simd::pack::pack_f32(&pm1_vec(&mut rng, n), &mut input);
     let weights = BinaryFcWeights::pack(&pm1_vec(&mut rng, n * k), n, k);
     let level = VectorScheduler::new().streaming_level();
 
-    let serial = binary_fc(level, &input, &weights);
+    let mut serial = vec![f32::NAN; k];
+    weights.forward_into(level, &input, &mut serial);
     for threads in POOLS {
-        let got = in_pool(threads, || binary_fc_parallel(level, &input, &weights));
+        let got = in_pool(threads, || {
+            let mut out = vec![f32::NAN; k];
+            weights.forward_into_parallel(level, &input, &mut out);
+            out
+        });
         assert_eq!(got, serial, "binary FC diverges at {threads} threads");
     }
 }
