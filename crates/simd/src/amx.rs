@@ -24,20 +24,37 @@
 //!   laid out exactly like the packed map (pixel-major, `C = c_words·64`
 //!   bytes a pixel), one `vpblendmb` per word. The band is the whole map
 //!   when it fits in [`STRIP_BYTES`].
-//! * **The tile loop** is a 2 × 2 block: two A tiles of 16 consecutive
-//!   positions of the *padded* grid (row stride `C` bytes), two B tiles of
-//!   16 filters, four accumulators. Position `p = y·in_w + x` of the band
-//!   reads its window at `p + r·in_w` for window row `r`, `kw·c_words`
-//!   consecutive 64-byte steps; the `kw − 1` positions of each row whose
-//!   windows wrap past the row end (`x ≥ out_w`) are computed and never
-//!   stored, as are the ones past the band. Within a band the filter pair
-//!   is the outer loop, so its `2·steps` B tiles stay in cache while every
-//!   position block streams past.
-//! * **The epilogue** compares each accumulator row — one position, 16
-//!   filters — against the 16 thresholds, xors in the flips and stores the
-//!   16 sign bits as a `u16` of the output word (the first 16 of a word as
-//!   the whole zero-extended word, which writes the press tail). It runs one
-//!   block behind the tile loop, so it overlaps the next block's `tdpbssd`.
+//! * **The tile loop** is a 2 × 2 block: two A tiles, output columns
+//!   `x0..x0 + 16` of band rows `y` and `y + 1` (tile row = one position,
+//!   row pitch `C` bytes), two B tiles of 16 filters, four accumulators.
+//!   Position (y, x) reads its window at `(y + r)·in_w + x` for window row
+//!   `r`, `kw·c_words` consecutive 64-byte steps. The walk goes one column
+//!   strip at a time (`x0` outer, `y` in steps of 2 inner), so consecutive
+//!   blocks share `kh − 1` of their `kh + 1` input rows in L1. Columns past
+//!   `out_w` (the last tile of a row reads up to 15 positions past it) and
+//!   a missing row `y + 1` (an odd band; its tile re-reads row `y`) are
+//!   computed and never stored. Within a band the filter pair is the outer
+//!   loop, so its `2·steps` B tiles stay in cache while every block
+//!   streams past; an odd count of 16-filter blocks multiplies the bank's
+//!   zero block as the pair's second.
+//! * **The steps** are software-pipelined across blocks: a block's last
+//!   step loads the next block's first tiles, and the next block's first
+//!   step stores the finished accumulators one at a time, each followed by
+//!   its first product, so the matrix unit is not idle while they drain.
+//!   Two accumulator sets alternate, interleaved line by line, so the
+//!   epilogue's loads of one never 4K-alias the pending stores of the other.
+//! * **The epilogue** takes one base pointer per tile run (16 positions of
+//!   one row) and compares each accumulator row — one position, 16 filters
+//!   — against the 16 thresholds, for both blocks of the pair, xors in the
+//!   flips, and stores the pair's 32 sign bits in one store: 32 bits, or
+//!   the whole word zero-extended for a word's first pair (which writes the
+//!   press tail). A block's epilogue runs while the block after next
+//!   computes, in slices of a few positions, one after each of its K-steps:
+//!   its loads then trickle in between the tile loads instead of arriving
+//!   as one burst that holds them up.
+//! * **Reach**: a band of `rows` rows reads up to `⌈out_w/16⌉·16 + kw − 1`
+//!   columns into its last input row ([`reach`]), at most 15 positions past
+//!   the expanded rows; the strip holds 16 positions of slack after them.
 //!
 //! Every call configures the tiles on entry (`ldtilecfg`) and releases them
 //! on exit (`tilerelease`), so a thread is never switched out holding live
@@ -54,7 +71,7 @@ const ROW: usize = 64;
 /// four channels (B).
 const ROWS: usize = 16;
 
-/// Filters of one B tile, and sign bits of one epilogue store.
+/// Filters of one B tile: half the sign bits of one epilogue store.
 pub(crate) const FILTERS: usize = 16;
 
 /// Bytes of one K-step of one filter block: a whole B tile.
@@ -135,7 +152,7 @@ impl AmxBank {
 }
 
 /// Scratch of one body call: the ±1 int8 copy of a band of input rows plus
-/// the slack the last position block's A tiles read into. One per thread
+/// the slack the last row's last column tile reads into. One per thread
 /// that may run a conv call at once (the inference context holds one per
 /// team part).
 pub struct AmxStrip {
@@ -164,10 +181,10 @@ impl AmxStrip {
     }
 }
 
-/// Strip bytes past the expanded band that the last position block's A
-/// tiles may read: at most `BLOCK − 1` positions (see [`tiles`]).
+/// Strip bytes past the expanded band that the last row's last column
+/// tile may read: at most `ROWS − 1` positions (see [`reach`]).
 fn slack(g: &ConvGeom) -> usize {
-    BLOCK * g.c_words * ROW
+    ROWS * g.c_words * ROW
 }
 
 /// Output rows of one band in a strip of `strip_bytes`; 0 if not even one
@@ -179,11 +196,13 @@ pub(crate) fn band_rows(g: &ConvGeom, strip_bytes: usize) -> usize {
 }
 
 /// Strip bytes the A-tile loads of a band of `rows` output rows reach: the
-/// last position block's last tile row, at its last window step. At most
-/// the band's expanded rows plus [`slack`], since `out_w + kw − 1 ≤ in_w`.
+/// last row's last column tile (output columns up to `⌈out_w/16⌉·16 − 1`),
+/// at its last window step. At most the band's expanded rows plus
+/// [`slack`], since `out_w + kw − 1 ≤ in_w`: that tile reads at most 15
+/// positions past the last row.
 pub(crate) fn reach(g: &ConvGeom, rows: usize) -> usize {
-    let blocks = ((rows - 1) * g.in_w + g.out_w).div_ceil(BLOCK);
-    (blocks * BLOCK + (g.kh - 1) * g.in_w + g.kw - 1) * g.c_words * ROW
+    let cols = g.out_w.div_ceil(ROWS) * ROWS;
+    ((rows + g.kh - 2) * g.in_w + cols + g.kw - 1) * g.c_words * ROW
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -282,34 +301,68 @@ mod body {
         );
     }
 
-    // The K-steps of a block are software-pipelined: a step's products
-    // and the next step's tile loads are one asm block, each load placed
+    /// Where one K-step of a 2 × 2 block reads its tiles: A at `a` and
+    /// `a + a_next`, B at `b` and `b + steps·B_STEP` (the pair's second
+    /// block).
+    #[derive(Clone, Copy)]
+    struct Step {
+        a: *const i8,
+        a_next: usize,
+        b: *const i8,
+        /// The step's window column step, `t % run`.
+        col: usize,
+    }
+
+    impl Step {
+        /// The block's next K-step: window row `t / run`, column step
+        /// `t % run` — `run` consecutive lines a row, rows `in_row` bytes
+        /// apart; its B tiles are the next ones.
+        #[inline(always)]
+        fn next(self, run: usize, in_row: usize) -> Self {
+            let col = self.col + 1;
+            let (a, col) = if col == run {
+                (self.a.wrapping_add(in_row - (run - 1) * ROW), 0)
+            } else {
+                (self.a.wrapping_add(ROW), col)
+            };
+            Self {
+                a,
+                b: self.b.wrapping_add(B_STEP),
+                col,
+                ..self
+            }
+        }
+    }
+
+    // The K-steps are software-pipelined: a step's products and the
+    // following step's tile loads are one asm block, each load placed
     // right after the last product that reads the tile it overwrites
     // (tile registers are not renamed), so the loads run under the
-    // remaining products instead of between steps.
+    // remaining products instead of between steps. A block's last step
+    // loads the next block's first tiles, and the next block's first
+    // products run between the stores of the previous accumulators.
 
-    /// The tiles of a 2 × 2 block's first step: A at `a` and
-    /// `a + 16·pitch` (row pitch `pitch`), B at `b` and `b + b_next`.
+    /// The tiles of the first block's first step.
     #[inline(always)]
-    unsafe fn load_2x2(a: *const i8, pitch: usize, b: *const i8, b_next: usize) {
+    unsafe fn load_2x2(s: Step, pitch: usize, b_next: usize) {
         asm!(
             "tileloadd tmm4, [{a0} + {pitch}*1]",
             "tileloadd tmm6, [{b0} + {row}*1]",
             "tileloadd tmm7, [{b1} + {row}*1]",
             "tileloadd tmm5, [{a1} + {pitch}*1]",
-            a0 = in(reg) a,
-            a1 = in(reg) a.add(ROWS * pitch),
+            a0 = in(reg) s.a,
+            a1 = in(reg) s.a.add(s.a_next),
             pitch = in(reg) pitch,
-            b0 = in(reg) b,
-            b1 = in(reg) b.add(b_next),
+            b0 = in(reg) s.b,
+            b1 = in(reg) s.b.add(b_next),
             row = in(reg) ROW,
             options(nostack, readonly, preserves_flags)
         );
     }
 
-    /// The loaded step's four products, and the next step's tiles.
+    /// The loaded step's four products, and the following step's tiles.
     #[inline(always)]
-    unsafe fn mul_load_2x2(a: *const i8, pitch: usize, b: *const i8, b_next: usize) {
+    unsafe fn mul_load_2x2(s: Step, pitch: usize, b_next: usize) {
         asm!(
             "tdpbssd tmm0, tmm4, tmm6",
             "tdpbssd tmm1, tmm4, tmm7",
@@ -319,61 +372,91 @@ mod body {
             "tdpbssd tmm3, tmm5, tmm7",
             "tileloadd tmm7, [{b1} + {row}*1]",
             "tileloadd tmm5, [{a1} + {pitch}*1]",
-            a0 = in(reg) a,
-            a1 = in(reg) a.add(ROWS * pitch),
+            a0 = in(reg) s.a,
+            a1 = in(reg) s.a.add(s.a_next),
             pitch = in(reg) pitch,
-            b0 = in(reg) b,
-            b1 = in(reg) b.add(b_next),
+            b0 = in(reg) s.b,
+            b1 = in(reg) s.b.add(b_next),
             row = in(reg) ROW,
             options(nostack, readonly, preserves_flags)
         );
     }
 
-    /// The last step's four products.
+    /// A block's first step after another block: the previous block's
+    /// accumulators stored to set `set` of `acc` and zeroed one by one,
+    /// each followed by this step's product into it, and the following
+    /// step's tiles.
     #[inline(always)]
-    unsafe fn mul_2x2() {
+    unsafe fn store_mul_load_2x2(acc: &mut Acc, set: usize, s: Step, pitch: usize, b_next: usize) {
         asm!(
+            "tilestored [{p0} + {arow}*1], tmm0",
+            "tilezero tmm0",
             "tdpbssd tmm0, tmm4, tmm6",
+            "tilestored [{p1} + {arow}*1], tmm1",
+            "tilezero tmm1",
             "tdpbssd tmm1, tmm4, tmm7",
+            "tileloadd tmm4, [{a0} + {pitch}*1]",
+            "tilestored [{p2} + {arow}*1], tmm2",
+            "tilezero tmm2",
             "tdpbssd tmm2, tmm5, tmm6",
+            "tileloadd tmm6, [{b0} + {row}*1]",
+            "tilestored [{p3} + {arow}*1], tmm3",
+            "tilezero tmm3",
             "tdpbssd tmm3, tmm5, tmm7",
-            options(nostack, nomem, preserves_flags)
+            "tileloadd tmm7, [{b1} + {row}*1]",
+            "tileloadd tmm5, [{a1} + {pitch}*1]",
+            p0 = in(reg) acc.0[0].as_mut_ptr().cast::<u8>().add(set * ROW),
+            p1 = in(reg) acc.0[1].as_mut_ptr().cast::<u8>().add(set * ROW),
+            p2 = in(reg) acc.0[2].as_mut_ptr().cast::<u8>().add(set * ROW),
+            p3 = in(reg) acc.0[3].as_mut_ptr().cast::<u8>().add(set * ROW),
+            arow = in(reg) 2 * ROW,
+            a0 = in(reg) s.a,
+            a1 = in(reg) s.a.add(s.a_next),
+            pitch = in(reg) pitch,
+            b0 = in(reg) s.b,
+            b1 = in(reg) s.b.add(b_next),
+            row = in(reg) ROW,
+            options(nostack, preserves_flags)
         );
     }
 
-    /// The four accumulators of a block, `[2·position tile + filter tile]
-    /// [position][filter]`.
-    type Acc = [[[i32; FILTERS]; ROWS]; 4];
+    /// Two sets of a block's four accumulators, interleaved line by line:
+    /// `[2·row tile + filter tile][column][set][filter]`. A set's tiles are
+    /// stored with a 128-byte row stride at offset `64·set`, so the
+    /// epilogue's loads from one set never share the low 12 address bits of
+    /// the other set's pending tile stores (no 4K aliasing), as two
+    /// separate 4 KB sets would.
+    #[repr(C, align(64))]
+    struct Acc([[[[i32; FILTERS]; 2]; ROWS]; 4]);
 
-    /// Stores the accumulators to `acc`.
+    /// Stores the last block's accumulators to set `set` of `acc`.
     #[inline(always)]
-    unsafe fn store_acc(acc: &mut Acc) {
+    unsafe fn store_acc(acc: &mut Acc, set: usize) {
         asm!(
             "tilestored [{p} + {row}*1], tmm0",
             "tilestored [{p1} + {row}*1], tmm1",
             "tilestored [{p2} + {row}*1], tmm2",
             "tilestored [{p3} + {row}*1], tmm3",
-            p = in(reg) acc[0].as_mut_ptr(),
-            p1 = in(reg) acc[1].as_mut_ptr(),
-            p2 = in(reg) acc[2].as_mut_ptr(),
-            p3 = in(reg) acc[3].as_mut_ptr(),
-            row = in(reg) ROW,
+            p = in(reg) acc.0[0].as_mut_ptr().cast::<u8>().add(set * ROW),
+            p1 = in(reg) acc.0[1].as_mut_ptr().cast::<u8>().add(set * ROW),
+            p2 = in(reg) acc.0[2].as_mut_ptr().cast::<u8>().add(set * ROW),
+            p3 = in(reg) acc.0[3].as_mut_ptr().cast::<u8>().add(set * ROW),
+            row = in(reg) 2 * ROW,
             options(nostack, preserves_flags)
         );
     }
 
     /// Thresholds and flips of the (one or two) filter blocks of a pair.
     struct Pair {
-        /// First filter of the pair.
+        /// First filter of the pair: a multiple of 32, so the pair's 32
+        /// sign bits are one half of an output word.
         n0: usize,
-        /// Filter blocks of the pair that hold filters: 1 or 2. The last
-        /// pair of an odd count multiplies the bank's zero block too; those
-        /// accumulators are never stored.
-        blocks: usize,
-        /// `dot ≥ thr` ⟺ `pop ≤ bound`, per filter.
+        /// `dot ≥ thr` ⟺ `pop ≤ bound`, per filter. The missing second
+        /// block of an odd count — the bank's zero block, every dot 0 —
+        /// gets `i32::MAX`, so its 16 bits are 0: the press tail.
         thr: [__m512i; 2],
-        /// The flip bits of each block's 16 filters.
-        flip: [u16; 2],
+        /// The flip bits of the pair's 32 filters.
+        flip: u32,
     }
 
     impl Pair {
@@ -382,10 +465,8 @@ mod body {
         #[inline(always)]
         unsafe fn new(sink: &SignSink<'_>, nb: usize, k_blocks: usize, window: i64) -> Self {
             let n0 = nb * FILTERS;
-            let blocks = (k_blocks - nb).min(2);
-            let mut thr = [_mm512_setzero_si512(); 2];
-            let mut flip = [0u16; 2];
-            for j in 0..blocks {
+            let mut thr = [_mm512_set1_epi32(i32::MAX); 2];
+            for (j, thr) in thr.iter_mut().enumerate().take(k_blocks - nb) {
                 let n = n0 + j * FILTERS;
                 let mut t = [0i32; FILTERS];
                 for (t, &bound) in t.iter_mut().zip(&sink.bounds[n..n + FILTERS]) {
@@ -394,64 +475,68 @@ mod body {
                     // in [−window, window + 2].
                     *t = (window - 2 * bound.clamp(-1, window)) as i32;
                 }
-                thr[j] = _mm512_loadu_si512(t.as_ptr().cast());
-                flip[j] = (sink.flips[n / 64] >> (n % 64)) as u16;
+                *thr = _mm512_loadu_si512(t.as_ptr().cast());
             }
-            Self {
-                n0,
-                blocks,
-                thr,
-                flip,
-            }
+            // Bits past K are 0 in the flips (the sink's contract).
+            let flip = (sink.flips[n0 / 64] >> (n0 % 64)) as u32;
+            Self { n0, thr, flip }
         }
     }
 
-    /// Where a band's positions land: band-relative position → sink word.
+    /// A band's output rows and where they land in the sink.
     struct Band {
         /// Output row of the band's first row, relative to the call's rows.
         first: usize,
         /// Output rows in the band.
         rows: usize,
+        /// Output columns of a row.
+        out_w: usize,
+        /// Sink words between consecutive output rows.
+        row_stride: usize,
+        /// Sink words of one position, `⌈K/64⌉`.
+        ocw: usize,
     }
 
-    /// The epilogue of the block whose first position is `p0`: sign bits of
-    /// every stored position, straight into the packed output.
+    /// The epilogue of positions `span` of the block at output columns
+    /// `x0..x0 + 16` of band rows `y` and `y + 1` (position `p` is column
+    /// `x0 + p % 16` of row `y + p / 16`), whose accumulators are set `set`
+    /// of `acc`: one store of the pair's 32 sign bits per stored position,
+    /// straight into the packed output. Columns past `out_w` and a row past
+    /// the band are not stored.
     #[inline(always)]
     unsafe fn epilogue(
         acc: &Acc,
-        p0: usize,
+        set: usize,
+        (x0, y): (usize, usize),
+        span: Range<usize>,
         pair: &Pair,
         band: &Band,
-        g: &ConvGeom,
-        row_stride: usize,
         sink: &mut SignSink<'_>,
     ) {
-        let ocw = g.k.div_ceil(64);
-        let slot0 = pair.n0 % 64 / FILTERS;
+        let ocw = band.ocw;
+        let (cols, rows) = ((band.out_w - x0).min(ROWS), (band.rows - y).min(2));
+        let base = sink.origin + (band.first + y) * band.row_stride + x0 * ocw + pair.n0 / 64;
+        let high = !pair.n0.is_multiple_of(64);
         let out = sink.out.as_mut_ptr();
-        let (mut y, mut x) = (p0 / g.in_w, p0 % g.in_w);
-        // Accumulator 2·half + j holds position tile `half` × filter tile j.
-        for tiles in acc.chunks_exact(2) {
-            for row in 0..ROWS {
-                if y < band.rows && x < g.out_w {
-                    let word = out
-                        .add(sink.origin + (band.first + y) * row_stride + x * ocw + pair.n0 / 64);
-                    for (j, tile) in tiles[..pair.blocks].iter().enumerate() {
-                        let dots = _mm512_loadu_si512(tile[row].as_ptr().cast());
-                        let bits = _mm512_cmpge_epi32_mask(dots, pair.thr[j]) ^ pair.flip[j];
-                        match slot0 + j {
-                            // The word's first 16 bits, zero-extended: the
-                            // rest of the word (the press tail, past K) is
-                            // zero unless a later block writes it.
-                            0 => word.write(u64::from(bits)),
-                            slot => word.cast::<u16>().add(slot).write_unaligned(bits),
-                        }
-                    }
-                }
-                x += 1;
-                if x == g.in_w {
-                    (x, y) = (0, y + 1);
-                }
+        for p in span.start..span.end.min(BLOCK) {
+            let (t, x) = (p / ROWS, p % ROWS);
+            if x >= cols || t >= rows {
+                continue;
+            }
+            // Accumulator 2·t + j holds row tile t × filter tile j.
+            let [lo, hi] = [0, 1].map(|j| {
+                let dots = _mm512_loadu_si512(acc.0[2 * t + j][x][set].as_ptr().cast());
+                u32::from(_mm512_cmpge_epi32_mask(dots, pair.thr[j]))
+            });
+            let bits = (lo | hi << 16) ^ pair.flip;
+            let word = out.add(base + t * band.row_stride + x * ocw);
+            if high {
+                word.cast::<u32>().add(1).write(bits);
+            } else {
+                // A word's first pair writes the whole word, zero-extended:
+                // the rest of it (the press tail, past K) is zero unless the
+                // next pair writes it.
+                word.write(u64::from(bits));
             }
         }
     }
@@ -487,12 +572,15 @@ mod body {
             in(reg) std::ptr::from_ref(&cfg),
             options(nostack, readonly, preserves_flags)
         );
-        let mut acc: [Acc; 2] = [[[[0; FILTERS]; ROWS]; 4]; 2];
+        let mut acc = Acc([[[[0; FILTERS]; 2]; ROWS]; 4]);
         let s = strip.lines.as_mut_ptr();
         for start in rows.clone().step_by(band_rows) {
             let band = Band {
                 first: start - rows.start,
                 rows: band_rows.min(rows.end - start),
+                out_w: g.out_w,
+                row_stride,
+                ocw: g.k.div_ceil(64),
             };
             // The band's input rows, kh − 1 of halo included: inside the
             // map by conv_rows' window check, inside the strip by
@@ -500,61 +588,83 @@ mod body {
             let px = g.in_w * g.c_words;
             let words = input.get_unchecked(start * px..(start + band.rows + g.kh - 1) * px);
             expand_rows(words, s);
-            // The last stored position is (rows − 1, out_w − 1); its block
-            // reads at most BLOCK − 1 positions past it, plus its window:
-            // inside the expanded rows + the strip's slack, since
-            // out_w + kw − 1 ≤ in_w.
-            let blocks = ((band.rows - 1) * g.in_w + g.out_w).div_ceil(BLOCK);
             for nb in (0..k_blocks).step_by(2) {
                 let pair = Pair::new(sink, nb, k_blocks, window);
                 let b = bank.lines.as_ptr().add(nb * steps * ROWS).cast::<i8>();
                 let b_next = steps * B_STEP;
-                for pb in 0..blocks {
-                    zero_acc();
-                    // Step t reads window row t / run at column step
-                    // t % run: `run` consecutive lines a row, rows `in_row`
-                    // bytes apart; its B tiles are consecutive.
-                    let (mut ap, mut bp) = (s.add(pb * BLOCK * g.c_words).cast::<i8>(), b);
-                    let mut col = 0;
-                    load_2x2(ap, pitch, bp, b_next);
-                    for _ in 1..steps {
-                        col += 1;
-                        ap = ap.add(if col == run {
-                            in_row - (run - 1) * ROW
-                        } else {
-                            ROW
-                        });
-                        col %= run;
-                        bp = bp.add(B_STEP);
-                        mul_load_2x2(ap, pitch, bp, b_next);
+                // Step 0 of the block at output columns x0.. of band rows
+                // y and y + 1. A missing row y + 1 re-reads row y. The last
+                // column tile of the band's last row reads at most 15
+                // positions past the expanded rows: the slack.
+                let first = |(x0, y): (usize, usize)| Step {
+                    a: s.add((y * g.in_w + x0) * g.c_words).cast::<i8>(),
+                    a_next: if y + 1 < band.rows { in_row } else { 0 },
+                    b,
+                    col: 0,
+                };
+                // Column strips of 16 outer, row pairs inner: consecutive
+                // blocks share kh − 1 of their kh + 1 input rows.
+                let mut walk = (0..g.out_w)
+                    .step_by(ROWS)
+                    .flat_map(|x0| (0..band.rows).step_by(2).map(move |y| (x0, y)));
+                let Some(mut at) = walk.next() else { continue };
+                zero_acc();
+                load_2x2(first(at), pitch, b_next);
+                // The two blocks behind this one: `stored`, whose
+                // accumulators this block's first step stores to set
+                // `parity`, and `done`, stored to the other set one block
+                // earlier. Done's epilogue runs in slices of `per`
+                // positions, one after each of this block's later steps, so
+                // its loads trickle in between the tile loads: as one burst
+                // of 32 positions they delay the tile loads behind them and
+                // the matrix unit waits.
+                let (mut stored, mut done) = (None, None);
+                let per = BLOCK.div_ceil(steps.saturating_sub(2).max(1));
+                let mut parity = 0;
+                loop {
+                    let next = walk.next();
+                    // What this block's last step loads: the next block's
+                    // first tiles, or (after the last block) its own again.
+                    let after = first(next.unwrap_or(at));
+                    // What the first step loads: the second step's tiles,
+                    // or `after` for a one-step window.
+                    let mut step = if steps > 1 {
+                        first(at).next(run, in_row)
+                    } else {
+                        after
+                    };
+                    if stored.is_some() {
+                        store_mul_load_2x2(&mut acc, parity, step, pitch, b_next);
+                        parity ^= 1;
+                    } else {
+                        mul_load_2x2(step, pitch, b_next);
                     }
-                    mul_2x2();
-                    // The previous block's epilogue, behind this block's
-                    // tile loop; then this block's accumulators.
-                    if pb > 0 {
-                        let prev = pb - 1;
-                        epilogue(
-                            &acc[prev % 2],
-                            prev * BLOCK,
-                            &pair,
-                            &band,
-                            g,
-                            row_stride,
-                            sink,
-                        );
+                    let mut pos = 0;
+                    for _ in 2..steps {
+                        step = step.next(run, in_row);
+                        mul_load_2x2(step, pitch, b_next);
+                        if let Some(d) = done.filter(|_| pos < BLOCK) {
+                            epilogue(&acc, parity, d, pos..pos + per, &pair, &band, sink);
+                        }
+                        pos += per;
                     }
-                    store_acc(&mut acc[pb % 2]);
+                    if steps > 1 {
+                        mul_load_2x2(after, pitch, b_next);
+                    }
+                    if let Some(d) = done.filter(|_| pos < BLOCK) {
+                        epilogue(&acc, parity, d, pos..BLOCK, &pair, &band, sink);
+                    }
+                    (done, stored) = (stored, Some(at));
+                    match next {
+                        Some(n) => at = n,
+                        None => break,
+                    }
                 }
-                let last = blocks - 1;
-                epilogue(
-                    &acc[last % 2],
-                    last * BLOCK,
-                    &pair,
-                    &band,
-                    g,
-                    row_stride,
-                    sink,
-                );
+                store_acc(&mut acc, parity);
+                if let Some(d) = done {
+                    epilogue(&acc, parity ^ 1, d, 0..BLOCK, &pair, &band, sink);
+                }
+                epilogue(&acc, parity, at, 0..BLOCK, &pair, &band, sink);
             }
         }
         asm!("tilerelease", options(nostack, nomem, preserves_flags));
@@ -563,3 +673,56 @@ mod body {
 
 #[cfg(target_arch = "x86_64")]
 use body::expand_bank;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(map side, c_words, K)` of every 3×3 conv of VGG-16 and
+    /// `tiered_cnn`, the input padded by one on each side; a channel-pressed
+    /// first conv takes one word a pixel.
+    const CONVS: [(usize, usize, usize); 12] = [
+        (224, 1, 64),
+        (112, 1, 128),
+        (112, 2, 128),
+        (56, 2, 256),
+        (56, 4, 256),
+        (28, 4, 512),
+        (28, 8, 512),
+        (14, 8, 512),
+        (32, 1, 64),
+        (16, 1, 128),
+        (8, 2, 256),
+        (4, 4, 512),
+    ];
+
+    #[test]
+    fn every_band_reads_inside_its_strip() {
+        for (hw, c_words, k) in CONVS {
+            let g = ConvGeom {
+                c_words,
+                in_w: hw + 2,
+                kh: 3,
+                kw: 3,
+                stride: 1,
+                out_w: hw,
+                k,
+            };
+            let in_h = hw + 2;
+            // Strips sized for bands of 1..=5 rows, and for the whole map.
+            for strip_rows in (1..=5).map(|rows| rows + g.kh - 1).chain([in_h]) {
+                let bytes = AmxStrip::bytes_for(&g, strip_rows);
+                assert_eq!(AmxStrip::new(bytes).bytes(), bytes, "{g:?}");
+                let most = band_rows(&g, bytes);
+                assert!(most >= 1, "{g:?}: strip {strip_rows} holds no band");
+                for rows in 1..=most.min(in_h - g.kh + 1) {
+                    assert!(
+                        reach(&g, rows) <= bytes,
+                        "{g:?}: a band of {rows} rows reads {} bytes of a {bytes}-byte strip",
+                        reach(&g, rows)
+                    );
+                }
+            }
+        }
+    }
+}

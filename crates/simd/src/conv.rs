@@ -885,30 +885,43 @@ mod tests {
             }
         }
         // The AMX body's geometries: C ∈ {64, 128, 256, 512}, whole and
-        // odd 16-filter blocks, position blocks that end mid-row and
-        // mid-tile, against the same reference and the Zmm body.
+        // odd 16-filter pairs (K = 16, 48), rows of one or several 16-column
+        // tiles that end on a tile (16, 32) and off it (8, 9, 14, 17, 28,
+        // 56), an odd last row pair (out_h 1 or 3), and one- and two-step
+        // windows (1×1 over C = 64, 128), against the same reference and
+        // the Zmm body.
         amx_host("every_level_matches_the_integer_reference");
-        for c_words in [1usize, 2, 4, 8] {
-            for k in [16usize, 48, 64, 128] {
-                for out_w in [8usize, 9, 14, 17, 28] {
-                    case += 1;
-                    let g = ConvGeom {
-                        c_words,
-                        in_w: out_w + 2 + case % 2,
-                        kh: 3,
-                        kw: 3,
-                        stride: 1,
-                        out_w,
-                        k,
-                    };
-                    assert_eq!(
-                        amx_can_run(SimdLevel::Avx512, &g),
-                        crate::detect::features().amx_int8,
-                        "{g:?}"
-                    );
-                    check_geometry(&mut rng, &g, 1 + case % 3);
-                }
-            }
+        let three_by_three = [1usize, 2, 4, 8].into_iter().flat_map(|c_words| {
+            [16usize, 48, 64, 128].into_iter().flat_map(move |k| {
+                [8usize, 9, 14, 16, 17, 28, 32, 56]
+                    .into_iter()
+                    .map(move |out_w| (c_words, 3, k, out_w))
+            })
+        });
+        let one_by_one = [1usize, 2].into_iter().flat_map(|c_words| {
+            [16usize, 48].into_iter().flat_map(move |k| {
+                [9usize, 16]
+                    .into_iter()
+                    .map(move |out_w| (c_words, 1, k, out_w))
+            })
+        });
+        for (c_words, kh, k, out_w) in three_by_three.chain(one_by_one) {
+            case += 1;
+            let g = ConvGeom {
+                c_words,
+                in_w: out_w + kh - 1 + case % 2,
+                kh,
+                kw: kh,
+                stride: 1,
+                out_w,
+                k,
+            };
+            assert_eq!(
+                amx_can_run(SimdLevel::Avx512, &g),
+                crate::detect::features().amx_int8,
+                "{g:?}"
+            );
+            check_geometry(&mut rng, &g, 1 + case % 3);
         }
     }
 

@@ -10,6 +10,10 @@
 //! cargo run --release --example operator_explorer            # conv4.1 geometry
 //! cargo run --release --example operator_explorer -- 56 128 256  # H C K
 //! ```
+//!
+//! Each row prints the best of five calls in ms and as TMAC/s (one
+//! multiply-accumulate per output pixel, filter and window bit), so a
+//! per-layer table is one run per geometry.
 
 use bitflow::ops::binary::{amx_operands, conv_geometry};
 use bitflow::prelude::*;
@@ -78,7 +82,13 @@ fn main() {
     let mut reference = BitTensor::zeros(h + 2, h + 2, k);
     run(SimdLevel::Unvectorized, None, &mut reference);
 
-    println!("\n{:<14} {:>12} {:>10}", "kernel", "time", "vs unvec");
+    // Multiply-accumulates of the conv: one per output pixel, filter and
+    // window bit.
+    let macs = (h * h * k * 9 * c) as f64;
+    println!(
+        "\n{:<14} {:>12} {:>8} {:>10}",
+        "kernel", "time", "TMAC/s", "vs unvec"
+    );
     let mut unvec_time = 0.0;
     let mut check = |name: String, t: f64, out: &BitTensor, scheduled: bool| {
         assert_eq!(out.words(), reference.words(), "{name} disagrees");
@@ -87,8 +97,9 @@ fn main() {
         }
         let marker = if scheduled { "  <- scheduled" } else { "" };
         println!(
-            "{name:<14} {:>10.2}ms {:>9.2}x{marker}",
+            "{name:<14} {:>10.3}ms {:>8.2} {:>9.2}x{marker}",
             t * 1e3,
+            macs / t / 1e12,
             unvec_time / t
         );
     };

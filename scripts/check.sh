@@ -27,7 +27,8 @@
 #   scripts/check.sh --perf   # additionally run the repo benchmark's
 #                             # four workloads on the working tree against
 #                             # HEAD: scripts/pairs.sh HEAD --pairs 3
-#                             # --seconds 5, which fails if --compare calls
+#                             # --traced 1 --seconds 5 (one traced run a
+#                             # side), which fails if --compare calls
 #                             # any row `regressed`. Off by default: it
 #                             # compares wall-clock medians, so CI machines
 #                             # with unstable clocks should opt in
@@ -130,7 +131,7 @@ fi
 
 if [[ $perf -eq 1 ]]; then
     echo "==> benchmark pairs: the working tree against HEAD (scripts/pairs.sh)"
-    scripts/pairs.sh HEAD --pairs 3 --seconds 5
+    scripts/pairs.sh HEAD --pairs 3 --traced 1 --seconds 5
 fi
 
 if [[ $sanitize -eq 1 ]]; then

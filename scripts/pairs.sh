@@ -1,19 +1,28 @@
 #!/usr/bin/env bash
 # Parent-vs-change pairs of the repo benchmark, written up as one BENCH file.
 #
-#   scripts/pairs.sh <parent-rev> [--pairs N] [--seconds S] [--pr N] [--claim workload.metric]
+#   scripts/pairs.sh <parent-rev> [--pairs N] [--traced N] [--seconds S] [--pr N] [--claim workload.metric]
 #
 # Builds the benchmark twice, each into its own target directory under
 # .bench_build/: from <parent-rev> (checked out in a temporary clone that is
 # removed on exit) and from the working tree, uncommitted changes included.
 # Then, per workload, N alternated pairs at seeds 1..N (the parent runs first
-# on odd pairs, the change on even ones), each run saved with --save, and one
-# --trace 1 run of vgg16_latency a side for the per-layer rows. Run length is
-# --seconds, or the benchmark's own default. Each row's verdict is the change
-# binary's own `--compare parent.jsonl change.jsonl`, so the bounds are
-# applied in one place. With --claim, the named row is also judged as a
-# gain: better in at least nine tenths of the pairs, and the medians further
-# apart, in the better direction, than the parent's interquartile range.
+# on odd pairs, the change on even ones), each run saved with --save. Then
+# --traced N (default 3) --trace 1 runs of vgg16_latency a side, alternated
+# the same way, at seeds 1..N, for the per-layer ledger. Run length is
+# --seconds, or the benchmark's own default. Each workload row's verdict is
+# the change binary's own `--compare parent.jsonl change.jsonl`, so the
+# bounds are applied in one place. With --claim, the named row is also
+# judged as a gain: better in at least nine tenths of the pairs, and the
+# medians further apart, in the better direction, than the parent's
+# interquartile range.
+#
+# Each ledger row gets each side's median and exclusive-quartile spread
+# over the traced runs, the ratio of the medians, and a verdict: `moved`
+# when the medians are further apart than both sides' spreads, otherwise
+# `unresolved` -- always `unresolved` with fewer than three traced runs a
+# side, whose spread says nothing. The table is printed and kept in
+# .bench_build/pairs/ledger.txt.
 #
 # Writes BENCH_<pr>.json at the repo root with --pr, otherwise
 # .bench_build/pairs/bench.json; the saved runs, logs and the --compare table
@@ -24,13 +33,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/pairs.sh <parent-rev> [--pairs N] [--seconds S] [--pr N] [--claim workload.metric]" >&2
+    echo "usage: scripts/pairs.sh <parent-rev> [--pairs N] [--traced N] [--seconds S] [--pr N] [--claim workload.metric]" >&2
     exit 2
 }
 [[ $# -ge 1 && $1 != -* ]] || usage
 parent_rev=$1
 shift
 pairs=10
+traced=3
 seconds=
 pr=
 claim=
@@ -38,6 +48,7 @@ while [[ $# -gt 0 ]]; do
     [[ $# -ge 2 ]] || usage
     case $1 in
         --pairs) pairs=$2 ;;
+        --traced) traced=$2 ;;
         --seconds) seconds=$2 ;;
         --pr) pr=$2 ;;
         --claim) claim=$2 ;;
@@ -46,6 +57,7 @@ while [[ $# -gt 0 ]]; do
     shift 2
 done
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || { echo "--pairs needs a positive whole number" >&2; exit 2; }
+[[ $traced =~ ^[1-9][0-9]*$ ]] || { echo "--traced needs a positive whole number" >&2; exit 2; }
 [[ -z $pr || $pr =~ ^[0-9]+$ ]] || { echo "--pr needs a whole number" >&2; exit 2; }
 [[ -z $claim || $claim =~ ^[a-z0-9_]+\.[a-z0-9_]+$ ]] || { echo "--claim needs workload.metric" >&2; exit 2; }
 command -v jq >/dev/null || { echo "scripts/pairs.sh needs jq" >&2; exit 2; }
@@ -104,15 +116,21 @@ first_sides=()
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then first_sides+=(parent); else first_sides+=(change); fi
 done
+# alternate <workload> <count> <trace>: <count> pairs at seeds 1..<count>,
+# the parent first on odd ones.
+alternate() {
+    local i side order
+    for ((i = 1; i <= $2; i++)); do
+        if ((i % 2)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do run "$side" "$1" "$i" "$3"; done
+    done
+}
 for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
     echo "==> $workload: $pairs pairs" >&2
-    for ((i = 1; i <= pairs; i++)); do
-        if [[ ${first_sides[i - 1]} == parent ]]; then order="parent change"; else order="change parent"; fi
-        for side in $order; do run "$side" "$workload" "$i" 0; done
-    done
+    alternate "$workload" "$pairs" 0
 done
-echo "==> one traced run a side" >&2
-for side in parent change; do run "$side" vgg16_latency 1 1; done
+echo "==> vgg16_latency: $traced traced runs a side" >&2
+alternate vgg16_latency "$traced" 1
 
 echo "==> --compare parent.jsonl change.jsonl (the change's binary)" >&2
 compare_status=0
@@ -154,7 +172,27 @@ def quartile($k): sort | length as $n | ([[$k * ($n + 1) / 4, 1] | max, $n] | mi
     | if $lo >= $n then .[$n - 1] else .[$lo - 1] + ($pos - $lo) * (.[$lo] - .[$lo - 1]) end;
 def iqr: if length < 2 then 0 else quartile(3) - quartile(1) end;
 def untraced($runs; $w): [$runs[] | select((.trace | not) and .workload == $w)] | sort_by(.seed);
-def traced_rows($runs): [$runs[] | select(.trace)][0].metrics // {} | map_values(.value);
+def traced_runs($runs): [$runs[] | select(.trace)] | sort_by(.seed);
+def abs: if . < 0 then -. else . end;
+# One ledger row: each side's median and spread over the traced runs, and
+# `moved` only when the medians are further apart than both spreads.
+def ledger_row($name):
+    [traced_runs($parent_runs)[] | .metrics[$name].value | numbers] as $p
+    | [traced_runs($change_runs)[] | .metrics[$name].value | numbers] as $c
+    | ($p | median) as $mp | ($c | median) as $mc
+    | ($p | iqr) as $sp | ($c | iqr) as $sc
+    | ([$contract[0].per_layer[] | select(.name == $name) | .better][0]) as $better
+    | (if ([$p, $c | length] | min) >= 3 and (($mc - $mp) | abs) > ([$sp, $sc] | max)
+       then "moved" else "unresolved" end) as $verdict
+    | {parent: $mp, change: $mc, parent_spread: $sp, change_spread: $sc,
+       ratio_change_over_parent: (if $mp == null or $mc == null or $mp == 0 then null else $mc / $mp end),
+       verdict: $verdict, better: $better,
+       change_better: (if $verdict != "moved" or $better == null then null
+                       elif $better == "lower" then $mc < $mp else $mc > $mp end),
+       parent_runs: $p, change_runs: $c};
+def ledger:
+    [traced_runs($parent_runs)[], traced_runs($change_runs)[] | .metrics | keys[]] | unique
+    | map({key: ., value: ledger_row(.)}) | from_entries;
 # +1 where lower is better, -1 where higher is.
 def sign($metric): if ([$contract[0].end_to_end[] | select(.name == $metric)][0].better == "lower") then 1 else -1 end;
 def row($w; $metric):
@@ -202,7 +240,7 @@ def claim_result($workloads):
     pr: (if $pr == "" then null else ($pr | tonumber) end),
     parent: $parent,
     change: $change,
-    method: "\($pairs) alternated parent/change pairs per workload (seeds 1-\($pairs), \(if $seconds == "" then "the default run length of the benchmark" else "--seconds \($seconds)" end); the parent first on odd pairs and the change first on even ones, see first_side_by_pair), each side built once with cargo build --release --offline into its own target directory (parent: a clone at \($parent); change: the \($change)). Every run saved with --save and its result line kept (workloads.*.runs); medians, exclusive-quartile IQRs (the spread of benchmark/src/stats.rs) and every run recorded; row verdicts from --compare parent.jsonl change.jsonl of the change binary. Then one --trace 1 run of vgg16_latency a side, seed 1 (traced). Written by scripts/pairs.sh.",
+    method: "\($pairs) alternated parent/change pairs per workload (seeds 1-\($pairs), \(if $seconds == "" then "the default run length of the benchmark" else "--seconds \($seconds)" end); the parent first on odd pairs and the change first on even ones, see first_side_by_pair), each side built once with cargo build --release --offline into its own target directory (parent: a clone at \($parent); change: the \($change)). Every run saved with --save and its result line kept (workloads.*.runs); medians, exclusive-quartile IQRs (the spread of benchmark/src/stats.rs) and every run recorded; row verdicts from --compare parent.jsonl change.jsonl of the change binary. Then \($traced) alternated --trace 1 runs of vgg16_latency a side, seeds 1-\($traced) (traced). Written by scripts/pairs.sh.",
     claim: (if $claim == "" then null else $claim end),
     host: $host,
     loc: {tool: "scripts/loc.sh of each tree: tracked *.rs lines, crates/*/src + src (src) apart from tests/benches/examples (other); vendor/ and benchmark/ not counted",
@@ -212,10 +250,11 @@ def claim_result($workloads):
               | map({key: ., value: {parent: $loc_parent[.]?, change: $loc_change[.]?}}) | from_entries)},
     first_side_by_pair: $first_sides,
     workloads: $workloads,
-    traced: {note: "one --trace 1 run of vgg16_latency per side, seed 1, after the pairs; the ledger runs the layers of every workload",
-             correct: {parent: ([$results[] | select(.trace and .side == "parent") | .correct][0]),
-                       change: ([$results[] | select(.trace and .side == "change") | .correct][0])},
-             rows: {parent: traced_rows($parent_runs), change: traced_rows($change_runs)}},
+    traced: {note: "\($traced) alternated --trace 1 runs of vgg16_latency a side, seeds 1-\($traced), after the pairs; the ledger runs the layers of every workload. Per row: each side's median and exclusive-quartile spread, the ratio of the medians, and a verdict: moved when the medians are further apart than both spreads, unresolved otherwise and always with fewer than three runs a side; change_better where BENCHMARK.json names the better direction",
+             runs: $traced,
+             correct: {parent: [$results[] | select(.trace and .side == "parent") | .correct],
+                       change: [$results[] | select(.trace and .side == "change") | .correct]},
+             rows: ledger},
     claim_result: claim_result($workloads)
   }
 JQ
@@ -233,9 +272,18 @@ jq -n \
     --argjson loc_change "$(loc "$root")" \
     --argjson first_sides "$(printf '%s\n' "${first_sides[@]}" | jq -R . | jq -s .)" \
     --arg pr "$pr" --arg parent "$parent_short" --arg change "$change_desc" \
-    --arg seconds "$seconds" --arg claim "$claim" --argjson pairs "$pairs" \
+    --arg seconds "$seconds" --arg claim "$claim" --argjson pairs "$pairs" --argjson traced "$traced" \
     "$summarize" >"$report"
 echo "wrote $report" >&2
+jq -r '.traced.rows | to_entries[] | .value as $r
+    | [.key, ($r.parent, $r.change, $r.parent_spread, $r.change_spread, $r.ratio_change_over_parent | . // "-"),
+       $r.verdict + (if $r.change_better == null then "" elif $r.change_better then "(better)" else "(worse)" end)]
+    | join(" ")' "$report" |
+    awk 'function num(x, f) { return x == "-" ? x : sprintf(f, x) }
+         BEGIN { printf "%-40s %12s %12s %10s %10s %8s %s\n", "ledger row", "parent", "change", "p_spread", "c_spread", "ratio", "verdict" }
+         { printf "%-40s %12s %12s %10s %10s %8s %s\n", $1, num($2, "%.5g"), num($3, "%.5g"), num($4, "%.3g"),
+                  num($5, "%.3g"), num($6, "%.4f"), $7 }' >"$out/ledger.txt"
+grep -E '^(ledger row|graph\.(op_ms\.|ops_sum_ms|parallel_speedup))| moved' "$out/ledger.txt" >&2 || true
 jq -r '.claim_result | "regressed: \(.regressed | if . == [] then "none" else join(", ") end); unresolved: \(.unresolved | if . == [] then "none" else join(", ") end)"
     + (if .claimed then "; claim \(.summary): \(if .gain then "gain" else "not met" end)" else "" end)' "$report" >&2
 exit $((compare_status == 1))
