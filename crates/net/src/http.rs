@@ -4,8 +4,8 @@
 //! bounded header block, `content-length`-framed bodies. Anything else —
 //! chunked transfer coding, obsolete line folding, a missing version —
 //! is refused with a typed error the caller turns into a 4xx/5xx. The
-//! socket handling (deadlines, chaos, byte accounting) lives in
-//! [`crate::server`]; this module is pure bytes-in, values-out and is
+//! connection's state (deadlines, framing, byte accounting) lives in
+//! [`crate::conn`]; this module is pure bytes-in, values-out and is
 //! unit-tested as such.
 
 use std::fmt;
@@ -60,6 +60,16 @@ fn header_lines(block: &str) -> impl Iterator<Item = &str> {
     block.split("\r\n").take_while(|line| !line.is_empty())
 }
 
+/// `v` as a number when it is one run of ASCII digits (RFC 9110's
+/// `1*DIGIT`) that fits: no sign, no space, no second value.
+#[must_use]
+pub fn digits<T: std::str::FromStr>(v: &str) -> Option<T> {
+    if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    v.parse().ok()
+}
+
 impl<'a> Head<'a> {
     /// The first value of header `name` (ASCII case-insensitive),
     /// trimmed.
@@ -71,19 +81,26 @@ impl<'a> Head<'a> {
             .map(|(_, v)| v.trim())
     }
 
-    /// The declared body length. `Ok(None)` when absent; an unparseable
-    /// value or a rejected transfer coding is an error, never a guess.
+    /// The declared body length. `Ok(None)` when absent. A transfer
+    /// coding, a value that is not one run of digits, or a second
+    /// `content-length` is an error, never a guess: a proxy that framed
+    /// the message differently would smuggle a request past this one
+    /// (RFC 9112 §6.3).
     pub fn content_length(&self) -> Result<Option<usize>, ParseError> {
         if self.header("transfer-encoding").is_some() {
             return Err(ParseError::UnsupportedTransferEncoding);
         }
-        match self.header("content-length") {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| ParseError::Malformed("content-length not a number")),
+        let named = |line: &&str| {
+            line.split_once(':')
+                .is_some_and(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+        };
+        if header_lines(self.headers).filter(named).count() > 1 {
+            return Err(ParseError::Malformed("repeated content-length"));
         }
+        let not_digits = ParseError::Malformed("content-length not a number");
+        self.header("content-length")
+            .map(|v| digits(v).ok_or(not_digits))
+            .transpose()
     }
 
     /// Whether the connection should be kept open after the response:
@@ -180,6 +197,7 @@ pub fn reason(status: u16) -> &'static str {
         501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
+        507 => "Insufficient Storage",
         _ => "Unknown",
     }
 }
@@ -225,8 +243,7 @@ impl fmt::Display for HeaderValue {
 }
 
 /// One response, rendered to bytes in a single buffer so the socket
-/// writer deals in whole responses (and truncation is the *chaos*
-/// injection's job, never an accident of buffering).
+/// writer deals in whole responses.
 #[derive(Clone, Debug)]
 pub struct Response {
     status: u16,
@@ -371,6 +388,21 @@ mod tests {
         assert!(head.content_length().is_err());
         let head = parse_head(b"POST /x HTTP/1.1\r\nContent-Length: lots\r\n\r\n").unwrap();
         assert!(head.content_length().is_err());
+        // A sign, a list, or a second length is a framing error: each is a
+        // request-smuggling vector against a proxy that reads it otherwise.
+        for bad in [
+            "+5",
+            "5, 5",
+            "5\r\ncontent-length: 999999999",
+            "5\r\nContent-Length: 5",
+        ] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
+            let head = parse_head(raw.as_bytes()).unwrap();
+            assert!(head.content_length().is_err(), "framed {raw:?}");
+        }
+        assert_eq!(digits::<u64>("+5"), None);
+        assert_eq!(digits::<u64>("18446744073709551616"), None);
+        assert_eq!(digits::<u64>("007"), Some(7));
     }
 
     #[test]

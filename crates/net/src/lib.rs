@@ -48,18 +48,17 @@
 //!
 //! Every connection gets a slowloris header deadline, a bounded header
 //! block, a length-checked bounded body, read/write deadlines, and
-//! partial-write-safe responses; the accept loop sheds connections past
-//! the cap with an immediate `503`. Shutdown is a graceful drain: stop
-//! accepting, finish requests already on a connection, then close. All
-//! of it is observable through the `net_*` counters on the default
-//! tenant's [`bitflow_telemetry::ServeGauges`], and all of it is
-//! chaos-injectable (connection kills, stalled reads, truncated writes)
-//! from the same seeded [`bitflow_serve::ChaosConfig`] streams as the
-//! serving runtime.
+//! partial-write-safe responses, all decided by the clock-free
+//! [`conn::Conn`]; the accept loop sheds connections past the cap with an
+//! immediate `503`. Shutdown is a graceful drain: stop accepting, finish
+//! requests already on a connection, then close. All of it is observable
+//! through the `net_*` counters on the default tenant's
+//! [`bitflow_telemetry::ServeGauges`].
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod conn;
 pub mod http;
 pub mod server;
 pub mod status;

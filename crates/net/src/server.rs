@@ -1,28 +1,13 @@
-//! The listener: accept loop, per-connection threads, hostile-client
-//! hardening, and graceful drain.
+//! The listener: accept loop, per-connection threads and graceful drain.
 //!
 //! One OS thread per connection, bounded by [`NetConfig::max_conns`] —
 //! past the cap the accept loop sheds with an immediate `503` and never
-//! blocks. That thread does a request's whole work where it can: the
-//! request is read into, parsed in and decoded from one per-connection
-//! buffer, served through [`bitflow_serve::ModelClient::call`] (on this
-//! thread, when a worker is parked), and answered from a reused render
-//! buffer — on a healthy keep-alive connection one `read` and one `write`
-//! per request, the socket timeouts having been set once. Every socket interaction is deadline-bounded: the request head
-//! must complete within `header_timeout` however slowly it drips in
-//! (slowloris), bodies are length-checked before a byte is read and
-//! bounded by `read_timeout`, responses by `write_timeout`. Reads poll in
-//! short slices so an idle keep-alive connection notices a drain within
-//! ~100 ms instead of holding shutdown hostage.
-//!
-//! Chaos: when the serving runtime carries a seeded
-//! [`bitflow_serve::ChaosConfig`], the listener injects from the same
-//! deterministic streams — connection kills at accept, read stalls that
-//! burn poll slices, truncated writes that close mid-response. The
-//! `net_*` counters ([`bitflow_telemetry::ServeGauges`]) account for all
-//! of it: `malformed_requests` counts every request refused at the HTTP
-//! layer (bad grammar, bad framing, oversized head or body), the
-//! timeout/byte counters track the socket work itself.
+//! blocks. That thread is a syscall loop around the connection's
+//! [`Conn`], which decides what the wire needs, and the one handler that
+//! answers what it hands over: routing, `/healthz`, `/metrics`, the debug
+//! routes and inference through [`bitflow_serve::ModelClient::call`] (on
+//! this thread, when a worker is parked). A healthy keep-alive request
+//! costs one `read` and one `write`, the socket timeouts set once.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -32,17 +17,19 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bitflow_graph::{BitFlowError, CancelToken, RejectReason};
-use bitflow_serve::{ChaosConfig, DegradationState, MemoryLease, ModelClient, Server, Submission};
+use bitflow_serve::{DegradationState, MemoryLease, ModelClient, Server, Submission};
 use bitflow_telemetry::{
     to_chrome_trace, to_prometheus, FlightRecorder, MetricsSnapshot, ServeGauges, Stage,
     TraceBuilder,
 };
 
 use crate::config::NetConfig;
-use crate::http::{self, ParseError, Response};
+use crate::conn::{Action, Conn, Io};
+use crate::http::{self, Response};
 use crate::status::{error_status, reject_status, reject_wants_retry_after};
 
-/// How often blocked socket reads/waits re-check the shutdown flag.
+/// The longest a socket read or write blocks before the connection's
+/// deadlines and the shutdown flag are looked at again.
 const POLL_SLICE: Duration = Duration::from_millis(100);
 
 /// Accept-error backoff bounds: the first failure sleeps the minimum,
@@ -71,7 +58,6 @@ pub struct NetServer {
 struct NetShared {
     config: NetConfig,
     server: Arc<Server>,
-    chaos: Option<ChaosConfig>,
     shutdown: AtomicBool,
     open_conns: AtomicUsize,
     conn_ids: AtomicU64,
@@ -80,15 +66,6 @@ struct NetShared {
     /// Finished traces for every request on this listener are offered
     /// here; the debug routes read it back.
     recorder: Option<Arc<FlightRecorder>>,
-}
-
-impl NetShared {
-    /// Whether a per-request trace should be opened at all: either a
-    /// recorder wants finished traces, or `server-timing` needs the
-    /// stage durations.
-    fn tracing(&self) -> bool {
-        self.recorder.is_some() || self.config.server_timing
-    }
 }
 
 /// Decrements the open-connection count when a handler thread exits —
@@ -102,23 +79,18 @@ impl Drop for ConnGuard {
 }
 
 impl NetServer {
-    /// Binds `config.addr` and starts serving `server` over HTTP.
-    ///
-    /// Chaos and the `net_*` counters both ride on the serving runtime:
-    /// injection streams come from the server's [`ChaosConfig`] (if any),
-    /// counters land on the default tenant's gauges so they surface in
-    /// `/metrics` and in [`bitflow_serve::Server::metrics`].
+    /// Binds `config.addr` and starts serving `server` over HTTP. The
+    /// `net_*` counters land on the default tenant's gauges, so they
+    /// surface in `/metrics` and in [`bitflow_serve::Server::metrics`].
     pub fn bind(server: Arc<Server>, config: NetConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let gauges = server.gauges();
-        let chaos = server.chaos().cloned();
         let recorder = server.recorder();
         let shared = Arc::new(NetShared {
             config,
             server,
-            chaos,
             shutdown: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             conn_ids: AtomicU64::new(0),
@@ -199,15 +171,6 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
             Ok((stream, _peer)) => {
                 backoff = ACCEPT_BACKOFF_MIN;
                 let conn = shared.conn_ids.fetch_add(1, Ordering::Relaxed);
-                if let Some(chaos) = &shared.chaos {
-                    if chaos.conn_kill_hit(conn) {
-                        // Injected abrupt disconnect: accepted, then gone
-                        // before a single byte moves either way.
-                        shared.gauges.net_accepted_conns.inc();
-                        drop(stream);
-                        continue;
-                    }
-                }
                 if shared.open_conns.load(Ordering::Acquire) >= shared.config.max_conns {
                     shared.gauges.net_rejected_conns.inc();
                     shed(shared, stream);
@@ -216,10 +179,8 @@ fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener) {
                 shared.gauges.net_accepted_conns.inc();
                 shared.open_conns.fetch_add(1, Ordering::AcqRel);
                 let conn_shared = Arc::clone(shared);
-                // The stream rides in a take-able cell so a failed spawn
-                // can recover it: the closure owns the cell, but until
-                // the thread actually runs the stream is still reachable
-                // from this side.
+                // The stream rides in a take-able cell so that a failed
+                // spawn can recover it and answer.
                 let cell = Arc::new(Mutex::new(Some(stream)));
                 let thread_cell = Arc::clone(&cell);
                 let spawned = thread::Builder::new()
@@ -278,369 +239,162 @@ fn shed(shared: &NetShared, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-enum HeadOutcome {
-    /// Head complete; value is one past the terminating blank line.
-    Complete(usize),
-    /// Close silently (peer gone, idle expiry, or drain).
-    Close,
-    /// Respond with this status, then close.
-    Fail(u16),
-}
-
-enum ReadOutcome {
-    Data,
-    Nothing,
-    Closed,
-}
-
-enum RouteOutcome {
-    /// Respond; connection may stay open per keep-alive rules.
-    Respond(Response),
-    /// Respond, then close (unread body bytes may still be in flight).
-    RespondClose(Response),
-    /// Close without responding.
-    Close,
-}
-
-/// What a request's head decided. The head borrows the connection's
-/// input buffer, and reading a body may grow — move — that buffer, so
-/// everything the head has to say is said into this before a body byte is
-/// read.
+/// What a request's head decided, said before a body byte is read: the
+/// head borrows the input buffer, which reading the body may move.
 enum Route<'s> {
     /// Answered from the head alone.
-    Done(RouteOutcome),
+    Done(Response),
     /// An inference whose body is still (partly) on the wire.
     Infer(InferPlan<'s>),
 }
 
-/// An inference request past every check its head allows.
+/// An inference request past every check its head allows: the declared
+/// body's charge against the tenant's byte budget (held to the end of the
+/// request), the `x-bitflow-deadline-ms` budget (`None` when it is not a
+/// whole number of milliseconds), and the tenant (`None`: no such tenant).
 struct InferPlan<'s> {
-    content_length: usize,
-    /// The declared body's charge against the tenant's byte budget,
-    /// taken before the body is read and held to the end of the request.
     body_lease: Option<MemoryLease>,
-    /// The `x-bitflow-deadline-ms` budget; `Err` when the header is there
-    /// but is not a whole number of milliseconds.
-    deadline: Result<Option<Duration>, ()>,
-    /// `None`: no such tenant.
+    deadline: Option<Option<Duration>>,
     client: Option<ModelClient<'s>>,
 }
 
-/// The socket side of one connection, kept across its keep-alive
-/// requests.
-struct Conn {
-    stream: TcpStream,
-    id: u64,
-    /// Input. `buf[..filled]` is read and not yet consumed: the current
-    /// request from byte 0, then whatever the client pipelined behind it.
-    /// The rest is room to read into, zeroed when the buffer grows and
-    /// never again, so a request is read where it will be parsed and
-    /// decoded — no bounce buffer, no per-request fill.
-    buf: Vec<u8>,
-    filled: usize,
-    /// Reads issued so far (the index of the read-stall chaos stream).
-    read_no: u64,
-    /// `SO_RCVTIMEO` as last set: a read sets it only when it changes,
-    /// which on a healthy connection is once ([`POLL_SLICE`]).
-    read_timeout: Option<Duration>,
-    /// Whether `SO_SNDTIMEO` has been set (it is always [`POLL_SLICE`]).
-    write_timeout_set: bool,
-}
-
-impl Conn {
-    /// Room for the largest head plus the byte that proves one too
-    /// large: a request that fits in it — head *and* body — is one read.
-    fn new(stream: TcpStream, id: u64) -> Self {
-        Self {
-            stream,
-            id,
-            buf: vec![0; http::MAX_HEAD_BYTES + 1],
-            filled: 0,
-            read_no: 0,
-            read_timeout: None,
-            write_timeout_set: false,
-        }
-    }
-
-    /// Grows the buffer to hold `total` bytes. Fallible: a hostile
-    /// content-length that slipped past the byte bound (or genuine
-    /// exhaustion) is a `false` here — a 507 — never an abort.
-    fn make_room(&mut self, total: usize) -> bool {
-        let more = total.saturating_sub(self.buf.len());
-        if self.buf.try_reserve_exact(more).is_err() {
-            return false;
-        }
-        self.buf.resize(self.buf.len() + more, 0);
-        true
-    }
-
-    /// Drops the first `n` input bytes (a finished request), moving what
-    /// the client pipelined behind them — usually nothing — to the front.
-    fn consume(&mut self, n: usize) {
-        self.buf.copy_within(n..self.filled, 0);
-        self.filled -= n;
-    }
-}
-
-/// Writes the wire id of request `req_no` into `out`. A client-supplied
-/// `x-bitflow-request-id` is honored when it is 1..=64 bytes of
-/// `[A-Za-z0-9._-]`; anything else (or no header, or no parsed head at
-/// all) is replaced with a generated `c{conn}-r{req}` id. The
-/// charset/length bound keeps hostile ids out of response headers and the
-/// flight recorder.
-fn set_wire_id(out: &mut String, head: Option<&http::Head<'_>>, conn: u64, req_no: u64) {
-    use std::fmt::Write;
-    out.clear();
-    let supplied = head
-        .and_then(|h| h.header("x-bitflow-request-id"))
-        .filter(|v| {
-            (1..=64).contains(&v.len())
-                && v.bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
-        });
-    match supplied {
-        Some(id) => out.push_str(id),
-        None => {
-            // Writing into a `String` cannot fail.
-            let _ = write!(out, "c{conn}-r{req_no}");
-        }
-    }
-}
-
-/// What one connection thread reuses across its requests besides the
-/// socket: the wire id of the request in hand and the rendered response.
-#[derive(Default)]
-struct Scratch {
-    wire_id: String,
-    out: Vec<u8>,
-}
-
-/// Answers a request refused before (or while) parsing its head — the
-/// caller closes the connection after it — and records a trace for it, so
-/// HTTP-layer failures are visible in the flight recorder too.
-fn refuse(
-    shared: &NetShared,
-    conn: &mut Conn,
-    scratch: &mut Scratch,
-    req_no: u64,
-    from: Instant,
-    resp: &Response,
-) {
-    set_wire_id(&mut scratch.wire_id, None, conn.id, req_no);
-    let _ = write_response(shared, conn, scratch, req_no, resp, false);
-    if let Some(rec) = &shared.recorder {
-        let tb = TraceBuilder::with_origin(scratch.wire_id.clone(), from);
-        tb.stage(Stage::Parse, from, Instant::now());
-        tb.set_outcome(&format!("http:{}", resp.status()));
-        rec.offer(tb.finish());
-    }
-}
-
-fn handle_conn(shared: &Arc<NetShared>, stream: TcpStream, id: u64) {
+/// The connection thread: a syscall loop around [`Conn`], which makes
+/// every decision, and the one handler it hands heads and requests to.
+fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, id: u64) {
     let accepted_at = Instant::now();
-    let mut conn = Conn::new(stream, id);
-    let mut scratch = Scratch::default();
-    let mut req_no: u64 = 0;
+    let mut conn = Conn::new(id, &shared.config, Arc::clone(&shared.gauges));
+    // `SO_RCVTIMEO` is set when it changes (on a healthy connection once),
+    // `SO_SNDTIMEO` once; the rest is the request in hand.
+    let mut read_timeout = None;
+    let mut write_timeout_set = false;
+    let mut head_start = accepted_at;
+    let mut trace: Option<Arc<TraceBuilder>> = None;
+    let mut plan = None;
+    let mut body_start = accepted_at;
+    let mut write_start = None;
+    let mut first = true;
+    let draining = || shared.shutdown.load(Ordering::Acquire);
     loop {
-        let head_start = Instant::now();
-        let head_end = match read_head(shared, &mut conn) {
-            HeadOutcome::Complete(end) => end,
-            HeadOutcome::Close => return,
-            HeadOutcome::Fail(status) => {
-                let resp = Response::new(status).text(http::reason(status));
-                refuse(shared, &mut conn, &mut scratch, req_no, head_start, &resp);
-                return;
-            }
-        };
-        let head = match http::parse_head(&conn.buf[..head_end]) {
-            Ok(head) => head,
-            Err(e) => {
-                shared.gauges.net_malformed_requests.inc();
-                let resp = Response::new(400).text(&e.to_string());
-                refuse(shared, &mut conn, &mut scratch, req_no, head_start, &resp);
-                return;
-            }
-        };
-        set_wire_id(&mut scratch.wire_id, Some(&head), id, req_no);
-        let parsed_at = Instant::now();
-        // The trace timeline starts when the request could first have
-        // been attributed to this connection: the accept for the first
-        // request, the start of head-reading for keep-alive successors
-        // (idle time between requests belongs to no request).
-        let trace = shared.tracing().then(|| {
-            let origin = if req_no == 0 { accepted_at } else { head_start };
-            let tb = Arc::new(TraceBuilder::with_origin(scratch.wire_id.clone(), origin));
-            if req_no == 0 {
-                tb.stage(Stage::Accept, accepted_at, head_start);
-            }
-            tb.stage(Stage::Parse, head_start, parsed_at);
-            tb
-        });
-        // Draining: finish this request, but advertise (and enforce) that
-        // the connection closes after it.
-        let keep_alive = head.keep_alive() && !shared.shutdown.load(Ordering::Acquire);
-        // The last use of `head`: from here on the buffer may grow.
-        let outcome = match route(shared, &head) {
-            Route::Done(outcome) => {
-                conn.consume(head_end);
-                outcome
-            }
-            Route::Infer(plan) => infer(shared, &mut conn, head_end, plan, trace.as_ref()),
-        };
-        let (resp, keep_alive) = match outcome {
-            RouteOutcome::Respond(resp) => (resp, keep_alive),
-            RouteOutcome::RespondClose(resp) => (resp, false),
-            RouteOutcome::Close => return,
-        };
-        let write_start = Instant::now();
-        let wrote = write_response(shared, &mut conn, &mut scratch, req_no, &resp, keep_alive);
-        if let Some(tb) = &trace {
-            tb.stage(Stage::Write, write_start, Instant::now());
-            // The serving runtime's verdicts (rejected:*, cancelled,
-            // error:panic, ...) take precedence; only label what no
-            // deeper layer already explained.
-            if wrote.is_err() {
-                tb.set_outcome_if_empty("error:write");
-            } else if resp.status() >= 400 {
-                tb.set_outcome_if_empty(&format!("http:{}", resp.status()));
-            }
-            if let Some(rec) = &shared.recorder {
-                rec.offer(tb.finish());
-            }
-        }
-        if wrote.is_err() {
-            return;
-        }
-        req_no += 1;
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
-/// Reads until one full request head is buffered. The whole head shares
-/// one `header_timeout` budget no matter how many packets it arrives in —
-/// the slowloris guard — and one pass of the terminator search no matter
-/// how many reads it arrives in.
-fn read_head(shared: &NetShared, conn: &mut Conn) -> HeadOutcome {
-    let deadline = Instant::now() + shared.config.header_timeout;
-    let mut scanned = 0;
-    loop {
-        if let Some(end) = http::find_head_end(&conn.buf[..conn.filled], &mut scanned) {
-            if end > http::MAX_HEAD_BYTES {
-                shared.gauges.net_malformed_requests.inc();
-                return HeadOutcome::Fail(431);
-            }
-            return HeadOutcome::Complete(end);
-        }
-        if conn.filled > http::MAX_HEAD_BYTES {
-            shared.gauges.net_malformed_requests.inc();
-            return HeadOutcome::Fail(431);
-        }
-        if shared.shutdown.load(Ordering::Acquire) && conn.filled == 0 {
-            // Idle keep-alive connection during drain: nothing in flight,
-            // close now so shutdown is not held hostage.
-            return HeadOutcome::Close;
-        }
         let now = Instant::now();
-        if now >= deadline {
-            if conn.filled == 0 {
-                // Idle keep-alive expiry, not an attack: close silently.
-                return HeadOutcome::Close;
+        match conn.poll(now, draining()) {
+            Action::Read { into, until } => {
+                let slice = until
+                    .saturating_duration_since(now)
+                    .min(POLL_SLICE)
+                    .max(Duration::from_millis(1));
+                if read_timeout != Some(slice) {
+                    if stream.set_read_timeout(Some(slice)).is_err() {
+                        return;
+                    }
+                    read_timeout = Some(slice);
+                }
+                let io = Io::of(stream.read(into));
+                conn.on_read(io);
             }
-            shared.gauges.net_timeouts_read.inc();
-            return HeadOutcome::Fail(408);
-        }
-        // Until the head says how long the request is, read no further
-        // than the byte that would prove the head oversized.
-        match read_some(shared, conn, deadline - now, http::MAX_HEAD_BYTES + 1) {
-            ReadOutcome::Data | ReadOutcome::Nothing => {}
-            ReadOutcome::Closed => return HeadOutcome::Close,
+            Action::Route {
+                head,
+                content_length,
+                wire_id,
+            } => {
+                let parsed_at = Instant::now();
+                // A trace is opened when a recorder wants it or
+                // `server-timing` needs its stages. Its timeline starts at
+                // the accept for the first request, at the start of
+                // head-reading for keep-alive successors (idle time between
+                // requests belongs to no request).
+                let tracing = shared.recorder.is_some() || shared.config.server_timing;
+                trace = tracing.then(|| {
+                    let tb = Arc::new(TraceBuilder::with_origin(wire_id.to_string(), head_start));
+                    if first {
+                        tb.stage(Stage::Accept, accepted_at, head_start);
+                    }
+                    tb.stage(Stage::Parse, head_start, parsed_at);
+                    tb
+                });
+                match route(shared, &head, content_length) {
+                    Route::Done(resp) => conn.respond(&resp, draining()),
+                    Route::Infer(p) => {
+                        plan = Some(p);
+                        body_start = Instant::now();
+                        conn.read_body();
+                    }
+                }
+            }
+            Action::Serve(body) => {
+                let Some(plan) = plan.take() else { return };
+                let resp = infer(shared, body, body_start, plan, trace.as_ref());
+                conn.respond(&resp, draining());
+            }
+            Action::Write { bytes, .. } => {
+                write_start.get_or_insert(now);
+                if !write_timeout_set {
+                    let _ = stream.set_write_timeout(Some(POLL_SLICE));
+                    write_timeout_set = true;
+                }
+                let io = Io::of(stream.write(bytes));
+                conn.on_write(io);
+            }
+            Action::Sent {
+                status,
+                ok,
+                wire_id,
+            } => {
+                let done = Instant::now();
+                let began = write_start.take().unwrap_or(done);
+                shared
+                    .gauges
+                    .stage_write
+                    .record((done - began).as_nanos() as u64);
+                // A request refused before it was routed is traced too, so
+                // HTTP-layer failures are visible in the flight recorder.
+                let refused = || {
+                    let tb = TraceBuilder::with_origin(wire_id.to_string(), head_start);
+                    tb.stage(Stage::Parse, head_start, began);
+                    Arc::new(tb)
+                };
+                let tb = trace
+                    .take()
+                    .or_else(|| shared.recorder.as_ref().map(|_| refused()));
+                if let Some(tb) = tb {
+                    tb.stage(Stage::Write, began, done);
+                    // The serving runtime's verdicts (rejected:*,
+                    // cancelled, error:panic, ...) take precedence; only
+                    // label what no deeper layer already explained.
+                    if !ok {
+                        tb.set_outcome_if_empty("error:write");
+                    } else if status >= 400 {
+                        tb.set_outcome_if_empty(&format!("http:{status}"));
+                    }
+                    if let Some(rec) = &shared.recorder {
+                        rec.offer(tb.finish());
+                    }
+                }
+                head_start = done;
+                first = false;
+            }
+            Action::Close(_) => return,
         }
     }
 }
 
-/// One bounded read into `buf[filled..upto]` (never empty: callers read
-/// only while `filled < upto <= buf.len()`): at most one [`POLL_SLICE`]
-/// of blocking, so callers can re-check deadlines and the shutdown flag
-/// between reads.
-fn read_some(shared: &NetShared, conn: &mut Conn, remaining: Duration, upto: usize) -> ReadOutcome {
-    let slice = remaining.min(POLL_SLICE).max(Duration::from_millis(1));
-    if conn.read_timeout != Some(slice) {
-        if conn.stream.set_read_timeout(Some(slice)).is_err() {
-            return ReadOutcome::Closed;
-        }
-        conn.read_timeout = Some(slice);
-    }
-    let this_read = conn.read_no;
-    conn.read_no += 1;
-    if let Some(chaos) = &shared.chaos {
-        if chaos.read_stall_hit(conn.id, this_read) {
-            // Injected network stall: burn one poll slice without data,
-            // exactly as a wedged client would.
-            thread::sleep(slice);
-            return ReadOutcome::Nothing;
-        }
-    }
-    match conn.stream.read(&mut conn.buf[conn.filled..upto]) {
-        Ok(0) => ReadOutcome::Closed,
-        Ok(n) => {
-            shared.gauges.net_bytes_in.add(n as u64);
-            conn.filled += n;
-            ReadOutcome::Data
-        }
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-            ) =>
-        {
-            ReadOutcome::Nothing
-        }
-        Err(_) => ReadOutcome::Closed,
-    }
-}
-
-/// Reads until `buf[..total]` — the head and its whole body (the head's
-/// `content-length`, already checked against the body bound) — is
-/// buffered, within the `read_timeout` budget, asking the socket for
-/// exactly what is missing.
-fn read_body(shared: &NetShared, conn: &mut Conn, total: usize) -> Result<(), HeadOutcome> {
-    let deadline = Instant::now() + shared.config.read_timeout;
-    if !conn.make_room(total) {
-        return Err(HeadOutcome::Fail(507));
-    }
-    while conn.filled < total {
-        let now = Instant::now();
-        if now >= deadline {
-            shared.gauges.net_timeouts_read.inc();
-            return Err(HeadOutcome::Fail(408));
-        }
-        match read_some(shared, conn, deadline - now, total) {
-            ReadOutcome::Data | ReadOutcome::Nothing => {}
-            ReadOutcome::Closed => return Err(HeadOutcome::Close),
-        }
-    }
-    Ok(())
-}
-
-fn route<'s>(shared: &'s NetShared, head: &http::Head<'_>) -> Route<'s> {
+fn route<'s>(
+    shared: &'s NetShared,
+    head: &http::Head<'_>,
+    content_length: Option<usize>,
+) -> Route<'s> {
     let target = head.target;
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
     let is_infer = target == "/v1/infer" || target.starts_with("/v1/infer/");
     let is_debug = path == "/debug/trace" || path.starts_with("/debug/requests/");
-    let respond = |resp| Route::Done(RouteOutcome::Respond(resp));
-    match (head.method, target) {
-        ("GET", "/healthz") => respond(healthz(shared)),
-        ("GET", "/metrics") => respond(metrics(shared)),
-        (_, "/healthz" | "/metrics") => {
-            respond(Response::new(405).header("allow", "GET").text("GET only"))
-        }
-        ("POST", _) if is_infer => plan_infer(shared, head),
-        (_, _) if is_infer => respond(Response::new(405).header("allow", "POST").text("POST only")),
-        (method, _) if is_debug => respond(debug_route(shared, method, path, query)),
-        _ => respond(Response::new(404).text("no such route")),
-    }
+    Route::Done(match (head.method, target) {
+        ("GET", "/healthz") => healthz(shared),
+        ("GET", "/metrics") => metrics(shared),
+        (_, "/healthz" | "/metrics") => Response::new(405).header("allow", "GET").text("GET only"),
+        ("POST", _) if is_infer => return plan_infer(shared, head, content_length),
+        (_, _) if is_infer => Response::new(405).header("allow", "POST").text("POST only"),
+        (method, _) if is_debug => debug_route(shared, method, path, query),
+        _ => Response::new(404).text("no such route"),
+    })
 }
 
 /// Live trace extraction. Config-gated: unless
@@ -756,31 +510,21 @@ fn rejection(reason: RejectReason, retry_after: Duration, quota: Option<u64>) ->
     resp
 }
 
-/// Everything an inference request's head decides: its framing, the body
-/// bound, the tenant's byte budget, the deadline header and the tenant
-/// itself — the last two only looked up here, and judged after the body
-/// is read, so a refusal over them leaves the connection usable.
-fn plan_infer<'s>(shared: &'s NetShared, head: &http::Head<'_>) -> Route<'s> {
-    let malformed = |resp| {
+/// What an inference request's head decides beyond its framing (which
+/// [`Conn`] checked): a length is required, the tenant's byte budget, the
+/// deadline header and the tenant itself — the last two only looked up
+/// here, and judged after the body is read, so a refusal over them leaves
+/// the connection usable. A refusal from the head leaves the declared
+/// body unread, so [`Conn`] closes the connection after it.
+fn plan_infer<'s>(
+    shared: &'s NetShared,
+    head: &http::Head<'_>,
+    content_length: Option<usize>,
+) -> Route<'s> {
+    let Some(content_length) = content_length else {
         shared.gauges.net_malformed_requests.inc();
-        Route::Done(RouteOutcome::RespondClose(resp))
+        return Route::Done(Response::new(411).text("content-length required"));
     };
-    let content_length = match head.content_length() {
-        Ok(Some(n)) => n,
-        Ok(None) => return malformed(Response::new(411).text("content-length required")),
-        Err(ParseError::UnsupportedTransferEncoding) => {
-            return malformed(Response::new(501).text("only content-length framing is supported"));
-        }
-        Err(e) => return malformed(Response::new(400).text(&e.to_string())),
-    };
-    if content_length > shared.config.max_body_bytes {
-        // Refused from the header alone — not a single body byte is read.
-        return malformed(
-            Response::new(413)
-                .header("x-bitflow-max-body", shared.config.max_body_bytes as u64)
-                .text("request body exceeds the configured bound"),
-        );
-    }
     let tenant = head
         .target
         .strip_prefix("/v1/infer/")
@@ -791,22 +535,14 @@ fn plan_infer<'s>(shared: &'s NetShared, head: &http::Head<'_>) -> Route<'s> {
     let body_lease = match shared.server.reserve_body(tenant, content_length as u64) {
         Ok(lease) => lease,
         Err(reason) => {
-            return Route::Done(RouteOutcome::RespondClose(rejection(
-                reason,
-                shared.server.retry_after_hint(),
-                None,
-            )));
+            return Route::Done(rejection(reason, shared.server.retry_after_hint(), None));
         }
     };
     Route::Infer(InferPlan {
-        content_length,
         body_lease,
         deadline: match head.header("x-bitflow-deadline-ms") {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(|ms| Some(Duration::from_millis(ms)))
-                .map_err(|_| ()),
+            None => Some(None),
+            Some(v) => http::digits(v).map(|ms| Some(Duration::from_millis(ms))),
         },
         client: match tenant {
             None => Some(shared.server.default_client()),
@@ -815,41 +551,29 @@ fn plan_infer<'s>(shared: &'s NetShared, head: &http::Head<'_>) -> Route<'s> {
     })
 }
 
+/// Serves an inference request whose whole `body` is buffered.
 fn infer(
     shared: &NetShared,
-    conn: &mut Conn,
-    head_end: usize,
+    body: &[u8],
+    body_start: Instant,
     plan: InferPlan<'_>,
     trace: Option<&Arc<TraceBuilder>>,
-) -> RouteOutcome {
+) -> Response {
     let InferPlan {
-        content_length,
         body_lease: _body_lease,
         deadline,
         client,
     } = plan;
-    let body_start = Instant::now();
-    // Saturated, the sum is more than any buffer grows to: a 507 below.
-    let total = head_end.saturating_add(content_length);
-    match read_body(shared, conn, total) {
-        Ok(()) => {}
-        Err(HeadOutcome::Fail(status)) => {
-            return RouteOutcome::RespondClose(Response::new(status).text(http::reason(status)));
-        }
-        Err(_) => return RouteOutcome::Close,
-    }
     let decode_start = Instant::now();
     if let Some(tb) = trace {
         tb.stage(Stage::ReadBody, body_start, decode_start);
     }
-    // Decoded where it was read; then the request's bytes are done with.
-    let decoded = bitflow_tensor::io::decode_tensor(&conn.buf[head_end..total]);
-    conn.consume(total);
-    let tensor = match decoded {
+    // Decoded where it was read.
+    let tensor = match bitflow_tensor::io::decode_tensor(body) {
         Ok(t) => t,
         Err(e) => {
             shared.gauges.net_malformed_requests.inc();
-            return RouteOutcome::Respond(bad_request("bad_tensor", &e.to_string()));
+            return bad_request("bad_tensor", &e.to_string());
         }
     };
     if let Some(tb) = trace {
@@ -857,15 +581,15 @@ fn infer(
     }
     // A budget the client asked for but did not spell as a whole number of
     // milliseconds is refused, never read as "no deadline".
-    let Ok(deadline) = deadline else {
+    let Some(deadline) = deadline else {
         shared.gauges.net_malformed_requests.inc();
-        return RouteOutcome::Respond(bad_request(
+        return bad_request(
             "bad_deadline",
             "x-bitflow-deadline-ms must be a whole number of milliseconds",
-        ));
+        );
     };
     let Some(client) = client else {
-        return RouteOutcome::Respond(Response::new(404).text("unknown model"));
+        return Response::new(404).text("unknown model");
     };
     // One admission path for every tenant, traced or not: the serving
     // runtime records admit/queue/batch/exec stages and the engine its
@@ -912,7 +636,7 @@ fn infer(
             );
         }
     }
-    RouteOutcome::Respond(resp)
+    resp
 }
 
 /// A `400` for a request whose framing was fine (the body is fully
@@ -925,189 +649,10 @@ fn bad_request(code: &str, message: &str) -> Response {
         .body(format!("{{\"code\":\"{code}\",\"message\":\"{message}\"}}").into_bytes())
 }
 
-/// Writes one whole rendered response under the `write_timeout` budget,
-/// handling partial writes; a failure (peer gone, timeout, injected
-/// truncation) returns `Err` and the caller closes the connection —
-/// never a panic, never a half-tracked byte count. Every response echoes
-/// the request's wire id (`scratch.wire_id`), and every write lands in
-/// the `bitflow_stage_write_ns` histogram whether or not the request is
-/// traced.
-fn write_response(
-    shared: &NetShared,
-    conn: &mut Conn,
-    scratch: &mut Scratch,
-    req_no: u64,
-    resp: &Response,
-    keep_alive: bool,
-) -> Result<(), ()> {
-    let t0 = Instant::now();
-    resp.render(&mut scratch.out, keep_alive, Some(&scratch.wire_id));
-    let out = write_rendered(shared, conn, &scratch.out, req_no);
-    shared
-        .gauges
-        .stage_write
-        .record(t0.elapsed().as_nanos() as u64);
-    out
-}
-
-fn write_rendered(
-    shared: &NetShared,
-    conn: &mut Conn,
-    bytes: &[u8],
-    req_no: u64,
-) -> Result<(), ()> {
-    let mut limit = bytes.len();
-    let mut truncate = false;
-    if let Some(chaos) = &shared.chaos {
-        if chaos.trunc_write_hit(conn.id, req_no) {
-            // Injected mid-response disconnect: half the bytes, then RST.
-            limit = bytes.len() / 2;
-            truncate = true;
-        }
-    }
-    let deadline = Instant::now() + shared.config.write_timeout;
-    if !conn.write_timeout_set {
-        let _ = conn.stream.set_write_timeout(Some(POLL_SLICE));
-        conn.write_timeout_set = true;
-    }
-    let mut written = 0usize;
-    while written < limit {
-        if Instant::now() >= deadline {
-            shared.gauges.net_timeouts_write.inc();
-            return Err(());
-        }
-        match conn.stream.write(&bytes[written..limit]) {
-            Ok(0) => return Err(()),
-            Ok(n) => {
-                written += n;
-                shared.gauges.net_bytes_out.add(n as u64);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return Err(()),
-        }
-    }
-    if truncate {
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        return Err(());
-    }
-    let _ = conn.stream.flush();
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use bitflow_graph::{small_cnn, CompiledModel, NetworkWeights};
-    use bitflow_serve::ServerConfig;
-    use rand::{rngs::StdRng, SeedableRng};
-
-    /// A listener's shared state without the listener.
-    fn shared() -> NetShared {
-        let spec = small_cnn();
-        let weights = NetworkWeights::random_with_bn(&spec, &mut StdRng::seed_from_u64(1));
-        let model = CompiledModel::try_compile(&spec, &weights).expect("model compiles");
-        let server = Arc::new(Server::start(Arc::new(model), ServerConfig::default()));
-        NetShared {
-            config: NetConfig::default(),
-            gauges: server.gauges(),
-            server,
-            chaos: None,
-            shutdown: AtomicBool::new(false),
-            open_conns: AtomicUsize::new(0),
-            conn_ids: AtomicU64::new(0),
-            recorder: None,
-        }
-    }
-
-    /// A connected loopback pair: the client's end, and the server's as a
-    /// fresh [`Conn`].
-    fn loopback() -> (TcpStream, Conn) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (stream, _) = listener.accept().expect("accept");
-        (client, Conn::new(stream, 0))
-    }
-
-    fn request(body: &[u8]) -> Vec<u8> {
-        let mut req = format!(
-            "POST /v1/infer HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        req.extend_from_slice(body);
-        req
-    }
-
-    /// Reads one whole request off `conn`; returns where its head ends
-    /// and where its body does.
-    fn read_request(shared: &NetShared, conn: &mut Conn) -> (usize, usize) {
-        let HeadOutcome::Complete(head_end) = read_head(shared, conn) else {
-            panic!("no complete head");
-        };
-        let len = http::parse_head(&conn.buf[..head_end])
-            .expect("head parses")
-            .content_length()
-            .expect("framed")
-            .expect("has a length");
-        assert!(read_body(shared, conn, head_end + len).is_ok());
-        (head_end, head_end + len)
-    }
-
-    #[test]
-    fn head_and_body_in_one_segment_cost_one_socket_read() {
-        let shared = shared();
-        let (mut client, mut conn) = loopback();
-        // The size of an encoded `small_cnn` input, give or take.
-        let body: Vec<u8> = (0..4200u32).map(|i| i as u8).collect();
-        client.write_all(&request(&body)).expect("write");
-        let (head_end, total) = read_request(&shared, &mut conn);
-        assert_eq!(&conn.buf[head_end..total], body.as_slice());
-        assert_eq!(conn.read_no, 1, "head and body arrived together");
-        conn.consume(total);
-        assert_eq!(conn.filled, 0);
-
-        // Keep-alive: the next request is one read again, under the poll
-        // slice the first read set (a healthy read never asks for another).
-        client.write_all(&request(&body)).expect("write");
-        let (head_end, total) = read_request(&shared, &mut conn);
-        assert_eq!(&conn.buf[head_end..total], body.as_slice());
-        assert_eq!(conn.read_no, 2);
-        assert_eq!(conn.read_timeout, Some(POLL_SLICE));
-    }
-
-    #[test]
-    fn pipelined_requests_and_large_bodies_are_read_in_place() {
-        let shared = shared();
-        let (mut client, mut conn) = loopback();
-        // Two small requests in one segment: the second is already
-        // buffered when the first is consumed — no further read.
-        let mut two = request(b"first");
-        two.extend_from_slice(&request(b"second!"));
-        client.write_all(&two).expect("write");
-        let (head_end, total) = read_request(&shared, &mut conn);
-        assert_eq!(&conn.buf[head_end..total], b"first");
-        conn.consume(total);
-        let (head_end, total) = read_request(&shared, &mut conn);
-        assert_eq!(&conn.buf[head_end..total], b"second!");
-        assert_eq!(conn.read_no, 1);
-        conn.consume(total);
-
-        // A body past the head-sized buffer: the buffer grows once to the
-        // declared size and the rest is read where it belongs.
-        let body: Vec<u8> = (0..40_000u32).map(|i| (i * 7) as u8).collect();
-        client.write_all(&request(&body)).expect("write");
-        let (head_end, total) = read_request(&shared, &mut conn);
-        assert_eq!(&conn.buf[head_end..total], body.as_slice());
-        assert!(conn.read_no >= 3, "one head-sized read, then the rest");
-        assert_eq!(conn.filled, total, "not a byte past the declared body");
-    }
 
     #[test]
     fn accept_backoff_doubles_and_caps() {

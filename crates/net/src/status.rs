@@ -78,6 +78,7 @@ mod tests {
         ];
         for (reason, status, wants_hint) in table {
             assert_eq!(reject_status(reason), status, "{reason:?}");
+            assert_ne!(crate::http::reason(status), "Unknown", "{status}");
             assert_eq!(
                 reject_wants_retry_after(reason),
                 wants_hint,
@@ -134,9 +135,11 @@ mod tests {
             assert_eq!(error_status(err), *status, "{err:?}");
         }
         // 4xx/5xx sanity: every mapped status is an error status a real
-        // client stack will surface, never a 2xx/3xx.
+        // client stack will surface, never a 2xx/3xx, and goes out with
+        // its reason phrase.
         for (err, status) in &table {
             assert!((400..600).contains(status), "{err:?} -> {status}");
+            assert_ne!(crate::http::reason(*status), "Unknown", "{status}");
         }
     }
 }

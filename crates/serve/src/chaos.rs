@@ -6,7 +6,7 @@
 //! makes "the chaos soak found a bug" a reproducible statement instead of
 //! an anecdote.
 //!
-//! Five hashed decision streams, plus a counter:
+//! Two hashed decision streams, plus a counter:
 //!
 //! * **Per-(request, operator)** — decided inside the engine via the
 //!   model's fault hook: an operator either sleeps ([`ChaosConfig::slow`])
@@ -20,8 +20,6 @@
 //!   worker kill (panic *after* the popped batch resolves, so no request
 //!   is ever lost — the kill exercises the watchdog restart path, not
 //!   response delivery).
-//! * **Per-connection, per-read, per-write** — the network front-end's
-//!   kill at accept, stalled read and response truncated mid-write.
 //! * **Every Nth fallible reservation** ([`ChaosConfig::alloc_fail_nth`]):
 //!   a count, not a hash; the resource governor refuses it.
 //!
@@ -35,13 +33,10 @@ use bitflow_graph::{FaultHook, UNTAGGED};
 /// Probability scale: decisions are `hash % SCALE < ppm`.
 const SCALE: u64 = 1_000_000;
 
-/// Domain separators so the op stream, the pop stream, and the three
-/// network streams of the same seed are independent.
+/// Domain separators so the op stream and the pop stream of the same
+/// seed are independent.
 const DOMAIN_OP: u64 = 0x6f70; // "op"
 const DOMAIN_POP: u64 = 0x706f70; // "pop"
-const DOMAIN_CONN: u64 = 0x636f_6e6e; // "conn"
-const DOMAIN_READ: u64 = 0x7265_6164; // "read"
-const DOMAIN_WRITE: u64 = 0x7772_6974; // "writ"
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -72,15 +67,6 @@ pub struct ChaosConfig {
     /// Probability (ppm) that a worker panics out of its loop after a
     /// popped request has resolved (exercises the watchdog restart).
     pub kill_ppm: u32,
-    /// Probability (ppm) that the network front-end kills an accepted
-    /// connection outright instead of serving it.
-    pub conn_kill_ppm: u32,
-    /// Probability (ppm) that one network read is preceded by a stall of
-    /// [`ChaosConfig::stall`] (simulates a slow client / stalled socket).
-    pub read_stall_ppm: u32,
-    /// Probability (ppm) that a network response is truncated mid-write
-    /// and the connection closed (simulates a dying peer or path).
-    pub trunc_write_ppm: u32,
     /// Allocation-failure injection: every Nth *accounted* reservation the
     /// resource governor grants fails instead (the Nth, 2Nth, ...), as if
     /// the allocator refused the bytes. 0 = never. A counter, not a ppm —
@@ -99,9 +85,7 @@ impl ChaosConfig {
     const DEFAULT_STALL: Duration = Duration::from_micros(500);
 
     /// Chaos with the given seed and the default soak mix: 2% slow ops,
-    /// 0.5% panicking ops, 0.2% queue stalls, 0.1% worker kills, plus the
-    /// network mix (1% connection kills, 2% read stalls, 1% truncated
-    /// writes — the network streams only fire under a `NetServer`).
+    /// 0.5% panicking ops, 0.2% queue stalls, 0.1% worker kills.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
         Self {
@@ -110,9 +94,6 @@ impl ChaosConfig {
             panic_ppm: 5_000,
             stall_ppm: 2_000,
             kill_ppm: 1_000,
-            conn_kill_ppm: 10_000,
-            read_stall_ppm: 20_000,
-            trunc_write_ppm: 10_000,
             // Allocation failures are not part of the default mix: they
             // only make sense against a governor, so the exhaustion soak
             // asks for them explicitly.
@@ -124,13 +105,16 @@ impl ChaosConfig {
 
     /// Parses `BITFLOW_CHAOS`. Unset or empty → `None` (no chaos).
     ///
-    /// Format: `seed[:slow_ppm[:panic_ppm[:stall_ppm[:kill_ppm[:conn_kill_ppm[:read_stall_ppm[:trunc_write_ppm[:alloc_fail_nth]]]]]]]]`
+    /// Format: `seed[:slow_ppm[:panic_ppm[:stall_ppm[:kill_ppm[:alloc_fail_nth]]]]]`
     /// — a bare seed uses the [`ChaosConfig::with_seed`] default mix;
     /// trailing fields override individual rates. The last field is a
     /// count, not a ppm: every Nth accounted reservation fails (0, the
     /// default, never injects). Malformed values fall back to the
     /// defaults rather than erroring: chaos configuration must never take
-    /// the server down.
+    /// the server down. A string with more than six fields is refused
+    /// whole, like an unparseable seed: the nine-field form of earlier
+    /// releases carried three network rates before the count, and must
+    /// never have one of them read as an allocation count.
     #[must_use]
     pub fn from_env() -> Option<Self> {
         let raw = std::env::var("BITFLOW_CHAOS").ok()?;
@@ -144,6 +128,9 @@ impl ChaosConfig {
         if raw.is_empty() || raw == "0" {
             return None;
         }
+        if raw.split(':').count() > 6 {
+            return None;
+        }
         let mut parts = raw.split(':');
         let seed = parts.next()?.trim().parse::<u64>().ok()?;
         let mut cfg = Self::with_seed(seed);
@@ -152,9 +139,6 @@ impl ChaosConfig {
             &mut cfg.panic_ppm,
             &mut cfg.stall_ppm,
             &mut cfg.kill_ppm,
-            &mut cfg.conn_kill_ppm,
-            &mut cfg.read_stall_ppm,
-            &mut cfg.trunc_write_ppm,
         ];
         for slot in rates {
             match parts.next() {
@@ -203,27 +187,6 @@ impl ChaosConfig {
     pub fn kill_hit(&self, worker: u64, pop: u64) -> bool {
         let r = roll(self.seed, DOMAIN_POP, worker, pop);
         r >= u64::from(self.stall_ppm) && r < u64::from(self.stall_ppm) + u64::from(self.kill_ppm)
-    }
-
-    /// Whether accepted connection number `conn` is killed outright by the
-    /// network front-end instead of being served.
-    #[must_use]
-    pub fn conn_kill_hit(&self, conn: u64) -> bool {
-        roll(self.seed, DOMAIN_CONN, conn, 0) < u64::from(self.conn_kill_ppm)
-    }
-
-    /// Whether read number `read` on connection `conn` stalls for
-    /// [`ChaosConfig::stall`] before issuing the socket read.
-    #[must_use]
-    pub fn read_stall_hit(&self, conn: u64, read: u64) -> bool {
-        roll(self.seed, DOMAIN_READ, conn, read) < u64::from(self.read_stall_ppm)
-    }
-
-    /// Whether the response on connection `conn` for request `req` is
-    /// truncated mid-write and the connection closed.
-    #[must_use]
-    pub fn trunc_write_hit(&self, conn: u64, req: u64) -> bool {
-        roll(self.seed, DOMAIN_WRITE, conn, req) < u64::from(self.trunc_write_ppm)
     }
 }
 
@@ -315,45 +278,14 @@ mod tests {
         let partial = ChaosConfig::parse("7:0").unwrap();
         assert_eq!(partial.slow_ppm, 0);
         assert_eq!(partial.panic_ppm, ChaosConfig::with_seed(7).panic_ppm);
-        assert_eq!(
-            partial.conn_kill_ppm,
-            ChaosConfig::with_seed(7).conn_kill_ppm
-        );
-        // Extended form overrides the network rates too.
-        let net = ChaosConfig::parse("7:1:2:3:4:5:6:8").unwrap();
-        assert_eq!(
-            (net.conn_kill_ppm, net.read_stall_ppm, net.trunc_write_ppm),
-            (5, 6, 8)
-        );
-        assert_eq!(net.alloc_fail_nth, 0, "alloc failures default off");
-        // The 9th field is the allocation-failure count.
-        let alloc = ChaosConfig::parse("7:1:2:3:4:5:6:8:16").unwrap();
+        assert_eq!(partial.alloc_fail_nth, 0, "alloc failures default off");
+        // The sixth field is the allocation-failure count.
+        let alloc = ChaosConfig::parse("7:1:2:3:4:16").unwrap();
         assert_eq!(alloc.alloc_fail_nth, 16);
-    }
-
-    #[test]
-    fn net_streams_are_deterministic_and_independent() {
-        let cfg = ChaosConfig {
-            seed: 11,
-            conn_kill_ppm: 200_000,
-            read_stall_ppm: 200_000,
-            trunc_write_ppm: 200_000,
-            ..ChaosConfig::default()
-        };
-        let kills: Vec<bool> = (0..1000).map(|c| cfg.conn_kill_hit(c)).collect();
-        let kills2: Vec<bool> = (0..1000).map(|c| cfg.conn_kill_hit(c)).collect();
-        assert_eq!(kills, kills2, "same seed must replay identically");
-        assert!(kills.iter().any(|&k| k), "20% kill rate must fire in 1000");
-        assert!(
-            !kills.iter().all(|&k| k),
-            "20% kill rate must not always fire"
-        );
-        // The three streams are decided independently: over many indices
-        // they must not be identical.
-        let stalls: Vec<bool> = (0..1000).map(|c| cfg.read_stall_hit(c, 0)).collect();
-        let truncs: Vec<bool> = (0..1000).map(|c| cfg.trunc_write_hit(c, 0)).collect();
-        assert_ne!(kills, stalls);
-        assert_ne!(stalls, truncs);
+        // More fields are refused whole: an old string's network rate is
+        // never read as a count.
+        assert_eq!(ChaosConfig::parse("7:1:2:3:4:5:6:8"), None);
+        assert_eq!(ChaosConfig::parse("7:1:2:3:4:5:6:8:16"), None);
     }
 
     #[test]

@@ -53,7 +53,6 @@ use bitflow_telemetry::{FlightRecorder, ServeSnapshot, Stage, TraceBuilder};
 use bitflow_tensor::Tensor;
 
 use crate::chaos;
-use crate::chaos::ChaosConfig;
 use crate::config::ServerConfig;
 use crate::govern::{MemoryLease, ResourceGovernor};
 use crate::policy::{DegradationState, Outcome, Policy, Queued, Verdict};
@@ -422,14 +421,6 @@ impl Server {
     #[must_use]
     pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
         self.shared.config.recorder.clone()
-    }
-
-    /// The chaos configuration this server was started with, if any — a
-    /// network front-end shares it so its connection/read/write fault
-    /// streams ride the same seed as the op and pop streams.
-    #[must_use]
-    pub fn chaos(&self) -> Option<&ChaosConfig> {
-        self.shared.config.chaos.as_ref()
     }
 
     /// Whether the circuit breaker is currently shedding admissions — the

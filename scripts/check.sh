@@ -19,11 +19,16 @@
 #                             # included) with its calm control
 #   scripts/check.sh --net    # additionally run the network front-end gate:
 #                             # strict clippy on bitflow-net (warnings,
-#                             # incl. unwrap/expect, denied), the hostile-
-#                             # client + tracing suites, the per-request
+#                             # incl. unwrap/expect, denied), its unit tests
+#                             # and real-socket suite, the per-request
 #                             # allocation budget in release mode, the
-#                             # trace-export round-trip proptests, the TCP
-#                             # chaos soak with the flight recorder enabled
+#                             # connection simulator's 10 000-seed sweep
+#                             # (the #[ignore]d half of
+#                             # crates/net/tests/sim.rs; tier-1 runs a
+#                             # 256-seed slice), the trace-export
+#                             # round-trip proptests, and the TCP soak
+#                             # under serving chaos with the flight
+#                             # recorder enabled
 #   scripts/check.sh --perf   # additionally run the repo benchmark's
 #                             # four workloads on the working tree against
 #                             # HEAD: scripts/pairs.sh HEAD --pairs 3
@@ -119,13 +124,15 @@ fi
 if [[ $net -eq 1 ]]; then
     echo "==> clippy -p bitflow-net (unwrap/expect denied on the front-end)"
     cargo clippy -p bitflow-net --all-targets -- -D warnings
-    echo "==> net unit tests + hostile-client and tracing suites"
+    echo "==> net unit tests + real-socket suite"
     cargo test -q -p bitflow-net
     echo "==> allocation budget of a warm keep-alive request (release)"
     cargo test --release -q -p bitflow-net --test alloc_budget
+    echo "==> connection simulator: the 10 000-seed sweep"
+    cargo test -q -p bitflow-net --test sim -- --ignored
     echo "==> trace-export round-trip proptests (Chrome + Prometheus)"
     cargo test -q -p bitflow-telemetry --test chrome_props --test prometheus_props
-    echo "==> TCP chaos soak (flight recorder enabled)"
+    echo "==> TCP soak under serving chaos (flight recorder enabled)"
     BITFLOW_TRACE=1 cargo test -q --test net_soak
 fi
 

@@ -1,34 +1,26 @@
 //! Chaos soak for the network front-end (`bitflow-net`).
 //!
 //! Real TCP clients drive a two-tenant server (one quota-metered) through
-//! the HTTP listener while the seeded chaos streams inject at BOTH
-//! layers: serving-runtime chaos (slow operators, worker panics, queue
-//! stalls, worker kills) and wire chaos (connection kills at accept, read
-//! stalls, truncated writes). One request per connection, so the
-//! connection-scoped chaos streams are fully deterministic in the
-//! connection id — which makes the client-side damage *predictable from
-//! the seed*: exactly the accepted connections whose kill/truncation
-//! stream fires are the ones that die without a full response.
-//!
-//! The listener serves through `ModelClient::call`, so every wire request
-//! may run on its connection thread in a parked worker's slot (the queue
-//! path beside it is `serve_soak`'s).
+//! the HTTP listener while the seeded serving-runtime chaos injects slow
+//! operators, worker panics, queue stalls and worker kills. The listener
+//! serves through `ModelClient::call`, so every wire request may run on its
+//! connection thread in a parked worker's slot (the queue path beside it
+//! is `serve_soak`'s). The wire protocol under hostile clients is the
+//! connection simulator's (`crates/net/tests/sim.rs`).
 //!
 //! The contract:
 //!
-//! * **Bit-identical 200s** — every complete 200 body equals the tenant's
+//! * **Bit-identical 200s** — every 200 body equals the tenant's
 //!   serial-oracle logits for that input, chaos or no chaos.
-//! * **Gauge↔tally reconciliation per tenant** — client-side tallies pin
-//!   each tenant's counters within the seed-predicted broken connections
+//! * **Gauge↔tally equality per tenant** — every request gets a complete
+//!   response, and each tenant's counters equal the client-side tallies
 //!   (the serve-layer conservation law itself is `serve_soak`'s and the
 //!   simulator's); at the wire, `accepted_conns == connections opened`
 //!   with zero sheds.
-//! * **Each chaos type fired**: connection kills, truncated
-//!   writes, and worker panics all observed; the read-stall stream is
-//!   non-empty over the connection range actually used.
+//! * **Worker panics fired.**
 //! * **Flight-recorder tail sampling** — the soak runs fully traced;
-//!   every complete error response is retrievable from the recorder by
-//!   its client-supplied request id, the recorder never exceeds its byte
+//!   every error response is retrievable from the recorder by its
+//!   client-supplied request id, the recorder never exceeds its byte
 //!   budget, and the dump exports to a loadable Chrome trace.
 //!
 //! `BITFLOW_CHAOS` replays a seed verbatim.
@@ -59,13 +51,9 @@ enum Outcome {
     Deadline,
     /// Complete 500 carrying an injected chaos panic.
     Failed,
-    /// No complete response: the connection died (injected kill or
-    /// truncated write). Whether the request was submitted is unknowable
-    /// from this side of the wire — the seed arithmetic accounts for it.
-    Broken,
 }
 
-/// Reads one full response; `None` on a dead/truncated connection.
+/// Reads one full response; `None` on a dead or truncated connection.
 fn read_response(stream: &mut TcpStream) -> Option<(u16, Vec<u8>)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -129,7 +117,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
                 fault_threshold: 64,
                 cooldown: Duration::from_millis(10),
             },
-            chaos: Some(chaos.clone()),
+            chaos: Some(chaos),
             default_deadline: None,
             recorder: Some(Arc::clone(&recorder)),
             ..ServerConfig::default()
@@ -139,8 +127,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
     let net = NetServer::bind(
         Arc::clone(&server),
         NetConfig {
-            // High cap: this soak wants wire chaos, not accept-loop
-            // shedding (the cap has its own test in `hostile.rs`) — zero
+            // High cap: the cap has its own test in `wire.rs`; zero
             // sheds keeps `accepted_conns == connects` exact.
             max_conns: 256,
             ..NetConfig::default()
@@ -150,8 +137,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
     let addr = net.local_addr();
 
     // 4 client threads, requests striped across them; one request per
-    // connection so connection-scoped chaos is a pure function of the
-    // connection id.
+    // connection.
     const CLIENTS: usize = 4;
     let workers: Vec<std::thread::JoinHandle<Vec<(usize, usize, Outcome)>>> = (0..CLIENTS)
         .map(|t| {
@@ -169,26 +155,19 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
                         _ => "",
                     };
                     let body = &encoded[i % DISTINCT_INPUTS];
-                    let outcome = (|| {
-                        let Ok(mut stream) = TcpStream::connect(addr) else {
-                            return Outcome::Broken;
-                        };
-                        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                        let req = format!(
-                            "POST {path} HTTP/1.1\r\nx-bitflow-request-id: soak-{i}\r\n{deadline_header}content-length: {}\r\nconnection: close\r\n\r\n",
-                            body.len()
-                        );
-                        // A failed write is not the end: the server may
-                        // already have killed the connection, so read
-                        // whatever it did send.
-                        let _ = stream
-                            .write_all(req.as_bytes())
-                            .and_then(|()| stream.write_all(body));
-                        match read_response(&mut stream) {
-                            Some((status, resp)) => classify(i, tenant, status, &resp, &oracle_a, &oracle_b),
-                            None => Outcome::Broken,
-                        }
-                    })();
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+                    let req = format!(
+                        "POST {path} HTTP/1.1\r\nx-bitflow-request-id: soak-{i}\r\n{deadline_header}content-length: {}\r\nconnection: close\r\n\r\n",
+                        body.len()
+                    );
+                    stream
+                        .write_all(req.as_bytes())
+                        .and_then(|()| stream.write_all(body))
+                        .expect("write request");
+                    let (status, resp) = read_response(&mut stream)
+                        .unwrap_or_else(|| panic!("request {i}: no complete response"));
+                    let outcome = classify(i, tenant, status, &resp, &oracle_a, &oracle_b);
                     outcomes.push((i, tenant, outcome));
                 }
                 outcomes
@@ -232,7 +211,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
         }
     }
 
-    let mut tallies = [[0u64; 5]; 2]; // [tenant][Ok, Rejected, Deadline, Failed, Broken]
+    let mut tallies = [[0u64; 4]; 2]; // [tenant][Ok, Rejected, Deadline, Failed]
     let mut error_ids: Vec<usize> = Vec::new(); // complete 500s/504s, by request index
     for worker in workers {
         for (i, tenant, outcome) in worker.join().expect("client thread") {
@@ -249,7 +228,7 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
 
     // --- Wire-level conservation -------------------------------------
     // Every connection the clients opened was accepted exactly once (no
-    // sheds at this cap), even the ones chaos then killed.
+    // sheds at this cap).
     assert_eq!(snap_a.net_rejected_conns, 0, "cap must never shed here");
     assert_eq!(
         snap_a.net_accepted_conns, n as u64,
@@ -257,68 +236,31 @@ fn tcp_chaos_soak_conserves_per_tenant_and_preserves_logits() {
     );
     assert!(snap_a.net_bytes_in > 0 && snap_a.net_bytes_out > 0);
 
-    // --- Seed arithmetic: predict the broken connections --------------
-    // One request per connection and connection ids are assigned in
-    // accept order 0..n, so the kill and first-response-truncation
-    // streams tell us exactly how many connections died client-side.
-    let kills: u64 = (0..n as u64).filter(|&c| chaos.conn_kill_hit(c)).count() as u64;
-    let truncs: u64 = (0..n as u64)
-        .filter(|&c| !chaos.conn_kill_hit(c) && chaos.trunc_write_hit(c, 0))
-        .count() as u64;
-    let broken = tallies[0][Outcome::Broken as usize] + tallies[1][Outcome::Broken as usize];
-    assert_eq!(
-        broken,
-        kills + truncs,
-        "client-side broken connections must equal the seed-predicted kills + truncations"
-    );
-
     // --- Per-tenant conservation --------------------------------------
+    // Every request got a complete response, so every counter is pinned.
     for (tenant, snap) in [(0usize, &snap_a), (1usize, &snap_b)] {
-        let [ok, rejected, deadline, failed, broken] = tallies[tenant];
+        let [ok, rejected, deadline, failed] = tallies[tenant];
         let rejected_gauge = snap.rejected_queue_full
             + snap.rejected_shedding
             + snap.rejected_draining
             + snap.rejected_quota;
-
-        // Gauge↔tally: every complete response is pinned exactly; broken
-        // connections bound the slack (a killed connection never
-        // submitted; a truncated one resolved before the wire died).
-        let within = |gauge: u64, seen: u64, what: &str| {
-            let bound = seen..=seen + broken;
-            assert!(
-                bound.contains(&gauge),
-                "tenant {tenant}: {what} {gauge} outside {bound:?}"
-            );
-        };
-        within(snap.completed, ok, "completed");
-        within(rejected_gauge, rejected, "rejections");
-        within(
+        assert_eq!(snap.completed, ok, "tenant {tenant}: completed");
+        assert_eq!(rejected_gauge, rejected, "tenant {tenant}: rejections");
+        assert_eq!(
             snap.shed_deadline + snap.deadline_missed,
             deadline,
-            "deadline outcomes",
+            "tenant {tenant}: deadline outcomes"
         );
-        within(
+        assert_eq!(
             snap.submitted,
             ok + rejected + deadline + failed,
-            "submitted",
+            "tenant {tenant}: submitted"
         );
         assert!(snap.completed > 0, "tenant {tenant} starved");
     }
-
-    // --- Each chaos type must actually fire ----------------------------
-    assert!(kills > 0, "the connection-kill stream never fired");
-    assert!(truncs > 0, "the truncated-write stream never fired");
     assert!(
         snap_a.worker_panics + snap_b.worker_panics > 0,
         "worker-panic chaos never fired"
-    );
-    let stalls = (0..n as u64)
-        .flat_map(|c| (0..4u64).map(move |r| (c, r)))
-        .filter(|&(c, r)| chaos.read_stall_hit(c, r))
-        .count();
-    assert!(
-        stalls > 0,
-        "the read-stall stream is empty over the soak range"
     );
 
     // --- Flight-recorder contract under chaos --------------------------
