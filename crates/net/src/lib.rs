@@ -49,7 +49,8 @@
 //! Every connection gets a slowloris header deadline, a bounded header
 //! block, a length-checked bounded body, read/write deadlines, and
 //! partial-write-safe responses, all decided by the clock-free
-//! [`conn::Conn`]; the accept loop sheds connections past the cap with an
+//! [`conn::Conn`]; what each request asks and how it is answered is the
+//! equally clock-free handler step ([`handler`]). The accept loop sheds connections past the cap with an
 //! immediate `503`. Shutdown is a graceful drain: stop accepting, finish
 //! requests already on a connection, then close. All of it is observable
 //! through the `net_*` counters on the default tenant's
@@ -59,6 +60,7 @@
 
 pub mod config;
 pub mod conn;
+pub mod handler;
 pub mod http;
 pub mod server;
 pub mod status;

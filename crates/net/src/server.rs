@@ -3,11 +3,13 @@
 //! One OS thread per connection, bounded by [`NetConfig::max_conns`] —
 //! past the cap the accept loop sheds with an immediate `503` and never
 //! blocks. That thread is a syscall loop around the connection's
-//! [`Conn`], which decides what the wire needs, and the one handler that
-//! answers what it hands over: routing, `/healthz`, `/metrics`, the debug
-//! routes and inference through [`bitflow_serve::ModelClient::call`] (on
-//! this thread, when a worker is parked). A healthy keep-alive request
-//! costs one `read` and one `write`, the socket timeouts set once.
+//! [`Conn`], which decides what the wire needs, and the handler step
+//! ([`crate::handler`]), which decides what a request asks and how it is
+//! answered; this thread renders the pages (`/healthz`, `/metrics`, the
+//! debug routes) and submits inferences through
+//! [`bitflow_serve::ModelClient::call`] (run on this thread when a worker
+//! is parked). A healthy keep-alive request costs one `read` and one
+//! `write`, the socket timeouts set once.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -16,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use bitflow_graph::{BitFlowError, CancelToken, RejectReason};
+use bitflow_graph::{CancelToken, RejectReason};
 use bitflow_serve::{DegradationState, MemoryLease, ModelClient, Server, Submission};
 use bitflow_telemetry::{
     to_chrome_trace, to_prometheus, FlightRecorder, MetricsSnapshot, ServeGauges, Stage,
@@ -25,8 +27,8 @@ use bitflow_telemetry::{
 
 use crate::config::NetConfig;
 use crate::conn::{Action, Conn, Io};
-use crate::http::{self, Response};
-use crate::status::{error_status, reject_status, reject_wants_retry_after};
+use crate::handler::{self, Answer, Infer, Page, Routed, Submit, Tenant};
+use crate::http::Response;
 
 /// The longest a socket read or write blocks before the connection's
 /// deadlines and the shutdown flag are looked at again.
@@ -239,27 +241,9 @@ fn shed(shared: &NetShared, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// What a request's head decided, said before a body byte is read: the
-/// head borrows the input buffer, which reading the body may move.
-enum Route<'s> {
-    /// Answered from the head alone.
-    Done(Response),
-    /// An inference whose body is still (partly) on the wire.
-    Infer(InferPlan<'s>),
-}
-
-/// An inference request past every check its head allows: the declared
-/// body's charge against the tenant's byte budget (held to the end of the
-/// request), the `x-bitflow-deadline-ms` budget (`None` when it is not a
-/// whole number of milliseconds), and the tenant (`None`: no such tenant).
-struct InferPlan<'s> {
-    body_lease: Option<MemoryLease>,
-    deadline: Option<Option<Duration>>,
-    client: Option<ModelClient<'s>>,
-}
-
-/// The connection thread: a syscall loop around [`Conn`], which makes
-/// every decision, and the one handler it hands heads and requests to.
+/// The connection thread: a syscall loop around [`Conn`], which decides
+/// what the wire needs, and the driver of the handler step, which decides
+/// what each request it hands over is answered.
 fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, id: u64) {
     let accepted_at = Instant::now();
     let mut conn = Conn::new(id, &shared.config, Arc::clone(&shared.gauges));
@@ -311,19 +295,33 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, id: u64) {
                     tb.stage(Stage::Parse, head_start, parsed_at);
                     tb
                 });
-                match route(shared, &head, content_length) {
-                    Route::Done(resp) => conn.respond(&resp, draining()),
-                    Route::Infer(p) => {
-                        plan = Some(p);
+                let server = &shared.server;
+                let routed = handler::route(
+                    &head,
+                    content_length,
+                    shared.config.debug_endpoints,
+                    &shared.gauges,
+                    |name| name.map_or_else(|| Some(server.default_client()), |n| server.client(n)),
+                );
+                match routed {
+                    Routed::Answer(answer) => {
+                        respond(&mut conn, answer, trace.as_deref(), draining())
+                    }
+                    Routed::Page(page) => {
+                        let page = render(shared, page);
+                        conn.respond(&page, draining());
+                    }
+                    Routed::Infer(infer) => {
+                        plan = Some(infer);
                         body_start = Instant::now();
                         conn.read_body();
                     }
                 }
             }
             Action::Serve(body) => {
-                let Some(plan) = plan.take() else { return };
-                let resp = infer(shared, body, body_start, plan, trace.as_ref());
-                conn.respond(&resp, draining());
+                let Some(infer) = plan.take() else { return };
+                let answer = serve(shared, body, body_start, infer, trace.as_ref());
+                respond(&mut conn, answer, trace.as_deref(), draining());
             }
             Action::Write { bytes, .. } => {
                 write_start.get_or_insert(now);
@@ -357,9 +355,10 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, id: u64) {
                     .or_else(|| shared.recorder.as_ref().map(|_| refused()));
                 if let Some(tb) = tb {
                     tb.stage(Stage::Write, began, done);
-                    // The serving runtime's verdicts (rejected:*,
-                    // cancelled, error:panic, ...) take precedence; only
-                    // label what no deeper layer already explained.
+                    // The verdicts of the serving runtime (rejected:*,
+                    // cancelled, error:panic, ...) and of the handler step
+                    // take precedence; only label what the connection core
+                    // refused on its own.
                     if !ok {
                         tb.set_outcome_if_empty("error:write");
                     } else if status >= 400 {
@@ -377,37 +376,20 @@ fn handle_conn(shared: &Arc<NetShared>, mut stream: TcpStream, id: u64) {
     }
 }
 
-fn route<'s>(
-    shared: &'s NetShared,
-    head: &http::Head<'_>,
-    content_length: Option<usize>,
-) -> Route<'s> {
-    let target = head.target;
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    let is_infer = target == "/v1/infer" || target.starts_with("/v1/infer/");
-    let is_debug = path == "/debug/trace" || path.starts_with("/debug/requests/");
-    Route::Done(match (head.method, target) {
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => metrics(shared),
-        (_, "/healthz" | "/metrics") => Response::new(405).header("allow", "GET").text("GET only"),
-        ("POST", _) if is_infer => return plan_infer(shared, head, content_length),
-        (_, _) if is_infer => Response::new(405).header("allow", "POST").text("POST only"),
-        (method, _) if is_debug => debug_route(shared, method, path, query),
-        _ => Response::new(404).text("no such route"),
-    })
+/// What the listener answers from the serving runtime's state.
+fn render(shared: &NetShared, page: Page<'_>) -> Response {
+    match page {
+        Page::Healthz => healthz(shared),
+        Page::Metrics => metrics(shared),
+        Page::Debug { path, query } => debug_route(shared, path, query),
+    }
 }
 
-/// Live trace extraction. Config-gated: unless
-/// [`NetConfig::debug_endpoints`] is set the routes answer `404` exactly
-/// like any unknown path (their existence is not leaked), and they `503`
-/// when the process carries no flight recorder to read.
-fn debug_route(shared: &NetShared, method: &str, path: &str, query: &str) -> Response {
-    if !shared.config.debug_endpoints {
-        return Response::new(404).text("no such route");
-    }
-    if method != "GET" {
-        return Response::new(405).header("allow", "GET").text("GET only");
-    }
+/// Live trace extraction, with the debug routes enabled
+/// ([`NetConfig::debug_endpoints`]; else the handler step answers `404`
+/// as for any unknown path): `503` when the process carries no flight
+/// recorder to read.
+fn debug_route(shared: &NetShared, path: &str, query: &str) -> Response {
     if shared.server.degradation_state() != DegradationState::Normal {
         // Trace dumps allocate serialized copies of everything retained —
         // exactly the wrong work under memory pressure.
@@ -495,129 +477,74 @@ fn metrics(shared: &NetShared) -> Response {
         .body(to_prometheus(&tenants).into_bytes())
 }
 
-/// The JSON refusal for a submission (or a body) the serving runtime
-/// would not take, with the backoff and quota hints its reason calls for.
-fn rejection(reason: RejectReason, retry_after: Duration, quota: Option<u64>) -> Response {
-    let mut resp = Response::new(reject_status(reason))
-        .header("content-type", "application/json")
-        .body(serde_json::to_vec(&BitFlowError::Rejected(reason)).unwrap_or_default());
-    if reject_wants_retry_after(reason) {
-        resp = resp.header("retry-after", retry_after.as_secs().max(1));
+impl Tenant for ModelClient<'_> {
+    type Lease = MemoryLease;
+
+    fn name(&self) -> &str {
+        self.entry().name()
     }
-    if let (RejectReason::QuotaExceeded, Some(q)) = (reason, quota) {
-        resp = resp.header("x-bitflow-quota", q);
+
+    fn reserve_body(&self, bytes: u64) -> Result<MemoryLease, RejectReason> {
+        ModelClient::reserve_body(self, bytes)
     }
-    resp
+
+    fn retry_after_hint(&self) -> Duration {
+        ModelClient::retry_after_hint(self)
+    }
+
+    fn quota(&self) -> Option<u64> {
+        self.entry().quota()
+    }
 }
 
-/// What an inference request's head decides beyond its framing (which
-/// [`Conn`] checked): a length is required, the tenant's byte budget, the
-/// deadline header and the tenant itself — the last two only looked up
-/// here, and judged after the body is read, so a refusal over them leaves
-/// the connection usable. A refusal from the head leaves the declared
-/// body unread, so [`Conn`] closes the connection after it.
-fn plan_infer<'s>(
-    shared: &'s NetShared,
-    head: &http::Head<'_>,
-    content_length: Option<usize>,
-) -> Route<'s> {
-    let Some(content_length) = content_length else {
-        shared.gauges.net_malformed_requests.inc();
-        return Route::Done(Response::new(411).text("content-length required"));
-    };
-    let tenant = head
-        .target
-        .strip_prefix("/v1/infer/")
-        .filter(|name| !name.is_empty());
-    // Charge the declared body size against the tenant's byte budget
-    // before reading it: under memory pressure the refusal costs a head,
-    // not a buffered body.
-    let body_lease = match shared.server.reserve_body(tenant, content_length as u64) {
-        Ok(lease) => lease,
-        Err(reason) => {
-            return Route::Done(rejection(reason, shared.server.retry_after_hint(), None));
+/// Hands `answer` to the connection, recording the verdict the handler
+/// step decided in the request's trace.
+fn respond(conn: &mut Conn, answer: Answer, trace: Option<&TraceBuilder>, close: bool) {
+    if let (Some(tb), Some((label, tenant))) = (trace, &answer.verdict) {
+        if let Some(tenant) = tenant {
+            tb.set_tenant(tenant);
         }
-    };
-    Route::Infer(InferPlan {
-        body_lease,
-        deadline: match head.header("x-bitflow-deadline-ms") {
-            None => Some(None),
-            Some(v) => http::digits(v).map(|ms| Some(Duration::from_millis(ms))),
-        },
-        client: match tenant {
-            None => Some(shared.server.default_client()),
-            Some(name) => shared.server.client(name),
-        },
-    })
+        tb.set_outcome(label);
+    }
+    conn.respond(&answer.response, close);
 }
 
-/// Serves an inference request whose whole `body` is buffered.
-fn infer(
+/// Serves an inference request whose whole `body` is buffered. One
+/// admission path for every tenant, traced or not: the serving runtime
+/// records admit/queue/batch/exec stages and the engine its operator
+/// spans into the trace when there is one. This thread would only block
+/// for the answer, so it offers to compute it: `call` runs the request
+/// right here when a worker is parked.
+fn serve(
     shared: &NetShared,
     body: &[u8],
     body_start: Instant,
-    plan: InferPlan<'_>,
+    infer: Infer<ModelClient<'_>>,
     trace: Option<&Arc<TraceBuilder>>,
-) -> Response {
-    let InferPlan {
-        body_lease: _body_lease,
-        deadline,
-        client,
-    } = plan;
+) -> Answer {
     let decode_start = Instant::now();
     if let Some(tb) = trace {
         tb.stage(Stage::ReadBody, body_start, decode_start);
     }
-    // Decoded where it was read.
-    let tensor = match bitflow_tensor::io::decode_tensor(body) {
-        Ok(t) => t,
-        Err(e) => {
-            shared.gauges.net_malformed_requests.inc();
-            return bad_request("bad_tensor", &e.to_string());
+    let submission = handler::decode(body, &shared.gauges).and_then(|input| {
+        if let Some(tb) = trace {
+            tb.stage(Stage::Decode, decode_start, Instant::now());
         }
-    };
-    if let Some(tb) = trace {
-        tb.stage(Stage::Decode, decode_start, Instant::now());
-    }
-    // A budget the client asked for but did not spell as a whole number of
-    // milliseconds is refused, never read as "no deadline".
-    let Some(deadline) = deadline else {
-        shared.gauges.net_malformed_requests.inc();
-        return bad_request(
-            "bad_deadline",
-            "x-bitflow-deadline-ms must be a whole number of milliseconds",
-        );
-    };
-    let Some(client) = client else {
-        return Response::new(404).text("unknown model");
-    };
-    // One admission path for every tenant, traced or not: the serving
-    // runtime records admit/queue/batch/exec stages and the engine its
-    // operator spans into the trace when there is one. This thread would
-    // only block for the answer, so it offers to compute it: `call` runs
-    // the request right here when a worker is parked.
-    let result = client.call(Submission {
-        input: tensor,
-        token: deadline.map(CancelToken::with_budget),
-        trace: trace.cloned(),
+        infer.submission(input, &shared.gauges)
     });
-    let mut resp = match result {
-        Ok(logits) => {
-            let mut body = Vec::with_capacity(logits.len() * 4);
-            for v in &logits {
-                body.extend_from_slice(&v.to_le_bytes());
-            }
-            Response::new(200)
-                .header("content-type", "application/octet-stream")
-                .body(body)
-        }
-        Err(BitFlowError::Rejected(reason)) => {
-            rejection(reason, client.retry_after_hint(), client.entry().quota())
-        }
-        Err(err) => Response::new(error_status(&err))
-            .header("content-type", "application/json")
-            .body(serde_json::to_vec(&err).unwrap_or_default()),
+    let result = match submission {
+        Err(answer) => return answer,
+        Ok(Submit {
+            input,
+            budget,
+            tenant,
+        }) => tenant.call(Submission {
+            input,
+            token: budget.map(CancelToken::with_budget),
+            trace: trace.cloned(),
+        }),
     };
+    let mut answer = infer.answer(result);
     if shared.config.server_timing {
         if let Some(tb) = trace {
             // The write stage has not happened yet, so it cannot ride in
@@ -625,7 +552,7 @@ fn infer(
             let ms = |ns: u64| ns as f64 / 1_000_000.0;
             let queue = tb.stage_total_ns(Stage::QueueWait).unwrap_or(0);
             let exec = tb.stage_total_ns(Stage::Exec).unwrap_or(0);
-            resp = resp.header(
+            answer.response = answer.response.header(
                 "server-timing",
                 format!(
                     "queue;dur={:.3}, exec;dur={:.3}, app;dur={:.3}",
@@ -636,17 +563,7 @@ fn infer(
             );
         }
     }
-    resp
-}
-
-/// A `400` for a request whose framing was fine (the body is fully
-/// consumed, so the connection survives it) but whose content was not, in
-/// the same `{"code","message"}` shape as [`BitFlowError`]. Both arguments
-/// are fixed strings with nothing to escape.
-fn bad_request(code: &str, message: &str) -> Response {
-    Response::new(400)
-        .header("content-type", "application/json")
-        .body(format!("{{\"code\":\"{code}\",\"message\":\"{message}\"}}").into_bytes())
+    answer
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! deadline-aware continuous micro-batching, multi-model tenancy,
 //! circuit breaker, and response delivery.
 //!
-//! Invariants (the soak tests in `tests/serve_soak.rs` check all of them
-//! under chaos):
+//! Invariants (the seeded simulators `crates/serve/tests/sim.rs` and
+//! `crates/net/tests/sim.rs`, and the chaos soak `tests/soak.rs`, check
+//! them):
 //!
 //! * Every admitted request **resolves exactly once** — with logits, or
 //!   with a typed [`BitFlowError`]. Rejected submissions never allocate a
@@ -446,50 +447,11 @@ impl Server {
             .tick(&mut lock(&self.shared.queue), Instant::now())
     }
 
-    /// Charges `bytes` of not-yet-read request body against `tenant`'s
-    /// budget — the network front-end calls this before reading a body,
-    /// so a hostile `content-length` is refused before a byte is
-    /// buffered. `Ok(None)` when the tenant is unknown (the router 404s
-    /// later); `Err` maps to
-    /// [`RejectReason::MemoryPressure`]. No serving counters move here:
-    /// the request was never submitted, so the conservation law is
-    /// untouched.
-    pub fn reserve_body(
-        &self,
-        tenant: Option<&str>,
-        bytes: u64,
-    ) -> Result<Option<MemoryLease>, RejectReason> {
-        let entry = match tenant {
-            None => &self.shared.default_entry,
-            Some(name) => match self.shared.registry.get(name) {
-                Some(e) => e,
-                None => return Ok(None),
-            },
-        };
-        match self
-            .shared
-            .governor
-            .reserve(entry.counters(), bytes, "request body")
-        {
-            Ok(lease) => Ok(Some(lease)),
-            Err(_) => Err(RejectReason::MemoryPressure),
-        }
-    }
-
     /// Whether the server has begun draining for shutdown. New
     /// submissions are rejected with [`RejectReason::Draining`].
     #[must_use]
     pub fn draining(&self) -> bool {
         lock(&self.shared.queue).draining
-    }
-
-    /// A coarse backoff hint for rejected submissions against the default
-    /// tenant: the time to serve out the current queue at the tenant's
-    /// observed batch cadence (EWMA), floored at one second so clients
-    /// always back off a meaningful amount.
-    #[must_use]
-    pub fn retry_after_hint(&self) -> Duration {
-        self.default_client().retry_after_hint()
     }
 
     /// Stops admissions without stopping the pool: from here on `submit`
@@ -687,6 +649,20 @@ impl ModelClient<'_> {
     #[must_use]
     pub fn metrics(&self) -> ServeSnapshot {
         self.entry.counters().snapshot()
+    }
+
+    /// Charges `bytes` of not-yet-read request body against this tenant's
+    /// budget: the network front-end calls this before reading a body, so
+    /// a hostile `content-length` is refused before a byte is buffered.
+    /// Any refusal, injected ones included, is
+    /// [`RejectReason::MemoryPressure`]. No serving counters move here: the
+    /// request was never submitted, so the conservation law is untouched.
+    pub fn reserve_body(&self, bytes: u64) -> Result<MemoryLease, RejectReason> {
+        self.server
+            .shared
+            .governor
+            .reserve(self.entry.counters(), bytes, "request body")
+            .map_err(|_| RejectReason::MemoryPressure)
     }
 
     /// A coarse backoff hint for rejected submissions against this

@@ -14,21 +14,24 @@
 #                             # simulator's 10 000-seed sweep of the policy
 #                             # and the resource governor (the #[ignore]d
 #                             # half of crates/serve/tests/sim.rs; tier-1
-#                             # runs a 256-seed slice), and the multi-tenant
-#                             # chaos soak (injected allocation failure
-#                             # included) with its calm control
+#                             # runs a 256-seed slice), and the one
+#                             # real-thread chaos soak (tests/soak.rs:
+#                             # bit-identical 200s, one fault per injected
+#                             # panic, lease balance after shutdown,
+#                             # flight-recorder retention)
 #   scripts/check.sh --net    # additionally run the network front-end gate:
 #                             # strict clippy on bitflow-net (warnings,
 #                             # incl. unwrap/expect, denied), its unit tests
-#                             # and real-socket suite, the per-request
+#                             # and the trimmed real-socket suite (one test
+#                             # per syscall path), the per-request
 #                             # allocation budget in release mode, the
-#                             # connection simulator's 10 000-seed sweep
-#                             # (the #[ignore]d half of
-#                             # crates/net/tests/sim.rs; tier-1 runs a
-#                             # 256-seed slice), the trace-export
-#                             # round-trip proptests, and the TCP soak
-#                             # under serving chaos with the flight
-#                             # recorder enabled
+#                             # two 10 000-seed sweeps of the wire-to-
+#                             # verdict simulator, hostile clients and a
+#                             # tight runtime (the #[ignore]d half of
+#                             # crates/net/tests/sim.rs; tier-1 runs
+#                             # 256-seed slices), the
+#                             # trace-export round-trip proptests, and the
+#                             # chaos soak with the flight recorder enabled
 #   scripts/check.sh --perf   # additionally run the repo benchmark's
 #                             # four workloads on the working tree against
 #                             # HEAD: scripts/pairs.sh HEAD --pairs 3
@@ -117,23 +120,23 @@ if [[ $serve -eq 1 ]]; then
     cargo test --release -q -p bitflow-serve --test caller_runs
     echo "==> policy simulator: the 10 000-seed sweep"
     cargo test -q -p bitflow-serve --test sim -- --ignored
-    echo "==> chaos soak (multi-tenant, injected allocation failure) + calm control"
-    cargo test -q --test serve_soak
+    echo "==> chaos soak (one real-thread soak over the listener and submit)"
+    cargo test -q --test soak
 fi
 
 if [[ $net -eq 1 ]]; then
     echo "==> clippy -p bitflow-net (unwrap/expect denied on the front-end)"
     cargo clippy -p bitflow-net --all-targets -- -D warnings
-    echo "==> net unit tests + real-socket suite"
+    echo "==> net unit tests + the trimmed real-socket suite"
     cargo test -q -p bitflow-net
     echo "==> allocation budget of a warm keep-alive request (release)"
     cargo test --release -q -p bitflow-net --test alloc_budget
-    echo "==> connection simulator: the 10 000-seed sweep"
+    echo "==> wire-to-verdict simulator: the two 10 000-seed sweeps"
     cargo test -q -p bitflow-net --test sim -- --ignored
     echo "==> trace-export round-trip proptests (Chrome + Prometheus)"
     cargo test -q -p bitflow-telemetry --test chrome_props --test prometheus_props
-    echo "==> TCP soak under serving chaos (flight recorder enabled)"
-    BITFLOW_TRACE=1 cargo test -q --test net_soak
+    echo "==> chaos soak (flight recorder enabled)"
+    BITFLOW_TRACE=1 cargo test -q --test soak
 fi
 
 if [[ $perf -eq 1 ]]; then

@@ -1,5 +1,5 @@
-//! What the root soaks share: their one size, the `small_cnn` models and
-//! inputs they serve with serial-oracle logits, a watchdog wait, and the
+//! What the chaos soak (`tests/soak.rs`) stands on: the `small_cnn` models
+//! and inputs it serves with serial-oracle logits, a watchdog wait, and the
 //! caller-side tally reconciled against a tenant's gauges.
 
 #![allow(dead_code)]
@@ -11,9 +11,6 @@ use bitflow::prelude::*;
 use bitflow_graph::BitFlowError;
 use bitflow_serve::ResponseHandle;
 use rand::{rngs::StdRng, SeedableRng};
-
-/// Requests per chaos soak.
-pub const SOAK_REQUESTS: usize = 1500;
 
 /// Distinct inputs cycled over the request stream (request `i` sends
 /// input `i % DISTINCT_INPUTS`, so each success has a precomputed oracle).
