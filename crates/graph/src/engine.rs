@@ -34,14 +34,14 @@ use crate::weights::{LayerWeights, NetworkWeights};
 use bitflow_gemm::pack::PackedMatrix;
 use bitflow_gemm::sgemm::transpose;
 use bitflow_ops::binary::{
-    amx_operands, binarize_pack_into, binarize_windows_into, binary_max_pool_into,
-    pack_signed_dots_into, pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
+    binarize_pack_into, binarize_windows_into, binary_max_pool_into, pack_signed_dots_into,
+    pressed_conv_sign_into, BinaryFcWeights, SignThresholds,
 };
 use bitflow_ops::float::{conv_im2col_parallel, fc_parallel, max_pool_parallel, relu};
 use bitflow_simd::amx::{AmxBank, AmxStrip};
-use bitflow_simd::conv::{BodyChoice, ConvGeom};
+use bitflow_simd::conv::{body_choice, BodyChoice, ConvBody, ConvGeom};
 use bitflow_simd::kernels::SimdLevel;
-use bitflow_simd::pack::pack_rows;
+use bitflow_simd::pack::{pack_rows, pack_transposed_band};
 use bitflow_simd::scheduler::VectorScheduler;
 use bitflow_simd::team;
 use bitflow_telemetry::{
@@ -49,6 +49,8 @@ use bitflow_telemetry::{
 };
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Tensor};
 use std::cell::Cell;
+use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -273,24 +275,139 @@ impl RtOp {
     }
 }
 
-/// Presses a conv layer's float filters, (k, kh, kw, c) order, into their
-/// bank with the vector press kernel: the K·kh·kw taps are consecutive rows
-/// of C floats, so the whole bank is one [`pack_rows`] call, and
-/// [`BitFilterBank::from_pressed`] interleaves the filter-major words.
-/// Bit-identical to the reference [`BitFilterBank::from_floats`]. `pressed`
-/// is the caller's scratch, reused from bank to bank so a compile touches
-/// one such buffer, not one per layer.
-fn press_bank(
-    level: SimdLevel,
-    w: &[f32],
-    fshape: FilterShape,
-    pressed: &mut Vec<u64>,
-) -> BitFilterBank {
+/// Presses a conv layer's float filters, (k, kh, kw, c) order, into
+/// `bank` with the vector press kernel: the K·kh·kw taps are consecutive
+/// rows of C floats, so the whole bank is one [`pack_rows`] call, and
+/// [`BitFilterBank::set_pressed`] interleaves the filter-major words.
+/// Bit-identical to the reference [`BitFilterBank::from_floats`].
+fn press_bank(level: SimdLevel, w: &[f32], bank: &mut BitFilterBank) {
+    let fshape = bank.shape();
     let taps = fshape.k * fshape.kh * fshape.kw;
-    pressed.clear();
-    pressed.resize(taps * fshape.c.div_ceil(64), 0);
-    pack_rows(level, w, taps, fshape.c, pressed);
-    BitFilterBank::from_pressed(pressed, fshape)
+    let mut pressed = vec![0u64; taps * bank.c_words()];
+    pack_rows(level, w, taps, fshape.c, &mut pressed);
+    bank.set_pressed(&pressed);
+}
+
+/// Packed `Bᵀ` rows (output neurons) per FC press job: VGG-16's fc6 and
+/// fc7 are four bands each, fc8 one. A band reads 4 KB of every float row
+/// of fc6, one page; narrower bands each sweep the pages of all 25 088
+/// rows. Pressing fc6 alone over two cores, 256 rows a band read 32–35 ms,
+/// 1024 rows 29–32 and 2048 rows 29–31, against 52–58 on one core; over a
+/// whole VGG-16 compile 256 to 2048 rows are within noise of each other.
+const FC_BAND_ROWS: usize = 1024;
+
+/// One job of the compile's press step: one disjoint output, the floats it
+/// is pressed from, and a serial kernel.
+enum Press<'a> {
+    /// Packed rows `cols` of an FC layer's `Bᵀ` (paper Table III).
+    FcBand {
+        level: SimdLevel,
+        b: &'a [f32],
+        n: usize,
+        k: usize,
+        cols: Range<usize>,
+        out: &'a mut [u64],
+    },
+    /// A conv layer's bank and, when it runs the AMX body, the bank's int8
+    /// copy, expanded from the pressed words.
+    Conv {
+        level: SimdLevel,
+        w: &'a [f32],
+        bank: &'a mut BitFilterBank,
+        amx: Option<&'a mut Option<AmxBank>>,
+    },
+}
+
+impl Press<'_> {
+    /// Bytes the job moves: the floats it reads, and an int8 copy's byte a
+    /// weight. What the press step orders its jobs by, largest first.
+    fn bytes(&self) -> usize {
+        match self {
+            Press::FcBand { n, cols, .. } => 4 * n * cols.len(),
+            Press::Conv { w, amx, .. } => w.len() * if amx.is_some() { 5 } else { 4 },
+        }
+    }
+
+    fn run(&mut self) {
+        match self {
+            Press::FcBand {
+                level,
+                b,
+                n,
+                k,
+                cols,
+                out,
+            } => pack_transposed_band(*level, b, *n, *k, cols.clone(), out),
+            Press::Conv {
+                level,
+                w,
+                bank,
+                amx,
+            } => {
+                press_bank(*level, w, bank);
+                if let Some(amx) = amx {
+                    let f = bank.shape();
+                    let steps = f.kh * f.kw * bank.c_words();
+                    **amx = Some(AmxBank::from_lane_words(bank.lane_words(), f.k, steps));
+                }
+            }
+        }
+    }
+}
+
+/// The press step of [`CompiledModel::try_compile`]: every weight of
+/// `ops`, pressed from `weights` into the destination the plan allocated
+/// for it, as one list of jobs in one call over the worker team — FC
+/// bands and conv banks together, largest first, so the last jobs the
+/// threads pick up are the small ones. Each job writes only its own output
+/// with a serial kernel, so the words are the same at every team size; a
+/// process on one CPU, or a compile inside a team call, runs the list
+/// inline.
+fn press(ops: &mut [RtOp], weights: &NetworkWeights) {
+    let floats = weights.layers.iter().filter_map(|lw| match lw {
+        LayerWeights::Conv { w, .. } | LayerWeights::Fc { w, .. } => Some(w.as_slice()),
+        LayerWeights::Pool => None,
+    });
+    let weighted = ops.iter_mut().filter(|op| {
+        matches!(
+            op,
+            RtOp::ConvSign { .. } | RtOp::FcSign { .. } | RtOp::FcOut { .. }
+        )
+    });
+    let mut jobs = Vec::new();
+    for (op, w) in weighted.zip(floats) {
+        match op {
+            RtOp::ConvSign {
+                bank,
+                amx,
+                body,
+                level,
+                ..
+            } => jobs.push(Press::Conv {
+                level: *level,
+                w,
+                bank,
+                amx: (body.body == ConvBody::Amx).then_some(amx),
+            }),
+            RtOp::FcSign { weights, level, .. } | RtOp::FcOut { weights, level, .. } => {
+                let (n, k) = (weights.n, weights.k);
+                let bands = weights
+                    .bands_mut(FC_BAND_ROWS)
+                    .map(|(c0, out)| Press::FcBand {
+                        level: *level,
+                        b: w,
+                        n,
+                        k,
+                        cols: c0..k.min(c0 + FC_BAND_ROWS),
+                        out,
+                    });
+                jobs.extend(bands);
+            }
+            _ => unreachable!("only weighted operators are pressed"),
+        }
+    }
+    jobs.sort_by_key(|job| Reverse(job.bytes()));
+    team::for_chunks_mut(&mut jobs, 1, |_, job| job[0].run());
 }
 
 /// The conv core's view of a conv from the pressed map planned as `input`
@@ -392,7 +509,10 @@ impl CompiledModel {
     /// kernel as a typed [`BitFlowError`] instead of panicking. Runs
     /// [`NetworkSpec::validate`] and
     /// [`NetworkWeights::validate_against`] first, so the build below
-    /// works on geometry-checked data only.
+    /// works on geometry-checked data only. Two steps: the plan — every
+    /// operator, slot, kernel and body choice, with each weight's
+    /// destination allocated and unpressed — then one press step over the
+    /// worker team that fills them all ([`press`]).
     pub fn try_compile(spec: &NetworkSpec, weights: &NetworkWeights) -> Result<Self, BitFlowError> {
         let shapes = spec.validate()?;
         weights.validate_against(spec, &shapes)?;
@@ -403,7 +523,6 @@ impl CompiledModel {
             out: slots.layers[0].input,
             press: slots.press,
         }];
-        let mut pressed = Vec::new();
         let mut strip_bytes = 0;
         let layers = spec.layers.iter().zip(&weights.layers).zip(&slots.layers);
         for (i, ((layer, lw), at)) in layers.enumerate() {
@@ -413,7 +532,7 @@ impl CompiledModel {
                 SlotSpec::Vec { .. } | SlotSpec::Packed { .. } => 0,
             };
             match (layer, lw) {
-                (LayerSpec::Conv { name, k, params }, LayerWeights::Conv { w, fshape, bn }) => {
+                (LayerSpec::Conv { name, k, params }, LayerWeights::Conv { fshape, bn, .. }) => {
                     // The conv core's vector lanes are output filters, so
                     // it runs at the widest tier for every C; §III-B's
                     // channel rule (checked by `spec.validate`) governs
@@ -429,22 +548,20 @@ impl CompiledModel {
                         }
                         _ => (*fshape, params.stride),
                     };
-                    let bank = press_bank(level, w, fshape, &mut pressed);
                     let (g, in_h) = conv_geom(&slot_specs[input], &slot_specs[out], fshape, stride);
                     // Conv→BN→Sign in one pass: the sign epilogue compares
                     // the popcount against the folded threshold and writes
                     // the output already pressed — on the AMX body when
-                    // the rule picks it, from int8 filters expanded here,
-                    // once.
-                    let (body, amx) = amx_operands(level, &g, in_h, &bank);
-                    let amx = amx.map(|(amx, bytes)| {
-                        strip_bytes = strip_bytes.max(bytes);
-                        amx
-                    });
+                    // the rule picks it, from int8 filters the press step
+                    // expands, once.
+                    let body = body_choice(level, &g, in_h);
+                    if body.body == ConvBody::Amx {
+                        strip_bytes = strip_bytes.max(AmxStrip::bytes_for(&g, in_h));
+                    }
                     ops.push(RtOp::ConvSign {
                         name: name.clone(),
-                        bank,
-                        amx,
+                        bank: BitFilterBank::zeros(fshape),
+                        amx: None,
                         body,
                         st,
                         stride,
@@ -466,7 +583,7 @@ impl CompiledModel {
                         out_pad,
                     });
                 }
-                (LayerSpec::Fc { name, .. }, LayerWeights::Fc { w, n, k, bn }) => {
+                (LayerSpec::Fc { name, .. }, LayerWeights::Fc { n, k, bn, .. }) => {
                     let input = match at.flat {
                         Some(flat) => {
                             ops.push(RtOp::Reflatten { input, out: flat });
@@ -474,7 +591,7 @@ impl CompiledModel {
                         }
                         None => input,
                     };
-                    let weights = BinaryFcWeights::pack(w, *n, *k);
+                    let weights = BinaryFcWeights::zeros(*n, *k);
                     let level = scheduler.streaming_level();
                     let name = name.clone();
                     ops.push(match at.dots {
@@ -504,30 +621,27 @@ impl CompiledModel {
             }
         }
 
-        // The AMX copies are weights this engine holds, as resident as the
-        // words they were expanded from.
-        let amx_bytes: usize = ops
-            .iter()
-            .filter_map(|op| match op {
-                RtOp::ConvSign {
-                    amx: Some(bank), ..
-                } => Some(bank.bytes()),
-                _ => None,
-            })
-            .sum();
+        press(&mut ops, weights);
         let mut model = Self {
             spec: spec.clone(),
             ops,
             logits_slot: slot_specs.len() - 1,
             slot_specs,
             float_bytes: weights.float_bytes(),
-            packed_bytes: weights.packed_bytes() + amx_bytes,
+            packed_bytes: weights.packed_bytes(),
             strip_bytes,
             item_bit_ops: 0,
             telemetry: OnceLock::new(),
             fault_hook: OnceLock::new(),
         };
         model.item_bit_ops = model.op_descriptors().iter().map(|d| d.cost.bit_ops).sum();
+        // The AMX copies are weights this engine holds, as resident as the
+        // words they were expanded from.
+        model.packed_bytes += model
+            .amx_banks()
+            .iter()
+            .map(|(_, b)| b.bytes())
+            .sum::<usize>();
         Ok(model)
     }
 
@@ -553,6 +667,24 @@ impl CompiledModel {
                 RtOp::FcSign { name, weights, .. } | RtOp::FcOut { name, weights, .. } => {
                     Some((name.as_str(), weights.packed().words.as_slice()))
                 }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The int8 copies of the banks of the convs that run the AMX body,
+    /// `(operator name, copy)` in execution order — none on a host without
+    /// one: the rest of the weights this engine holds beside
+    /// [`CompiledModel::packed_weights`].
+    pub fn amx_banks(&self) -> Vec<(&str, &AmxBank)> {
+        self.ops
+            .iter()
+            .filter_map(|op| match op {
+                RtOp::ConvSign {
+                    name,
+                    amx: Some(bank),
+                    ..
+                } => Some((name.as_str(), bank)),
                 _ => None,
             })
             .collect()

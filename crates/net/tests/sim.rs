@@ -400,14 +400,15 @@ enum Phase {
 /// 408 in a head and in a body, an idle close at the deadline, the framing
 /// refusals, a close for an unread body, EOF mid-head and mid-body, a
 /// failed write, a write timeout, an idle close and a `connection: close`
-/// on drain, one read and one write, the core's 507 — then the verdicts'.
+/// on drain, one read and one write, the core's 507 — then the verdicts',
+/// the last an admitted request whose worker context a budget refused.
 const OUTCOMES: &str = "pipelined|408-head|408-body|idle-deadline|431|413|400|501|\
     unread-body|eof-head|eof-body|write-failed|write-timeout|drain-idle|drain-close|one-read|\
     507 unbuffered|200|504|429 to b or c|429 quota|503 draining|507 body to b or c|507 payload|\
-    500 injected panic|400 from the handler|404 after the body|405 or 411";
-const N: usize = 28;
+    500 injected panic|400 from the handler|404 after the body|405 or 411|507 context";
+const N: usize = 29;
 const WIRE: [usize; 17] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];
-const VERDICTS: [usize; 13] = [17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 10, 14];
+const VERDICTS: [usize; 14] = [17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 10, 14];
 
 /// A client, and everything the simulator knows of its connection.
 struct Client {
@@ -1191,6 +1192,7 @@ impl<'a> Sim<'a> {
                 *seen |= hit;
             }
         }
+        self.reached[28] = self.rt.c.refused_context;
         Ok(self.reached)
     }
 }
@@ -1213,6 +1215,12 @@ fn run(seed: u64, tight: bool) -> Result<[bool; N], String> {
         sc.config.workers = rng.gen_range(1..=2);
         sc.config.queue_capacity = pick(&mut rng, &[1, 2]);
         sc.quota = pick(&mut rng, &[None, Some(1), Some(2)]);
+        // In a third of the seeds, 1 700 bytes a tenant: its weights and
+        // one request's body and payload leave no room for a 400-byte
+        // context, and a second request none for a 300-byte one, so
+        // admitted requests find their worker without a context.
+        let drawn = sc.config.govern.tenant_budget;
+        sc.config.govern.tenant_budget = pick(&mut rng, &[drawn, drawn, Some(1_700)]);
     } else {
         sc.config.queue_capacity = 64;
         (sc.quota, sc.chaos) = (None, ChaosConfig::default());

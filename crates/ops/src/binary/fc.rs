@@ -34,6 +34,30 @@ impl BinaryFcWeights {
         }
     }
 
+    /// All-zero weights of an N×K layer: the destination a press fills
+    /// band by band ([`Self::bands_mut`]).
+    pub fn zeros(n: usize, k: usize) -> Self {
+        Self {
+            packed: PackedMatrix::zeros(k, n),
+            n,
+            k,
+        }
+    }
+
+    /// The packed rows in bands of `rows` (the last may be shorter), each
+    /// with the output neuron — the float column — it starts at: disjoint
+    /// runs of words that [`bitflow_simd::pack::pack_transposed_band`]
+    /// presses one at a time, on any thread.
+    pub fn bands_mut(&mut self, rows: usize) -> impl Iterator<Item = (usize, &mut [u64])> {
+        let band = rows * self.packed.words_per_row;
+        // An N = 0 layer has no words, so no bands.
+        self.packed
+            .words
+            .chunks_mut(band.max(1))
+            .enumerate()
+            .map(move |(i, words)| (i * rows, words))
+    }
+
     /// The packed matrix: row `j` is column `j` of the float weights.
     pub fn packed(&self) -> &PackedMatrix {
         &self.packed

@@ -776,7 +776,10 @@ type CtxCache = Option<(Arc<CompiledModel>, InferenceContext, MemoryLease)>;
 /// The cached context for `req`'s model, building one fallibly on a miss:
 /// the allocation goes through [`CompiledModel::try_new_context`] and its
 /// bytes are charged to the request's tenant — the typed error on refusal
-/// fails one request instead of aborting the worker.
+/// fails one request instead of aborting the worker. The request was
+/// admitted, so a refused charge is the failure `try_new_context` reports,
+/// [`BitFlowError::ResourceExhausted`], never an admission refusal: the
+/// wire, the counters and the trace all read it as a failure.
 fn ctx_for<'c>(
     cache: &'c mut CtxCache,
     shared: &Shared,
@@ -791,7 +794,11 @@ fn ctx_for<'c>(
         let bytes = ctx.activation_bytes() as u64;
         let lease = shared
             .governor
-            .reserve(req.entry.counters(), bytes, "inference context")?;
+            .reserve(req.entry.counters(), bytes, "inference context")
+            .map_err(|_| BitFlowError::ResourceExhausted {
+                what: "inference context",
+                bytes,
+            })?;
         *cache = Some((Arc::clone(model), ctx, lease));
     }
     match cache {
@@ -1047,8 +1054,8 @@ fn serve_batch(shared: &Shared, cache: &mut CtxCache, batch: &[Request], on_call
     }
 }
 
-/// Counts one request's outcome on its entry's ledger, resolves its slot,
-/// and releases its quota charge. A `shed` request died in the queue
+/// Counts one request's outcome on its entry's ledger, releases its quota
+/// charge, and resolves its slot. A `shed` request died in the queue
 /// (evicted at a full queue, or popped dead) and never ran: its queue wait
 /// ends here, and an expired deadline counts as `shed_deadline`.
 fn account(shared: &Shared, req: &Request, result: Result<Vec<f32>, BitFlowError>, shed: bool) {
@@ -1094,8 +1101,10 @@ fn account(shared: &Shared, req: &Request, result: Result<Vec<f32>, BitFlowError
         }
         finish_owned(shared, t);
     }
-    req.slot.resolve(result);
+    // The quota slot first: a caller that holds its answer must find its
+    // request out of flight, and may resubmit at once.
     req.entry.release();
+    req.slot.resolve(result);
 }
 
 #[cfg(test)]
@@ -1699,6 +1708,39 @@ mod tests {
                 t.total_ns
             );
         }
+    }
+
+    #[test]
+    fn a_refused_context_fails_its_admitted_request_as_exhausted() {
+        use crate::govern::GovernorConfig;
+        let (model, inputs) = model_and_inputs(1);
+        let weights = (model.float_model_bytes() + model.packed_model_bytes()) as u64;
+        let ctx = model.context_bytes() as u64;
+        let payload = std::mem::size_of_val(inputs[0].data()) as u64;
+        // Room for the weights and the payload, not for the worker's
+        // context: admission takes the request, the worker cannot serve it.
+        let server = Server::start(
+            model,
+            ServerConfig {
+                workers: 1,
+                govern: GovernorConfig {
+                    global_budget: None,
+                    tenant_budget: Some(weights + payload + ctx - 1),
+                },
+                ..ServerConfig::default()
+            },
+        );
+        let handle = server.submit(inputs[0].clone()).expect("the payload fits");
+        match handle.wait() {
+            Err(BitFlowError::ResourceExhausted {
+                what: "inference context",
+                bytes,
+            }) => assert_eq!(bytes, ctx),
+            other => panic!("expected a refused context, got {other:?}"),
+        }
+        let snap = server.shutdown();
+        let counted = (snap.accepted, snap.failed, snap.govern.rejected_memory);
+        assert_eq!(counted, (1, 1, 0), "a failure, not an admission refusal");
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl Worker {
 
 /// Terminal classes: refused for memory pressure, refused otherwise, then
 /// the ends of admitted requests.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub enum End {
     Refused,
     Memory,
@@ -226,9 +226,11 @@ pub struct Counts {
     pub peak: DegradationState,
     pub calm_run: u64,
     pub since_change: u64,
-    /// Whether a budget refused a reservation, chaos injected one, and a
-    /// Low submission was shed at brownout pressure.
+    /// Whether a budget refused a reservation, and a worker's context in
+    /// particular; chaos injected one, and a Low submission was shed at
+    /// brownout pressure.
     pub refused_memory: bool,
+    pub refused_context: bool,
     pub injected: bool,
     pub low_shed: bool,
 }
@@ -309,6 +311,13 @@ impl<'a> Sim<'a> {
         class: End,
         ended: Result<(), BitFlowError>,
     ) -> Check {
+        // One verdict, one reading: a `Rejected` answer is an admission
+        // refusal, and an admitted request never gets one.
+        let refused = matches!(ended, Err(BitFlowError::Rejected(_)));
+        ensure!(
+            refused == matches!(class, End::Refused | End::Memory),
+            "request {id} ended {class:?} as {ended:?}"
+        );
         self.verdicts.push((id, ended));
         if id >= self.c.ends.len() {
             self.c.ends.resize(id + 1, 0);
@@ -566,12 +575,20 @@ impl<'a> Sim<'a> {
                 break;
             }
             self.ctx[w] = None;
-            match self.reserve(r.tenant, CONTEXT[r.model])? {
+            let bytes = CONTEXT[r.model];
+            match self.reserve(r.tenant, bytes)? {
                 Ok(lease) => {
                     self.ctx[w] = Some((r.model, lease));
                     break;
                 }
-                Err(e) => failed.push(e),
+                Err(e) => {
+                    let injected = matches!(e, BitFlowError::ResourceExhausted { .. });
+                    self.c.refused_context |= !injected;
+                    failed.push(BitFlowError::ResourceExhausted {
+                        what: "inference context",
+                        bytes,
+                    });
+                }
             }
         }
         Ok(failed)

@@ -61,6 +61,7 @@
 //! tile state between calls.
 
 use crate::conv::{ConvGeom, SignSink};
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Bytes of one tile row: 64 int8 channels of one position (A), or four
@@ -87,7 +88,7 @@ pub const STRIP_BYTES: usize = 512 << 10;
 /// One 64-byte line: a tile row, aligned so no tile row straddles two
 /// cache lines.
 #[repr(C, align(64))]
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct Line([i8; ROW]);
 
 const ZERO_LINE: Line = Line([0; ROW]);
@@ -97,6 +98,8 @@ const ZERO_LINE: Line = Line([0; ROW]);
 /// (filter block, window word) pair one VNNI-4 B tile, and a zero block
 /// after an odd count so the tile loop always multiplies a pair. Built once
 /// from the bank's packed words and kept beside them; never serialised.
+/// Two copies are equal when every byte is.
+#[derive(PartialEq, Eq)]
 pub struct AmxBank {
     lines: Vec<Line>,
     k: usize,
@@ -126,11 +129,15 @@ impl AmxBank {
             f.amx_int8 && f.avx512f && f.avx512bw,
             "host cannot run AMX int8"
         );
-        let mut lines = vec![ZERO_LINE; k.div_ceil(2 * FILTERS) * 2 * steps * ROWS];
-        // SAFETY: AVX-512 F/BW and the sizes are asserted above.
+        // Uninitialized until the expansion, which writes each line once.
+        let n = k.div_ceil(2 * FILTERS) * 2 * steps * ROWS;
+        let mut lines = Vec::with_capacity(n);
+        // SAFETY: AVX-512 F/BW and the sizes are asserted above, and the
+        // expansion initializes every one of the `n` lines it is given.
         #[cfg(target_arch = "x86_64")]
         unsafe {
-            expand_bank(words, k, steps, &mut lines)
+            expand_bank(words, k, steps, &mut lines.spare_capacity_mut()[..n]);
+            lines.set_len(n);
         };
         Self { lines, k, steps }
     }
@@ -257,12 +264,19 @@ mod body {
     /// The VNNI expansion behind [`AmxBank::from_lane_words`]: filter `f`
     /// of a block, window word `t`, becomes 64 bytes whose dword `r` is
     /// channels `4r..4r+4` — scattered to row `r`, column `f` of tile
-    /// (block, `t`).
+    /// (block, `t`). The 16 filters of a block cover every dword of its
+    /// tiles, and the lines past the K/16 blocks (the zero block) are
+    /// zeroed, so every line of `lines` is written exactly once.
     ///
     /// # Safety
     /// AVX-512 F/BW; `words` and `lines` sized as that function asserts.
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub(super) unsafe fn expand_bank(words: &[u64], k: usize, steps: usize, lines: &mut [Line]) {
+    pub(super) unsafe fn expand_bank(
+        words: &[u64],
+        k: usize,
+        steps: usize,
+        lines: &mut [MaybeUninit<Line>],
+    ) {
         let rows = _mm512_mullo_epi32(
             _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
             _mm512_set1_epi32(FILTERS as i32),
@@ -278,6 +292,9 @@ mod body {
                 let tile = dst.add((block * steps + t) * B_STEP / 4);
                 _mm512_i32scatter_epi32::<4>(tile, idx, pm1(w));
             }
+        }
+        for line in &mut lines[k / FILTERS * steps * ROWS..] {
+            line.write(ZERO_LINE);
         }
     }
 

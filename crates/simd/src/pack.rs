@@ -14,6 +14,8 @@
 //! * [`pack_transposed`] — the **transposed form** of paper Table III: the
 //!   N×K float matrix becomes K packed rows of N bits, `Bᵀ` in packed form,
 //!   with no float transpose and no intermediate matrix.
+//!   [`pack_transposed_band`] presses one band of its packed rows, so the
+//!   compile step can hand the bands of one matrix to several threads.
 //!
 //! The contract is exactly `x >= 0.0` at every tier: NaN of either sign
 //! presses to 0, `-0.0` to 1, ±∞ by sign, and bits past the logical length
@@ -36,6 +38,7 @@
 //! the stripe's pages stay in the TLB.
 
 use crate::kernels::SimdLevel;
+use std::ops::Range;
 
 /// Float rows per transposed tile: 8 output words, one 64-byte line of every
 /// packed row the tile produces.
@@ -245,20 +248,30 @@ unsafe fn rows<B: PressBody>(src: &[f32], rows: usize, row_len: usize, out: &mut
     }
 }
 
-/// The transposed form, monomorphized per tier (module docs: tile shape).
+/// The transposed form of columns `cols` of `b`, monomorphized per tier
+/// (module docs: tile shape): packed rows `cols` of the whole press,
+/// written from `out[0]` on. The 512-row stripe loop is outermost, so a
+/// band of columns sweeps each stripe's pages once.
 ///
 /// # Safety
-/// `B`'s CPU features must be available, and [`pack_transposed`]'s length
-/// checks must have passed: `b.len() == n·k`, `out.len() == k·⌈n/64⌉`.
+/// `B`'s CPU features must be available, and [`pack_transposed_band`]'s
+/// checks must have passed: `b.len() == n·k`, `cols.end ≤ k`,
+/// `out.len() == cols.len()·⌈n/64⌉`.
 #[inline(always)]
-unsafe fn transposed<B: PressBody>(b: &[f32], n: usize, k: usize, out: &mut [u64]) {
+unsafe fn transposed<B: PressBody>(
+    b: &[f32],
+    n: usize,
+    k: usize,
+    cols: Range<usize>,
+    out: &mut [u64],
+) {
     let wpr = n.div_ceil(64);
     let mut masks = Masks([0; BLOCK_ROWS * TILE_COLS / 8]);
     let mut words = [0u64; MAX_STRIP];
     for n0 in (0..n).step_by(TILE_ROWS) {
-        for k0 in (0..k).step_by(TILE_COLS) {
-            let cols = TILE_COLS.min(k - k0);
-            let (strips, tail) = (cols / B::STRIP, cols % B::STRIP);
+        for k0 in cols.clone().step_by(TILE_COLS) {
+            let tile_cols = TILE_COLS.min(cols.end - k0);
+            let (strips, tail) = (tile_cols / B::STRIP, tile_cols % B::STRIP);
             for r0 in (n0..n.min(n0 + TILE_ROWS)).step_by(BLOCK_ROWS) {
                 let block_rows = BLOCK_ROWS.min(n - r0);
                 if block_rows < BLOCK_ROWS {
@@ -267,7 +280,7 @@ unsafe fn transposed<B: PressBody>(b: &[f32], n: usize, k: usize, out: &mut [u64
                 }
                 let m = masks.0.as_mut_ptr();
                 for r in 0..block_rows {
-                    // SAFETY: row `r0 + r < n` and columns `[k0, k0 + cols)`
+                    // SAFETY: row `r0 + r < n` and columns `[k0, k0 + tile_cols)`
                     // are inside the `n·k` floats; strip `s < TILE_COLS/STRIP`
                     // and row `r < 64` address `STRIP/8` bytes inside `masks`.
                     unsafe {
@@ -283,13 +296,13 @@ unsafe fn transposed<B: PressBody>(b: &[f32], n: usize, k: usize, out: &mut [u64
                         }
                     }
                 }
-                for s in 0..cols.div_ceil(B::STRIP) {
+                for s in 0..tile_cols.div_ceil(B::STRIP) {
                     // SAFETY: strip `s` is inside `masks` as above.
                     unsafe { B::transpose(m.add(s * B::STRIP * 8), &mut words) };
                     let c0 = k0 + s * B::STRIP;
-                    for (j, &w) in words[..B::STRIP.min(k - c0)].iter().enumerate() {
-                        // SAFETY: packed row `c0 + j < k`, word `r0/64 < wpr`.
-                        unsafe { *out.as_mut_ptr().add((c0 + j) * wpr + r0 / BLOCK_ROWS) = w };
+                    let row0 = (c0 - cols.start) * wpr + r0 / BLOCK_ROWS;
+                    for (j, &w) in words[..B::STRIP.min(cols.end - c0)].iter().enumerate() {
+                        out[row0 + j * wpr] = w;
                     }
                 }
             }
@@ -298,7 +311,7 @@ unsafe fn transposed<B: PressBody>(b: &[f32], n: usize, k: usize, out: &mut [u64
 }
 
 type RowsFn = unsafe fn(&[f32], usize, usize, &mut [u64]);
-type TransposedFn = unsafe fn(&[f32], usize, usize, &mut [u64]);
+type TransposedFn = unsafe fn(&[f32], usize, usize, Range<usize>, &mut [u64]);
 
 /// [`rows`] and [`transposed`] compiled with a tier's CPU features enabled.
 macro_rules! tier {
@@ -315,9 +328,9 @@ macro_rules! tier {
         /// As [`transposed`], whose `B` is this tier's body.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $features)]
-        unsafe fn $transposed(b: &[f32], n: usize, k: usize, out: &mut [u64]) {
+        unsafe fn $transposed(b: &[f32], n: usize, k: usize, cols: Range<usize>, out: &mut [u64]) {
             // SAFETY: forwarded contract; the features are enabled on this fn.
-            unsafe { transposed::<$body>(b, n, k, out) }
+            unsafe { transposed::<$body>(b, n, k, cols, out) }
         }
     };
 }
@@ -366,12 +379,34 @@ pub fn pack_rows(level: SimdLevel, src: &[f32], rows: usize, row_len: usize, out
 /// # Panics
 /// If `b.len() != n·k` or `out.len() != k·⌈n/64⌉`.
 pub fn pack_transposed(level: SimdLevel, b: &[f32], n: usize, k: usize, out: &mut [u64]) {
+    pack_transposed_band(level, b, n, k, 0..k, out);
+}
+
+/// Packed rows `cols` of [`pack_transposed`], word for word, into `out`:
+/// one band of the press. Bands of one matrix are disjoint runs of its
+/// packed rows, so each can be pressed on a thread of its own.
+///
+/// # Panics
+/// If `b.len() != n·k`, `cols` is not inside `0..k`, or
+/// `out.len() != cols.len()·⌈n/64⌉`.
+pub fn pack_transposed_band(
+    level: SimdLevel,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    cols: Range<usize>,
+    out: &mut [u64],
+) {
     assert_eq!(Some(b.len()), n.checked_mul(k), "matrix size");
-    assert_eq!(out.len(), k * n.div_ceil(64), "output word count");
+    assert!(
+        cols.start <= cols.end && cols.end <= k,
+        "columns {cols:?} of {k}"
+    );
+    assert_eq!(out.len(), cols.len() * n.div_ceil(64), "output word count");
     let (_, run) = body_for(level);
     // SAFETY: lengths asserted above; `body_for` only returns bodies whose
     // CPU features the detector verified.
-    unsafe { run(b, n, k, out) }
+    unsafe { run(b, n, k, cols, out) }
 }
 
 /// Fused binarize+pack of one slice with the widest kernel of the running
@@ -437,6 +472,38 @@ mod tests {
         pack_f32(&src, &mut out);
         // +0.0 and -0.0 both compare >= 0.0 → bits 0,1 set; -1 clear; +1 set.
         assert_eq!(out[0], 0b1011);
+    }
+
+    #[test]
+    fn every_band_is_its_rows_of_the_whole_press() {
+        // Bands of 1, 255 and 1024 columns (the compile press's) from
+        // every offset the cut yields, so band edges meet every strip,
+        // tile and press tail.
+        let mut rng = StdRng::seed_from_u64(43);
+        for n in [1usize, 63, 65, 511, 513, 1025] {
+            for k in [1usize, 255, 257, 1023, 1025, 2049] {
+                let b: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let wpr = n.div_ceil(64);
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                    let mut whole = vec![0u64; k * wpr];
+                    pack_transposed(level, &b, n, k, &mut whole);
+                    for band in [1usize, 255, 1024] {
+                        let mut out = vec![!0u64; k * wpr];
+                        for (i, rows) in out.chunks_mut(band * wpr).enumerate() {
+                            let cols = i * band..(i * band + band).min(k);
+                            pack_transposed_band(level, &b, n, k, cols, rows);
+                        }
+                        assert_eq!(out, whole, "n={n} k={k} band={band} {level:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "columns")]
+    fn a_band_past_the_matrix_is_rejected_before_the_kernel() {
+        pack_transposed_band(SimdLevel::Avx512, &[0.0; 6], 2, 3, 2..4, &mut [0; 2]);
     }
 
     #[test]

@@ -276,27 +276,37 @@ impl BitFilterBank {
     /// `dot = N − 2·popcount` identity depends on it.
     pub fn from_pressed(pressed: &[u64], shape: FilterShape) -> Self {
         let mut bank = Self::zeros(shape);
-        let per_filter = shape.kh * shape.kw * bank.c_words;
+        bank.set_pressed(pressed);
+        bank
+    }
+
+    /// [`Self::from_pressed`] into this bank's own words: the filters'
+    /// lanes are overwritten, the all-zero lanes past K left as they are.
+    ///
+    /// # Panics
+    /// As [`Self::from_pressed`].
+    pub fn set_pressed(&mut self, pressed: &[u64]) {
+        let shape = self.shape;
+        let per_filter = shape.kh * shape.kw * self.c_words;
         assert_eq!(pressed.len(), shape.k * per_filter, "pressed word count");
         if pressed.is_empty() {
-            return bank;
+            return;
         }
         let tail_bits = shape.c % WORD_BITS;
         if tail_bits != 0 {
             let clean = pressed
                 .iter()
-                .skip(bank.c_words - 1)
-                .step_by(bank.c_words)
+                .skip(self.c_words - 1)
+                .step_by(self.c_words)
                 .all(|w| w >> tail_bits == 0);
             assert!(clean, "press tail of a filter tap is not zero");
         }
         for (k, filter) in pressed.chunks_exact(per_filter).enumerate() {
             let at = (k / FILTER_LANES) * per_filter * FILTER_LANES + k % FILTER_LANES;
             for (t, &w) in filter.iter().enumerate() {
-                bank.words[at + t * FILTER_LANES] = w;
+                self.words[at + t * FILTER_LANES] = w;
             }
         }
-        bank
     }
 
     /// Filter-bank shape.

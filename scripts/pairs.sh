@@ -24,6 +24,13 @@
 # side, whose spread says nothing. The table is printed and kept in
 # .bench_build/pairs/ledger.txt.
 #
+# Every run is bracketed by `operator_explorer --probe` (built once, from the
+# working tree): the AMX body, the Zmm body and a dependent-ALU chain, and
+# the CPU the probe ran on, just before and just after the run. Both lines
+# are kept with the run's result (probe.before / probe.after in results.jsonl
+# and in each run of the BENCH file), so a run made in the host's slow AMX
+# phase, or a pair that straddles one, can be told apart.
+#
 # Writes BENCH_<pr>.json at the repo root with --pr, otherwise
 # .bench_build/pairs/bench.json; the saved runs, logs and the --compare table
 # sit in .bench_build/pairs/ either way. Exits 1 if any row is `regressed`, 2
@@ -89,14 +96,27 @@ for side in parent change; do
     restore_lock
     bin[$side]=$root/.bench_build/$side/release/bitflow-benchmark
 done
+CARGO_TARGET_DIR=$root/.bench_build/probe cargo build --release --offline --quiet \
+    --example operator_explorer
+probe_bin=$root/.bench_build/probe/release/examples/operator_explorer
+
+# probe: the probe's JSON line, or null if it printed none.
+probe() {
+    local line
+    line=$("$probe_bin" --probe 2>/dev/null | tail -n 1) || true
+    if jq -e 'type == "object"' <<<"$line" >/dev/null 2>&1; then echo "$line"; else echo null; fi
+}
 
 # run <side> <workload> <seed> <trace>: one run, saved to <side>.jsonl, with
 # its result line (correct/attempted/failed) kept in results.jsonl.
 run() {
     local side=$1 workload=$2 seed=$3 trace=$4 status=0
     local log=$out/$side.$workload.$seed.trace$trace.log
+    local before after
+    before=$(probe)
     "${bin[$side]}" --workload "$workload" --seed "$seed" --trace "$trace" \
         ${seconds:+--seconds "$seconds"} --save "$out/$side.jsonl" >"$log" 2>&1 || status=$?
+    after=$(probe)
     local result
     result=$(tail -n 1 "$log")
     if ((status > 1)) || ! jq -e '.correct | type == "boolean"' <<<"$result" >/dev/null 2>&1; then
@@ -105,11 +125,16 @@ run() {
         exit 2
     fi
     jq -c --arg side "$side" --arg w "$workload" --argjson seed "$seed" --argjson trace "$trace" \
-        '{side: $side, workload: $w, seed: $seed, trace: ($trace == 1), correct, attempted, failed}' \
+        --argjson before "$before" --argjson after "$after" \
+        '{side: $side, workload: $w, seed: $seed, trace: ($trace == 1), correct, attempted, failed,
+          probe: {before: $before, after: $after}}' \
         <<<"$result" >>"$out/results.jsonl"
     jq -r --arg run "$side $workload seed $seed trace $trace" \
+        --argjson before "$before" --argjson after "$after" \
         '"\($run): correct \(.correct), failed \(.failed)"
-         + (.metrics.latency_p50_ms.value // empty | ", latency_p50_ms \(.)")' <<<"$result" >&2
+         + (.metrics.latency_p50_ms.value // empty | ", latency_p50_ms \(.)")
+         + ", amx probe \($before.amx_ms // "-") -> \($after.amx_ms // "-") ms"
+         + " (cpu \($before.cpu // "-") -> \($after.cpu // "-"))"' <<<"$result" >&2
 }
 
 first_sides=()
@@ -217,8 +242,8 @@ def workload($w):
                    change: (side_results($w; "change") | map(.attempted) | add)},
        failed: {parent: (side_results($w; "parent") | map(.failed) | add),
                 change: (side_results($w; "change") | map(.failed) | add)},
-       runs: {parent: (side_results($w; "parent") | map({seed, correct, attempted, failed})),
-              change: (side_results($w; "change") | map({seed, correct, attempted, failed}))}};
+       runs: {parent: (side_results($w; "parent") | map({seed, correct, attempted, failed, probe})),
+              change: (side_results($w; "change") | map({seed, correct, attempted, failed, probe}))}};
 def claim_result($workloads):
     ($contract[0].end_to_end | map(.name)) as $metrics
     | [$workloads | to_entries[] | .key as $w | $metrics[] as $metric
@@ -240,7 +265,7 @@ def claim_result($workloads):
     pr: (if $pr == "" then null else ($pr | tonumber) end),
     parent: $parent,
     change: $change,
-    method: "\($pairs) alternated parent/change pairs per workload (seeds 1-\($pairs), \(if $seconds == "" then "the default run length of the benchmark" else "--seconds \($seconds)" end); the parent first on odd pairs and the change first on even ones, see first_side_by_pair), each side built once with cargo build --release --offline into its own target directory (parent: a clone at \($parent); change: the \($change)). Every run saved with --save and its result line kept (workloads.*.runs); medians, exclusive-quartile IQRs (the spread of benchmark/src/stats.rs) and every run recorded; row verdicts from --compare parent.jsonl change.jsonl of the change binary. Then \($traced) alternated --trace 1 runs of vgg16_latency a side, seeds 1-\($traced) (traced). Written by scripts/pairs.sh.",
+    method: "\($pairs) alternated parent/change pairs per workload (seeds 1-\($pairs), \(if $seconds == "" then "the default run length of the benchmark" else "--seconds \($seconds)" end); the parent first on odd pairs and the change first on even ones, see first_side_by_pair), each side built once with cargo build --release --offline into its own target directory (parent: a clone at \($parent); change: the \($change)). Every run saved with --save and its result line kept (workloads.*.runs), with the operator_explorer --probe lines taken just before and just after it (probe); medians, exclusive-quartile IQRs (the spread of benchmark/src/stats.rs) and every run recorded; row verdicts from --compare parent.jsonl change.jsonl of the change binary. Then \($traced) alternated --trace 1 runs of vgg16_latency a side, seeds 1-\($traced) (traced). Written by scripts/pairs.sh.",
     claim: (if $claim == "" then null else $claim end),
     host: $host,
     loc: {tool: "scripts/loc.sh of each tree: tracked *.rs lines, crates/*/src + src (src) apart from tests/benches/examples (other); vendor/ and benchmark/ not counted",
@@ -254,6 +279,8 @@ def claim_result($workloads):
              runs: $traced,
              correct: {parent: [$results[] | select(.trace and .side == "parent") | .correct],
                        change: [$results[] | select(.trace and .side == "change") | .correct]},
+             probes: {parent: [$results[] | select(.trace and .side == "parent") | {seed, probe}],
+                      change: [$results[] | select(.trace and .side == "change") | {seed, probe}]},
              rows: ledger},
     claim_result: claim_result($workloads)
   }

@@ -10,16 +10,19 @@
 //! chunked operators the engine runs (the conv with its sign epilogue, the
 //! FC's `forward_into_parallel`, the binary pool), and the end-to-end
 //! `try_infer` / `try_infer_batch` serving calls — also when two callers
-//! want the one worker team at once.
+//! want the one worker team at once — and the compile's press step, whose
+//! jobs the team deals out.
 
-use bitflow_graph::models::{small_cnn, tiered_cnn};
+use bitflow_graph::models::{mlp, small_cnn, tiered_cnn};
 use bitflow_graph::weights::{BnParams, NetworkWeights};
-use bitflow_graph::CompiledModel;
+use bitflow_graph::{CompiledModel, LayerSpec, NetworkSpec};
 use bitflow_ops::binary::{
     binary_max_pool, binary_max_pool_parallel, pressed_conv_sign_into, BinaryFcWeights,
     SignThresholds,
 };
+use bitflow_ops::params::ConvParams;
 use bitflow_simd::kernels::SimdLevel;
+use bitflow_simd::team;
 use bitflow_simd::VectorScheduler;
 use bitflow_tensor::{BitFilterBank, BitTensor, FilterShape, Layout, Shape, Tensor};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -232,5 +235,52 @@ fn two_callers_share_the_one_team_without_deadlock() {
         finished
             .recv_timeout(std::time::Duration::from_secs(120))
             .expect("a caller failed, or is stuck behind the team");
+    }
+}
+
+#[test]
+fn compiled_weights_invariant_across_pools_and_nesting() {
+    // The press step deals its jobs — FC bands, conv banks and their AMX
+    // copies — over the team. Every word must be the same at every pool
+    // size, and from a compile nested in a team chunk (busy ⇒ inline).
+    // The MLP's n is no multiple of 512 and its 1 500-row Bᵀ is two bands;
+    // the 16×16×128 → 256 conv runs the AMX body where the host has one.
+    let amx_net = NetworkSpec {
+        name: "amx-conv".into(),
+        input: Shape::hwc(16, 16, 128),
+        layers: vec![
+            LayerSpec::Conv {
+                name: "conv".into(),
+                k: 256,
+                params: ConvParams::VGG_CONV,
+            },
+            LayerSpec::Fc {
+                name: "fc".into(),
+                k: 10,
+            },
+        ],
+    };
+    let mut rng = StdRng::seed_from_u64(43);
+    for spec in [tiered_cnn(), mlp(700, 1500), amx_net] {
+        let weights = NetworkWeights::random_with_bn(&spec, &mut rng);
+        let compile = || CompiledModel::try_compile(&spec, &weights).expect("model compiles");
+        let serial = in_pool(1, compile);
+        if spec.name == "amx-conv" && bitflow_simd::features().amx_int8 {
+            assert_eq!(serial.amx_banks().len(), 1, "the conv runs the AMX body");
+        }
+        let mut nested: [Option<CompiledModel>; 2] = [None, None];
+        team::for_chunks_mut(&mut nested, 1, |_, slot| slot[0] = Some(compile()));
+        let pooled = POOLS.map(|threads| (format!("{threads} threads"), in_pool(threads, compile)));
+        let nested = nested.map(|m| ("nested".to_string(), m.expect("chunk ran")));
+        for (how, model) in pooled.iter().chain(&nested) {
+            assert_eq!(
+                model.packed_weights(),
+                serial.packed_weights(),
+                "{}: packed words diverge, {how}",
+                spec.name
+            );
+            let (got, want) = (model.amx_banks(), serial.amx_banks());
+            assert!(got == want, "{}: AMX copies diverge, {how}", spec.name);
+        }
     }
 }
