@@ -16,7 +16,7 @@
 //! `cargo bench -p bitflow-bench --bench ablation` prints the fastest of
 //! repeated calls per configuration (`timing::measure`); the two sides of an
 //! A/B comparison are timed interleaved (`timing::measure_interleaved`) so
-//! both see the same machine load. `-- --quick` (or `BITFLOW_QUICK=1`) runs
+//! both see the same machine load. `-- --quick` runs
 //! each configuration once.
 
 use bitflow_bench::quick_mode;

@@ -1,11 +1,9 @@
 //! Operator runners: one timed closure per (implementation, workload).
 
-use crate::timing::{measure, measure_interleaved, with_pool};
+use crate::timing::{measure, with_pool};
 use crate::workloads::{OpKind, Prepared};
 use bitflow_ops::binary::{binary_max_pool, pressed_conv_sign_into};
-use bitflow_ops::float::{
-    conv_im2col, conv_im2col_parallel, fc_parallel, fc_pretransposed, max_pool, max_pool_parallel,
-};
+use bitflow_ops::float::{conv_im2col, fc_pretransposed, max_pool};
 use bitflow_ops::SimdLevel;
 use bitflow_simd::VectorScheduler;
 use std::hint::black_box;
@@ -21,7 +19,7 @@ pub enum Impl {
     BinaryUnopt,
     /// BitFlow: binary operator with the scheduler-selected SIMD kernel.
     BitFlow,
-    /// BitFlow with an explicitly forced kernel width (ablations).
+    /// BitFlow's lane loop at a forced kernel width (Fig. 7's lane column).
     BitFlowForced(SimdLevel),
 }
 
@@ -46,37 +44,20 @@ pub fn kernel(p: &Prepared) -> String {
     }
 }
 
-/// Runs one (impl, workload) configuration once. Panics on impl/op
-/// mismatches (e.g. forced level on float).
+/// Runs one (impl, workload) configuration once; the float baseline
+/// always on one thread.
 pub fn run_once(imp: Impl, p: &Prepared, threads: usize) {
     match (imp, p.workload.kind) {
         (Impl::Float, OpKind::Conv { .. }) => {
             let f = p.fshape.unwrap();
-            if threads == 1 {
-                black_box(conv_im2col(&p.input, &p.weights, f, p.workload.params));
-            } else {
-                black_box(conv_im2col_parallel(
-                    &p.input,
-                    &p.weights,
-                    f,
-                    p.workload.params,
-                ));
-            }
+            black_box(conv_im2col(&p.input, &p.weights, f, p.workload.params));
         }
         (Impl::Float, OpKind::Fc { k }) => {
             let n = p.workload.flat_n();
-            if threads == 1 {
-                black_box(fc_pretransposed(&p.input_flat, &p.weights_t, n, k));
-            } else {
-                black_box(fc_parallel(&p.input_flat, &p.weights_t, n, k));
-            }
+            black_box(fc_pretransposed(&p.input_flat, &p.weights_t, n, k));
         }
         (Impl::Float, OpKind::Pool) => {
-            if threads == 1 {
-                black_box(max_pool(&p.input, p.workload.params));
-            } else {
-                black_box(max_pool_parallel(&p.input, p.workload.params));
-            }
+            black_box(max_pool(&p.input, p.workload.params));
         }
         (imp, kind) => {
             let level = match imp {
@@ -147,44 +128,26 @@ pub fn run_once(imp: Impl, p: &Prepared, threads: usize) {
     }
 }
 
-/// Times one configuration inside a sized pool.
-pub fn time_config(imp: Impl, p: &Prepared, threads: usize, budget: Duration) -> Duration {
+/// Times one configuration inside a sized pool, for up to 600 ms.
+pub fn time_default(imp: Impl, p: &Prepared, threads: usize) -> Duration {
+    let budget = Duration::from_millis(600);
     with_pool(threads, || {
         measure(|| run_once(imp, p, threads), budget, 3, 200)
-    })
-}
-
-/// Convenience: time with the default 600 ms budget.
-pub fn time_default(imp: Impl, p: &Prepared, threads: usize) -> Duration {
-    time_config(imp, p, threads, Duration::from_millis(600))
-}
-
-/// Times two implementations on the same workload with their iterations
-/// interleaved, so both see identical machine load. Use this for A/B
-/// speedup claims; separate [`time_config`] calls measure in disjoint
-/// windows and can disagree by tens of percent on a busy machine.
-pub fn time_pair(
-    a: Impl,
-    b: Impl,
-    p: &Prepared,
-    threads: usize,
-    budget: Duration,
-) -> (Duration, Duration) {
-    with_pool(threads, || {
-        measure_interleaved(
-            || run_once(a, p, threads),
-            || run_once(b, p, threads),
-            budget,
-            3,
-            200,
-        )
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::measure_interleaved;
     use crate::workloads::{prepare, table_iv};
+
+    /// Two implementations on one thread, their iterations interleaved so
+    /// both see the same machine load.
+    fn pair(a: Impl, b: Impl, p: &Prepared) -> (Duration, Duration) {
+        let budget = Duration::from_millis(300);
+        measure_interleaved(|| run_once(a, p, 1), || run_once(b, p, 1), budget, 3, 200)
+    }
 
     /// Smoke: every impl×op combination runs on shrunken workloads.
     #[test]
@@ -211,13 +174,7 @@ mod tests {
         // the float baseline comfortably on one thread.
         let w = table_iv()[1].shrunk(2); // conv3.1 at 28x28
         let p = prepare(&w, 4);
-        let (tf, tb) = time_pair(
-            Impl::Float,
-            Impl::BitFlow,
-            &p,
-            1,
-            Duration::from_millis(300),
-        );
+        let (tf, tb) = pair(Impl::Float, Impl::BitFlow, &p);
         assert!(
             tb < tf,
             "binary {:?} should beat float {:?} on conv",
@@ -230,13 +187,7 @@ mod tests {
     fn unopt_is_not_faster_than_bitflow_wide_channels() {
         let w = table_iv()[3]; // conv5.1 (C=512) at full size — small anyway
         let p = prepare(&w, 5);
-        let (tu, tb) = time_pair(
-            Impl::BinaryUnopt,
-            Impl::BitFlow,
-            &p,
-            1,
-            Duration::from_millis(300),
-        );
+        let (tu, tb) = pair(Impl::BinaryUnopt, Impl::BitFlow, &p);
         // SIMD should not lose; allow 10% jitter head-room.
         assert!(
             tb.as_secs_f64() <= tu.as_secs_f64() * 1.10,

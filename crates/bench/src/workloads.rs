@@ -144,14 +144,6 @@ pub fn table_iv() -> Vec<Workload> {
     ]
 }
 
-/// The conv-only subset (used by kernel-width ablations).
-pub fn table_iv_convs() -> Vec<Workload> {
-    table_iv()
-        .into_iter()
-        .filter(|w| matches!(w.kind, OpKind::Conv { .. }))
-        .collect()
-}
-
 /// Prepared operands for one workload: everything both the float and the
 /// binary paths need, built once outside the timed region.
 pub struct Prepared {

@@ -12,7 +12,8 @@
 //! `bitflow_simd::pack`. The paper's own column walk
 //! ([`pack_b_fused_columnwise`]) and the staged alternative (transpose
 //! floats, then pack rows: [`pack_b_staged`]) are kept as the references the
-//! tests and the `table3`/`ablation` benches compare against.
+//! tests, the paper report's Table III and the `ablation` bench compare
+//! against.
 
 use bitflow_simd::pack::{pack_rows, pack_transposed};
 use bitflow_simd::VectorScheduler;

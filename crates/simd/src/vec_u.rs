@@ -4,7 +4,14 @@
 //! unions (`m128_u`, `m256_u`, `m512_u`). In Rust the same reinterpretation
 //! is expressed with `#[repr(C)]` unions over `std::arch` vector types; the
 //! accessors below encapsulate the (trivially sound, same-size POD) unsafe
-//! reads.
+//! reads. Each union is exactly its register's size, as in the paper:
+//!
+//! ```
+//! use bitflow_simd::vec_u::{M128U, M256U, M512U};
+//! use std::mem::size_of;
+//! assert_eq!((size_of::<M128U>(), size_of::<M256U>(), size_of::<M512U>()), (16, 32, 64));
+//! assert_eq!(M256U::from_lanes([1, 2, 3, 4]).lanes(), [1, 2, 3, 4]);
+//! ```
 
 #![cfg(target_arch = "x86_64")]
 

@@ -24,7 +24,11 @@ pub fn binarize_f32(x: f32) -> u64 {
 /// logical element `i` (LSB-first).
 ///
 /// Equivalent to the paper's `bit64_u` union: build the word bit by bit from
-/// float comparisons, read it out as one `u64`.
+/// float comparisons, read it out as one `u64`, which is all it holds.
+///
+/// ```
+/// assert_eq!(std::mem::size_of::<bitflow_tensor::Bit64>(), 8);
+/// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(transparent)]
 pub struct Bit64(pub u64);
@@ -59,6 +63,16 @@ impl Bit64 {
 
     /// Fused binarization + bit-packing of exactly 64 contiguous floats
     /// (paper Table II/III): bit `i` = `xs[i] >= 0`.
+    ///
+    /// ```
+    /// use bitflow_tensor::Bit64;
+    /// let mut xs = [-0.5f32; 64];
+    /// xs[0] = 1.0;
+    /// xs[63] = 0.0; // sign(0) = +1
+    /// let word = Bit64::pack64(&xs);
+    /// assert!(word.bit(0) && word.bit(63) && !word.bit(1));
+    /// assert_eq!(word.0, 1 | (1 << 63));
+    /// ```
     #[inline]
     pub fn pack64(xs: &[f32; 64]) -> Bit64 {
         let mut w = 0u64;

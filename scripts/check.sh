@@ -2,10 +2,11 @@
 # One-command gate for PRs: formatting, lints, and the tier-1 tests.
 #
 #   scripts/check.sh          # everything, incl. building benchmark/ and
-#                             # running each of its workloads once; ends
-#                             # with the scripts/loc.sh table
-#   scripts/check.sh --fast   # skip the release build and the benchmark
-#                             # stage (lints + debug tests)
+#                             # running each of its workloads once, then
+#                             # the paper report in quick mode (needs jq);
+#                             # ends with the scripts/loc.sh table
+#   scripts/check.sh --fast   # skip the release build, the benchmark and
+#                             # the paper report (lints + debug tests)
 #   scripts/check.sh --serve  # additionally run the serving-runtime gate:
 #                             # strict clippy on bitflow-serve (warnings,
 #                             # incl. unwrap/expect, denied), its unit tests
@@ -106,6 +107,24 @@ if [[ $fast -eq 0 ]]; then
             exit 1
         fi
     done
+
+    # The paper report in quick mode: every artifact of the paper's
+    # evaluation has a row, every row the host cannot run says why, and no
+    # shrunk row claims a ratio to the paper's value.
+    echo "==> paper --quick (one report of the paper's eleven artifacts)"
+    results=$(mktemp -d)
+    BITFLOW_RESULTS_DIR=$results cargo run --release -q -p bitflow-bench --bin paper -- --quick \
+        >/dev/null
+    if ! jq -e '
+        ["Table I", "Table II", "Table III", "Table IV", "Table V", "Fig. 7", "Fig. 8",
+         "Fig. 9", "Fig. 10", "Fig. 11", "§III-A AIT"] - [.rows[].artifact] == []
+        and .quick
+        and all(.rows[]; .provenance | test("^(measured|modelled|not-here: .+)$"))
+        and all(.rows[]; .ratio == null)' "$results/paper.json" >/dev/null; then
+        echo "paper.json: an artifact without rows, a not-here row without a reason, or a quick-mode ratio" >&2
+        exit 1
+    fi
+    rm -r "$results"
 fi
 
 if [[ $serve -eq 1 ]]; then
